@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import crypto, peers, pki
+from . import crypto, operators, peers, pki, wire
 from .errors import (
     BadSignature,
     EnrollRejected,
@@ -35,7 +35,6 @@ from .messages import (
     encode,
 )
 from .simnet import Sleep
-from . import wire
 
 
 class DevicePhase(Enum):
@@ -99,7 +98,6 @@ class DeviceState:
     firmware: VersionInfo = VersionInfo(0, Uri("coaps://unset/fw/0"))
     pending_transfer: TransferMessage | None = None
     sp1_signer_key: bytes | None = None
-    sp2_signer_key: bytes | None = None
 
     def set_phase(self, new: DevicePhase, trace=None) -> None:
         if new not in _EDGES[self.phase]:
@@ -134,11 +132,6 @@ class DeviceState:
             f"fallback={self.endpoints.fallback_uri}",
         ]
         return "\n".join(lines)
-
-
-def measure_firmware(state: DeviceState) -> bytes:
-    """32-byte digest of the running firmware description."""
-    return crypto.digest(encode(state.firmware))
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +210,6 @@ def reset_to_agreed_state(state: DeviceState, trace=None) -> None:
 # network operations (simulator processes)
 # ---------------------------------------------------------------------------
 
-def _trace(net: peers.NetHandle, state: DeviceState):
-    def emit(kind, **fields):
-        net.note(kind, **fields)
-    return emit
-
-
 def _enroll_once(state: DeviceState, net: peers.NetHandle,
                  server_keygen: bool):
     """One enrollment exchange at endpoints.ca_uri; raises EnrollRejected."""
@@ -285,7 +272,7 @@ def initial_enroll(state: DeviceState, net: peers.NetHandle,
     if state.phase is not DevicePhase.PROVISIONED:
         raise WrongPhase(f"initial enroll in phase {state.phase.value}")
     yield from _enroll_once(state, net, opts.server_keygen)
-    state.set_phase(DevicePhase.ENROLLED, _trace(net, state))
+    state.set_phase(DevicePhase.ENROLLED, net.note)
 
 
 def reenroll(state: DeviceState, net: peers.NetHandle, opts: DeviceOptions):
@@ -298,7 +285,7 @@ def reenroll(state: DeviceState, net: peers.NetHandle, opts: DeviceOptions):
     if previous_key is not None \
             and state.operational_key.public_key == previous_key.public_key:
         raise EnrollRejected("key_not_fresh")
-    state.set_phase(DevicePhase.REENROLLED, _trace(net, state))
+    state.set_phase(DevicePhase.REENROLLED, net.note)
 
 
 def _ra_exchange(state: DeviceState, net: peers.NetHandle, dst: str,
@@ -308,7 +295,7 @@ def _ra_exchange(state: DeviceState, net: peers.NetHandle, dst: str,
         net, sess, dst, wire.RaHello(state.device_id), (wire.RaChallenge,))
     if reply is None:
         return None
-    measurement = crypto.digest(measure_firmware(state) + reply.nonce)
+    measurement = operators.ra_respond(state.firmware, reply.nonce)
     verdict, status = yield from peers.session_call(
         net, sess, dst, wire.RaReport(state.device_id, reply.nonce, measurement),
         (wire.RaVerdict,))
@@ -343,7 +330,7 @@ def contact_fallback(state: DeviceState, net: peers.NetHandle, reason: str):
             contacted = True
             break
     net.note("fallback_contacted", ok=str(contacted), reason=reason)
-    state.set_phase(DevicePhase.FALLBACK, _trace(net, state))
+    state.set_phase(DevicePhase.FALLBACK, net.note)
 
 
 def run_post_reset_sequence(state: DeviceState, net: peers.NetHandle,
@@ -352,7 +339,6 @@ def run_post_reset_sequence(state: DeviceState, net: peers.NetHandle,
     any permanent failure routes to the fallback endpoint."""
     if state.phase is not DevicePhase.RESET_DONE:
         raise WrongPhase(f"post-reset sequence in phase {state.phase.value}")
-    trace = _trace(net, state)
 
     if state.endpoints.ra_uri is not None:
         dst = net.resolve(state.endpoints.ra_uri)
@@ -366,7 +352,7 @@ def run_post_reset_sequence(state: DeviceState, net: peers.NetHandle,
         if verdict is not True:
             yield from contact_fallback(state, net, "ra_failed")
             return
-        state.set_phase(DevicePhase.ATTESTED, trace)
+        state.set_phase(DevicePhase.ATTESTED, net.note)
 
     if state.endpoints.contact_update_before_enroll:
         dst = net.resolve(state.endpoints.update_uri)
@@ -392,7 +378,7 @@ def run_post_reset_sequence(state: DeviceState, net: peers.NetHandle,
         if not done:
             yield from contact_fallback(state, net, "update_failed")
             return
-        state.set_phase(DevicePhase.UPDATED, trace)
+        state.set_phase(DevicePhase.UPDATED, net.note)
 
     try:
         yield from reenroll(state, net, opts)
@@ -408,8 +394,6 @@ def run_post_reset_sequence(state: DeviceState, net: peers.NetHandle,
 def lifecycle(state: DeviceState, net: peers.NetHandle, opts: DeviceOptions):
     """Complete device process: enroll, operate under SP1, transfer, re-enroll
     under SP2 (or fall back)."""
-    trace = _trace(net, state)
-
     enrolled = False
     for _attempt in range(opts.enroll_attempts):
         try:
@@ -466,49 +450,54 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, opts: DeviceOptions):
             renewals_left -= 1
             try:
                 yield from _enroll_once(state, net, opts.server_keygen)
-                state.set_phase(DevicePhase.ENROLLED, trace)
+                state.set_phase(DevicePhase.ENROLLED, net.note)
                 net.note("operational_cert_renewed",
                          serial=state.operational_cert.serial)
             except EnrollRejected as err:
                 net.note("renewal_failed", reason=str(err.reason))
             continue
+        # Every push is answered with one ack; content that does not decode
+        # gets a negative one.
         if isinstance(msg, wire.TrustPush):
             try:
                 for cert_bytes in msg.root_certs:
                     root = decode(MessageKind.CERTIFICATE, cert_bytes)
                     state.truststore.add_root(root, persist=msg.persist)
-                yield peers.send_record(net, sp1_sess, sp1_dst,
-                                        wire.TrustAck(True))
+                ack = wire.TrustAck(True)
                 net.note("trust_push_applied", count=len(msg.root_certs),
                          persist=str(msg.persist))
-            except InvariantViolation:
-                yield peers.send_record(net, sp1_sess, sp1_dst,
-                                        wire.TrustAck(False))
+            except (MalformedEncoding, InvariantViolation):
+                ack = wire.TrustAck(False)
         elif isinstance(msg, wire.FinalUpdate):
-            new_version = decode(MessageKind.VERSION_INFO, msg.version_bytes)
-            if new_version.manifest_sequence > state.firmware.manifest_sequence:
-                state.firmware = new_version
-                net.note("firmware_updated", seq=new_version.manifest_sequence)
-            yield peers.send_record(net, sp1_sess, sp1_dst, wire.FinalAck(True))
+            try:
+                new_version = decode(MessageKind.VERSION_INFO,
+                                     msg.version_bytes)
+                if new_version.manifest_sequence \
+                        > state.firmware.manifest_sequence:
+                    state.firmware = new_version
+                    net.note("firmware_updated",
+                             seq=new_version.manifest_sequence)
+                ack = wire.FinalAck(True)
+            except (MalformedEncoding, InvariantViolation):
+                ack = wire.FinalAck(False)
         elif isinstance(msg, wire.TransferDeliver):
             try:
                 envelope = decode(MessageKind.SIGNED_ENVELOPE,
                                   msg.envelope_bytes)
-                handle_transfer_message(state, envelope, net.now(), trace)
+                handle_transfer_message(state, envelope, net.now(), net.note)
                 net.note("transfer_accepted",
                          size=len(msg.envelope_bytes))
-                yield peers.send_record(net, sp1_sess, sp1_dst,
-                                        wire.TransferAck(True, ""))
+                ack = wire.TransferAck(True, "")
             except (BadSignature, OutsideResetWindow, MalformedEncoding,
                     InvariantViolation, WrongPhase) as err:
                 net.note("transfer_rejected",
                          reason=type(err).__name__)
-                yield peers.send_record(net, sp1_sess, sp1_dst,
-                                        wire.TransferAck(False,
-                                                         type(err).__name__))
+                ack = wire.TransferAck(False, type(err).__name__)
         else:
             net.note("note", what="unexpected_push",
                      got=type(msg).__name__)
+            continue
+        yield peers.send_record(sp1_sess, sp1_dst, ack)
 
     if state.phase is not DevicePhase.TRANSFER_PENDING:
         return
@@ -521,7 +510,7 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, opts: DeviceOptions):
         net.note("reset_window_expired")
         return  # inert: transfer already acknowledged but window passed
 
-    reset_to_agreed_state(state, trace)
+    reset_to_agreed_state(state, net.note)
     net.note("reset_snapshot",
              op_cert="none" if state.operational_cert is None else "present",
              sp1_key="none" if state.sp1_signer_key is None else "present",

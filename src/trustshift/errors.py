@@ -58,25 +58,12 @@ class UnknownSerial(Error):
 
 # --- session layer ---
 
-class PeerUntrusted(Error):
-    """Peer certificate chain failed verification during session setup."""
-
-    def __init__(self, side, reason):
-        super().__init__(f"peer untrusted on {side} side: {reason}")
-        self.side = side
-        self.reason = reason
-
-
 class ReplayDetected(Error):
     """Record sequence number not strictly newer than the last accepted one."""
 
 
 class WrongSession(Error):
     """Record belongs to a different session."""
-
-
-class NotEstablished(Error):
-    """Session operation attempted before establishment."""
 
 
 # --- device layer ---
@@ -113,10 +100,6 @@ class UnknownDevice(Error):
 
 class BadSp2Signature(Error):
     """TransferMessage envelope did not verify under the agreed SP2 key."""
-
-
-class RegistrationFailed(Error):
-    """Factory-certificate registration with the target CA failed."""
 
 
 class NoExpectedMeasurement(Error):

@@ -16,7 +16,6 @@ from .errors import (
     InvariantViolation,
     MalformedEncoding,
     NoExpectedMeasurement,
-    RegistrationFailed,
     UnknownDevice,
     UnverifiableFactoryCert,
 )
@@ -34,7 +33,7 @@ from .messages import (
     decode,
     encode,
 )
-from .simnet import Sleep, Transmit
+from .simnet import Sleep
 
 
 @dataclass
@@ -116,13 +115,10 @@ def build_transfer_message(sp2: OperatorState, info_list: UpdateInfoList,
 
 
 def sp2_prepare_transfer(sp2: OperatorState, verified_list: UpdateInfoList,
-                         ca2: pki.CaState, options: TransferOptions,
-                         now: TimeStamp) -> SignedEnvelope:
-    """Register the factory certificates with CA2 and sign the transfer CWT."""
-    try:
-        enroll_uri = pki.register_factory_certs(ca2, verified_list, now)
-    except UnverifiableFactoryCert as err:
-        raise RegistrationFailed(str(err)) from err
+                         enroll_uri: Uri,
+                         options: TransferOptions) -> SignedEnvelope:
+    """The transfer CWT, signed by SP2, once CA2 has registered the factory
+    certificates under `enroll_uri`."""
     message = build_transfer_message(sp2, verified_list, enroll_uri, options)
     return crypto.sign_envelope(sp2.signing_key, EnvelopeProfile.CWT,
                                 encode(message))
@@ -219,16 +215,6 @@ def ra_verify(verifier: RaVerifierState, exchange: RaExchange) -> bool:
 # network actors
 # ---------------------------------------------------------------------------
 
-def _snake(name: str) -> str:
-    out = [name[0].lower()]
-    for ch in name[1:]:
-        if ch.isupper():
-            out.extend(("_", ch.lower()))
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
 class CaActor:
     """Enrollment, registration and revocation frontend over one CaState."""
 
@@ -264,7 +250,8 @@ class CaActor:
                                   factory_revocations=view)
                 seed = b""
         except Exception as err:  # typed protocol errors become reasons
-            return wire.EnrollRsp(False, b"", b"", (), (), _snake(type(err).__name__))
+            return wire.EnrollRsp(False, b"", b"", (), (),
+                                  wire.snake_case(type(err).__name__))
         chain = tuple(encode(c) for c in self.ca.issuer_chain)
         roots = tuple(encode(c) for c in self.enroll_push_roots)
         return wire.EnrollRsp(True, encode(cert), seed, chain, roots, "")
@@ -282,7 +269,8 @@ class CaActor:
             except UnverifiableFactoryCert as err:
                 return [wire.RegisterRsp(False, "", err.serial, err.reason)]
             except (MalformedEncoding, InvariantViolation) as err:
-                return [wire.RegisterRsp(False, "", 0, _snake(type(err).__name__))]
+                return [wire.RegisterRsp(False, "", 0,
+                                         wire.snake_case(type(err).__name__))]
             return [wire.RegisterRsp(True, str(uri), 0, "")]
         if isinstance(msg, wire.RevokeReq):
             if entry.peer_cert.profile is not CertProfile.SERVER:
@@ -537,14 +525,13 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
                     continue
                 acked = state.acks.get(device_id, {})
                 if cfg.last_update and not acked.get("final", False):
-                    frame, label = actor.peer.push(
-                        entry, wire.FinalUpdate(encode(state.current_version)))
-                    yield Transmit(entry.initiator, frame, label)
+                    yield peers.send_record(
+                        entry.endpoint, entry.initiator,
+                        wire.FinalUpdate(encode(state.current_version)))
                 if cfg.push_roots and not acked.get("trust", False):
                     roots = tuple(encode(c) for c in cfg.push_roots)
-                    frame, label = actor.peer.push(
-                        entry, wire.TrustPush(roots, True))
-                    yield Transmit(entry.initiator, frame, label)
+                    yield peers.send_record(entry.endpoint, entry.initiator,
+                                            wire.TrustPush(roots, True))
             yield Sleep(cfg.ack_wait)
             pending = {d for d in pending
                        if not all(state.acks.get(d, {}).get(k, False)
@@ -573,9 +560,8 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
                 net.note("size", cls="transfer_message_payload",
                          bytes=len(relayed.payload))
                 relayed_size_noted = True
-            frame, label = actor.peer.push(
-                entry, wire.TransferDeliver(relayed_bytes))
-            yield Transmit(entry.initiator, frame, label)
+            yield peers.send_record(entry.endpoint, entry.initiator,
+                                    wire.TransferDeliver(relayed_bytes))
         yield Sleep(cfg.ack_wait)
         pending = {d for d in pending
                    if not state.acks.get(d, {}).get("transfer", False)}
@@ -647,10 +633,8 @@ def sp2_transfer_process(net: peers.NetHandle, actor: OperatorActor,
             return
         enroll_uri = Uri(reply.enroll_uri)
 
-    message = build_transfer_message(state, state.received_list, enroll_uri,
-                                     cfg.options)
-    envelope = crypto.sign_envelope(state.signing_key, EnvelopeProfile.CWT,
-                                    encode(message))
+    envelope = sp2_prepare_transfer(state, state.received_list, enroll_uri,
+                                    cfg.options)
     env_bytes = encode(envelope)
     net.note("size", cls="transfer_message_payload", bytes=len(envelope.payload))
     net.note("size", cls="transfer_message_envelope", bytes=len(env_bytes))

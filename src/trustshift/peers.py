@@ -5,9 +5,10 @@ and operator processes drive via `yield from`. Responder side: a session
 table keyed by session id with handshake freshness tracking, wrapping an
 application-level request handler.
 
-Every session-record acceptance or rejection lands in the trace as one
-`record` entry keyed by (actor, session id, sequence number); replay
-analysis in tests is built entirely on those entries.
+Both sides derive, frame and accept through `session`; every record
+acceptance or rejection lands in the trace as one `record` entry keyed by
+(actor, session id, sequence number), written by `_accept_record` alone.
+Replay analysis in tests is built entirely on those entries.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import messages, pki, session, simnet, wire
-from .errors import Error, MalformedEncoding, ReplayDetected
+from .errors import Error, MalformedEncoding, ReplayDetected, WrongSession
 from .messages import CertProfile, MessageKind
 from .simnet import TIMEOUT, Transmit, WaitMessage
 
@@ -67,16 +68,30 @@ def _cred_from_wire(cert_bytes: bytes, intermediates: tuple[bytes, ...]):
     return cert, inters
 
 
-def _label(msg) -> str:
-    name = type(msg).__name__
-    out = [name[0].lower()]
-    for ch in name[1:]:
-        if ch.isupper():
-            out.append("_")
-            out.append(ch.lower())
-        else:
-            out.append(ch)
-    return "".join(out)
+def _accept_record(trace: simnet.Trace, now: int, actor: str,
+                   sess: session.AuthenticatedSession | None,
+                   frame: wire.RecordFrame) -> tuple[str, bytes | None]:
+    """Run one inbound record through the session layer and trace the
+    outcome; returns (outcome, payload), payload None unless accepted.
+    `sess` is None when the record names no session the actor holds."""
+    outcome, payload = "wrong_session", None
+    if sess is not None:
+        try:
+            payload = session.receive(sess, frame)
+            outcome = "accept"
+        except WrongSession:
+            pass
+        except ReplayDetected:
+            outcome = "replay_detected"
+    trace.add("record", now, actor=actor, sid=frame.session_id.hex(),
+              seq=frame.seq, outcome=outcome)
+    return outcome, payload
+
+
+def send_record(sess: session.AuthenticatedSession, dst: str,
+                app_msg) -> Transmit:
+    """The next record of `sess`, carrying `app_msg`, addressed to `dst`."""
+    return Transmit(dst, session.send(sess, app_msg), label=app_msg.LABEL)
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +144,7 @@ def open_session(net: NetHandle, dst: str, cred: pki.Credential,
                                          net.now(), net.revocation_view())
                 if not check:
                     return None, f"peer_untrusted:{check.reason.value}"
-                endpoint = session.AuthenticatedSession(
-                    local_identity=cred.certificate,
-                    peer_identity=peer_cert,
-                    session_id=session.derive_session_id(ephemeral, msg.ephemeral),
-                    session_key_fingerprint=session.derive_fingerprint(
-                        ephemeral, msg.ephemeral))
-                return endpoint, "ok"
+                return session.derive(ephemeral, msg.ephemeral, peer_cert), "ok"
             if isinstance(msg, wire.Reject):
                 if msg.echo_ephemeral != ephemeral:
                     net.note("handshake", outcome="stale_reject_discarded",
@@ -153,29 +162,8 @@ def _receive_record(net: NetHandle, sess: session.AuthenticatedSession,
     if frame is None:
         net.note("note", what="non_record_frame_discarded")
         return None
-    record = session.SessionRecord(frame.session_id, frame.seq, frame.payload)
-    if frame.session_id != sess.session_id:
-        net.note("record", sid=frame.session_id.hex(), seq=frame.seq,
-                 outcome="wrong_session")
-        return None
-    try:
-        payload = session.receive(sess, record)
-    except ReplayDetected:
-        net.note("record", sid=frame.session_id.hex(), seq=frame.seq,
-                 outcome="replay_detected")
-        return None
-    net.note("record", sid=frame.session_id.hex(), seq=frame.seq,
-             outcome="accept")
-    return payload
-
-
-def send_record(net: NetHandle, sess: session.AuthenticatedSession, dst: str,
-                app_msg) -> Transmit:
-    payload = wire.encode_wire(app_msg)
-    record = session.send(sess, payload)
-    frame = wire.encode_wire(wire.RecordFrame(record.session_id, record.seq,
-                                              record.payload))
-    return Transmit(dst, frame, label=_label(app_msg))
+    return _accept_record(net.sim.trace, net.now(), net.actor_id, sess,
+                          frame)[1]
 
 
 def session_call(net: NetHandle, sess: session.AuthenticatedSession, dst: str,
@@ -189,7 +177,7 @@ def session_call(net: NetHandle, sess: session.AuthenticatedSession, dst: str,
     """
     cfg = net.config
     for _attempt in range(cfg.call_retries + 1):
-        yield send_record(net, sess, dst, request)
+        yield send_record(sess, dst, request)
         deadline = net.now() + cfg.call_timeout
         while True:
             remaining = deadline - net.now()
@@ -245,8 +233,11 @@ def session_wait(net: NetHandle, sess: session.AuthenticatedSession,
 @dataclass
 class PeerSession:
     endpoint: session.AuthenticatedSession
-    peer_cert: messages.CompactCertificate
     initiator: str
+
+    @property
+    def peer_cert(self) -> messages.CompactCertificate:
+        return self.endpoint.peer_identity
 
 
 @dataclass
@@ -306,14 +297,8 @@ class ResponderPeer:
             return self._reject(msg.ephemeral, "profile_not_allowed")
 
         responder_ephemeral = self.rng.randbytes(32)
-        endpoint = session.AuthenticatedSession(
-            local_identity=self.credential.certificate,
-            peer_identity=peer_cert,
-            session_id=session.derive_session_id(msg.ephemeral,
-                                                 responder_ephemeral),
-            session_key_fingerprint=session.derive_fingerprint(
-                msg.ephemeral, responder_ephemeral))
-        self.sessions[endpoint.session_id] = PeerSession(endpoint, peer_cert, src)
+        endpoint = session.derive(msg.ephemeral, responder_ephemeral, peer_cert)
+        self.sessions[endpoint.session_id] = PeerSession(endpoint, src)
         self.sim.trace.add("session", now, sid=endpoint.session_id.hex(),
                            fp=endpoint.session_key_fingerprint.hex(),
                            a=src, b=self.actor_id)
@@ -324,35 +309,19 @@ class ResponderPeer:
 
     def _on_record(self, now, src, frame):
         entry = self.sessions.get(frame.session_id)
-        if entry is None:
-            self.sim.trace.add("record", now, actor=self.actor_id,
-                               sid=frame.session_id.hex(), seq=frame.seq,
-                               outcome="wrong_session")
-            return "wrong_session", []
-        record = session.SessionRecord(frame.session_id, frame.seq, frame.payload)
-        try:
-            payload = session.receive(entry.endpoint, record)
-        except ReplayDetected:
-            self.sim.trace.add("record", now, actor=self.actor_id,
-                               sid=frame.session_id.hex(), seq=frame.seq,
-                               outcome="replay_detected")
-            return "replay_detected", []
-        self.sim.trace.add("record", now, actor=self.actor_id,
-                           sid=frame.session_id.hex(), seq=frame.seq,
-                           outcome="accept")
+        outcome, payload = _accept_record(self.sim.trace, now, self.actor_id,
+                                          entry.endpoint if entry else None,
+                                          frame)
+        if payload is None:
+            return outcome, []
         try:
             app_msg = wire.decode_wire(payload)
         except MalformedEncoding:
             return "malformed_app", []
         replies = self.app_handler(now, src, entry, app_msg)
-        sends = []
-        for reply in replies:
-            data = wire.encode_wire(reply)
-            out = session.send(entry.endpoint, data)
-            frame_bytes = wire.encode_wire(wire.RecordFrame(
-                out.session_id, out.seq, out.payload))
-            sends.append((None, frame_bytes, _label(reply)))
-        return f"accepted:{_label(app_msg)}", sends
+        return f"accepted:{app_msg.LABEL}", [
+            (None, session.send(entry.endpoint, reply), reply.LABEL)
+            for reply in replies]
 
     def bind(self):
         """Adapter matching the simulator responder signature."""
@@ -361,11 +330,3 @@ class ResponderPeer:
             return disposition, [(dst or src, payload, label)
                                  for dst, payload, label in sends]
         return handler
-
-    def push(self, entry: PeerSession, app_msg) -> tuple[bytes, str]:
-        """Server-initiated record on an existing session (returns frame)."""
-        data = wire.encode_wire(app_msg)
-        record = session.send(entry.endpoint, data)
-        frame = wire.encode_wire(wire.RecordFrame(record.session_id, record.seq,
-                                                  record.payload))
-        return frame, _label(app_msg)

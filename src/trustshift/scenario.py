@@ -311,7 +311,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                                  update_uri=Uri(SP1_URI),
                                  sp1_signer_key=sp1_state.signing_key.public_key,
                                  firmware=base_version, trace=tracer)
-        state.sp2_signer_key = sp2_state.signing_key.public_key
         if index in config.faults.ra_tamper_devices:
             state.firmware = VersionInfo(
                 base_version.manifest_sequence,

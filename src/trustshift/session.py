@@ -1,124 +1,67 @@
-"""Abstract authenticated-channel model standing in for DTLS/EDHOC.
+"""The session layer: session derivation, record framing, record acceptance.
 
-A session is established only after both sides verify the peer's
-certificate chain against their own truststore. Session keys exist only as
-fingerprints derived from both parties' ephemeral contributions; replay
-protection is per-direction strictly-increasing sequence numbers.
+A session is derived once both handshake ephemerals are known and the
+peer's certificate chain has verified against the local truststore
+(`peers.open_session` on the initiator side, `ResponderPeer` on the
+responder side). Its id and key fingerprint are hashes of the two
+ephemerals. Records are framed with the session id and a per-direction,
+strictly increasing sequence number, and each record is accepted at most
+once, in order.
+
+This is a model, not yet a stand-in for DTLS/EDHOC: the handshake has no
+proof of possession of the certificate's key, no key is ever derived (the
+fingerprint only names the session), and records carry no integrity
+protection. An on-path party can therefore impersonate a peer whose
+certificate it has seen, and forge records into a session it observes.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from . import crypto, pki
-from .errors import NotEstablished, PeerUntrusted, ReplayDetected, WrongSession
-from .messages import CompactCertificate, TimeStamp
+from . import crypto, wire
+from .errors import ReplayDetected, WrongSession
+from .messages import CompactCertificate
 
 SESSION_ID_LEN = 8
 
 
 @dataclass
 class AuthenticatedSession:
-    local_identity: CompactCertificate
     peer_identity: CompactCertificate
     session_id: bytes
     session_key_fingerprint: bytes
-    established: bool = True
     send_seq: int = 0
     recv_seq: int = 0
 
 
-@dataclass(frozen=True)
-class SessionRecord:
-    session_id: bytes
-    seq: int
-    payload: bytes
+def derive(initiator_ephemeral: bytes, responder_ephemeral: bytes,
+           peer_cert: CompactCertificate) -> AuthenticatedSession:
+    """One endpoint of the session the two ephemerals define; `peer_cert`
+    is the other side's already verified certificate."""
+    material = initiator_ephemeral + responder_ephemeral
+    return AuthenticatedSession(
+        peer_identity=peer_cert,
+        session_id=crypto.digest(b"session-id" + material)[:SESSION_ID_LEN],
+        session_key_fingerprint=crypto.digest(b"session-key" + material))
 
 
-def derive_session_id(initiator_ephemeral: bytes, responder_ephemeral: bytes) -> bytes:
-    return crypto.digest(b"session-id" + initiator_ephemeral
-                         + responder_ephemeral)[:SESSION_ID_LEN]
-
-
-def derive_fingerprint(initiator_ephemeral: bytes, responder_ephemeral: bytes) -> bytes:
-    return crypto.digest(b"session-key" + initiator_ephemeral
-                         + responder_ephemeral)
-
-
-def verify_peer(cred: pki.Credential, store: pki.TrustStore, now: TimeStamp,
-                revocation_view: set[int]) -> pki.ChainResult:
-    return pki.verify_chain(cred.certificate, list(cred.intermediates),
-                            store, now, revocation_view)
-
-
-def build_endpoints(
-    initiator_cred: pki.Credential,
-    responder_cred: pki.Credential,
-    initiator_ephemeral: bytes,
-    responder_ephemeral: bytes,
-) -> tuple[AuthenticatedSession, AuthenticatedSession]:
-    session_id = derive_session_id(initiator_ephemeral, responder_ephemeral)
-    fingerprint = derive_fingerprint(initiator_ephemeral, responder_ephemeral)
-    initiator = AuthenticatedSession(
-        local_identity=initiator_cred.certificate,
-        peer_identity=responder_cred.certificate,
-        session_id=session_id,
-        session_key_fingerprint=fingerprint)
-    responder = AuthenticatedSession(
-        local_identity=responder_cred.certificate,
-        peer_identity=initiator_cred.certificate,
-        session_id=session_id,
-        session_key_fingerprint=fingerprint)
-    return initiator, responder
-
-
-def establish(
-    initiator_cred: pki.Credential,
-    responder_cred: pki.Credential,
-    initiator_store: pki.TrustStore,
-    responder_store: pki.TrustStore,
-    now: TimeStamp,
-    revocation_views: tuple[set[int], set[int]],
-    rng: random.Random,
-) -> tuple[AuthenticatedSession, AuthenticatedSession]:
-    """Mutual authentication; both endpoints on success, PeerUntrusted if
-    either side's chain verification of the other fails.
-
-    `revocation_views` holds (initiator view, responder view); a device side
-    passes an empty set since devices never query revocation state.
-    """
-    initiator_view, responder_view = revocation_views
-    check = verify_peer(responder_cred, initiator_store, now, initiator_view)
-    if not check:
-        raise PeerUntrusted("initiator", check.reason.value + ": " + check.detail)
-    check = verify_peer(initiator_cred, responder_store, now, responder_view)
-    if not check:
-        raise PeerUntrusted("responder", check.reason.value + ": " + check.detail)
-    initiator_ephemeral = rng.randbytes(32)
-    responder_ephemeral = rng.randbytes(32)
-    return build_endpoints(initiator_cred, responder_cred,
-                           initiator_ephemeral, responder_ephemeral)
-
-
-def send(session: AuthenticatedSession, payload: bytes) -> SessionRecord:
-    if not session.established:
-        raise NotEstablished("cannot send before establishment")
+def send(session: AuthenticatedSession, app_msg) -> bytes:
+    """Frame one application message as the next record of the session."""
     session.send_seq += 1
-    return SessionRecord(session.session_id, session.send_seq, payload)
+    return wire.encode_wire(wire.RecordFrame(
+        session.session_id, session.send_seq, wire.encode_wire(app_msg)))
 
 
-def receive(session: AuthenticatedSession, record: SessionRecord) -> bytes:
+def receive(session: AuthenticatedSession, frame: wire.RecordFrame) -> bytes:
     """Accept a record exactly once, in order; duplicates and cross-session
     records are rejected, never silently accepted."""
-    if not session.established:
-        raise NotEstablished("cannot receive before establishment")
-    if record.session_id != session.session_id:
+    if frame.session_id != session.session_id:
         raise WrongSession(
-            f"record for session {record.session_id.hex()}, "
+            f"record for session {frame.session_id.hex()}, "
             f"this is {session.session_id.hex()}")
-    if record.seq <= session.recv_seq:
+    if frame.seq <= session.recv_seq:
         raise ReplayDetected(
-            f"record seq {record.seq} <= last accepted {session.recv_seq}")
-    session.recv_seq = record.seq
-    return record.payload
+            f"record seq {frame.seq} <= last accepted {session.recv_seq}")
+    session.recv_seq = frame.seq
+    return frame.payload

@@ -43,7 +43,7 @@ class SimEvent:
     src: str
     dst: str
     payload: bytes
-    seq_within_time: int = 0
+    seq: int = 0  # global tie-breaker from Simulator._next_seq
     label: str = ""
     origin: str = "net"  # net | adversary
     note: str = ""
@@ -289,7 +289,7 @@ class Simulator:
         return self._seq
 
     def _push(self, event: SimEvent) -> None:
-        heapq.heappush(self._queue, (event.time, event.seq_within_time, event))
+        heapq.heappush(self._queue, (event.time, event.seq, event))
 
     def transmit(self, src: str, dst: str, payload: bytes, label: str = "",
                  delay: int = LATENCY, origin: str = "net") -> None:

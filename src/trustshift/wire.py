@@ -18,30 +18,45 @@ from .errors import MalformedEncoding
 _REGISTRY: dict[int, type] = {}
 
 
-def _register(cls):
-    _REGISTRY[cls.TAG] = cls
-    return cls
+def snake_case(name: str) -> str:
+    """`TrustPush` -> `trust_push`: trace labels and reason strings."""
+    out = [name[0].lower()]
+    for ch in name[1:]:
+        if ch.isupper():
+            out.append("_")
+            out.append(ch.lower())
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def _encode_bytes_list(items) -> bytes:
+    out = codec.encode_array_head(len(items))
+    for item in items:
+        out += codec.encode_bytes(item)
+    return out
+
+
+def _read_bytes_list(dec: codec.Decoder) -> tuple:
+    return tuple(dec.read_bytes() for _ in range(dec.read_array_head()))
+
+
+# Field annotation -> (encoder, decoder method); the only field kinds a wire
+# message may declare.
+_FIELD_KINDS = {
+    "bytes": (codec.encode_bytes, codec.Decoder.read_bytes),
+    "int": (codec.encode_uint, codec.Decoder.read_uint),
+    "bool": (codec.encode_bool, codec.Decoder.read_bool),
+    "str": (codec.encode_text, codec.Decoder.read_text),
+    "tuple": (_encode_bytes_list, _read_bytes_list),
+}
 
 
 def encode_wire(msg) -> bytes:
     spec = msg.SPEC
     out = codec.encode_array_head(len(spec) + 1) + codec.encode_uint(msg.TAG)
-    for name, kind in spec:
-        value = getattr(msg, name)
-        if kind == "uint":
-            out += codec.encode_uint(value)
-        elif kind == "bool":
-            out += codec.encode_bool(value)
-        elif kind == "bytes":
-            out += codec.encode_bytes(value)
-        elif kind == "text":
-            out += codec.encode_text(value)
-        elif kind == "bytes_list":
-            out += codec.encode_array_head(len(value))
-            for item in value:
-                out += codec.encode_bytes(item)
-        else:
-            raise MalformedEncoding(f"unknown field kind {kind}")
+    for name, encode, _read in spec:
+        out += encode(getattr(msg, name))
     return out
 
 
@@ -57,46 +72,19 @@ def decode_wire(data: bytes):
     if count != len(cls.SPEC) + 1:
         raise MalformedEncoding(
             f"wire tag {tag} expects {len(cls.SPEC) + 1} elements, got {count}")
-    values = []
-    for _, kind in cls.SPEC:
-        if kind == "uint":
-            values.append(dec.read_uint())
-        elif kind == "bool":
-            values.append(dec.read_bool())
-        elif kind == "bytes":
-            values.append(dec.read_bytes())
-        elif kind == "text":
-            values.append(dec.read_text())
-        elif kind == "bytes_list":
-            n = dec.read_array_head()
-            values.append(tuple(dec.read_bytes() for _ in range(n)))
+    values = [read(dec) for _name, _encode, read in cls.SPEC]
     dec.finish()
     return cls(*values)
-
-
-def _spec_from_annotations(cls):
-    kinds = {bytes: "bytes", int: "uint", bool: "bool", str: "text"}
-    spec = []
-    for f in fields(cls):
-        if f.type in ("bytes", bytes):
-            spec.append((f.name, "bytes"))
-        elif f.type in ("int", int):
-            spec.append((f.name, "uint"))
-        elif f.type in ("bool", bool):
-            spec.append((f.name, "bool"))
-        elif f.type in ("str", str):
-            spec.append((f.name, "text"))
-        else:
-            spec.append((f.name, "bytes_list"))
-    return tuple(spec)
 
 
 def wire_message(tag):
     def wrap(cls):
         cls = dataclass(frozen=True)(cls)
         cls.TAG = tag
-        cls.SPEC = _spec_from_annotations(cls)
-        return _register(cls)
+        cls.LABEL = snake_case(cls.__name__)
+        cls.SPEC = tuple((f.name, *_FIELD_KINDS[f.type]) for f in fields(cls))
+        _REGISTRY[tag] = cls
+        return cls
     return wrap
 
 

@@ -144,7 +144,6 @@ def test_c3_fr1_impersonation():
         device_mod.provision_factory(
             state, dev_key, cert, pki.TrustStore(), h.ca1.enroll_uri,
             sp1_signer_key=sp1_key.public_key)
-        state.sp2_signer_key = sp2_key.public_key
         state.set_phase(DevicePhase.ENROLLED)
         message = TransferMessage(0, 10**6, None, Uri("u"), False, Uri("e"),
                                   Uri("f"))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from trustshift import crypto, device, pki
+from trustshift import crypto, device, operators, pki, wire
 from trustshift.device import DevicePhase
 from trustshift.errors import (
     BadSignature,
@@ -125,12 +125,11 @@ def test_transfer_unknown_signer_rejected():
 
 
 def test_transfer_sp2_signed_rejected():
-    """Domain separation: a CWT signed by SP2 directly must not be accepted
-    even though the device knows SP2's key from the scenario context."""
+    """Domain separation: a CWT signed by SP2 directly must not be accepted;
+    the device verifies transfer CWTs under the SP1 signer key only."""
     signer = crypto.generate_key_pair(crypto.digest(b"sp1"))
     sp2 = crypto.generate_key_pair(crypto.digest(b"sp2"))
     state = enrolled_device_with_signer(signer)
-    state.sp2_signer_key = sp2.public_key
     envelope = crypto.sign_envelope(sp2, EnvelopeProfile.CWT,
                                     encode(sample_transfer()))
     with pytest.raises(BadSignature):
@@ -212,10 +211,12 @@ def test_reset_wrong_phase():
 
 
 def test_measure_firmware_changes_with_version():
+    """The attestation report a device sends binds its firmware version."""
     state = device.DeviceState(device_id=b"d")
-    a = device.measure_firmware(state)
+    nonce = b"\x00" * 16
+    a = operators.ra_respond(state.firmware, nonce)
     state.firmware = VersionInfo(5, Uri("coaps://u/fw/5"))
-    assert device.measure_firmware(state) != a
+    assert operators.ra_respond(state.firmware, nonce) != a
 
 
 # ---------------------------------------------------------------------------
@@ -353,3 +354,23 @@ def test_lossy_network_enroll_retry():
     result = run_scenario(cfg)
     assert all(o.phase in ("reenrolled", "fallback") for o in result.devices)
     assert result.trace.select("drop")
+
+
+@pytest.mark.parametrize("push", [wire.FinalUpdate(b"\xff"),
+                                  wire.TrustPush((b"\xff",), True)],
+                         ids=["final_update", "trust_push"])
+def test_malformed_push_answered_with_negative_ack(push):
+    """A push record whose content does not decode, injected into the
+    device's SP1 session, is refused with a negative ack; the run neither
+    crashes nor loses the transfer."""
+    rule = {"action": "inject", "match_src": "sp1", "match_dst": "device-*",
+            "match_label": "update_rsp",
+            "inject_payload_hex": wire.encode_wire(push).hex(),
+            "frame_in_matched_session": True, "seq_offset": 1, "delay": 2}
+    result = run_scenario(ScenarioConfig(name="malformed_push", variant="c",
+                                         device_count=2, seed=5,
+                                         adversary=[rule]))
+    assert result.ok
+    kind = "final" if isinstance(push, wire.FinalUpdate) else "trust"
+    for device_id in (b"device-000", b"device-001"):
+        assert result.sp1_state.acks[device_id][kind] is False

@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from trustshift import crypto, operators, pki
+from trustshift import crypto, operators, peers, pki, session, simnet, wire
 from trustshift.errors import (
     BadSp2Signature,
     NoExpectedMeasurement,
-    RegistrationFailed,
     UnknownDevice,
 )
 from trustshift.messages import (
@@ -81,12 +80,15 @@ def test_list_verification_is_key_specific(world):
 
 
 def prepared_transfer(world, **option_kwargs):
+    """SP2's side of the transfer: register the listed factory certificates
+    with CA2, then sign the transfer CWT for CA2's enroll URI."""
     h, sp1, sp2 = world
     envelope = operators.sp1_build_update_info_list(sp1,
                                                     sorted(sp1.managed_devices))
     info = decode(MessageKind.UPDATE_INFO_LIST, envelope.payload)
+    enroll_uri = pki.register_factory_certs(h.ca2, info, 1000)
     options = operators.TransferOptions(**option_kwargs)
-    return operators.sp2_prepare_transfer(sp2, info, h.ca2, options, now=1000)
+    return operators.sp2_prepare_transfer(sp2, info, enroll_uri, options)
 
 
 def test_prepare_transfer_registers_and_signs(world):
@@ -110,20 +112,26 @@ def test_prepare_transfer_with_ra_uri(world):
     assert message.ra_uri == Uri("coaps://ra.sp2.example")
 
 
-def test_prepare_transfer_rogue_cert_fails(world):
+def test_register_req_rogue_cert_refused(world):
+    """CA2 refuses a registration request that names a factory certificate
+    it cannot verify, and registers none of the request's certificates."""
     h, sp1, sp2 = world
     rogue_key = crypto.generate_key_pair(crypto.digest(b"rogue"))
     rogue = pki._signed_cert(b"rogue-ca", rogue_key, 999, b"rogue-dev",
                              rogue_key.public_key, LIFETIME,
                              CertProfile.FACTORY)
-    sp1.managed_devices[b"rogue-dev"] = operators.ManagedDevice(
-        factory_cert=rogue, version=VersionInfo(1, Uri("u")), window=(0, 1))
-    envelope = operators.sp1_build_update_info_list(sp1,
-                                                    sorted(sp1.managed_devices))
-    info = decode(MessageKind.UPDATE_INFO_LIST, envelope.payload)
-    with pytest.raises(RegistrationFailed):
-        operators.sp2_prepare_transfer(sp2, info, h.ca2,
-                                       operators.TransferOptions(), now=1000)
+    certs = [m.factory_cert for m in sp1.managed_devices.values()] + [rogue]
+    ca2 = operators.CaActor(simnet.Simulator(seed=1), "ca2", h.ca2)
+    sp2_key = crypto.generate_key_pair(crypto.digest(b"sp2-server"))
+    sp2_cert = pki.issue_certificate(
+        h.ca2, pki.make_csr(b"sp2", sp2_key, CertProfile.OPERATIONAL),
+        CertProfile.SERVER, LIFETIME)
+    entry = peers.PeerSession(
+        session.derive(b"\x01" * 32, b"\x02" * 32, sp2_cert), "sp2")
+    [reply] = ca2._handle_app(1000, "sp2", entry, wire.RegisterReq(
+        tuple(encode(c) for c in certs)))
+    assert (reply.ok, reply.bad_serial) == (False, 999)
+    assert not h.ca2.registered_factory
 
 
 def test_relay_rewrites_only_fallback(world):
