@@ -74,14 +74,13 @@ class DeviceEndpoints:
     contact_update_before_enroll: bool = False
 
 
-@dataclass
-class DeviceOptions:
-    server_keygen: bool = False
-    enroll_attempts: int = 3
-    retry_backoff: int = 6
-    # Expiry-driven re-enrollments with the current CA while parked; bounded
-    # so a run without an operator change still reaches quiescence.
-    renew_limit: int = 2
+# Initial enrollment and the SP1 session are tried ENROLL_ATTEMPTS times,
+# RETRY_BACKOFF time units apart.
+ENROLL_ATTEMPTS = 3
+RETRY_BACKOFF = 6
+# Expiry-driven re-enrollments with the current CA while parked; bounded so a
+# run without an operator change still reaches quiescence.
+RENEW_LIMIT = 2
 
 
 @dataclass
@@ -206,6 +205,21 @@ def reset_to_agreed_state(state: DeviceState, trace=None) -> None:
     state.set_phase(DevicePhase.RESET_DONE, trace)
 
 
+def _install_offered_version(state: DeviceState, version_bytes: bytes,
+                            trace) -> bool:
+    """Install an offered firmware version if it is newer than the running
+    one; False if the offer does not decode."""
+    try:
+        offered = decode(MessageKind.VERSION_INFO, version_bytes)
+    except (MalformedEncoding, InvariantViolation):
+        return False
+    if offered.manifest_sequence > state.firmware.manifest_sequence:
+        state.firmware = offered
+        if trace is not None:
+            trace("firmware_updated", seq=offered.manifest_sequence)
+    return True
+
+
 # ---------------------------------------------------------------------------
 # network operations (simulator processes)
 # ---------------------------------------------------------------------------
@@ -266,22 +280,22 @@ def _enroll_once(state: DeviceState, net: peers.NetHandle,
 
 
 def initial_enroll(state: DeviceState, net: peers.NetHandle,
-                   opts: DeviceOptions):
+                   server_keygen: bool):
     """Initial enrollment for an operational certificate; device stays
     provisioned and may retry on EnrollRejected."""
     if state.phase is not DevicePhase.PROVISIONED:
         raise WrongPhase(f"initial enroll in phase {state.phase.value}")
-    yield from _enroll_once(state, net, opts.server_keygen)
+    yield from _enroll_once(state, net, server_keygen)
     state.set_phase(DevicePhase.ENROLLED, net.note)
 
 
-def reenroll(state: DeviceState, net: peers.NetHandle, opts: DeviceOptions):
+def reenroll(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
     """Re-enrollment with the post-transfer CA using a fresh keypair."""
     if state.phase not in (DevicePhase.RESET_DONE, DevicePhase.ATTESTED,
                            DevicePhase.UPDATED):
         raise WrongPhase(f"reenroll in phase {state.phase.value}")
     previous_key = state.operational_key
-    yield from _enroll_once(state, net, opts.server_keygen)
+    yield from _enroll_once(state, net, server_keygen)
     if previous_key is not None \
             and state.operational_key.public_key == previous_key.public_key:
         raise EnrollRejected("key_not_fresh")
@@ -334,7 +348,7 @@ def contact_fallback(state: DeviceState, net: peers.NetHandle, reason: str):
 
 
 def run_post_reset_sequence(state: DeviceState, net: peers.NetHandle,
-                            opts: DeviceOptions):
+                            server_keygen: bool):
     """RA (if configured), update-server contact (if flagged), re-enrollment;
     any permanent failure routes to the fallback endpoint."""
     if state.phase is not DevicePhase.RESET_DONE:
@@ -366,22 +380,15 @@ def run_post_reset_sequence(state: DeviceState, net: peers.NetHandle,
                     net, sess, dst, wire.UpdateCheck(encode(state.firmware)),
                     (wire.UpdateRsp,))
                 if reply is not None:
-                    if reply.has_update:
-                        new_version = decode(MessageKind.VERSION_INFO,
-                                             reply.version_bytes)
-                        if new_version.manifest_sequence \
-                                > state.firmware.manifest_sequence:
-                            state.firmware = new_version
-                            net.note("firmware_updated",
-                                     seq=new_version.manifest_sequence)
-                    done = True
+                    done = not reply.has_update or _install_offered_version(
+                        state, reply.version_bytes, net.note)
         if not done:
             yield from contact_fallback(state, net, "update_failed")
             return
         state.set_phase(DevicePhase.UPDATED, net.note)
 
     try:
-        yield from reenroll(state, net, opts)
+        yield from reenroll(state, net, server_keygen)
     except EnrollRejected as err:
         yield from contact_fallback(state, net, f"enroll_failed:{err.reason}")
         return
@@ -391,18 +398,18 @@ def run_post_reset_sequence(state: DeviceState, net: peers.NetHandle,
 # full lifecycle process
 # ---------------------------------------------------------------------------
 
-def lifecycle(state: DeviceState, net: peers.NetHandle, opts: DeviceOptions):
+def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
     """Complete device process: enroll, operate under SP1, transfer, re-enroll
     under SP2 (or fall back)."""
     enrolled = False
-    for _attempt in range(opts.enroll_attempts):
+    for _attempt in range(ENROLL_ATTEMPTS):
         try:
-            yield from initial_enroll(state, net, opts)
+            yield from initial_enroll(state, net, server_keygen)
             enrolled = True
             break
         except EnrollRejected as err:
             net.note("enroll_retry", reason=str(err.reason))
-            yield Sleep(opts.retry_backoff)
+            yield Sleep(RETRY_BACKOFF)
     if not enrolled:
         net.note("enroll_gave_up")
         return
@@ -415,13 +422,13 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, opts: DeviceOptions):
         net.note("sp1_unreachable")
         return
     sp1_sess = None
-    for _attempt in range(opts.enroll_attempts):
+    for _attempt in range(ENROLL_ATTEMPTS):
         sp1_sess, status = yield from peers.open_session(
             net, sp1_dst, state.operational_credential(), state.truststore,
             purpose="sp1")
         if sp1_sess is not None:
             break
-        yield Sleep(opts.retry_backoff)
+        yield Sleep(RETRY_BACKOFF)
     if sp1_sess is None:
         net.note("sp1_unreachable")
         return
@@ -429,14 +436,13 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, opts: DeviceOptions):
         net, sp1_sess, sp1_dst, wire.UpdateCheck(encode(state.firmware)),
         (wire.UpdateRsp,))
     if reply is not None and reply.has_update:
-        new_version = decode(MessageKind.VERSION_INFO, reply.version_bytes)
-        if new_version.manifest_sequence > state.firmware.manifest_sequence:
-            state.firmware = new_version
+        # The routine check installs silently and ignores a garbled offer.
+        _install_offered_version(state, reply.version_bytes, None)
 
     # Park on the SP1 session; handle operator pushes until a transfer lands.
     # While parked, re-enroll with the current CA before the operational
     # certificate expires (bounded by the renewal budget).
-    renewals_left = opts.renew_limit
+    renewals_left = RENEW_LIMIT
     while state.phase is DevicePhase.ENROLLED:
         timeout = None
         if renewals_left > 0 and state.operational_cert is not None:
@@ -449,7 +455,7 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, opts: DeviceOptions):
                 continue
             renewals_left -= 1
             try:
-                yield from _enroll_once(state, net, opts.server_keygen)
+                yield from _enroll_once(state, net, server_keygen)
                 state.set_phase(DevicePhase.ENROLLED, net.note)
                 net.note("operational_cert_renewed",
                          serial=state.operational_cert.serial)
@@ -457,29 +463,23 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, opts: DeviceOptions):
                 net.note("renewal_failed", reason=str(err.reason))
             continue
         # Every push is answered with one ack; content that does not decode
-        # gets a negative one.
+        # gets a negative one and changes nothing.
         if isinstance(msg, wire.TrustPush):
+            store = state.truststore.copy()
             try:
                 for cert_bytes in msg.root_certs:
                     root = decode(MessageKind.CERTIFICATE, cert_bytes)
-                    state.truststore.add_root(root, persist=msg.persist)
+                    store.add_root(root, persist=msg.persist)
+            except (MalformedEncoding, InvariantViolation):
+                ack = wire.TrustAck(False)
+            else:
+                state.truststore = store
                 ack = wire.TrustAck(True)
                 net.note("trust_push_applied", count=len(msg.root_certs),
                          persist=str(msg.persist))
-            except (MalformedEncoding, InvariantViolation):
-                ack = wire.TrustAck(False)
         elif isinstance(msg, wire.FinalUpdate):
-            try:
-                new_version = decode(MessageKind.VERSION_INFO,
-                                     msg.version_bytes)
-                if new_version.manifest_sequence \
-                        > state.firmware.manifest_sequence:
-                    state.firmware = new_version
-                    net.note("firmware_updated",
-                             seq=new_version.manifest_sequence)
-                ack = wire.FinalAck(True)
-            except (MalformedEncoding, InvariantViolation):
-                ack = wire.FinalAck(False)
+            ack = wire.FinalAck(_install_offered_version(
+                state, msg.version_bytes, net.note))
         elif isinstance(msg, wire.TransferDeliver):
             try:
                 envelope = decode(MessageKind.SIGNED_ENVELOPE,
@@ -521,7 +521,7 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, opts: DeviceOptions):
              ra_uri=str(state.endpoints.ra_uri),
              fallback_uri=str(state.endpoints.fallback_uri))
 
-    yield from run_post_reset_sequence(state, net, opts)
+    yield from run_post_reset_sequence(state, net, server_keygen)
 
     if state.phase is DevicePhase.REENROLLED:
         # Normal operations under SP2 with the new operational identity.

@@ -45,13 +45,10 @@ class ManagedDevice:
 
 @dataclass
 class TransferOptions:
-    use_ra: bool = False
+    """Endpoints SP2 puts in the transfer CWT; an RA URI asks for attestation."""
+
     ra_uri: Uri | None = None
     contact_before_enroll: bool = False
-
-    def __post_init__(self):
-        if self.use_ra and self.ra_uri is None:
-            raise InvariantViolation("RA requested without an RA endpoint")
 
 
 @dataclass
@@ -62,13 +59,11 @@ class OperatorState:
     current_version: VersionInfo
     peer_signer_keys: dict[str, bytes] = field(default_factory=dict)
     managed_devices: dict[bytes, ManagedDevice] = field(default_factory=dict)
-    ra_expected: dict[bytes, bytes] = field(default_factory=dict)
     # runtime bookkeeping filled by the network actors
     received_list: UpdateInfoList | None = None
     received_tm: SignedEnvelope | None = None
     device_sessions: dict[bytes, bytes] = field(default_factory=dict)
     acks: dict[bytes, dict[str, bool]] = field(default_factory=dict)
-    fallback_contacts: dict[bytes, str] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +100,7 @@ def build_transfer_message(sp2: OperatorState, info_list: UpdateInfoList,
     return TransferMessage(
         reset_time_not_before=not_before,
         reset_time_not_after=not_after,
-        ra_uri=options.ra_uri if options.use_ra else None,
+        ra_uri=options.ra_uri,
         update_uri=sp2.update_server_uri,
         contact_before_enroll=options.contact_before_enroll,
         enroll_uri=enroll_uri,
@@ -175,7 +170,6 @@ class RaExchange:
     nonce: bytes
     device_id: bytes
     reported_measurement: bytes
-    verdict: bool | None = None
 
 
 @dataclass
@@ -211,6 +205,20 @@ def ra_verify(verifier: RaVerifierState, exchange: RaExchange) -> bool:
                                                           + exchange.nonce)
 
 
+def ra_serve(verifier: RaVerifierState, rng, msg: wire.RaHello | wire.RaReport
+             ) -> wire.RaChallenge | wire.RaVerdict:
+    """The verifier's answer to one attestation message: a fresh challenge
+    for a RaHello, a verdict for a RaReport. A device the verifier holds no
+    measurement for gets a negative verdict."""
+    try:
+        if isinstance(msg, wire.RaHello):
+            return wire.RaChallenge(ra_challenge(verifier, msg.device_id, rng))
+        return wire.RaVerdict(ra_verify(verifier, RaExchange(
+            msg.nonce, msg.device_id, msg.measurement)))
+    except NoExpectedMeasurement:
+        return wire.RaVerdict(False)
+
+
 # ---------------------------------------------------------------------------
 # network actors
 # ---------------------------------------------------------------------------
@@ -219,18 +227,14 @@ class CaActor:
     """Enrollment, registration and revocation frontend over one CaState."""
 
     def __init__(self, sim, actor_id: str, ca: pki.CaState, *,
-                 operational_lifetime: int = 1_000_000,
-                 enroll_push_roots: tuple = (),
-                 revocation_view=None):
+                 operational_lifetime: int = 1_000_000):
         self.sim = sim
         self.actor_id = actor_id
         self.ca = ca
         self.operational_lifetime = operational_lifetime
-        self.enroll_push_roots = tuple(enroll_push_roots)
-        self.revocation_view = revocation_view or (lambda: set())
         self.peer = peers.ResponderPeer(
             sim, actor_id, ca.credential(), ca.truststore, self._handle_app,
-            revocation_view=self.revocation_view,
+            revocation_view=ca.revoked,
             allowed_profiles=(CertProfile.FACTORY, CertProfile.SERVER))
         sim.register_responder(actor_id, self.peer.bind())
 
@@ -238,23 +242,19 @@ class CaActor:
         if entry.peer_cert.profile is not CertProfile.FACTORY:
             return wire.EnrollRsp(False, b"", b"", (), (), "profile_not_allowed")
         validity = (now, now + self.operational_lifetime)
-        view = set(self.revocation_view())
         try:
             if msg.server_keygen:
-                cert, seed = pki.enroll_server_keygen(
-                    self.ca, entry.peer_cert, validity,
-                    factory_revocations=view)
+                cert, seed = pki.enroll_server_keygen(self.ca, entry.peer_cert,
+                                                      validity)
             else:
                 csr = decode(MessageKind.CSR, msg.csr_bytes)
-                cert = pki.enroll(self.ca, entry.peer_cert, csr, validity,
-                                  factory_revocations=view)
+                cert = pki.enroll(self.ca, entry.peer_cert, csr, validity)
                 seed = b""
         except Exception as err:  # typed protocol errors become reasons
             return wire.EnrollRsp(False, b"", b"", (), (),
                                   wire.snake_case(type(err).__name__))
         chain = tuple(encode(c) for c in self.ca.issuer_chain)
-        roots = tuple(encode(c) for c in self.enroll_push_roots)
-        return wire.EnrollRsp(True, encode(cert), seed, chain, roots, "")
+        return wire.EnrollRsp(True, encode(cert), seed, chain, (), "")
 
     def _handle_app(self, now, src, entry, msg):
         if isinstance(msg, wire.EnrollReq):
@@ -286,21 +286,31 @@ class CaActor:
         return []
 
 
+# Per delivery from the peer operator: whose agreed key signs it, envelope
+# profile, payload kind, trace kind on a bad signature, size class, ack.
+_DELIVERIES = {
+    wire.ListDeliver: ("sp1", EnvelopeProfile.UPDATE_LIST,
+                       MessageKind.UPDATE_INFO_LIST, "list_rejected",
+                       "update_info_list_envelope", wire.ListAck),
+    wire.TmDeliver: ("sp2", EnvelopeProfile.CWT, MessageKind.TRANSFER_MESSAGE,
+                     "tm_rejected", "transfer_message_envelope", wire.TmAck),
+}
+
+
 class OperatorActor:
     """Update server plus operator-to-operator endpoint for SP1 or SP2."""
 
     def __init__(self, sim, actor_id: str, state: OperatorState,
                  credential: pki.Credential, truststore: pki.TrustStore, *,
-                 revocation_view=None, fallback_require_ra: bool = False,
+                 revocation_view: set[int] = frozenset(),
                  fallback_ra_state: RaVerifierState | None = None):
         self.sim = sim
         self.actor_id = actor_id
         self.state = state
-        self.fallback_require_ra = fallback_require_ra
         self.fallback_ra_state = fallback_ra_state
         self.peer = peers.ResponderPeer(
             sim, actor_id, credential, truststore, self._handle_app,
-            revocation_view=revocation_view or (lambda: set()))
+            revocation_view=revocation_view)
         self.rng = sim.actor_rng(actor_id + "/ra")
         sim.register_responder(actor_id, self.peer.bind())
 
@@ -338,77 +348,45 @@ class OperatorActor:
             return []
 
         if isinstance(msg, wire.FallbackReq):
-            state.fallback_contacts[msg.device_id] = msg.reason
             self.sim.trace.add("fallback_served", now, actor=self.actor_id,
                                device=msg.device_id.decode(errors="replace"),
                                reason=msg.reason)
-            return [wire.FallbackRsp(True, self.fallback_require_ra)]
+            return [wire.FallbackRsp(True, self.fallback_ra_state is not None)]
+        if isinstance(msg, (wire.RaHello, wire.RaReport)) \
+                and self.fallback_ra_state is not None:
+            return [ra_serve(self.fallback_ra_state, self.rng, msg)]
 
-        if isinstance(msg, wire.RaHello) and self.fallback_ra_state is not None:
-            try:
-                nonce = ra_challenge(self.fallback_ra_state, msg.device_id,
-                                     self.rng)
-            except NoExpectedMeasurement:
-                return [wire.RaVerdict(False)]
-            return [wire.RaChallenge(nonce)]
-        if isinstance(msg, wire.RaReport) and self.fallback_ra_state is not None:
-            verdict = ra_verify(self.fallback_ra_state,
-                                RaExchange(msg.nonce, msg.device_id,
-                                           msg.measurement))
-            return [wire.RaVerdict(verdict)]
-
-        if isinstance(msg, wire.ListDeliver):
-            if entry.peer_cert.profile is not CertProfile.SERVER:
-                return [wire.ListAck(False)]
-            ok = self._accept_list(now, msg.envelope_bytes)
-            return [wire.ListAck(ok)]
-        if isinstance(msg, wire.TmDeliver):
-            if entry.peer_cert.profile is not CertProfile.SERVER:
-                return [wire.TmAck(False)]
-            ok = self._accept_tm(now, msg.envelope_bytes)
-            return [wire.TmAck(ok)]
+        if isinstance(msg, (wire.ListDeliver, wire.TmDeliver)):
+            return [self._accept_envelope(now, entry, msg)]
         return []
 
-    def _accept_list(self, now, envelope_bytes: bytes) -> bool:
-        key = self.state.peer_signer_keys.get("sp1")
+    def _accept_envelope(self, now, entry, msg):
+        """Ack a signed update list (from SP1) or transfer CWT (from SP2),
+        storing it once the sender, signature and payload all check out."""
+        signer, profile, kind, rejected, size_cls, ack = _DELIVERIES[type(msg)]
+        if entry.peer_cert.profile is not CertProfile.SERVER:
+            return ack(False)
         try:
-            envelope = decode(MessageKind.SIGNED_ENVELOPE, envelope_bytes)
+            envelope = decode(MessageKind.SIGNED_ENVELOPE, msg.envelope_bytes)
         except (MalformedEncoding, InvariantViolation):
-            return False
+            return ack(False)
+        key = self.state.peer_signer_keys.get(signer)
         if key is None or not crypto.verify_envelope(key, envelope) \
-                or envelope.protected_header.profile \
-                is not EnvelopeProfile.UPDATE_LIST:
-            self.sim.trace.add("list_rejected", now, actor=self.actor_id,
-                               reason="bad_sp1_signature")
-            return False
+                or envelope.protected_header.profile is not profile:
+            self.sim.trace.add(rejected, now, actor=self.actor_id,
+                               reason=f"bad_{signer}_signature")
+            return ack(False)
         try:
-            self.state.received_list = decode(MessageKind.UPDATE_INFO_LIST,
-                                              envelope.payload)
+            payload = decode(kind, envelope.payload)
         except (MalformedEncoding, InvariantViolation):
-            return False
-        self.sim.trace.add("size", now, cls="update_info_list_envelope",
-                           bytes=len(envelope_bytes))
-        return True
-
-    def _accept_tm(self, now, envelope_bytes: bytes) -> bool:
-        key = self.state.peer_signer_keys.get("sp2")
-        try:
-            envelope = decode(MessageKind.SIGNED_ENVELOPE, envelope_bytes)
-        except (MalformedEncoding, InvariantViolation):
-            return False
-        if key is None or not crypto.verify_envelope(key, envelope) \
-                or envelope.protected_header.profile is not EnvelopeProfile.CWT:
-            self.sim.trace.add("tm_rejected", now, actor=self.actor_id,
-                               reason="bad_sp2_signature")
-            return False
-        try:
-            decode(MessageKind.TRANSFER_MESSAGE, envelope.payload)
-        except (MalformedEncoding, InvariantViolation):
-            return False
-        self.state.received_tm = envelope
-        self.sim.trace.add("size", now, cls="transfer_message_envelope",
-                           bytes=len(envelope_bytes))
-        return True
+            return ack(False)
+        if isinstance(msg, wire.ListDeliver):
+            self.state.received_list = payload
+        else:
+            self.state.received_tm = envelope
+        self.sim.trace.add("size", now, cls=size_cls,
+                           bytes=len(msg.envelope_bytes))
+        return ack(True)
 
 
 class RaVerifierActor:
@@ -416,37 +394,38 @@ class RaVerifierActor:
 
     def __init__(self, sim, actor_id: str, ra_state: RaVerifierState,
                  credential: pki.Credential, truststore: pki.TrustStore, *,
-                 revocation_view=None):
+                 revocation_view: set[int]):
         self.sim = sim
         self.actor_id = actor_id
         self.ra_state = ra_state
         self.rng = sim.actor_rng(actor_id + "/nonce")
         self.peer = peers.ResponderPeer(
             sim, actor_id, credential, truststore, self._handle_app,
-            revocation_view=revocation_view or (lambda: set()))
+            revocation_view=revocation_view)
         sim.register_responder(actor_id, self.peer.bind())
 
     def _handle_app(self, now, src, entry, msg):
-        if isinstance(msg, wire.RaHello):
-            try:
-                nonce = ra_challenge(self.ra_state, msg.device_id, self.rng)
-            except NoExpectedMeasurement:
-                return [wire.RaVerdict(False)]
-            return [wire.RaChallenge(nonce)]
+        if not isinstance(msg, (wire.RaHello, wire.RaReport)):
+            return []
+        reply = ra_serve(self.ra_state, self.rng, msg)
         if isinstance(msg, wire.RaReport):
-            verdict = ra_verify(self.ra_state,
-                                RaExchange(msg.nonce, msg.device_id,
-                                           msg.measurement))
             self.sim.trace.add("ra_verdict", now, actor=self.actor_id,
                                device=msg.device_id.decode(errors="replace"),
-                               verdict=str(verdict))
-            return [wire.RaVerdict(verdict)]
-        return []
+                               verdict=str(reply.ok))
+        return [reply]
 
 
 # ---------------------------------------------------------------------------
 # transfer orchestration processes
 # ---------------------------------------------------------------------------
+
+# SP1 pushes each kind of message for at most PUSH_ROUNDS rounds, waiting
+# ACK_WAIT time units for acks after each; the orchestrators poll every
+# 2 time units for the other operator's delivery, at most POLL_LIMIT times.
+PUSH_ROUNDS = 5
+ACK_WAIT = 10
+POLL_LIMIT = 300
+
 
 @dataclass
 class Sp1PlanConfig:
@@ -457,10 +436,38 @@ class Sp1PlanConfig:
     last_update: bool = False
     push_roots: tuple = ()
     narrow_windows: bool = False
-    revoke_after: bool = True
-    push_rounds: int = 5
-    ack_wait: int = 10
-    tm_poll_limit: int = 300
+
+
+def _push_rounds(net: peers.NetHandle, actor: OperatorActor, device_ids,
+                 pushes: dict):
+    """SP1's push rounds over the devices' standing update-server sessions.
+
+    `pushes` maps each ack kind to a builder of the message that asks for
+    it. Each round sends every pending device the messages of the kinds it
+    has not acked, then waits; returns the devices still pending."""
+    state = actor.state
+    pending = set(device_ids)
+    for _round in range(PUSH_ROUNDS):
+        for device_id in sorted(pending):
+            sid = state.device_sessions.get(device_id)
+            entry = actor.peer.sessions.get(sid) if sid else None
+            if entry is None:
+                net.note("push_skipped",
+                         device=device_id.decode(errors="replace"),
+                         reason="no_session")
+                continue
+            acked = state.acks.get(device_id, {})
+            for kind, build in pushes.items():
+                if not acked.get(kind, False):
+                    yield peers.send_record(entry.endpoint, entry.initiator,
+                                            build(device_id))
+        yield Sleep(ACK_WAIT)
+        pending = {d for d in pending
+                   if not all(state.acks.get(d, {}).get(k, False)
+                              for k in pushes)}
+        if not pending:
+            break
+    return pending
 
 
 def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
@@ -496,94 +503,60 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
     polls = 0
     while state.received_tm is None:
         polls += 1
-        if polls > cfg.tm_poll_limit:
+        if polls > POLL_LIMIT:
             net.note("transfer_aborted", step="await_tm", status="timeout")
             return
         yield Sleep(2)
 
-    def session_entry(device_id):
-        sid = state.device_sessions.get(device_id)
-        return actor.peer.sessions.get(sid) if sid else None
-
     # Preparation pushes first: the truststore update (and any final
     # firmware update) must land before the transfer CWT, since the reset
-    # must leave the device able to authenticate the CA2 side.
-    prep_kinds = []
+    # must leave the device able to authenticate the CA2 side. Both are the
+    # same for every device.
+    prep = {}
     if cfg.last_update:
-        prep_kinds.append("final")
+        final = wire.FinalUpdate(encode(state.current_version))
+        prep["final"] = lambda _device_id: final
     if cfg.push_roots:
-        prep_kinds.append("trust")
-    if prep_kinds:
-        pending = set(cfg.device_ids)
-        for _round in range(cfg.push_rounds):
-            for device_id in sorted(pending):
-                entry = session_entry(device_id)
-                if entry is None:
-                    net.note("push_skipped",
-                             device=device_id.decode(errors="replace"),
-                             reason="no_session")
-                    continue
-                acked = state.acks.get(device_id, {})
-                if cfg.last_update and not acked.get("final", False):
-                    yield peers.send_record(
-                        entry.endpoint, entry.initiator,
-                        wire.FinalUpdate(encode(state.current_version)))
-                if cfg.push_roots and not acked.get("trust", False):
-                    roots = tuple(encode(c) for c in cfg.push_roots)
-                    yield peers.send_record(entry.endpoint, entry.initiator,
-                                            wire.TrustPush(roots, True))
-            yield Sleep(cfg.ack_wait)
-            pending = {d for d in pending
-                       if not all(state.acks.get(d, {}).get(k, False)
-                                  for k in prep_kinds)}
-            if not pending:
-                break
+        trust = wire.TrustPush(tuple(encode(c) for c in cfg.push_roots), True)
+        prep["trust"] = lambda _device_id: trust
+    if prep:
+        pending = yield from _push_rounds(net, actor, cfg.device_ids, prep)
         if pending:
             net.note("prep_pushes_incomplete", count=len(pending))
 
     relayed_size_noted = False
-    pending = set(cfg.device_ids)
-    for _round in range(cfg.push_rounds):
-        for device_id in sorted(pending):
-            entry = session_entry(device_id)
-            if entry is None:
-                net.note("push_skipped",
-                         device=device_id.decode(errors="replace"),
-                         reason="no_session")
-                continue
-            relayed = sp1_relay_transfer(state, state.received_tm, device_id,
-                                         cfg.narrow_windows)
-            relayed_bytes = encode(relayed)
-            if not relayed_size_noted:
-                net.note("size", cls="relayed_transfer_envelope",
-                         bytes=len(relayed_bytes))
-                net.note("size", cls="transfer_message_payload",
-                         bytes=len(relayed.payload))
-                relayed_size_noted = True
-            yield peers.send_record(entry.endpoint, entry.initiator,
-                                    wire.TransferDeliver(relayed_bytes))
-        yield Sleep(cfg.ack_wait)
-        pending = {d for d in pending
-                   if not state.acks.get(d, {}).get("transfer", False)}
-        if not pending:
-            break
+
+    def transfer_deliver(device_id):
+        nonlocal relayed_size_noted
+        relayed = sp1_relay_transfer(state, state.received_tm, device_id,
+                                     cfg.narrow_windows)
+        relayed_bytes = encode(relayed)
+        if not relayed_size_noted:
+            net.note("size", cls="relayed_transfer_envelope",
+                     bytes=len(relayed_bytes))
+            net.note("size", cls="transfer_message_payload",
+                     bytes=len(relayed.payload))
+            relayed_size_noted = True
+        return wire.TransferDeliver(relayed_bytes)
+
+    pending = yield from _push_rounds(net, actor, cfg.device_ids,
+                                      {"transfer": transfer_deliver})
     net.note("transfer_pushes_done", unacked=len(pending))
 
-    if cfg.revoke_after:
-        sess, status = yield from peers.open_session(net, cfg.ca1_actor,
-                                                     credential, store,
-                                                     purpose="revoke")
-        if sess is None:
-            net.note("revocation_failed", status=status)
-            return
-        for device_id in sorted(set(cfg.device_ids)):
-            reply, status = yield from peers.session_call(
-                net, sess, cfg.ca1_actor, wire.RevokeReq(device_id),
-                (wire.RevokeRsp,))
-            if reply is None:
-                net.note("revocation_failed",
-                         device=device_id.decode(errors="replace"),
-                         status=status)
+    sess, status = yield from peers.open_session(net, cfg.ca1_actor,
+                                                 credential, store,
+                                                 purpose="revoke")
+    if sess is None:
+        net.note("revocation_failed", status=status)
+        return
+    for device_id in sorted(set(cfg.device_ids)):
+        reply, status = yield from peers.session_call(
+            net, sess, cfg.ca1_actor, wire.RevokeReq(device_id),
+            (wire.RevokeRsp,))
+        if reply is None:
+            net.note("revocation_failed",
+                     device=device_id.decode(errors="replace"),
+                     status=status)
     net.note("sp1_orchestration_done")
 
 
@@ -594,7 +567,6 @@ class Sp2PlanConfig:
     options: TransferOptions
     skip_registration: bool = False
     fallback_enroll_uri: Uri | None = None
-    list_poll_limit: int = 300
 
 
 def sp2_transfer_process(net: peers.NetHandle, actor: OperatorActor,
@@ -605,7 +577,7 @@ def sp2_transfer_process(net: peers.NetHandle, actor: OperatorActor,
     polls = 0
     while state.received_list is None:
         polls += 1
-        if polls > cfg.list_poll_limit:
+        if polls > POLL_LIMIT:
             net.note("transfer_aborted", step="await_list", status="timeout")
             return
         yield Sleep(2)

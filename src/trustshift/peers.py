@@ -21,33 +21,27 @@ from .messages import CertProfile, MessageKind
 from .simnet import TIMEOUT, Transmit, WaitMessage
 
 
-@dataclass
-class NetConfig:
-    call_timeout: int = 8
-    call_retries: int = 3
-    handshake_timeout: int = 8
-    handshake_retries: int = 3
+# Simulated time units an initiator waits for a reply, and how many times it
+# resends before giving up.
+CALL_TIMEOUT = 8
+CALL_RETRIES = 3
+HANDSHAKE_TIMEOUT = 8
+HANDSHAKE_RETRIES = 3
 
 
 class NetHandle:
     """What a process actor sees of the network and simulation."""
 
     def __init__(self, sim: simnet.Simulator, actor_id: str,
-                 config: NetConfig | None = None,
-                 revocation_view=None):
+                 revocation_view: set[int] = frozenset()):
         self.sim = sim
         self.actor_id = actor_id
-        self.config = config or NetConfig()
         self.rng = sim.actor_rng(actor_id)
-        # Devices never query revocation state; server-side actors get a
-        # callable view onto the shared registry.
-        self._revocation_view = revocation_view or (lambda: set())
+        # Devices never query revocation state; servers get the live set.
+        self.revocation_view = revocation_view
 
     def now(self) -> int:
         return self.sim.now
-
-    def revocation_view(self) -> set[int]:
-        return set(self._revocation_view())
 
     def resolve(self, uri) -> str | None:
         return self.sim.resolve(str(uri))
@@ -108,13 +102,12 @@ def open_session(net: NetHandle, dst: str, cred: pki.Credential,
     """
     if dst is None:
         return None, "no_route"
-    cfg = net.config
-    for _attempt in range(cfg.handshake_retries + 1):
+    for _attempt in range(HANDSHAKE_RETRIES + 1):
         ephemeral = net.rng.randbytes(32)
         cert_bytes, inter_bytes = _cred_to_wire(cred)
         hello = wire.encode_wire(wire.Hello(ephemeral, cert_bytes, inter_bytes))
         yield Transmit(dst, hello, label=f"{purpose}.hello")
-        deadline = net.now() + cfg.handshake_timeout
+        deadline = net.now() + HANDSHAKE_TIMEOUT
         while True:
             remaining = deadline - net.now()
             if remaining <= 0:
@@ -141,7 +134,7 @@ def open_session(net: NetHandle, dst: str, cred: pki.Credential,
                              purpose=purpose)
                     continue
                 check = pki.verify_chain(peer_cert, list(inters), store,
-                                         net.now(), net.revocation_view())
+                                         net.now(), net.revocation_view)
                 if not check:
                     return None, f"peer_untrusted:{check.reason.value}"
                 return session.derive(ephemeral, msg.ephemeral, peer_cert), "ok"
@@ -175,26 +168,14 @@ def session_call(net: NetHandle, sess: session.AuthenticatedSession, dst: str,
     continues; an unexpected but valid application message is also
     discarded (our flows are strictly lock-step per session).
     """
-    cfg = net.config
-    for _attempt in range(cfg.call_retries + 1):
+    for _attempt in range(CALL_RETRIES + 1):
         yield send_record(sess, dst, request)
-        deadline = net.now() + cfg.call_timeout
+        deadline = net.now() + CALL_TIMEOUT
         while True:
-            remaining = deadline - net.now()
-            if remaining <= 0:
+            reply, _src = yield from session_wait(net, sess,
+                                                  deadline - net.now())
+            if reply is None:
                 break
-            got = yield WaitMessage(timeout=remaining)
-            if got is TIMEOUT:
-                break
-            _src, data = got
-            payload = _receive_record(net, sess, data)
-            if payload is None:
-                continue
-            try:
-                reply = wire.decode_wire(payload)
-            except MalformedEncoding:
-                net.note("note", what="malformed_app_payload")
-                continue
             if isinstance(reply, expect):
                 return reply, "ok"
             net.note("note", what="unexpected_app_message",
@@ -253,7 +234,7 @@ class ResponderPeer:
     credential: pki.Credential
     truststore: pki.TrustStore
     app_handler: object
-    revocation_view: object = None
+    revocation_view: set[int] = frozenset()
     allowed_profiles: tuple[CertProfile, ...] = (
         CertProfile.FACTORY, CertProfile.OPERATIONAL, CertProfile.SERVER)
     sessions: dict[bytes, PeerSession] = field(default_factory=dict)
@@ -261,8 +242,6 @@ class ResponderPeer:
 
     def __post_init__(self):
         self.rng = self.sim.actor_rng(self.actor_id + "/hs")
-        if self.revocation_view is None:
-            self.revocation_view = lambda: set()
 
     def handle(self, now, src, data):
         try:
@@ -290,7 +269,7 @@ class ResponderPeer:
         except Exception:
             return self._reject(msg.ephemeral, "bad_certificate")
         check = pki.verify_chain(peer_cert, list(inters), self.truststore,
-                                 now, set(self.revocation_view()))
+                                 now, self.revocation_view)
         if not check:
             return self._reject(msg.ephemeral, check.reason.value)
         if peer_cert.profile not in self.allowed_profiles:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import crypto, messages
+from . import crypto
 from .errors import (
     BadProofOfPossession,
     InvalidValidityWindow,
@@ -28,7 +28,6 @@ from .messages import (
     CertProfile,
     CompactCertificate,
     TimeStamp,
-    UpdateInfoList,
     Uri,
 )
 
@@ -70,7 +69,7 @@ _OK = ChainResult(True)
 
 
 class TrustStore:
-    """Trusted self-signed roots plus pinned hashes of non-root certificates.
+    """Trusted self-signed roots, keyed by subject name.
 
     Each root carries a persist flag: a device reset keeps exactly the
     persistent entries.
@@ -79,7 +78,6 @@ class TrustStore:
     def __init__(self):
         self._roots: dict[bytes, CompactCertificate] = {}
         self._persist: dict[bytes, bool] = {}
-        self.pinned_hashes: set[bytes] = set()
 
     def add_root(self, cert: CompactCertificate, persist: bool = True) -> None:
         if cert.profile is not CertProfile.ROOT_CA:
@@ -90,24 +88,16 @@ class TrustStore:
         self._roots[cert.subject_name] = cert
         self._persist[cert.subject_name] = persist
 
-    def remove_root(self, name: bytes) -> None:
-        self._roots.pop(name, None)
-        self._persist.pop(name, None)
-
     def root(self, name: bytes) -> CompactCertificate | None:
         return self._roots.get(name)
 
     def root_names(self) -> set[bytes]:
         return set(self._roots)
 
-    def pin(self, cert: CompactCertificate) -> None:
-        self.pinned_hashes.add(crypto.digest(messages.encode(cert)))
-
     def copy(self) -> "TrustStore":
         out = TrustStore()
         out._roots = dict(self._roots)
         out._persist = dict(self._persist)
-        out.pinned_hashes = set(self.pinned_hashes)
         return out
 
     def persistent_only(self) -> "TrustStore":
@@ -138,19 +128,14 @@ def verify_chain(
 ) -> ChainResult:
     """True iff a signature path runs from cert to a trusted root, with every
     link inside its validity window at `now` and no link revoked."""
-    pinned = crypto.digest(messages.encode(cert)) in store.pinned_hashes
-
     current = cert
-    for depth in range(MAX_CHAIN_LEN):
+    for _depth in range(MAX_CHAIN_LEN):
         check = _validity_at(current, now)
         if not check:
             return check
         if current.serial in revocation_view:
             return ChainResult(False, ChainReason.REVOKED,
                                f"serial {current.serial} revoked")
-
-        if pinned and depth == 0:
-            return _OK
 
         root = store.root(current.issuer_name)
         if root is not None:
@@ -195,10 +180,12 @@ class Credential:
 
 
 class SerialAllocator:
-    """Hierarchy-wide monotonically increasing serial numbers."""
+    """Hierarchy-wide monotonically increasing serial numbers, plus the one
+    set of revoked serials every CA of the hierarchy shares."""
 
     def __init__(self):
         self._next = 1
+        self.revoked: set[int] = set()
 
     def take(self) -> int:
         serial = self._next
@@ -217,8 +204,11 @@ class CaState:
     issuer_chain: tuple[CompactCertificate, ...] = ()
     registered_factory: dict[int, CompactCertificate] = field(default_factory=dict)
     issued: dict[int, CompactCertificate] = field(default_factory=dict)
-    revoked: set[int] = field(default_factory=set)
     rng: random.Random = field(default_factory=lambda: random.Random(0))
+
+    @property
+    def revoked(self) -> set[int]:
+        return self.allocator.revoked
 
     def credential(self) -> Credential:
         # issuer_chain starts with this CA's own certificate for non-roots;
@@ -298,32 +288,27 @@ def issue_certificate(ca: CaState, csr: CertificateSigningRequest,
     return cert
 
 
-def register_factory_certs(ca: CaState, certs, now: TimeStamp) -> Uri:
+def register_factory_certs(ca: CaState, certs: list[CompactCertificate],
+                           now: TimeStamp) -> Uri:
     """Register factory certificates for later enrollment authorization.
 
-    Accepts an UpdateInfoList or an iterable of certificates. Returns the
-    CA's enrollment URI. Nothing is registered if any certificate fails to
-    verify against the CA's trusted roots.
+    Returns the CA's enrollment URI. Nothing is registered if any
+    certificate fails to verify against the CA's trusted roots.
     """
-    if isinstance(certs, UpdateInfoList):
-        cert_list = [e.factory_certificate for e in certs.entries]
-    else:
-        cert_list = list(certs)
-    for cert in cert_list:
+    for cert in certs:
         result = verify_chain(cert, [], ca.truststore, now, set())
         if not result:
             raise UnverifiableFactoryCert(cert.serial, result.detail)
         if cert.profile is not CertProfile.FACTORY:
             raise UnverifiableFactoryCert(cert.serial, "not a factory certificate")
-    for cert in cert_list:
+    for cert in certs:
         ca.registered_factory[cert.serial] = cert
     return ca.enroll_uri
 
 
 def enroll(ca: CaState, peer_factory_cert: CompactCertificate,
            csr: CertificateSigningRequest,
-           validity: tuple[TimeStamp, TimeStamp],
-           factory_revocations: set[int] | None = None) -> CompactCertificate:
+           validity: tuple[TimeStamp, TimeStamp]) -> CompactCertificate:
     """Issue an operational certificate over an authenticated session.
 
     `peer_factory_cert` is the identity the session authenticated: it must be
@@ -335,8 +320,7 @@ def enroll(ca: CaState, peer_factory_cert: CompactCertificate,
         raise NotRegistered(f"factory serial {peer_factory_cert.serial} unknown")
     if ca.registered_factory[peer_factory_cert.serial] != peer_factory_cert:
         raise NotRegistered("factory certificate does not match registration")
-    revocations = factory_revocations if factory_revocations is not None else ca.revoked
-    if peer_factory_cert.serial in revocations:
+    if peer_factory_cert.serial in ca.revoked:
         raise RevokedFactoryCert(f"factory serial {peer_factory_cert.serial}")
     if csr.subject_name != peer_factory_cert.subject_name:
         raise NameMismatch(
@@ -347,7 +331,6 @@ def enroll(ca: CaState, peer_factory_cert: CompactCertificate,
 
 def enroll_server_keygen(ca: CaState, peer_factory_cert: CompactCertificate,
                          validity: tuple[TimeStamp, TimeStamp],
-                         factory_revocations: set[int] | None = None,
                          ) -> tuple[CompactCertificate, bytes]:
     """Server-side keypair variant: the CA generates the key and returns its
     seed along with the certificate."""
@@ -355,7 +338,7 @@ def enroll_server_keygen(ca: CaState, peer_factory_cert: CompactCertificate,
     key_pair = crypto.generate_key_pair(seed)
     csr = make_csr(peer_factory_cert.subject_name, key_pair,
                    CertProfile.OPERATIONAL)
-    cert = enroll(ca, peer_factory_cert, csr, validity, factory_revocations)
+    cert = enroll(ca, peer_factory_cert, csr, validity)
     return cert, seed
 
 
@@ -404,16 +387,13 @@ class HierarchyConfig:
         raise InvariantViolation(f"no root named {root_name!r} in hierarchy")
 
     def revocation_view(self) -> set[int]:
-        view = set()
-        for ca in self.cas():
-            view |= ca.revoked
-        return view
+        """The hierarchy's one revoked-serial set; later revocations show."""
+        return self.allocator.revoked
 
-    def store_for(self, root_names: set[bytes],
-                  persist: bool = True) -> TrustStore:
+    def store_for(self, root_names: set[bytes]) -> TrustStore:
         store = TrustStore()
         for name in sorted(root_names):
-            store.add_root(self.root_cert(name), persist=persist)
+            store.add_root(self.root_cert(name))
         return store
 
 

@@ -22,10 +22,6 @@ SP1_URI = "coaps://update.sp1.example"
 SP2_URI = "coaps://update.sp2.example"
 RA_URI = "coaps://ra.sp2.example"
 
-NAMED_SCHEDULES = ("none", "replay_transfer", "modify_transfer",
-                   "forge_transfer", "drop_enroll", "cross_session_replay",
-                   "replay_all", "drop_10pct")
-
 
 @dataclass
 class ScenarioOptions:
@@ -327,7 +323,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         hierarchy.ca1,
         [m.factory_cert for m in sp1_state.managed_devices.values()], 0)
 
-    revocation_view = hierarchy.revocation_view
+    revocation_view = hierarchy.revocation_view()
 
     # Server certificates for both operators and the RA verifier.
     def server_credential(name: bytes, ca: pki.CaState) -> pki.Credential:
@@ -342,19 +338,16 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     ra_cred = server_credential(b"ra", hierarchy.ca2)
 
     # Network actors.
-    ca1_actor = operators.CaActor(sim, "ca1", hierarchy.ca1,
-                                  operational_lifetime=config.operational_lifetime,
-                                  revocation_view=revocation_view)
-    ca2_actor = operators.CaActor(sim, "ca2", hierarchy.ca2,
-                                  operational_lifetime=config.operational_lifetime,
-                                  revocation_view=revocation_view)
+    operators.CaActor(sim, "ca1", hierarchy.ca1,
+                      operational_lifetime=config.operational_lifetime)
+    operators.CaActor(sim, "ca2", hierarchy.ca2,
+                      operational_lifetime=config.operational_lifetime)
     sp1_ra_state = None
     if opts.sp1_fallback_ra:
         sp1_ra_state = operators.RaVerifierState(expected=dict(ra_state.expected))
     sp1_actor = operators.OperatorActor(sim, "sp1", sp1_state, sp1_cred,
                                         server_store,
                                         revocation_view=revocation_view,
-                                        fallback_require_ra=opts.sp1_fallback_ra,
                                         fallback_ra_state=sp1_ra_state)
     sp2_actor = operators.OperatorActor(sim, "sp2", sp2_state, sp2_cred,
                                         server_store,
@@ -370,14 +363,14 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     sim.bind_uri(RA_URI, "ra")
 
     # Device processes, start staggered.
-    device_opts = device.DeviceOptions(server_keygen=opts.server_keygen)
     for index in range(config.device_count):
         actor_id = device_actor_id(index)
 
         def device_proc(actor_id=actor_id, index=index):
             yield Sleep(1 + index % 7)
             net = peers.NetHandle(sim, actor_id)
-            yield from device.lifecycle(devices[actor_id], net, device_opts)
+            yield from device.lifecycle(devices[actor_id], net,
+                                        opts.server_keygen)
 
         sim.spawn(actor_id, device_proc())
 
@@ -388,7 +381,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             push_roots.append(hierarchy.root_cert(name))
 
     transfer_options = operators.TransferOptions(
-        use_ra=opts.use_ra,
         ra_uri=Uri(RA_URI) if opts.use_ra else None,
         contact_before_enroll=opts.contact_update_before_enroll)
 

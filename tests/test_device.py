@@ -356,13 +356,22 @@ def test_lossy_network_enroll_retry():
     assert result.trace.select("drop")
 
 
-@pytest.mark.parametrize("push", [wire.FinalUpdate(b"\xff"),
-                                  wire.TrustPush((b"\xff",), True)],
-                         ids=["final_update", "trust_push"])
+_EVIL_KEY = crypto.generate_key_pair(crypto.digest(b"evil-root"))
+_EVIL_ROOT = pki._signed_cert(b"evil-root", _EVIL_KEY, 1, b"evil-root",
+                              _EVIL_KEY.public_key, LIFETIME,
+                              CertProfile.ROOT_CA)
+
+
+@pytest.mark.parametrize("push", [
+    wire.FinalUpdate(b"\xff"),
+    wire.TrustPush((b"\xff",), True),
+    wire.TrustPush((encode(_EVIL_ROOT), b"\xff"), True),
+], ids=["final_update", "trust_push", "trust_push_valid_root_first"])
 def test_malformed_push_answered_with_negative_ack(push):
     """A push record whose content does not decode, injected into the
-    device's SP1 session, is refused with a negative ack; the run neither
-    crashes nor loses the transfer."""
+    device's SP1 session, is refused with a negative ack and changes
+    nothing: a valid root ahead of the bad one is not kept either. The run
+    neither crashes nor loses the transfer."""
     rule = {"action": "inject", "match_src": "sp1", "match_dst": "device-*",
             "match_label": "update_rsp",
             "inject_payload_hex": wire.encode_wire(push).hex(),
@@ -374,3 +383,43 @@ def test_malformed_push_answered_with_negative_ack(push):
     kind = "final" if isinstance(push, wire.FinalUpdate) else "trust"
     for device_id in (b"device-000", b"device-001"):
         assert result.sp1_state.acks[device_id][kind] is False
+        state = result.device_states[device_id.decode()]
+        assert b"evil-root" not in state.truststore.root_names()
+
+
+_GARBLED_UPDATE = wire.UpdateRsp(True, b"\xff")
+_GHOST_REPORT = wire.RaReport(b"ghost", b"\x00" * 16, b"\x00" * 32)
+
+
+@pytest.mark.parametrize("variant,options,match_dst,match_label,redirect,"
+                         "record,expected", [
+    ("c", {}, "sp1", "update_check", "device-000", _GARBLED_UPDATE,
+     "reenrolled"),
+    ("c", {"contact_update_before_enroll": True}, "sp2", "update_check",
+     "device-000", _GARBLED_UPDATE, "fallback"),
+    ("a", {"use_ra": True}, "ra", "ra_hello", None, _GHOST_REPORT,
+     "reenrolled"),
+], ids=["sp1_update_check", "post_reset_update_check", "ra_unknown_device"])
+def test_single_injected_record_does_not_abort_run(variant, options, match_dst,
+                                                   match_label, redirect,
+                                                   record, expected):
+    """One record injected into a device's session, carrying a firmware
+    offer that does not decode or an attestation report for a device the
+    verifier does not know, is answered inside the protocol instead of
+    raising out of the run."""
+    rule = {"action": "inject", "match_src": "device-*",
+            "match_dst": match_dst, "match_label": match_label,
+            "redirect_dst": redirect,
+            "inject_payload_hex": wire.encode_wire(record).hex(),
+            "frame_in_matched_session": True, "seq_offset": 1, "delay": 0,
+            "first_n": 1}
+    result = run_scenario(ScenarioConfig(
+        name="single_record", variant=variant, seed=5, adversary=[rule],
+        options=ScenarioOptions(**options), expect_default=expected))
+    assert result.ok
+    if expected == "fallback":
+        [served] = result.trace.select("fallback_served")
+        assert served["reason"] == "update_failed"
+    if record is _GHOST_REPORT:
+        [verdict] = result.trace.select("ra_verdict", device="ghost")
+        assert verdict["verdict"] == "False"

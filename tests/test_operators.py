@@ -86,7 +86,8 @@ def prepared_transfer(world, **option_kwargs):
     envelope = operators.sp1_build_update_info_list(sp1,
                                                     sorted(sp1.managed_devices))
     info = decode(MessageKind.UPDATE_INFO_LIST, envelope.payload)
-    enroll_uri = pki.register_factory_certs(h.ca2, info, 1000)
+    enroll_uri = pki.register_factory_certs(
+        h.ca2, [e.factory_certificate for e in info.entries], 1000)
     options = operators.TransferOptions(**option_kwargs)
     return operators.sp2_prepare_transfer(sp2, info, enroll_uri, options)
 
@@ -106,8 +107,7 @@ def test_prepare_transfer_registers_and_signs(world):
 
 
 def test_prepare_transfer_with_ra_uri(world):
-    envelope = prepared_transfer(world, use_ra=True,
-                                 ra_uri=Uri("coaps://ra.sp2.example"))
+    envelope = prepared_transfer(world, ra_uri=Uri("coaps://ra.sp2.example"))
     message = decode(MessageKind.TRANSFER_MESSAGE, envelope.payload)
     assert message.ra_uri == Uri("coaps://ra.sp2.example")
 

@@ -235,17 +235,6 @@ def test_chain_leaf_cannot_act_as_issuer():
     assert not res and res.reason is pki.ChainReason.BAD_ISSUER_PROFILE
 
 
-def test_pinned_hash_accepts_without_root():
-    h = build("a")
-    cert, _ = factory_cert_for(h)
-    store = pki.TrustStore()
-    assert not pki.verify_chain(cert, [], store, NOW, set())
-    store.pin(cert)
-    assert pki.verify_chain(cert, [], store, NOW, set())
-    res = pki.verify_chain(cert, [], store, NOW, {cert.serial})
-    assert not res and res.reason is pki.ChainReason.REVOKED
-
-
 def test_truststore_rejects_non_root():
     h = build("b")
     cert, _ = factory_cert_for(h)
@@ -329,8 +318,7 @@ def test_enroll_revoked_factory_rejected():
     pki.revoke(h.permanent, fcert.serial)
     csr = pki.make_csr(b"dev-1", device_key(b"op"), CertProfile.OPERATIONAL)
     with pytest.raises(RevokedFactoryCert):
-        pki.enroll(h.ca1, fcert, csr, LIFETIME,
-                   factory_revocations=h.revocation_view())
+        pki.enroll(h.ca1, fcert, csr, LIFETIME)
 
 
 def test_enroll_server_keygen():

@@ -31,7 +31,7 @@ def device_credential(h, name=b"dev-1"):
 
 
 def handshakes(h, cred, dev_store, responder_store, count=1, seed=7,
-               revocation_view=None):
+               revocation_view=frozenset()):
     """Run `count` device handshakes against an echoing `ca2` responder.
 
     Returns ([(initiator session or None, status), ...], responder)."""
@@ -135,7 +135,7 @@ def test_revoked_initiator_rejected_by_responder_view():
     dev_store = h.store_for({pki.PERMANENT_CA_NAME})
     pki.revoke(h.permanent, cred.certificate.serial)
     sess, status, responder = handshake(h, cred, dev_store, h.ca2.truststore,
-                                        revocation_view=h.revocation_view)
+                                        revocation_view=h.revocation_view())
     assert sess is None
     assert status == "peer_rejected:revoked"
     assert not responder.sessions
