@@ -11,7 +11,6 @@ from .messages import (
     CompactCertificate,
     DeviceUpdateInfo,
     EnvelopeProfile,
-    MessageKind,
     SignedEnvelope,
     TransferMessage,
     UpdateInfoList,
@@ -29,7 +28,6 @@ __all__ = [
     "DeviceUpdateInfo",
     "EnvelopeProfile",
     "Error",
-    "MessageKind",
     "SignedEnvelope",
     "TransferMessage",
     "UpdateInfoList",

@@ -131,12 +131,8 @@ def cmd_attack_suite(args) -> int:
         status = "PASS" if result.ok else "FAIL"
         if not result.ok:
             failures += 1
-        matched = sum(
-            1 for o in result.devices
-            if o.phase == config.expect_overrides.get(o.actor_id,
-                                                      config.expect_default))
-        print(f"{status} {path.name}: {matched}/{len(result.devices)} devices "
-              f"as expected, digest={result.trace.digest()[:16]}")
+        print(f"{status} {path.name}: {result.matched}/{len(result.devices)} "
+              f"devices as expected, digest={result.trace.digest()[:16]}")
     print(f"attack suite: {len(configs) - failures}/{len(configs)} passed")
     return EXIT_OK if failures == 0 else EXIT_EXPECTATION
 

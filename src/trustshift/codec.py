@@ -5,11 +5,17 @@ definite-length arrays and maps, booleans and null. Encoding is canonical
 (minimal-length heads) and the decoder rejects anything else, so equal
 values always produce identical bytes and every encoding has exactly one
 parse.
+
+`FIELD_KINDS` maps a dataclass field annotation to its encoder and reader.
+It is the one table behind every fixed-arity array of typed fields: the
+wire frames (`wire.py`) and the protocol payloads (`messages.py`, which
+adds its own kinds).
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import fields
 
 from .errors import MalformedEncoding
 
@@ -107,11 +113,6 @@ class Decoder:
             raise MalformedEncoding("non-minimal length encoding")
         return major, arg
 
-    def _peek(self) -> int:
-        if self._pos >= len(self._data):
-            raise MalformedEncoding("truncated input")
-        return self._data[self._pos]
-
     def read_uint(self) -> int:
         major, arg = self._read_head()
         if major != _MAJOR_UINT:
@@ -156,16 +157,49 @@ class Decoder:
             return False
         raise MalformedEncoding(f"expected boolean, got 0x{byte:02x}")
 
-    def read_null(self) -> None:
-        byte = self._take(1)[0]
-        if byte != _NULL:
-            raise MalformedEncoding(f"expected null, got 0x{byte:02x}")
-
-    def next_is_null(self) -> bool:
-        return self._peek() == _NULL
+    def skip_null(self) -> bool:
+        """Consume a null if it is the next item; True if there was one."""
+        if self._pos >= len(self._data):
+            raise MalformedEncoding("truncated input")
+        if self._data[self._pos] != _NULL:
+            return False
+        self._pos += 1
+        return True
 
     def finish(self) -> None:
         """Reject trailing bytes after the decoded item."""
         if self._pos != len(self._data):
             raise MalformedEncoding(
                 f"{len(self._data) - self._pos} trailing byte(s) after message")
+
+
+def _encode_bytes_list(items) -> bytes:
+    return encode_array_head(len(items)) + b"".join(map(encode_bytes, items))
+
+
+def _read_bytes_list(dec: Decoder) -> tuple:
+    return tuple(dec.read_bytes() for _ in range(dec.read_array_head()))
+
+
+# Field annotation -> (encoder, reader); a reader takes the `Decoder`.
+FIELD_KINDS = {
+    "bytes": (encode_bytes, Decoder.read_bytes),
+    "int": (encode_uint, Decoder.read_uint),
+    "bool": (encode_bool, Decoder.read_bool),
+    "str": (encode_text, Decoder.read_text),
+    "tuple": (_encode_bytes_list, _read_bytes_list),
+}
+
+
+def field_spec(cls) -> tuple:
+    """(name, encoder, reader) of each field of a dataclass, in order."""
+    return tuple((f.name, *FIELD_KINDS[f.type]) for f in fields(cls))
+
+
+def encode_fields(value, spec) -> bytes:
+    """The fields of `value` named in `spec`, encoded back to back."""
+    return b"".join([encode(getattr(value, name)) for name, encode, _read in spec])
+
+
+def read_fields(dec: Decoder, spec) -> list:
+    return [read(dec) for _name, _encode, read in spec]

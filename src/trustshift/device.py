@@ -25,7 +25,6 @@ from .messages import (
     CertProfile,
     CompactCertificate,
     EnvelopeProfile,
-    MessageKind,
     SignedEnvelope,
     TimeStamp,
     TransferMessage,
@@ -173,7 +172,7 @@ def handle_transfer_message(state: DeviceState, envelope: SignedEnvelope,
     if state.sp1_signer_key is None or not crypto.verify_envelope(
             state.sp1_signer_key, envelope):
         raise BadSignature("transfer CWT not signed by the SP1 signer key")
-    message = decode(MessageKind.TRANSFER_MESSAGE, envelope.payload)
+    message = decode(TransferMessage, envelope.payload)
     if not (message.reset_time_not_before <= now <= message.reset_time_not_after):
         raise OutsideResetWindow(
             f"now={now} outside [{message.reset_time_not_before}, "
@@ -210,7 +209,7 @@ def _install_offered_version(state: DeviceState, version_bytes: bytes,
     """Install an offered firmware version if it is newer than the running
     one; False if the offer does not decode."""
     try:
-        offered = decode(MessageKind.VERSION_INFO, version_bytes)
+        offered = decode(VersionInfo, version_bytes)
     except (MalformedEncoding, InvariantViolation):
         return False
     if offered.manifest_sequence > state.firmware.manifest_sequence:
@@ -252,11 +251,9 @@ def _enroll_once(state: DeviceState, net: peers.NetHandle,
         raise EnrollRejected(reply.reason)
 
     try:
-        cert = decode(MessageKind.CERTIFICATE, reply.cert_bytes)
-        chain = tuple(decode(MessageKind.CERTIFICATE, b)
-                      for b in reply.chain_certs)
-        roots = tuple(decode(MessageKind.CERTIFICATE, b)
-                      for b in reply.root_certs)
+        cert = decode(CompactCertificate, reply.cert_bytes)
+        chain = tuple(decode(CompactCertificate, b) for b in reply.chain_certs)
+        roots = tuple(decode(CompactCertificate, b) for b in reply.root_certs)
     except (MalformedEncoding, InvariantViolation):
         raise EnrollRejected("bad_enroll_response")
     if server_keygen:
@@ -468,7 +465,7 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
             store = state.truststore.copy()
             try:
                 for cert_bytes in msg.root_certs:
-                    root = decode(MessageKind.CERTIFICATE, cert_bytes)
+                    root = decode(CompactCertificate, cert_bytes)
                     store.add_root(root, persist=msg.persist)
             except (MalformedEncoding, InvariantViolation):
                 ack = wire.TrustAck(False)
@@ -482,8 +479,7 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
                 state, msg.version_bytes, net.note))
         elif isinstance(msg, wire.TransferDeliver):
             try:
-                envelope = decode(MessageKind.SIGNED_ENVELOPE,
-                                  msg.envelope_bytes)
+                envelope = decode(SignedEnvelope, msg.envelope_bytes)
                 handle_transfer_message(state, envelope, net.now(), net.note)
                 net.note("transfer_accepted",
                          size=len(msg.envelope_bytes))

@@ -1,15 +1,20 @@
-"""Protocol payload types and their deterministic binary codecs.
+"""Protocol payload types and their deterministic binary codec.
 
-Every type encodes as a fixed-arity array in declared field order; an
-absent RA endpoint is an explicit null, never an omitted element. All
-values are immutable and validated at construction, so a constructed
-value always satisfies its invariants.
+A regular payload (`@_payload`) is the fixed-arity array of its fields in
+declared order, each encoded by its kind in `codec.FIELD_KINDS`, the table
+that also drives the wire frames. Payload classes, profiles and the
+envelope header are kinds there too, so payloads nest. Hand-written are
+only the layouts the frozen vectors make irregular: a bare-text `Uri`,
+`TransferMessage` (a nested `[updateUri, flag]` pair, an explicit null for
+no RA endpoint), the bare entry array of `UpdateInfoList`, and the
+canonical header map. `decode` takes the payload class. Values are
+immutable and validated at construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 
 from . import codec
 from .errors import InvariantViolation, MalformedEncoding
@@ -28,6 +33,38 @@ def _check_timestamp(name: str, value: int) -> None:
         raise InvariantViolation(f"{name} must be a non-negative integer")
 
 
+def _payload_kind(cls, encode, read) -> None:
+    """Make `cls` a payload (what `encode`/`decode` accept) and a field kind."""
+    cls.KIND = codec.FIELD_KINDS[cls.__name__] = (encode, read)
+
+
+def _encode_array(msg, spec) -> bytes:
+    return codec.encode_array_head(len(spec)) + codec.encode_fields(msg, spec)
+
+
+def _payload(cls):
+    """Declare a regular payload: the fixed-arity array of its fields."""
+    cls = dataclass(frozen=True)(cls)
+    cls.SPEC = codec.field_spec(cls)
+
+    def read(dec: codec.Decoder):
+        dec.read_array_head(expected=len(cls.SPEC))
+        return cls(*codec.read_fields(dec, cls.SPEC))
+
+    _payload_kind(cls, lambda msg: _encode_array(msg, msg.SPEC), read)
+    return cls
+
+
+def _read_enum(enum_cls):
+    def read(dec: codec.Decoder):
+        raw = dec.read_uint()
+        try:
+            return enum_cls(raw)
+        except ValueError as exc:
+            raise MalformedEncoding(f"unknown {enum_cls.__name__} {raw}") from exc
+    return read
+
+
 class CertProfile(IntEnum):
     ROOT_CA = 0
     SUB_CA = 1
@@ -41,15 +78,11 @@ class EnvelopeProfile(IntEnum):
     UPDATE_LIST = 2
 
 
-class MessageKind(Enum):
-    URI = "uri"
-    VERSION_INFO = "version_info"
-    DEVICE_UPDATE_INFO = "device_update_info"
-    UPDATE_INFO_LIST = "update_info_list"
-    TRANSFER_MESSAGE = "transfer_message"
-    CSR = "csr"
-    CERTIFICATE = "certificate"
-    SIGNED_ENVELOPE = "signed_envelope"
+codec.FIELD_KINDS.update(
+    TimeStamp=codec.FIELD_KINDS["int"],
+    CertProfile=(codec.encode_uint, _read_enum(CertProfile)),
+    EnvelopeProfile=(codec.encode_uint, _read_enum(EnvelopeProfile)),
+)
 
 
 @dataclass(frozen=True)
@@ -66,7 +99,18 @@ class Uri:
         return self.value
 
 
-@dataclass(frozen=True)
+def _encode_uri(uri: Uri) -> bytes:
+    return codec.encode_text(uri.value)
+
+
+def _read_uri(dec: codec.Decoder) -> Uri:
+    return Uri(dec.read_text())
+
+
+_payload_kind(Uri, _encode_uri, _read_uri)
+
+
+@_payload
 class VersionInfo:
     manifest_sequence: int
     manifest_uri: Uri
@@ -77,7 +121,7 @@ class VersionInfo:
             raise InvariantViolation("manifestUri must be a Uri")
 
 
-@dataclass(frozen=True)
+@_payload
 class CompactCertificate:
     """Simplified compact credential binding a name to a public key."""
 
@@ -105,19 +149,10 @@ class CompactCertificate:
 
     def tbs_bytes(self) -> bytes:
         """To-be-signed body: the seven fields preceding the signature."""
-        return (
-            codec.encode_array_head(7)
-            + codec.encode_uint(self.serial)
-            + codec.encode_bytes(self.subject_name)
-            + codec.encode_bytes(self.subject_public_key)
-            + codec.encode_bytes(self.issuer_name)
-            + codec.encode_uint(self.not_before)
-            + codec.encode_uint(self.not_after)
-            + codec.encode_uint(int(self.profile))
-        )
+        return _encode_array(self, self.SPEC[:7])
 
 
-@dataclass(frozen=True)
+@_payload
 class DeviceUpdateInfo:
     factory_certificate: CompactCertificate
     update_time_not_before: TimeStamp
@@ -142,6 +177,20 @@ class UpdateInfoList:
             raise InvariantViolation("duplicate factory-certificate serial in list")
 
 
+def _encode_update_info_list(msg: UpdateInfoList) -> bytes:
+    return codec.encode_array_head(len(msg.entries)) + b"".join(
+        map(DeviceUpdateInfo.KIND[0], msg.entries))
+
+
+def _read_update_info_list(dec: codec.Decoder) -> UpdateInfoList:
+    read_entry = DeviceUpdateInfo.KIND[1]
+    return UpdateInfoList(tuple(read_entry(dec)
+                                for _ in range(dec.read_array_head())))
+
+
+_payload_kind(UpdateInfoList, _encode_update_info_list, _read_update_info_list)
+
+
 @dataclass(frozen=True)
 class TransferMessage:
     """The six-claim payload driving the operator change on a device."""
@@ -163,7 +212,37 @@ class TransferMessage:
             raise InvariantViolation("raURI must be a Uri or None")
 
 
-@dataclass(frozen=True)
+def _encode_transfer_message(msg: TransferMessage) -> bytes:
+    ra = codec.encode_null() if msg.ra_uri is None else _encode_uri(msg.ra_uri)
+    return (
+        codec.encode_array_head(6)
+        + codec.encode_uint(msg.reset_time_not_before)
+        + codec.encode_uint(msg.reset_time_not_after)
+        + ra
+        + codec.encode_array_head(2)
+        + _encode_uri(msg.update_uri)
+        + codec.encode_bool(msg.contact_before_enroll)
+        + _encode_uri(msg.enroll_uri)
+        + _encode_uri(msg.fallback_uri)
+    )
+
+
+def _read_transfer_message(dec: codec.Decoder) -> TransferMessage:
+    dec.read_array_head(expected=6)
+    nb = dec.read_uint()
+    na = dec.read_uint()
+    ra = None if dec.skip_null() else _read_uri(dec)
+    dec.read_array_head(expected=2)
+    update_uri = _read_uri(dec)
+    flag = dec.read_bool()
+    return TransferMessage(nb, na, ra, update_uri, flag, _read_uri(dec),
+                           _read_uri(dec))
+
+
+_payload_kind(TransferMessage, _encode_transfer_message, _read_transfer_message)
+
+
+@_payload
 class CertificateSigningRequest:
     subject_name: bytes
     subject_public_key: bytes
@@ -176,12 +255,11 @@ class CertificateSigningRequest:
 
     def tbs_bytes(self) -> bytes:
         """Bytes covered by the proof-of-possession signature."""
-        return (
-            codec.encode_array_head(3)
-            + codec.encode_bytes(self.subject_name)
-            + codec.encode_bytes(self.subject_public_key)
-            + codec.encode_uint(int(self.requested_profile))
-        )
+        return _encode_array(self, self.SPEC[:3])
+
+
+# Map key of each EnvelopeHeader field; ascending keys keep the map canonical.
+_HEADER_KEYS = (1, 3, 4)
 
 
 @dataclass(frozen=True)
@@ -198,16 +276,38 @@ class EnvelopeHeader:
             raise InvariantViolation("signerKeyId must be 8 bytes")
 
     def encode(self) -> bytes:
-        # Fixed ascending key order keeps the header encoding canonical.
-        return (
-            codec.encode_map_head(3)
-            + codec.encode_uint(1) + codec.encode_uint(self.algorithm_id)
-            + codec.encode_uint(3) + codec.encode_uint(int(self.profile))
-            + codec.encode_uint(4) + codec.encode_bytes(self.signer_key_id)
-        )
+        return codec.encode_map_head(len(_HEADER_KEYS)) + b"".join([
+            codec.encode_uint(key) + encode(getattr(self, name))
+            for key, (name, encode, _read) in zip(_HEADER_KEYS, self.SPEC)])
 
 
-@dataclass(frozen=True)
+EnvelopeHeader.SPEC = codec.field_spec(EnvelopeHeader)
+
+
+def _read_envelope_header(dec: codec.Decoder) -> EnvelopeHeader:
+    """The byte-wrapped header map. Only the canonical form parses (every
+    key once, in order, minimal heads), so a decoded header re-encodes to
+    exactly the bytes that were signed."""
+    inner = codec.Decoder(dec.read_bytes())
+    count = inner.read_map_head()
+    if count != len(_HEADER_KEYS):
+        raise MalformedEncoding(f"{count}-entry header map")
+    values = []
+    for expected, (_name, _encode, read) in zip(_HEADER_KEYS,
+                                                EnvelopeHeader.SPEC):
+        key = inner.read_uint()
+        if key != expected:
+            raise MalformedEncoding(f"header key {key} where {expected} belongs")
+        values.append(read(inner))
+    inner.finish()
+    return EnvelopeHeader(*values)
+
+
+codec.FIELD_KINDS["EnvelopeHeader"] = (
+    lambda header: codec.encode_bytes(header.encode()), _read_envelope_header)
+
+
+@_payload
 class SignedEnvelope:
     """Detached-header signature container carrying CWTs and signed lists."""
 
@@ -219,240 +319,20 @@ class SignedEnvelope:
         return self.protected_header.encode() + self.payload
 
 
-# ---------------------------------------------------------------------------
-# encoding
-# ---------------------------------------------------------------------------
-
-def _encode_uri(msg: Uri) -> bytes:
-    return codec.encode_text(msg.value)
-
-
-def _encode_version_info(msg: VersionInfo) -> bytes:
-    return (
-        codec.encode_array_head(2)
-        + codec.encode_uint(msg.manifest_sequence)
-        + _encode_uri(msg.manifest_uri)
-    )
-
-
-def _encode_certificate(msg: CompactCertificate) -> bytes:
-    return (
-        codec.encode_array_head(8)
-        + codec.encode_uint(msg.serial)
-        + codec.encode_bytes(msg.subject_name)
-        + codec.encode_bytes(msg.subject_public_key)
-        + codec.encode_bytes(msg.issuer_name)
-        + codec.encode_uint(msg.not_before)
-        + codec.encode_uint(msg.not_after)
-        + codec.encode_uint(int(msg.profile))
-        + codec.encode_bytes(msg.signature)
-    )
-
-
-def _encode_device_update_info(msg: DeviceUpdateInfo) -> bytes:
-    return (
-        codec.encode_array_head(4)
-        + _encode_certificate(msg.factory_certificate)
-        + codec.encode_uint(msg.update_time_not_before)
-        + codec.encode_uint(msg.update_time_not_after)
-        + _encode_version_info(msg.version_info)
-    )
-
-
-def _encode_update_info_list(msg: UpdateInfoList) -> bytes:
-    out = codec.encode_array_head(len(msg.entries))
-    for entry in msg.entries:
-        out += _encode_device_update_info(entry)
-    return out
-
-
-def _encode_transfer_message(msg: TransferMessage) -> bytes:
-    ra = codec.encode_null() if msg.ra_uri is None else _encode_uri(msg.ra_uri)
-    return (
-        codec.encode_array_head(6)
-        + codec.encode_uint(msg.reset_time_not_before)
-        + codec.encode_uint(msg.reset_time_not_after)
-        + ra
-        + codec.encode_array_head(2)
-        + _encode_uri(msg.update_uri)
-        + codec.encode_bool(msg.contact_before_enroll)
-        + _encode_uri(msg.enroll_uri)
-        + _encode_uri(msg.fallback_uri)
-    )
-
-
-def _encode_csr(msg: CertificateSigningRequest) -> bytes:
-    return (
-        codec.encode_array_head(4)
-        + codec.encode_bytes(msg.subject_name)
-        + codec.encode_bytes(msg.subject_public_key)
-        + codec.encode_uint(int(msg.requested_profile))
-        + codec.encode_bytes(msg.proof_of_possession)
-    )
-
-
-def _encode_signed_envelope(msg: SignedEnvelope) -> bytes:
-    return (
-        codec.encode_array_head(3)
-        + codec.encode_bytes(msg.protected_header.encode())
-        + codec.encode_bytes(msg.payload)
-        + codec.encode_bytes(msg.signature)
-    )
-
-
-_ENCODERS = {
-    Uri: _encode_uri,
-    VersionInfo: _encode_version_info,
-    CompactCertificate: _encode_certificate,
-    DeviceUpdateInfo: _encode_device_update_info,
-    UpdateInfoList: _encode_update_info_list,
-    TransferMessage: _encode_transfer_message,
-    CertificateSigningRequest: _encode_csr,
-    SignedEnvelope: _encode_signed_envelope,
-}
-
-
 def encode(message) -> bytes:
-    """Encode any protocol message; equal values yield identical bytes."""
-    encoder = _ENCODERS.get(type(message))
-    if encoder is None:
+    """Encode any protocol payload; equal values yield identical bytes."""
+    kind = getattr(type(message), "KIND", None)
+    if kind is None:
         raise InvariantViolation(f"not an encodable message: {type(message).__name__}")
-    return encoder(message)
+    return kind[0](message)
 
 
-# ---------------------------------------------------------------------------
-# decoding
-# ---------------------------------------------------------------------------
-
-def _read_uri(dec: codec.Decoder) -> Uri:
-    return Uri(dec.read_text())
-
-
-def _read_version_info(dec: codec.Decoder) -> VersionInfo:
-    dec.read_array_head(expected=2)
-    seq = dec.read_uint()
-    return VersionInfo(seq, _read_uri(dec))
-
-
-def _read_certificate(dec: codec.Decoder) -> CompactCertificate:
-    dec.read_array_head(expected=8)
-    serial = dec.read_uint()
-    subject = dec.read_bytes()
-    subject_pub = dec.read_bytes()
-    issuer = dec.read_bytes()
-    not_before = dec.read_uint()
-    not_after = dec.read_uint()
-    profile_raw = dec.read_uint()
-    signature = dec.read_bytes()
-    try:
-        profile = CertProfile(profile_raw)
-    except ValueError as exc:
-        raise MalformedEncoding(f"unknown certificate profile {profile_raw}") from exc
-    return CompactCertificate(serial, subject, subject_pub, issuer,
-                              not_before, not_after, profile, signature)
-
-
-def _read_device_update_info(dec: codec.Decoder) -> DeviceUpdateInfo:
-    dec.read_array_head(expected=4)
-    cert = _read_certificate(dec)
-    nb = dec.read_uint()
-    na = dec.read_uint()
-    vi = _read_version_info(dec)
-    return DeviceUpdateInfo(cert, nb, na, vi)
-
-
-def _read_update_info_list(dec: codec.Decoder) -> UpdateInfoList:
-    count = dec.read_array_head()
-    entries = tuple(_read_device_update_info(dec) for _ in range(count))
-    return UpdateInfoList(entries)
-
-
-def _read_transfer_message(dec: codec.Decoder) -> TransferMessage:
-    dec.read_array_head(expected=6)
-    nb = dec.read_uint()
-    na = dec.read_uint()
-    if dec.next_is_null():
-        dec.read_null()
-        ra = None
-    else:
-        ra = _read_uri(dec)
-    dec.read_array_head(expected=2)
-    update_uri = _read_uri(dec)
-    flag = dec.read_bool()
-    enroll_uri = _read_uri(dec)
-    fallback_uri = _read_uri(dec)
-    return TransferMessage(nb, na, ra, update_uri, flag, enroll_uri, fallback_uri)
-
-
-def _read_csr(dec: codec.Decoder) -> CertificateSigningRequest:
-    dec.read_array_head(expected=4)
-    subject = dec.read_bytes()
-    subject_pub = dec.read_bytes()
-    profile_raw = dec.read_uint()
-    pop = dec.read_bytes()
-    try:
-        profile = CertProfile(profile_raw)
-    except ValueError as exc:
-        raise MalformedEncoding(f"unknown CSR profile {profile_raw}") from exc
-    return CertificateSigningRequest(subject, subject_pub, profile, pop)
-
-
-def _read_envelope_header(data: bytes) -> EnvelopeHeader:
+def decode(cls, data: bytes):
+    """Decode one payload of class `cls`; trailing bytes are rejected."""
+    kind = getattr(cls, "KIND", None)
+    if kind is None:
+        raise MalformedEncoding(f"not a payload class: {cls!r}")
     dec = codec.Decoder(data)
-    count = dec.read_map_head()
-    if count != 3:
-        raise MalformedEncoding(f"expected 3-entry header map, got {count}")
-    fields = {}
-    for _ in range(count):
-        key = dec.read_uint()
-        if key in fields:
-            raise MalformedEncoding(f"duplicate header key {key}")
-        if key == 4:
-            fields[key] = dec.read_bytes()
-        else:
-            fields[key] = dec.read_uint()
-    dec.finish()
-    if set(fields) != {1, 3, 4}:
-        raise MalformedEncoding(f"unexpected header keys {sorted(fields)}")
-    try:
-        profile = EnvelopeProfile(fields[3])
-    except ValueError as exc:
-        raise MalformedEncoding(f"unknown envelope profile {fields[3]}") from exc
-    return EnvelopeHeader(fields[1], profile, fields[4])
-
-
-def _read_signed_envelope(dec: codec.Decoder) -> SignedEnvelope:
-    dec.read_array_head(expected=3)
-    header_bytes = dec.read_bytes()
-    payload = dec.read_bytes()
-    signature = dec.read_bytes()
-    header = _read_envelope_header(header_bytes)
-    env = SignedEnvelope(header, payload, signature)
-    # Canonical round-trip guard: a header that re-encodes differently would
-    # change the signing input.
-    if header.encode() != header_bytes:
-        raise MalformedEncoding("non-canonical envelope header")
-    return env
-
-
-_DECODERS = {
-    MessageKind.URI: _read_uri,
-    MessageKind.VERSION_INFO: _read_version_info,
-    MessageKind.CERTIFICATE: _read_certificate,
-    MessageKind.DEVICE_UPDATE_INFO: _read_device_update_info,
-    MessageKind.UPDATE_INFO_LIST: _read_update_info_list,
-    MessageKind.TRANSFER_MESSAGE: _read_transfer_message,
-    MessageKind.CSR: _read_csr,
-    MessageKind.SIGNED_ENVELOPE: _read_signed_envelope,
-}
-
-
-def decode(kind: MessageKind, data: bytes):
-    """Decode one message of the given kind; trailing bytes are rejected."""
-    reader = _DECODERS.get(MessageKind(kind))
-    if reader is None:
-        raise MalformedEncoding(f"unknown message kind {kind!r}")
-    dec = codec.Decoder(data)
-    message = reader(dec)
+    message = kind[1](dec)
     dec.finish()
     return message

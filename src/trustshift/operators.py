@@ -20,10 +20,11 @@ from .errors import (
     UnverifiableFactoryCert,
 )
 from .messages import (
+    CertificateSigningRequest,
     CertProfile,
+    CompactCertificate,
     DeviceUpdateInfo,
     EnvelopeProfile,
-    MessageKind,
     SignedEnvelope,
     TimeStamp,
     TransferMessage,
@@ -133,7 +134,7 @@ def sp1_relay_transfer(sp1: OperatorState, sp2_envelope: SignedEnvelope,
     managed = sp1.managed_devices.get(device_id)
     if managed is None:
         raise UnknownDevice(f"device {device_id!r} not managed by {sp1.name}")
-    message = decode(MessageKind.TRANSFER_MESSAGE, sp2_envelope.payload)
+    message = decode(TransferMessage, sp2_envelope.payload)
     not_before, not_after = (message.reset_time_not_before,
                              message.reset_time_not_after)
     if narrow_window:
@@ -205,11 +206,16 @@ def ra_verify(verifier: RaVerifierState, exchange: RaExchange) -> bool:
                                                           + exchange.nonce)
 
 
-def ra_serve(verifier: RaVerifierState, rng, msg: wire.RaHello | wire.RaReport
+def ra_serve(verifier: RaVerifierState, rng, subject: bytes,
+             msg: wire.RaHello | wire.RaReport
              ) -> wire.RaChallenge | wire.RaVerdict:
-    """The verifier's answer to one attestation message: a fresh challenge
-    for a RaHello, a verdict for a RaReport. A device the verifier holds no
-    measurement for gets a negative verdict."""
+    """The verifier's answer to one attestation message on a session whose
+    peer is authenticated as `subject`: a fresh challenge for a RaHello, a
+    verdict for a RaReport. A message in another device's name, or for a
+    device the verifier holds no measurement for, gets a negative verdict
+    and leaves the outstanding challenges as they were."""
+    if msg.device_id != subject:
+        return wire.RaVerdict(False)
     try:
         if isinstance(msg, wire.RaHello):
             return wire.RaChallenge(ra_challenge(verifier, msg.device_id, rng))
@@ -236,7 +242,7 @@ class CaActor:
             sim, actor_id, ca.credential(), ca.truststore, self._handle_app,
             revocation_view=ca.revoked,
             allowed_profiles=(CertProfile.FACTORY, CertProfile.SERVER))
-        sim.register_responder(actor_id, self.peer.bind())
+        sim.register_responder(actor_id, self.peer.handle)
 
     def _enroll(self, now, entry, msg):
         if entry.peer_cert.profile is not CertProfile.FACTORY:
@@ -247,7 +253,7 @@ class CaActor:
                 cert, seed = pki.enroll_server_keygen(self.ca, entry.peer_cert,
                                                       validity)
             else:
-                csr = decode(MessageKind.CSR, msg.csr_bytes)
+                csr = decode(CertificateSigningRequest, msg.csr_bytes)
                 cert = pki.enroll(self.ca, entry.peer_cert, csr, validity)
                 seed = b""
         except Exception as err:  # typed protocol errors become reasons
@@ -256,15 +262,14 @@ class CaActor:
         chain = tuple(encode(c) for c in self.ca.issuer_chain)
         return wire.EnrollRsp(True, encode(cert), seed, chain, (), "")
 
-    def _handle_app(self, now, src, entry, msg):
+    def _handle_app(self, now, entry, msg):
         if isinstance(msg, wire.EnrollReq):
             return [self._enroll(now, entry, msg)]
         if isinstance(msg, wire.RegisterReq):
             if entry.peer_cert.profile is not CertProfile.SERVER:
                 return [wire.RegisterRsp(False, "", 0, "profile_not_allowed")]
             try:
-                certs = [decode(MessageKind.CERTIFICATE, b)
-                         for b in msg.cert_list]
+                certs = [decode(CompactCertificate, b) for b in msg.cert_list]
                 uri = pki.register_factory_certs(self.ca, certs, now)
             except UnverifiableFactoryCert as err:
                 return [wire.RegisterRsp(False, "", err.serial, err.reason)]
@@ -290,9 +295,9 @@ class CaActor:
 # profile, payload kind, trace kind on a bad signature, size class, ack.
 _DELIVERIES = {
     wire.ListDeliver: ("sp1", EnvelopeProfile.UPDATE_LIST,
-                       MessageKind.UPDATE_INFO_LIST, "list_rejected",
+                       UpdateInfoList, "list_rejected",
                        "update_info_list_envelope", wire.ListAck),
-    wire.TmDeliver: ("sp2", EnvelopeProfile.CWT, MessageKind.TRANSFER_MESSAGE,
+    wire.TmDeliver: ("sp2", EnvelopeProfile.CWT, TransferMessage,
                      "tm_rejected", "transfer_message_envelope", wire.TmAck),
 }
 
@@ -312,20 +317,20 @@ class OperatorActor:
             sim, actor_id, credential, truststore, self._handle_app,
             revocation_view=revocation_view)
         self.rng = sim.actor_rng(actor_id + "/ra")
-        sim.register_responder(actor_id, self.peer.bind())
+        sim.register_responder(actor_id, self.peer.handle)
 
     def _ack(self, entry, kind: str, ok: bool) -> None:
         subject = entry.peer_cert.subject_name
         self.state.acks.setdefault(subject, {})[kind] = \
             self.state.acks.get(subject, {}).get(kind, False) or ok
 
-    def _handle_app(self, now, src, entry, msg):
+    def _handle_app(self, now, entry, msg):
         state = self.state
         if isinstance(msg, wire.UpdateCheck):
             state.device_sessions[entry.peer_cert.subject_name] = \
                 entry.endpoint.session_id
             try:
-                version = decode(MessageKind.VERSION_INFO, msg.version_bytes)
+                version = decode(VersionInfo, msg.version_bytes)
             except (MalformedEncoding, InvariantViolation):
                 return []
             delta = update_server_serve(state, version)
@@ -348,13 +353,16 @@ class OperatorActor:
             return []
 
         if isinstance(msg, wire.FallbackReq):
+            if msg.device_id != entry.peer_cert.subject_name:
+                return [wire.FallbackRsp(False, False)]
             self.sim.trace.add("fallback_served", now, actor=self.actor_id,
                                device=msg.device_id.decode(errors="replace"),
                                reason=msg.reason)
             return [wire.FallbackRsp(True, self.fallback_ra_state is not None)]
         if isinstance(msg, (wire.RaHello, wire.RaReport)) \
                 and self.fallback_ra_state is not None:
-            return [ra_serve(self.fallback_ra_state, self.rng, msg)]
+            return [ra_serve(self.fallback_ra_state, self.rng,
+                             entry.peer_cert.subject_name, msg)]
 
         if isinstance(msg, (wire.ListDeliver, wire.TmDeliver)):
             return [self._accept_envelope(now, entry, msg)]
@@ -367,7 +375,7 @@ class OperatorActor:
         if entry.peer_cert.profile is not CertProfile.SERVER:
             return ack(False)
         try:
-            envelope = decode(MessageKind.SIGNED_ENVELOPE, msg.envelope_bytes)
+            envelope = decode(SignedEnvelope, msg.envelope_bytes)
         except (MalformedEncoding, InvariantViolation):
             return ack(False)
         key = self.state.peer_signer_keys.get(signer)
@@ -402,13 +410,14 @@ class RaVerifierActor:
         self.peer = peers.ResponderPeer(
             sim, actor_id, credential, truststore, self._handle_app,
             revocation_view=revocation_view)
-        sim.register_responder(actor_id, self.peer.bind())
+        sim.register_responder(actor_id, self.peer.handle)
 
-    def _handle_app(self, now, src, entry, msg):
+    def _handle_app(self, now, entry, msg):
         if not isinstance(msg, (wire.RaHello, wire.RaReport)):
             return []
-        reply = ra_serve(self.ra_state, self.rng, msg)
-        if isinstance(msg, wire.RaReport):
+        subject = entry.peer_cert.subject_name
+        reply = ra_serve(self.ra_state, self.rng, subject, msg)
+        if isinstance(msg, wire.RaReport) and msg.device_id == subject:
             self.sim.trace.add("ra_verdict", now, actor=self.actor_id,
                                device=msg.device_id.decode(errors="replace"),
                                verdict=str(reply.ok))
@@ -426,12 +435,16 @@ PUSH_ROUNDS = 5
 ACK_WAIT = 10
 POLL_LIMIT = 300
 
+# Actor ids of the servers the orchestrators open sessions with.
+SP1_ACTOR = "sp1"
+SP2_ACTOR = "sp2"
+CA1_ACTOR = "ca1"
+CA2_ACTOR = "ca2"
+
 
 @dataclass
 class Sp1PlanConfig:
     device_ids: list
-    sp2_actor: str
-    ca1_actor: str
     start_time: int = 40
     last_update: bool = False
     push_roots: tuple = ()
@@ -471,11 +484,12 @@ def _push_rounds(net: peers.NetHandle, actor: OperatorActor, device_ids,
 
 
 def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
-                         credential: pki.Credential, store: pki.TrustStore,
                          cfg: Sp1PlanConfig):
     """SP1 side of the operator change: share the device list, await the
-    transfer CWT, relay it per device, then revoke the old certificates."""
+    transfer CWT, relay it per device, then revoke the old certificates.
+    Sessions are opened with the update server's credential and truststore."""
     state = actor.state
+    credential, store = actor.peer.credential, actor.peer.truststore
     yield Sleep(cfg.start_time)
 
     envelope = sp1_build_update_info_list(state, cfg.device_ids)
@@ -483,19 +497,19 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
     env_bytes = encode(envelope)
     net.note("size", cls="update_info_list_payload", bytes=payload_size)
     net.note("size", cls="update_info_list_envelope", bytes=len(env_bytes))
-    info_list = decode(MessageKind.UPDATE_INFO_LIST, envelope.payload)
+    info_list = decode(UpdateInfoList, envelope.payload)
     if info_list.entries:
         net.note("size", cls="device_update_info",
                  bytes=len(encode(info_list.entries[0])))
 
-    sess, status = yield from peers.open_session(net, cfg.sp2_actor,
+    sess, status = yield from peers.open_session(net, SP2_ACTOR,
                                                  credential, store,
                                                  purpose="sp1sp2")
     if sess is None:
         net.note("transfer_aborted", step="sp2_session", status=status)
         return
     reply, status = yield from peers.session_call(
-        net, sess, cfg.sp2_actor, wire.ListDeliver(env_bytes), (wire.ListAck,))
+        net, sess, SP2_ACTOR, wire.ListDeliver(env_bytes), (wire.ListAck,))
     if reply is None or not reply.ok:
         net.note("transfer_aborted", step="list_deliver", status=status)
         return
@@ -543,7 +557,7 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
                                       {"transfer": transfer_deliver})
     net.note("transfer_pushes_done", unacked=len(pending))
 
-    sess, status = yield from peers.open_session(net, cfg.ca1_actor,
+    sess, status = yield from peers.open_session(net, CA1_ACTOR,
                                                  credential, store,
                                                  purpose="revoke")
     if sess is None:
@@ -551,7 +565,7 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
         return
     for device_id in sorted(set(cfg.device_ids)):
         reply, status = yield from peers.session_call(
-            net, sess, cfg.ca1_actor, wire.RevokeReq(device_id),
+            net, sess, CA1_ACTOR, wire.RevokeReq(device_id),
             (wire.RevokeRsp,))
         if reply is None:
             net.note("revocation_failed",
@@ -562,18 +576,16 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
 
 @dataclass
 class Sp2PlanConfig:
-    ca2_actor: str
-    sp1_actor: str
     options: TransferOptions
     skip_registration: bool = False
     fallback_enroll_uri: Uri | None = None
 
 
 def sp2_transfer_process(net: peers.NetHandle, actor: OperatorActor,
-                         credential: pki.Credential, store: pki.TrustStore,
                          cfg: Sp2PlanConfig):
     """SP2 side: receive the signed list, register with CA2, send the CWT."""
     state = actor.state
+    credential, store = actor.peer.credential, actor.peer.truststore
     polls = 0
     while state.received_list is None:
         polls += 1
@@ -588,7 +600,7 @@ def sp2_transfer_process(net: peers.NetHandle, actor: OperatorActor,
         enroll_uri = cfg.fallback_enroll_uri
         net.note("registration_skipped")
     else:
-        sess, status = yield from peers.open_session(net, cfg.ca2_actor,
+        sess, status = yield from peers.open_session(net, CA2_ACTOR,
                                                      credential, store,
                                                      purpose="register")
         if sess is None:
@@ -597,7 +609,7 @@ def sp2_transfer_process(net: peers.NetHandle, actor: OperatorActor,
         cert_list = tuple(encode(e.factory_certificate)
                           for e in state.received_list.entries)
         reply, status = yield from peers.session_call(
-            net, sess, cfg.ca2_actor, wire.RegisterReq(cert_list),
+            net, sess, CA2_ACTOR, wire.RegisterReq(cert_list),
             (wire.RegisterRsp,))
         if reply is None or not reply.ok:
             net.note("transfer_aborted", step="register",
@@ -611,14 +623,14 @@ def sp2_transfer_process(net: peers.NetHandle, actor: OperatorActor,
     net.note("size", cls="transfer_message_payload", bytes=len(envelope.payload))
     net.note("size", cls="transfer_message_envelope", bytes=len(env_bytes))
 
-    sess, status = yield from peers.open_session(net, cfg.sp1_actor,
+    sess, status = yield from peers.open_session(net, SP1_ACTOR,
                                                  credential, store,
                                                  purpose="sp2sp1")
     if sess is None:
         net.note("transfer_aborted", step="sp1_session", status=status)
         return
     reply, status = yield from peers.session_call(
-        net, sess, cfg.sp1_actor, wire.TmDeliver(env_bytes), (wire.TmAck,))
+        net, sess, SP1_ACTOR, wire.TmDeliver(env_bytes), (wire.TmAck,))
     if reply is None or not reply.ok:
         net.note("transfer_aborted", step="tm_deliver", status=status)
         return

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import messages, pki, session, simnet, wire
 from .errors import Error, MalformedEncoding, ReplayDetected, WrongSession
-from .messages import CertProfile, MessageKind
+from .messages import CertProfile, CompactCertificate
 from .simnet import TIMEOUT, Transmit, WaitMessage
 
 
@@ -56,9 +56,8 @@ def _cred_to_wire(cred: pki.Credential) -> tuple[bytes, tuple[bytes, ...]]:
 
 
 def _cred_from_wire(cert_bytes: bytes, intermediates: tuple[bytes, ...]):
-    cert = messages.decode(MessageKind.CERTIFICATE, cert_bytes)
-    inters = tuple(messages.decode(MessageKind.CERTIFICATE, b)
-                   for b in intermediates)
+    cert = messages.decode(CompactCertificate, cert_bytes)
+    inters = tuple(messages.decode(CompactCertificate, b) for b in intermediates)
     return cert, inters
 
 
@@ -217,7 +216,7 @@ class PeerSession:
     initiator: str
 
     @property
-    def peer_cert(self) -> messages.CompactCertificate:
+    def peer_cert(self) -> CompactCertificate:
         return self.endpoint.peer_identity
 
 
@@ -225,7 +224,8 @@ class PeerSession:
 class ResponderPeer:
     """Server-side endpoint: handshake acceptance plus per-session dispatch.
 
-    `app_handler(now, src, peer_session, msg)` returns a list of wire
+    `handle` is the simulator responder: it answers the sender of each
+    frame. `app_handler(now, peer_session, msg)` returns a list of wire
     messages to send back on the same session.
     """
 
@@ -254,9 +254,9 @@ class ResponderPeer:
             return self._on_record(now, src, msg)
         return "ignored", []
 
-    def _reject(self, echo: bytes, reason: str):
+    def _reject(self, src: str, echo: bytes, reason: str):
         data = wire.encode_wire(wire.Reject(echo, reason))
-        return f"hello_rejected:{reason}", [(None, data, "reject")]
+        return f"hello_rejected:{reason}", [(src, data, "reject")]
 
     def _on_hello(self, now, src, msg):
         if msg.ephemeral in self.seen_ephemerals:
@@ -267,13 +267,13 @@ class ResponderPeer:
         try:
             peer_cert, inters = _cred_from_wire(msg.cert_bytes, msg.intermediates)
         except Exception:
-            return self._reject(msg.ephemeral, "bad_certificate")
+            return self._reject(src, msg.ephemeral, "bad_certificate")
         check = pki.verify_chain(peer_cert, list(inters), self.truststore,
                                  now, self.revocation_view)
         if not check:
-            return self._reject(msg.ephemeral, check.reason.value)
+            return self._reject(src, msg.ephemeral, check.reason.value)
         if peer_cert.profile not in self.allowed_profiles:
-            return self._reject(msg.ephemeral, "profile_not_allowed")
+            return self._reject(src, msg.ephemeral, "profile_not_allowed")
 
         responder_ephemeral = self.rng.randbytes(32)
         endpoint = session.derive(msg.ephemeral, responder_ephemeral, peer_cert)
@@ -284,7 +284,7 @@ class ResponderPeer:
         cert_bytes, inter_bytes = _cred_to_wire(self.credential)
         accept = wire.encode_wire(wire.Accept(
             msg.ephemeral, responder_ephemeral, cert_bytes, inter_bytes))
-        return "hello_accepted", [(None, accept, "accept")]
+        return "hello_accepted", [(src, accept, "accept")]
 
     def _on_record(self, now, src, frame):
         entry = self.sessions.get(frame.session_id)
@@ -297,15 +297,7 @@ class ResponderPeer:
             app_msg = wire.decode_wire(payload)
         except MalformedEncoding:
             return "malformed_app", []
-        replies = self.app_handler(now, src, entry, app_msg)
+        replies = self.app_handler(now, entry, app_msg)
         return f"accepted:{app_msg.LABEL}", [
-            (None, session.send(entry.endpoint, reply), reply.LABEL)
+            (src, session.send(entry.endpoint, reply), reply.LABEL)
             for reply in replies]
-
-    def bind(self):
-        """Adapter matching the simulator responder signature."""
-        def handler(now, src, data):
-            disposition, sends = self.handle(now, src, data)
-            return disposition, [(dst or src, payload, label)
-                                 for dst, payload, label in sends]
-        return handler

@@ -348,12 +348,6 @@ def revoke(ca: CaState, serial: int) -> None:
     ca.revoked.add(serial)
 
 
-def is_revoked(ca: CaState, serial: int) -> bool:
-    if serial not in ca.issued:
-        raise UnknownSerial(f"serial {serial} was not issued by {ca.name!r}")
-    return serial in ca.revoked
-
-
 # ---------------------------------------------------------------------------
 # hierarchies
 # ---------------------------------------------------------------------------

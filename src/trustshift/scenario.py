@@ -211,7 +211,6 @@ class ScenarioResult:
     trace: simnet.Trace
     devices: list[DeviceOutcome]
     checks: list[CheckResult]
-    expectation_ok: bool
     device_states: dict[str, device.DeviceState]
     hierarchy: pki.HierarchyConfig
     sp1_state: operators.OperatorState
@@ -232,15 +231,21 @@ class ScenarioResult:
             status = "ok" if check.ok else "FAIL"
             detail = f" {check.detail}" if check.detail else ""
             lines.append(f"check {check.name} {status}{detail}")
-        matched = sum(1 for o in self.devices
-                      if o.phase == self._expected_phase(o.actor_id))
         status = "ok" if self.expectation_ok else "FAIL"
-        lines.append(f"expectation {status} ({matched}/{len(self.devices)})")
+        lines.append(f"expectation {status} ({self.matched}/{len(self.devices)})")
         return "\n".join(lines)
 
-    def _expected_phase(self, actor_id: str) -> str:
-        return self.config.expect_overrides.get(actor_id,
-                                                self.config.expect_default)
+    @property
+    def matched(self) -> int:
+        """How many devices ended in the phase the config expects of them."""
+        cfg = self.config
+        return sum(1 for o in self.devices
+                   if o.phase == cfg.expect_overrides.get(o.actor_id,
+                                                          cfg.expect_default))
+
+    @property
+    def expectation_ok(self) -> bool:
+        return self.matched == len(self.devices)
 
     @property
     def ok(self) -> bool:
@@ -387,7 +392,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     sp1_cfg = operators.Sp1PlanConfig(
         device_ids=[device_actor_id(i).encode()
                     for i in range(config.device_count)],
-        sp2_actor="sp2", ca1_actor="ca1", start_time=config.transfer_start,
+        start_time=config.transfer_start,
         last_update=opts.last_sp1_update, push_roots=tuple(push_roots),
         narrow_windows=opts.narrow_windows)
 
@@ -396,19 +401,17 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                               revocation_view=revocation_view)
         if opts.last_sp1_update:
             sp1_state.current_version = transfer_version
-        yield from operators.sp1_transfer_process(net, sp1_actor, sp1_cred,
-                                                  server_store, sp1_cfg)
+        yield from operators.sp1_transfer_process(net, sp1_actor, sp1_cfg)
 
     sp2_cfg = operators.Sp2PlanConfig(
-        ca2_actor="ca2", sp1_actor="sp1", options=transfer_options,
+        options=transfer_options,
         skip_registration=config.faults.skip_ca2_registration,
         fallback_enroll_uri=hierarchy.ca2.enroll_uri)
 
     def sp2_proc():
         net = peers.NetHandle(sim, "sp2-orchestrator",
                               revocation_view=revocation_view)
-        yield from operators.sp2_transfer_process(net, sp2_actor, sp2_cred,
-                                                  server_store, sp2_cfg)
+        yield from operators.sp2_transfer_process(net, sp2_actor, sp2_cfg)
 
     sim.spawn("sp1-orchestrator", sp1_proc())
     sim.spawn("sp2-orchestrator", sp2_proc())
@@ -432,12 +435,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         _check_lifecycle_prefixes(trace, devices),
     ]
 
-    expectation_ok = all(
-        o.phase == config.expect_overrides.get(o.actor_id, config.expect_default)
-        for o in outcomes)
-
     return ScenarioResult(config=config, trace=trace, devices=outcomes,
-                          checks=checks, expectation_ok=expectation_ok,
+                          checks=checks,
                           device_states=devices, hierarchy=hierarchy,
                           sp1_state=sp1_state, sp2_state=sp2_state)
 

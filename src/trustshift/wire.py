@@ -10,7 +10,7 @@ gets to see.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import codec
 from .errors import MalformedEncoding
@@ -30,34 +30,10 @@ def snake_case(name: str) -> str:
     return "".join(out)
 
 
-def _encode_bytes_list(items) -> bytes:
-    out = codec.encode_array_head(len(items))
-    for item in items:
-        out += codec.encode_bytes(item)
-    return out
-
-
-def _read_bytes_list(dec: codec.Decoder) -> tuple:
-    return tuple(dec.read_bytes() for _ in range(dec.read_array_head()))
-
-
-# Field annotation -> (encoder, decoder method); the only field kinds a wire
-# message may declare.
-_FIELD_KINDS = {
-    "bytes": (codec.encode_bytes, codec.Decoder.read_bytes),
-    "int": (codec.encode_uint, codec.Decoder.read_uint),
-    "bool": (codec.encode_bool, codec.Decoder.read_bool),
-    "str": (codec.encode_text, codec.Decoder.read_text),
-    "tuple": (_encode_bytes_list, _read_bytes_list),
-}
-
-
 def encode_wire(msg) -> bytes:
     spec = msg.SPEC
-    out = codec.encode_array_head(len(spec) + 1) + codec.encode_uint(msg.TAG)
-    for name, encode, _read in spec:
-        out += encode(getattr(msg, name))
-    return out
+    return (codec.encode_array_head(len(spec) + 1) + codec.encode_uint(msg.TAG)
+            + codec.encode_fields(msg, spec))
 
 
 def decode_wire(data: bytes):
@@ -72,17 +48,19 @@ def decode_wire(data: bytes):
     if count != len(cls.SPEC) + 1:
         raise MalformedEncoding(
             f"wire tag {tag} expects {len(cls.SPEC) + 1} elements, got {count}")
-    values = [read(dec) for _name, _encode, read in cls.SPEC]
+    values = codec.read_fields(dec, cls.SPEC)
     dec.finish()
     return cls(*values)
 
 
 def wire_message(tag):
+    """Declare a frame: a tagged array of its fields, each of a kind in
+    `codec.FIELD_KINDS`."""
     def wrap(cls):
         cls = dataclass(frozen=True)(cls)
         cls.TAG = tag
         cls.LABEL = snake_case(cls.__name__)
-        cls.SPEC = tuple((f.name, *_FIELD_KINDS[f.type]) for f in fields(cls))
+        cls.SPEC = codec.field_spec(cls)
         _REGISTRY[tag] = cls
         return cls
     return wrap

@@ -20,11 +20,16 @@ from trustshift.errors import (
     NameMismatch,
 )
 from trustshift.messages import (
+    CertificateSigningRequest,
     CertProfile,
+    CompactCertificate,
+    DeviceUpdateInfo,
     EnvelopeProfile,
-    MessageKind,
+    SignedEnvelope,
     TransferMessage,
+    UpdateInfoList,
     Uri,
+    VersionInfo,
     decode,
     encode,
 )
@@ -328,7 +333,7 @@ def test_c6_sizes_and_tamper_substitute():
         data = bytearray(encode(signed))
         data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
         try:
-            forged = decode(MessageKind.SIGNED_ENVELOPE, bytes(data))
+            forged = decode(SignedEnvelope, bytes(data))
         except (MalformedEncoding, InvariantViolation):
             continue
         if forged != signed and crypto.verify_envelope(key.public_key, forged):
@@ -345,13 +350,13 @@ def test_c6_sizes_and_tamper_substitute():
 # ---------------------------------------------------------------------------
 
 KIND_BY_NAME = {
-    "transfer_message": MessageKind.TRANSFER_MESSAGE,
-    "update_info_list": MessageKind.UPDATE_INFO_LIST,
-    "device_update_info": MessageKind.DEVICE_UPDATE_INFO,
-    "version_info": MessageKind.VERSION_INFO,
-    "certificate": MessageKind.CERTIFICATE,
-    "csr": MessageKind.CSR,
-    "signed_envelope": MessageKind.SIGNED_ENVELOPE,
+    "transfer_message": TransferMessage,
+    "update_info_list": UpdateInfoList,
+    "device_update_info": DeviceUpdateInfo,
+    "version_info": VersionInfo,
+    "certificate": CompactCertificate,
+    "csr": CertificateSigningRequest,
+    "signed_envelope": SignedEnvelope,
 }
 
 
@@ -373,17 +378,17 @@ def test_c7_codec_properties():
                           or path.stem.startswith(k.replace("_message", ""))),
                          None)
         kind = {
-            "transfer_message_basic": MessageKind.TRANSFER_MESSAGE,
-            "transfer_message_with_ra": MessageKind.TRANSFER_MESSAGE,
-            "update_info_list_empty": MessageKind.UPDATE_INFO_LIST,
-            "update_info_list_one": MessageKind.UPDATE_INFO_LIST,
-            "update_info_list_two": MessageKind.UPDATE_INFO_LIST,
-            "device_update_info": MessageKind.DEVICE_UPDATE_INFO,
-            "version_info": MessageKind.VERSION_INFO,
-            "certificate_factory": MessageKind.CERTIFICATE,
-            "csr_operational": MessageKind.CSR,
-            "signed_envelope_cwt": MessageKind.SIGNED_ENVELOPE,
-            "signed_envelope_updatelist": MessageKind.SIGNED_ENVELOPE,
+            "transfer_message_basic": TransferMessage,
+            "transfer_message_with_ra": TransferMessage,
+            "update_info_list_empty": UpdateInfoList,
+            "update_info_list_one": UpdateInfoList,
+            "update_info_list_two": UpdateInfoList,
+            "device_update_info": DeviceUpdateInfo,
+            "version_info": VersionInfo,
+            "certificate_factory": CompactCertificate,
+            "csr_operational": CertificateSigningRequest,
+            "signed_envelope_cwt": SignedEnvelope,
+            "signed_envelope_updatelist": SignedEnvelope,
         }[path.stem]
         if encode(decode(kind, golden)) != golden:
             failures.append(f"golden drift: {path.stem}")

@@ -1,8 +1,11 @@
-"""Authorization at actor boundaries: profile separation and rejected peers."""
+"""Authorization at actor boundaries: profile separation, rejected peers,
+and device ids that must match the session's authenticated peer."""
 
 import random
 
-from trustshift import crypto, operators, pki, simnet, wire
+import pytest
+
+from trustshift import crypto, operators, pki, session, simnet, wire
 from trustshift.messages import CertProfile, Uri, VersionInfo, encode
 from trustshift.scenario import ScenarioConfig, run_scenario
 
@@ -38,6 +41,33 @@ def open_session_against(sim, responder, cred, seed=5):
         return None, disposition
     newest_sid = list(responder.sessions)[-1]
     return responder.sessions[newest_sid], disposition
+
+
+def initiator_session(responder, cred, seed=5):
+    """Handshake with `responder` as `cred`; returns the initiator's end."""
+    ephemeral = random.Random(seed).randbytes(32)
+    hello = wire.encode_wire(wire.Hello(
+        ephemeral, encode(cred.certificate),
+        tuple(encode(c) for c in cred.intermediates)))
+    disposition, [(_dst, data, _label)] = responder.handle(0, "tester", hello)
+    assert disposition == "hello_accepted", disposition
+    accept = wire.decode_wire(data)
+    return session.derive(ephemeral, accept.ephemeral,
+                          responder.credential.certificate)
+
+
+def call(responder, sess, msg):
+    """Deliver `msg` as the next record of `sess`; returns the replies."""
+    _disposition, sends = responder.handle(0, "tester", session.send(sess, msg))
+    return [wire.decode_wire(session.receive(sess, wire.parse_record_frame(data)))
+            for _dst, data, _label in sends]
+
+
+def operator_state():
+    return operators.OperatorState(
+        name="sp1", signing_key=crypto.generate_key_pair(crypto.digest(b"k")),
+        update_server_uri=Uri("coaps://u.sp1"),
+        current_version=VersionInfo(1, Uri("u")))
 
 
 def test_update_server_rejects_unauthenticated_peer():
@@ -83,16 +113,16 @@ def test_factory_profile_rejected_where_server_profile_required():
 
     entry, disposition = open_session_against(sim, sp_actor.peer, factory_cred)
     assert entry is not None, disposition
-    assert sp_actor._handle_app(0, "dev", entry,
+    assert sp_actor._handle_app(0, entry,
                                 wire.ListDeliver(b"x")) == [wire.ListAck(False)]
-    assert sp_actor._handle_app(0, "dev", entry,
+    assert sp_actor._handle_app(0, entry,
                                 wire.TmDeliver(b"x")) == [wire.TmAck(False)]
 
     entry, disposition = open_session_against(sim, ca_actor.peer, factory_cred)
     assert entry is not None, disposition
-    reply = ca_actor._handle_app(0, "dev", entry, wire.RegisterReq(()))
+    reply = ca_actor._handle_app(0, entry, wire.RegisterReq(()))
     assert reply == [wire.RegisterRsp(False, "", 0, "profile_not_allowed")]
-    reply = ca_actor._handle_app(0, "dev", entry, wire.RevokeReq(b"victim"))
+    reply = ca_actor._handle_app(0, entry, wire.RevokeReq(b"victim"))
     assert reply == [wire.RevokeRsp(False, 0)]
 
 
@@ -104,7 +134,7 @@ def test_server_profile_cannot_enroll():
     server_cred = issued_credential(h, h.ca1, b"server", CertProfile.SERVER)
     entry, disposition = open_session_against(sim, ca_actor.peer, server_cred)
     assert entry is not None, disposition
-    reply = ca_actor._handle_app(0, "server", entry, wire.EnrollReq(b"", True))
+    reply = ca_actor._handle_app(0, entry, wire.EnrollReq(b"", True))
     assert reply[0].ok is False
     assert reply[0].reason == "profile_not_allowed"
 
@@ -127,3 +157,69 @@ def test_adversary_modify_and_drop_across_all_classes():
     modified = [e for e in result.trace.select("adversary")
                 if e["note"].startswith("modify")]
     assert modified
+
+
+DEVICE_0, DEVICE_1 = b"device-000", b"device-001"
+PENDING_NONCE = b"\x07" * 16
+
+
+def ra_world(verifier):
+    """A verifier that knows both devices and has a challenge outstanding
+    for device-001, plus device-000's session to it. `verifier` is the
+    stand-alone RA verifier or SP1's fallback attestation."""
+    sim, h = mini_world()
+    ra_state = operators.RaVerifierState(
+        expected={DEVICE_0: b"m0", DEVICE_1: b"m1"},
+        outstanding={DEVICE_1: PENDING_NONCE})
+    server = issued_credential(h, h.ca1, b"server", CertProfile.SERVER)
+    store = h.store_for({pki.PERMANENT_CA_NAME})
+    if verifier == "ra_verifier":
+        actor = operators.RaVerifierActor(sim, "ra", ra_state, server, store,
+                                          revocation_view=frozenset())
+    else:
+        actor = operators.OperatorActor(sim, "sp1", operator_state(), server,
+                                        store, fallback_ra_state=ra_state)
+    device = issued_credential(h, h.permanent, DEVICE_0, CertProfile.FACTORY)
+    return sim, actor, ra_state, initiator_session(actor.peer, device)
+
+
+@pytest.mark.parametrize("verifier", ["ra_verifier", "sp1_fallback"])
+def test_ra_hello_in_another_devices_name_refused(verifier):
+    """A device cannot ask for a challenge in another device's name; its own
+    name still gets one."""
+    _sim, actor, ra_state, sess = ra_world(verifier)
+    assert call(actor.peer, sess, wire.RaHello(DEVICE_1)) \
+        == [wire.RaVerdict(False)]
+    assert ra_state.outstanding == {DEVICE_1: PENDING_NONCE}
+    [challenge] = call(actor.peer, sess, wire.RaHello(DEVICE_0))
+    assert challenge == wire.RaChallenge(ra_state.outstanding[DEVICE_0])
+
+
+@pytest.mark.parametrize("verifier", ["ra_verifier", "sp1_fallback"])
+def test_ra_report_in_another_devices_name_refused(verifier):
+    """A report that would pass for device-001 is refused on device-000's
+    session: no verdict under device-001, and its challenge stays open."""
+    sim, actor, ra_state, sess = ra_world(verifier)
+    report = wire.RaReport(DEVICE_1, PENDING_NONCE,
+                           crypto.digest(b"m1" + PENDING_NONCE))
+    assert call(actor.peer, sess, report) == [wire.RaVerdict(False)]
+    assert ra_state.outstanding == {DEVICE_1: PENDING_NONCE}
+    assert not sim.trace.select("ra_verdict")
+
+
+def test_fallback_request_in_another_devices_name_refused():
+    """SP1 serves a fallback only to the device the session authenticated."""
+    sim, h = mini_world()
+    actor = operators.OperatorActor(
+        sim, "sp1", operator_state(),
+        issued_credential(h, h.ca1, b"sp1", CertProfile.SERVER),
+        h.store_for({pki.PERMANENT_CA_NAME}))
+    sess = initiator_session(actor.peer, issued_credential(
+        h, h.permanent, DEVICE_0, CertProfile.FACTORY))
+    assert call(actor.peer, sess, wire.FallbackReq(DEVICE_1, "update_failed")) \
+        == [wire.FallbackRsp(False, False)]
+    assert not sim.trace.select("fallback_served")
+    assert call(actor.peer, sess, wire.FallbackReq(DEVICE_0, "update_failed")) \
+        == [wire.FallbackRsp(True, False)]
+    [served] = sim.trace.select("fallback_served")
+    assert served["device"] == "device-000"

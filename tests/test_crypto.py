@@ -9,7 +9,6 @@ from trustshift.errors import BadSeedLength, InvariantViolation
 from trustshift.messages import (
     EnvelopeHeader,
     EnvelopeProfile,
-    MessageKind,
     SignedEnvelope,
     decode,
     encode,
@@ -115,7 +114,7 @@ def test_tamper_suite_randomized():
         pos = rng.randrange(len(data))
         data[pos] ^= 1 << rng.randrange(8)
         try:
-            forged = decode(MessageKind.SIGNED_ENVELOPE, bytes(data))
+            forged = decode(SignedEnvelope, bytes(data))
         except Exception:
             continue  # frame no longer parses: rejected earlier in the stack
         if forged == env:

@@ -1,7 +1,8 @@
-"""Source hygiene: no module under src/trustshift keeps a dead import or an
-unused private module-level name.
+"""Source hygiene: no module under src/trustshift keeps a dead import, an
+unused private module-level name, or a public function, class or method
+that nothing in src/ or bench/ names.
 
-Both scans read the source with `ast` only; nothing is imported.
+The scans read the source with `ast` only; nothing is imported.
 """
 
 import ast
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent
-                  / "src" / "trustshift").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "trustshift").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -65,3 +67,41 @@ def test_no_unused_private_module_name(path):
     loaded = _loaded_names(tree)
     unused = [n for n in _private_definitions(tree) if n not in loaded]
     assert not unused, f"{path.name} defines but never reads {unused}"
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    """Top-level functions and classes, and the methods of those classes."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+    return [n for n in names if not n.startswith("_")]
+
+
+def _mentions(tree: ast.Module) -> set[str]:
+    """Every name a file reads, imports, looks up as an attribute or spells
+    as a string (the bench wraps functions by name; `__all__` lists names)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_definition_is_used():
+    mentioned = set()
+    for path in SOURCES + BENCH:
+        mentioned |= _mentions(_tree(path))
+    unused = [f"{path.name}:{name}" for path in SOURCES
+              for name in _public_definitions(_tree(path))
+              if name not in mentioned]
+    assert not unused, f"defined but named nowhere in src/ or bench/: {unused}"

@@ -13,7 +13,8 @@ from trustshift.errors import (
 from trustshift.messages import (
     CertProfile,
     EnvelopeProfile,
-    MessageKind,
+    TransferMessage,
+    UpdateInfoList,
     Uri,
     VersionInfo,
     decode,
@@ -56,7 +57,7 @@ def test_build_list_one_entry_per_device(world):
     envelope = operators.sp1_build_update_info_list(sp1, ids)
     assert crypto.verify_envelope(sp1.signing_key.public_key, envelope)
     assert envelope.protected_header.profile is EnvelopeProfile.UPDATE_LIST
-    info = decode(MessageKind.UPDATE_INFO_LIST, envelope.payload)
+    info = decode(UpdateInfoList, envelope.payload)
     assert len(info.entries) == 3
     for device_id, entry in zip(ids, info.entries):
         assert entry.factory_certificate \
@@ -85,7 +86,7 @@ def prepared_transfer(world, **option_kwargs):
     h, sp1, sp2 = world
     envelope = operators.sp1_build_update_info_list(sp1,
                                                     sorted(sp1.managed_devices))
-    info = decode(MessageKind.UPDATE_INFO_LIST, envelope.payload)
+    info = decode(UpdateInfoList, envelope.payload)
     enroll_uri = pki.register_factory_certs(
         h.ca2, [e.factory_certificate for e in info.entries], 1000)
     options = operators.TransferOptions(**option_kwargs)
@@ -98,7 +99,7 @@ def test_prepare_transfer_registers_and_signs(world):
     assert crypto.verify_envelope(sp2.signing_key.public_key, envelope)
     serials = {m.factory_cert.serial for m in sp1.managed_devices.values()}
     assert set(h.ca2.registered_factory) == serials
-    message = decode(MessageKind.TRANSFER_MESSAGE, envelope.payload)
+    message = decode(TransferMessage, envelope.payload)
     assert message.enroll_uri == h.ca2.enroll_uri
     assert message.ra_uri is None
     # window hull covers every per-device window
@@ -108,7 +109,7 @@ def test_prepare_transfer_registers_and_signs(world):
 
 def test_prepare_transfer_with_ra_uri(world):
     envelope = prepared_transfer(world, ra_uri=Uri("coaps://ra.sp2.example"))
-    message = decode(MessageKind.TRANSFER_MESSAGE, envelope.payload)
+    message = decode(TransferMessage, envelope.payload)
     assert message.ra_uri == Uri("coaps://ra.sp2.example")
 
 
@@ -128,7 +129,7 @@ def test_register_req_rogue_cert_refused(world):
         CertProfile.SERVER, LIFETIME)
     entry = peers.PeerSession(
         session.derive(b"\x01" * 32, b"\x02" * 32, sp2_cert), "sp2")
-    [reply] = ca2._handle_app(1000, "sp2", entry, wire.RegisterReq(
+    [reply] = ca2._handle_app(1000, entry, wire.RegisterReq(
         tuple(encode(c) for c in certs)))
     assert (reply.ok, reply.bad_serial) == (False, 999)
     assert not h.ca2.registered_factory
@@ -139,8 +140,8 @@ def test_relay_rewrites_only_fallback(world):
     sp2_envelope = prepared_transfer(world)
     relayed = operators.sp1_relay_transfer(sp1, sp2_envelope, b"device-001")
     assert crypto.verify_envelope(sp1.signing_key.public_key, relayed)
-    original = decode(MessageKind.TRANSFER_MESSAGE, sp2_envelope.payload)
-    rewritten = decode(MessageKind.TRANSFER_MESSAGE, relayed.payload)
+    original = decode(TransferMessage, sp2_envelope.payload)
+    rewritten = decode(TransferMessage, relayed.payload)
     assert rewritten.fallback_uri == sp1.update_server_uri
     # the five other claims are byte-identical after re-encode
     assert encode(rewritten)[:-len(encode(rewritten.fallback_uri))] \
@@ -155,7 +156,7 @@ def test_relay_optionally_narrows_window(world):
     sp2_envelope = prepared_transfer(world)
     relayed = operators.sp1_relay_transfer(sp1, sp2_envelope, b"device-001",
                                            narrow_window=True)
-    rewritten = decode(MessageKind.TRANSFER_MESSAGE, relayed.payload)
+    rewritten = decode(TransferMessage, relayed.payload)
     assert (rewritten.reset_time_not_before, rewritten.reset_time_not_after) \
         == sp1.managed_devices[b"device-001"].window
 

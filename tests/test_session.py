@@ -38,9 +38,9 @@ def handshakes(h, cred, dev_store, responder_store, count=1, seed=7,
     sim = simnet.Simulator(seed)
     responder = peers.ResponderPeer(
         sim, "ca2", h.ca2.credential(), responder_store,
-        app_handler=lambda now, src, entry, msg: [msg],
+        app_handler=lambda now, entry, msg: [msg],
         revocation_view=revocation_view)
-    sim.register_responder("ca2", responder.bind())
+    sim.register_responder("ca2", responder.handle)
     results = []
 
     def device():
