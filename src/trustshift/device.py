@@ -48,8 +48,10 @@ class DevicePhase(Enum):
     FALLBACK = "fallback"
 
 
-# Legal lifecycle edges; anything else is a WrongPhase.
-_EDGES = {
+# Legal lifecycle edges: `set_phase` raises WrongPhase on any other, and the
+# run-level lifecycle check (`scenario.run_checks`) reports any other
+# traced phase change.
+EDGES = {
     DevicePhase.BLANK: {DevicePhase.PROVISIONED},
     DevicePhase.PROVISIONED: {DevicePhase.ENROLLED},
     DevicePhase.ENROLLED: {DevicePhase.ENROLLED, DevicePhase.TRANSFER_PENDING},
@@ -98,7 +100,7 @@ class DeviceState:
     sp1_signer_key: bytes | None = None
 
     def set_phase(self, new: DevicePhase, trace=None) -> None:
-        if new not in _EDGES[self.phase]:
+        if new not in EDGES[self.phase]:
             raise WrongPhase(f"{self.phase.value} -> {new.value} not allowed")
         old = self.phase
         self.phase = new
@@ -253,7 +255,6 @@ def _enroll_once(state: DeviceState, net: peers.NetHandle,
     try:
         cert = decode(CompactCertificate, reply.cert_bytes)
         chain = tuple(decode(CompactCertificate, b) for b in reply.chain_certs)
-        roots = tuple(decode(CompactCertificate, b) for b in reply.root_certs)
     except (MalformedEncoding, InvariantViolation):
         raise EnrollRejected("bad_enroll_response")
     if server_keygen:
@@ -263,8 +264,8 @@ def _enroll_once(state: DeviceState, net: peers.NetHandle,
     if cert.subject_public_key != new_key.public_key:
         raise EnrollRejected("certificate_key_mismatch")
 
-    for root in roots:
-        state.truststore.add_root(root, persist=True)
+    # Roots reach the device only at the factory or by an SP1 push; an
+    # enrollment response cannot add one.
     check = pki.verify_chain(cert, list(chain), state.truststore, net.now(),
                              set())
     if not check:

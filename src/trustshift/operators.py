@@ -71,19 +71,16 @@ class OperatorState:
 # pure operator operations
 # ---------------------------------------------------------------------------
 
-def sp1_build_update_info_list(sp1: OperatorState, device_ids,
-                               windows: dict | None = None,
-                               versions: dict | None = None) -> SignedEnvelope:
+def sp1_build_update_info_list(sp1: OperatorState,
+                               device_ids) -> SignedEnvelope:
     """Signed list of per-device transfer data shared with the new operator."""
     entries = []
     for device_id in device_ids:
         managed = sp1.managed_devices.get(device_id)
         if managed is None:
             raise UnknownDevice(f"device {device_id!r} not managed by {sp1.name}")
-        window = (windows or {}).get(device_id, managed.window)
-        version = (versions or {}).get(device_id, managed.version)
-        entries.append(DeviceUpdateInfo(managed.factory_cert, window[0],
-                                        window[1], version))
+        entries.append(DeviceUpdateInfo(managed.factory_cert, *managed.window,
+                                        managed.version))
     payload = encode(UpdateInfoList(tuple(entries)))
     return crypto.sign_envelope(sp1.signing_key, EnvelopeProfile.UPDATE_LIST,
                                 payload)

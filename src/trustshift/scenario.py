@@ -3,19 +3,21 @@
 A scenario builds one hierarchy, provisions devices in a trusted
 pre-deployment step, wires all network actors, installs an adversary
 schedule, runs the event loop to quiescence, and evaluates the per-device
-expectations plus the forward/backward-secrecy checks that every run must
-satisfy.
+expectations plus the forward/backward-secrecy and lifecycle-order checks
+that every run must satisfy.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import crypto, device, operators, peers, pki, simnet
+from . import crypto, device, operators, peers, pki, simnet, wire
 from .errors import ConfigParseError, ScenarioInvalid
 from .messages import CertProfile, EnvelopeProfile, TransferMessage, Uri, VersionInfo, encode
+from .operators import CA1_ACTOR, CA2_ACTOR, SP1_ACTOR, SP2_ACTOR
 from .simnet import AdversaryRule, AdversarySchedule, Sleep
 
 SP1_URI = "coaps://update.sp1.example"
@@ -124,7 +126,6 @@ def _forged_transfer_payload(seed: int) -> bytes:
                               Uri("coaps://evil.example/fb"))
     envelope = crypto.sign_envelope(adversary_key, EnvelopeProfile.CWT,
                                     encode(message))
-    from . import wire
     return wire.encode_wire(wire.TransferDeliver(encode(envelope)))
 
 
@@ -142,12 +143,12 @@ def build_adversary(spec, seed: int) -> AdversarySchedule | None:
         return AdversarySchedule(rules=rules)
     if spec == "replay_transfer":
         return AdversarySchedule(rules=[
-            AdversaryRule(action="replay", match_src="sp1",
+            AdversaryRule(action="replay", match_src=SP1_ACTOR,
                           match_dst="device-*", delay=3),
         ])
     if spec == "modify_transfer":
         return AdversarySchedule(rules=[
-            AdversaryRule(action="modify", match_src="sp1",
+            AdversaryRule(action="modify", match_src=SP1_ACTOR,
                           match_dst="device-*", match_label="transfer_deliver",
                           first_n=1),
         ])
@@ -155,7 +156,7 @@ def build_adversary(spec, seed: int) -> AdversarySchedule | None:
         # Ride the standing SP1 session (observed at the first update reply)
         # so the forged CWT arrives while the device is parked and enrolled.
         return AdversarySchedule(rules=[
-            AdversaryRule(action="inject", match_src="sp1",
+            AdversaryRule(action="inject", match_src=SP1_ACTOR,
                           match_dst="device-*", match_label="update_rsp",
                           inject_payload=_forged_transfer_payload(seed),
                           frame_in_matched_session=True, seq_offset=1,
@@ -164,15 +165,15 @@ def build_adversary(spec, seed: int) -> AdversarySchedule | None:
     if spec == "drop_enroll":
         return AdversarySchedule(rules=[
             AdversaryRule(action="drop", match_src="device-*",
-                          match_dst="ca2"),
+                          match_dst=CA2_ACTOR),
         ])
     if spec == "cross_session_replay":
         return AdversarySchedule(rules=[
             AdversaryRule(action="record", match_src="device-*",
-                          match_dst="ca1", match_label="enroll_req",
+                          match_dst=CA1_ACTOR, match_label="enroll_req",
                           slot="enroll"),
             AdversaryRule(action="inject_recorded", match_src="device-*",
-                          match_dst="ca2", match_label="enroll_req",
+                          match_dst=CA2_ACTOR, match_label="enroll_req",
                           slot="enroll", first_n=1, delay=1),
         ])
     if spec == "replay_all":
@@ -252,6 +253,12 @@ class ScenarioResult:
         return self.expectation_ok and all(c.ok for c in self.checks)
 
 
+def _device_process(state: device.DeviceState, net: peers.NetHandle,
+                    server_keygen: bool, start_delay: int):
+    yield Sleep(start_delay)
+    yield from device.lifecycle(state, net, server_keygen)
+
+
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     sim = simnet.Simulator(config.seed, event_budget=config.event_budget)
     build_rng = sim.actor_rng("hierarchy-build")
@@ -274,16 +281,17 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     key_rng = sim.actor_rng("key-material")
     sp1_state = operators.OperatorState(
-        name="sp1", signing_key=crypto.generate_key_pair(key_rng.randbytes(32)),
+        name=SP1_ACTOR, signing_key=crypto.generate_key_pair(key_rng.randbytes(32)),
         update_server_uri=Uri(SP1_URI), current_version=base_version)
     sp2_state = operators.OperatorState(
-        name="sp2", signing_key=crypto.generate_key_pair(key_rng.randbytes(32)),
+        name=SP2_ACTOR, signing_key=crypto.generate_key_pair(key_rng.randbytes(32)),
         update_server_uri=Uri(SP2_URI), current_version=sp2_version)
-    sp1_state.peer_signer_keys["sp2"] = sp2_state.signing_key.public_key
-    sp2_state.peer_signer_keys["sp1"] = sp1_state.signing_key.public_key
+    sp1_state.peer_signer_keys[SP2_ACTOR] = sp2_state.signing_key.public_key
+    sp2_state.peer_signer_keys[SP1_ACTOR] = sp1_state.signing_key.public_key
 
     # Factory provisioning happens in a trusted environment before any
     # network traffic: keys, factory certificates, initial truststores.
+    # Each device process starts staggered, once the simulation runs.
     pre_enroll = pki.minimal_truststore(config.variant,
                                         pki.TrustPhase.PRE_ENROLL)
     pre_transfer = pki.minimal_truststore(config.variant,
@@ -303,20 +311,19 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             initial_store.add_root(hierarchy.root_cert(name),
                                    persist=name in pre_transfer)
         state = device.DeviceState(device_id=device_id, firmware=base_version)
-
-        def tracer(kind, _actor=actor_id, **fields):
-            sim.trace.add(kind, sim.now, actor=_actor, **fields)
-
+        net = peers.NetHandle(sim, actor_id)
         device.provision_factory(state, factory_key, factory_cert,
                                  initial_store, hierarchy.ca1.enroll_uri,
                                  update_uri=Uri(SP1_URI),
                                  sp1_signer_key=sp1_state.signing_key.public_key,
-                                 firmware=base_version, trace=tracer)
+                                 firmware=base_version, trace=net.note)
         if index in config.faults.ra_tamper_devices:
             state.firmware = VersionInfo(
                 base_version.manifest_sequence,
                 Uri(str(firmware_uri) + "?tampered"))
         devices[actor_id] = state
+        sim.spawn(actor_id, _device_process(state, net, opts.server_keygen,
+                                            1 + index % 7))
         sp1_state.managed_devices[device_id] = operators.ManagedDevice(
             factory_cert=factory_cert, version=transfer_version,
             window=config.reset_window)
@@ -343,41 +350,29 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     ra_cred = server_credential(b"ra", hierarchy.ca2)
 
     # Network actors.
-    operators.CaActor(sim, "ca1", hierarchy.ca1,
+    operators.CaActor(sim, CA1_ACTOR, hierarchy.ca1,
                       operational_lifetime=config.operational_lifetime)
-    operators.CaActor(sim, "ca2", hierarchy.ca2,
+    operators.CaActor(sim, CA2_ACTOR, hierarchy.ca2,
                       operational_lifetime=config.operational_lifetime)
     sp1_ra_state = None
     if opts.sp1_fallback_ra:
         sp1_ra_state = operators.RaVerifierState(expected=dict(ra_state.expected))
-    sp1_actor = operators.OperatorActor(sim, "sp1", sp1_state, sp1_cred,
+    sp1_actor = operators.OperatorActor(sim, SP1_ACTOR, sp1_state, sp1_cred,
                                         server_store,
                                         revocation_view=revocation_view,
                                         fallback_ra_state=sp1_ra_state)
-    sp2_actor = operators.OperatorActor(sim, "sp2", sp2_state, sp2_cred,
+    sp2_actor = operators.OperatorActor(sim, SP2_ACTOR, sp2_state, sp2_cred,
                                         server_store,
                                         revocation_view=revocation_view)
     if opts.use_ra:
         operators.RaVerifierActor(sim, "ra", ra_state, ra_cred, server_store,
                                   revocation_view=revocation_view)
 
-    sim.bind_uri(str(hierarchy.ca1.enroll_uri), "ca1")
-    sim.bind_uri(str(hierarchy.ca2.enroll_uri), "ca2")
-    sim.bind_uri(SP1_URI, "sp1")
-    sim.bind_uri(SP2_URI, "sp2")
+    sim.bind_uri(str(hierarchy.ca1.enroll_uri), CA1_ACTOR)
+    sim.bind_uri(str(hierarchy.ca2.enroll_uri), CA2_ACTOR)
+    sim.bind_uri(SP1_URI, SP1_ACTOR)
+    sim.bind_uri(SP2_URI, SP2_ACTOR)
     sim.bind_uri(RA_URI, "ra")
-
-    # Device processes, start staggered.
-    for index in range(config.device_count):
-        actor_id = device_actor_id(index)
-
-        def device_proc(actor_id=actor_id, index=index):
-            yield Sleep(1 + index % 7)
-            net = peers.NetHandle(sim, actor_id)
-            yield from device.lifecycle(devices[actor_id], net,
-                                        opts.server_keygen)
-
-        sim.spawn(actor_id, device_proc())
 
     # Operator orchestration processes.
     push_roots = []
@@ -429,89 +424,74 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             issuer=cert.issuer_name.decode(errors="replace") if cert else "none",
             serial=cert.serial if cert else 0))
 
-    checks = [
-        _check_forward_secrecy(trace, devices),
-        _check_backward_secrecy(trace, devices, pre_transfer, push_roots),
-        _check_lifecycle_prefixes(trace, devices),
-    ]
+    agreed_roots = {n.decode() for n in pre_transfer}
+    agreed_roots |= {c.subject_name.decode() for c in push_roots}
+    checks = run_checks(trace, devices, agreed_roots)
 
     return ScenarioResult(config=config, trace=trace, devices=outcomes,
-                          checks=checks,
-                          device_states=devices, hierarchy=hierarchy,
-                          sp1_state=sp1_state, sp2_state=sp2_state)
+                          checks=checks, device_states=devices,
+                          hierarchy=hierarchy, sp1_state=sp1_state,
+                          sp2_state=sp2_state)
 
 
 # ---------------------------------------------------------------------------
 # run-level checks (FR3 / FR4 / lifecycle)
 # ---------------------------------------------------------------------------
 
-SP1_SIDE_ACTORS = {"sp1", "ca1", "sp1-orchestrator"}
+SP1_SIDE_ACTORS = {SP1_ACTOR, CA1_ACTOR, "sp1-orchestrator"}
+
+# The lifecycle graph `DeviceState.set_phase` enforces, by traced phase name.
+_PHASE_EDGES = {frm.value: {to.value for to in tos}
+                for frm, tos in device.EDGES.items()}
 
 
-def _check_forward_secrecy(trace: simnet.Trace, devices) -> CheckResult:
-    """Session-key fingerprints SP1 ever observed are disjoint from the
-    fingerprints of sessions the device establishes after re-enrollment."""
-    sp1_fps = {e["fp"] for e in trace.select("session")
-               if e["a"] in SP1_SIDE_ACTORS or e["b"] in SP1_SIDE_ACTORS}
-    for actor_id in devices:
-        reenrolled_at = None
-        for entry in trace.select("phase", actor=actor_id, to="reenrolled"):
-            reenrolled_at = entry["t"]
-        if reenrolled_at is None:
-            continue
-        after = {e["fp"] for e in trace.select("session", a=actor_id)
-                 if e["t"] >= reenrolled_at}
-        overlap = after & sp1_fps
-        if overlap:
-            return CheckResult("fr3_forward_secrecy", False,
-                               f"{actor_id} shares {len(overlap)} fingerprints")
-    return CheckResult("fr3_forward_secrecy", True)
+def run_checks(trace: simnet.Trace, device_ids,
+               agreed_roots: set[str]) -> list[CheckResult]:
+    """FR3, FR4 and lifecycle order of every device, from one pass over the
+    trace; each check names its first failing device in device order.
 
+    FR3: no session a device opens from its last re-enrollment on shares a
+    key fingerprint with any session SP1's side ever saw. FR4: every
+    post-reset snapshot holds no operational material, no SP1 signer key
+    and only agreed roots. Lifecycle: every traced phase change is an edge
+    of `device.EDGES`.
+    """
+    sp1_fps = set()
+    sessions, phases, snapshots = (defaultdict(list), defaultdict(list),
+                                   defaultdict(list))
+    for entry in trace.entries:
+        kind = entry["ev"]
+        if kind == "session":
+            sessions[entry["a"]].append(entry)
+            if entry["a"] in SP1_SIDE_ACTORS or entry["b"] in SP1_SIDE_ACTORS:
+                sp1_fps.add(entry["fp"])
+        elif kind == "phase":
+            phases[entry["actor"]].append(entry)
+        elif kind == "reset_snapshot":
+            snapshots[entry["actor"]].append(entry)
 
-def _check_backward_secrecy(trace: simnet.Trace, devices, pre_transfer,
-                            push_roots) -> CheckResult:
-    """Post-reset state carries only agreed values: no operational material,
-    no SP1 signer key, truststore within the agreed root set."""
-    agreed = {n.decode() for n in pre_transfer}
-    agreed |= {c.subject_name.decode() for c in push_roots}
-    for actor_id in devices:
-        for snap in trace.select("reset_snapshot", actor=actor_id):
-            if snap["op_cert"] != "none" or snap["sp1_key"] != "none":
-                return CheckResult("fr4_backward_secrecy", False,
-                                   f"{actor_id} kept SP1 material across reset")
+    fr3 = fr4 = order = ""  # detail of each check's first failure
+    for actor_id in device_ids:
+        steps = phases.get(actor_id, ())
+        reenrolled = [e["t"] for e in steps if e["to"] == "reenrolled"]
+        if not fr3 and reenrolled:
+            overlap = sp1_fps & {e["fp"] for e in sessions.get(actor_id, ())
+                                 if e["t"] >= reenrolled[-1]}
+            if overlap:
+                fr3 = f"{actor_id} shares {len(overlap)} fingerprints"
+        for snap in snapshots.get(actor_id, ()):
+            if fr4:
+                break
             roots = set(snap["roots"].split(",")) if snap["roots"] else set()
-            if not roots <= agreed:
-                return CheckResult(
-                    "fr4_backward_secrecy", False,
-                    f"{actor_id} kept roots {sorted(roots - agreed)}")
-    return CheckResult("fr4_backward_secrecy", True)
-
-
-_LIFECYCLE_ORDER = ["blank", "provisioned", "enrolled", "transferPending",
-                    "resetDone", "attested", "updated", "reenrolled"]
-
-
-def _check_lifecycle_prefixes(trace: simnet.Trace, devices) -> CheckResult:
-    """Phase sequences follow the lifecycle graph: monotone progress along
-    the main path, optional attested/updated, fallback only after reset."""
-    for actor_id in devices:
-        seq = [(e["frm"], e["to"]) for e in trace.select("phase", actor=actor_id)]
-        position = 0
-        for frm, to in seq:
-            if frm not in _LIFECYCLE_ORDER and frm != "fallback":
-                return CheckResult("lifecycle_prefix", False,
-                                   f"{actor_id}: unknown phase {frm}")
-            if to == "fallback":
-                if _LIFECYCLE_ORDER.index(frm) < _LIFECYCLE_ORDER.index("resetDone"):
-                    return CheckResult("lifecycle_prefix", False,
-                                       f"{actor_id}: fallback from {frm}")
-                continue
-            if to == "enrolled" and frm == "enrolled":
-                continue
-            new_position = _LIFECYCLE_ORDER.index(to)
-            if new_position <= position and not (to == "enrolled" and frm == "enrolled"):
-                if not (position == 0 and new_position == 0):
-                    return CheckResult("lifecycle_prefix", False,
-                                       f"{actor_id}: {frm} -> {to} regressed")
-            position = new_position
-    return CheckResult("lifecycle_prefix", True)
+            if snap["op_cert"] != "none" or snap["sp1_key"] != "none":
+                fr4 = f"{actor_id} kept SP1 material across reset"
+            elif not roots <= agreed_roots:
+                fr4 = f"{actor_id} kept roots {sorted(roots - agreed_roots)}"
+        bad = next((e for e in steps
+                    if e["to"] not in _PHASE_EDGES.get(e["frm"], ())), None)
+        if not order and bad:
+            order = (f"{actor_id}: {bad['frm']} -> {bad['to']} "
+                     "is not a lifecycle edge")
+    return [CheckResult("fr3_forward_secrecy", not fr3, fr3),
+            CheckResult("fr4_backward_secrecy", not fr4, fr4),
+            CheckResult("lifecycle_prefix", not order, order)]

@@ -110,7 +110,7 @@ class EnrollRsp:
     cert_bytes: bytes
     key_seed: bytes
     chain_certs: tuple
-    root_certs: tuple
+    root_certs: tuple  # always empty; the device ignores it
     reason: str
 
 

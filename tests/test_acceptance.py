@@ -373,10 +373,6 @@ def test_c7_codec_properties():
 
     for path in sorted(VECTOR_DIR.glob("*.hex")):
         golden = bytes.fromhex(path.read_text().strip())
-        kind_name = next((k for k in KIND_BY_NAME
-                          if path.stem.startswith(k)
-                          or path.stem.startswith(k.replace("_message", ""))),
-                         None)
         kind = {
             "transfer_message_basic": TransferMessage,
             "transfer_message_with_ra": TransferMessage,

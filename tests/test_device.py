@@ -423,3 +423,33 @@ def test_single_injected_record_does_not_abort_run(variant, options, match_dst,
         assert served["reason"] == "update_failed"
     if record is _GHOST_REPORT:
         assert not result.trace.select("ra_verdict", device="ghost")
+
+
+_EVIL_SEED = crypto.digest(b"evil-device-key")
+_EVIL_LEAF = pki._signed_cert(
+    b"evil-root", _EVIL_KEY, 2, b"device-000",
+    crypto.generate_key_pair(_EVIL_SEED).public_key, LIFETIME,
+    CertProfile.OPERATIONAL)
+
+
+@pytest.mark.parametrize("variant", ["a", "b", "c"])
+def test_enroll_response_cannot_plant_a_root(variant):
+    """An enrollment response is answered ahead of the CA's with an
+    attacker-issued certificate plus the attacker's self-signed root. The
+    device must not take the root into its truststore, so the certificate
+    does not verify and the real response completes the enrollment."""
+    forged = wire.EnrollRsp(True, encode(_EVIL_LEAF), _EVIL_SEED, (),
+                            (encode(_EVIL_ROOT),), "")
+    rule = {"action": "inject", "match_src": "device-*",
+            "match_dst": "ca*", "match_label": "enroll_req",
+            "redirect_dst": "device-000",
+            "inject_payload_hex": wire.encode_wire(forged).hex(),
+            "frame_in_matched_session": True, "seq_offset": 0, "delay": 0,
+            "first_n": 1}
+    result = run_scenario(ScenarioConfig(
+        name="planted_root", variant=variant, seed=5, adversary=[rule],
+        options=ScenarioOptions(server_keygen=True)))
+    state = result.device_states["device-000"]
+    assert b"evil-root" not in state.truststore.root_names()
+    assert state.operational_cert.issuer_name != b"evil-root"
+    assert result.ok
