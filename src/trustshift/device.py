@@ -322,25 +322,23 @@ def contact_fallback(state: DeviceState, net: peers.NetHandle, reason: str):
     outcome in the trace."""
     net.note("fallback_start", reason=reason)
     contacted = False
-    dst = net.resolve(state.endpoints.fallback_uri) \
-        if state.endpoints.fallback_uri else None
-    if dst is not None:
-        for _ in range(3):  # session-level attempts on top of call retries
-            sess, status = yield from peers.open_session(
-                net, dst, state.factory_credential(), state.truststore,
-                purpose="fallback")
-            if sess is None:
-                continue
-            reply, status = yield from peers.session_call(
-                net, sess, dst, wire.FallbackReq(state.device_id, reason),
-                (wire.FallbackRsp,))
-            if reply is None:
-                continue
-            if reply.require_ra:
-                verdict = yield from _ra_exchange(state, net, dst, sess)
-                net.note("fallback_ra", verdict=str(verdict))
-            contacted = True
-            break
+    dst = net.resolve(state.endpoints.fallback_uri)
+    for _ in range(3):  # session-level attempts on top of call retries
+        sess, status = yield from peers.open_session(
+            net, dst, state.factory_credential(), state.truststore,
+            purpose="fallback")
+        if sess is None:
+            continue
+        reply, status = yield from peers.session_call(
+            net, sess, dst, wire.FallbackReq(state.device_id, reason),
+            (wire.FallbackRsp,))
+        if reply is None:
+            continue
+        if reply.require_ra:
+            verdict = yield from _ra_exchange(state, net, dst, sess)
+            net.note("fallback_ra", verdict=str(verdict))
+        contacted = True
+        break
     net.note("fallback_contacted", ok=str(contacted), reason=reason)
     state.set_phase(DevicePhase.FALLBACK, net.note)
 
@@ -355,12 +353,11 @@ def run_post_reset_sequence(state: DeviceState, net: peers.NetHandle,
     if state.endpoints.ra_uri is not None:
         dst = net.resolve(state.endpoints.ra_uri)
         verdict = None
-        if dst is not None:
-            sess, status = yield from peers.open_session(
-                net, dst, state.factory_credential(), state.truststore,
-                purpose="ra")
-            if sess is not None:
-                verdict = yield from _ra_exchange(state, net, dst, sess)
+        sess, status = yield from peers.open_session(
+            net, dst, state.factory_credential(), state.truststore,
+            purpose="ra")
+        if sess is not None:
+            verdict = yield from _ra_exchange(state, net, dst, sess)
         if verdict is not True:
             yield from contact_fallback(state, net, "ra_failed")
             return
@@ -369,17 +366,16 @@ def run_post_reset_sequence(state: DeviceState, net: peers.NetHandle,
     if state.endpoints.contact_update_before_enroll:
         dst = net.resolve(state.endpoints.update_uri)
         done = False
-        if dst is not None:
-            sess, status = yield from peers.open_session(
-                net, dst, state.factory_credential(), state.truststore,
-                purpose="update")
-            if sess is not None:
-                reply, status = yield from peers.session_call(
-                    net, sess, dst, wire.UpdateCheck(encode(state.firmware)),
-                    (wire.UpdateRsp,))
-                if reply is not None:
-                    done = not reply.has_update or _install_offered_version(
-                        state, reply.version_bytes, net.note)
+        sess, status = yield from peers.open_session(
+            net, dst, state.factory_credential(), state.truststore,
+            purpose="update")
+        if sess is not None:
+            reply, status = yield from peers.session_call(
+                net, sess, dst, wire.UpdateCheck(encode(state.firmware)),
+                (wire.UpdateRsp,))
+            if reply is not None:
+                done = not reply.has_update or _install_offered_version(
+                    state, reply.version_bytes, net.note)
         if not done:
             yield from contact_fallback(state, net, "update_failed")
             return
@@ -414,8 +410,7 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
 
     # Standing session with the SP1 update server: normal operations and the
     # channel over which the operator change arrives.
-    sp1_dst = net.resolve(state.endpoints.update_uri) \
-        if state.endpoints.update_uri else None
+    sp1_dst = net.resolve(state.endpoints.update_uri)
     if sp1_dst is None:
         net.note("sp1_unreachable")
         return

@@ -3,12 +3,13 @@ update servers, the attestation verifier stub, and CA frontends.
 
 Pure operator operations are plain functions over OperatorState; the actor
 classes wrap them for the simulated network, and the two orchestrator
-generators drive the operator-change flow end to end.
+generators drive the operator-change flow end to end from plain values
+(device ids, start time, roots to push, RA and enroll endpoints).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import crypto, peers, pki, wire
 from .errors import (
@@ -42,14 +43,6 @@ class ManagedDevice:
     factory_cert: object
     version: VersionInfo
     window: tuple[TimeStamp, TimeStamp]
-
-
-@dataclass
-class TransferOptions:
-    """Endpoints SP2 puts in the transfer CWT; an RA URI asks for attestation."""
-
-    ra_uri: Uri | None = None
-    contact_before_enroll: bool = False
 
 
 @dataclass
@@ -87,8 +80,8 @@ def sp1_build_update_info_list(sp1: OperatorState,
 
 
 def build_transfer_message(sp2: OperatorState, info_list: UpdateInfoList,
-                           enroll_uri: Uri,
-                           options: TransferOptions) -> TransferMessage:
+                           enroll_uri: Uri, ra_uri: Uri | None,
+                           contact_before_enroll: bool) -> TransferMessage:
     """The six-claim transfer payload: window hull over the per-device
     windows, endpoints per the SP2 configuration."""
     if not info_list.entries:
@@ -98,9 +91,9 @@ def build_transfer_message(sp2: OperatorState, info_list: UpdateInfoList,
     return TransferMessage(
         reset_time_not_before=not_before,
         reset_time_not_after=not_after,
-        ra_uri=options.ra_uri,
+        ra_uri=ra_uri,
         update_uri=sp2.update_server_uri,
-        contact_before_enroll=options.contact_before_enroll,
+        contact_before_enroll=contact_before_enroll,
         enroll_uri=enroll_uri,
         # SP1 rewrites this on relay; until then it points at SP2's server.
         fallback_uri=sp2.update_server_uri,
@@ -108,44 +101,29 @@ def build_transfer_message(sp2: OperatorState, info_list: UpdateInfoList,
 
 
 def sp2_prepare_transfer(sp2: OperatorState, verified_list: UpdateInfoList,
-                         enroll_uri: Uri,
-                         options: TransferOptions) -> SignedEnvelope:
+                         enroll_uri: Uri, ra_uri: Uri | None,
+                         contact_before_enroll: bool) -> SignedEnvelope:
     """The transfer CWT, signed by SP2, once CA2 has registered the factory
     certificates under `enroll_uri`."""
-    message = build_transfer_message(sp2, verified_list, enroll_uri, options)
+    message = build_transfer_message(sp2, verified_list, enroll_uri, ra_uri,
+                                     contact_before_enroll)
     return crypto.sign_envelope(sp2.signing_key, EnvelopeProfile.CWT,
                                 encode(message))
 
 
 def sp1_relay_transfer(sp1: OperatorState, sp2_envelope: SignedEnvelope,
-                       device_id: bytes,
-                       narrow_window: bool = False) -> SignedEnvelope:
+                       device_id: bytes) -> SignedEnvelope:
     """Per-device CWT: claims copied verbatim except the fallback URI, which
-    becomes the SP1 update server; optionally narrowed to the device's own
-    transfer window."""
+    becomes the SP1 update server."""
     sp2_key = sp1.peer_signer_keys.get("sp2")
     if sp2_key is None or not crypto.verify_envelope(sp2_key, sp2_envelope) \
             or sp2_envelope.protected_header.profile is not EnvelopeProfile.CWT:
         raise BadSp2Signature("transfer CWT failed verification under the "
                               "agreed SP2 key")
-    managed = sp1.managed_devices.get(device_id)
-    if managed is None:
+    if device_id not in sp1.managed_devices:
         raise UnknownDevice(f"device {device_id!r} not managed by {sp1.name}")
-    message = decode(TransferMessage, sp2_envelope.payload)
-    not_before, not_after = (message.reset_time_not_before,
-                             message.reset_time_not_after)
-    if narrow_window:
-        not_before = max(not_before, managed.window[0])
-        not_after = min(not_after, managed.window[1])
-    rewritten = TransferMessage(
-        reset_time_not_before=not_before,
-        reset_time_not_after=not_after,
-        ra_uri=message.ra_uri,
-        update_uri=message.update_uri,
-        contact_before_enroll=message.contact_before_enroll,
-        enroll_uri=message.enroll_uri,
-        fallback_uri=sp1.update_server_uri,
-    )
+    rewritten = replace(decode(TransferMessage, sp2_envelope.payload),
+                        fallback_uri=sp1.update_server_uri)
     return crypto.sign_envelope(sp1.signing_key, EnvelopeProfile.CWT,
                                 encode(rewritten))
 
@@ -439,15 +417,6 @@ CA1_ACTOR = "ca1"
 CA2_ACTOR = "ca2"
 
 
-@dataclass
-class Sp1PlanConfig:
-    device_ids: list
-    start_time: int = 40
-    last_update: bool = False
-    push_roots: tuple = ()
-    narrow_windows: bool = False
-
-
 def _push_rounds(net: peers.NetHandle, actor: OperatorActor, device_ids,
                  pushes: dict):
     """SP1's push rounds over the devices' standing update-server sessions.
@@ -481,15 +450,17 @@ def _push_rounds(net: peers.NetHandle, actor: OperatorActor, device_ids,
 
 
 def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
-                         cfg: Sp1PlanConfig):
-    """SP1 side of the operator change: share the device list, await the
-    transfer CWT, relay it per device, then revoke the old certificates.
+                         device_ids, start_time: int, push_roots,
+                         last_update: bool):
+    """SP1 side of the operator change: at `start_time`, share the device
+    list, await the transfer CWT, push the roots (and with `last_update` the
+    firmware), relay the CWT per device, then revoke the old certificates.
     Sessions are opened with the update server's credential and truststore."""
     state = actor.state
     credential, store = actor.peer.credential, actor.peer.truststore
-    yield Sleep(cfg.start_time)
+    yield Sleep(start_time)
 
-    envelope = sp1_build_update_info_list(state, cfg.device_ids)
+    envelope = sp1_build_update_info_list(state, device_ids)
     payload_size = len(envelope.payload)
     env_bytes = encode(envelope)
     net.note("size", cls="update_info_list_payload", bytes=payload_size)
@@ -524,14 +495,14 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
     # must leave the device able to authenticate the CA2 side. Both are the
     # same for every device.
     prep = {}
-    if cfg.last_update:
+    if last_update:
         final = wire.FinalUpdate(encode(state.current_version))
         prep["final"] = lambda _device_id: final
-    if cfg.push_roots:
-        trust = wire.TrustPush(tuple(encode(c) for c in cfg.push_roots), True)
+    if push_roots:
+        trust = wire.TrustPush(tuple(encode(c) for c in push_roots), True)
         prep["trust"] = lambda _device_id: trust
     if prep:
-        pending = yield from _push_rounds(net, actor, cfg.device_ids, prep)
+        pending = yield from _push_rounds(net, actor, device_ids, prep)
         if pending:
             net.note("prep_pushes_incomplete", count=len(pending))
 
@@ -539,8 +510,7 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
 
     def transfer_deliver(device_id):
         nonlocal relayed_size_noted
-        relayed = sp1_relay_transfer(state, state.received_tm, device_id,
-                                     cfg.narrow_windows)
+        relayed = sp1_relay_transfer(state, state.received_tm, device_id)
         relayed_bytes = encode(relayed)
         if not relayed_size_noted:
             net.note("size", cls="relayed_transfer_envelope",
@@ -550,7 +520,7 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
             relayed_size_noted = True
         return wire.TransferDeliver(relayed_bytes)
 
-    pending = yield from _push_rounds(net, actor, cfg.device_ids,
+    pending = yield from _push_rounds(net, actor, device_ids,
                                       {"transfer": transfer_deliver})
     net.note("transfer_pushes_done", unacked=len(pending))
 
@@ -560,7 +530,7 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
     if sess is None:
         net.note("revocation_failed", status=status)
         return
-    for device_id in sorted(set(cfg.device_ids)):
+    for device_id in sorted(set(device_ids)):
         reply, status = yield from peers.session_call(
             net, sess, CA1_ACTOR, wire.RevokeReq(device_id),
             (wire.RevokeRsp,))
@@ -571,16 +541,11 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
     net.note("sp1_orchestration_done")
 
 
-@dataclass
-class Sp2PlanConfig:
-    options: TransferOptions
-    skip_registration: bool = False
-    fallback_enroll_uri: Uri | None = None
-
-
 def sp2_transfer_process(net: peers.NetHandle, actor: OperatorActor,
-                         cfg: Sp2PlanConfig):
-    """SP2 side: receive the signed list, register with CA2, send the CWT."""
+                         ra_uri: Uri | None, contact_before_enroll: bool,
+                         unregistered_enroll_uri: Uri | None = None):
+    """SP2 side: receive the signed list, register with CA2 (or, given
+    `unregistered_enroll_uri`, skip that and send it), send the CWT."""
     state = actor.state
     credential, store = actor.peer.credential, actor.peer.truststore
     polls = 0
@@ -591,10 +556,10 @@ def sp2_transfer_process(net: peers.NetHandle, actor: OperatorActor,
             return
         yield Sleep(2)
 
-    if cfg.skip_registration:
+    if unregistered_enroll_uri is not None:
         # Misconfiguration scenario: SP2 never registers the factory
         # certificates; enrollments at CA2 will be rejected.
-        enroll_uri = cfg.fallback_enroll_uri
+        enroll_uri = unregistered_enroll_uri
         net.note("registration_skipped")
     else:
         sess, status = yield from peers.open_session(net, CA2_ACTOR,
@@ -615,7 +580,7 @@ def sp2_transfer_process(net: peers.NetHandle, actor: OperatorActor,
         enroll_uri = Uri(reply.enroll_uri)
 
     envelope = sp2_prepare_transfer(state, state.received_list, enroll_uri,
-                                    cfg.options)
+                                    ra_uri, contact_before_enroll)
     env_bytes = encode(envelope)
     net.note("size", cls="transfer_message_payload", bytes=len(envelope.payload))
     net.note("size", cls="transfer_message_envelope", bytes=len(env_bytes))

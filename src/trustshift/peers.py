@@ -44,7 +44,7 @@ class NetHandle:
         return self.sim.now
 
     def resolve(self, uri) -> str | None:
-        return self.sim.resolve(str(uri))
+        return None if uri is None else self.sim.resolve(str(uri))
 
     def note(self, kind: str, **fields) -> None:
         self.sim.trace.add(kind, self.sim.now, actor=self.actor_id, **fields)

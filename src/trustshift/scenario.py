@@ -23,6 +23,15 @@ from .simnet import AdversaryRule, AdversarySchedule, Sleep
 SP1_URI = "coaps://update.sp1.example"
 SP2_URI = "coaps://update.sp2.example"
 RA_URI = "coaps://ra.sp2.example"
+# Validity of the factory, CA and server certificates.
+FACTORY_LIFETIME = 10**9
+
+# The keys a config file may hold at its top level and in "expectation"; any
+# other key is a config error, as is an unknown "options" or "faults" field.
+CONFIG_KEYS = frozenset({"schema", "name", "hierarchy_variant", "device_count",
+                         "seed", "adversary", "options", "faults",
+                         "expectation"})
+EXPECTATION_KEYS = frozenset({"default", "overrides"})
 
 
 @dataclass
@@ -33,7 +42,6 @@ class ScenarioOptions:
     last_sp1_update: bool = False
     sp1_fallback_ra: bool = False
     push_ca2_root: bool = True
-    narrow_windows: bool = False
 
 
 @dataclass
@@ -51,11 +59,12 @@ class ScenarioConfig:
     adversary: object = "none"  # schedule name or list of rule dicts
     options: ScenarioOptions = field(default_factory=ScenarioOptions)
     faults: ScenarioFaults = field(default_factory=ScenarioFaults)
+    # No config file sets these three; the window-expiry and renewal tests
+    # (tests/test_device.py::test_transfer_after_window_leaves_device_enrolled
+    # and ::test_expiry_driven_reenrollment_loops_at_enrolled) do.
     reset_window: tuple[int, int] = (0, 1_000_000)
-    factory_lifetime: int = 10**9
     operational_lifetime: int = 10**6
     transfer_start: int = 40
-    event_budget: int = 500_000
     expect_default: str = "reenrolled"
     expect_overrides: dict[str, str] = field(default_factory=dict)
 
@@ -64,6 +73,13 @@ class ScenarioConfig:
             raise ScenarioInvalid(f"unknown hierarchy variant {self.variant!r}")
         if self.device_count < 1:
             raise ScenarioInvalid("device_count must be >= 1")
+        actor_ids = {device_actor_id(i) for i in range(self.device_count)}
+        strays = sorted(set(self.expect_overrides) - actor_ids)
+        strays += [i for i in self.faults.ra_tamper_devices
+                   if i not in range(self.device_count)]
+        if strays:
+            raise ScenarioInvalid(f"{strays} name no device of the "
+                                  f"{self.device_count}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -71,30 +87,28 @@ class ScenarioConfig:
             raise ConfigParseError("config root must be an object")
         if raw.get("schema") != 1:
             raise ConfigParseError("config schema field must be 1")
+        expectation = raw.get("expectation", {})
+        if not isinstance(expectation, dict):
+            raise ConfigParseError("expectation must be an object")
+        unknown = sorted(set(raw) - CONFIG_KEYS) + sorted(
+            f"expectation.{k}" for k in set(expectation) - EXPECTATION_KEYS)
+        if unknown:
+            raise ConfigParseError(f"unknown config keys {unknown}")
+        for key in ("device_count", "seed"):
+            if type(raw.get(key, 1)) is not int:  # bool is not a JSON integer
+                raise ConfigParseError(f"{key} must be an integer")
         try:
-            options = ScenarioOptions(**raw.get("options", {}))
-            faults = ScenarioFaults(**raw.get("faults", {}))
-            windows = raw.get("windows", {})
-            expectation = raw.get("expectation", {})
             return cls(
                 name=raw.get("name", "scenario"),
                 variant=raw.get("hierarchy_variant", "d"),
-                device_count=int(raw.get("device_count", 1)),
-                seed=int(raw.get("seed", 1)),
+                device_count=raw.get("device_count", 1),
+                seed=raw.get("seed", 1),
                 adversary=raw.get("adversary", "none"),
-                options=options,
-                faults=faults,
-                reset_window=tuple(windows.get("reset", (0, 1_000_000))),
-                factory_lifetime=int(windows.get("factory_lifetime", 10**9)),
-                operational_lifetime=int(windows.get("operational_lifetime",
-                                                     10**6)),
-                transfer_start=int(raw.get("transfer_start", 40)),
-                event_budget=int(raw.get("event_budget", 500_000)),
+                options=ScenarioOptions(**raw.get("options", {})),
+                faults=ScenarioFaults(**raw.get("faults", {})),
                 expect_default=expectation.get("default", "reenrolled"),
                 expect_overrides=dict(expectation.get("overrides", {})),
             )
-        except ScenarioInvalid:
-            raise
         except (TypeError, ValueError) as err:
             raise ConfigParseError(f"bad config value: {err}") from err
 
@@ -136,10 +150,14 @@ def build_adversary(spec, seed: int) -> AdversarySchedule | None:
     if isinstance(spec, list):
         rules = []
         for raw in spec:
-            raw = dict(raw)
-            if "inject_payload_hex" in raw:
-                raw["inject_payload"] = bytes.fromhex(raw.pop("inject_payload_hex"))
-            rules.append(AdversaryRule(**raw))
+            try:
+                raw = dict(raw)
+                if "inject_payload_hex" in raw:
+                    raw["inject_payload"] = bytes.fromhex(
+                        raw.pop("inject_payload_hex"))
+                rules.append(AdversaryRule(**raw))
+            except (TypeError, ValueError) as err:
+                raise ScenarioInvalid(f"bad adversary rule: {err}") from err
         return AdversarySchedule(rules=rules)
     if spec == "replay_transfer":
         return AdversarySchedule(rules=[
@@ -215,7 +233,6 @@ class ScenarioResult:
     device_states: dict[str, device.DeviceState]
     hierarchy: pki.HierarchyConfig
     sp1_state: operators.OperatorState
-    sp2_state: operators.OperatorState
 
     def report(self) -> str:
         cfg = self.config
@@ -260,10 +277,10 @@ def _device_process(state: device.DeviceState, net: peers.NetHandle,
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    sim = simnet.Simulator(config.seed, event_budget=config.event_budget)
+    sim = simnet.Simulator(config.seed)
     build_rng = sim.actor_rng("hierarchy-build")
     hierarchy = pki.build_hierarchy(config.variant, build_rng,
-                                    ca_validity=(0, config.factory_lifetime))
+                                    ca_validity=(0, FACTORY_LIFETIME))
     opts = config.options
 
     all_root_names = {hierarchy.permanent.name}
@@ -282,7 +299,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     key_rng = sim.actor_rng("key-material")
     sp1_state = operators.OperatorState(
         name=SP1_ACTOR, signing_key=crypto.generate_key_pair(key_rng.randbytes(32)),
-        update_server_uri=Uri(SP1_URI), current_version=base_version)
+        update_server_uri=Uri(SP1_URI), current_version=transfer_version)
     sp2_state = operators.OperatorState(
         name=SP2_ACTOR, signing_key=crypto.generate_key_pair(key_rng.randbytes(32)),
         update_server_uri=Uri(SP2_URI), current_version=sp2_version)
@@ -305,7 +322,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         csr = pki.make_csr(device_id, factory_key, CertProfile.FACTORY)
         factory_cert = pki.issue_certificate(hierarchy.permanent, csr,
                                              CertProfile.FACTORY,
-                                             (0, config.factory_lifetime))
+                                             (0, FACTORY_LIFETIME))
         initial_store = pki.TrustStore()
         for name in sorted(pre_enroll):
             initial_store.add_root(hierarchy.root_cert(name),
@@ -342,7 +359,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         key = crypto.generate_key_pair(key_rng.randbytes(32))
         csr = pki.make_csr(name, key, CertProfile.OPERATIONAL)
         cert = pki.issue_certificate(ca, csr, CertProfile.SERVER,
-                                     (0, config.factory_lifetime))
+                                     (0, FACTORY_LIFETIME))
         return pki.Credential(cert, ca.issuer_chain, key)
 
     sp1_cred = server_credential(b"sp1", hierarchy.ca1)
@@ -380,36 +397,18 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         for name in sorted(pre_transfer - pre_enroll):
             push_roots.append(hierarchy.root_cert(name))
 
-    transfer_options = operators.TransferOptions(
-        ra_uri=Uri(RA_URI) if opts.use_ra else None,
-        contact_before_enroll=opts.contact_update_before_enroll)
-
-    sp1_cfg = operators.Sp1PlanConfig(
-        device_ids=[device_actor_id(i).encode()
-                    for i in range(config.device_count)],
-        start_time=config.transfer_start,
-        last_update=opts.last_sp1_update, push_roots=tuple(push_roots),
-        narrow_windows=opts.narrow_windows)
-
-    def sp1_proc():
-        net = peers.NetHandle(sim, "sp1-orchestrator",
-                              revocation_view=revocation_view)
-        if opts.last_sp1_update:
-            sp1_state.current_version = transfer_version
-        yield from operators.sp1_transfer_process(net, sp1_actor, sp1_cfg)
-
-    sp2_cfg = operators.Sp2PlanConfig(
-        options=transfer_options,
-        skip_registration=config.faults.skip_ca2_registration,
-        fallback_enroll_uri=hierarchy.ca2.enroll_uri)
-
-    def sp2_proc():
-        net = peers.NetHandle(sim, "sp2-orchestrator",
-                              revocation_view=revocation_view)
-        yield from operators.sp2_transfer_process(net, sp2_actor, sp2_cfg)
-
-    sim.spawn("sp1-orchestrator", sp1_proc())
-    sim.spawn("sp2-orchestrator", sp2_proc())
+    sim.spawn("sp1-orchestrator", operators.sp1_transfer_process(
+        peers.NetHandle(sim, "sp1-orchestrator",
+                        revocation_view=revocation_view),
+        sp1_actor, list(sp1_state.managed_devices),
+        config.transfer_start, push_roots, opts.last_sp1_update))
+    sim.spawn("sp2-orchestrator", operators.sp2_transfer_process(
+        peers.NetHandle(sim, "sp2-orchestrator",
+                        revocation_view=revocation_view),
+        sp2_actor, Uri(RA_URI) if opts.use_ra else None,
+        opts.contact_update_before_enroll,
+        hierarchy.ca2.enroll_uri if config.faults.skip_ca2_registration
+        else None))
 
     sim.set_adversary(build_adversary(config.adversary, config.seed))
     sim.start_ready_processes()
@@ -430,8 +429,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     return ScenarioResult(config=config, trace=trace, devices=outcomes,
                           checks=checks, device_states=devices,
-                          hierarchy=hierarchy, sp1_state=sp1_state,
-                          sp2_state=sp2_state)
+                          hierarchy=hierarchy, sp1_state=sp1_state)
 
 
 # ---------------------------------------------------------------------------

@@ -110,11 +110,15 @@ class Trace:
 # adversary
 # ---------------------------------------------------------------------------
 
+ADVERSARY_ACTIONS = ("drop", "replay", "modify", "record", "inject_recorded",
+                     "inject")
+
+
 @dataclass
 class AdversaryRule:
     """One trigger/action pair over in-flight transmissions."""
 
-    action: str  # drop | replay | modify | record | inject_recorded | inject
+    action: str  # one of ADVERSARY_ACTIONS
     match_src: str = "*"
     match_dst: str = "*"
     match_label: str = "*"
@@ -128,6 +132,10 @@ class AdversaryRule:
     seq_offset: int = 1_000_000
     first_n: int | None = None
     every_k: int = 1
+
+    def __post_init__(self):
+        if self.action not in ADVERSARY_ACTIONS:
+            raise ScenarioInvalid(f"unknown adversary action {self.action!r}")
 
     def matches(self, event: SimEvent) -> bool:
         return (fnmatch.fnmatchcase(event.src, self.match_src)
@@ -224,9 +232,6 @@ def adversary_apply(schedule: AdversarySchedule, event: SimEvent,
             out.append(SimEvent(event.time + rule.delay, EventKind.DELIVER,
                                 "adversary", dst, payload, next_seq(),
                                 label="injected", origin="adversary"))
-            continue
-
-        raise ScenarioInvalid(f"unknown adversary action {rule.action!r}")
 
     if not consumed:
         out.append(event)
@@ -292,10 +297,9 @@ class Simulator:
         heapq.heappush(self._queue, (event.time, event.seq, event))
 
     def transmit(self, src: str, dst: str, payload: bytes, label: str = "",
-                 delay: int = LATENCY, origin: str = "net") -> None:
+                 delay: int = LATENCY) -> None:
         self._push(SimEvent(self.now + delay, EventKind.DELIVER, src, dst,
-                            payload, self._next_seq(), label=label,
-                            origin=origin))
+                            payload, self._next_seq(), label=label))
 
     def _schedule_timer(self, actor_id: str, delay: int, token: int) -> None:
         self._push(SimEvent(self.now + delay, EventKind.TIMER_FIRE, actor_id,

@@ -76,8 +76,32 @@ def test_run_exit_one_on_expectation_mismatch(tmp_path, capsys):
     assert "expectation FAIL" in capsys.readouterr().out
 
 
-def test_run_exit_two_on_config_error(tmp_path, capsys):
-    path = tmp_path / "missing.json"
+@pytest.mark.parametrize("overrides", [
+    None,  # no config file at all
+    {"hierarchy_varient": "a"},
+    {"device_count": 3.9},
+    {"device_count": "3"},
+    {"seed": True},
+    {"expectation": {"default": "reenrolled",
+                     "overrides": {"device-007": "fallback"}}},
+    {"expectation": {"default": "reenrolled", "overide": {}}},
+    {"faults": {"ra_tamper_devices": [9]}},
+    {"options": {"narrow_windows": False}},
+    {"windows": {"reset": [0, 1000000]}},
+    {"transfer_start": 40},
+    {"event_budget": 500000},
+    {"adversary": [{"action": "drop", "bogus": 1}]},
+    {"adversary": [{"action": "explode", "match_label": "nothing"}]},
+    {"adversary": [{"action": "inject", "inject_payload_hex": "zz"}]},
+    {"adversary": ["drop"]},
+], ids=["missing_file", "misspelt_key", "fractional_count", "string_count",
+        "bool_seed", "override_names_no_device", "unknown_expectation_key",
+        "tamper_names_no_device", "removed_option", "windows_key",
+        "transfer_start_key", "event_budget_key", "adversary_unknown_field",
+        "adversary_unknown_action", "adversary_bad_hex", "adversary_not_object"])
+def test_run_exit_two_on_config_error(tmp_path, capsys, overrides):
+    path = (tmp_path / "missing.json" if overrides is None
+            else write_config(tmp_path, **overrides))
     assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
 
 

@@ -1,18 +1,24 @@
 """Source hygiene: no module under src/trustshift keeps a dead import, an
 unused private module-level name, or a public function, class or method
-that nothing in src/ or bench/ names.
+that nothing in src/ or bench/ names; and no config key goes unset.
 
-The scans read the source with `ast` only; nothing is imported.
+The source scans read the source with `ast` only; nothing is imported. The
+config-key scan imports `scenario` for the keys its reader accepts.
 """
 
 import ast
+import dataclasses
+import json
 from pathlib import Path
 
 import pytest
 
+from trustshift import scenario
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "trustshift").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
+CONFIGS = sorted((ROOT / "configs").rglob("*.json"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -105,3 +111,68 @@ def test_every_public_definition_is_used():
               for name in _public_definitions(_tree(path))
               if name not in mentioned]
     assert not unused, f"defined but named nowhere in src/ or bench/: {unused}"
+
+
+# Config keys that no shipped config and no bench workload sets, each with
+# the tests that do set it.
+TEST_ONLY_KEYS = {
+    "faults.skip_ca2_registration":
+        "test_c8_fallback_totality and "
+        "test_ca2_misregistration_routes_to_fallback",
+}
+_SECTIONS = {"options": scenario.ScenarioOptions,
+             "faults": scenario.ScenarioFaults}
+# Bench workloads build configs in Python: the keyword each constructor
+# takes, as the config key it stands for.
+_KEYWORD_PREFIX = {cls.__name__: f"{section}."
+                   for section, cls in _SECTIONS.items()}
+_CONFIG_FIELD_KEY = {"variant": "hierarchy_variant",
+                     "expect_default": "expectation.default",
+                     "expect_overrides": "expectation.overrides"}
+
+
+def _accepted_keys() -> set[str]:
+    keys = scenario.CONFIG_KEYS - {"expectation", *_SECTIONS}
+    keys |= {f"expectation.{k}" for k in scenario.EXPECTATION_KEYS}
+    for section, cls in _SECTIONS.items():
+        keys |= {f"{section}.{f.name}" for f in dataclasses.fields(cls)}
+    return keys
+
+
+def _keys_in_file(raw: dict) -> set[str]:
+    keys = set()
+    for key, value in raw.items():
+        if isinstance(value, dict) and key in ("expectation", *_SECTIONS):
+            keys |= {f"{key}.{sub}" for sub in value}
+        else:
+            keys.add(key)
+    return keys
+
+
+def _keys_in_bench(tree: ast.Module) -> set[str]:
+    keys = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = getattr(node.func, "attr", getattr(node.func, "id", ""))
+        for keyword in node.keywords:
+            if func in _KEYWORD_PREFIX:
+                keys.add(_KEYWORD_PREFIX[func] + keyword.arg)
+            elif func in ("ScenarioConfig", "replace"):
+                keys.add(_CONFIG_FIELD_KEY.get(keyword.arg, keyword.arg))
+    return keys
+
+
+def test_every_config_key_is_set():
+    """A key only tests set is listed with its reason; one nothing sets is
+    a value to make a constant or delete."""
+    used = set()
+    for path in CONFIGS:
+        used |= _keys_in_file(json.loads(path.read_text()))
+    for path in BENCH:
+        used |= _keys_in_bench(_tree(path))
+    unset = _accepted_keys() - used - set(TEST_ONLY_KEYS)
+    assert not unset, f"no config or bench workload sets {sorted(unset)}"
+    listed = set(TEST_ONLY_KEYS)
+    stale = (listed & used) | (listed - _accepted_keys())
+    assert not stale, f"listed as test-only but set or not accepted: {stale}"

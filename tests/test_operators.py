@@ -80,7 +80,7 @@ def test_list_verification_is_key_specific(world):
     assert not crypto.verify_envelope(sp2.signing_key.public_key, envelope)
 
 
-def prepared_transfer(world, **option_kwargs):
+def prepared_transfer(world, ra_uri=None, contact_before_enroll=False):
     """SP2's side of the transfer: register the listed factory certificates
     with CA2, then sign the transfer CWT for CA2's enroll URI."""
     h, sp1, sp2 = world
@@ -89,8 +89,9 @@ def prepared_transfer(world, **option_kwargs):
     info = decode(UpdateInfoList, envelope.payload)
     enroll_uri = pki.register_factory_certs(
         h.ca2, [e.factory_certificate for e in info.entries], 1000)
-    options = operators.TransferOptions(**option_kwargs)
-    return operators.sp2_prepare_transfer(sp2, info, enroll_uri, options)
+    return operators.sp2_prepare_transfer(
+        sp2, info, enroll_uri, ra_uri=ra_uri,
+        contact_before_enroll=contact_before_enroll)
 
 
 def test_prepare_transfer_registers_and_signs(world):
@@ -149,16 +150,6 @@ def test_relay_rewrites_only_fallback(world):
     for field in ("reset_time_not_before", "reset_time_not_after", "ra_uri",
                   "update_uri", "contact_before_enroll", "enroll_uri"):
         assert getattr(rewritten, field) == getattr(original, field)
-
-
-def test_relay_optionally_narrows_window(world):
-    h, sp1, sp2 = world
-    sp2_envelope = prepared_transfer(world)
-    relayed = operators.sp1_relay_transfer(sp1, sp2_envelope, b"device-001",
-                                           narrow_window=True)
-    rewritten = decode(TransferMessage, relayed.payload)
-    assert (rewritten.reset_time_not_before, rewritten.reset_time_not_after) \
-        == sp1.managed_devices[b"device-001"].window
 
 
 def test_relay_rejects_tampered_envelope(world):

@@ -273,6 +273,7 @@ def test_adversary_module_is_payload_opaque():
 
 
 def test_unknown_adversary_action_rejected():
-    schedule = AdversarySchedule(rules=[AdversaryRule(action="teleport")])
+    """An unknown action is refused when the rule is built, so a rule that
+    would never fire cannot hide it."""
     with pytest.raises(ScenarioInvalid):
-        adversary_apply(schedule, make_event(), counter())
+        AdversaryRule(action="teleport")
