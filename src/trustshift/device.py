@@ -225,9 +225,10 @@ def _install_offered_version(state: DeviceState, version_bytes: bytes,
 # network operations (simulator processes)
 # ---------------------------------------------------------------------------
 
-def _enroll_once(state: DeviceState, net: peers.NetHandle,
+def _enroll(state: DeviceState, net: peers.NetHandle,
                  server_keygen: bool):
-    """One enrollment exchange at endpoints.ca_uri; raises EnrollRejected."""
+    """One enrollment exchange at endpoints.ca_uri, installing a new key and
+    its certificate; raises EnrollRejected. Callers set the phase."""
     ca_actor = net.resolve(state.endpoints.ca_uri)
     if ca_actor is None:
         raise EnrollRejected("no_route_to_ca")
@@ -245,8 +246,8 @@ def _enroll_once(state: DeviceState, net: peers.NetHandle,
         csr = pki.make_csr(state.device_id, new_key, CertProfile.OPERATIONAL)
         request = wire.EnrollReq(encode(csr), False)
 
-    reply, status = yield from peers.session_call(
-        net, sess, ca_actor, request, (wire.EnrollRsp,))
+    reply, status = yield from peers.session_call(net, sess, request,
+                                                  (wire.EnrollRsp,))
     if reply is None:
         raise EnrollRejected(status)
     if not reply.ok:
@@ -274,46 +275,19 @@ def _enroll_once(state: DeviceState, net: peers.NetHandle,
     state.operational_key = new_key
     state.operational_cert = cert
     state.operational_chain = chain
-    return sess
 
 
-def initial_enroll(state: DeviceState, net: peers.NetHandle,
-                   server_keygen: bool):
-    """Initial enrollment for an operational certificate; device stays
-    provisioned and may retry on EnrollRejected."""
-    if state.phase is not DevicePhase.PROVISIONED:
-        raise WrongPhase(f"initial enroll in phase {state.phase.value}")
-    yield from _enroll_once(state, net, server_keygen)
-    state.set_phase(DevicePhase.ENROLLED, net.note)
-
-
-def reenroll(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
-    """Re-enrollment with the post-transfer CA using a fresh keypair."""
-    if state.phase not in (DevicePhase.RESET_DONE, DevicePhase.ATTESTED,
-                           DevicePhase.UPDATED):
-        raise WrongPhase(f"reenroll in phase {state.phase.value}")
-    previous_key = state.operational_key
-    yield from _enroll_once(state, net, server_keygen)
-    if previous_key is not None \
-            and state.operational_key.public_key == previous_key.public_key:
-        raise EnrollRejected("key_not_fresh")
-    state.set_phase(DevicePhase.REENROLLED, net.note)
-
-
-def _ra_exchange(state: DeviceState, net: peers.NetHandle, dst: str,
-                 sess) -> object:
+def _ra_exchange(state: DeviceState, net: peers.NetHandle, sess) -> object:
     """Challenge-response attestation on an open session; returns verdict."""
     reply, status = yield from peers.session_call(
-        net, sess, dst, wire.RaHello(state.device_id), (wire.RaChallenge,))
+        net, sess, wire.RaHello(state.device_id), (wire.RaChallenge,))
     if reply is None:
         return None
     measurement = operators.ra_respond(state.firmware, reply.nonce)
     verdict, status = yield from peers.session_call(
-        net, sess, dst, wire.RaReport(state.device_id, reply.nonce, measurement),
+        net, sess, wire.RaReport(state.device_id, reply.nonce, measurement),
         (wire.RaVerdict,))
-    if verdict is None:
-        return None
-    return verdict.ok
+    return None if verdict is None else verdict.ok
 
 
 def contact_fallback(state: DeviceState, net: peers.NetHandle, reason: str):
@@ -322,20 +296,19 @@ def contact_fallback(state: DeviceState, net: peers.NetHandle, reason: str):
     outcome in the trace."""
     net.note("fallback_start", reason=reason)
     contacted = False
-    dst = net.resolve(state.endpoints.fallback_uri)
     for _ in range(3):  # session-level attempts on top of call retries
         sess, status = yield from peers.open_session(
-            net, dst, state.factory_credential(), state.truststore,
-            purpose="fallback")
+            net, net.resolve(state.endpoints.fallback_uri),
+            state.factory_credential(), state.truststore, purpose="fallback")
         if sess is None:
             continue
         reply, status = yield from peers.session_call(
-            net, sess, dst, wire.FallbackReq(state.device_id, reason),
+            net, sess, wire.FallbackReq(state.device_id, reason),
             (wire.FallbackRsp,))
         if reply is None:
             continue
         if reply.require_ra:
-            verdict = yield from _ra_exchange(state, net, dst, sess)
+            verdict = yield from _ra_exchange(state, net, sess)
             net.note("fallback_ra", verdict=str(verdict))
         contacted = True
         break
@@ -351,27 +324,25 @@ def run_post_reset_sequence(state: DeviceState, net: peers.NetHandle,
         raise WrongPhase(f"post-reset sequence in phase {state.phase.value}")
 
     if state.endpoints.ra_uri is not None:
-        dst = net.resolve(state.endpoints.ra_uri)
         verdict = None
         sess, status = yield from peers.open_session(
-            net, dst, state.factory_credential(), state.truststore,
-            purpose="ra")
+            net, net.resolve(state.endpoints.ra_uri),
+            state.factory_credential(), state.truststore, purpose="ra")
         if sess is not None:
-            verdict = yield from _ra_exchange(state, net, dst, sess)
+            verdict = yield from _ra_exchange(state, net, sess)
         if verdict is not True:
             yield from contact_fallback(state, net, "ra_failed")
             return
         state.set_phase(DevicePhase.ATTESTED, net.note)
 
     if state.endpoints.contact_update_before_enroll:
-        dst = net.resolve(state.endpoints.update_uri)
         done = False
         sess, status = yield from peers.open_session(
-            net, dst, state.factory_credential(), state.truststore,
-            purpose="update")
+            net, net.resolve(state.endpoints.update_uri),
+            state.factory_credential(), state.truststore, purpose="update")
         if sess is not None:
             reply, status = yield from peers.session_call(
-                net, sess, dst, wire.UpdateCheck(encode(state.firmware)),
+                net, sess, wire.UpdateCheck(encode(state.firmware)),
                 (wire.UpdateRsp,))
             if reply is not None:
                 done = not reply.has_update or _install_offered_version(
@@ -381,11 +352,12 @@ def run_post_reset_sequence(state: DeviceState, net: peers.NetHandle,
             return
         state.set_phase(DevicePhase.UPDATED, net.note)
 
-    try:
-        yield from reenroll(state, net, server_keygen)
+    try:  # re-enrollment with the post-transfer CA; the reset erased the key
+        yield from _enroll(state, net, server_keygen)
     except EnrollRejected as err:
         yield from contact_fallback(state, net, f"enroll_failed:{err.reason}")
         return
+    state.set_phase(DevicePhase.REENROLLED, net.note)
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +367,17 @@ def run_post_reset_sequence(state: DeviceState, net: peers.NetHandle,
 def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
     """Complete device process: enroll, operate under SP1, transfer, re-enroll
     under SP2 (or fall back)."""
-    enrolled = False
     for _attempt in range(ENROLL_ATTEMPTS):
         try:
-            yield from initial_enroll(state, net, server_keygen)
-            enrolled = True
+            yield from _enroll(state, net, server_keygen)
             break
         except EnrollRejected as err:
             net.note("enroll_retry", reason=str(err.reason))
             yield Sleep(RETRY_BACKOFF)
-    if not enrolled:
+    else:
         net.note("enroll_gave_up")
         return
+    state.set_phase(DevicePhase.ENROLLED, net.note)
 
     # Standing session with the SP1 update server: normal operations and the
     # channel over which the operator change arrives.
@@ -414,7 +385,6 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
     if sp1_dst is None:
         net.note("sp1_unreachable")
         return
-    sp1_sess = None
     for _attempt in range(ENROLL_ATTEMPTS):
         sp1_sess, status = yield from peers.open_session(
             net, sp1_dst, state.operational_credential(), state.truststore,
@@ -422,11 +392,11 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
         if sp1_sess is not None:
             break
         yield Sleep(RETRY_BACKOFF)
-    if sp1_sess is None:
+    else:
         net.note("sp1_unreachable")
         return
     reply, status = yield from peers.session_call(
-        net, sp1_sess, sp1_dst, wire.UpdateCheck(encode(state.firmware)),
+        net, sp1_sess, wire.UpdateCheck(encode(state.firmware)),
         (wire.UpdateRsp,))
     if reply is not None and reply.has_update:
         # The routine check installs silently and ignores a garbled offer.
@@ -442,13 +412,13 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
             cert = state.operational_cert
             margin = max(10, (cert.not_after - cert.not_before) // 5)
             timeout = max(1, cert.not_after - margin - net.now())
-        msg, src = yield from peers.session_wait(net, sp1_sess, timeout=timeout)
+        msg = yield from peers.session_wait(net, sp1_sess, timeout=timeout)
         if msg is None:
             if timeout is None:
                 continue
             renewals_left -= 1
             try:
-                yield from _enroll_once(state, net, server_keygen)
+                yield from _enroll(state, net, server_keygen)
                 state.set_phase(DevicePhase.ENROLLED, net.note)
                 net.note("operational_cert_renewed",
                          serial=state.operational_cert.serial)
@@ -489,7 +459,7 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
             net.note("note", what="unexpected_push",
                      got=type(msg).__name__)
             continue
-        yield peers.send_record(sp1_sess, sp1_dst, ack)
+        yield peers.send_record(sp1_sess, ack)
 
     if state.phase is not DevicePhase.TRANSFER_PENDING:
         return
@@ -517,12 +487,11 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
 
     if state.phase is DevicePhase.REENROLLED:
         # Normal operations under SP2 with the new operational identity.
-        dst = net.resolve(state.endpoints.update_uri)
         sess, status = yield from peers.open_session(
-            net, dst, state.operational_credential(), state.truststore,
-            purpose="sp2")
+            net, net.resolve(state.endpoints.update_uri),
+            state.operational_credential(), state.truststore, purpose="sp2")
         if sess is not None:
             reply, status = yield from peers.session_call(
-                net, sess, dst, wire.UpdateCheck(encode(state.firmware)),
+                net, sess, wire.UpdateCheck(encode(state.firmware)),
                 (wire.UpdateRsp,))
             net.note("sp2_checkin", ok=str(reply is not None))

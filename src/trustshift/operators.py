@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from . import crypto, peers, pki, wire
+from . import crypto, peers, pki, session, wire
 from .errors import (
     BadSp2Signature,
+    Error,
     InvariantViolation,
     MalformedEncoding,
     NoExpectedMeasurement,
@@ -56,7 +57,8 @@ class OperatorState:
     # runtime bookkeeping filled by the network actors
     received_list: UpdateInfoList | None = None
     received_tm: SignedEnvelope | None = None
-    device_sessions: dict[bytes, bytes] = field(default_factory=dict)
+    device_sessions: dict[bytes, session.AuthenticatedSession] = field(
+        default_factory=dict)
     acks: dict[bytes, dict[str, bool]] = field(default_factory=dict)
 
 
@@ -219,29 +221,29 @@ class CaActor:
             allowed_profiles=(CertProfile.FACTORY, CertProfile.SERVER))
         sim.register_responder(actor_id, self.peer.handle)
 
-    def _enroll(self, now, entry, msg):
-        if entry.peer_cert.profile is not CertProfile.FACTORY:
+    def _enroll(self, now, sess, msg):
+        if sess.peer_cert.profile is not CertProfile.FACTORY:
             return wire.EnrollRsp(False, b"", b"", (), (), "profile_not_allowed")
         validity = (now, now + self.operational_lifetime)
         try:
             if msg.server_keygen:
-                cert, seed = pki.enroll_server_keygen(self.ca, entry.peer_cert,
+                cert, seed = pki.enroll_server_keygen(self.ca, sess.peer_cert,
                                                       validity)
             else:
                 csr = decode(CertificateSigningRequest, msg.csr_bytes)
-                cert = pki.enroll(self.ca, entry.peer_cert, csr, validity)
+                cert = pki.enroll(self.ca, sess.peer_cert, csr, validity)
                 seed = b""
-        except Exception as err:  # typed protocol errors become reasons
+        except Error as err:  # typed protocol errors become reasons
             return wire.EnrollRsp(False, b"", b"", (), (),
                                   wire.snake_case(type(err).__name__))
         chain = tuple(encode(c) for c in self.ca.issuer_chain)
         return wire.EnrollRsp(True, encode(cert), seed, chain, (), "")
 
-    def _handle_app(self, now, entry, msg):
+    def _handle_app(self, now, sess, msg):
         if isinstance(msg, wire.EnrollReq):
-            return [self._enroll(now, entry, msg)]
+            return [self._enroll(now, sess, msg)]
         if isinstance(msg, wire.RegisterReq):
-            if entry.peer_cert.profile is not CertProfile.SERVER:
+            if sess.peer_cert.profile is not CertProfile.SERVER:
                 return [wire.RegisterRsp(False, "", 0, "profile_not_allowed")]
             try:
                 certs = [decode(CompactCertificate, b) for b in msg.cert_list]
@@ -253,7 +255,7 @@ class CaActor:
                                          wire.snake_case(type(err).__name__))]
             return [wire.RegisterRsp(True, str(uri), 0, "")]
         if isinstance(msg, wire.RevokeReq):
-            if entry.peer_cert.profile is not CertProfile.SERVER:
+            if sess.peer_cert.profile is not CertProfile.SERVER:
                 return [wire.RevokeRsp(False, 0)]
             serials = [s for s in self.ca.issued_serials_for(msg.subject_name)
                        if self.ca.issued[s].profile is CertProfile.OPERATIONAL]
@@ -294,16 +296,15 @@ class OperatorActor:
         self.rng = sim.actor_rng(actor_id + "/ra")
         sim.register_responder(actor_id, self.peer.handle)
 
-    def _ack(self, entry, kind: str, ok: bool) -> None:
-        subject = entry.peer_cert.subject_name
+    def _ack(self, sess, kind: str, ok: bool) -> None:
+        subject = sess.peer_cert.subject_name
         self.state.acks.setdefault(subject, {})[kind] = \
             self.state.acks.get(subject, {}).get(kind, False) or ok
 
-    def _handle_app(self, now, entry, msg):
+    def _handle_app(self, now, sess, msg):
         state = self.state
         if isinstance(msg, wire.UpdateCheck):
-            state.device_sessions[entry.peer_cert.subject_name] = \
-                entry.endpoint.session_id
+            state.device_sessions[sess.peer_cert.subject_name] = sess
             try:
                 version = decode(VersionInfo, msg.version_bytes)
             except (MalformedEncoding, InvariantViolation):
@@ -314,21 +315,21 @@ class OperatorActor:
             return [wire.UpdateRsp(True, encode(delta))]
 
         if isinstance(msg, wire.TransferAck):
-            self._ack(entry, "transfer", msg.accepted)
+            self._ack(sess, "transfer", msg.accepted)
             self.sim.trace.add("transfer_ack", now, actor=self.actor_id,
-                               device=entry.peer_cert.subject_name.decode(
+                               device=sess.peer_cert.subject_name.decode(
                                    errors="replace"),
                                accepted=str(msg.accepted), reason=msg.reason)
             return []
         if isinstance(msg, wire.TrustAck):
-            self._ack(entry, "trust", msg.ok)
+            self._ack(sess, "trust", msg.ok)
             return []
         if isinstance(msg, wire.FinalAck):
-            self._ack(entry, "final", msg.ok)
+            self._ack(sess, "final", msg.ok)
             return []
 
         if isinstance(msg, wire.FallbackReq):
-            if msg.device_id != entry.peer_cert.subject_name:
+            if msg.device_id != sess.peer_cert.subject_name:
                 return [wire.FallbackRsp(False, False)]
             self.sim.trace.add("fallback_served", now, actor=self.actor_id,
                                device=msg.device_id.decode(errors="replace"),
@@ -337,17 +338,17 @@ class OperatorActor:
         if isinstance(msg, (wire.RaHello, wire.RaReport)) \
                 and self.fallback_ra_state is not None:
             return [ra_serve(self.fallback_ra_state, self.rng,
-                             entry.peer_cert.subject_name, msg)]
+                             sess.peer_cert.subject_name, msg)]
 
         if isinstance(msg, (wire.ListDeliver, wire.TmDeliver)):
-            return [self._accept_envelope(now, entry, msg)]
+            return [self._accept_envelope(now, sess, msg)]
         return []
 
-    def _accept_envelope(self, now, entry, msg):
+    def _accept_envelope(self, now, sess, msg):
         """Ack a signed update list (from SP1) or transfer CWT (from SP2),
         storing it once the sender, signature and payload all check out."""
         signer, profile, kind, rejected, size_cls, ack = _DELIVERIES[type(msg)]
-        if entry.peer_cert.profile is not CertProfile.SERVER:
+        if sess.peer_cert.profile is not CertProfile.SERVER:
             return ack(False)
         try:
             envelope = decode(SignedEnvelope, msg.envelope_bytes)
@@ -387,10 +388,10 @@ class RaVerifierActor:
             revocation_view=revocation_view)
         sim.register_responder(actor_id, self.peer.handle)
 
-    def _handle_app(self, now, entry, msg):
+    def _handle_app(self, now, sess, msg):
         if not isinstance(msg, (wire.RaHello, wire.RaReport)):
             return []
-        subject = entry.peer_cert.subject_name
+        subject = sess.peer_cert.subject_name
         reply = ra_serve(self.ra_state, self.rng, subject, msg)
         if isinstance(msg, wire.RaReport) and msg.device_id == subject:
             self.sim.trace.add("ra_verdict", now, actor=self.actor_id,
@@ -428,9 +429,8 @@ def _push_rounds(net: peers.NetHandle, actor: OperatorActor, device_ids,
     pending = set(device_ids)
     for _round in range(PUSH_ROUNDS):
         for device_id in sorted(pending):
-            sid = state.device_sessions.get(device_id)
-            entry = actor.peer.sessions.get(sid) if sid else None
-            if entry is None:
+            sess = state.device_sessions.get(device_id)
+            if sess is None:
                 net.note("push_skipped",
                          device=device_id.decode(errors="replace"),
                          reason="no_session")
@@ -438,8 +438,7 @@ def _push_rounds(net: peers.NetHandle, actor: OperatorActor, device_ids,
             acked = state.acks.get(device_id, {})
             for kind, build in pushes.items():
                 if not acked.get(kind, False):
-                    yield peers.send_record(entry.endpoint, entry.initiator,
-                                            build(device_id))
+                    yield peers.send_record(sess, build(device_id))
         yield Sleep(ACK_WAIT)
         pending = {d for d in pending
                    if not all(state.acks.get(d, {}).get(k, False)
@@ -447,6 +446,24 @@ def _push_rounds(net: peers.NetHandle, actor: OperatorActor, device_ids,
         if not pending:
             break
     return pending
+
+
+def _exchange(net: peers.NetHandle, actor: OperatorActor, dst: str,
+              purpose: str, request, expect: type, step: str):
+    """Open a session to `dst` under the actor's server credential and make
+    one call; the reply, or None with a `transfer_aborted` entry naming the
+    session or `step` when either fails or the reply is not ok."""
+    sess, status = yield from peers.open_session(
+        net, dst, actor.peer.credential, actor.peer.truststore, purpose=purpose)
+    if sess is None:
+        net.note("transfer_aborted", step=f"{dst}_session", status=status)
+        return None
+    reply, status = yield from peers.session_call(net, sess, request, (expect,))
+    if reply is None or not reply.ok:
+        net.note("transfer_aborted", step=step,
+                 status=getattr(reply, "reason", status))
+        return None
+    return reply
 
 
 def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
@@ -457,7 +474,6 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
     firmware), relay the CWT per device, then revoke the old certificates.
     Sessions are opened with the update server's credential and truststore."""
     state = actor.state
-    credential, store = actor.peer.credential, actor.peer.truststore
     yield Sleep(start_time)
 
     envelope = sp1_build_update_info_list(state, device_ids)
@@ -470,16 +486,9 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
         net.note("size", cls="device_update_info",
                  bytes=len(encode(info_list.entries[0])))
 
-    sess, status = yield from peers.open_session(net, SP2_ACTOR,
-                                                 credential, store,
-                                                 purpose="sp1sp2")
-    if sess is None:
-        net.note("transfer_aborted", step="sp2_session", status=status)
-        return
-    reply, status = yield from peers.session_call(
-        net, sess, SP2_ACTOR, wire.ListDeliver(env_bytes), (wire.ListAck,))
-    if reply is None or not reply.ok:
-        net.note("transfer_aborted", step="list_deliver", status=status)
+    if (yield from _exchange(net, actor, SP2_ACTOR, "sp1sp2",
+                             wire.ListDeliver(env_bytes), wire.ListAck,
+                             "list_deliver")) is None:
         return
 
     polls = 0
@@ -524,16 +533,15 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
                                       {"transfer": transfer_deliver})
     net.note("transfer_pushes_done", unacked=len(pending))
 
-    sess, status = yield from peers.open_session(net, CA1_ACTOR,
-                                                 credential, store,
-                                                 purpose="revoke")
+    sess, status = yield from peers.open_session(
+        net, CA1_ACTOR, actor.peer.credential, actor.peer.truststore,
+        purpose="revoke")
     if sess is None:
         net.note("revocation_failed", status=status)
         return
     for device_id in sorted(set(device_ids)):
         reply, status = yield from peers.session_call(
-            net, sess, CA1_ACTOR, wire.RevokeReq(device_id),
-            (wire.RevokeRsp,))
+            net, sess, wire.RevokeReq(device_id), (wire.RevokeRsp,))
         if reply is None:
             net.note("revocation_failed",
                      device=device_id.decode(errors="replace"),
@@ -547,7 +555,6 @@ def sp2_transfer_process(net: peers.NetHandle, actor: OperatorActor,
     """SP2 side: receive the signed list, register with CA2 (or, given
     `unregistered_enroll_uri`, skip that and send it), send the CWT."""
     state = actor.state
-    credential, store = actor.peer.credential, actor.peer.truststore
     polls = 0
     while state.received_list is None:
         polls += 1
@@ -562,20 +569,12 @@ def sp2_transfer_process(net: peers.NetHandle, actor: OperatorActor,
         enroll_uri = unregistered_enroll_uri
         net.note("registration_skipped")
     else:
-        sess, status = yield from peers.open_session(net, CA2_ACTOR,
-                                                     credential, store,
-                                                     purpose="register")
-        if sess is None:
-            net.note("transfer_aborted", step="ca2_session", status=status)
-            return
         cert_list = tuple(encode(e.factory_certificate)
                           for e in state.received_list.entries)
-        reply, status = yield from peers.session_call(
-            net, sess, CA2_ACTOR, wire.RegisterReq(cert_list),
-            (wire.RegisterRsp,))
-        if reply is None or not reply.ok:
-            net.note("transfer_aborted", step="register",
-                     status=(reply.reason if reply else status))
+        reply = yield from _exchange(net, actor, CA2_ACTOR, "register",
+                                     wire.RegisterReq(cert_list),
+                                     wire.RegisterRsp, "register")
+        if reply is None:
             return
         enroll_uri = Uri(reply.enroll_uri)
 
@@ -585,15 +584,8 @@ def sp2_transfer_process(net: peers.NetHandle, actor: OperatorActor,
     net.note("size", cls="transfer_message_payload", bytes=len(envelope.payload))
     net.note("size", cls="transfer_message_envelope", bytes=len(env_bytes))
 
-    sess, status = yield from peers.open_session(net, SP1_ACTOR,
-                                                 credential, store,
-                                                 purpose="sp2sp1")
-    if sess is None:
-        net.note("transfer_aborted", step="sp1_session", status=status)
-        return
-    reply, status = yield from peers.session_call(
-        net, sess, SP1_ACTOR, wire.TmDeliver(env_bytes), (wire.TmAck,))
-    if reply is None or not reply.ok:
-        net.note("transfer_aborted", step="tm_deliver", status=status)
+    if (yield from _exchange(net, actor, SP1_ACTOR, "sp2sp1",
+                             wire.TmDeliver(env_bytes), wire.TmAck,
+                             "tm_deliver")) is None:
         return
     net.note("sp2_orchestration_done")

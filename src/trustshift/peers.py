@@ -1,14 +1,16 @@
 """Session machinery on top of the simulator for both kinds of actor.
 
-Initiator side: generator helpers (open_session, session_call) that device
-and operator processes drive via `yield from`. Responder side: a session
-table keyed by session id with handshake freshness tracking, wrapping an
-application-level request handler.
+Initiator side: generator helpers (open_session, session_call, session_wait)
+that device and operator processes drive via `yield from`, all parked on
+one reply loop that notes and discards each frame that is not the reply.
+Responder side: a session table keyed by session id with handshake
+freshness tracking, wrapping an application-level request handler.
 
-Both sides derive, frame and accept through `session`; every record
-acceptance or rejection lands in the trace as one `record` entry keyed by
-(actor, session id, sequence number), written by `_accept_record` alone.
-Replay analysis in tests is built entirely on those entries.
+Both sides derive, frame and accept through `session`; a session knows its
+peer's actor id. Every record acceptance or rejection lands in the trace as
+one `record` entry keyed by (actor, session id, sequence number), written by
+`_accept_record` alone. Replay analysis in tests is built entirely on those
+entries.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from .simnet import TIMEOUT, Transmit, WaitMessage
 
 # Simulated time units an initiator waits for a reply, and how many times it
 # resends before giving up.
-CALL_TIMEOUT = 8
-CALL_RETRIES = 3
-HANDSHAKE_TIMEOUT = 8
-HANDSHAKE_RETRIES = 3
+REPLY_TIMEOUT = 8
+RETRIES = 3
 
 
 class NetHandle:
@@ -81,15 +81,32 @@ def _accept_record(trace: simnet.Trace, now: int, actor: str,
     return outcome, payload
 
 
-def send_record(sess: session.AuthenticatedSession, dst: str,
-                app_msg) -> Transmit:
-    """The next record of `sess`, carrying `app_msg`, addressed to `dst`."""
-    return Transmit(dst, session.send(sess, app_msg), label=app_msg.LABEL)
+def send_record(sess: session.AuthenticatedSession, app_msg) -> Transmit:
+    """The next record of `sess`, carrying `app_msg`, addressed to its peer."""
+    return Transmit(sess.peer, session.send(sess, app_msg), label=app_msg.LABEL)
 
 
 # ---------------------------------------------------------------------------
 # initiator side
 # ---------------------------------------------------------------------------
+
+def _await_reply(net: NetHandle, pick, timeout: int | None):
+    """Park until `pick(data)` makes a result of an inbound frame (None: the
+    frame is discarded) or `timeout` expires; returns the result or None."""
+    deadline = None if timeout is None else net.now() + timeout
+    while True:
+        remaining = None
+        if deadline is not None:
+            remaining = deadline - net.now()
+            if remaining <= 0:
+                return None
+        got = yield WaitMessage(timeout=remaining)
+        if got is TIMEOUT:
+            return None
+        result = pick(got[1])
+        if result is not None:
+            return result
+
 
 def open_session(net: NetHandle, dst: str, cred: pki.Credential,
                  store: pki.TrustStore, purpose: str = "session"):
@@ -101,109 +118,88 @@ def open_session(net: NetHandle, dst: str, cred: pki.Credential,
     """
     if dst is None:
         return None, "no_route"
-    for _attempt in range(HANDSHAKE_RETRIES + 1):
-        ephemeral = net.rng.randbytes(32)
-        cert_bytes, inter_bytes = _cred_to_wire(cred)
-        hello = wire.encode_wire(wire.Hello(ephemeral, cert_bytes, inter_bytes))
-        yield Transmit(dst, hello, label=f"{purpose}.hello")
-        deadline = net.now() + HANDSHAKE_TIMEOUT
-        while True:
-            remaining = deadline - net.now()
-            if remaining <= 0:
-                break
-            got = yield WaitMessage(timeout=remaining)
-            if got is TIMEOUT:
-                break
-            _src, data = got
-            try:
-                msg = wire.decode_wire(data)
-            except MalformedEncoding:
-                net.note("note", what="malformed_frame_discarded", purpose=purpose)
-                continue
-            if isinstance(msg, wire.Accept):
-                if msg.echo_ephemeral != ephemeral:
-                    net.note("handshake", outcome="stale_accept_discarded",
-                             purpose=purpose)
-                    continue
-                try:
-                    peer_cert, inters = _cred_from_wire(msg.cert_bytes,
-                                                        msg.intermediates)
-                except Error:
-                    net.note("handshake", outcome="bad_accept_cert",
-                             purpose=purpose)
-                    continue
-                check = pki.verify_chain(peer_cert, list(inters), store,
-                                         net.now(), net.revocation_view)
-                if not check:
-                    return None, f"peer_untrusted:{check.reason.value}"
-                return session.derive(ephemeral, msg.ephemeral, peer_cert), "ok"
-            if isinstance(msg, wire.Reject):
-                if msg.echo_ephemeral != ephemeral:
-                    net.note("handshake", outcome="stale_reject_discarded",
-                             purpose=purpose)
-                    continue
-                return None, f"peer_rejected:{msg.reason}"
+
+    def pick(data):
+        try:
+            msg = wire.decode_wire(data)
+        except MalformedEncoding:
+            net.note("note", what="malformed_frame_discarded", purpose=purpose)
+            return None
+        if not isinstance(msg, (wire.Accept, wire.Reject)):
             net.note("note", what="unexpected_frame_discarded", purpose=purpose)
+            return None
+        if msg.echo_ephemeral != ephemeral:
+            net.note("handshake", outcome=f"stale_{msg.LABEL}_discarded",
+                     purpose=purpose)
+            return None
+        if isinstance(msg, wire.Reject):
+            return None, f"peer_rejected:{msg.reason}"
+        try:
+            peer_cert, inters = _cred_from_wire(msg.cert_bytes,
+                                                msg.intermediates)
+        except Error:
+            net.note("handshake", outcome="bad_accept_cert", purpose=purpose)
+            return None
+        check = pki.verify_chain(peer_cert, list(inters), store, net.now(),
+                                 net.revocation_view)
+        if not check:
+            return None, f"peer_untrusted:{check.reason.value}"
+        return session.derive(ephemeral, msg.ephemeral, peer_cert, dst), "ok"
+
+    for _attempt in range(RETRIES + 1):
+        ephemeral = net.rng.randbytes(32)
+        hello = wire.Hello(ephemeral, *_cred_to_wire(cred))
+        yield Transmit(dst, wire.encode_wire(hello), label=f"{purpose}.hello")
+        outcome = yield from _await_reply(net, pick, REPLY_TIMEOUT)
+        if outcome is not None:
+            return outcome
     return None, "timeout"
 
 
-def _receive_record(net: NetHandle, sess: session.AuthenticatedSession,
-                    data: bytes):
-    """Session-layer filter for one inbound frame; returns payload or None."""
+def _pick_record(net: NetHandle, sess: session.AuthenticatedSession, data):
+    """The application message of an inbound frame accepted on `sess`, or
+    None once the frame is noted and discarded."""
     frame = wire.parse_record_frame(data)
     if frame is None:
         net.note("note", what="non_record_frame_discarded")
         return None
-    return _accept_record(net.sim.trace, net.now(), net.actor_id, sess,
-                          frame)[1]
+    payload = _accept_record(net.sim.trace, net.now(), net.actor_id, sess,
+                             frame)[1]
+    try:
+        return None if payload is None else wire.decode_wire(payload)
+    except MalformedEncoding:
+        net.note("note", what="malformed_app_payload")
+        return None
 
 
-def session_call(net: NetHandle, sess: session.AuthenticatedSession, dst: str,
-                 request, expect: tuple[type, ...]):
-    """Request/response over an established session with retries.
+def session_call(net: NetHandle, sess: session.AuthenticatedSession, request,
+                 expect: tuple[type, ...]):
+    """Request/response over an established session with retries; returns
+    (reply message, "ok") or (None, "timeout"). Records that are not the
+    reply are discarded, and so is a valid but unexpected application
+    message (our flows are strictly lock-step per session)."""
+    def pick(data):
+        reply = _pick_record(net, sess, data)
+        if reply is None or isinstance(reply, expect):
+            return reply
+        net.note("note", what="unexpected_app_message",
+                 got=type(reply).__name__)
+        return None
 
-    Returns (reply message, "ok") or (None, "timeout"). Replayed, duplicate
-    or alien records observed while waiting are discarded and the wait
-    continues; an unexpected but valid application message is also
-    discarded (our flows are strictly lock-step per session).
-    """
-    for _attempt in range(CALL_RETRIES + 1):
-        yield send_record(sess, dst, request)
-        deadline = net.now() + CALL_TIMEOUT
-        while True:
-            reply, _src = yield from session_wait(net, sess,
-                                                  deadline - net.now())
-            if reply is None:
-                break
-            if isinstance(reply, expect):
-                return reply, "ok"
-            net.note("note", what="unexpected_app_message",
-                     got=type(reply).__name__)
+    for _attempt in range(RETRIES + 1):
+        yield send_record(sess, request)
+        reply = yield from _await_reply(net, pick, REPLY_TIMEOUT)
+        if reply is not None:
+            return reply, "ok"
     return None, "timeout"
 
 
 def session_wait(net: NetHandle, sess: session.AuthenticatedSession,
                  timeout: int | None = None):
-    """Park on a session until the next accepted record; (msg, src) or None."""
-    deadline = None if timeout is None else net.now() + timeout
-    while True:
-        remaining = None
-        if deadline is not None:
-            remaining = deadline - net.now()
-            if remaining <= 0:
-                return None, None
-        got = yield WaitMessage(timeout=remaining)
-        if got is TIMEOUT:
-            return None, None
-        src, data = got
-        payload = _receive_record(net, sess, data)
-        if payload is None:
-            continue
-        try:
-            return wire.decode_wire(payload), src
-        except MalformedEncoding:
-            net.note("note", what="malformed_app_payload")
-            continue
+    """Park on a session until the next accepted record; its message, or
+    None once `timeout` expires."""
+    return (yield from _await_reply(
+        net, lambda data: _pick_record(net, sess, data), timeout))
 
 
 # ---------------------------------------------------------------------------
@@ -211,22 +207,12 @@ def session_wait(net: NetHandle, sess: session.AuthenticatedSession,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PeerSession:
-    endpoint: session.AuthenticatedSession
-    initiator: str
-
-    @property
-    def peer_cert(self) -> CompactCertificate:
-        return self.endpoint.peer_identity
-
-
-@dataclass
 class ResponderPeer:
     """Server-side endpoint: handshake acceptance plus per-session dispatch.
 
     `handle` is the simulator responder: it answers the sender of each
-    frame. `app_handler(now, peer_session, msg)` returns a list of wire
-    messages to send back on the same session.
+    frame. `app_handler(now, sess, msg)` returns a list of wire messages to
+    send back on the same session.
     """
 
     sim: simnet.Simulator
@@ -237,7 +223,7 @@ class ResponderPeer:
     revocation_view: set[int] = frozenset()
     allowed_profiles: tuple[CertProfile, ...] = (
         CertProfile.FACTORY, CertProfile.OPERATIONAL, CertProfile.SERVER)
-    sessions: dict[bytes, PeerSession] = field(default_factory=dict)
+    sessions: dict[bytes, session.AuthenticatedSession] = field(default_factory=dict)
     seen_ephemerals: set[bytes] = field(default_factory=set)
 
     def __post_init__(self):
@@ -266,7 +252,7 @@ class ResponderPeer:
         self.seen_ephemerals.add(msg.ephemeral)
         try:
             peer_cert, inters = _cred_from_wire(msg.cert_bytes, msg.intermediates)
-        except Exception:
+        except Error:
             return self._reject(src, msg.ephemeral, "bad_certificate")
         check = pki.verify_chain(peer_cert, list(inters), self.truststore,
                                  now, self.revocation_view)
@@ -276,28 +262,27 @@ class ResponderPeer:
             return self._reject(src, msg.ephemeral, "profile_not_allowed")
 
         responder_ephemeral = self.rng.randbytes(32)
-        endpoint = session.derive(msg.ephemeral, responder_ephemeral, peer_cert)
-        self.sessions[endpoint.session_id] = PeerSession(endpoint, src)
-        self.sim.trace.add("session", now, sid=endpoint.session_id.hex(),
-                           fp=endpoint.session_key_fingerprint.hex(),
+        sess = session.derive(msg.ephemeral, responder_ephemeral, peer_cert,
+                              src)
+        self.sessions[sess.session_id] = sess
+        self.sim.trace.add("session", now, sid=sess.session_id.hex(),
+                           fp=sess.session_key_fingerprint.hex(),
                            a=src, b=self.actor_id)
-        cert_bytes, inter_bytes = _cred_to_wire(self.credential)
         accept = wire.encode_wire(wire.Accept(
-            msg.ephemeral, responder_ephemeral, cert_bytes, inter_bytes))
+            msg.ephemeral, responder_ephemeral, *_cred_to_wire(self.credential)))
         return "hello_accepted", [(src, accept, "accept")]
 
     def _on_record(self, now, src, frame):
-        entry = self.sessions.get(frame.session_id)
+        sess = self.sessions.get(frame.session_id)
         outcome, payload = _accept_record(self.sim.trace, now, self.actor_id,
-                                          entry.endpoint if entry else None,
-                                          frame)
+                                          sess, frame)
         if payload is None:
             return outcome, []
         try:
             app_msg = wire.decode_wire(payload)
         except MalformedEncoding:
             return "malformed_app", []
-        replies = self.app_handler(now, entry, app_msg)
+        replies = self.app_handler(now, sess, app_msg)
         return f"accepted:{app_msg.LABEL}", [
-            (src, session.send(entry.endpoint, reply), reply.LABEL)
+            (src, session.send(sess, reply), reply.LABEL)
             for reply in replies]

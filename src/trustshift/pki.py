@@ -103,9 +103,8 @@ class TrustStore:
     def persistent_only(self) -> "TrustStore":
         """The store that survives a device reset."""
         out = TrustStore()
-        for name, cert in self._roots.items():
-            if self._persist[name]:
-                out.add_root(cert, persist=True)
+        out._roots = {n: c for n, c in self._roots.items() if self._persist[n]}
+        out._persist = dict.fromkeys(out._roots, True)
         return out
 
 

@@ -69,6 +69,8 @@ class ScenarioConfig:
     expect_overrides: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        for part in (self, self.options, self.faults):
+            simnet.check_fields(part)
         if self.variant not in pki.VARIANTS:
             raise ScenarioInvalid(f"unknown hierarchy variant {self.variant!r}")
         if self.device_count < 1:
@@ -80,6 +82,10 @@ class ScenarioConfig:
         if strays:
             raise ScenarioInvalid(f"{strays} name no device of the "
                                   f"{self.device_count}")
+        unknown = {self.expect_default, *self.expect_overrides.values()} \
+            - {p.value for p in device.DevicePhase}
+        if unknown:
+            raise ScenarioInvalid(f"{sorted(unknown)} are not device phases")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -94,9 +100,6 @@ class ScenarioConfig:
             f"expectation.{k}" for k in set(expectation) - EXPECTATION_KEYS)
         if unknown:
             raise ConfigParseError(f"unknown config keys {unknown}")
-        for key in ("device_count", "seed"):
-            if type(raw.get(key, 1)) is not int:  # bool is not a JSON integer
-                raise ConfigParseError(f"{key} must be an integer")
         try:
             return cls(
                 name=raw.get("name", "scenario"),
@@ -313,6 +316,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                                         pki.TrustPhase.PRE_ENROLL)
     pre_transfer = pki.minimal_truststore(config.variant,
                                           pki.TrustPhase.PRE_TRANSFER)
+    initial_store = pki.TrustStore()  # each device gets a copy
+    for name in sorted(pre_enroll):
+        initial_store.add_root(hierarchy.root_cert(name),
+                               persist=name in pre_transfer)
     devices: dict[str, device.DeviceState] = {}
     ra_state = operators.RaVerifierState()
     for index in range(config.device_count):
@@ -323,10 +330,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         factory_cert = pki.issue_certificate(hierarchy.permanent, csr,
                                              CertProfile.FACTORY,
                                              (0, FACTORY_LIFETIME))
-        initial_store = pki.TrustStore()
-        for name in sorted(pre_enroll):
-            initial_store.add_root(hierarchy.root_cert(name),
-                                   persist=name in pre_transfer)
         state = device.DeviceState(device_id=device_id, firmware=base_version)
         net = peers.NetHandle(sim, actor_id)
         device.provision_factory(state, factory_key, factory_cert,

@@ -3,10 +3,10 @@
 A session is derived once both handshake ephemerals are known and the
 peer's certificate chain has verified against the local truststore
 (`peers.open_session` on the initiator side, `ResponderPeer` on the
-responder side). Its id and key fingerprint are hashes of the two
-ephemerals. Records are framed with the session id and a per-direction,
-strictly increasing sequence number, and each record is accepted at most
-once, in order.
+responder side). It holds the peer's verified certificate and actor id;
+its id and key fingerprint are hashes of the two ephemerals. Records are
+framed with the session id and a per-direction, strictly increasing
+sequence number, and each record is accepted at most once, in order.
 
 This is a model, not yet a stand-in for DTLS/EDHOC: the handshake has no
 proof of possession of the certificate's key, no key is ever derived (the
@@ -28,7 +28,8 @@ SESSION_ID_LEN = 8
 
 @dataclass
 class AuthenticatedSession:
-    peer_identity: CompactCertificate
+    peer_cert: CompactCertificate
+    peer: str  # the other end's actor id
     session_id: bytes
     session_key_fingerprint: bytes
     send_seq: int = 0
@@ -36,12 +37,12 @@ class AuthenticatedSession:
 
 
 def derive(initiator_ephemeral: bytes, responder_ephemeral: bytes,
-           peer_cert: CompactCertificate) -> AuthenticatedSession:
-    """One endpoint of the session the two ephemerals define; `peer_cert`
-    is the other side's already verified certificate."""
+           peer_cert: CompactCertificate, peer: str) -> AuthenticatedSession:
+    """One endpoint of the session the two ephemerals define, with actor
+    `peer`; `peer_cert` is that side's already verified certificate."""
     material = initiator_ephemeral + responder_ephemeral
     return AuthenticatedSession(
-        peer_identity=peer_cert,
+        peer_cert=peer_cert, peer=peer,
         session_id=crypto.digest(b"session-id" + material)[:SESSION_ID_LEN],
         session_key_fingerprint=crypto.digest(b"session-key" + material))
 

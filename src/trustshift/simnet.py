@@ -17,6 +17,8 @@ import fnmatch
 import hashlib
 import heapq
 import random
+import types
+import typing
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -114,6 +116,26 @@ ADVERSARY_ACTIONS = ("drop", "replay", "modify", "record", "inject_recorded",
                      "inject")
 
 
+def _is_a(value, hint) -> bool:
+    """isinstance against a resolved annotation; a bool is no int, as in JSON."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(_is_a(value, a) for a in args)
+    if origin is not None:  # a container; a list's items are checked too
+        return isinstance(value, origin) and (
+            origin is not list or all(_is_a(v, args[0]) for v in value))
+    return type(value) is int if hint is int else isinstance(value, hint)
+
+
+def check_fields(obj) -> None:
+    """Refuse a dataclass holding a field value of another type than its
+    annotation: config values are checked when read, not when first used."""
+    for name, hint in typing.get_type_hints(type(obj)).items():
+        if not _is_a(getattr(obj, name), hint):
+            raise ScenarioInvalid(f"{type(obj).__name__}.{name} must be "
+                                  f"{hint}, not {getattr(obj, name)!r}")
+
+
 @dataclass
 class AdversaryRule:
     """One trigger/action pair over in-flight transmissions."""
@@ -134,8 +156,13 @@ class AdversaryRule:
     every_k: int = 1
 
     def __post_init__(self):
+        check_fields(self)
         if self.action not in ADVERSARY_ACTIONS:
             raise ScenarioInvalid(f"unknown adversary action {self.action!r}")
+        if self.delay < 0 or self.every_k < 1 or not 0 <= self.xor_mask <= 255 \
+                or (self.first_n or 0) < 0:
+            raise ScenarioInvalid("adversary rule needs delay >= 0, every_k >= 1,"
+                                  " first_n >= 0 and 0 <= xor_mask <= 255")
 
     def matches(self, event: SimEvent) -> bool:
         return (fnmatch.fnmatchcase(event.src, self.match_src)

@@ -34,7 +34,7 @@ def hello_for(cred, rng):
 
 
 def open_session_against(sim, responder, cred, seed=5):
-    """Drive the responder's handshake directly; returns the PeerSession."""
+    """Drive the responder's handshake directly; returns its session."""
     rng = random.Random(seed)
     disposition, _sends = responder.handle(0, "tester", hello_for(cred, rng))
     if disposition != "hello_accepted":
@@ -53,7 +53,7 @@ def initiator_session(responder, cred, seed=5):
     assert disposition == "hello_accepted", disposition
     accept = wire.decode_wire(data)
     return session.derive(ephemeral, accept.ephemeral,
-                          responder.credential.certificate)
+                          responder.credential.certificate, responder.actor_id)
 
 
 def call(responder, sess, msg):

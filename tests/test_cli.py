@@ -94,11 +94,27 @@ def test_run_exit_one_on_expectation_mismatch(tmp_path, capsys):
     {"adversary": [{"action": "explode", "match_label": "nothing"}]},
     {"adversary": [{"action": "inject", "inject_payload_hex": "zz"}]},
     {"adversary": ["drop"]},
+    {"adversary": [{"action": "replay", "delay": "x"}]},
+    {"adversary": [{"action": "drop", "match_src": 5}]},
+    {"adversary": [{"action": "replay", "delay": -5}]},
+    {"adversary": [{"action": "drop", "every_k": 0}]},
+    {"adversary": [{"action": "drop", "first_n": -1}]},
+    {"adversary": [{"action": "modify", "xor_mask": 256}]},
+    {"options": {"use_ra": "false"}},
+    {"faults": {"skip_ca2_registration": "no"}},
+    {"expectation": {"default": "reenroled"}},
+    {"expectation": {"default": "reenrolled",
+                     "overrides": {"device-001": "gone"}}},
 ], ids=["missing_file", "misspelt_key", "fractional_count", "string_count",
         "bool_seed", "override_names_no_device", "unknown_expectation_key",
         "tamper_names_no_device", "removed_option", "windows_key",
         "transfer_start_key", "event_budget_key", "adversary_unknown_field",
-        "adversary_unknown_action", "adversary_bad_hex", "adversary_not_object"])
+        "adversary_unknown_action", "adversary_bad_hex", "adversary_not_object",
+        "adversary_string_delay", "adversary_int_pattern",
+        "adversary_negative_delay", "adversary_every_k_zero",
+        "adversary_negative_first_n", "adversary_xor_mask_over_byte",
+        "string_option", "string_fault", "unknown_default_phase",
+        "unknown_override_phase"])
 def test_run_exit_two_on_config_error(tmp_path, capsys, overrides):
     path = (tmp_path / "missing.json" if overrides is None
             else write_config(tmp_path, **overrides))

@@ -1,6 +1,7 @@
 """Source hygiene: no module under src/trustshift keeps a dead import, an
-unused private module-level name, or a public function, class or method
-that nothing in src/ or bench/ names; and no config key goes unset.
+unused private module-level name, a catch-all exception handler, or a
+public function, class or method that nothing in src/ or bench/ names; and
+no config key goes unset.
 
 The source scans read the source with `ast` only; nothing is imported. The
 config-key scan imports `scenario` for the keys its reader accepts.
@@ -73,6 +74,22 @@ def test_no_unused_private_module_name(path):
     loaded = _loaded_names(tree)
     unused = [n for n in _private_definitions(tree) if n not in loaded]
     assert not unused, f"{path.name} defines but never reads {unused}"
+
+
+def test_no_broad_exception_handler():
+    """Handlers name the errors they expect, so a programming error surfaces
+    instead of becoming a protocol outcome such as a reject reason."""
+    broad = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) \
+                else [node.type]
+            if any(c is None or getattr(c, "id", None) in
+                   ("Exception", "BaseException") for c in caught):
+                broad.append(f"{path.name}:{node.lineno}")
+    assert not broad, f"bare or catch-all exception handlers at {broad}"
 
 
 def _public_definitions(tree: ast.Module) -> list[str]:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from trustshift import crypto, operators, peers, pki, session, simnet, wire
+from trustshift import crypto, operators, pki, session, simnet, wire
 from trustshift.errors import (
     BadSp2Signature,
     NoExpectedMeasurement,
@@ -128,9 +128,8 @@ def test_register_req_rogue_cert_refused(world):
     sp2_cert = pki.issue_certificate(
         h.ca2, pki.make_csr(b"sp2", sp2_key, CertProfile.OPERATIONAL),
         CertProfile.SERVER, LIFETIME)
-    entry = peers.PeerSession(
-        session.derive(b"\x01" * 32, b"\x02" * 32, sp2_cert), "sp2")
-    [reply] = ca2._handle_app(1000, entry, wire.RegisterReq(
+    sess = session.derive(b"\x01" * 32, b"\x02" * 32, sp2_cert, "sp2")
+    [reply] = ca2._handle_app(1000, sess, wire.RegisterReq(
         tuple(encode(c) for c in certs)))
     assert (reply.ok, reply.bad_serial) == (False, 999)
     assert not h.ca2.registered_factory

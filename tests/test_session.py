@@ -68,10 +68,10 @@ def test_establish_variant_c_with_permanent_root_only():
     dev_side, status, responder = handshake(h, cred, dev_store,
                                             h.ca2.truststore)
     assert status == "ok"
-    ca_side = responder.sessions[dev_side.session_id].endpoint
+    ca_side = responder.sessions[dev_side.session_id]
     assert dev_side.session_key_fingerprint == ca_side.session_key_fingerprint
-    assert dev_side.peer_identity == h.ca2.certificate
-    assert ca_side.peer_identity == cred.certificate
+    assert (dev_side.peer_cert, dev_side.peer) == (h.ca2.certificate, "ca2")
+    assert (ca_side.peer_cert, ca_side.peer) == (cred.certificate, "dev")
     [traced] = responder.sim.trace.select("session")
     assert traced["sid"] == dev_side.session_id.hex()
     assert traced["fp"] == dev_side.session_key_fingerprint.hex()
@@ -202,9 +202,20 @@ def test_cross_session_record_rejected():
     _, [reply] = deliver(responder1, session.send(a1, wire.UpdateCheck(b"y")))
     with pytest.raises(WrongSession):
         session.receive(a2, wire.parse_record_frame(reply))
-    net = peers.NetHandle(responder2.sim, "dev")
-    assert peers._receive_record(net, a2, reply) is None
-    assert responder2.sim.trace.select("record", actor="dev")[-1]["outcome"] \
+    # ...and the same reply reaching a device parked on the other session
+    sim = responder2.sim
+    got = []
+
+    def waiter():
+        net = peers.NetHandle(sim, "dev-2")
+        got.append((yield from peers.session_wait(net, a2, timeout=5)))
+
+    sim.spawn("dev-2", waiter())
+    sim.transmit("ca2", "dev-2", reply)
+    sim.start_ready_processes()
+    sim.run()
+    assert got == [None]
+    assert sim.trace.select("record", actor="dev-2")[-1]["outcome"] \
         == "wrong_session"
 
 
@@ -231,3 +242,121 @@ def test_at_most_once_under_adversarial_reordering():
             accepted.append(wire.parse_record_frame(frame).seq)
     assert accepted
     assert accepted == sorted(set(accepted))
+
+
+# ---------------------------------------------------------------------------
+# the initiator's reply loop
+# ---------------------------------------------------------------------------
+
+class UnknownApp:
+    """An application message under a tag no peer knows."""
+    TAG, LABEL, SPEC = 99, "unknown_app", ()
+
+
+def _accept(echo, cert_bytes):
+    return wire.encode_wire(wire.Accept(echo, bytes(32), cert_bytes, ()))
+
+
+# Each discard branch of the reply loop: the trace entry it writes (kind,
+# field), what the bad frame is sent ahead of, and how it is built. Ahead
+# of the handshake reply and of a record reply the network sends bytes (made
+# from the Hello for the former); ahead of a call's reply the responder
+# sends an extra application message on the session.
+REPLY_LOOP_DISCARDS = {
+    "malformed_frame_discarded": ("note", "what", "hello",
+                                  lambda hello: b"\xff"),
+    "unexpected_frame_discarded": (
+        "note", "what", "hello",
+        lambda hello: wire.encode_wire(wire.TrustAck(True))),
+    "stale_accept_discarded": ("handshake", "outcome", "hello",
+                               lambda hello: _accept(bytes(32), b"")),
+    "stale_reject_discarded": (
+        "handshake", "outcome", "hello",
+        lambda hello: wire.encode_wire(wire.Reject(bytes(32), "stale"))),
+    "bad_accept_cert": ("handshake", "outcome", "hello",
+                        lambda hello: _accept(hello.ephemeral, b"junk")),
+    "non_record_frame_discarded": ("note", "what", "record", b"\xff"),
+    "malformed_app_payload": ("note", "what", "app", UnknownApp()),
+    "unexpected_app_message": ("note", "what", "app", wire.RaVerdict(True)),
+}
+
+
+def run_reply_loop(case=None):
+    """A device handshake and one echoed call against `ca2`, with the bad
+    frame of `case` (if any) delivered just ahead of the genuine reply.
+    Returns the device's results and finish times, and the simulator."""
+    h = build("c")
+    cred = device_credential(h)
+    dev_store = h.store_for({pki.PERMANENT_CA_NAME})
+    sim = simnet.Simulator(7)
+    _kind, _key, ahead_of, bad = REPLY_LOOP_DISCARDS.get(
+        case, (None, None, None, None))
+
+    def app(now, entry, msg):
+        return [bad, msg] if ahead_of == "app" else [msg]
+
+    responder = peers.ResponderPeer(sim, "ca2", h.ca2.credential(),
+                                    h.ca2.truststore, app_handler=app)
+
+    def handle(now, src, data):
+        disposition, sends = responder.handle(now, src, data)
+        msg = wire.decode_wire(data)
+        if ahead_of == "hello" and isinstance(msg, wire.Hello):
+            sends = [(src, bad(msg), "bad")] + sends
+        elif ahead_of == "record" and isinstance(msg, wire.RecordFrame):
+            sends = [(src, bad, "bad")] + sends
+        return disposition, sends
+
+    sim.register_responder("ca2", handle)
+    done = {}
+
+    def device():
+        net = peers.NetHandle(sim, "dev")
+        sess, done["status"] = yield from peers.open_session(net, "ca2", cred,
+                                                             dev_store)
+        done["handshake_t"] = net.now()
+        done["reply"], _ = yield from peers.session_call(
+            net, sess, wire.UpdateCheck(b"ping"), (wire.UpdateCheck,))
+        done["call_t"] = net.now()
+
+    sim.spawn("dev", device())
+    sim.start_ready_processes()
+    sim.run()
+    return done, sim
+
+
+@pytest.mark.parametrize("case", list(REPLY_LOOP_DISCARDS))
+def test_reply_loop_discards_bad_frame_within_deadline(case):
+    """A bad frame ahead of the genuine reply is noted and discarded, and the
+    genuine reply still completes the exchange at the time it would have
+    without the bad frame: no resend, no longer wait."""
+    kind, key, _ahead_of, _bad = REPLY_LOOP_DISCARDS[case]
+    clean, clean_sim = run_reply_loop()
+    got, sim = run_reply_loop(case)
+    assert sim.trace.select(kind, actor="dev", **{key: case})
+    assert not clean_sim.trace.select(kind, actor="dev", **{key: case})
+    assert (got["status"], got["reply"]) == ("ok", wire.UpdateCheck(b"ping"))
+    assert (got["handshake_t"], got["call_t"]) \
+        == (clean["handshake_t"], clean["call_t"])
+    assert len(sim.trace.select("deliver", dst="ca2")) == 2
+
+
+def test_discarded_frame_does_not_extend_the_wait():
+    """A frame the loop discards leaves the deadline where it was."""
+    sess, responder = make_pair()
+    sim = responder.sim
+    start = sim.now
+    done = []
+
+    def waiter():
+        net = peers.NetHandle(sim, "dev-2")
+        done.append((yield from peers.session_wait(net, sess, timeout=5)))
+        done.append(net.now())
+
+    sim.spawn("dev-2", waiter())
+    sim.transmit("ca2", "dev-2", b"\xff", delay=3)
+    sim.start_ready_processes()
+    sim.run()
+    assert done == [None, start + 5]
+    assert sim.trace.select("note", actor="dev-2",
+                            what="non_record_frame_discarded")
