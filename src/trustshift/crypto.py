@@ -77,8 +77,13 @@ def sign_envelope(key: KeyPair, profile: EnvelopeProfile, payload: bytes) -> Sig
     return SignedEnvelope(header, payload, key.sign(signing_input))
 
 
-def verify_envelope(public_key: bytes, envelope: SignedEnvelope) -> bool:
-    """True iff the signature matches header-bytes||payload under the key."""
-    if envelope.protected_header.algorithm_id != ALG_ED25519:
+def verify_envelope(public_key: bytes | None, envelope: SignedEnvelope,
+                    profile: EnvelopeProfile) -> bool:
+    """The one acceptance check for a signed envelope: True iff a key is
+    given, the header names this suite and `profile`, and the signature
+    matches header-bytes||payload under the key."""
+    header = envelope.protected_header
+    if public_key is None or header.algorithm_id != ALG_ED25519 \
+            or header.profile is not profile:
         return False
     return verify_raw(public_key, envelope.signature, envelope.signing_input())

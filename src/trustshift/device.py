@@ -169,10 +169,8 @@ def handle_transfer_message(state: DeviceState, envelope: SignedEnvelope,
     and only under the SP1 signer key."""
     if state.phase is not DevicePhase.ENROLLED:
         raise WrongPhase(f"transfer message in phase {state.phase.value}")
-    if envelope.protected_header.profile is not EnvelopeProfile.CWT:
-        raise BadSignature("envelope is not a transfer CWT")
-    if state.sp1_signer_key is None or not crypto.verify_envelope(
-            state.sp1_signer_key, envelope):
+    if not crypto.verify_envelope(state.sp1_signer_key, envelope,
+                                  EnvelopeProfile.CWT):
         raise BadSignature("transfer CWT not signed by the SP1 signer key")
     message = decode(TransferMessage, envelope.payload)
     if not (message.reset_time_not_before <= now <= message.reset_time_not_after):

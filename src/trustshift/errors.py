@@ -98,10 +98,6 @@ class UnknownDevice(Error):
     """Device id is not managed by this operator."""
 
 
-class BadSp2Signature(Error):
-    """TransferMessage envelope did not verify under the agreed SP2 key."""
-
-
 class NoExpectedMeasurement(Error):
     """No expected attestation measurement registered for the device."""
 

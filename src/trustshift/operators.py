@@ -4,7 +4,9 @@ update servers, the attestation verifier stub, and CA frontends.
 Pure operator operations are plain functions over OperatorState; the actor
 classes wrap them for the simulated network, and the two orchestrator
 generators drive the operator-change flow end to end from plain values
-(device ids, start time, roots to push, RA and enroll endpoints).
+(device ids, start time, roots to push, RA and enroll endpoints). Each
+operator checks the other's signed envelope once, on arrival, and keeps the
+verified payload; SP1 re-signs SP2's claims into one CWT for every device.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass, field, replace
 
 from . import crypto, peers, pki, session, wire
 from .errors import (
-    BadSp2Signature,
     Error,
     InvariantViolation,
     MalformedEncoding,
@@ -56,7 +57,7 @@ class OperatorState:
     managed_devices: dict[bytes, ManagedDevice] = field(default_factory=dict)
     # runtime bookkeeping filled by the network actors
     received_list: UpdateInfoList | None = None
-    received_tm: SignedEnvelope | None = None
+    received_tm: TransferMessage | None = None
     device_sessions: dict[bytes, session.AuthenticatedSession] = field(
         default_factory=dict)
     acks: dict[bytes, dict[str, bool]] = field(default_factory=dict)
@@ -81,18 +82,18 @@ def sp1_build_update_info_list(sp1: OperatorState,
                                 payload)
 
 
-def build_transfer_message(sp2: OperatorState, info_list: UpdateInfoList,
-                           enroll_uri: Uri, ra_uri: Uri | None,
-                           contact_before_enroll: bool) -> TransferMessage:
-    """The six-claim transfer payload: window hull over the per-device
-    windows, endpoints per the SP2 configuration."""
-    if not info_list.entries:
+def sp2_prepare_transfer(sp2: OperatorState, verified_list: UpdateInfoList,
+                         enroll_uri: Uri, ra_uri: Uri | None,
+                         contact_before_enroll: bool) -> SignedEnvelope:
+    """The six-claim transfer CWT, signed by SP2, once CA2 has registered
+    the factory certificates under `enroll_uri`: the reset window is the
+    hull of the per-device windows, the endpoints are SP2's."""
+    entries = verified_list.entries
+    if not entries:
         raise InvariantViolation("cannot prepare a transfer for zero devices")
-    not_before = min(e.update_time_not_before for e in info_list.entries)
-    not_after = max(e.update_time_not_after for e in info_list.entries)
-    return TransferMessage(
-        reset_time_not_before=not_before,
-        reset_time_not_after=not_after,
+    message = TransferMessage(
+        reset_time_not_before=min(e.update_time_not_before for e in entries),
+        reset_time_not_after=max(e.update_time_not_after for e in entries),
         ra_uri=ra_uri,
         update_uri=sp2.update_server_uri,
         contact_before_enroll=contact_before_enroll,
@@ -100,34 +101,17 @@ def build_transfer_message(sp2: OperatorState, info_list: UpdateInfoList,
         # SP1 rewrites this on relay; until then it points at SP2's server.
         fallback_uri=sp2.update_server_uri,
     )
-
-
-def sp2_prepare_transfer(sp2: OperatorState, verified_list: UpdateInfoList,
-                         enroll_uri: Uri, ra_uri: Uri | None,
-                         contact_before_enroll: bool) -> SignedEnvelope:
-    """The transfer CWT, signed by SP2, once CA2 has registered the factory
-    certificates under `enroll_uri`."""
-    message = build_transfer_message(sp2, verified_list, enroll_uri, ra_uri,
-                                     contact_before_enroll)
     return crypto.sign_envelope(sp2.signing_key, EnvelopeProfile.CWT,
                                 encode(message))
 
 
-def sp1_relay_transfer(sp1: OperatorState, sp2_envelope: SignedEnvelope,
-                       device_id: bytes) -> SignedEnvelope:
-    """Per-device CWT: claims copied verbatim except the fallback URI, which
-    becomes the SP1 update server."""
-    sp2_key = sp1.peer_signer_keys.get("sp2")
-    if sp2_key is None or not crypto.verify_envelope(sp2_key, sp2_envelope) \
-            or sp2_envelope.protected_header.profile is not EnvelopeProfile.CWT:
-        raise BadSp2Signature("transfer CWT failed verification under the "
-                              "agreed SP2 key")
-    if device_id not in sp1.managed_devices:
-        raise UnknownDevice(f"device {device_id!r} not managed by {sp1.name}")
-    rewritten = replace(decode(TransferMessage, sp2_envelope.payload),
-                        fallback_uri=sp1.update_server_uri)
-    return crypto.sign_envelope(sp1.signing_key, EnvelopeProfile.CWT,
-                                encode(rewritten))
+def sp1_relay_transfer(sp1: OperatorState,
+                       message: TransferMessage) -> SignedEnvelope:
+    """The CWT SP1 relays to every device: SP2's verified claims with the
+    fallback URI pointed at the SP1 update server, signed by SP1."""
+    return crypto.sign_envelope(
+        sp1.signing_key, EnvelopeProfile.CWT,
+        encode(replace(message, fallback_uri=sp1.update_server_uri)))
 
 
 def update_server_serve(operator: OperatorState,
@@ -269,13 +253,15 @@ class CaActor:
 
 
 # Per delivery from the peer operator: whose agreed key signs it, envelope
-# profile, payload kind, trace kind on a bad signature, size class, ack.
+# profile, payload kind, OperatorState field that holds the verified
+# payload, trace kind on a bad signature, size class, ack.
 _DELIVERIES = {
-    wire.ListDeliver: ("sp1", EnvelopeProfile.UPDATE_LIST,
-                       UpdateInfoList, "list_rejected",
+    wire.ListDeliver: ("sp1", EnvelopeProfile.UPDATE_LIST, UpdateInfoList,
+                       "received_list", "list_rejected",
                        "update_info_list_envelope", wire.ListAck),
     wire.TmDeliver: ("sp2", EnvelopeProfile.CWT, TransferMessage,
-                     "tm_rejected", "transfer_message_envelope", wire.TmAck),
+                     "received_tm", "tm_rejected",
+                     "transfer_message_envelope", wire.TmAck),
 }
 
 
@@ -346,17 +332,18 @@ class OperatorActor:
 
     def _accept_envelope(self, now, sess, msg):
         """Ack a signed update list (from SP1) or transfer CWT (from SP2),
-        storing it once the sender, signature and payload all check out."""
-        signer, profile, kind, rejected, size_cls, ack = _DELIVERIES[type(msg)]
+        storing its payload once the sender, envelope and payload all check
+        out; the stored payload is verified and is not checked again."""
+        signer, profile, kind, slot, rejected, size_cls, ack = \
+            _DELIVERIES[type(msg)]
         if sess.peer_cert.profile is not CertProfile.SERVER:
             return ack(False)
         try:
             envelope = decode(SignedEnvelope, msg.envelope_bytes)
         except (MalformedEncoding, InvariantViolation):
             return ack(False)
-        key = self.state.peer_signer_keys.get(signer)
-        if key is None or not crypto.verify_envelope(key, envelope) \
-                or envelope.protected_header.profile is not profile:
+        if not crypto.verify_envelope(self.state.peer_signer_keys.get(signer),
+                                      envelope, profile):
             self.sim.trace.add(rejected, now, actor=self.actor_id,
                                reason=f"bad_{signer}_signature")
             return ack(False)
@@ -364,10 +351,7 @@ class OperatorActor:
             payload = decode(kind, envelope.payload)
         except (MalformedEncoding, InvariantViolation):
             return ack(False)
-        if isinstance(msg, wire.ListDeliver):
-            self.state.received_list = payload
-        else:
-            self.state.received_tm = envelope
+        setattr(self.state, slot, payload)
         self.sim.trace.add("size", now, cls=size_cls,
                            bytes=len(msg.envelope_bytes))
         return ack(True)
@@ -422,9 +406,9 @@ def _push_rounds(net: peers.NetHandle, actor: OperatorActor, device_ids,
                  pushes: dict):
     """SP1's push rounds over the devices' standing update-server sessions.
 
-    `pushes` maps each ack kind to a builder of the message that asks for
-    it. Each round sends every pending device the messages of the kinds it
-    has not acked, then waits; returns the devices still pending."""
+    `pushes` maps each ack kind to the one message that asks every device
+    for it. Each round sends every pending device the messages of the kinds
+    it has not acked, then waits; returns the devices still pending."""
     state = actor.state
     pending = set(device_ids)
     for _round in range(PUSH_ROUNDS):
@@ -436,9 +420,9 @@ def _push_rounds(net: peers.NetHandle, actor: OperatorActor, device_ids,
                          reason="no_session")
                 continue
             acked = state.acks.get(device_id, {})
-            for kind, build in pushes.items():
+            for kind, msg in pushes.items():
                 if not acked.get(kind, False):
-                    yield peers.send_record(sess, build(device_id))
+                    yield peers.send_record(sess, msg)
         yield Sleep(ACK_WAIT)
         pending = {d for d in pending
                    if not all(state.acks.get(d, {}).get(k, False)
@@ -460,19 +444,34 @@ def _exchange(net: peers.NetHandle, actor: OperatorActor, dst: str,
         return None
     reply, status = yield from peers.session_call(net, sess, request, (expect,))
     if reply is None or not reply.ok:
-        net.note("transfer_aborted", step=step,
-                 status=getattr(reply, "reason", status))
+        net.note("transfer_aborted", step=step, status=status if reply is None
+                 else getattr(reply, "reason", "refused"))
         return None
     return reply
+
+
+def _await_delivery(net: peers.NetHandle, state: OperatorState, slot: str,
+                    step: str):
+    """Poll every 2 time units, at most POLL_LIMIT times, for the other
+    operator's verified delivery in `state.<slot>`; the delivery, or None
+    with a `transfer_aborted` entry naming `step` on timeout."""
+    for _poll in range(POLL_LIMIT):
+        if getattr(state, slot) is not None:
+            break
+        yield Sleep(2)
+    delivered = getattr(state, slot)
+    if delivered is None:
+        net.note("transfer_aborted", step=step, status="timeout")
+    return delivered
 
 
 def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
                          device_ids, start_time: int, push_roots,
                          last_update: bool):
     """SP1 side of the operator change: at `start_time`, share the device
-    list, await the transfer CWT, push the roots (and with `last_update` the
-    firmware), relay the CWT per device, then revoke the old certificates.
-    Sessions are opened with the update server's credential and truststore."""
+    list, await the transfer CWT and re-sign it once, push the roots (and
+    with `last_update` the firmware) and then that CWT to every device, and
+    revoke the old certificates, all under the update server's credential."""
     state = actor.state
     yield Sleep(start_time)
 
@@ -491,46 +490,30 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
                              "list_deliver")) is None:
         return
 
-    polls = 0
-    while state.received_tm is None:
-        polls += 1
-        if polls > POLL_LIMIT:
-            net.note("transfer_aborted", step="await_tm", status="timeout")
-            return
-        yield Sleep(2)
+    message = yield from _await_delivery(net, state, "received_tm", "await_tm")
+    if message is None:
+        return
+    relayed = sp1_relay_transfer(state, message)
+    transfer = wire.TransferDeliver(encode(relayed))
 
     # Preparation pushes first: the truststore update (and any final
     # firmware update) must land before the transfer CWT, since the reset
-    # must leave the device able to authenticate the CA2 side. Both are the
-    # same for every device.
+    # must leave the device able to authenticate the CA2 side.
     prep = {}
     if last_update:
-        final = wire.FinalUpdate(encode(state.current_version))
-        prep["final"] = lambda _device_id: final
+        prep["final"] = wire.FinalUpdate(encode(state.current_version))
     if push_roots:
-        trust = wire.TrustPush(tuple(encode(c) for c in push_roots), True)
-        prep["trust"] = lambda _device_id: trust
+        prep["trust"] = wire.TrustPush(tuple(map(encode, push_roots)), True)
     if prep:
         pending = yield from _push_rounds(net, actor, device_ids, prep)
         if pending:
             net.note("prep_pushes_incomplete", count=len(pending))
 
-    relayed_size_noted = False
-
-    def transfer_deliver(device_id):
-        nonlocal relayed_size_noted
-        relayed = sp1_relay_transfer(state, state.received_tm, device_id)
-        relayed_bytes = encode(relayed)
-        if not relayed_size_noted:
-            net.note("size", cls="relayed_transfer_envelope",
-                     bytes=len(relayed_bytes))
-            net.note("size", cls="transfer_message_payload",
-                     bytes=len(relayed.payload))
-            relayed_size_noted = True
-        return wire.TransferDeliver(relayed_bytes)
-
+    net.note("size", cls="relayed_transfer_envelope",
+             bytes=len(transfer.envelope_bytes))
+    net.note("size", cls="transfer_message_payload", bytes=len(relayed.payload))
     pending = yield from _push_rounds(net, actor, device_ids,
-                                      {"transfer": transfer_deliver})
+                                      {"transfer": transfer})
     net.note("transfer_pushes_done", unacked=len(pending))
 
     sess, status = yield from peers.open_session(
@@ -555,13 +538,10 @@ def sp2_transfer_process(net: peers.NetHandle, actor: OperatorActor,
     """SP2 side: receive the signed list, register with CA2 (or, given
     `unregistered_enroll_uri`, skip that and send it), send the CWT."""
     state = actor.state
-    polls = 0
-    while state.received_list is None:
-        polls += 1
-        if polls > POLL_LIMIT:
-            net.note("transfer_aborted", step="await_list", status="timeout")
-            return
-        yield Sleep(2)
+    info_list = yield from _await_delivery(net, state, "received_list",
+                                           "await_list")
+    if info_list is None:
+        return
 
     if unregistered_enroll_uri is not None:
         # Misconfiguration scenario: SP2 never registers the factory
@@ -570,7 +550,7 @@ def sp2_transfer_process(net: peers.NetHandle, actor: OperatorActor,
         net.note("registration_skipped")
     else:
         cert_list = tuple(encode(e.factory_certificate)
-                          for e in state.received_list.entries)
+                          for e in info_list.entries)
         reply = yield from _exchange(net, actor, CA2_ACTOR, "register",
                                      wire.RegisterReq(cert_list),
                                      wire.RegisterRsp, "register")
@@ -578,8 +558,8 @@ def sp2_transfer_process(net: peers.NetHandle, actor: OperatorActor,
             return
         enroll_uri = Uri(reply.enroll_uri)
 
-    envelope = sp2_prepare_transfer(state, state.received_list, enroll_uri,
-                                    ra_uri, contact_before_enroll)
+    envelope = sp2_prepare_transfer(state, info_list, enroll_uri, ra_uri,
+                                    contact_before_enroll)
     env_bytes = encode(envelope)
     net.note("size", cls="transfer_message_payload", bytes=len(envelope.payload))
     net.note("size", cls="transfer_message_envelope", bytes=len(env_bytes))

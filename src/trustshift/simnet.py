@@ -159,10 +159,12 @@ class AdversaryRule:
         check_fields(self)
         if self.action not in ADVERSARY_ACTIONS:
             raise ScenarioInvalid(f"unknown adversary action {self.action!r}")
+        # seq + seq_offset of an injected frame must fit the 64-bit counter.
         if self.delay < 0 or self.every_k < 1 or not 0 <= self.xor_mask <= 255 \
-                or (self.first_n or 0) < 0:
+                or (self.first_n or 0) < 0 or not 0 <= self.seq_offset < 2**63:
             raise ScenarioInvalid("adversary rule needs delay >= 0, every_k >= 1,"
-                                  " first_n >= 0 and 0 <= xor_mask <= 255")
+                                  " first_n >= 0, 0 <= xor_mask <= 255 and"
+                                  " 0 <= seq_offset < 2**63")
 
     def matches(self, event: SimEvent) -> bool:
         return (fnmatch.fnmatchcase(event.src, self.match_src)

@@ -336,7 +336,8 @@ def test_c6_sizes_and_tamper_substitute():
             forged = decode(SignedEnvelope, bytes(data))
         except (MalformedEncoding, InvariantViolation):
             continue
-        if forged != signed and crypto.verify_envelope(key.public_key, forged):
+        if forged != signed and crypto.verify_envelope(
+                key.public_key, forged, forged.protected_header.profile):
             false_accepts += 1
     if false_accepts:
         failures.append(f"{false_accepts} false accepts in tamper suite")

@@ -100,6 +100,10 @@ def test_run_exit_one_on_expectation_mismatch(tmp_path, capsys):
     {"adversary": [{"action": "drop", "every_k": 0}]},
     {"adversary": [{"action": "drop", "first_n": -1}]},
     {"adversary": [{"action": "modify", "xor_mask": 256}]},
+    {"adversary": [{"action": "inject", "frame_in_matched_session": True,
+                    "seq_offset": -1000}]},
+    {"adversary": [{"action": "inject", "frame_in_matched_session": True,
+                    "seq_offset": 2**64 - 1}]},
     {"options": {"use_ra": "false"}},
     {"faults": {"skip_ca2_registration": "no"}},
     {"expectation": {"default": "reenroled"}},
@@ -113,12 +117,14 @@ def test_run_exit_one_on_expectation_mismatch(tmp_path, capsys):
         "adversary_string_delay", "adversary_int_pattern",
         "adversary_negative_delay", "adversary_every_k_zero",
         "adversary_negative_first_n", "adversary_xor_mask_over_byte",
+        "adversary_negative_seq_offset", "adversary_seq_offset_over_counter",
         "string_option", "string_fault", "unknown_default_phase",
         "unknown_override_phase"])
 def test_run_exit_two_on_config_error(tmp_path, capsys, overrides):
     path = (tmp_path / "missing.json" if overrides is None
             else write_config(tmp_path, **overrides))
     assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_run_writes_trace_file(tmp_path, capsys):

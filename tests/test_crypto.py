@@ -49,14 +49,25 @@ def test_sign_verify_roundtrip():
     key = seeded_key(b"roundtrip")
     env = crypto.sign_envelope(key, EnvelopeProfile.CWT, b"hello world")
     assert env.protected_header.signer_key_id == key.key_id
-    assert crypto.verify_envelope(key.public_key, env)
+    assert crypto.verify_envelope(key.public_key, env, EnvelopeProfile.CWT)
 
 
 def test_verify_with_other_key_fails():
     key = seeded_key(b"signer")
     other = seeded_key(b"someone else")
     env = crypto.sign_envelope(key, EnvelopeProfile.CWT, b"payload")
-    assert not crypto.verify_envelope(other.public_key, env)
+    assert not crypto.verify_envelope(other.public_key, env,
+                                      EnvelopeProfile.CWT)
+
+
+def test_verify_refuses_missing_key_and_other_profile():
+    """No key, or a header naming another profile than the one expected,
+    fails the check even when the signature itself is good."""
+    key = seeded_key(b"signer")
+    env = crypto.sign_envelope(key, EnvelopeProfile.CWT, b"payload")
+    assert not crypto.verify_envelope(None, env, EnvelopeProfile.CWT)
+    assert not crypto.verify_envelope(key.public_key, env,
+                                      EnvelopeProfile.UPDATE_LIST)
 
 
 def test_empty_payload_rejected():
@@ -75,7 +86,8 @@ def test_payload_bit_flips_all_rejected():
         mutated = bytearray(payload)
         mutated[pos // 8] ^= 1 << (pos % 8)
         forged = SignedEnvelope(env.protected_header, bytes(mutated), env.signature)
-        assert not crypto.verify_envelope(key.public_key, forged)
+        assert not crypto.verify_envelope(key.public_key, forged,
+                                          EnvelopeProfile.CWT)
 
 
 def test_signing_deterministic():
@@ -94,12 +106,14 @@ def test_header_binding():
                        EnvelopeProfile.UPDATE_LIST,
                        env.protected_header.signer_key_id),
         env.payload, env.signature)
-    assert not crypto.verify_envelope(key.public_key, swapped_profile)
+    assert not crypto.verify_envelope(key.public_key, swapped_profile,
+                                      EnvelopeProfile.UPDATE_LIST)
     swapped_kid = SignedEnvelope(
         EnvelopeHeader(env.protected_header.algorithm_id,
                        env.protected_header.profile, b"\x00" * 8),
         env.payload, env.signature)
-    assert not crypto.verify_envelope(key.public_key, swapped_kid)
+    assert not crypto.verify_envelope(key.public_key, swapped_kid,
+                                      EnvelopeProfile.CWT)
 
 
 def test_tamper_suite_randomized():
@@ -119,15 +133,18 @@ def test_tamper_suite_randomized():
             continue  # frame no longer parses: rejected earlier in the stack
         if forged == env:
             continue  # mutation landed outside any semantic field
-        assert not crypto.verify_envelope(key.public_key, forged), f"case {case}"
+        assert not crypto.verify_envelope(
+            key.public_key, forged, forged.protected_header.profile), \
+            f"case {case}"
 
 
 def test_verify_malformed_signature_returns_false():
     key = seeded_key(b"short sig")
     env = crypto.sign_envelope(key, EnvelopeProfile.CWT, b"x")
     truncated = SignedEnvelope(env.protected_header, env.payload, env.signature[:10])
-    assert not crypto.verify_envelope(key.public_key, truncated)
-    assert not crypto.verify_envelope(b"\x00" * 3, env)
+    assert not crypto.verify_envelope(key.public_key, truncated,
+                                      EnvelopeProfile.CWT)
+    assert not crypto.verify_envelope(b"\x00" * 3, env, EnvelopeProfile.CWT)
 
 
 def test_digest_deterministic_and_sized():

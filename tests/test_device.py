@@ -136,6 +136,17 @@ def test_transfer_sp2_signed_rejected():
         device.handle_transfer_message(state, envelope, now=500)
 
 
+def test_transfer_update_list_profile_rejected():
+    """An envelope the SP1 key signed as an update list is no transfer CWT."""
+    signer = crypto.generate_key_pair(crypto.digest(b"sp1"))
+    state = enrolled_device_with_signer(signer)
+    envelope = crypto.sign_envelope(signer, EnvelopeProfile.UPDATE_LIST,
+                                    encode(sample_transfer()))
+    with pytest.raises(BadSignature):
+        device.handle_transfer_message(state, envelope, now=500)
+    assert state.phase is DevicePhase.ENROLLED
+
+
 def test_transfer_outside_window_rejected():
     signer = crypto.generate_key_pair(crypto.digest(b"sp1"))
     state = enrolled_device_with_signer(signer)

@@ -92,6 +92,17 @@ def test_no_broad_exception_handler():
     assert not broad, f"bare or catch-all exception handlers at {broad}"
 
 
+def test_envelope_header_read_only_by_crypto():
+    """Envelope acceptance (suite, profile, signature) is decided in one
+    place: no module outside `crypto` and `messages` reads the header."""
+    readers = [f"{path.name}:{node.lineno}" for path in SOURCES
+               if path.name not in ("crypto.py", "messages.py")
+               for node in ast.walk(_tree(path))
+               if isinstance(node, ast.Attribute)
+               and node.attr == "protected_header"]
+    assert not readers, f"envelope header read outside crypto at {readers}"
+
+
 def _public_definitions(tree: ast.Module) -> list[str]:
     """Top-level functions and classes, and the methods of those classes."""
     names = []

@@ -1,15 +1,12 @@
 """Operator logic tests: list building, transfer prep/relay, RA, updates."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from trustshift import crypto, operators, pki, session, simnet, wire
-from trustshift.errors import (
-    BadSp2Signature,
-    NoExpectedMeasurement,
-    UnknownDevice,
-)
+from trustshift import crypto, operators, peers, pki, session, simnet, wire
+from trustshift.errors import NoExpectedMeasurement, UnknownDevice
 from trustshift.messages import (
     CertProfile,
     EnvelopeProfile,
@@ -55,8 +52,8 @@ def test_build_list_one_entry_per_device(world):
     h, sp1, sp2 = world
     ids = sorted(sp1.managed_devices)
     envelope = operators.sp1_build_update_info_list(sp1, ids)
-    assert crypto.verify_envelope(sp1.signing_key.public_key, envelope)
-    assert envelope.protected_header.profile is EnvelopeProfile.UPDATE_LIST
+    assert crypto.verify_envelope(sp1.signing_key.public_key, envelope,
+                                  EnvelopeProfile.UPDATE_LIST)
     info = decode(UpdateInfoList, envelope.payload)
     assert len(info.entries) == 3
     for device_id, entry in zip(ids, info.entries):
@@ -76,8 +73,10 @@ def test_list_verification_is_key_specific(world):
     h, sp1, sp2 = world
     envelope = operators.sp1_build_update_info_list(sp1,
                                                     sorted(sp1.managed_devices))
-    assert crypto.verify_envelope(sp2.peer_signer_keys["sp1"], envelope)
-    assert not crypto.verify_envelope(sp2.signing_key.public_key, envelope)
+    assert crypto.verify_envelope(sp2.peer_signer_keys["sp1"], envelope,
+                                  EnvelopeProfile.UPDATE_LIST)
+    assert not crypto.verify_envelope(sp2.signing_key.public_key, envelope,
+                                      EnvelopeProfile.UPDATE_LIST)
 
 
 def prepared_transfer(world, ra_uri=None, contact_before_enroll=False):
@@ -97,7 +96,8 @@ def prepared_transfer(world, ra_uri=None, contact_before_enroll=False):
 def test_prepare_transfer_registers_and_signs(world):
     h, sp1, sp2 = world
     envelope = prepared_transfer(world)
-    assert crypto.verify_envelope(sp2.signing_key.public_key, envelope)
+    assert crypto.verify_envelope(sp2.signing_key.public_key, envelope,
+                                  EnvelopeProfile.CWT)
     serials = {m.factory_cert.serial for m in sp1.managed_devices.values()}
     assert set(h.ca2.registered_factory) == serials
     message = decode(TransferMessage, envelope.payload)
@@ -137,10 +137,10 @@ def test_register_req_rogue_cert_refused(world):
 
 def test_relay_rewrites_only_fallback(world):
     h, sp1, sp2 = world
-    sp2_envelope = prepared_transfer(world)
-    relayed = operators.sp1_relay_transfer(sp1, sp2_envelope, b"device-001")
-    assert crypto.verify_envelope(sp1.signing_key.public_key, relayed)
-    original = decode(TransferMessage, sp2_envelope.payload)
+    original = decode(TransferMessage, prepared_transfer(world).payload)
+    relayed = operators.sp1_relay_transfer(sp1, original)
+    assert crypto.verify_envelope(sp1.signing_key.public_key, relayed,
+                                  EnvelopeProfile.CWT)
     rewritten = decode(TransferMessage, relayed.payload)
     assert rewritten.fallback_uri == sp1.update_server_uri
     # the five other claims are byte-identical after re-encode
@@ -151,40 +151,117 @@ def test_relay_rewrites_only_fallback(world):
         assert getattr(rewritten, field) == getattr(original, field)
 
 
-def test_relay_rejects_tampered_envelope(world):
-    h, sp1, sp2 = world
-    sp2_envelope = prepared_transfer(world)
-    bad = type(sp2_envelope)(sp2_envelope.protected_header,
-                             sp2_envelope.payload + b"",
-                             sp2_envelope.signature[:-1] + b"\x00")
-    with pytest.raises(BadSp2Signature):
-        operators.sp1_relay_transfer(sp1, bad, b"device-001")
-
-
-def test_relay_rejects_wrong_signer(world):
-    h, sp1, sp2 = world
-    impostor = crypto.generate_key_pair(crypto.digest(b"impostor"))
-    envelope = crypto.sign_envelope(
-        impostor, EnvelopeProfile.CWT,
-        prepared_transfer(world).payload)
-    with pytest.raises(BadSp2Signature):
-        operators.sp1_relay_transfer(sp1, envelope, b"device-001")
-
-
-def test_relay_unknown_device(world):
-    h, sp1, sp2 = world
-    envelope = prepared_transfer(world)
-    with pytest.raises(UnknownDevice):
-        operators.sp1_relay_transfer(sp1, envelope, b"device-999")
-
-
 def test_relay_signature_domain_separation(world):
     """Devices must verify the relayed CWT under SP1's key, never SP2's."""
     h, sp1, sp2 = world
-    relayed = operators.sp1_relay_transfer(sp1, prepared_transfer(world),
-                                           b"device-000")
-    assert crypto.verify_envelope(sp1.signing_key.public_key, relayed)
-    assert not crypto.verify_envelope(sp2.signing_key.public_key, relayed)
+    relayed = operators.sp1_relay_transfer(
+        sp1, decode(TransferMessage, prepared_transfer(world).payload))
+    assert crypto.verify_envelope(sp1.signing_key.public_key, relayed,
+                                  EnvelopeProfile.CWT)
+    assert not crypto.verify_envelope(sp2.signing_key.public_key, relayed,
+                                      EnvelopeProfile.CWT)
+
+
+# ---------------------------------------------------------------------------
+# operator-to-operator deliveries
+# ---------------------------------------------------------------------------
+
+def server_credential(state, ca):
+    """A server credential for operator `state`, issued by `ca`."""
+    name = state.name.encode()
+    key = crypto.generate_key_pair(crypto.digest(name + b"-server"))
+    cert = pki.issue_certificate(
+        ca, pki.make_csr(name, key, CertProfile.OPERATIONAL),
+        CertProfile.SERVER, LIFETIME)
+    return pki.Credential(cert, ca.issuer_chain, key)
+
+
+def operator_actor(world, sim, state, ca):
+    """`state` served as an OperatorActor under a server certificate of
+    `ca`, trusting every root of the hierarchy."""
+    h = world[0]
+    roots = {h.permanent.name} | {c.name for c in (h.ca1, h.ca2)
+                                  if c.certificate.is_self_signed}
+    return operators.OperatorActor(sim, state.name, state,
+                                   server_credential(state, ca),
+                                   h.store_for(roots))
+
+
+def forged(envelope, signer, profile, how):
+    """`envelope` with a flipped signature bit, signed by another key, or
+    signed by `signer` under the other profile."""
+    if how == "tampered":
+        signature = bytearray(envelope.signature)
+        signature[-1] ^= 0x01
+        return replace(envelope, signature=bytes(signature))
+    if how == "other_signer":
+        impostor = crypto.generate_key_pair(crypto.digest(b"impostor"))
+        return crypto.sign_envelope(impostor, profile, envelope.payload)
+    other = {EnvelopeProfile.CWT: EnvelopeProfile.UPDATE_LIST,
+             EnvelopeProfile.UPDATE_LIST: EnvelopeProfile.CWT}[profile]
+    return crypto.sign_envelope(signer, other, envelope.payload)
+
+
+@pytest.mark.parametrize("how", ["tampered", "other_signer", "other_profile"])
+@pytest.mark.parametrize("delivery", ["list", "tm"])
+def test_forged_delivery_refused(world, delivery, how):
+    """SP2 refuses an update list and SP1 a transfer CWT that fails the
+    envelope check: negative ack, traced reason, nothing stored."""
+    h, sp1, sp2 = world
+    sim = simnet.Simulator(seed=3)
+    if delivery == "list":
+        sender, receiver = sp1, sp2
+        envelope = operators.sp1_build_update_info_list(
+            sp1, sorted(sp1.managed_devices))
+        profile, msg, ack = EnvelopeProfile.UPDATE_LIST, wire.ListDeliver, \
+            wire.ListAck
+    else:
+        sender, receiver = sp2, sp1
+        envelope = prepared_transfer(world)
+        profile, msg, ack = EnvelopeProfile.CWT, wire.TmDeliver, wire.TmAck
+    actor = operator_actor(world, sim, receiver, h.ca1)
+    sess = session.derive(b"\x01" * 32, b"\x02" * 32,
+                          server_credential(sender, h.ca2).certificate,
+                          sender.name)
+    bad = forged(envelope, sender.signing_key, profile, how)
+    assert actor._accept_envelope(5, sess, msg(encode(bad))) == ack(False)
+    assert [e["reason"] for e in sim.trace.select(f"{delivery}_rejected")] \
+        == [f"bad_{sender.name}_signature"]
+    assert receiver.received_list is None and receiver.received_tm is None
+
+
+def test_accepted_transfer_stored_verified(world):
+    """SP1 stores the transfer CWT's verified claims, once, on arrival."""
+    h, sp1, sp2 = world
+    sim = simnet.Simulator(seed=3)
+    actor = operator_actor(world, sim, sp1, h.ca1)
+    sess = session.derive(b"\x01" * 32, b"\x02" * 32,
+                          server_credential(sp2, h.ca2).certificate, "sp2")
+    envelope = prepared_transfer(world)
+    assert actor._accept_envelope(5, sess, wire.TmDeliver(encode(envelope))) \
+        == wire.TmAck(True)
+    assert sp1.received_tm == decode(TransferMessage, envelope.payload)
+
+
+def test_refused_exchange_traced_as_refused(world):
+    """An operator that refuses a delivery ends the exchange with
+    `status=refused`, not the `ok` of the call that carried the refusal."""
+    h, sp1, sp2 = world
+    sp1.peer_signer_keys["sp2"] = crypto.generate_key_pair(
+        crypto.digest(b"not-sp2")).public_key
+    sim = simnet.Simulator(seed=3)
+    operator_actor(world, sim, sp1, h.ca1)
+    sp2_actor = operator_actor(world, sim, sp2, h.ca2)
+    request = wire.TmDeliver(encode(prepared_transfer(world)))
+    sim.spawn("sp2-orchestrator", operators._exchange(
+        peers.NetHandle(sim, "sp2-orchestrator"), sp2_actor, "sp1", "sp2sp1",
+        request, wire.TmAck, "tm_deliver"))
+    sim.start_ready_processes()
+    trace = sim.run()
+    assert [e["reason"] for e in trace.select("tm_rejected")] \
+        == ["bad_sp2_signature"]
+    assert [(e["step"], e["status"]) for e in trace.select("transfer_aborted")] \
+        == [("tm_deliver", "refused")]
 
 
 # ---------------------------------------------------------------------------

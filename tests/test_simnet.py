@@ -277,3 +277,12 @@ def test_unknown_adversary_action_rejected():
     would never fire cannot hide it."""
     with pytest.raises(ScenarioInvalid):
         AdversaryRule(action="teleport")
+
+
+@pytest.mark.parametrize("seq_offset", [-1000, 2**63, 2**64 - 1])
+def test_seq_offset_outside_counter_range_rejected(seq_offset):
+    """An injected frame's sequence number `seq + seq_offset` must fit the
+    64-bit record counter, so the offset is refused when the rule is built."""
+    with pytest.raises(ScenarioInvalid):
+        AdversaryRule(action="inject", frame_in_matched_session=True,
+                      seq_offset=seq_offset)
