@@ -7,6 +7,7 @@ Exit codes: 0 all expectations met, 1 expectation or check failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -26,8 +27,8 @@ EXIT_CONFIG = 2
 
 def _load_config(path: str, seed_override: int | None) -> scenario.ScenarioConfig:
     config = scenario.ScenarioConfig.from_file(path)
-    if seed_override is not None:
-        config.seed = seed_override
+    if seed_override is not None:  # replace() runs the config checks again
+        config = dataclasses.replace(config, seed=seed_override)
     return config
 
 

@@ -193,17 +193,14 @@ def ra_serve(verifier: RaVerifierState, rng, subject: bytes,
 class CaActor:
     """Enrollment, registration and revocation frontend over one CaState."""
 
-    def __init__(self, sim, actor_id: str, ca: pki.CaState, *,
+    def __init__(self, net: peers.NetHandle, ca: pki.CaState, *,
                  operational_lifetime: int = 1_000_000):
-        self.sim = sim
-        self.actor_id = actor_id
+        self.net = net
         self.ca = ca
         self.operational_lifetime = operational_lifetime
         self.peer = peers.ResponderPeer(
-            sim, actor_id, ca.credential(), ca.truststore, self._handle_app,
-            revocation_view=ca.revoked,
+            net, ca.credential(), ca.truststore, self._handle_app,
             allowed_profiles=(CertProfile.FACTORY, CertProfile.SERVER))
-        sim.register_responder(actor_id, self.peer.handle)
 
     def _enroll(self, now, sess, msg):
         if sess.peer_cert.profile is not CertProfile.FACTORY:
@@ -245,9 +242,9 @@ class CaActor:
                        if self.ca.issued[s].profile is CertProfile.OPERATIONAL]
             for serial in serials:
                 pki.revoke(self.ca, serial)
-            self.sim.trace.add("revoked", now, actor=self.actor_id,
-                               subject=msg.subject_name.decode(errors="replace"),
-                               count=len(serials))
+            self.net.note("revoked",
+                          subject=msg.subject_name.decode(errors="replace"),
+                          count=len(serials))
             return [wire.RevokeRsp(True, len(serials))]
         return []
 
@@ -268,19 +265,15 @@ _DELIVERIES = {
 class OperatorActor:
     """Update server plus operator-to-operator endpoint for SP1 or SP2."""
 
-    def __init__(self, sim, actor_id: str, state: OperatorState,
+    def __init__(self, net: peers.NetHandle, state: OperatorState,
                  credential: pki.Credential, truststore: pki.TrustStore, *,
-                 revocation_view: set[int] = frozenset(),
                  fallback_ra_state: RaVerifierState | None = None):
-        self.sim = sim
-        self.actor_id = actor_id
+        self.net = net
         self.state = state
         self.fallback_ra_state = fallback_ra_state
-        self.peer = peers.ResponderPeer(
-            sim, actor_id, credential, truststore, self._handle_app,
-            revocation_view=revocation_view)
-        self.rng = sim.actor_rng(actor_id + "/ra")
-        sim.register_responder(actor_id, self.peer.handle)
+        self.peer = peers.ResponderPeer(net, credential, truststore,
+                                        self._handle_app)
+        self.rng = net.sim.actor_rng(net.actor_id + "/ra")
 
     def _ack(self, sess, kind: str, ok: bool) -> None:
         subject = sess.peer_cert.subject_name
@@ -302,10 +295,10 @@ class OperatorActor:
 
         if isinstance(msg, wire.TransferAck):
             self._ack(sess, "transfer", msg.accepted)
-            self.sim.trace.add("transfer_ack", now, actor=self.actor_id,
-                               device=sess.peer_cert.subject_name.decode(
-                                   errors="replace"),
-                               accepted=str(msg.accepted), reason=msg.reason)
+            self.net.note("transfer_ack",
+                          device=sess.peer_cert.subject_name.decode(
+                              errors="replace"),
+                          accepted=str(msg.accepted), reason=msg.reason)
             return []
         if isinstance(msg, wire.TrustAck):
             self._ack(sess, "trust", msg.ok)
@@ -317,9 +310,9 @@ class OperatorActor:
         if isinstance(msg, wire.FallbackReq):
             if msg.device_id != sess.peer_cert.subject_name:
                 return [wire.FallbackRsp(False, False)]
-            self.sim.trace.add("fallback_served", now, actor=self.actor_id,
-                               device=msg.device_id.decode(errors="replace"),
-                               reason=msg.reason)
+            self.net.note("fallback_served",
+                          device=msg.device_id.decode(errors="replace"),
+                          reason=msg.reason)
             return [wire.FallbackRsp(True, self.fallback_ra_state is not None)]
         if isinstance(msg, (wire.RaHello, wire.RaReport)) \
                 and self.fallback_ra_state is not None:
@@ -344,33 +337,28 @@ class OperatorActor:
             return ack(False)
         if not crypto.verify_envelope(self.state.peer_signer_keys.get(signer),
                                       envelope, profile):
-            self.sim.trace.add(rejected, now, actor=self.actor_id,
-                               reason=f"bad_{signer}_signature")
+            self.net.note(rejected, reason=f"bad_{signer}_signature")
             return ack(False)
         try:
             payload = decode(kind, envelope.payload)
         except (MalformedEncoding, InvariantViolation):
             return ack(False)
         setattr(self.state, slot, payload)
-        self.sim.trace.add("size", now, cls=size_cls,
-                           bytes=len(msg.envelope_bytes))
+        self.net.sim.trace.add("size", now, cls=size_cls,
+                               bytes=len(msg.envelope_bytes))
         return ack(True)
 
 
 class RaVerifierActor:
     """Stand-alone attestation verifier under the new operator's domain."""
 
-    def __init__(self, sim, actor_id: str, ra_state: RaVerifierState,
-                 credential: pki.Credential, truststore: pki.TrustStore, *,
-                 revocation_view: set[int]):
-        self.sim = sim
-        self.actor_id = actor_id
+    def __init__(self, net: peers.NetHandle, ra_state: RaVerifierState,
+                 credential: pki.Credential, truststore: pki.TrustStore):
+        self.net = net
         self.ra_state = ra_state
-        self.rng = sim.actor_rng(actor_id + "/nonce")
-        self.peer = peers.ResponderPeer(
-            sim, actor_id, credential, truststore, self._handle_app,
-            revocation_view=revocation_view)
-        sim.register_responder(actor_id, self.peer.handle)
+        self.rng = net.sim.actor_rng(net.actor_id + "/nonce")
+        self.peer = peers.ResponderPeer(net, credential, truststore,
+                                        self._handle_app)
 
     def _handle_app(self, now, sess, msg):
         if not isinstance(msg, (wire.RaHello, wire.RaReport)):
@@ -378,9 +366,9 @@ class RaVerifierActor:
         subject = sess.peer_cert.subject_name
         reply = ra_serve(self.ra_state, self.rng, subject, msg)
         if isinstance(msg, wire.RaReport) and msg.device_id == subject:
-            self.sim.trace.add("ra_verdict", now, actor=self.actor_id,
-                               device=msg.device_id.decode(errors="replace"),
-                               verdict=str(reply.ok))
+            self.net.note("ra_verdict",
+                          device=msg.device_id.decode(errors="replace"),
+                          verdict=str(reply.ok))
         return [reply]
 
 

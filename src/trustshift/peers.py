@@ -1,16 +1,16 @@
 """Session machinery on top of the simulator for both kinds of actor.
 
-Initiator side: generator helpers (open_session, session_call, session_wait)
-that device and operator processes drive via `yield from`, all parked on
-one reply loop that notes and discards each frame that is not the reply.
-Responder side: a session table keyed by session id with handshake
-freshness tracking, wrapping an application-level request handler.
+Every actor, process or responder, reaches the simulator through one
+`NetHandle`. Initiator side: generator helpers (open_session, session_call,
+session_wait) that processes drive via `yield from`, parked on one reply
+loop that notes and discards each frame that is not the reply. Responder
+side: a session table keyed by session id with handshake freshness
+tracking, wrapping an application-level request handler.
 
-Both sides derive, frame and accept through `session`; a session knows its
-peer's actor id. Every record acceptance or rejection lands in the trace as
-one `record` entry keyed by (actor, session id, sequence number), written by
-`_accept_record` alone. Replay analysis in tests is built entirely on those
-entries.
+Both sides check a peer's chain with `_check_peer` and accept records with
+`_accept_record`, which writes the one `record` trace entry per inbound
+record, keyed by (actor, session id, sequence number); only the reaction to
+a failure is per side. A session knows its peer's actor id.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ RETRIES = 3
 
 
 class NetHandle:
-    """What a process actor sees of the network and simulation."""
+    """What an actor sees of the network and simulation: its id, clock and
+    RNG, URI resolution, the revoked serials it checks peers against, and
+    its own trace entries."""
 
     def __init__(self, sim: simnet.Simulator, actor_id: str,
                  revocation_view: set[int] = frozenset()):
@@ -55,17 +57,27 @@ def _cred_to_wire(cred: pki.Credential) -> tuple[bytes, tuple[bytes, ...]]:
             tuple(messages.encode(c) for c in cred.intermediates))
 
 
-def _cred_from_wire(cert_bytes: bytes, intermediates: tuple[bytes, ...]):
-    cert = messages.decode(CompactCertificate, cert_bytes)
-    inters = tuple(messages.decode(CompactCertificate, b) for b in intermediates)
-    return cert, inters
+def _check_peer(net: NetHandle, cert_bytes: bytes,
+                intermediates: tuple[bytes, ...], store: pki.TrustStore):
+    """Decode the certificate and chain a peer presents and verify them at
+    `net`'s time under its revoked serials: (certificate, failure reason or
+    None), or (None, "bad_certificate") when the bytes do not decode."""
+    try:
+        cert = messages.decode(CompactCertificate, cert_bytes)
+        inters = [messages.decode(CompactCertificate, b) for b in intermediates]
+    except Error:
+        return None, "bad_certificate"
+    check = pki.verify_chain(cert, inters, store, net.now(),
+                             net.revocation_view)
+    return cert, None if check else check.reason.value
 
 
-def _accept_record(trace: simnet.Trace, now: int, actor: str,
-                   sess: session.AuthenticatedSession | None,
-                   frame: wire.RecordFrame) -> tuple[str, bytes | None]:
-    """Run one inbound record through the session layer and trace the
-    outcome; returns (outcome, payload), payload None unless accepted.
+def _accept_record(net: NetHandle, sess: session.AuthenticatedSession | None,
+                   frame: wire.RecordFrame):
+    """Run one inbound record through the session layer, trace the outcome
+    and decode the application message; returns (outcome, message), message
+    None unless accepted. A record whose payload does not decode is traced
+    `accept` (its sequence number is spent) and returns "malformed_app".
     `sess` is None when the record names no session the actor holds."""
     outcome, payload = "wrong_session", None
     if sess is not None:
@@ -76,9 +88,12 @@ def _accept_record(trace: simnet.Trace, now: int, actor: str,
             pass
         except ReplayDetected:
             outcome = "replay_detected"
-    trace.add("record", now, actor=actor, sid=frame.session_id.hex(),
-              seq=frame.seq, outcome=outcome)
-    return outcome, payload
+    net.note("record", sid=frame.session_id.hex(), seq=frame.seq,
+             outcome=outcome)
+    try:
+        return outcome, None if payload is None else wire.decode_wire(payload)
+    except MalformedEncoding:
+        return "malformed_app", None
 
 
 def send_record(sess: session.AuthenticatedSession, app_msg) -> Transmit:
@@ -134,16 +149,13 @@ def open_session(net: NetHandle, dst: str, cred: pki.Credential,
             return None
         if isinstance(msg, wire.Reject):
             return None, f"peer_rejected:{msg.reason}"
-        try:
-            peer_cert, inters = _cred_from_wire(msg.cert_bytes,
-                                                msg.intermediates)
-        except Error:
+        peer_cert, reason = _check_peer(net, msg.cert_bytes,
+                                        msg.intermediates, store)
+        if peer_cert is None:
             net.note("handshake", outcome="bad_accept_cert", purpose=purpose)
             return None
-        check = pki.verify_chain(peer_cert, list(inters), store, net.now(),
-                                 net.revocation_view)
-        if not check:
-            return None, f"peer_untrusted:{check.reason.value}"
+        if reason is not None:
+            return None, f"peer_untrusted:{reason}"
         return session.derive(ephemeral, msg.ephemeral, peer_cert, dst), "ok"
 
     for _attempt in range(RETRIES + 1):
@@ -163,13 +175,10 @@ def _pick_record(net: NetHandle, sess: session.AuthenticatedSession, data):
     if frame is None:
         net.note("note", what="non_record_frame_discarded")
         return None
-    payload = _accept_record(net.sim.trace, net.now(), net.actor_id, sess,
-                             frame)[1]
-    try:
-        return None if payload is None else wire.decode_wire(payload)
-    except MalformedEncoding:
+    outcome, msg = _accept_record(net, sess, frame)
+    if outcome == "malformed_app":
         net.note("note", what="malformed_app_payload")
-        return None
+    return msg
 
 
 def session_call(net: NetHandle, sess: session.AuthenticatedSession, request,
@@ -210,24 +219,23 @@ def session_wait(net: NetHandle, sess: session.AuthenticatedSession,
 class ResponderPeer:
     """Server-side endpoint: handshake acceptance plus per-session dispatch.
 
-    `handle` is the simulator responder: it answers the sender of each
-    frame. `app_handler(now, sess, msg)` returns a list of wire messages to
-    send back on the same session.
+    It registers `handle` as the simulator responder of `net`'s actor: each
+    frame is answered to its sender. `app_handler(now, sess, msg)` returns a
+    list of wire messages to send back on the same session.
     """
 
-    sim: simnet.Simulator
-    actor_id: str
+    net: NetHandle
     credential: pki.Credential
     truststore: pki.TrustStore
     app_handler: object
-    revocation_view: set[int] = frozenset()
     allowed_profiles: tuple[CertProfile, ...] = (
         CertProfile.FACTORY, CertProfile.OPERATIONAL, CertProfile.SERVER)
     sessions: dict[bytes, session.AuthenticatedSession] = field(default_factory=dict)
     seen_ephemerals: set[bytes] = field(default_factory=set)
 
     def __post_init__(self):
-        self.rng = self.sim.actor_rng(self.actor_id + "/hs")
+        self.rng = self.net.sim.actor_rng(self.net.actor_id + "/hs")
+        self.net.sim.register_responder(self.net.actor_id, self.handle)
 
     def handle(self, now, src, data):
         try:
@@ -235,54 +243,43 @@ class ResponderPeer:
         except MalformedEncoding:
             return "malformed", []
         if isinstance(msg, wire.Hello):
-            return self._on_hello(now, src, msg)
+            return self._on_hello(src, msg)
         if isinstance(msg, wire.RecordFrame):
             return self._on_record(now, src, msg)
         return "ignored", []
 
-    def _reject(self, src: str, echo: bytes, reason: str):
-        data = wire.encode_wire(wire.Reject(echo, reason))
-        return f"hello_rejected:{reason}", [(src, data, "reject")]
-
-    def _on_hello(self, now, src, msg):
+    def _on_hello(self, src, msg):
         if msg.ephemeral in self.seen_ephemerals:
-            self.sim.trace.add("handshake", now, actor=self.actor_id,
-                               outcome="replayed_hello_discarded")
+            self.net.note("handshake", outcome="replayed_hello_discarded")
             return "handshake_replay", []
         self.seen_ephemerals.add(msg.ephemeral)
-        try:
-            peer_cert, inters = _cred_from_wire(msg.cert_bytes, msg.intermediates)
-        except Error:
-            return self._reject(src, msg.ephemeral, "bad_certificate")
-        check = pki.verify_chain(peer_cert, list(inters), self.truststore,
-                                 now, self.revocation_view)
-        if not check:
-            return self._reject(src, msg.ephemeral, check.reason.value)
-        if peer_cert.profile not in self.allowed_profiles:
-            return self._reject(src, msg.ephemeral, "profile_not_allowed")
+        peer_cert, reason = _check_peer(self.net, msg.cert_bytes,
+                                        msg.intermediates, self.truststore)
+        if reason is None and peer_cert.profile not in self.allowed_profiles:
+            reason = "profile_not_allowed"
+        if reason is not None:
+            return f"hello_rejected:{reason}", [Transmit(
+                src, wire.encode_wire(wire.Reject(msg.ephemeral, reason)),
+                label="reject")]
 
         responder_ephemeral = self.rng.randbytes(32)
         sess = session.derive(msg.ephemeral, responder_ephemeral, peer_cert,
                               src)
         self.sessions[sess.session_id] = sess
-        self.sim.trace.add("session", now, sid=sess.session_id.hex(),
-                           fp=sess.session_key_fingerprint.hex(),
-                           a=src, b=self.actor_id)
+        self.net.sim.trace.add("session", self.net.now(),
+                               sid=sess.session_id.hex(),
+                               fp=sess.session_key_fingerprint.hex(),
+                               a=src, b=self.net.actor_id)
         accept = wire.encode_wire(wire.Accept(
             msg.ephemeral, responder_ephemeral, *_cred_to_wire(self.credential)))
-        return "hello_accepted", [(src, accept, "accept")]
+        return "hello_accepted", [Transmit(src, accept, label="accept")]
 
     def _on_record(self, now, src, frame):
         sess = self.sessions.get(frame.session_id)
-        outcome, payload = _accept_record(self.sim.trace, now, self.actor_id,
-                                          sess, frame)
-        if payload is None:
+        outcome, app_msg = _accept_record(self.net, sess, frame)
+        if app_msg is None:
             return outcome, []
-        try:
-            app_msg = wire.decode_wire(payload)
-        except MalformedEncoding:
-            return "malformed_app", []
         replies = self.app_handler(now, sess, app_msg)
         return f"accepted:{app_msg.LABEL}", [
-            (src, session.send(sess, reply), reply.LABEL)
+            Transmit(src, session.send(sess, reply), label=reply.LABEL)
             for reply in replies]

@@ -292,10 +292,11 @@ def register_factory_certs(ca: CaState, certs: list[CompactCertificate],
     """Register factory certificates for later enrollment authorization.
 
     Returns the CA's enrollment URI. Nothing is registered if any
-    certificate fails to verify against the CA's trusted roots.
+    certificate fails to verify against the CA's trusted roots, revoked
+    serials included.
     """
     for cert in certs:
-        result = verify_chain(cert, [], ca.truststore, now, set())
+        result = verify_chain(cert, [], ca.truststore, now, ca.revoked)
         if not result:
             raise UnverifiableFactoryCert(cert.serial, result.detail)
         if cert.profile is not CertProfile.FACTORY:

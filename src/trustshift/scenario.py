@@ -73,6 +73,8 @@ class ScenarioConfig:
             simnet.check_fields(part)
         if self.variant not in pki.VARIANTS:
             raise ScenarioInvalid(f"unknown hierarchy variant {self.variant!r}")
+        if not 0 <= self.seed < 2**64:  # hashed as 8 bytes per actor
+            raise ScenarioInvalid("seed must be in [0, 2**64)")
         if self.device_count < 1:
             raise ScenarioInvalid("device_count must be >= 1")
         actor_ids = {device_actor_id(i) for i in range(self.device_count)}
@@ -355,7 +357,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         hierarchy.ca1,
         [m.factory_cert for m in sp1_state.managed_devices.values()], 0)
 
+    # Every server checks its peers under the hierarchy's revoked serials.
     revocation_view = hierarchy.revocation_view()
+
+    def server(actor_id: str) -> peers.NetHandle:
+        return peers.NetHandle(sim, actor_id, revocation_view)
 
     # Server certificates for both operators and the RA verifier.
     def server_credential(name: bytes, ca: pki.CaState) -> pki.Credential:
@@ -370,23 +376,21 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     ra_cred = server_credential(b"ra", hierarchy.ca2)
 
     # Network actors.
-    operators.CaActor(sim, CA1_ACTOR, hierarchy.ca1,
+    operators.CaActor(server(CA1_ACTOR), hierarchy.ca1,
                       operational_lifetime=config.operational_lifetime)
-    operators.CaActor(sim, CA2_ACTOR, hierarchy.ca2,
+    operators.CaActor(server(CA2_ACTOR), hierarchy.ca2,
                       operational_lifetime=config.operational_lifetime)
     sp1_ra_state = None
     if opts.sp1_fallback_ra:
         sp1_ra_state = operators.RaVerifierState(expected=dict(ra_state.expected))
-    sp1_actor = operators.OperatorActor(sim, SP1_ACTOR, sp1_state, sp1_cred,
+    sp1_actor = operators.OperatorActor(server(SP1_ACTOR), sp1_state, sp1_cred,
                                         server_store,
-                                        revocation_view=revocation_view,
                                         fallback_ra_state=sp1_ra_state)
-    sp2_actor = operators.OperatorActor(sim, SP2_ACTOR, sp2_state, sp2_cred,
-                                        server_store,
-                                        revocation_view=revocation_view)
+    sp2_actor = operators.OperatorActor(server(SP2_ACTOR), sp2_state, sp2_cred,
+                                        server_store)
     if opts.use_ra:
-        operators.RaVerifierActor(sim, "ra", ra_state, ra_cred, server_store,
-                                  revocation_view=revocation_view)
+        operators.RaVerifierActor(server("ra"), ra_state, ra_cred,
+                                  server_store)
 
     sim.bind_uri(str(hierarchy.ca1.enroll_uri), CA1_ACTOR)
     sim.bind_uri(str(hierarchy.ca2.enroll_uri), CA2_ACTOR)
@@ -401,13 +405,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             push_roots.append(hierarchy.root_cert(name))
 
     sim.spawn("sp1-orchestrator", operators.sp1_transfer_process(
-        peers.NetHandle(sim, "sp1-orchestrator",
-                        revocation_view=revocation_view),
+        server("sp1-orchestrator"),
         sp1_actor, list(sp1_state.managed_devices),
         config.transfer_start, push_roots, opts.last_sp1_update))
     sim.spawn("sp2-orchestrator", operators.sp2_transfer_process(
-        peers.NetHandle(sim, "sp2-orchestrator",
-                        revocation_view=revocation_view),
+        server("sp2-orchestrator"),
         sp2_actor, Uri(RA_URI) if opts.use_ra else None,
         opts.contact_update_before_enroll,
         hierarchy.ca2.enroll_uri if config.faults.skip_ca2_registration

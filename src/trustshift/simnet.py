@@ -2,8 +2,9 @@
 
 Single-threaded event loop over a (time, tiebreaker) heap; identical
 (scenario, seed) inputs replay to byte-identical traces. Actors are either
-reactive responders (handler per delivery) or generator-based processes
-that yield Transmit/Sleep/WaitMessage commands.
+reactive responders (a handler per delivery that returns the Transmit
+commands it sends) or generator-based processes that yield
+Transmit/Sleep/WaitMessage commands.
 
 The adversary controller observes transmissions in flight and may drop,
 replay, modify, record or inject; it sees only framing metadata (source,
@@ -392,8 +393,8 @@ class Simulator:
             self.trace.add("deliver", event.time, src=event.src, dst=event.dst,
                            label=event.label, size=len(event.payload),
                            origin=event.origin, disp=disposition)
-            for dst, payload, label in sends:
-                self.transmit(event.dst, dst, payload, label)
+            for send in sends:
+                self.transmit(event.dst, send.dst, send.payload, send.label)
             return
 
         proc = self._processes.get(event.dst)

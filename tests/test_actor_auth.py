@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from trustshift import crypto, operators, pki, session, simnet, wire
+from trustshift import crypto, operators, peers, pki, session, simnet, wire
 from trustshift.messages import CertProfile, Uri, VersionInfo, encode
 from trustshift.scenario import ScenarioConfig, run_scenario
 
@@ -49,18 +49,19 @@ def initiator_session(responder, cred, seed=5):
     hello = wire.encode_wire(wire.Hello(
         ephemeral, encode(cred.certificate),
         tuple(encode(c) for c in cred.intermediates)))
-    disposition, [(_dst, data, _label)] = responder.handle(0, "tester", hello)
+    disposition, [send] = responder.handle(0, "tester", hello)
     assert disposition == "hello_accepted", disposition
-    accept = wire.decode_wire(data)
+    accept = wire.decode_wire(send.payload)
     return session.derive(ephemeral, accept.ephemeral,
-                          responder.credential.certificate, responder.actor_id)
+                          responder.credential.certificate,
+                          responder.net.actor_id)
 
 
 def call(responder, sess, msg):
     """Deliver `msg` as the next record of `sess`; returns the replies."""
     _disposition, sends = responder.handle(0, "tester", session.send(sess, msg))
-    return [wire.decode_wire(session.receive(sess, wire.parse_record_frame(data)))
-            for _dst, data, _label in sends]
+    return [wire.decode_wire(session.receive(
+        sess, wire.parse_record_frame(send.payload))) for send in sends]
 
 
 def operator_state():
@@ -78,7 +79,7 @@ def test_update_server_rejects_unauthenticated_peer():
         name="sp1", signing_key=crypto.generate_key_pair(crypto.digest(b"k")),
         update_server_uri=Uri("coaps://u.sp1"), current_version=VersionInfo(1, Uri("u")))
     actor = operators.OperatorActor(
-        sim, "sp1", state,
+        peers.NetHandle(sim, "sp1"), state,
         issued_credential(h, h.ca1, b"sp1", CertProfile.SERVER),
         h.store_for({pki.PERMANENT_CA_NAME}))
     rogue_key = crypto.generate_key_pair(crypto.digest(b"rogue"))
@@ -89,7 +90,7 @@ def test_update_server_rejects_unauthenticated_peer():
     disposition, sends = actor.peer.handle(0, "rogue",
                                            hello_for(rogue, random.Random(1)))
     assert disposition.startswith("hello_rejected:untrusted")
-    reject = wire.decode_wire(sends[0][1])
+    reject = wire.decode_wire(sends[0].payload)
     assert isinstance(reject, wire.Reject)
 
 
@@ -104,10 +105,11 @@ def test_factory_profile_rejected_where_server_profile_required():
     sp_state.peer_signer_keys["sp1"] = sp_state.signing_key.public_key
     sp_state.peer_signer_keys["sp2"] = sp_state.signing_key.public_key
     sp_actor = operators.OperatorActor(
-        sim, "sp1", sp_state,
+        peers.NetHandle(sim, "sp1"), sp_state,
         issued_credential(h, h.ca1, b"sp1", CertProfile.SERVER),
         h.store_for({pki.PERMANENT_CA_NAME}))
-    ca_actor = operators.CaActor(sim, "ca2", h.ca2)
+    ca_actor = operators.CaActor(
+        peers.NetHandle(sim, "ca2", h.revocation_view()), h.ca2)
 
     factory_cred = issued_credential(h, h.permanent, b"dev", CertProfile.FACTORY)
 
@@ -130,7 +132,8 @@ def test_server_profile_cannot_enroll():
     """The inverse separation: enrollment authorization requires a factory
     identity, not any trusted certificate."""
     sim, h = mini_world()
-    ca_actor = operators.CaActor(sim, "ca1", h.ca1)
+    ca_actor = operators.CaActor(
+        peers.NetHandle(sim, "ca1", h.revocation_view()), h.ca1)
     server_cred = issued_credential(h, h.ca1, b"server", CertProfile.SERVER)
     entry, disposition = open_session_against(sim, ca_actor.peer, server_cred)
     assert entry is not None, disposition
@@ -174,11 +177,12 @@ def ra_world(verifier):
     server = issued_credential(h, h.ca1, b"server", CertProfile.SERVER)
     store = h.store_for({pki.PERMANENT_CA_NAME})
     if verifier == "ra_verifier":
-        actor = operators.RaVerifierActor(sim, "ra", ra_state, server, store,
-                                          revocation_view=frozenset())
+        actor = operators.RaVerifierActor(peers.NetHandle(sim, "ra"),
+                                          ra_state, server, store)
     else:
-        actor = operators.OperatorActor(sim, "sp1", operator_state(), server,
-                                        store, fallback_ra_state=ra_state)
+        actor = operators.OperatorActor(peers.NetHandle(sim, "sp1"),
+                                        operator_state(), server, store,
+                                        fallback_ra_state=ra_state)
     device = issued_credential(h, h.permanent, DEVICE_0, CertProfile.FACTORY)
     return sim, actor, ra_state, initiator_session(actor.peer, device)
 
@@ -211,7 +215,7 @@ def test_fallback_request_in_another_devices_name_refused():
     """SP1 serves a fallback only to the device the session authenticated."""
     sim, h = mini_world()
     actor = operators.OperatorActor(
-        sim, "sp1", operator_state(),
+        peers.NetHandle(sim, "sp1"), operator_state(),
         issued_credential(h, h.ca1, b"sp1", CertProfile.SERVER),
         h.store_for({pki.PERMANENT_CA_NAME}))
     sess = initiator_session(actor.peer, issued_credential(

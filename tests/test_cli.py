@@ -109,6 +109,8 @@ def test_run_exit_one_on_expectation_mismatch(tmp_path, capsys):
     {"expectation": {"default": "reenroled"}},
     {"expectation": {"default": "reenrolled",
                      "overrides": {"device-001": "gone"}}},
+    {"seed": -1},
+    {"seed": 2**64},
 ], ids=["missing_file", "misspelt_key", "fractional_count", "string_count",
         "bool_seed", "override_names_no_device", "unknown_expectation_key",
         "tamper_names_no_device", "removed_option", "windows_key",
@@ -119,7 +121,7 @@ def test_run_exit_one_on_expectation_mismatch(tmp_path, capsys):
         "adversary_negative_first_n", "adversary_xor_mask_over_byte",
         "adversary_negative_seq_offset", "adversary_seq_offset_over_counter",
         "string_option", "string_fault", "unknown_default_phase",
-        "unknown_override_phase"])
+        "unknown_override_phase", "negative_seed", "seed_over_64_bits"])
 def test_run_exit_two_on_config_error(tmp_path, capsys, overrides):
     path = (tmp_path / "missing.json" if overrides is None
             else write_config(tmp_path, **overrides))
@@ -148,6 +150,15 @@ def test_run_seed_override_changes_digest(tmp_path, capsys):
                 return line
         return None
     assert digest(first) != digest(second)
+
+
+@pytest.mark.parametrize("command", ["run", "attack-suite"])
+def test_out_of_range_seed_override_is_config_error(tmp_path, capsys,
+                                                    command):
+    target = (write_config(tmp_path) if command == "run"
+              else str(REPO / "configs" / "attacks"))
+    assert cli.main([command, target, "--seed", "-1"]) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_report_determinism(tmp_path):

@@ -103,6 +103,31 @@ def test_envelope_header_read_only_by_crypto():
     assert not readers, f"envelope header read outside crypto at {readers}"
 
 
+def _actor_entries_outside_handle(path: Path) -> list[str]:
+    """Each `.add(..., actor=...)` call in `path` that is not in
+    `NetHandle.note`, as file:line."""
+    tree = _tree(path)
+    inside_note = {id(node) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) and cls.name == "NetHandle"
+                   for item in cls.body
+                   if isinstance(item, ast.FunctionDef) and item.name == "note"
+                   for node in ast.walk(item)}
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "add"
+            and any(k.arg == "actor" for k in node.keywords)
+            and id(node) not in inside_note]
+
+
+def test_actors_trace_through_their_handle():
+    """Outside the simulator, only `NetHandle.note` writes a trace entry
+    that names its actor: every actor, process or responder, writes its
+    entries through its handle."""
+    direct = [where for path in SOURCES if path.name != "simnet.py"
+              for where in _actor_entries_outside_handle(path)]
+    assert not direct, f"actor trace entries written around NetHandle at {direct}"
+
+
 def _public_definitions(tree: ast.Module) -> list[str]:
     """Top-level functions and classes, and the methods of those classes."""
     names = []

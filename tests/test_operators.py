@@ -123,7 +123,8 @@ def test_register_req_rogue_cert_refused(world):
                              rogue_key.public_key, LIFETIME,
                              CertProfile.FACTORY)
     certs = [m.factory_cert for m in sp1.managed_devices.values()] + [rogue]
-    ca2 = operators.CaActor(simnet.Simulator(seed=1), "ca2", h.ca2)
+    ca2 = operators.CaActor(peers.NetHandle(simnet.Simulator(seed=1), "ca2",
+                                            h.revocation_view()), h.ca2)
     sp2_key = crypto.generate_key_pair(crypto.digest(b"sp2-server"))
     sp2_cert = pki.issue_certificate(
         h.ca2, pki.make_csr(b"sp2", sp2_key, CertProfile.OPERATIONAL),
@@ -182,7 +183,7 @@ def operator_actor(world, sim, state, ca):
     h = world[0]
     roots = {h.permanent.name} | {c.name for c in (h.ca1, h.ca2)
                                   if c.certificate.is_self_signed}
-    return operators.OperatorActor(sim, state.name, state,
+    return operators.OperatorActor(peers.NetHandle(sim, state.name), state,
                                    server_credential(state, ca),
                                    h.store_for(roots))
 

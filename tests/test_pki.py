@@ -273,6 +273,18 @@ def test_register_rejects_rogue_cert():
     assert not h.ca2.registered_factory  # nothing registered on failure
 
 
+def test_register_rejects_revoked_factory_cert():
+    """A factory certificate the hierarchy has revoked is not registered."""
+    h = build("b")
+    cert, _ = factory_cert_for(h)
+    pki.revoke(h.permanent, cert.serial)
+    with pytest.raises(UnverifiableFactoryCert) as err:
+        pki.register_factory_certs(h.ca2, [cert], NOW)
+    assert (err.value.serial, err.value.reason) \
+        == (cert.serial, f"serial {cert.serial} revoked")
+    assert not h.ca2.registered_factory
+
+
 def test_register_empty_list():
     h = build("b")
     uri = pki.register_factory_certs(h.ca2, [], NOW)

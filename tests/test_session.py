@@ -30,17 +30,22 @@ def device_credential(h, name=b"dev-1"):
     return pki.Credential(cert, (), key)
 
 
+def echo_responder(h, store, seed=7, revocation_view=frozenset(), **kwargs):
+    """An echoing `ca2` responder under CA2's credential, in its own
+    simulator."""
+    return peers.ResponderPeer(
+        peers.NetHandle(simnet.Simulator(seed), "ca2", revocation_view),
+        h.ca2.credential(), store, app_handler=lambda now, entry, msg: [msg],
+        **kwargs)
+
+
 def handshakes(h, cred, dev_store, responder_store, count=1, seed=7,
                revocation_view=frozenset()):
     """Run `count` device handshakes against an echoing `ca2` responder.
 
     Returns ([(initiator session or None, status), ...], responder)."""
-    sim = simnet.Simulator(seed)
-    responder = peers.ResponderPeer(
-        sim, "ca2", h.ca2.credential(), responder_store,
-        app_handler=lambda now, entry, msg: [msg],
-        revocation_view=revocation_view)
-    sim.register_responder("ca2", responder.handle)
+    responder = echo_responder(h, responder_store, seed, revocation_view)
+    sim = responder.net.sim
     results = []
 
     def device():
@@ -72,7 +77,7 @@ def test_establish_variant_c_with_permanent_root_only():
     assert dev_side.session_key_fingerprint == ca_side.session_key_fingerprint
     assert (dev_side.peer_cert, dev_side.peer) == (h.ca2.certificate, "ca2")
     assert (ca_side.peer_cert, ca_side.peer) == (cred.certificate, "dev")
-    [traced] = responder.sim.trace.select("session")
+    [traced] = responder.net.sim.trace.select("session")
     assert traced["sid"] == dev_side.session_id.hex()
     assert traced["fp"] == dev_side.session_key_fingerprint.hex()
 
@@ -156,13 +161,24 @@ def make_pair(seed=7):
     return sess, responder
 
 
+def answer(responder, frame, src="dev"):
+    """The responder's disposition of `frame` from `src`, and what it sends
+    back as (destination, bytes) pairs."""
+    disposition, sends = responder.handle(responder.net.now(), src, frame)
+    return disposition, [(send.dst, send.payload) for send in sends]
+
+
 def deliver(responder, frame):
-    disposition, sends = responder.handle(responder.sim.now, "dev", frame)
-    return disposition, [data for _dst, data, _label in sends]
+    disposition, sends = answer(responder, frame)
+    return disposition, [data for _dst, data in sends]
+
+
+def trace_of(responder):
+    return responder.net.sim.trace
 
 
 def record_outcomes(responder):
-    return [e["outcome"] for e in responder.sim.trace.select("record")]
+    return [e["outcome"] for e in trace_of(responder).select("record")]
 
 
 def test_send_receive_roundtrip():
@@ -203,7 +219,7 @@ def test_cross_session_record_rejected():
     with pytest.raises(WrongSession):
         session.receive(a2, wire.parse_record_frame(reply))
     # ...and the same reply reaching a device parked on the other session
-    sim = responder2.sim
+    sim = responder2.net.sim
     got = []
 
     def waiter():
@@ -242,6 +258,88 @@ def test_at_most_once_under_adversarial_reordering():
             accepted.append(wire.parse_record_frame(frame).seq)
     assert accepted
     assert accepted == sorted(set(accepted))
+
+
+def ca_responder(h):
+    """An echoing `ca2` responder that, like a CA, serves factory and
+    server certificates only."""
+    return echo_responder(h, h.ca2.truststore, allowed_profiles=(
+        CertProfile.FACTORY, CertProfile.SERVER))
+
+
+def hello_under(cred):
+    return wire.encode_wire(wire.Hello(bytes(range(32)),
+                                       *peers._cred_to_wire(cred)))
+
+
+def _operational_hello(h):
+    """A Hello under an operational certificate CA2 issued to a device."""
+    key = crypto.generate_key_pair(crypto.digest(b"op"))
+    csr = pki.make_csr(b"dev-1", key, CertProfile.OPERATIONAL)
+    cert = pki.issue_certificate(h.ca2, csr, CertProfile.OPERATIONAL, LIFETIME)
+    return ca_responder(h), hello_under(
+        pki.Credential(cert, h.ca2.issuer_chain, key))
+
+
+def _replayed_hello(h):
+    responder, hello = ca_responder(h), hello_under(device_credential(h))
+    assert answer(responder, hello)[0] == "hello_accepted"
+    return responder, hello
+
+
+def _undecodable_payload(h):
+    sess, responder = make_pair()
+    return responder, session.send(sess, UnknownApp())
+
+
+def _unknown_session(h):
+    sess, _ = make_pair(seed=7)
+    return make_pair(seed=8)[1], session.send(sess, wire.UpdateCheck(b"x"))
+
+
+# Each disposition of `ResponderPeer.handle` for a frame it does not serve:
+# how the responder and the frame are built, and the disposition.
+RESPONDER_DISPOSITIONS = {
+    "malformed": (lambda h: (ca_responder(h), b"\xff")),
+    "ignored": (lambda h: (ca_responder(h),
+                           wire.encode_wire(wire.TrustAck(True)))),
+    "hello_rejected:bad_certificate": (lambda h: (
+        ca_responder(h),
+        wire.encode_wire(wire.Hello(bytes(range(32)), b"junk", ())))),
+    "hello_rejected:profile_not_allowed": _operational_hello,
+    "handshake_replay": _replayed_hello,
+    "malformed_app": _undecodable_payload,
+    "wrong_session": _unknown_session,
+}
+
+
+@pytest.mark.parametrize("disposition", list(RESPONDER_DISPOSITIONS))
+def test_responder_disposition(disposition):
+    """The disposition the simulator traces for each frame a responder does
+    not serve; a refused Hello gets a `Reject` back to its sender, and
+    nothing else gets a reply."""
+    responder, frame = RESPONDER_DISPOSITIONS[disposition](build("c"))
+    sessions = dict(responder.sessions)
+    got, sends = answer(responder, frame, src="dev-9")
+    assert got == disposition
+    assert responder.sessions == sessions
+    if disposition.startswith("hello_rejected:"):
+        [(dst, data)] = sends
+        assert dst == "dev-9"
+        assert wire.decode_wire(data) == wire.Reject(
+            bytes(range(32)), disposition.split(":")[1])
+    else:
+        assert sends == []
+    trace = trace_of(responder)
+    if disposition == "handshake_replay":
+        assert trace.select("handshake", actor="ca2",
+                            outcome="replayed_hello_discarded")
+    if disposition in ("malformed_app", "wrong_session"):
+        last = trace.select("record", actor="ca2")[-1]
+        assert last["outcome"] == disposition.replace("malformed_app", "accept")
+    if disposition == "malformed_app":
+        # The undecodable payload still spends its record's sequence number.
+        assert answer(responder, frame)[0] == "replay_detected"
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +393,17 @@ def run_reply_loop(case=None):
     def app(now, entry, msg):
         return [bad, msg] if ahead_of == "app" else [msg]
 
-    responder = peers.ResponderPeer(sim, "ca2", h.ca2.credential(),
-                                    h.ca2.truststore, app_handler=app)
+    responder = peers.ResponderPeer(peers.NetHandle(sim, "ca2"),
+                                    h.ca2.credential(), h.ca2.truststore,
+                                    app_handler=app)
 
     def handle(now, src, data):
         disposition, sends = responder.handle(now, src, data)
         msg = wire.decode_wire(data)
         if ahead_of == "hello" and isinstance(msg, wire.Hello):
-            sends = [(src, bad(msg), "bad")] + sends
+            sends = [simnet.Transmit(src, bad(msg), "bad")] + sends
         elif ahead_of == "record" and isinstance(msg, wire.RecordFrame):
-            sends = [(src, bad, "bad")] + sends
+            sends = [simnet.Transmit(src, bad, "bad")] + sends
         return disposition, sends
 
     sim.register_responder("ca2", handle)
@@ -344,7 +443,7 @@ def test_reply_loop_discards_bad_frame_within_deadline(case):
 def test_discarded_frame_does_not_extend_the_wait():
     """A frame the loop discards leaves the deadline where it was."""
     sess, responder = make_pair()
-    sim = responder.sim
+    sim = responder.net.sim
     start = sim.now
     done = []
 
