@@ -204,6 +204,9 @@ class CaState:
     registered_factory: dict[int, CompactCertificate] = field(default_factory=dict)
     issued: dict[int, CompactCertificate] = field(default_factory=dict)
     rng: random.Random = field(default_factory=lambda: random.Random(0))
+    # subject name -> serials of `issued`, in issue order; kept by add_issued
+    _serials_by_subject: dict[bytes, list[int]] = field(
+        default_factory=dict, init=False, repr=False)
 
     @property
     def revoked(self) -> set[int]:
@@ -217,8 +220,14 @@ class CaState:
             chain = chain[1:]
         return Credential(self.certificate, chain, self.key_pair)
 
+    def add_issued(self, cert: CompactCertificate) -> None:
+        """Record a certificate this CA signed; the only writer of `issued`."""
+        self.issued[cert.serial] = cert
+        self._serials_by_subject.setdefault(cert.subject_name, []).append(
+            cert.serial)
+
     def issued_serials_for(self, subject_name: bytes) -> list[int]:
-        return [s for s, c in self.issued.items() if c.subject_name == subject_name]
+        return list(self._serials_by_subject.get(subject_name, ()))
 
 
 def _signed_cert(issuer_name: bytes, issuer_key: crypto.KeyPair, serial: int,
@@ -244,7 +253,7 @@ def make_root_ca(name: bytes, key_pair: crypto.KeyPair, enroll_uri: Uri,
                  enroll_uri=enroll_uri, truststore=TrustStore(),
                  allocator=allocator)
     ca.truststore.add_root(cert)
-    ca.issued[cert.serial] = cert
+    ca.add_issued(cert)
     return ca
 
 
@@ -253,7 +262,7 @@ def make_sub_ca(name: bytes, key_pair: crypto.KeyPair, parent: CaState,
                 validity: tuple[TimeStamp, TimeStamp]) -> CaState:
     cert = _signed_cert(parent.name, parent.key_pair, parent.allocator.take(),
                         name, key_pair.public_key, validity, CertProfile.SUB_CA)
-    parent.issued[cert.serial] = cert
+    parent.add_issued(cert)
     ca = CaState(name=name, key_pair=key_pair, certificate=cert,
                  enroll_uri=enroll_uri, truststore=parent.truststore.copy(),
                  allocator=parent.allocator,
@@ -283,7 +292,7 @@ def issue_certificate(ca: CaState, csr: CertificateSigningRequest,
     cert = _signed_cert(ca.name, ca.key_pair, ca.allocator.take(),
                         csr.subject_name, csr.subject_public_key,
                         validity, profile)
-    ca.issued[cert.serial] = cert
+    ca.add_issued(cert)
     return cert
 
 

@@ -227,3 +227,27 @@ def test_fallback_request_in_another_devices_name_refused():
         == [wire.FallbackRsp(True, False)]
     [served] = sim.trace.select("fallback_served")
     assert served["device"] == "device-000"
+
+
+def test_revoke_req_revokes_only_the_subjects_operational_serials():
+    """A server-authenticated RevokeReq revokes every operational
+    certificate of the subject, and neither its factory certificate nor
+    another subject's. In variant d, CA1 is the permanent CA, so it issued
+    the factory certificate too."""
+    sim, h = mini_world("d")
+    ca = h.ca1
+    factory = issued_credential(h, ca, DEVICE_0, CertProfile.FACTORY)
+    operational = [issued_credential(h, ca, DEVICE_0, CertProfile.OPERATIONAL)
+                   .certificate.serial for _ in range(2)]
+    other = issued_credential(h, ca, DEVICE_1, CertProfile.OPERATIONAL)
+    ca_actor = operators.CaActor(
+        peers.NetHandle(sim, "ca1", h.revocation_view()), ca)
+    sess = initiator_session(ca_actor.peer, issued_credential(
+        h, ca, b"sp1", CertProfile.SERVER))
+    assert call(ca_actor.peer, sess, wire.RevokeReq(DEVICE_0)) \
+        == [wire.RevokeRsp(True, 2)]
+    assert h.revocation_view() == set(operational)
+    assert factory.certificate.serial not in h.revocation_view()
+    assert other.certificate.serial not in h.revocation_view()
+    [revoked] = sim.trace.select("revoked")
+    assert (revoked["subject"], revoked["count"]) == ("device-000", 2)

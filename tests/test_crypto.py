@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustshift import crypto
 from trustshift.errors import BadSeedLength, InvariantViolation
@@ -13,6 +15,7 @@ from trustshift.messages import (
     decode,
     encode,
 )
+from trustshift.scenario import ScenarioConfig, run_scenario
 
 
 def seeded_key(tag: bytes) -> crypto.KeyPair:
@@ -164,3 +167,88 @@ def test_digest_no_collisions_10k():
     for _ in range(10_000):
         inputs.add(bytes(rng.getrandbits(8) for _ in range(rng.randint(0, 48))))
     assert len(seen) == len(inputs)
+
+
+# ---------------------------------------------------------------------------
+# the verify memo: same answers as an uncached check, bounded, and hit
+# ---------------------------------------------------------------------------
+
+_MEMO_KEY = seeded_key(b"memo")
+_MEMO_DATA = b"signed once, checked many times"
+GENUINE = (_MEMO_KEY.public_key, _MEMO_KEY.sign(_MEMO_DATA), _MEMO_DATA)
+FORGED = (GENUINE[0], bytes([GENUINE[1][0] ^ 1]) + GENUINE[1][1:], GENUINE[2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["key", "signature", "data"]),
+       st.integers(min_value=0), st.integers(min_value=1, max_value=255))
+def test_memo_flipped_byte_rejected_after_genuine_cached(part, pos, mask):
+    """With the genuine triple in the memo, a triple that differs from it in
+    any one byte of the key, the signature or the data is still refused."""
+    assert crypto.verify_raw(*GENUINE)
+    hits = crypto._verify.cache_info().hits
+    assert crypto.verify_raw(*GENUINE)
+    assert crypto._verify.cache_info().hits == hits + 1
+    index = ("key", "signature", "data").index(part)
+    flipped = bytearray(GENUINE[index])
+    flipped[pos % len(flipped)] ^= mask
+    triple = list(GENUINE)
+    triple[index] = bytes(flipped)
+    assert not crypto.verify_raw(*triple)
+    assert crypto.verify_raw(*GENUINE)
+
+
+def test_memo_cached_forgery_does_not_shadow_genuine():
+    crypto._verify.cache_clear()
+    assert not crypto.verify_raw(*FORGED)
+    assert not crypto.verify_raw(*FORGED)
+    assert crypto.verify_raw(*GENUINE)
+    assert not crypto.verify_raw(*FORGED)
+    info = crypto._verify.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
+
+
+@pytest.mark.parametrize("key", [None, b"", GENUINE[0][:31], GENUINE[0] + b"\0"],
+                         ids=["none", "empty", "31_bytes", "33_bytes"])
+def test_memo_malformed_key_stays_false(key):
+    """Refused on the first call and again when answered from the memo."""
+    assert not crypto.verify_raw(key, *GENUINE[1:])
+    assert not crypto.verify_raw(key, *GENUINE[1:])
+
+
+@pytest.mark.parametrize("triple", [GENUINE, FORGED], ids=["genuine", "forged"])
+@pytest.mark.parametrize("index", [1, 2], ids=["signature", "data"])
+def test_memo_bytearray_same_as_bytes(triple, index):
+    """An unhashable argument takes the uncached check, with the same answer
+    as a bytes copy."""
+    as_bytearray = list(triple)
+    as_bytearray[index] = bytearray(triple[index])
+    assert crypto.verify_raw(*as_bytearray) == crypto.verify_raw(*triple)
+
+
+def test_memo_bytearray_key_stays_false():
+    """The Ed25519 primitive takes a public key only as bytes, so a
+    bytearray key is malformed input, with or without the memo."""
+    assert not crypto.verify_raw(bytearray(GENUINE[0]), *GENUINE[1:])
+
+
+def test_memo_is_bounded():
+    crypto._verify.cache_clear()
+    distinct = crypto.VERIFY_MEMO_SIZE + 100
+    for i in range(distinct):
+        assert not crypto.verify_raw(i.to_bytes(4, "big"), *GENUINE[1:])
+    info = crypto._verify.cache_info()
+    assert info.misses == distinct
+    assert info.currsize <= crypto.VERIFY_MEMO_SIZE
+
+
+def test_memo_hits_the_repeats_of_a_transfer():
+    """Handshakes re-check the same server and sub-CA links, and every
+    device checks the one relayed CWT: a 20-device variant-b transfer makes
+    422 checks of 131 distinct triples, so at most 35% may miss."""
+    crypto._verify.cache_clear()
+    result = run_scenario(ScenarioConfig(name="memo", variant="b",
+                                         device_count=20, seed=1))
+    assert result.ok
+    info = crypto._verify.cache_info()
+    assert info.misses <= 0.35 * (info.hits + info.misses)

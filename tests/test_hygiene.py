@@ -103,6 +103,30 @@ def test_envelope_header_read_only_by_crypto():
     assert not readers, f"envelope header read outside crypto at {readers}"
 
 
+def test_signature_checks_only_in_crypto():
+    """Every Ed25519 verify goes through `crypto.verify_raw`, so each one is
+    memoized and counted by the bench's `crypto.verify` wrapper: no other
+    module names `Ed25519PublicKey` or calls a `.verify` method."""
+    found = set()
+    for path in SOURCES:
+        if path.name == "crypto.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            names = {a.name for a in node.names} \
+                if isinstance(node, (ast.Import, ast.ImportFrom)) else set()
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            if "Ed25519PublicKey" in names or (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "verify"):
+                found.add(f"{path.name}:{node.lineno}")
+    assert not found, \
+        f"signature checked outside crypto.verify_raw at {sorted(found)}"
+
+
 def _actor_entries_outside_handle(path: Path) -> list[str]:
     """Each `.add(..., actor=...)` call in `path` that is not in
     `NetHandle.note`, as file:line."""

@@ -164,6 +164,21 @@ def test_serials_unique_across_hierarchy():
     assert len(serials) == len(set(serials))
 
 
+@pytest.mark.parametrize("variant", pki.VARIANTS)
+def test_issued_serials_for_matches_a_scan(variant):
+    """The subject index agrees with a scan of everything each CA issued:
+    roots, sub-CAs and certificates issued later, in issue order."""
+    h = build(variant)
+    for name in (b"dev-1", b"dev-2", b"dev-1"):
+        csr = pki.make_csr(name, device_key(name), CertProfile.FACTORY)
+        pki.issue_certificate(h.ca1, csr, CertProfile.OPERATIONAL, LIFETIME)
+    for ca in h.cas():
+        subjects = {c.subject_name for c in ca.issued.values()}
+        for subject in subjects | {b"nobody"}:
+            assert ca.issued_serials_for(subject) == [
+                s for s, c in ca.issued.items() if c.subject_name == subject]
+
+
 # ---------------------------------------------------------------------------
 # chain verification
 # ---------------------------------------------------------------------------
