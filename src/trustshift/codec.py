@@ -9,13 +9,15 @@ parse.
 `FIELD_KINDS` maps a dataclass field annotation to its encoder and reader.
 It is the one table behind every fixed-arity array of typed fields: the
 wire frames (`wire.py`) and the protocol payloads (`messages.py`, which
-adds its own kinds).
+adds its own kinds). `compile_writer` and `compile_reader` look the kinds
+up once, when a class is declared, so a message costs one call per field.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import fields
+from itertools import repeat
+from operator import attrgetter
 
 from .errors import MalformedEncoding
 
@@ -30,17 +32,20 @@ _TRUE = 0xF5
 _NULL = 0xF6
 
 
+# The head of each argument 0-255 of each major type, built once: nearly
+# every integer and length (keys, ephemerals, signatures) is in this range.
+_SHORT_HEADS = tuple(
+    tuple(bytes([(major << 5) | arg]) if arg < 24
+          else bytes([(major << 5) | 24, arg]) for arg in range(256))
+    for major in range(8))
+
+
 def _encode_head(major: int, arg: int) -> bytes:
-    if arg < 24:
-        return bytes([(major << 5) | arg])
-    if arg <= 0xFF:
-        return bytes([(major << 5) | 24, arg])
-    if arg <= 0xFFFF:
-        return bytes([(major << 5) | 25]) + struct.pack(">H", arg)
-    if arg <= 0xFFFFFFFF:
-        return bytes([(major << 5) | 26]) + struct.pack(">I", arg)
-    if arg <= 0xFFFFFFFFFFFFFFFF:
-        return bytes([(major << 5) | 27]) + struct.pack(">Q", arg)
+    if arg < 256:
+        return _SHORT_HEADS[major][arg]
+    for info, width in ((25, 2), (26, 4), (27, 8)):
+        if arg < 1 << 8 * width:
+            return bytes([(major << 5) | info]) + arg.to_bytes(width, "big")
     raise MalformedEncoding("integer exceeds 64-bit range")
 
 
@@ -75,11 +80,16 @@ def encode_null() -> bytes:
     return bytes([_NULL])
 
 
+# Indexed by major type; 1, negative integers, is not in the subset.
+_MAJOR_NAMES = ("unsigned integer", "", "byte string", "text string", "array",
+                "map")
+
+
 class Decoder:
     """Strict cursor over one encoded item stream."""
 
     def __init__(self, data: bytes):
-        self._data = data
+        self._data = bytes(data)  # so every string read from it is bytes
         self._pos = 0
 
     def _take(self, n: int) -> bytes:
@@ -89,65 +99,54 @@ class Decoder:
         self._pos += n
         return chunk
 
-    def _read_head(self) -> tuple[int, int]:
+    def _arg(self, major: int) -> int:
+        """The argument of the next head, which must be of type `major`. The
+        fast path takes an argument in the initial byte or in one byte
+        after it (24-255); the rest, and every error, take the slow one."""
+        data, pos = self._data, self._pos
+        if pos < len(data):
+            info = data[pos] - (major << 5)  # in 0-31 iff the major matches
+            if 0 <= info < 24:
+                self._pos = pos + 1
+                return info
+            if info == 24 and pos + 1 < len(data) and data[pos + 1] >= 24:
+                self._pos = pos + 2
+                return data[pos + 1]
         initial = self._take(1)[0]
-        major = initial >> 5
-        info = initial & 0x1F
-        if info < 24:
-            return major, info
-        if info == 24:
-            arg = self._take(1)[0]
-            min_excl = 23
-        elif info == 25:
-            arg = struct.unpack(">H", self._take(2))[0]
-            min_excl = 0xFF
-        elif info == 26:
-            arg = struct.unpack(">I", self._take(4))[0]
-            min_excl = 0xFFFF
-        elif info == 27:
-            arg = struct.unpack(">Q", self._take(8))[0]
-            min_excl = 0xFFFFFFFF
-        else:
-            raise MalformedEncoding(f"unsupported additional info {info}")
-        if arg <= min_excl:
-            raise MalformedEncoding("non-minimal length encoding")
-        return major, arg
-
-    def read_uint(self) -> int:
-        major, arg = self._read_head()
-        if major != _MAJOR_UINT:
-            raise MalformedEncoding(f"expected unsigned integer, got major {major}")
+        arg = initial & 0x1F
+        if arg >= 24:
+            if arg > 27:
+                raise MalformedEncoding(f"unsupported additional info {arg}")
+            width = 1 << (arg - 24)
+            arg = int.from_bytes(self._take(width), "big")
+            if arg <= (23 if width == 1 else (1 << 4 * width) - 1):
+                raise MalformedEncoding("non-minimal length encoding")
+        if initial >> 5 != major:
+            raise MalformedEncoding(
+                f"expected {_MAJOR_NAMES[major]}, got major {initial >> 5}")
         return arg
 
+    def read_uint(self) -> int:
+        return self._arg(_MAJOR_UINT)
+
     def read_bytes(self) -> bytes:
-        major, arg = self._read_head()
-        if major != _MAJOR_BYTES:
-            raise MalformedEncoding(f"expected byte string, got major {major}")
-        return bytes(self._take(arg))
+        return self._take(self._arg(_MAJOR_BYTES))
 
     def read_text(self) -> str:
-        major, arg = self._read_head()
-        if major != _MAJOR_TEXT:
-            raise MalformedEncoding(f"expected text string, got major {major}")
-        raw = self._take(arg)
+        raw = self._take(self._arg(_MAJOR_TEXT))
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedEncoding("invalid UTF-8 in text string") from exc
 
     def read_array_head(self, expected: int | None = None) -> int:
-        major, arg = self._read_head()
-        if major != _MAJOR_ARRAY:
-            raise MalformedEncoding(f"expected array, got major {major}")
+        arg = self._arg(_MAJOR_ARRAY)
         if expected is not None and arg != expected:
             raise MalformedEncoding(f"expected {expected}-element array, got {arg}")
         return arg
 
     def read_map_head(self) -> int:
-        major, arg = self._read_head()
-        if major != _MAJOR_MAP:
-            raise MalformedEncoding(f"expected map, got major {major}")
-        return arg
+        return self._arg(_MAJOR_MAP)
 
     def read_bool(self) -> bool:
         byte = self._take(1)[0]
@@ -178,7 +177,7 @@ def _encode_bytes_list(items) -> bytes:
 
 
 def _read_bytes_list(dec: Decoder) -> tuple:
-    return tuple(dec.read_bytes() for _ in range(dec.read_array_head()))
+    return tuple(map(Decoder.read_bytes, repeat(dec, dec.read_array_head())))
 
 
 # Field annotation -> (encoder, reader); a reader takes the `Decoder`.
@@ -196,10 +195,23 @@ def field_spec(cls) -> tuple:
     return tuple((f.name, *FIELD_KINDS[f.type]) for f in fields(cls))
 
 
-def encode_fields(value, spec) -> bytes:
-    """The fields of `value` named in `spec`, encoded back to back."""
-    return b"".join([encode(getattr(value, name)) for name, encode, _read in spec])
+def compile_writer(cls, head: bytes, count: int | None = None):
+    """`write(value)`: `head`, then the first `count` fields of dataclass
+    `cls` (all of them by default), each encoded by its kind."""
+    spec = field_spec(cls)[:count]
+    encoders = tuple(encode for _name, encode, _read in spec)
+    names = [name for name, _encode, _read in spec]
+    get = attrgetter(*names) if len(names) > 1 else (  # a tuple in every case
+        lambda value: tuple(getattr(value, name) for name in names))
+
+    def write(value) -> bytes:
+        return head + b"".join([encode(field_value) for encode, field_value
+                                in zip(encoders, get(value))])
+    return write
 
 
-def read_fields(dec: Decoder, spec) -> list:
-    return [read(dec) for _name, _encode, read in spec]
+def compile_reader(cls):
+    """`read(dec)`: the fields of dataclass `cls`, each read by its kind in
+    declared order, as an instance."""
+    readers = tuple(read for _name, _encode, read in field_spec(cls))
+    return lambda dec: cls(*[read(dec) for read in readers])

@@ -252,8 +252,8 @@ def _enroll(state: DeviceState, net: peers.NetHandle,
         raise EnrollRejected(reply.reason)
 
     try:
-        cert = decode(CompactCertificate, reply.cert_bytes)
-        chain = tuple(decode(CompactCertificate, b) for b in reply.chain_certs)
+        cert = pki.decode_certificate(reply.cert_bytes)
+        chain = tuple(pki.decode_certificate(b) for b in reply.chain_certs)
     except (MalformedEncoding, InvariantViolation):
         raise EnrollRejected("bad_enroll_response")
     if server_keygen:
@@ -429,7 +429,7 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
             store = state.truststore.copy()
             try:
                 for cert_bytes in msg.root_certs:
-                    root = decode(CompactCertificate, cert_bytes)
+                    root = pki.decode_certificate(cert_bytes)
                     store.add_root(root, persist=msg.persist)
             except (MalformedEncoding, InvariantViolation):
                 ack = wire.TrustAck(False)

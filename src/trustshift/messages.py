@@ -13,7 +13,7 @@ immutable and validated at construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 from . import codec
@@ -38,20 +38,18 @@ def _payload_kind(cls, encode, read) -> None:
     cls.KIND = codec.FIELD_KINDS[cls.__name__] = (encode, read)
 
 
-def _encode_array(msg, spec) -> bytes:
-    return codec.encode_array_head(len(spec)) + codec.encode_fields(msg, spec)
-
-
 def _payload(cls):
     """Declare a regular payload: the fixed-arity array of its fields."""
     cls = dataclass(frozen=True)(cls)
-    cls.SPEC = codec.field_spec(cls)
+    arity = len(fields(cls))
+    read_fields = codec.compile_reader(cls)
 
     def read(dec: codec.Decoder):
-        dec.read_array_head(expected=len(cls.SPEC))
-        return cls(*codec.read_fields(dec, cls.SPEC))
+        dec.read_array_head(expected=arity)
+        return read_fields(dec)
 
-    _payload_kind(cls, lambda msg: _encode_array(msg, msg.SPEC), read)
+    _payload_kind(cls, codec.compile_writer(cls, codec.encode_array_head(arity)),
+                  read)
     return cls
 
 
@@ -125,6 +123,9 @@ class VersionInfo:
 class CompactCertificate:
     """Simplified compact credential binding a name to a public key."""
 
+    # Each encoding is made at most once, and kept outside the fields.
+    __slots__ = ("__dict__", "_tbs", "_encoding")
+
     serial: int
     subject_name: bytes
     subject_public_key: bytes
@@ -143,13 +144,35 @@ class CompactCertificate:
         if not isinstance(self.profile, CertProfile):
             raise InvariantViolation("profile must be a CertProfile")
 
+    def __getstate__(self):
+        return self.__dict__  # the fields: a copy makes its own encodings
+
     @property
     def is_self_signed(self) -> bool:
         return self.issuer_name == self.subject_name
 
     def tbs_bytes(self) -> bytes:
         """To-be-signed body: the seven fields preceding the signature."""
-        return _encode_array(self, self.SPEC[:7])
+        try:
+            return self._tbs
+        except AttributeError:
+            object.__setattr__(self, "_tbs", _write_cert_tbs(self))
+            return self._tbs
+
+    def encoding(self) -> bytes:
+        """What `encode` gives for this certificate."""
+        try:
+            return self._encoding
+        except AttributeError:
+            object.__setattr__(self, "_encoding", _write_cert(self))
+            return self._encoding
+
+
+_write_cert = CompactCertificate.KIND[0]
+_write_cert_tbs = codec.compile_writer(CompactCertificate,
+                                       codec.encode_array_head(7), 7)
+_payload_kind(CompactCertificate, CompactCertificate.encoding,
+              CompactCertificate.KIND[1])
 
 
 @_payload
@@ -255,7 +278,11 @@ class CertificateSigningRequest:
 
     def tbs_bytes(self) -> bytes:
         """Bytes covered by the proof-of-possession signature."""
-        return _encode_array(self, self.SPEC[:3])
+        return _write_csr_tbs(self)
+
+
+_write_csr_tbs = codec.compile_writer(CertificateSigningRequest,
+                                      codec.encode_array_head(3), 3)
 
 
 # Map key of each EnvelopeHeader field; ascending keys keep the map canonical.

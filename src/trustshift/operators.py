@@ -25,7 +25,6 @@ from .errors import (
 from .messages import (
     CertificateSigningRequest,
     CertProfile,
-    CompactCertificate,
     DeviceUpdateInfo,
     EnvelopeProfile,
     SignedEnvelope,
@@ -227,7 +226,7 @@ class CaActor:
             if sess.peer_cert.profile is not CertProfile.SERVER:
                 return [wire.RegisterRsp(False, "", 0, "profile_not_allowed")]
             try:
-                certs = [decode(CompactCertificate, b) for b in msg.cert_list]
+                certs = [pki.decode_certificate(b) for b in msg.cert_list]
                 uri = pki.register_factory_certs(self.ca, certs, now)
             except UnverifiableFactoryCert as err:
                 return [wire.RegisterRsp(False, "", err.serial, err.reason)]

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import messages, pki, session, simnet, wire
+from . import pki, session, simnet, wire
 from .errors import Error, MalformedEncoding, ReplayDetected, WrongSession
-from .messages import CertProfile, CompactCertificate
+from .messages import CertProfile
 from .simnet import TIMEOUT, Transmit, WaitMessage
 
 
@@ -53,8 +53,8 @@ class NetHandle:
 
 
 def _cred_to_wire(cred: pki.Credential) -> tuple[bytes, tuple[bytes, ...]]:
-    return (messages.encode(cred.certificate),
-            tuple(messages.encode(c) for c in cred.intermediates))
+    return (cred.certificate.encoding(),
+            tuple(c.encoding() for c in cred.intermediates))
 
 
 def _check_peer(net: NetHandle, cert_bytes: bytes,
@@ -63,8 +63,8 @@ def _check_peer(net: NetHandle, cert_bytes: bytes,
     `net`'s time under its revoked serials: (certificate, failure reason or
     None), or (None, "bad_certificate") when the bytes do not decode."""
     try:
-        cert = messages.decode(CompactCertificate, cert_bytes)
-        inters = [messages.decode(CompactCertificate, b) for b in intermediates]
+        cert = pki.decode_certificate(cert_bytes)
+        inters = [pki.decode_certificate(b) for b in intermediates]
     except Error:
         return None, "bad_certificate"
     check = pki.verify_chain(cert, inters, store, net.now(),

@@ -8,6 +8,7 @@ the Internet-side servers.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,9 +30,15 @@ from .messages import (
     CompactCertificate,
     TimeStamp,
     Uri,
+    decode,
 )
 
 MAX_CHAIN_LEN = 8
+# Bound on memoized certificate decodes. In a 200-device fleet run, 64
+# entries catch 0.54 of the decodes, mostly the server credentials each
+# device decodes on every handshake; 4096 catch 0.80, adding devices' own
+# certificates seen again later. An entry holds one certificate and its bytes.
+CERT_MEMO_SIZE = 64
 
 PERMANENT_CA_NAME = b"permanent-ca"
 CA1_NAME = b"ca1"
@@ -106,6 +113,14 @@ class TrustStore:
         out._roots = {n: c for n, c in self._roots.items() if self._persist[n]}
         out._persist = dict.fromkeys(out._roots, True)
         return out
+
+
+@functools.lru_cache(maxsize=CERT_MEMO_SIZE)
+def decode_certificate(data: bytes) -> CompactCertificate:
+    """The certificate `data` encodes; every certificate off the wire is
+    decoded here. Equal bytes share one immutable certificate and the
+    encodings it keeps; an error is not memoized, so it recurs on each call."""
+    return decode(CompactCertificate, data)
 
 
 def _validity_at(cert: CompactCertificate, now: TimeStamp) -> ChainResult:

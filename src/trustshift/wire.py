@@ -10,7 +10,7 @@ gets to see.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import codec
 from .errors import MalformedEncoding
@@ -31,9 +31,7 @@ def snake_case(name: str) -> str:
 
 
 def encode_wire(msg) -> bytes:
-    spec = msg.SPEC
-    return (codec.encode_array_head(len(spec) + 1) + codec.encode_uint(msg.TAG)
-            + codec.encode_fields(msg, spec))
+    return type(msg).WRITE(msg)
 
 
 def decode_wire(data: bytes):
@@ -45,23 +43,32 @@ def decode_wire(data: bytes):
     cls = _REGISTRY.get(tag)
     if cls is None:
         raise MalformedEncoding(f"unknown wire tag {tag}")
-    if count != len(cls.SPEC) + 1:
+    if count != cls.ARITY:
         raise MalformedEncoding(
-            f"wire tag {tag} expects {len(cls.SPEC) + 1} elements, got {count}")
-    values = codec.read_fields(dec, cls.SPEC)
+            f"wire tag {tag} expects {cls.ARITY} elements, got {count}")
+    msg = cls.READ(dec)
     dec.finish()
-    return cls(*values)
+    return msg
+
+
+def compile_frame(cls, tag: int):
+    """Make `cls` a frame under `tag`, without registering the tag: a
+    frozen dataclass with its trace label, its array length (tag and
+    fields) and its writer and field reader, compiled once."""
+    cls = dataclass(frozen=True)(cls)
+    cls.LABEL = snake_case(cls.__name__)
+    cls.ARITY = len(fields(cls)) + 1
+    cls.WRITE = codec.compile_writer(
+        cls, codec.encode_array_head(cls.ARITY) + codec.encode_uint(tag))
+    cls.READ = codec.compile_reader(cls)
+    return cls
 
 
 def wire_message(tag):
     """Declare a frame: a tagged array of its fields, each of a kind in
-    `codec.FIELD_KINDS`."""
+    `codec.FIELD_KINDS`, decoded by `decode_wire`."""
     def wrap(cls):
-        cls = dataclass(frozen=True)(cls)
-        cls.TAG = tag
-        cls.LABEL = snake_case(cls.__name__)
-        cls.SPEC = codec.field_spec(cls)
-        _REGISTRY[tag] = cls
+        cls = _REGISTRY[tag] = compile_frame(cls, tag)
         return cls
     return wrap
 

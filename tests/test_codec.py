@@ -1,6 +1,9 @@
 """Codec tests: golden bytes, round-trips, rejection corpus, properties."""
 
+import copy
+import dataclasses
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 import gen
 import refenc
 import vector_fixtures as fx
-from trustshift import crypto
+from trustshift import codec, crypto
 from trustshift.errors import InvariantViolation, MalformedEncoding
 from trustshift.messages import (
     CertificateSigningRequest,
@@ -142,6 +145,18 @@ def test_golden_bytes(name, kind, fixture_messages):
     golden = load_vector(name)
     assert encode(fixture_messages[name]).hex() == golden.hex()
     assert decode(kind, golden) == fixture_messages[name]
+
+
+def test_certificate_keeps_its_encodings_outside_its_fields(fixture_messages):
+    cert = fixture_messages["certificate_factory"]
+    golden = load_vector("certificate_factory")
+    assert cert.encoding() == golden and cert.encoding() is cert.encoding()
+    assert golden.startswith(b"\x88" + cert.tbs_bytes()[1:])
+    assert cert.tbs_bytes() is cert.tbs_bytes()
+    assert vars(cert).keys() == {f.name for f in dataclasses.fields(cert)}
+    for clone in (copy.copy(cert), copy.deepcopy(cert),
+                  pickle.loads(pickle.dumps(cert))):
+        assert clone == cert and clone.encoding() == golden
 
 
 def test_golden_empty_list_single_byte():
@@ -289,3 +304,91 @@ def test_property_garbage_never_crashes(data):
             decode(kind, data)
         except (MalformedEncoding, InvariantViolation):
             pass
+
+
+# ---------------------------------------------------------------------------
+# heads: every width, fast path or not, against the reference encoder
+# ---------------------------------------------------------------------------
+
+# Each argument where a head changes width, with its neighbours.
+HEAD_BOUNDARIES = (0, 23, 24, 255, 256, 65535, 65536, 2**32 - 1, 2**32,
+                   2**64 - 1)
+HEAD_READERS = {
+    0: codec.Decoder.read_uint,
+    2: codec.Decoder.read_bytes,
+    3: codec.Decoder.read_text,
+    4: codec.Decoder.read_array_head,
+    5: codec.Decoder.read_map_head,
+}
+# Major types whose head is the whole item: its encoder and reader.
+COUNTS = {0: codec.encode_uint, 4: codec.encode_array_head,
+          5: codec.encode_map_head}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(COUNTS)),
+       st.sampled_from(HEAD_BOUNDARIES) | st.integers(0, 2**64 - 1))
+def test_property_count_heads_match_reference(major, arg):
+    data = COUNTS[major](arg)
+    assert data == refenc._head(major, arg)
+    dec = codec.Decoder(data)
+    assert HEAD_READERS[major](dec) == arg
+    dec.finish()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["bytes", "text"]),
+       st.sampled_from([n for n in HEAD_BOUNDARIES if n <= 65536])
+       | st.integers(0, 300))
+def test_property_strings_match_reference(kind, length):
+    """Byte and text strings up to a 65536-byte length; longer ones are
+    covered by their heads below."""
+    value = b"\xa5" * length if kind == "bytes" else "a" * length
+    encode_string = codec.encode_bytes if kind == "bytes" else codec.encode_text
+    major = 2 if kind == "bytes" else 3
+    data = encode_string(value)
+    assert data == refenc.ref_encode((kind, value))
+    dec = codec.Decoder(data)
+    assert HEAD_READERS[major](dec) == value
+    dec.finish()
+
+
+@pytest.mark.parametrize("major", [2, 3])
+@pytest.mark.parametrize("length", HEAD_BOUNDARIES[1:])
+def test_string_longer_than_input_is_truncated(major, length):
+    with pytest.raises(MalformedEncoding, match="truncated"):
+        HEAD_READERS[major](codec.Decoder(refenc._head(major, length) + b"x"))
+
+
+def test_uint_outside_64_bits_rejected():
+    for value in (-1, 2**64):
+        with pytest.raises(MalformedEncoding):
+            codec.encode_uint(value)
+
+
+@pytest.mark.parametrize("major", sorted(HEAD_READERS))
+@pytest.mark.parametrize("head", ["5817", "5900ff", "5a0000ffff"])
+def test_non_minimal_head_rejected(major, head):
+    """23 in a one-byte argument, 255 in two bytes, 65535 in four, under
+    every major type."""
+    raw = bytearray.fromhex(head)
+    raw[0] = (major << 5) | (raw[0] & 0x1F)
+    with pytest.raises(MalformedEncoding, match="non-minimal"):
+        HEAD_READERS[major](codec.Decoder(bytes(raw) + bytes(65535)))
+
+
+@pytest.mark.parametrize("major", sorted(HEAD_READERS))
+def test_head_of_another_major_rejected(major):
+    for other in set(HEAD_READERS) - {major}:
+        for arg in (5, 30, 300):
+            data = refenc._head(other, arg) + bytes(arg)
+            with pytest.raises(MalformedEncoding, match="expected"):
+                HEAD_READERS[major](codec.Decoder(data))
+
+
+@pytest.mark.parametrize("name,kind", GOLDEN_NAMES)
+def test_every_truncated_golden_prefix_rejected(name, kind):
+    golden = load_vector(name)
+    for end in range(len(golden)):
+        with pytest.raises(MalformedEncoding):
+            decode(kind, golden[:end])

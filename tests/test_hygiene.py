@@ -127,6 +127,34 @@ def test_signature_checks_only_in_crypto():
         f"signature checked outside crypto.verify_raw at {sorted(found)}"
 
 
+def _certificate_decodes(path: Path) -> list[tuple[str, str]]:
+    """Each `decode(CompactCertificate, ...)` call in `path`: (file:line,
+    name of the top-level function it is in)."""
+    found = []
+    for top in _tree(path).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", getattr(node.func, "id", None))
+                    == "decode"
+                    and node.args
+                    and getattr(node.args[0], "attr",
+                                getattr(node.args[0], "id", None))
+                    == "CompactCertificate"):
+                found.append((f"{path.name}:{node.lineno}",
+                              getattr(top, "name", "")))
+    return found
+
+
+def test_certificates_decoded_only_through_the_memo():
+    """Every certificate read off the wire goes through
+    `pki.decode_certificate`, the one bounded memo: no other function calls
+    `decode(CompactCertificate, ...)`."""
+    calls = [call for path in SOURCES for call in _certificate_decodes(path)]
+    assert [where.split(":")[0] for where, _ in calls] == ["pki.py"]
+    outside = [where for where, func in calls if func != "decode_certificate"]
+    assert not outside, f"certificate decoded around the memo at {outside}"
+
+
 def _actor_entries_outside_handle(path: Path) -> list[str]:
     """Each `.add(..., actor=...)` call in `path` that is not in
     `NetHandle.note`, as file:line."""

@@ -1,21 +1,24 @@
 """PKI tests: hierarchies, truststores, chains, issuance, revocation."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
+import gen
 from trustshift import crypto, pki
 from trustshift.errors import (
     BadProofOfPossession,
     InvalidValidityWindow,
     InvariantViolation,
+    MalformedEncoding,
     NameMismatch,
     NotRegistered,
     RevokedFactoryCert,
     UnknownSerial,
     UnverifiableFactoryCert,
 )
-from trustshift.messages import CertProfile, CompactCertificate
+from trustshift.messages import CertProfile, CompactCertificate, encode
 
 NOW = 1_000
 LIFETIME = (0, 10**9)
@@ -211,6 +214,58 @@ def test_chain_revoked_leaf():
     assert pki.verify_chain(cert, [], store, NOW, set())
     pki.revoke(h.permanent, cert.serial)
     res = pki.verify_chain(cert, [], store, NOW, h.revocation_view())
+    assert not res and res.reason is pki.ChainReason.REVOKED
+
+
+# ---------------------------------------------------------------------------
+# the certificate memo
+# ---------------------------------------------------------------------------
+
+def test_memo_equal_bytes_equal_certificate():
+    h = build("c")
+    cert, _ = factory_cert_for(h)
+    data = encode(cert)
+    first = pki.decode_certificate(data)
+    assert first == cert
+    # equal bytes in another object: the same certificate, from the memo
+    assert pki.decode_certificate(bytes(bytearray(data))) is first
+    assert encode(first) == data
+
+
+def test_memo_never_holds_an_error():
+    h = build("c")
+    data = encode(factory_cert_for(h)[0])
+    before = pki.decode_certificate.cache_info().currsize
+    for bad in (data[:-1], data + b"\x00", b"junk"):
+        for _ in range(2):
+            with pytest.raises(MalformedEncoding):
+                pki.decode_certificate(bad)
+    assert pki.decode_certificate.cache_info().currsize == before
+
+
+def test_memo_stays_within_its_bound():
+    rng = random.Random(5)
+    for serial in range(pki.CERT_MEMO_SIZE + 100):
+        cert = replace(gen.rand_certificate(rng), serial=serial)
+        assert pki.decode_certificate(encode(cert)) == cert
+        assert pki.decode_certificate.cache_info().currsize <= pki.CERT_MEMO_SIZE
+
+
+def test_memoized_certificate_still_expires_and_is_revoked():
+    """The memo saves decoding, never a check: `verify_chain` judges a
+    memoized certificate at the time and revocations it is given."""
+    h = build("c")
+    cert, _ = factory_cert_for(h)
+    data = encode(cert)
+    store = h.store_for({pki.PERMANENT_CA_NAME})
+    memoized = pki.decode_certificate(data)
+    assert pki.decode_certificate(data) is memoized
+    assert pki.verify_chain(memoized, [], store, NOW, set())
+    late = pki.verify_chain(memoized, [], store, cert.not_after + 1, set())
+    assert not late and late.reason is pki.ChainReason.EXPIRED
+    pki.revoke(h.permanent, cert.serial)
+    res = pki.verify_chain(pki.decode_certificate(data), [], store, NOW,
+                           h.revocation_view())
     assert not res and res.reason is pki.ChainReason.REVOKED
 
 

@@ -347,8 +347,11 @@ def test_responder_disposition(disposition):
 # ---------------------------------------------------------------------------
 
 class UnknownApp:
-    """An application message under a tag no peer knows."""
-    TAG, LABEL, SPEC = 99, "unknown_app", ()
+    """An application message under a tag no peer knows: compiled like every
+    frame, but its tag is never registered, so no receiver decodes it."""
+
+
+UnknownApp = wire.compile_frame(UnknownApp, 99)
 
 
 def _accept(echo, cert_bytes):
