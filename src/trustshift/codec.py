@@ -9,15 +9,17 @@ parse.
 `FIELD_KINDS` maps a dataclass field annotation to its encoder and reader.
 It is the one table behind every fixed-arity array of typed fields: the
 wire frames (`wire.py`) and the protocol payloads (`messages.py`, which
-adds its own kinds). `compile_writer` and `compile_reader` look the kinds
-up once, when a class is declared, so a message costs one call per field.
+adds its own kinds). `compile_writer` and `compile_reader` generate one
+straight-line function per class at declaration, as `dataclasses` does,
+that takes minimal heads of arguments 0-255 inline for the `bytes`, `int`
+and `bool` kinds; all else, every error too, goes to the kind's encoder or
+reader, the one strict path.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
 from itertools import repeat
-from operator import attrgetter
 
 from .errors import MalformedEncoding
 
@@ -88,9 +90,9 @@ _MAJOR_NAMES = ("unsigned integer", "", "byte string", "text string", "array",
 class Decoder:
     """Strict cursor over one encoded item stream."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, pos: int = 0):
         self._data = bytes(data)  # so every string read from it is bytes
-        self._pos = 0
+        self._pos = pos
 
     def _take(self, n: int) -> bytes:
         if self._pos + n > len(self._data):
@@ -195,23 +197,65 @@ def field_spec(cls) -> tuple:
     return tuple((f.name, *FIELD_KINDS[f.type]) for f in fields(cls))
 
 
+# Inlined per kind: by encoder, an expression over the field value `{v}`; by
+# reader, statements that set `{v}` and advance `pos`, or else run `{slow}`.
+_WRITE_INLINE = {
+    encode_uint: "H0[{v}] if 0 <= {v} < 256 else encode_uint({v})",
+    encode_bytes: "H2[n] if (n := len({v})) < 256 else _encode_head(2, n), {v}",
+    encode_bool: r"b'\xf5' if {v} else b'\xf4'",
+}
+_READ_INLINE = {
+    Decoder.read_uint: """
+    h = data[pos] if pos < end else 255
+    if h < 24: {v} = h; pos += 1
+    elif h == 24 and pos + 1 < end and data[pos + 1] >= 24: {v} = data[pos + 1]; pos += 2
+    else: {slow}""",
+    Decoder.read_bytes: """
+    h = data[pos] - 0x40 if pos < end else -1
+    if 0 <= h < 24 and pos + 1 + h <= end: {v} = data[pos + 1:pos + 1 + h]; pos += 1 + h
+    elif h == 24 and pos + 1 < end and 24 <= (n := data[pos + 1]) <= end - pos - 2:
+        {v} = data[pos + 2:pos + 2 + n]; pos += 2 + n
+    else: {slow}""",
+    Decoder.read_bool: """
+    h = data[pos] if pos < end else 0
+    if h == 0xF5 or h == 0xF4: {v} = h == 0xF5; pos += 1
+    else: {slow}""",
+}
+
+
+def _define(signature: str, body: list[str], namespace: dict):  # the one exec
+    exec("\n".join([f"def {signature}:", *body]), namespace)
+    return namespace[signature.partition("(")[0]]
+
+
 def compile_writer(cls, head: bytes, count: int | None = None):
     """`write(value)`: `head`, then the first `count` fields of dataclass
     `cls` (all of them by default), each encoded by its kind."""
-    spec = field_spec(cls)[:count]
-    encoders = tuple(encode for _name, encode, _read in spec)
-    names = [name for name, _encode, _read in spec]
-    get = attrgetter(*names) if len(names) > 1 else (  # a tuple in every case
-        lambda value: tuple(getattr(value, name) for name in names))
+    namespace = {"HEAD": head, "H0": _SHORT_HEADS[0], "H2": _SHORT_HEADS[2],
+                 "encode_uint": encode_uint, "_encode_head": _encode_head}
+    body, parts = [], ["HEAD"]
+    for i, (name, encode, _read) in enumerate(field_spec(cls)[:count]):
+        namespace[f"e{i}"] = encode
+        body.append(f"    v{i} = value.{name}")
+        parts.append(_WRITE_INLINE.get(encode, "e{i}({v})").format(v=f"v{i}", i=i))
+    body.append(f"    return b''.join(({', '.join(parts)},))")
+    return _define("write(value)", body, namespace)
 
-    def write(value) -> bytes:
-        return head + b"".join([encode(field_value) for encode, field_value
-                                in zip(encoders, get(value))])
-    return write
 
-
-def compile_reader(cls):
+def compile_reader(cls, array: bool = False):
     """`read(dec)`: the fields of dataclass `cls`, each read by its kind in
-    declared order, as an instance."""
-    readers = tuple(read for _name, _encode, read in field_spec(cls))
-    return lambda dec: cls(*[read(dec) for read in readers])
+    declared order, as an instance; with `array`, after the head of an
+    array of them."""
+    spec = field_spec(cls)
+    namespace = {"cls": cls, "HEAD": (head := encode_array_head(len(spec)))}
+    body = ["    data = dec._data; pos = dec._pos; end = len(data)"]
+    if array:
+        body += [f"    if data.startswith(HEAD, pos): pos += {len(head)}",
+                 f"    else: dec.read_array_head({len(spec)}); pos = dec._pos"]
+    for i, (_name, _encode, read) in enumerate(spec):
+        namespace[f"r{i}"] = read
+        body.append(_READ_INLINE.get(read, "\n    {slow}").format(
+            v=f"v{i}", slow=f"dec._pos = pos; v{i} = r{i}(dec); pos = dec._pos"))
+    values = ", ".join(f"v{i}" for i in range(len(spec)))
+    body += ["    dec._pos = pos", f"    return cls({values})"]
+    return _define("read(dec)", body, namespace)

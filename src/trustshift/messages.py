@@ -3,8 +3,8 @@
 A regular payload (`@_payload`) is the fixed-arity array of its fields in
 declared order, each encoded by its kind in `codec.FIELD_KINDS`, the table
 that also drives the wire frames. Payload classes, profiles and the
-envelope header are kinds there too, so payloads nest. Hand-written are
-only the layouts the frozen vectors make irregular: a bare-text `Uri`,
+envelope header are kinds there too, so payloads nest; a `Uri` is its bare
+text. Hand-written are only the layouts the frozen vectors make irregular:
 `TransferMessage` (a nested `[updateUri, flag]` pair, an explicit null for
 no RA endpoint), the bare entry array of `UpdateInfoList`, and the
 canonical header map. `decode` takes the payload class. Values are
@@ -41,15 +41,8 @@ def _payload_kind(cls, encode, read) -> None:
 def _payload(cls):
     """Declare a regular payload: the fixed-arity array of its fields."""
     cls = dataclass(frozen=True)(cls)
-    arity = len(fields(cls))
-    read_fields = codec.compile_reader(cls)
-
-    def read(dec: codec.Decoder):
-        dec.read_array_head(expected=arity)
-        return read_fields(dec)
-
-    _payload_kind(cls, codec.compile_writer(cls, codec.encode_array_head(arity)),
-                  read)
+    _payload_kind(cls, codec.compile_writer(cls, codec.encode_array_head(len(fields(cls)))),
+                  codec.compile_reader(cls, array=True))
     return cls
 
 
@@ -97,15 +90,8 @@ class Uri:
         return self.value
 
 
-def _encode_uri(uri: Uri) -> bytes:
-    return codec.encode_text(uri.value)
-
-
-def _read_uri(dec: codec.Decoder) -> Uri:
-    return Uri(dec.read_text())
-
-
-_payload_kind(Uri, _encode_uri, _read_uri)
+_payload_kind(Uri, codec.compile_writer(Uri, b""), codec.compile_reader(Uri))
+_encode_uri, _read_uri = Uri.KIND
 
 
 @_payload

@@ -18,6 +18,7 @@ import fnmatch
 import hashlib
 import heapq
 import random
+import re
 import types
 import typing
 from collections import deque
@@ -39,8 +40,7 @@ class EventKind(Enum):
     ADVERSARY_ACTION = "adversaryAction"
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(typing.NamedTuple):
     time: int
     kind: EventKind
     src: str
@@ -78,9 +78,7 @@ class Trace:
         self.entries: list[dict] = []
 
     def add(self, kind: str, time: int, **fields) -> None:
-        entry = {"ev": kind, "t": time}
-        entry.update(fields)
-        self.entries.append(entry)
+        self.entries.append({"ev": kind, "t": time, **fields})
 
     def lines(self) -> list[str]:
         out = []
@@ -137,7 +135,7 @@ def check_fields(obj) -> None:
                                   f"{hint}, not {getattr(obj, name)!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdversaryRule:
     """One trigger/action pair over in-flight transmissions."""
 
@@ -166,11 +164,17 @@ class AdversaryRule:
             raise ScenarioInvalid("adversary rule needs delay >= 0, every_k >= 1,"
                                   " first_n >= 0, 0 <= xor_mask <= 255 and"
                                   " 0 <= seq_offset < 2**63")
+        # Index of the event field and `fnmatch.fnmatchcase`'s matcher, per glob but "*".
+        object.__setattr__(self, "_globs", tuple(
+            (SimEvent._fields.index(f), re.compile(fnmatch.translate(glob)).match)
+            for f in ("src", "dst", "label")
+            if (glob := getattr(self, f"match_{f}")) != "*"))
 
     def matches(self, event: SimEvent) -> bool:
-        return (fnmatch.fnmatchcase(event.src, self.match_src)
-                and fnmatch.fnmatchcase(event.dst, self.match_dst)
-                and fnmatch.fnmatchcase(event.label, self.match_label))
+        for index, match in self._globs:
+            if match(event[index]) is None:
+                return False
+        return True
 
 
 @dataclass
@@ -205,14 +209,17 @@ def adversary_apply(schedule: AdversarySchedule, event: SimEvent,
         marker = SimEvent(event.time, EventKind.ADVERSARY_ACTION, "adversary",
                           event.dst, b"", next_seq(), label=event.label,
                           origin="adversary", note=f"{rule.action}:{idx}")
+        if rule.action == "inject" and rule.frame_in_matched_session:
+            frame = wire.parse_record_frame(event.payload)
+            if frame is None:
+                continue
+        out.append(marker)
 
         if rule.action == "record":
             schedule.recorded.setdefault(rule.slot, []).append(event)
-            out.append(marker)
             continue
 
         if rule.action == "drop":
-            out.append(marker)
             out.append(SimEvent(event.time, EventKind.DROP, event.src, event.dst,
                                 event.payload, next_seq(), label=event.label,
                                 origin="adversary", note="adversary_drop"))
@@ -220,7 +227,6 @@ def adversary_apply(schedule: AdversarySchedule, event: SimEvent,
             continue
 
         if rule.action == "replay":
-            out.append(marker)
             dst = rule.redirect_dst or event.dst
             out.append(SimEvent(event.time + rule.delay, EventKind.DELIVER,
                                 event.src, dst, event.payload, next_seq(),
@@ -232,7 +238,6 @@ def adversary_apply(schedule: AdversarySchedule, event: SimEvent,
             if data:
                 pos = rule.xor_pos if rule.xor_pos is not None else len(data) // 2
                 data[pos % len(data)] ^= rule.xor_mask
-            out.append(marker)
             out.append(SimEvent(event.time, EventKind.DELIVER, event.src,
                                 event.dst, bytes(data), next_seq(),
                                 label=event.label, origin="adversary"))
@@ -240,7 +245,6 @@ def adversary_apply(schedule: AdversarySchedule, event: SimEvent,
             continue
 
         if rule.action == "inject_recorded":
-            out.append(marker)
             for recorded in schedule.recorded.get(rule.slot, []):
                 dst = rule.redirect_dst or event.dst
                 out.append(SimEvent(event.time + rule.delay, EventKind.DELIVER,
@@ -252,12 +256,8 @@ def adversary_apply(schedule: AdversarySchedule, event: SimEvent,
         if rule.action == "inject":
             payload = rule.inject_payload
             if rule.frame_in_matched_session:
-                frame = wire.parse_record_frame(event.payload)
-                if frame is None:
-                    continue
                 payload = wire.encode_wire(wire.RecordFrame(
                     frame.session_id, frame.seq + rule.seq_offset, payload))
-            out.append(marker)
             dst = rule.redirect_dst or event.dst
             out.append(SimEvent(event.time + rule.delay, EventKind.DELIVER,
                                 "adversary", dst, payload, next_seq(),

@@ -15,7 +15,8 @@ from dataclasses import dataclass, fields
 from . import codec
 from .errors import MalformedEncoding
 
-_REGISTRY: dict[int, type] = {}
+_REGISTRY: dict[int, type] = {}  # tag -> frame class
+_PREFIXES: dict[bytes, type] = {}  # array head, tag (0x18, tag if 24-255) -> class
 
 
 def snake_case(name: str) -> str:
@@ -34,18 +35,23 @@ def encode_wire(msg) -> bytes:
     return type(msg).WRITE(msg)
 
 
+def _prefix(data: bytes) -> bytes:
+    return data[:3] if data[1:2] == b"\x18" else data[:2]
+
+
 def decode_wire(data: bytes):
-    dec = codec.Decoder(data)
-    count = dec.read_array_head()
-    if count < 1:
-        raise MalformedEncoding("empty wire frame")
-    tag = dec.read_uint()
-    cls = _REGISTRY.get(tag)
-    if cls is None:
-        raise MalformedEncoding(f"unknown wire tag {tag}")
-    if count != cls.ARITY:
+    cls = _PREFIXES.get(_prefix(data))
+    if cls is None:  # the strict parse says why no frame matched
+        dec = codec.Decoder(data)
+        count = dec.read_array_head()
+        if count < 1:
+            raise MalformedEncoding("empty wire frame")
+        tag = dec.read_uint()
+        if tag not in _REGISTRY:
+            raise MalformedEncoding(f"unknown wire tag {tag}")
         raise MalformedEncoding(
-            f"wire tag {tag} expects {cls.ARITY} elements, got {count}")
+            f"wire tag {tag} expects {_REGISTRY[tag].ARITY} elements, got {count}")
+    dec = codec.Decoder(data, len(cls.PREFIX))
     msg = cls.READ(dec)
     dec.finish()
     return msg
@@ -58,17 +64,21 @@ def compile_frame(cls, tag: int):
     cls = dataclass(frozen=True)(cls)
     cls.LABEL = snake_case(cls.__name__)
     cls.ARITY = len(fields(cls)) + 1
-    cls.WRITE = codec.compile_writer(
-        cls, codec.encode_array_head(cls.ARITY) + codec.encode_uint(tag))
+    cls.PREFIX = codec.encode_array_head(cls.ARITY) + codec.encode_uint(tag)
+    cls.WRITE = codec.compile_writer(cls, cls.PREFIX)
     cls.READ = codec.compile_reader(cls)
     return cls
 
 
 def wire_message(tag):
     """Declare a frame: a tagged array of its fields, each of a kind in
-    `codec.FIELD_KINDS`, decoded by `decode_wire`."""
+    `codec.FIELD_KINDS`, decoded by `decode_wire`; refuse a taken prefix."""
     def wrap(cls):
-        cls = _REGISTRY[tag] = compile_frame(cls, tag)
+        cls = compile_frame(cls, tag)
+        if tag in _REGISTRY or _prefix(cls.PREFIX) != cls.PREFIX:
+            raise ValueError(f"wire tag {tag}: prefix {cls.PREFIX.hex()} is taken"
+                             " or not found in one lookup")
+        _REGISTRY[tag] = _PREFIXES[cls.PREFIX] = cls
         return cls
     return wrap
 

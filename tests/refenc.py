@@ -24,6 +24,16 @@ def _head(major, arg):
     raise ValueError("argument too large")
 
 
+def head_at_width(major, arg, info):
+    """The head of `arg` under `major` with additional info `info` (24-27:
+    a 1-, 2-, 4- or 8-byte argument), minimal or not; None if `arg` does
+    not fit that width."""
+    fmt = ">" + "BHIQ"[info - 24]
+    if arg >= 1 << (8 * struct.calcsize(fmt)):
+        return None
+    return bytes([(major << 5) | info]) + struct.pack(fmt, arg)
+
+
 def ref_encode(node):
     """Encode a tagged tree: ("uint", n) | ("bytes", b) | ("text", s) |
     ("bool", v) | ("null",) | ("array", [nodes]) | ("map", [(k, v) nodes])."""

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import gen
 import refenc
 import vector_fixtures as fx
-from trustshift import codec, crypto
+from trustshift import codec, crypto, messages, wire
 from trustshift.errors import InvariantViolation, MalformedEncoding
 from trustshift.messages import (
     CertificateSigningRequest,
@@ -392,3 +392,102 @@ def test_every_truncated_golden_prefix_rejected(name, kind):
     for end in range(len(golden)):
         with pytest.raises(MalformedEncoding):
             decode(kind, golden[:end])
+
+
+# ---------------------------------------------------------------------------
+# canonical parse: every near miss of a valid encoding is refused
+# ---------------------------------------------------------------------------
+
+FRAMES = sorted((c for c in vars(wire).values()
+                 if isinstance(c, type) and hasattr(c, "PREFIX")),
+                key=lambda c: c.PREFIX)
+# A maker of random valid values for each payload class.
+PAYLOAD_MAKERS = {type(make(random.Random(0))): make
+                  for _name, make in gen.RANDOM_MESSAGE_MAKERS}
+PAYLOAD_MAKERS[Uri] = gen.rand_uri
+FIELD_VALUES = {
+    "bytes": st.binary(max_size=30) | st.integers(24, 300).map(bytes),
+    "int": st.sampled_from(HEAD_BOUNDARIES) | st.integers(0, 2**64 - 1),
+    "bool": st.booleans(),
+    "str": st.text(max_size=30),
+    "tuple": st.lists(st.binary(max_size=40), max_size=3).map(tuple),
+}
+
+
+def test_every_payload_class_has_a_maker():
+    payloads = {c for c in vars(messages).values()
+                if isinstance(c, type) and hasattr(c, "KIND")}
+    assert payloads == set(PAYLOAD_MAKERS)
+
+
+def _frame_values(cls):
+    return st.builds(cls, *[FIELD_VALUES[f.type] for f in dataclasses.fields(cls)])
+
+
+def _heads(data: bytes) -> list[tuple[int, int, int, int]]:
+    """(offset, major type, argument, size) of each head in one canonical
+    item; the contents of byte and text strings are not walked."""
+    found = []
+
+    def item(pos):
+        major, info = data[pos] >> 5, data[pos] & 0x1F
+        if major == 7:
+            return pos + 1
+        size = 1 if info < 24 else 1 + (1 << (info - 24))
+        arg = info if info < 24 else int.from_bytes(data[pos + 1:pos + size], "big")
+        found.append((pos, major, arg, size))
+        pos += size
+        if major in (2, 3):
+            return pos + arg
+        for _ in range({4: arg, 5: 2 * arg}.get(major, 0)):
+            pos = item(pos)
+        return pos
+
+    assert item(0) == len(data)
+    return found
+
+
+def _near_misses(data: bytes, bit: int, extra: int):
+    """One bit flipped at each position, each head written at each wider or
+    narrower width it fits, and one trailing byte."""
+    for pos in range(len(data)):
+        yield data[:pos] + bytes([data[pos] ^ (1 << bit)]) + data[pos + 1:]
+    for pos, major, arg, size in _heads(data):
+        for info in range(24, 28):
+            head = refenc.head_at_width(major, arg, info)
+            if head is not None and head != data[pos:pos + size]:
+                yield data[:pos] + head + data[pos + size:]
+    yield data + bytes([extra])
+
+
+def _assert_canonical_parse(data, decode_one, encode_one, bit, extra):
+    for end in range(len(data)):
+        with pytest.raises(MalformedEncoding, match="truncated"):
+            decode_one(data[:end])
+    for near in _near_misses(data, bit, extra):
+        try:
+            value = decode_one(near)
+        except (MalformedEncoding, InvariantViolation):
+            continue
+        assert encode_one(value) == near, near.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FRAMES).flatmap(_frame_values), st.integers(0, 7),
+       st.integers(0, 255))
+def test_property_frames_parse_canonically(frame, bit, extra):
+    """Every truncation of a valid frame is refused as truncated; any other
+    near miss is refused, or is itself the canonical encoding of what it
+    decodes to."""
+    data = wire.encode_wire(frame)
+    assert wire.decode_wire(data) == frame
+    _assert_canonical_parse(data, wire.decode_wire, wire.encode_wire, bit, extra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(PAYLOAD_MAKERS, key=lambda c: c.__name__)),
+       st.integers(0, 2**32), st.integers(0, 7), st.integers(0, 255))
+def test_property_payloads_parse_canonically(cls, seed, bit, extra):
+    data = encode(PAYLOAD_MAKERS[cls](random.Random(seed)))
+    _assert_canonical_parse(data, lambda near: decode(cls, near), encode, bit,
+                            extra)

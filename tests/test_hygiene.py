@@ -127,6 +127,18 @@ def test_signature_checks_only_in_crypto():
         f"signature checked outside crypto.verify_raw at {sorted(found)}"
 
 
+def test_code_generated_only_in_codec():
+    """`exec`, `eval` and `compile` appear only in `codec._define`, which
+    builds each class's reader and writer: no other code is made from
+    source at run time."""
+    found = [(path.name, getattr(top, "name", "")) for path in SOURCES
+             for top in _tree(path).body for node in ast.walk(top)
+             if isinstance(node, ast.Name)
+             and node.id in ("exec", "eval", "compile")]
+    assert found and set(found) == {("codec.py", "_define")}, \
+        f"code generated outside codec._define: {found}"
+
+
 def _certificate_decodes(path: Path) -> list[tuple[str, str]]:
     """Each `decode(CompactCertificate, ...)` call in `path`: (file:line,
     name of the top-level function it is in)."""

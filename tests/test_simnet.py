@@ -1,8 +1,12 @@
 """Simulator tests: determinism, termination, adversary actions, framing."""
 
+import dataclasses
+import fnmatch
 import inspect
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustshift import simnet, wire
 from trustshift.errors import MalformedEncoding, ScenarioInvalid
@@ -52,6 +56,19 @@ def test_wire_rejects_wrong_arity():
     good = wire.encode_wire(wire.TransferAck(True, "x"))
     with pytest.raises(MalformedEncoding):
         wire.decode_wire(good[:1] + good[2:])  # drop the tag element
+
+
+@pytest.mark.parametrize("tag", [3, 27, 256])
+def test_wire_message_refuses_a_clashing_prefix(tag):
+    """A tag already taken, or one whose prefix `decode_wire` would not read
+    whole (tags past 255), is refused when the frame is declared."""
+    class Clash:
+        seq: "int"  # a kind is named by its annotation's text
+
+    with pytest.raises(ValueError, match="prefix"):
+        wire.wire_message(tag)(Clash)
+    assert wire.decode_wire(wire.encode_wire(wire.TrustAck(True))) == \
+        wire.TrustAck(True)
 
 
 def test_parse_record_frame_only_matches_records():
@@ -270,6 +287,32 @@ def test_adversary_module_is_payload_opaque():
     assert "messages" not in source.replace("SimEvent", "")
     assert "decode(" not in source.replace("decode_wire", "").replace(
         "parse_record_frame", "")
+
+
+GLOBS = (st.sampled_from(["*", "?", "[a-c]*", "[!d]*", "device-0*", "ca1.hello",
+                          "ca?.*", "*.hello", "[", "[]]"])
+         | st.text(alphabet="*?[]!-.ac01", max_size=8))
+NAMES = (st.sampled_from(["device-000", "device-12", "ca1.hello", "ca1", "sp2",
+                          "", "[", "]", "*"])
+         | st.text(alphabet="*?[]!-.abcd01", max_size=10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(GLOBS, GLOBS, GLOBS), st.tuples(NAMES, NAMES, NAMES))
+def test_rule_matches_as_fnmatchcase(globs, names):
+    """A rule's compiled globs match exactly where `fnmatch.fnmatchcase`
+    does, field by field."""
+    rule = AdversaryRule(action="drop", match_src=globs[0], match_dst=globs[1],
+                         match_label=globs[2])
+    event = make_event(src=names[0], dst=names[1], label=names[2])
+    assert rule.matches(event) == all(map(fnmatch.fnmatchcase, names, globs))
+
+
+def test_built_rule_is_frozen():
+    rule = AdversaryRule(action="drop", match_src="device-*")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rule.match_src = "*"
+    assert not rule.matches(make_event(src="ca1"))
 
 
 def test_unknown_adversary_action_rejected():
