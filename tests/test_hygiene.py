@@ -127,6 +127,51 @@ def test_signature_checks_only_in_crypto():
         f"signature checked outside crypto.verify_raw at {sorted(found)}"
 
 
+def _top_level_name(path: Path, test) -> list[str]:
+    """For each node of `path` that `test` accepts, the name of the
+    top-level definition it is in ("" at module level)."""
+    return [getattr(top, "name", "") for top in _tree(path).body
+            for node in ast.walk(top) if test(node)]
+
+
+def test_ed25519_verify_in_one_function():
+    """Inside `crypto`, one function calls Ed25519 `.verify`: `_check`,
+    which the memo and the verify-ahead worker both run."""
+    calls = _top_level_name(
+        ROOT / "src" / "trustshift" / "crypto.py",
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "verify")
+    assert calls == ["_check"], f"Ed25519 verify called in {calls}"
+
+
+_FORK_AND_PIPE = {"fork", "forkpty", "pipe", "pipe2", "mkfifo"}
+
+
+def _starts_processes(node: ast.AST) -> bool:
+    """A reference to a fork or pipe call, or an import of one or of
+    `multiprocessing`."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in _FORK_AND_PIPE
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        names = {a.name for a in node.names}
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        return any(name.split(".")[0] in _FORK_AND_PIPE | {"multiprocessing"}
+                   for name in names)
+    return False
+
+
+def test_processes_and_pipes_only_in_crypto():
+    """The verify-ahead worker is the only process the library starts and
+    its two pipes the only ones it makes: `os.fork` and pipe creation appear
+    only in `crypto._Ahead`, and no module imports `multiprocessing`."""
+    found = {path.name: _top_level_name(path, _starts_processes)
+             for path in SOURCES}
+    found = {name: where for name, where in found.items() if where}
+    assert found == {"crypto.py": ["_Ahead"] * 3}, \
+        f"fork or pipe outside crypto._Ahead: {found}"
+
+
 def test_code_generated_only_in_codec():
     """`exec`, `eval` and `compile` appear only in `codec._define`, which
     builds each class's reader and writer: no other code is made from
