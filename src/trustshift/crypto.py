@@ -13,7 +13,8 @@ its key and message, and it checks them while the simulation runs on, so a
 receiver that checks one a tick later usually finds the answer waiting.
 Nothing waits for the worker: a triple that cannot be sent at once is not
 sent, a check whose answer has not arrived runs in-process, and a worker
-that is gone turns the path off.
+that is gone turns the path off. A triple this process has checked itself
+is flagged in a page both share, and the worker skips it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import atexit
 import functools
 import hashlib
+import mmap
 import os
 import select
 import signal
@@ -53,6 +55,8 @@ VERIFY_MEMO_SIZE = 4096
 # 1024 and 0.12 at 256, where bursts of signatures overrun the bound.
 VERIFY_AHEAD_SIZE = 1024
 _KEY_LEN, _SIGNATURE_LEN = 32, 64
+# The worker's answer to a frame whose flag was set: not checked, no answer.
+_SKIPPED = 2
 # A frame to the worker: the message length (2 bytes), key, signature,
 # message. At most PIPE_BUF bytes, so a non-blocking write is whole or none.
 _FRAME_HEAD = 2 + _KEY_LEN + _SIGNATURE_LEN
@@ -117,12 +121,13 @@ def _may_fork() -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-def _serve(requests: int, answers: int) -> None:
-    """The worker: answer each frame with one byte, 1 if `_check` accepts
-    its triple and 0 if not, in order, until the requests reach end of file
+def _serve(requests: int, answers: int, flags: mmap.mmap) -> None:
+    """The worker: answer each frame with one byte, in order, _SKIPPED if
+    its flag (sequence number modulo page size) is set, else 1 if `_check`
+    accepts its triple and 0 if not, until the requests reach end of file
     (the parent closed its end or exited) or the answers pipe breaks."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    buffer = b""
+    buffer, sequence = b"", 0
     while chunk := os.read(requests, 1 << 16):
         buffer += chunk
         start = 0
@@ -133,8 +138,12 @@ def _serve(requests: int, answers: int) -> None:
             end = data + int.from_bytes(buffer[start:key], "big")
             if end > len(buffer):
                 break
-            accepted = _check(buffer[key:sig], buffer[sig:data], buffer[data:end])
-            os.write(answers, b"\x01" if accepted else b"\x00")
+            if flags[sequence % len(flags)]:
+                answer = _SKIPPED
+            else:
+                answer = _check(buffer[key:sig], buffer[sig:data], buffer[data:end])
+            os.write(answers, bytes((answer,)))
+            sequence += 1
             start = end
         buffer = buffer[start:]
 
@@ -143,20 +152,24 @@ class _Ahead:
     """The parent's side of the one verify-ahead worker.
 
     `in_flight` holds the triples sent and not yet answered, oldest first;
-    `asked` tells, for each, whether a check has already run it in-process,
-    so that its answer would be of no use. `ready` holds the answers read
-    back in this period of _ANSWER_LIFE_S that no check has claimed, and
-    `older` those of the period before. All three hold at most
-    VERIFY_AHEAD_SIZE triples together, so the worker never has more answer
-    bytes outstanding than a pipe holds and never blocks either.
+    `asked` gives, for each, its frame's slot in `flags` (the frame sequence
+    number modulo a page no smaller than the bound), or -1 once a check has
+    run it in-process and set that flag, so that its answer is of no use.
+    `ready` holds the answers read back in this period of _ANSWER_LIFE_S
+    that no check has claimed, and `older` those of the period before. All
+    three hold at most VERIFY_AHEAD_SIZE triples together, so the worker
+    never has more answer bytes outstanding than a pipe holds and never
+    blocks either.
     """
 
     def __init__(self):
         self.pid = 0  # the worker's; 0 before it starts, -1 once turned off
         self.owner = 0  # the process that started it
         self.requests = self.answers = -1
+        self.flags: mmap.mmap | None = None  # shared with the worker
+        self.sent = 0  # frames sent, the next frame's sequence number
         self.in_flight: deque[tuple[bytes, bytes, bytes]] = deque()
-        self.asked: dict[tuple[bytes, bytes, bytes], bool] = {}
+        self.asked: dict[tuple[bytes, bytes, bytes], int] = {}
         self.ready: dict[tuple[bytes, bytes, bytes], bool] = {}
         self.older: dict[tuple[bytes, bytes, bytes], bool] = {}
         self.period_ends = 0.0
@@ -178,6 +191,8 @@ class _Ahead:
                 return
             del oldest[next(iter(oldest))]
         frame = len(data).to_bytes(2, "big") + public_key + signature + data
+        slot = self.sent % len(self.flags)
+        self.flags[slot] = 0  # the worker is done with its last frame
         try:
             os.write(self.requests, frame)
         except BlockingIOError:  # the pipe is full: not sent ahead
@@ -186,16 +201,18 @@ class _Ahead:
             self.stop()
             return
         triple = (public_key, signature, data)
+        self.sent += 1
         self.in_flight.append(triple)
-        self.asked[triple] = False
+        self.asked[triple] = slot
 
     def claim(self, public_key: bytes, signature: bytes,
               data: bytes) -> bool | None:
         """The worker's answer for exactly these three bytes objects, or
         None if none has arrived; an answer is used at most once. Only the
-        worker's owner reads answers: a process forked from it would take
-        them from under the owner."""
-        if self.in_flight and self.owner == os.getpid():
+        worker's owner reads answers and sets flags: a process forked from
+        it would take them from under the owner."""
+        owner = self.owner == os.getpid()
+        if self.in_flight and owner:
             self._drain()
         if type(public_key) is not bytes or type(signature) is not bytes \
                 or type(data) is not bytes:
@@ -204,8 +221,9 @@ class _Ahead:
         answer = self.ready.pop(triple, None)
         if answer is None:
             answer = self.older.pop(triple, None)
-        if answer is None and triple in self.asked:
-            self.asked[triple] = True  # checked in-process: drop the answer
+        if answer is None and owner and self.asked.get(triple, -1) >= 0:
+            self.flags[self.asked[triple]] = 1  # checked here: skip it
+            self.asked[triple] = -1
         return answer
 
     def _drain(self) -> None:
@@ -224,7 +242,7 @@ class _Ahead:
             return
         for answer in answers:
             triple = self.in_flight.popleft()
-            if not self.asked.pop(triple, True):
+            if self.asked.pop(triple, -1) >= 0 and answer != _SKIPPED:
                 self.ready[triple] = answer == 1
 
     def _start(self) -> bool:
@@ -234,6 +252,7 @@ class _Ahead:
         if self.pid != 0 or not _may_fork():
             self.stop()
             return False
+        flags = mmap.mmap(-1, VERIFY_AHEAD_SIZE)  # shared, all zero
         requests_r, requests_w = os.pipe()
         answers_r, answers_w = os.pipe()
         try:
@@ -252,7 +271,7 @@ class _Ahead:
                 os.closerange(0, low)
                 os.closerange(low + 1, high)
                 os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
-                _serve(requests_r, answers_w)
+                _serve(requests_r, answers_w, flags)
             finally:
                 os._exit(0)
         os.close(requests_r)
@@ -260,7 +279,7 @@ class _Ahead:
         os.set_blocking(requests_w, False)
         os.set_blocking(answers_r, False)
         self.pid, self.owner = pid, os.getpid()
-        self.requests, self.answers = requests_w, answers_r
+        self.requests, self.answers, self.flags = requests_w, answers_r, flags
         atexit.register(self.stop)
         return True
 
@@ -270,6 +289,7 @@ class _Ahead:
         if self.pid > 0:
             os.close(self.requests)
             os.close(self.answers)
+            self.flags.close()
             if self.owner == os.getpid():
                 try:
                     os.waitpid(self.pid, 0)

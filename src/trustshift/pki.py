@@ -267,7 +267,6 @@ def make_root_ca(name: bytes, key_pair: crypto.KeyPair, enroll_uri: Uri,
     ca = CaState(name=name, key_pair=key_pair, certificate=cert,
                  enroll_uri=enroll_uri, truststore=TrustStore(),
                  allocator=allocator)
-    ca.truststore.add_root(cert)
     ca.add_issued(cert)
     return ca
 
@@ -279,7 +278,7 @@ def make_sub_ca(name: bytes, key_pair: crypto.KeyPair, parent: CaState,
                         name, key_pair.public_key, validity, CertProfile.SUB_CA)
     parent.add_issued(cert)
     ca = CaState(name=name, key_pair=key_pair, certificate=cert,
-                 enroll_uri=enroll_uri, truststore=parent.truststore.copy(),
+                 enroll_uri=enroll_uri, truststore=TrustStore(),
                  allocator=parent.allocator,
                  issuer_chain=(cert,) + parent.issuer_chain)
     return ca
@@ -319,7 +318,9 @@ def register_factory_certs(ca: CaState, certs: list[CompactCertificate],
     certificate fails to verify against the CA's trusted roots, revoked
     serials included.
     """
-    for cert in certs:
+    # Last first: the verify-ahead worker (crypto.py) checks these signatures
+    # first to last, and the two then meet halfway instead of racing.
+    for cert in reversed(certs):
         result = verify_chain(cert, [], ca.truststore, now, ca.revoked)
         if not result:
             raise UnverifiableFactoryCert(cert.serial, result.detail)
@@ -404,6 +405,18 @@ class HierarchyConfig:
                 return ca.certificate
         raise InvariantViolation(f"no root named {root_name!r} in hierarchy")
 
+    def trust_roots(self) -> None:
+        """Trust, self-signature checked, each root CA in itself and the
+        permanent root, to which factory certificates chain, in every CA;
+        a sub-CA gets a copy of its parent's (the permanent CA's) store."""
+        self.permanent.truststore.add_root(self.permanent.certificate)
+        for ca in self.cas()[1:]:
+            if ca.certificate.is_self_signed:
+                ca.truststore.add_root(ca.certificate)
+                ca.truststore.add_root(self.permanent.certificate)
+            else:
+                ca.truststore = self.permanent.truststore.copy()
+
     def revocation_view(self) -> set[int]:
         """The hierarchy's one revoked-serial set; later revocations show."""
         return self.allocator.revoked
@@ -418,6 +431,8 @@ class HierarchyConfig:
 def build_hierarchy(variant: str, rng: random.Random,
                     ca_validity: tuple[TimeStamp, TimeStamp] = (0, 2**40),
                     ) -> HierarchyConfig:
+    """The CAs of a variant, their truststores empty until `trust_roots`,
+    so that a caller can sign more before the roots are checked."""
     if variant not in VARIANTS:
         raise InvariantViolation(f"unknown hierarchy variant {variant!r}")
 
@@ -449,11 +464,6 @@ def build_hierarchy(variant: str, rng: random.Random,
         ca2 = make_sub_ca(CA2_NAME, key(), permanent,
                           Uri("coaps://ca2.example/est"), ca_validity)
 
-    # Every operational CA must be able to verify factory certificates,
-    # which chain to the permanent root.
-    for ca in (ca1, ca2):
-        if ca.truststore.root(PERMANENT_CA_NAME) is None:
-            ca.truststore.add_root(permanent.certificate)
     return HierarchyConfig(variant, permanent, ca1, ca2, allocator)
 
 

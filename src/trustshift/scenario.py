@@ -282,17 +282,16 @@ def _device_process(state: device.DeviceState, net: peers.NetHandle,
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
+    # Set-up runs in passes, each signature checked a pass after it is made,
+    # when the verify-ahead worker (crypto.py) has answered it: CA
+    # certificates, keys and CSRs made; roots trusted and certificates
+    # issued; devices provisioned; factory certificates registered. Key
+    # draws and serials keep device, then server order.
     sim = simnet.Simulator(config.seed)
     build_rng = sim.actor_rng("hierarchy-build")
     hierarchy = pki.build_hierarchy(config.variant, build_rng,
                                     ca_validity=(0, FACTORY_LIFETIME))
     opts = config.options
-
-    all_root_names = {hierarchy.permanent.name}
-    for ca in (hierarchy.ca1, hierarchy.ca2):
-        if ca.certificate.is_self_signed:
-            all_root_names.add(ca.name)
-    server_store = hierarchy.store_for(all_root_names)
 
     firmware_uri = Uri("coaps://update.sp1.example/fw")
     base_version = VersionInfo(1, firmware_uri)
@@ -314,6 +313,33 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     # Factory provisioning happens in a trusted environment before any
     # network traffic: keys, factory certificates, initial truststores.
     # Each device process starts staggered, once the simulation runs.
+    def keyed_csr(name: bytes, profile: CertProfile):
+        key = crypto.generate_key_pair(key_rng.randbytes(32))
+        return key, pki.make_csr(name, key, profile)
+
+    factory_csrs = [keyed_csr(device_actor_id(i).encode(), CertProfile.FACTORY)
+                    for i in range(config.device_count)]
+    server_csrs = [(keyed_csr(name, CertProfile.OPERATIONAL), ca) for name, ca
+                   in ((b"sp1", hierarchy.ca1), (b"sp2", hierarchy.ca2),
+                       (b"ra", hierarchy.ca2))]
+    hierarchy.trust_roots()
+    all_root_names = {hierarchy.permanent.name}
+    for ca in (hierarchy.ca1, hierarchy.ca2):
+        if ca.certificate.is_self_signed:
+            all_root_names.add(ca.name)
+    server_store = hierarchy.store_for(all_root_names)
+
+    factory_certs = [pki.issue_certificate(hierarchy.permanent, csr,
+                                           CertProfile.FACTORY,
+                                           (0, FACTORY_LIFETIME))
+                     for _, csr in factory_csrs]
+    # Server certificates for both operators and the RA verifier.
+    sp1_cred, sp2_cred, ra_cred = (
+        pki.Credential(pki.issue_certificate(ca, csr, CertProfile.SERVER,
+                                             (0, FACTORY_LIFETIME)),
+                       ca.issuer_chain, key)
+        for (key, csr), ca in server_csrs)
+
     pre_enroll = pki.minimal_truststore(config.variant,
                                         pki.TrustPhase.PRE_ENROLL)
     pre_transfer = pki.minimal_truststore(config.variant,
@@ -324,14 +350,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                                persist=name in pre_transfer)
     devices: dict[str, device.DeviceState] = {}
     ra_state = operators.RaVerifierState()
-    for index in range(config.device_count):
+    for index, ((factory_key, _), factory_cert) in enumerate(
+            zip(factory_csrs, factory_certs)):
         actor_id = device_actor_id(index)
         device_id = actor_id.encode()
-        factory_key = crypto.generate_key_pair(key_rng.randbytes(32))
-        csr = pki.make_csr(device_id, factory_key, CertProfile.FACTORY)
-        factory_cert = pki.issue_certificate(hierarchy.permanent, csr,
-                                             CertProfile.FACTORY,
-                                             (0, FACTORY_LIFETIME))
         state = device.DeviceState(device_id=device_id, firmware=base_version)
         net = peers.NetHandle(sim, actor_id)
         device.provision_factory(state, factory_key, factory_cert,
@@ -353,27 +375,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     # Pre-deployment step over the unconstrained Internet: SP1 shares the
     # factory certificates with its operational CA.
-    pki.register_factory_certs(
-        hierarchy.ca1,
-        [m.factory_cert for m in sp1_state.managed_devices.values()], 0)
+    pki.register_factory_certs(hierarchy.ca1, factory_certs, 0)
 
     # Every server checks its peers under the hierarchy's revoked serials.
     revocation_view = hierarchy.revocation_view()
 
     def server(actor_id: str) -> peers.NetHandle:
         return peers.NetHandle(sim, actor_id, revocation_view)
-
-    # Server certificates for both operators and the RA verifier.
-    def server_credential(name: bytes, ca: pki.CaState) -> pki.Credential:
-        key = crypto.generate_key_pair(key_rng.randbytes(32))
-        csr = pki.make_csr(name, key, CertProfile.OPERATIONAL)
-        cert = pki.issue_certificate(ca, csr, CertProfile.SERVER,
-                                     (0, FACTORY_LIFETIME))
-        return pki.Credential(cert, ca.issuer_chain, key)
-
-    sp1_cred = server_credential(b"sp1", hierarchy.ca1)
-    sp2_cred = server_credential(b"sp2", hierarchy.ca2)
-    ra_cred = server_credential(b"ra", hierarchy.ca2)
 
     # Network actors.
     operators.CaActor(server(CA1_ACTOR), hierarchy.ca1,

@@ -15,6 +15,7 @@ record payloads as opaque blobs.
 from __future__ import annotations
 
 import fnmatch
+import functools
 import hashlib
 import heapq
 import random
@@ -126,10 +127,13 @@ def _is_a(value, hint) -> bool:
     return type(value) is int if hint is int else isinstance(value, hint)
 
 
+_type_hints = functools.cache(typing.get_type_hints)  # resolved once per class
+
+
 def check_fields(obj) -> None:
     """Refuse a dataclass holding a field value of another type than its
     annotation: config values are checked when read, not when first used."""
-    for name, hint in typing.get_type_hints(type(obj)).items():
+    for name, hint in _type_hints(type(obj)).items():
         if not _is_a(getattr(obj, name), hint):
             raise ScenarioInvalid(f"{type(obj).__name__}.{name} must be "
                                   f"{hint}, not {getattr(obj, name)!r}")

@@ -117,6 +117,7 @@ def test_c2_minimal_truststore_matrix():
 
 def _fr1_fixture(seed: int):
     h = pki.build_hierarchy("b", random.Random(seed))
+    h.trust_roots()
     sp1_key = crypto.generate_key_pair(crypto.digest(b"sp1%d" % seed))
     sp2_key = crypto.generate_key_pair(crypto.digest(b"sp2%d" % seed))
     return h, sp1_key, sp2_key

@@ -15,6 +15,7 @@ LIFETIME = (0, 10**9)
 def mini_world(variant="b", seed=77):
     sim = simnet.Simulator(seed=seed)
     h = pki.build_hierarchy(variant, random.Random(seed))
+    h.trust_roots()
     return sim, h
 
 

@@ -31,6 +31,7 @@ LIFETIME = (0, 10**9)
 
 def build_world(variant="b", seed=21):
     h = pki.build_hierarchy(variant, random.Random(seed))
+    h.trust_roots()
     key = crypto.generate_key_pair(crypto.digest(b"dev-key"))
     csr = pki.make_csr(b"dev-1", key, CertProfile.FACTORY)
     cert = pki.issue_certificate(h.permanent, csr, CertProfile.FACTORY, LIFETIME)

@@ -148,28 +148,34 @@ _FORK_AND_PIPE = {"fork", "forkpty", "pipe", "pipe2", "mkfifo"}
 
 
 def _starts_processes(node: ast.AST) -> bool:
-    """A reference to a fork or pipe call, or an import of one or of
-    `multiprocessing`."""
+    """A reference to a fork or pipe call, a call of `mmap.mmap` (naming
+    the type in an annotation maps nothing), or an import of one of them
+    or of `multiprocessing`."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr == "mmap"
     if isinstance(node, ast.Attribute):
         return node.attr in _FORK_AND_PIPE
     if isinstance(node, (ast.Import, ast.ImportFrom)):
         names = {a.name for a in node.names}
         if isinstance(node, ast.ImportFrom):
             names.add(node.module or "")
+            if "mmap" in names:
+                return True
         return any(name.split(".")[0] in _FORK_AND_PIPE | {"multiprocessing"}
                    for name in names)
     return False
 
 
 def test_processes_and_pipes_only_in_crypto():
-    """The verify-ahead worker is the only process the library starts and
-    its two pipes the only ones it makes: `os.fork` and pipe creation appear
-    only in `crypto._Ahead`, and no module imports `multiprocessing`."""
+    """The verify-ahead worker is the only process the library starts, its
+    two pipes the only ones it makes and its flag page the only memory it
+    shares: `os.fork`, pipe creation and `mmap.mmap` appear only in
+    `crypto._Ahead`, and no module imports `multiprocessing`."""
     found = {path.name: _top_level_name(path, _starts_processes)
              for path in SOURCES}
     found = {name: where for name, where in found.items() if where}
-    assert found == {"crypto.py": ["_Ahead"] * 3}, \
-        f"fork or pipe outside crypto._Ahead: {found}"
+    assert found == {"crypto.py": ["_Ahead"] * 4}, \
+        f"fork, pipe or mmap outside crypto._Ahead: {found}"
 
 
 def test_code_generated_only_in_codec():

@@ -24,6 +24,7 @@ LIFETIME = (0, 10**9)
 @pytest.fixture
 def world():
     h = pki.build_hierarchy("b", random.Random(31))
+    h.trust_roots()
     sp1 = operators.OperatorState(
         name="sp1",
         signing_key=crypto.generate_key_pair(crypto.digest(b"sp1-sign")),

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 import gen
-from trustshift import crypto, pki
+from trustshift import crypto, device, pki, scenario, simnet
 from trustshift.errors import (
     BadProofOfPossession,
     InvalidValidityWindow,
@@ -25,7 +25,9 @@ LIFETIME = (0, 10**9)
 
 
 def build(variant, seed=1):
-    return pki.build_hierarchy(variant, random.Random(seed))
+    h = pki.build_hierarchy(variant, random.Random(seed))
+    h.trust_roots()
+    return h
 
 
 def device_key(tag):
@@ -75,6 +77,80 @@ def test_all_ca_certs_verify_along_declared_chains(variant):
                      else ca.certificate.issuer_name)
         store = h.store_for({root_name})
         assert pki.verify_chain(ca.certificate, [], store, NOW, set()), ca.name
+
+
+@pytest.mark.parametrize("variant", pki.VARIANTS)
+def test_cas_trust_their_roots_once_told(variant):
+    """A built hierarchy's CAs hold no roots until `trust_roots`: then each
+    root CA trusts itself and every CA the permanent root, each
+    self-signature checked."""
+    h = pki.build_hierarchy(variant, random.Random(1))
+    assert all(not ca.truststore.root_names() for ca in h.cas())
+    h.trust_roots()
+    for ca in h.cas():
+        assert ca.truststore.root_names() == {pki.PERMANENT_CA_NAME} | (
+            {ca.name} if ca.certificate.is_self_signed else set())
+    forged = pki.build_hierarchy(variant, random.Random(1))
+    forged.permanent.certificate = replace(forged.permanent.certificate,
+                                           signature=bytes(64))
+    with pytest.raises(InvariantViolation):
+        forged.trust_roots()
+
+
+def test_run_scenario_checks_each_set_up_signature_a_pass_later(monkeypatch):
+    """`run_scenario` signs every set-up CSR before it checks the first one
+    and the CA certificates before that, checks each root's self-signature
+    and each CSR only then, and registers the factory certificates (each
+    chain checked) after the last device is provisioned. Each set-up check
+    still runs; it runs a pass after its signature was made, which is what
+    gives the verify-ahead worker time to answer it."""
+    log = []
+
+    def logged(kind, function):
+        def call(*args, **kwargs):
+            entry = [kind, args, None]  # in the order of the calls
+            log.append(entry)
+            entry[2] = function(*args, **kwargs)
+            return entry[2]
+        return call
+
+    def signing(self, data):
+        log.append(["sign", data, None])
+        return sign(self, data)
+
+    sign = crypto.KeyPair.sign
+    monkeypatch.setattr(crypto.KeyPair, "sign", signing)
+    monkeypatch.setattr(crypto, "verify_raw", logged("check", crypto.verify_raw))
+    monkeypatch.setattr(pki, "make_csr", logged("csr", pki.make_csr))
+    monkeypatch.setattr(device, "provision_factory",
+                        logged("provision", device.provision_factory))
+    monkeypatch.setattr(pki, "register_factory_certs",
+                        logged("register", pki.register_factory_certs))
+    monkeypatch.setattr(simnet.Simulator, "run",
+                        logged("run", simnet.Simulator.run))
+    result = scenario.run_scenario(scenario.ScenarioConfig(
+        name="order", variant="a", device_count=3, seed=7))
+    assert result.ok
+
+    setup = log[:next(i for i, e in enumerate(log) if e[0] == "run")]
+    kinds = [e[0] for e in setup]
+    signed = {e[1]: i for i, e in enumerate(setup) if e[0] == "sign"}
+    checked = {}
+    for i, (kind, args, _) in enumerate(setup):
+        if kind == "check":
+            checked.setdefault(args[2], i)
+    csrs = [e[2].tbs_bytes() for e in setup if e[0] == "csr"]
+    roots = [ca.certificate.tbs_bytes() for ca in result.hierarchy.cas()]
+    factory = [m.factory_cert.tbs_bytes()
+               for m in result.sp1_state.managed_devices.values()]
+    assert len(csrs) == 3 + 3 and len(roots) == 3 and len(factory) == 3
+    last_csr_signed = max(signed[tbs] for tbs in csrs)
+    assert max(signed[tbs] for tbs in roots) < signed[csrs[0]]
+    assert all(checked[tbs] > last_csr_signed for tbs in csrs + roots)
+    last_provision = len(kinds) - 1 - kinds[::-1].index("provision")
+    assert kinds.count("provision") == 3
+    assert kinds.index("register") > last_provision
+    assert all(checked[tbs] > last_provision for tbs in factory)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ LIFETIME = (0, 10**9)
 
 
 def build(variant, seed=3):
-    return pki.build_hierarchy(variant, random.Random(seed))
+    h = pki.build_hierarchy(variant, random.Random(seed))
+    h.trust_roots()
+    return h
 
 
 def device_credential(h, name=b"dev-1"):

@@ -186,16 +186,53 @@ def test_refused_triple_is_answered_false_ahead(ahead):
 
 def test_answer_after_an_in_process_check_is_dropped(ahead):
     """A triple checked before its answer arrives is in the memo already,
-    so the answer is dropped on arrival rather than held in `ready`."""
+    so its flag is set and the answer is dropped on arrival rather than
+    held in `ready`."""
     data = b"checked before its answer"
     with held(ahead):
         early = (SIGNER.public_key, SIGNER.sign(data), data)
+        slot = ahead.asked[early]
         assert crypto.verify_raw(*early) is True
-        assert ahead.asked[early] is True
+        assert ahead.asked[early] == -1 and ahead.flags[slot] == 1
     data = b"sent after it"
     later = (SIGNER.public_key, SIGNER.sign(data), data)
     await_answer(ahead, later)
     assert early not in ahead.ready and early not in ahead.asked
+
+
+def test_flagged_frame_is_skipped_not_checked(ahead):
+    """The worker answers a frame whose flag is set with the skipped byte,
+    which only that branch writes, and checks the frames around it."""
+    with held(ahead):
+        sent = []
+        for data in (b"before", b"flagged", b"after"):
+            sent.append((SIGNER.public_key, SIGNER.sign(data), data))
+        assert crypto.verify_raw(*sent[1]) is True  # checked here
+        assert [ahead.asked[t] for t in sent].count(-1) == 1
+    answers = b""
+    while len(answers) < 3:
+        assert select.select([ahead.answers], [], [], 10)[0], "no answer in 10 s"
+        answers += os.read(ahead.answers, 3 - len(answers))
+    assert answers == bytes((1, crypto._SKIPPED, 1))
+    ahead.in_flight.clear()  # read here, not by `_drain`
+
+
+def test_skipped_byte_never_answers_a_triple_offered_again(ahead):
+    """A triple checked in-process and then offered again has one frame
+    skipped and one answered; the skipped byte is dropped, never read as
+    False, so every answer the triple gets ahead is `_check`'s True."""
+    data = b"checked, then offered again"
+    with held(ahead):
+        triple = (SIGNER.public_key, SIGNER.sign(data), data)
+        assert crypto.verify_raw(*triple) is True
+        ahead.offer(*triple)
+        assert list(ahead.in_flight).count(triple) == 2
+    while ahead.in_flight:
+        assert select.select([ahead.answers], [], [], 10)[0], "no answer in 10 s"
+        ahead._drain()
+        assert ahead.ready.get(triple, True) is True
+    crypto._verify.cache_clear()
+    assert crypto.verify_raw(*triple) is True
 
 
 def test_only_exact_bytes_of_the_right_lengths_are_sent(ahead):
@@ -273,25 +310,32 @@ def test_killed_worker_leaves_digest_unchanged(ahead, monkeypatch):
 
 def test_forked_child_never_touches_the_worker(ahead):
     """A child forked from the worker's owner neither reads the owner's
-    answers nor writes to the worker: it turns the path off for itself and
-    closes its copies of the pipes. The owner's answers arrive, in order."""
+    answers, nor sets a flag, nor writes to the worker: it turns the path
+    off for itself and closes its copies of the pipes. The owner's answers
+    arrive, in order, none of them skipped."""
     data = b"owner before the fork"
     triple = (SIGNER.public_key, SIGNER.sign(data), data)
     assert select.select([ahead.answers], [], [], 10)[0]  # arrived, unread
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            crypto._verify.cache_clear()
-            crypto.verify_raw(SIGNER.public_key, triple[1], b"a miss")
-            for i in range(20):
-                SIGNER.sign(b"child %d" % i)
-            status = 0 if crypto._ahead.pid == -1 else 2
-        finally:
-            os._exit(status)
-    _, status = os.waitpid(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
+    with held(ahead):
+        data = b"in flight at the fork"
+        pending = (SIGNER.public_key, SIGNER.sign(data), data)
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                crypto._verify.cache_clear()
+                crypto.verify_raw(SIGNER.public_key, triple[1], b"a miss")
+                crypto.verify_raw(*pending)  # a miss the owner has in flight
+                for i in range(20):
+                    SIGNER.sign(b"child %d" % i)
+                status = 0 if crypto._ahead.pid == -1 else 2
+            finally:
+                os._exit(status)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert ahead.flags[:] == bytes(len(ahead.flags))
     await_answer(ahead, triple)
+    await_answer(ahead, pending)
     data = b"owner after the fork"
     triple = (SIGNER.public_key, SIGNER.sign(data), data)
     await_answer(ahead, triple)
