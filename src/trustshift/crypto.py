@@ -9,12 +9,13 @@ bytes. `_check` is the one Ed25519 verify; `_verify` memoizes it, and on a
 miss takes the answer of the verify-ahead worker when one is ready. Where
 the process may fork and has a second CPU, the first signature starts that
 worker (`_Ahead`): every signature this process makes is handed to it with
-its key and message, and it checks them while the simulation runs on, so a
-receiver that checks one a tick later usually finds the answer waiting.
-Nothing waits for the worker: a triple that cannot be sent at once is not
-sent, a check whose answer has not arrived runs in-process, and a worker
-that is gone turns the path off. A triple this process has checked itself
-is flagged in a page both share, and the worker skips it.
+its key and message over one pipe, and it checks them while the simulation
+runs on, writing each answer into a page both share, so a receiver that
+checks one a tick later usually finds the answer waiting. Nothing waits for
+the worker: a triple that cannot be sent at once is not sent, a check whose
+answer has not arrived runs in-process and flags the triple in the same
+page so that the worker skips it, and a worker that is gone turns the path
+off.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import os
 import select
 import signal
 import threading
-import time
-from collections import deque
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
@@ -49,24 +48,19 @@ SEED_LEN = 32
 # 1024 catch 0.626. Entries hold their bytes: at 4096 the bench's `configs`
 # workload (many scenarios per process) peaks 5.8% higher in memory.
 VERIFY_MEMO_SIZE = 4096
-# Bound on the triples handed to the verify-ahead worker and not yet asked
-# for: those sent and unanswered plus the answers no check has claimed. A
-# 1000-device variant-b run has 0.83 of its memo misses answered ahead at
-# 1024 and 0.12 at 256, where bursts of signatures overrun the bound.
+# Frame slots shared with the verify-ahead worker, the bound on the triples
+# sent to it and not yet claimed: a slot is reused once its last frame is
+# answered. A 1000-device variant-b run has 0.83 of its memo misses answered
+# ahead at 1024 and 0.12 at 256, where bursts of signatures overrun the bound.
 VERIFY_AHEAD_SIZE = 1024
 _KEY_LEN, _SIGNATURE_LEN = 32, 64
-# The worker's answer to a frame whose flag was set: not checked, no answer.
-_SKIPPED = 2
+# A slot's answer byte: its frame not answered yet, checked and accepted,
+# checked and refused, or not checked (its flag was set, or no frame yet).
+_PENDING, _TRUE, _FALSE, _SKIPPED = range(4)
 # A frame to the worker: the message length (2 bytes), key, signature,
 # message. At most PIPE_BUF bytes, so a non-blocking write is whole or none.
 _FRAME_HEAD = 2 + _KEY_LEN + _SIGNATURE_LEN
 _MAX_MESSAGE = select.PIPE_BUF - _FRAME_HEAD
-# An answer left unclaimed this long, or up to twice as long, is dropped. In
-# a 1000-device variant-b run no claimed answer had waited more than 0.5 s,
-# while answers nothing claims (certificates of servers a run never calls)
-# would stay until the bound pushed them out: ~0.4 MB in a process that
-# runs hundreds of scenarios.
-_ANSWER_LIFE_S = 2.0
 
 
 def digest(data: bytes) -> bytes:
@@ -121,12 +115,14 @@ def _may_fork() -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-def _serve(requests: int, answers: int, flags: mmap.mmap) -> None:
-    """The worker: answer each frame with one byte, in order, _SKIPPED if
-    its flag (sequence number modulo page size) is set, else 1 if `_check`
-    accepts its triple and 0 if not, until the requests reach end of file
-    (the parent closed its end or exited) or the answers pipe breaks."""
+def _serve(requests: int, page: mmap.mmap) -> None:
+    """The worker: for each frame, in order, write its answer byte in the
+    second half of `page` at its slot (sequence number modulo half the page
+    size): _SKIPPED if the slot's flag in the first half is set, else _TRUE
+    or _FALSE as `_check` accepts its triple or not, until the requests
+    reach end of file (the parent closed its end or exited)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    size = len(page) // 2
     buffer, sequence = b"", 0
     while chunk := os.read(requests, 1 << 16):
         buffer += chunk
@@ -138,11 +134,13 @@ def _serve(requests: int, answers: int, flags: mmap.mmap) -> None:
             end = data + int.from_bytes(buffer[start:key], "big")
             if end > len(buffer):
                 break
-            if flags[sequence % len(flags)]:
-                answer = _SKIPPED
+            slot = sequence % size
+            if page[slot]:
+                page[size + slot] = _SKIPPED
+            elif _check(buffer[key:sig], buffer[sig:data], buffer[data:end]):
+                page[size + slot] = _TRUE
             else:
-                answer = _check(buffer[key:sig], buffer[sig:data], buffer[data:end])
-            os.write(answers, bytes((answer,)))
+                page[size + slot] = _FALSE
             sequence += 1
             start = end
         buffer = buffer[start:]
@@ -151,28 +149,28 @@ def _serve(requests: int, answers: int, flags: mmap.mmap) -> None:
 class _Ahead:
     """The parent's side of the one verify-ahead worker.
 
-    `in_flight` holds the triples sent and not yet answered, oldest first;
-    `asked` gives, for each, its frame's slot in `flags` (the frame sequence
-    number modulo a page no smaller than the bound), or -1 once a check has
-    run it in-process and set that flag, so that its answer is of no use.
-    `ready` holds the answers read back in this period of _ANSWER_LIFE_S
-    that no check has claimed, and `older` those of the period before. All
-    three hold at most VERIFY_AHEAD_SIZE triples together, so the worker
-    never has more answer bytes outstanding than a pipe holds and never
-    blocks either.
+    Frame number n goes to slot n modulo VERIFY_AHEAD_SIZE. `page`, shared
+    with the worker, holds a flag byte per slot and then an answer byte per
+    slot; `slots` holds the triple last sent in each slot, and `asked` maps
+    each triple sent and not yet claimed to its slot. Only single bytes
+    cross the page, and each byte has one writer at a time: the parent
+    writes the flags; the worker writes an answer byte once it has read its
+    frame, and the parent writes it only while the worker is done with the
+    slot (the byte is not _PENDING) and has no frame for it: _PENDING just
+    before it sends the slot's next frame, and back if that send fails. An
+    offer whose slot is still _PENDING is dropped, which is the whole bound;
+    nothing waits. Reusing a slot takes its last triple out of `asked`, so
+    an answer is only read for the triple whose frame it answers.
     """
 
     def __init__(self):
         self.pid = 0  # the worker's; 0 before it starts, -1 once turned off
         self.owner = 0  # the process that started it
-        self.requests = self.answers = -1
-        self.flags: mmap.mmap | None = None  # shared with the worker
+        self.requests = -1
+        self.page: mmap.mmap | None = None  # shared with the worker
         self.sent = 0  # frames sent, the next frame's sequence number
-        self.in_flight: deque[tuple[bytes, bytes, bytes]] = deque()
+        self.slots: list[tuple[bytes, bytes, bytes] | None] = []
         self.asked: dict[tuple[bytes, bytes, bytes], int] = {}
-        self.ready: dict[tuple[bytes, bytes, bytes], bool] = {}
-        self.older: dict[tuple[bytes, bytes, bytes], bool] = {}
-        self.period_ends = 0.0
 
     def offer(self, public_key: bytes, signature: bytes, data: bytes) -> None:
         """Send a triple ahead if that needs no wait; otherwise drop it."""
@@ -183,123 +181,101 @@ class _Ahead:
                 or len(signature) != _SIGNATURE_LEN \
                 or len(data) > _MAX_MESSAGE:
             return
-        if len(self.in_flight) + len(self.ready) + len(self.older) \
-                >= VERIFY_AHEAD_SIZE:
-            self._drain()
-            oldest = self.older or self.ready
-            if not oldest:
-                return
-            del oldest[next(iter(oldest))]
+        slot = self.sent % len(self.slots)
+        answer_at = len(self.slots) + slot
+        last_answer = self.page[answer_at]
+        if last_answer == _PENDING:  # its last frame is not answered yet
+            return
+        self.page[slot] = 0
+        self.page[answer_at] = _PENDING
         frame = len(data).to_bytes(2, "big") + public_key + signature + data
-        slot = self.sent % len(self.flags)
-        self.flags[slot] = 0  # the worker is done with its last frame
         try:
             os.write(self.requests, frame)
         except BlockingIOError:  # the pipe is full: not sent ahead
+            self.page[answer_at] = last_answer
             return
         except BrokenPipeError:  # the worker is gone
             self.stop()
             return
+        last = self.slots[slot]
+        if self.asked.get(last) == slot:
+            del self.asked[last]
         triple = (public_key, signature, data)
-        self.sent += 1
-        self.in_flight.append(triple)
+        self.slots[slot] = triple
         self.asked[triple] = slot
+        self.sent += 1
 
     def claim(self, public_key: bytes, signature: bytes,
               data: bytes) -> bool | None:
         """The worker's answer for exactly these three bytes objects, or
-        None if none has arrived; an answer is used at most once. Only the
-        worker's owner reads answers and sets flags: a process forked from
-        it would take them from under the owner."""
-        owner = self.owner == os.getpid()
-        if self.in_flight and owner:
-            self._drain()
-        if type(public_key) is not bytes or type(signature) is not bytes \
-                or type(data) is not bytes:
+        None if it has not arrived; an answer is used at most once. A triple
+        left to an in-process check has its flag set, so the worker skips
+        it. Only the worker's owner reads the page: a process forked from it
+        holds a stale `asked`."""
+        if self.owner != os.getpid() or type(public_key) is not bytes \
+                or type(signature) is not bytes or type(data) is not bytes:
             return None
-        triple = (public_key, signature, data)
-        answer = self.ready.pop(triple, None)
-        if answer is None:
-            answer = self.older.pop(triple, None)
-        if answer is None and owner and self.asked.get(triple, -1) >= 0:
-            self.flags[self.asked[triple]] = 1  # checked here: skip it
-            self.asked[triple] = -1
-        return answer
-
-    def _drain(self) -> None:
-        """Move every answer that has arrived into `ready`, without waiting,
-        after turning the period if it has ended."""
-        now = time.monotonic()
-        if now >= self.period_ends:
-            self.older, self.ready = self.ready, {}
-            self.period_ends = now + _ANSWER_LIFE_S
-        try:
-            answers = os.read(self.answers, VERIFY_AHEAD_SIZE)
-        except BlockingIOError:
-            return
-        if not answers:  # end of file: the worker is gone
-            self.stop()
-            return
-        for answer in answers:
-            triple = self.in_flight.popleft()
-            if self.asked.pop(triple, -1) >= 0 and answer != _SKIPPED:
-                self.ready[triple] = answer == 1
+        slot = self.asked.pop((public_key, signature, data), None)
+        if slot is None:
+            return None
+        answer = self.page[len(self.slots) + slot]
+        if answer == _TRUE or answer == _FALSE:
+            return answer == _TRUE
+        if answer == _PENDING:
+            self.page[slot] = 1  # checked here: skip it
+        return None
 
     def _start(self) -> bool:
         """Fork the worker on the first offer where `_may_fork`. Any other
         process turns the path off: one forked from the worker's owner
-        closes its copies of the pipes and never writes to them."""
+        closes its copy of the pipe and never writes to it."""
         if self.pid != 0 or not _may_fork():
             self.stop()
             return False
-        flags = mmap.mmap(-1, VERIFY_AHEAD_SIZE)  # shared, all zero
+        # Shared with the worker: no flag set, and every slot free and
+        # without an answer.
+        page = mmap.mmap(-1, 2 * VERIFY_AHEAD_SIZE)
+        page[VERIFY_AHEAD_SIZE:] = bytes((_SKIPPED,)) * VERIFY_AHEAD_SIZE
         requests_r, requests_w = os.pipe()
-        answers_r, answers_w = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            for fd in (requests_r, requests_w, answers_r, answers_w):
-                os.close(fd)
+            os.close(requests_r)
+            os.close(requests_w)
             self.pid = -1
             return False
         if pid == 0:
             try:
-                # Keep only the worker's two pipe ends: a copy of any other
+                # Keep only the worker's end of the pipe: a copy of any other
                 # descriptor, such as the parent's end of a pipe to another
                 # process, would hold it open after the parent closed it.
-                low, high = sorted((requests_r, answers_w))
-                os.closerange(0, low)
-                os.closerange(low + 1, high)
-                os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
-                _serve(requests_r, answers_w, flags)
+                os.closerange(0, requests_r)
+                os.closerange(requests_r + 1, os.sysconf("SC_OPEN_MAX"))
+                _serve(requests_r, page)
             finally:
                 os._exit(0)
         os.close(requests_r)
-        os.close(answers_w)
         os.set_blocking(requests_w, False)
-        os.set_blocking(answers_r, False)
         self.pid, self.owner = pid, os.getpid()
-        self.requests, self.answers, self.flags = requests_w, answers_r, flags
+        self.requests, self.page = requests_w, page
+        self.slots = [None] * VERIFY_AHEAD_SIZE
         atexit.register(self.stop)
         return True
 
     def stop(self) -> None:
-        """Turn the path off: close the pipes, so that the worker reads end
+        """Turn the path off: close the pipe, so that the worker reads end
         of file and exits, and reap it if this process started it."""
         if self.pid > 0:
             os.close(self.requests)
-            os.close(self.answers)
-            self.flags.close()
+            self.page.close()
             if self.owner == os.getpid():
                 try:
                     os.waitpid(self.pid, 0)
                 except ChildProcessError:  # already reaped elsewhere
                     pass
         self.pid, self.owner = -1, 0
-        self.in_flight.clear()
+        self.slots.clear()
         self.asked.clear()
-        self.ready.clear()
-        self.older.clear()
 
 
 _ahead = _Ahead()

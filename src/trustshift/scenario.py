@@ -423,7 +423,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         hierarchy.ca2.enroll_uri if config.faults.skip_ca2_registration
         else None))
 
-    sim.set_adversary(build_adversary(config.adversary, config.seed))
+    sim.adversary = build_adversary(config.adversary, config.seed)
     sim.start_ready_processes()
     trace = sim.run()
 

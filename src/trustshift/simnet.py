@@ -296,6 +296,7 @@ class Simulator:
         self.trace = Trace()
         self.event_budget = event_budget
         self.events_processed = 0
+        self.adversary: AdversarySchedule | None = None
         self._queue: list[tuple[int, int, SimEvent]] = []
         self._seq = 0
         self._responders: dict[str, object] = {}
@@ -339,13 +340,6 @@ class Simulator:
         self._push(SimEvent(self.now + delay, EventKind.TIMER_FIRE, actor_id,
                             actor_id, token.to_bytes(8, "big"),
                             self._next_seq()))
-
-    # --- adversary ---
-
-    adversary: AdversarySchedule | None = None
-
-    def set_adversary(self, schedule: AdversarySchedule | None) -> None:
-        self.adversary = schedule
 
     # --- run loop ---
 

@@ -168,13 +168,13 @@ def _starts_processes(node: ast.AST) -> bool:
 
 def test_processes_and_pipes_only_in_crypto():
     """The verify-ahead worker is the only process the library starts, its
-    two pipes the only ones it makes and its flag page the only memory it
+    one pipe the only one it makes and its page the only memory it
     shares: `os.fork`, pipe creation and `mmap.mmap` appear only in
     `crypto._Ahead`, and no module imports `multiprocessing`."""
     found = {path.name: _top_level_name(path, _starts_processes)
              for path in SOURCES}
     found = {name: where for name, where in found.items() if where}
-    assert found == {"crypto.py": ["_Ahead"] * 4}, \
+    assert found == {"crypto.py": ["_Ahead"] * 3}, \
         f"fork, pipe or mmap outside crypto._Ahead: {found}"
 
 

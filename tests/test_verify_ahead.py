@@ -1,18 +1,18 @@
 """The verify-ahead worker: its answers are `_check`'s, it never makes the
 process wait, it is bounded, and it never outlives or confuses its owner.
 
-Each test but the subprocess one gets a fresh worker (`ahead`), started
-even on a one-CPU host, and stopped and reaped when the test ends; its
-answers do not expire unless a test says so. A test holds the worker with
-SIGSTOP where it needs an answer not to have arrived.
+Each test but the subprocess one gets a fresh worker (`ahead`, or
+`small_ahead` with 64 slots), started even on a one-CPU host, and stopped
+and reaped when the test ends. A test holds the worker with SIGSTOP where
+it needs an answer not to have arrived.
 """
 
 import os
-import select
 import signal
 import subprocess
 import sys
 import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -40,12 +40,10 @@ SP1 = seeded_key(b"sp1")
 ADVERSARY = seeded_key(b"adversary")
 
 
-@pytest.fixture
-def ahead(monkeypatch):
+def fresh_worker(monkeypatch):
     fresh = crypto._Ahead()
     monkeypatch.setattr(crypto, "_ahead", fresh)
     monkeypatch.setattr(crypto, "_may_fork", lambda: True)
-    monkeypatch.setattr(crypto, "_ANSWER_LIFE_S", 3600.0)
     crypto._verify.cache_clear()
     SIGNER.sign(b"start the worker")
     assert fresh.pid > 0
@@ -60,6 +58,17 @@ def ahead(monkeypatch):
             os.kill(worker, 0)
 
 
+@pytest.fixture
+def ahead(monkeypatch):
+    yield from fresh_worker(monkeypatch)
+
+
+@pytest.fixture
+def small_ahead(monkeypatch):
+    monkeypatch.setattr(crypto, "VERIFY_AHEAD_SIZE", 64)
+    yield from fresh_worker(monkeypatch)
+
+
 @contextmanager
 def held(ahead):
     """The worker stopped: nothing sent in the block is answered in it."""
@@ -70,12 +79,24 @@ def held(ahead):
         os.kill(ahead.pid, signal.SIGCONT)
 
 
-def await_answer(ahead, triple) -> None:
-    """Drain the worker's answers until the one for `triple` is ready."""
-    while triple not in ahead.ready:
-        assert triple in ahead.in_flight, "never sent, or answer lost"
-        assert select.select([ahead.answers], [], [], 10)[0], "no answer in 10 s"
-        ahead._drain()
+def answer_at(ahead, slot: int) -> int:
+    """The answer byte of `slot` in the page shared with the worker."""
+    return ahead.page[len(ahead.slots) + slot]
+
+
+def await_slot(ahead, slot: int) -> int:
+    """Poll the answer byte of `slot` until the worker has written it."""
+    deadline = time.monotonic() + 10
+    while answer_at(ahead, slot) == crypto._PENDING:
+        assert time.monotonic() < deadline, "no answer in 10 s"
+        time.sleep(0.001)
+    return answer_at(ahead, slot)
+
+
+def await_answer(ahead, triple) -> int:
+    """The answer byte of the slot `triple` was last sent in, once written."""
+    assert triple in ahead.asked, "never sent, or already claimed"
+    return await_slot(ahead, ahead.asked[triple])
 
 
 def twin_of(triple, part: str, pos: int, mask: int):
@@ -110,18 +131,18 @@ def test_answer_ahead_is_check(ahead, payload, envelope, part, pos, mask):
         if envelope and part == "wrong key":
             twin = (SP1.public_key, *genuine[1:])
         assert crypto._check(*genuine) and not crypto._check(*twin)
-        assert genuine in ahead.in_flight and genuine not in ahead.ready
+        assert answer_at(ahead, ahead.asked[genuine]) == crypto._PENDING
         assert crypto.verify_raw(*twin) is False
-        assert genuine in ahead.in_flight
+        assert answer_at(ahead, ahead.asked[genuine]) == crypto._PENDING
     await_answer(ahead, genuine)
     crypto._verify.cache_clear()
     assert crypto.verify_raw(*twin) is False
     if envelope and part == "wrong key":
         assert not crypto.verify_envelope(SP1.public_key, env,
                                           EnvelopeProfile.CWT)
-    assert ahead.ready[genuine] is True
+    assert answer_at(ahead, ahead.asked[genuine]) == crypto._TRUE
     assert crypto.verify_raw(*genuine) is True
-    assert genuine not in ahead.ready
+    assert genuine not in ahead.asked
 
 
 @pytest.mark.parametrize("case", ["no fork", "one CPU", "another thread"])
@@ -148,17 +169,17 @@ def test_no_worker_without_fork_second_cpu_or_alone(monkeypatch, case):
         release.set()
         if other.is_alive():
             other.join(10)
-    assert fresh.pid == -1 and not fresh.in_flight
+    assert fresh.pid == -1 and not fresh.asked
     crypto._verify.cache_clear()
     assert crypto.verify_raw(*triple)
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="no /proc")
-def test_worker_holds_only_its_two_pipes(ahead):
-    """The worker closes every descriptor it inherited but its own two
-    pipe ends, so it holds open nothing of the parent's."""
+def test_worker_holds_only_its_pipe_end(ahead):
+    """The worker closes every descriptor it inherited but its own end of
+    the request pipe, so it holds open nothing of the parent's."""
     read_end, write_end = os.pipe()  # open in the parent at the fork
-    high_end = os.dup2(write_end, 512)  # above the worker's pipe ends
+    high_end = os.dup2(write_end, 512)  # above the worker's pipe end
     try:
         fresh = crypto._Ahead()
         triple = (SIGNER.public_key, SIGNER.sign(b"fds"), b"fds")
@@ -166,7 +187,7 @@ def test_worker_holds_only_its_two_pipes(ahead):
         try:
             await_answer(fresh, triple)  # so the worker is past its set-up
             fds = os.listdir(f"/proc/{fresh.pid}/fd")
-            assert len(fds) == 2, fds
+            assert len(fds) == 1, fds
         finally:
             fresh.stop()
     finally:
@@ -179,25 +200,47 @@ def test_refused_triple_is_answered_false_ahead(ahead):
     signature = SIGNER.sign(data)
     bad = (SIGNER.public_key, signature[:-1] + bytes([signature[-1] ^ 1]), data)
     ahead.offer(*bad)
-    await_answer(ahead, bad)
-    assert ahead.ready[bad] is False
-    assert crypto.verify_raw(*bad) is False and bad not in ahead.ready
+    assert await_answer(ahead, bad) == crypto._FALSE
+    assert crypto.verify_raw(*bad) is False and bad not in ahead.asked
+
+
+def test_reused_slot_never_answers_the_triple_it_held(small_ahead):
+    """A refused triple answered ahead and left unclaimed until a genuine
+    triple reuses its slot gets no answer from that slot: `claim` gives
+    None, and the in-process check False, not the newcomer's True."""
+    ahead = small_ahead
+    data = b"refused, then its slot reused"
+    signature = SIGNER.sign(data)
+    refused = (SIGNER.public_key, signature[:-1] + bytes([signature[-1] ^ 1]),
+               data)
+    ahead.offer(*refused)
+    slot = ahead.asked[refused]
+    assert await_answer(ahead, refused) == crypto._FALSE
+    for i in range(len(ahead.slots)):  # the last of these reuses `slot`
+        data = b"genuine %d" % i
+        genuine = (SIGNER.public_key, SIGNER.sign(data), data)
+        assert await_answer(ahead, genuine) == crypto._TRUE
+    assert ahead.slots[slot] == genuine and ahead.asked[genuine] == slot
+    assert ahead.claim(*refused) is None
+    crypto._verify.cache_clear()
+    assert crypto.verify_raw(*refused) is False
 
 
 def test_answer_after_an_in_process_check_is_dropped(ahead):
     """A triple checked before its answer arrives is in the memo already,
-    so its flag is set and the answer is dropped on arrival rather than
-    held in `ready`."""
+    so it leaves `asked` and its flag is set: the worker skips its frame
+    and no answer for it is held."""
     data = b"checked before its answer"
     with held(ahead):
         early = (SIGNER.public_key, SIGNER.sign(data), data)
         slot = ahead.asked[early]
         assert crypto.verify_raw(*early) is True
-        assert ahead.asked[early] == -1 and ahead.flags[slot] == 1
+        assert early not in ahead.asked and ahead.page[slot] == 1
     data = b"sent after it"
     later = (SIGNER.public_key, SIGNER.sign(data), data)
     await_answer(ahead, later)
-    assert early not in ahead.ready and early not in ahead.asked
+    assert answer_at(ahead, slot) == crypto._SKIPPED
+    assert early not in ahead.asked
 
 
 def test_flagged_frame_is_skipped_not_checked(ahead):
@@ -207,32 +250,33 @@ def test_flagged_frame_is_skipped_not_checked(ahead):
         sent = []
         for data in (b"before", b"flagged", b"after"):
             sent.append((SIGNER.public_key, SIGNER.sign(data), data))
+        slots = [ahead.asked[t] for t in sent]
         assert crypto.verify_raw(*sent[1]) is True  # checked here
-        assert [ahead.asked[t] for t in sent].count(-1) == 1
-    answers = b""
-    while len(answers) < 3:
-        assert select.select([ahead.answers], [], [], 10)[0], "no answer in 10 s"
-        answers += os.read(ahead.answers, 3 - len(answers))
-    assert answers == bytes((1, crypto._SKIPPED, 1))
-    ahead.in_flight.clear()  # read here, not by `_drain`
+        assert [t in ahead.asked for t in sent] == [True, False, True]
+    answers = [await_slot(ahead, slot) for slot in slots]
+    assert answers == [crypto._TRUE, crypto._SKIPPED, crypto._TRUE]
 
 
 def test_skipped_byte_never_answers_a_triple_offered_again(ahead):
     """A triple checked in-process and then offered again has one frame
-    skipped and one answered; the skipped byte is dropped, never read as
-    False, so every answer the triple gets ahead is `_check`'s True."""
+    skipped and one answered; the skipped byte is never read as False, so
+    every answer the triple gets ahead is `_check`'s True."""
     data = b"checked, then offered again"
     with held(ahead):
         triple = (SIGNER.public_key, SIGNER.sign(data), data)
+        first = ahead.asked[triple]
         assert crypto.verify_raw(*triple) is True
         ahead.offer(*triple)
-        assert list(ahead.in_flight).count(triple) == 2
-    while ahead.in_flight:
-        assert select.select([ahead.answers], [], [], 10)[0], "no answer in 10 s"
-        ahead._drain()
-        assert ahead.ready.get(triple, True) is True
-    crypto._verify.cache_clear()
-    assert crypto.verify_raw(*triple) is True
+        assert ahead.slots.count(triple) == 2
+    assert await_answer(ahead, triple) == crypto._TRUE
+    assert answer_at(ahead, first) == crypto._SKIPPED
+    assert ahead.claim(*triple) is True
+    with held(ahead):  # a skipped frame of a triple still asked for
+        data = b"flagged while still asked for"
+        triple = (SIGNER.public_key, SIGNER.sign(data), data)
+        ahead.page[ahead.asked[triple]] = 1
+    assert await_answer(ahead, triple) == crypto._SKIPPED
+    assert ahead.claim(*triple) is None
 
 
 def test_only_exact_bytes_of_the_right_lengths_are_sent(ahead):
@@ -246,27 +290,12 @@ def test_only_exact_bytes_of_the_right_lengths_are_sent(ahead):
                (key, signature, memoryview(data)), (key[:31], signature, data),
                (key + b"\0", signature, data), (key, signature[:63], data),
                (key, signature, data + b"m")]
-    sent = len(ahead.in_flight)
+    sent = ahead.sent
     for triple in refused:
         ahead.offer(*triple)
-    assert len(ahead.in_flight) == sent
+    assert ahead.sent == sent
     ahead.offer(key, signature, data)  # a frame of exactly PIPE_BUF bytes
-    await_answer(ahead, (key, signature, data))
-    assert ahead.ready[key, signature, data] is True
-
-
-def test_unclaimed_answers_expire(ahead, monkeypatch):
-    """An answer read in one period moves to `older` at the next turn and
-    is dropped at the one after; until then either dict answers a check."""
-    monkeypatch.setattr(crypto, "_ANSWER_LIFE_S", 0.0)  # a turn per drain
-    sent = []
-    for data in (b"first", b"second", b"third"):
-        sent.append((SIGNER.public_key, SIGNER.sign(data), data))
-        await_answer(ahead, sent[-1])
-    first, second, third = sent
-    assert first not in ahead.older and second in ahead.older
-    assert crypto.verify_raw(*second) and second not in ahead.older
-    assert third in ahead.ready
+    assert await_answer(ahead, (key, signature, data)) == crypto._TRUE
 
 
 def test_bytearray_check_skips_ready_answers(ahead):
@@ -274,13 +303,13 @@ def test_bytearray_check_skips_ready_answers(ahead):
     nor takes the worker's answer for the same bytes."""
     data = b"bytearray twin"
     genuine = (SIGNER.public_key, SIGNER.sign(data), data)
-    await_answer(ahead, genuine)
+    assert await_answer(ahead, genuine) == crypto._TRUE
     for index in (1, 2):
         as_bytearray = list(genuine)
         as_bytearray[index] = bytearray(genuine[index])
         assert crypto.verify_raw(*as_bytearray) is True
         assert crypto._verify.__wrapped__(*as_bytearray) is True
-    assert ahead.ready[genuine] is True
+    assert answer_at(ahead, ahead.asked[genuine]) == crypto._TRUE
 
 
 def test_killed_worker_leaves_digest_unchanged(ahead, monkeypatch):
@@ -298,7 +327,7 @@ def test_killed_worker_leaves_digest_unchanged(ahead, monkeypatch):
     monkeypatch.setattr(ahead, "offer", offer_then_kill)
     assert run_scenario(config).trace.digest() == golden
     assert len(offers) > 20 and ahead.pid == -1
-    assert not ahead.in_flight and not ahead.ready and not ahead.older
+    assert not ahead.asked and not ahead.slots
     with pytest.raises(ProcessLookupError):
         os.kill(worker, 0)
     checks = []
@@ -311,11 +340,11 @@ def test_killed_worker_leaves_digest_unchanged(ahead, monkeypatch):
 def test_forked_child_never_touches_the_worker(ahead):
     """A child forked from the worker's owner neither reads the owner's
     answers, nor sets a flag, nor writes to the worker: it turns the path
-    off for itself and closes its copies of the pipes. The owner's answers
+    off for itself and closes its copy of the pipe. The owner's answers
     arrive, in order, none of them skipped."""
     data = b"owner before the fork"
     triple = (SIGNER.public_key, SIGNER.sign(data), data)
-    assert select.select([ahead.answers], [], [], 10)[0]  # arrived, unread
+    assert await_answer(ahead, triple) == crypto._TRUE  # arrived, unclaimed
     with held(ahead):
         data = b"in flight at the fork"
         pending = (SIGNER.public_key, SIGNER.sign(data), data)
@@ -324,6 +353,7 @@ def test_forked_child_never_touches_the_worker(ahead):
             status = 1
             try:
                 crypto._verify.cache_clear()
+                assert crypto._ahead.claim(*triple) is None
                 crypto.verify_raw(SIGNER.public_key, triple[1], b"a miss")
                 crypto.verify_raw(*pending)  # a miss the owner has in flight
                 for i in range(20):
@@ -333,28 +363,26 @@ def test_forked_child_never_touches_the_worker(ahead):
                 os._exit(status)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
-        assert ahead.flags[:] == bytes(len(ahead.flags))
-    await_answer(ahead, triple)
-    await_answer(ahead, pending)
+        size = len(ahead.slots)
+        assert ahead.page[:size] == bytes(size)
+    assert await_answer(ahead, triple) == crypto._TRUE
+    assert await_answer(ahead, pending) == crypto._TRUE
     data = b"owner after the fork"
     triple = (SIGNER.public_key, SIGNER.sign(data), data)
-    await_answer(ahead, triple)
-    assert not ahead.in_flight
-    assert not select.select([ahead.answers], [], [], 0.2)[0], \
+    assert await_answer(ahead, triple) == crypto._TRUE
+    time.sleep(0.2)
+    assert ahead.page[size + ahead.sent:] == \
+        bytes((crypto._SKIPPED,)) * (size - ahead.sent), \
         "the worker answered a frame its owner never sent"
 
 
-def test_unclaimed_answers_stay_bounded_and_sends_never_block(ahead,
-                                                              monkeypatch):
-    """Ten times the bound of signatures nobody checks, first with the
-    worker held (the pipe fills) and then running: `in_flight`, `ready`
-    and `older` together never exceed the bound, and no send waits."""
-    bound = 64
-    monkeypatch.setattr(crypto, "VERIFY_AHEAD_SIZE", bound)
-    monkeypatch.setattr(crypto, "_ANSWER_LIFE_S", 0.01)
-
-    def held_triples():
-        return len(ahead.in_flight) + len(ahead.ready) + len(ahead.older)
+def test_unclaimed_answers_stay_bounded_and_sends_never_block(small_ahead):
+    """Ten times the bound of signatures nobody checks, some of them
+    refused, first with the worker held (the pipe fills) and then running:
+    `asked` never holds more triples than there are slots, no send waits,
+    and every answer is `_check`'s."""
+    ahead = small_ahead
+    bound = len(ahead.slots)
 
     class Blocked(Exception):
         pass
@@ -362,28 +390,37 @@ def test_unclaimed_answers_stay_bounded_and_sends_never_block(ahead,
     def blocked(signum, frame):
         raise Blocked("a send to the worker blocked")
 
+    def sign_some(data):
+        signature = SIGNER.sign(data)
+        if data[-1] % 3 == 0:
+            ahead.offer(SIGNER.public_key, signature[::-1], data)
+        assert len(ahead.asked) <= bound
+
     previous = signal.signal(signal.SIGALRM, blocked)
     signal.alarm(30)
     try:
         with held(ahead):
             for i in range(5 * bound):
-                SIGNER.sign(i.to_bytes(4, "big") * 900)
-                assert held_triples() <= bound
-            assert len(ahead.in_flight) < bound  # the pipe filled first
+                sign_some(i.to_bytes(4, "big") * 900)
+            assert ahead.sent < bound  # the pipe filled first
+        for triple in list(ahead.asked):
+            await_answer(ahead, triple)
+        sent = ahead.sent
+        sign_some(b"once the pipe has room")
+        assert ahead.sent == sent + 1  # a send the pipe refused freed its slot
         for i in range(5 * bound):
-            SIGNER.sign(b"unclaimed %d" % i)
-            assert held_triples() <= bound
+            sign_some(b"unclaimed %d" % i)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    while ahead.in_flight:
-        await_answer(ahead, ahead.in_flight[-1])
-    assert held_triples() <= bound
-    assert all(crypto._check(*triple) for triple in [*ahead.ready, *ahead.older])
+    assert ahead.asked
+    for triple in list(ahead.asked):
+        expected = crypto._TRUE if crypto._check(*triple) else crypto._FALSE
+        assert await_answer(ahead, triple) == expected
 
 
 SCRIPT = """
-import atexit, os, select, signal
+import atexit, os, signal, time
 from trustshift import crypto
 from trustshift.scenario import ScenarioConfig, run_scenario
 
@@ -405,17 +442,18 @@ assert ahead.pid > 0
 os.kill(ahead.pid, signal.SIGINT)
 key = crypto.generate_key_pair(bytes(32))
 triple = (key.public_key, key.sign(b"after SIGINT"), b"after SIGINT")
-while ahead.pid > 0 and triple not in ahead.ready:
-    select.select([ahead.answers], [], [], 10)
-    ahead._drain()
-assert ahead.ready.get(triple) is True, "the worker died of SIGINT"
+slot = len(ahead.slots) + ahead.asked[triple]
+deadline = time.monotonic() + 10
+while ahead.page[slot] == crypto._PENDING and time.monotonic() < deadline:
+    time.sleep(0.001)
+assert ahead.claim(*triple) is True, "the worker died of SIGINT"
 print(ahead.pid, flush=True)
 """
 
 
 def test_worker_reaped_when_its_process_exits():
     """A process that ran a scenario leaves no child behind: the worker
-    ignores SIGINT, reads end of file when `atexit` closes the pipes, and
+    ignores SIGINT, reads end of file when `atexit` closes the pipe, and
     is reaped before the process ends."""
     done = subprocess.run(
         [sys.executable, "-c", SCRIPT], capture_output=True, text=True,
