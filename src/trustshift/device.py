@@ -2,8 +2,8 @@
 
 The device is a single-owner state machine driven by simulator events.
 Network operations are generators over the peers helpers; pure state
-transitions (provisioning, transfer validation, reset) are plain functions
-so they can be exercised directly.
+transitions (provisioning, transfer validation, reset, `on_push`) are
+plain functions so they can be exercised directly.
 """
 
 from __future__ import annotations
@@ -219,6 +219,39 @@ def _install_offered_version(state: DeviceState, version_bytes: bytes,
     return True
 
 
+def on_push(state: DeviceState, msg, now: TimeStamp, note):
+    """The ack of an SP1 TrustPush, FinalUpdate or TransferDeliver, else None
+    (noted as unexpected). Content that does not decode, and a transfer the
+    device refuses, get a negative ack and change nothing."""
+    if isinstance(msg, wire.TrustPush):
+        store = state.truststore.copy()
+        try:
+            for cert_bytes in msg.root_certs:
+                store.add_root(pki.decode_certificate(cert_bytes),
+                               persist=msg.persist)
+        except (MalformedEncoding, InvariantViolation):
+            return wire.TrustAck(False)
+        state.truststore = store
+        note("trust_push_applied", count=len(msg.root_certs),
+             persist=str(msg.persist))
+        return wire.TrustAck(True)
+    if isinstance(msg, wire.FinalUpdate):
+        return wire.FinalAck(_install_offered_version(
+            state, msg.version_bytes, note))
+    if isinstance(msg, wire.TransferDeliver):
+        try:
+            envelope = decode(SignedEnvelope, msg.envelope_bytes)
+            handle_transfer_message(state, envelope, now, note)
+        except (BadSignature, OutsideResetWindow, MalformedEncoding,
+                InvariantViolation, WrongPhase) as err:
+            note("transfer_rejected", reason=type(err).__name__)
+            return wire.TransferAck(False, type(err).__name__)
+        note("transfer_accepted", size=len(msg.envelope_bytes))
+        return wire.TransferAck(True, "")
+    note("note", what="unexpected_push", got=type(msg).__name__)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # network operations (simulator processes)
 # ---------------------------------------------------------------------------
@@ -400,7 +433,7 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
         # The routine check installs silently and ignores a garbled offer.
         _install_offered_version(state, reply.version_bytes, None)
 
-    # Park on the SP1 session; handle operator pushes until a transfer lands.
+    # Park on the SP1 session; answer operator pushes until a transfer lands.
     # While parked, re-enroll with the current CA before the operational
     # certificate expires (bounded by the renewal budget).
     renewals_left = RENEW_LIMIT
@@ -423,41 +456,9 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
             except EnrollRejected as err:
                 net.note("renewal_failed", reason=str(err.reason))
             continue
-        # Every push is answered with one ack; content that does not decode
-        # gets a negative one and changes nothing.
-        if isinstance(msg, wire.TrustPush):
-            store = state.truststore.copy()
-            try:
-                for cert_bytes in msg.root_certs:
-                    root = pki.decode_certificate(cert_bytes)
-                    store.add_root(root, persist=msg.persist)
-            except (MalformedEncoding, InvariantViolation):
-                ack = wire.TrustAck(False)
-            else:
-                state.truststore = store
-                ack = wire.TrustAck(True)
-                net.note("trust_push_applied", count=len(msg.root_certs),
-                         persist=str(msg.persist))
-        elif isinstance(msg, wire.FinalUpdate):
-            ack = wire.FinalAck(_install_offered_version(
-                state, msg.version_bytes, net.note))
-        elif isinstance(msg, wire.TransferDeliver):
-            try:
-                envelope = decode(SignedEnvelope, msg.envelope_bytes)
-                handle_transfer_message(state, envelope, net.now(), net.note)
-                net.note("transfer_accepted",
-                         size=len(msg.envelope_bytes))
-                ack = wire.TransferAck(True, "")
-            except (BadSignature, OutsideResetWindow, MalformedEncoding,
-                    InvariantViolation, WrongPhase) as err:
-                net.note("transfer_rejected",
-                         reason=type(err).__name__)
-                ack = wire.TransferAck(False, type(err).__name__)
-        else:
-            net.note("note", what="unexpected_push",
-                     got=type(msg).__name__)
-            continue
-        yield peers.send_record(sp1_sess, ack)
+        ack = on_push(state, msg, net.now(), net.note)
+        if ack is not None:
+            yield peers.send_record(sp1_sess, ack)
 
     if state.phase is not DevicePhase.TRANSFER_PENDING:
         return

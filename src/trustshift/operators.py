@@ -2,7 +2,9 @@
 update servers, the attestation verifier stub, and CA frontends.
 
 Pure operator operations are plain functions over OperatorState; the actor
-classes wrap them for the simulated network, and the two orchestrator
+classes wrap them for the simulated network, each declaring the one
+acceptance table its `peers.ResponderPeer` dispatches from (the
+stand-alone attestation verifier is just `ra_rows`), and the two orchestrator
 generators drive the operator-change flow end to end from plain values
 (device ids, start time, roots to push, RA and enroll endpoints). Each
 operator checks the other's signed envelope once, on arrival, and keeps the
@@ -189,6 +191,21 @@ def ra_serve(verifier: RaVerifierState, rng, subject: bytes,
 # network actors
 # ---------------------------------------------------------------------------
 
+def ra_rows(verifier: RaVerifierState, rng, note=None) -> dict:
+    """Acceptance-table rows that serve attestation from `verifier` to any
+    peer (`ra_serve`). With `note`, each verdict on a report in the peer's
+    own name is traced as `ra_verdict`."""
+    def serve(now, sess, msg):
+        reply = ra_serve(verifier, rng, sess.peer_cert.subject_name, msg)
+        if note is not None and isinstance(msg, wire.RaReport) \
+                and msg.device_id == sess.peer_cert.subject_name:
+            note("ra_verdict", device=msg.device_id.decode(errors="replace"),
+                 verdict=str(reply.ok))
+        return reply
+    return {wire.RaHello: (peers.ANY_PEER, serve, None),
+            wire.RaReport: (peers.ANY_PEER, serve, None)}
+
+
 class CaActor:
     """Enrollment, registration and revocation frontend over one CaState."""
 
@@ -197,13 +214,16 @@ class CaActor:
         self.net = net
         self.ca = ca
         self.operational_lifetime = operational_lifetime
-        self.peer = peers.ResponderPeer(
-            net, ca.credential(), ca.truststore, self._handle_app,
-            allowed_profiles=(CertProfile.FACTORY, CertProfile.SERVER))
+        factory, server = {CertProfile.FACTORY}, {CertProfile.SERVER}
+        self.peer = peers.ResponderPeer(net, ca.credential(), ca.truststore, {
+            wire.EnrollReq: (factory, self._enroll, wire.EnrollRsp(
+                False, b"", b"", (), (), "profile_not_allowed")),
+            wire.RegisterReq: (server, self._register, wire.RegisterRsp(
+                False, "", 0, "profile_not_allowed")),
+            wire.RevokeReq: (server, self._revoke, wire.RevokeRsp(False, 0)),
+        })
 
     def _enroll(self, now, sess, msg):
-        if sess.peer_cert.profile is not CertProfile.FACTORY:
-            return wire.EnrollRsp(False, b"", b"", (), (), "profile_not_allowed")
         validity = (now, now + self.operational_lifetime)
         try:
             if msg.server_keygen:
@@ -219,33 +239,26 @@ class CaActor:
         chain = tuple(encode(c) for c in self.ca.issuer_chain)
         return wire.EnrollRsp(True, encode(cert), seed, chain, (), "")
 
-    def _handle_app(self, now, sess, msg):
-        if isinstance(msg, wire.EnrollReq):
-            return [self._enroll(now, sess, msg)]
-        if isinstance(msg, wire.RegisterReq):
-            if sess.peer_cert.profile is not CertProfile.SERVER:
-                return [wire.RegisterRsp(False, "", 0, "profile_not_allowed")]
-            try:
-                certs = [pki.decode_certificate(b) for b in msg.cert_list]
-                uri = pki.register_factory_certs(self.ca, certs, now)
-            except UnverifiableFactoryCert as err:
-                return [wire.RegisterRsp(False, "", err.serial, err.reason)]
-            except (MalformedEncoding, InvariantViolation) as err:
-                return [wire.RegisterRsp(False, "", 0,
-                                         wire.snake_case(type(err).__name__))]
-            return [wire.RegisterRsp(True, str(uri), 0, "")]
-        if isinstance(msg, wire.RevokeReq):
-            if sess.peer_cert.profile is not CertProfile.SERVER:
-                return [wire.RevokeRsp(False, 0)]
-            serials = [s for s in self.ca.issued_serials_for(msg.subject_name)
-                       if self.ca.issued[s].profile is CertProfile.OPERATIONAL]
-            for serial in serials:
-                pki.revoke(self.ca, serial)
-            self.net.note("revoked",
-                          subject=msg.subject_name.decode(errors="replace"),
-                          count=len(serials))
-            return [wire.RevokeRsp(True, len(serials))]
-        return []
+    def _register(self, now, sess, msg):
+        try:
+            certs = [pki.decode_certificate(b) for b in msg.cert_list]
+            uri = pki.register_factory_certs(self.ca, certs, now)
+        except UnverifiableFactoryCert as err:
+            return wire.RegisterRsp(False, "", err.serial, err.reason)
+        except (MalformedEncoding, InvariantViolation) as err:
+            return wire.RegisterRsp(False, "", 0,
+                                    wire.snake_case(type(err).__name__))
+        return wire.RegisterRsp(True, str(uri), 0, "")
+
+    def _revoke(self, now, sess, msg):
+        serials = [s for s in self.ca.issued_serials_for(msg.subject_name)
+                   if self.ca.issued[s].profile is CertProfile.OPERATIONAL]
+        for serial in serials:
+            pki.revoke(self.ca, serial)
+        self.net.note("revoked",
+                      subject=msg.subject_name.decode(errors="replace"),
+                      count=len(serials))
+        return wire.RevokeRsp(True, len(serials))
 
 
 # Per delivery from the peer operator: whose agreed key signs it, envelope
@@ -259,6 +272,9 @@ _DELIVERIES = {
                      "received_tm", "tm_rejected",
                      "transfer_message_envelope", wire.TmAck),
 }
+# The acks a device answers SP1's pushes with, by the kind they ack.
+_ACK_KINDS = {wire.TransferAck: "transfer", wire.TrustAck: "trust",
+              wire.FinalAck: "final"}
 
 
 class OperatorActor:
@@ -269,67 +285,53 @@ class OperatorActor:
                  fallback_ra_state: RaVerifierState | None = None):
         self.net = net
         self.state = state
-        self.fallback_ra_state = fallback_ra_state
-        self.peer = peers.ResponderPeer(net, credential, truststore,
-                                        self._handle_app)
-        self.rng = net.sim.actor_rng(net.actor_id + "/ra")
+        table = {wire.UpdateCheck: (peers.ANY_PEER, self._update_check, None),
+                 wire.FallbackReq: (peers.ANY_PEER, self._fallback, None)}
+        table.update((cls, (peers.ANY_PEER, self._ack, None))
+                     for cls in _ACK_KINDS)
+        table.update((cls, ({CertProfile.SERVER}, self._accept_envelope,
+                            delivery[-1](False)))
+                     for cls, delivery in _DELIVERIES.items())
+        if fallback_ra_state is not None:
+            table.update(ra_rows(fallback_ra_state,
+                                 net.sim.actor_rng(net.actor_id + "/ra")))
+        self.peer = peers.ResponderPeer(net, credential, truststore, table)
 
-    def _ack(self, sess, kind: str, ok: bool) -> None:
+    def _update_check(self, now, sess, msg):
+        self.state.device_sessions[sess.peer_cert.subject_name] = sess
+        try:
+            version = decode(VersionInfo, msg.version_bytes)
+        except (MalformedEncoding, InvariantViolation):
+            return None
+        delta = update_server_serve(self.state, version)
+        if delta is None:
+            return wire.UpdateRsp(False, msg.version_bytes)
+        return wire.UpdateRsp(True, encode(delta))
+
+    def _ack(self, now, sess, msg):
         subject = sess.peer_cert.subject_name
-        self.state.acks.setdefault(subject, {})[kind] = \
-            self.state.acks.get(subject, {}).get(kind, False) or ok
-
-    def _handle_app(self, now, sess, msg):
-        state = self.state
-        if isinstance(msg, wire.UpdateCheck):
-            state.device_sessions[sess.peer_cert.subject_name] = sess
-            try:
-                version = decode(VersionInfo, msg.version_bytes)
-            except (MalformedEncoding, InvariantViolation):
-                return []
-            delta = update_server_serve(state, version)
-            if delta is None:
-                return [wire.UpdateRsp(False, msg.version_bytes)]
-            return [wire.UpdateRsp(True, encode(delta))]
-
-        if isinstance(msg, wire.TransferAck):
-            self._ack(sess, "transfer", msg.accepted)
+        acks = self.state.acks.setdefault(subject, {})
+        kind = _ACK_KINDS[type(msg)]
+        acks[kind] = acks.get(kind, False) or msg.ok
+        if kind == "transfer":
             self.net.note("transfer_ack",
-                          device=sess.peer_cert.subject_name.decode(
-                              errors="replace"),
-                          accepted=str(msg.accepted), reason=msg.reason)
-            return []
-        if isinstance(msg, wire.TrustAck):
-            self._ack(sess, "trust", msg.ok)
-            return []
-        if isinstance(msg, wire.FinalAck):
-            self._ack(sess, "final", msg.ok)
-            return []
+                          device=subject.decode(errors="replace"),
+                          accepted=str(msg.ok), reason=msg.reason)
 
-        if isinstance(msg, wire.FallbackReq):
-            if msg.device_id != sess.peer_cert.subject_name:
-                return [wire.FallbackRsp(False, False)]
-            self.net.note("fallback_served",
-                          device=msg.device_id.decode(errors="replace"),
-                          reason=msg.reason)
-            return [wire.FallbackRsp(True, self.fallback_ra_state is not None)]
-        if isinstance(msg, (wire.RaHello, wire.RaReport)) \
-                and self.fallback_ra_state is not None:
-            return [ra_serve(self.fallback_ra_state, self.rng,
-                             sess.peer_cert.subject_name, msg)]
-
-        if isinstance(msg, (wire.ListDeliver, wire.TmDeliver)):
-            return [self._accept_envelope(now, sess, msg)]
-        return []
+    def _fallback(self, now, sess, msg):
+        if msg.device_id != sess.peer_cert.subject_name:
+            return wire.FallbackRsp(False, False)
+        self.net.note("fallback_served",
+                      device=msg.device_id.decode(errors="replace"),
+                      reason=msg.reason)
+        return wire.FallbackRsp(True, wire.RaHello in self.peer.table)
 
     def _accept_envelope(self, now, sess, msg):
         """Ack a signed update list (from SP1) or transfer CWT (from SP2),
-        storing its payload once the sender, envelope and payload all check
-        out; the stored payload is verified and is not checked again."""
+        storing its payload once the envelope and payload check out; the
+        stored payload is verified and is not checked again."""
         signer, profile, kind, slot, rejected, size_cls, ack = \
             _DELIVERIES[type(msg)]
-        if sess.peer_cert.profile is not CertProfile.SERVER:
-            return ack(False)
         try:
             envelope = decode(SignedEnvelope, msg.envelope_bytes)
         except (MalformedEncoding, InvariantViolation):
@@ -346,29 +348,6 @@ class OperatorActor:
         self.net.sim.trace.add("size", now, cls=size_cls,
                                bytes=len(msg.envelope_bytes))
         return ack(True)
-
-
-class RaVerifierActor:
-    """Stand-alone attestation verifier under the new operator's domain."""
-
-    def __init__(self, net: peers.NetHandle, ra_state: RaVerifierState,
-                 credential: pki.Credential, truststore: pki.TrustStore):
-        self.net = net
-        self.ra_state = ra_state
-        self.rng = net.sim.actor_rng(net.actor_id + "/nonce")
-        self.peer = peers.ResponderPeer(net, credential, truststore,
-                                        self._handle_app)
-
-    def _handle_app(self, now, sess, msg):
-        if not isinstance(msg, (wire.RaHello, wire.RaReport)):
-            return []
-        subject = sess.peer_cert.subject_name
-        reply = ra_serve(self.ra_state, self.rng, subject, msg)
-        if isinstance(msg, wire.RaReport) and msg.device_id == subject:
-            self.net.note("ra_verdict",
-                          device=msg.device_id.decode(errors="replace"),
-                          verdict=str(reply.ok))
-        return [reply]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ Every actor, process or responder, reaches the simulator through one
 session_wait) that processes drive via `yield from`, parked on one reply
 loop that notes and discards each frame that is not the reply. Responder
 side: a session table keyed by session id with handshake freshness
-tracking, wrapping an application-level request handler.
+tracking, answering each record from one acceptance table: message class
+-> (peer profiles admitted, handler, refusal to any other peer).
 
 Both sides check a peer's chain with `_check_peer` and accept records with
 `_accept_record`, which writes the one `record` trace entry per inbound
@@ -27,6 +28,10 @@ from .simnet import TIMEOUT, Transmit, WaitMessage
 # resends before giving up.
 REPLY_TIMEOUT = 8
 RETRIES = 3
+
+# Every end-entity profile; a CA certificate never opens a session.
+ANY_PEER = frozenset({CertProfile.FACTORY, CertProfile.OPERATIONAL,
+                      CertProfile.SERVER})
 
 
 class NetHandle:
@@ -220,20 +225,22 @@ class ResponderPeer:
     """Server-side endpoint: handshake acceptance plus per-session dispatch.
 
     It registers `handle` as the simulator responder of `net`'s actor: each
-    frame is answered to its sender. `app_handler(now, sess, msg)` returns a
-    list of wire messages to send back on the same session.
+    frame is answered to its sender. `table` maps each application message
+    class it serves to (peer profiles admitted, `handler(now, sess, msg)`
+    returning the reply or None, the reply or None to any other peer); the
+    handshake admits the union of the rows' profiles.
     """
 
     net: NetHandle
     credential: pki.Credential
     truststore: pki.TrustStore
-    app_handler: object
-    allowed_profiles: tuple[CertProfile, ...] = (
-        CertProfile.FACTORY, CertProfile.OPERATIONAL, CertProfile.SERVER)
+    table: dict
     sessions: dict[bytes, session.AuthenticatedSession] = field(default_factory=dict)
     seen_ephemerals: set[bytes] = field(default_factory=set)
 
     def __post_init__(self):
+        self.admitted = frozenset().union(
+            *(profiles for profiles, _handler, _refusal in self.table.values()))
         self.rng = self.net.sim.actor_rng(self.net.actor_id + "/hs")
         self.net.sim.register_responder(self.net.actor_id, self.handle)
 
@@ -255,7 +262,7 @@ class ResponderPeer:
         self.seen_ephemerals.add(msg.ephemeral)
         peer_cert, reason = _check_peer(self.net, msg.cert_bytes,
                                         msg.intermediates, self.truststore)
-        if reason is None and peer_cert.profile not in self.allowed_profiles:
+        if reason is None and peer_cert.profile not in self.admitted:
             reason = "profile_not_allowed"
         if reason is not None:
             return f"hello_rejected:{reason}", [Transmit(
@@ -279,7 +286,17 @@ class ResponderPeer:
         outcome, app_msg = _accept_record(self.net, sess, frame)
         if app_msg is None:
             return outcome, []
-        replies = self.app_handler(now, sess, app_msg)
         return f"accepted:{app_msg.LABEL}", [
             Transmit(src, session.send(sess, reply), label=reply.LABEL)
-            for reply in replies]
+            for reply in self.dispatch(now, sess, app_msg)]
+
+    def dispatch(self, now, sess: session.AuthenticatedSession, msg) -> list:
+        """The replies to `msg` on `sess`: its row's handler's for a peer the
+        row admits, else the row's refusal; none for a class with no row."""
+        row = self.table.get(type(msg))
+        if row is None:
+            return []
+        profiles, handler, refusal = row
+        reply = handler(now, sess, msg) if sess.peer_cert.profile in profiles \
+            else refusal
+        return [] if reply is None else [reply]

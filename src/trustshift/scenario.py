@@ -396,9 +396,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                                         fallback_ra_state=sp1_ra_state)
     sp2_actor = operators.OperatorActor(server(SP2_ACTOR), sp2_state, sp2_cred,
                                         server_store)
-    if opts.use_ra:
-        operators.RaVerifierActor(server("ra"), ra_state, ra_cred,
-                                  server_store)
+    if opts.use_ra:  # the stand-alone attestation verifier
+        ra_net = server("ra")
+        peers.ResponderPeer(ra_net, ra_cred, server_store, operators.ra_rows(
+            ra_state, sim.actor_rng("ra/nonce"), ra_net.note))
 
     sim.bind_uri(str(hierarchy.ca1.enroll_uri), CA1_ACTOR)
     sim.bind_uri(str(hierarchy.ca2.enroll_uri), CA2_ACTOR)

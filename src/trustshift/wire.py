@@ -171,7 +171,7 @@ class TransferDeliver:
 
 @wire_message(19)
 class TransferAck:
-    accepted: bool
+    ok: bool
     reason: str
 
 

@@ -2,8 +2,11 @@
 and device ids that must match the session's authenticated peer."""
 
 import random
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustshift import crypto, operators, peers, pki, session, simnet, wire
 from trustshift.messages import CertProfile, Uri, VersionInfo, encode
@@ -116,16 +119,16 @@ def test_factory_profile_rejected_where_server_profile_required():
 
     entry, disposition = open_session_against(sim, sp_actor.peer, factory_cred)
     assert entry is not None, disposition
-    assert sp_actor._handle_app(0, entry,
-                                wire.ListDeliver(b"x")) == [wire.ListAck(False)]
-    assert sp_actor._handle_app(0, entry,
-                                wire.TmDeliver(b"x")) == [wire.TmAck(False)]
+    assert sp_actor.peer.dispatch(0, entry, wire.ListDeliver(b"x")) \
+        == [wire.ListAck(False)]
+    assert sp_actor.peer.dispatch(0, entry, wire.TmDeliver(b"x")) \
+        == [wire.TmAck(False)]
 
     entry, disposition = open_session_against(sim, ca_actor.peer, factory_cred)
     assert entry is not None, disposition
-    reply = ca_actor._handle_app(0, entry, wire.RegisterReq(()))
+    reply = ca_actor.peer.dispatch(0, entry, wire.RegisterReq(()))
     assert reply == [wire.RegisterRsp(False, "", 0, "profile_not_allowed")]
-    reply = ca_actor._handle_app(0, entry, wire.RevokeReq(b"victim"))
+    reply = ca_actor.peer.dispatch(0, entry, wire.RevokeReq(b"victim"))
     assert reply == [wire.RevokeRsp(False, 0)]
 
 
@@ -138,7 +141,7 @@ def test_server_profile_cannot_enroll():
     server_cred = issued_credential(h, h.ca1, b"server", CertProfile.SERVER)
     entry, disposition = open_session_against(sim, ca_actor.peer, server_cred)
     assert entry is not None, disposition
-    reply = ca_actor._handle_app(0, entry, wire.EnrollReq(b"", True))
+    reply = ca_actor.peer.dispatch(0, entry, wire.EnrollReq(b"", True))
     assert reply[0].ok is False
     assert reply[0].reason == "profile_not_allowed"
 
@@ -169,8 +172,9 @@ PENDING_NONCE = b"\x07" * 16
 
 def ra_world(verifier):
     """A verifier that knows both devices and has a challenge outstanding
-    for device-001, plus device-000's session to it. `verifier` is the
-    stand-alone RA verifier or SP1's fallback attestation."""
+    for device-001, its responder, and device-000's session to it.
+    `verifier` is the stand-alone RA verifier or SP1's fallback
+    attestation."""
     sim, h = mini_world()
     ra_state = operators.RaVerifierState(
         expected={DEVICE_0: b"m0", DEVICE_1: b"m1"},
@@ -178,25 +182,25 @@ def ra_world(verifier):
     server = issued_credential(h, h.ca1, b"server", CertProfile.SERVER)
     store = h.store_for({pki.PERMANENT_CA_NAME})
     if verifier == "ra_verifier":
-        actor = operators.RaVerifierActor(peers.NetHandle(sim, "ra"),
-                                          ra_state, server, store)
+        net = peers.NetHandle(sim, "ra")
+        peer = peers.ResponderPeer(net, server, store, operators.ra_rows(
+            ra_state, sim.actor_rng("ra/nonce"), net.note))
     else:
-        actor = operators.OperatorActor(peers.NetHandle(sim, "sp1"),
-                                        operator_state(), server, store,
-                                        fallback_ra_state=ra_state)
+        peer = operators.OperatorActor(peers.NetHandle(sim, "sp1"),
+                                       operator_state(), server, store,
+                                       fallback_ra_state=ra_state).peer
     device = issued_credential(h, h.permanent, DEVICE_0, CertProfile.FACTORY)
-    return sim, actor, ra_state, initiator_session(actor.peer, device)
+    return sim, peer, ra_state, initiator_session(peer, device)
 
 
 @pytest.mark.parametrize("verifier", ["ra_verifier", "sp1_fallback"])
 def test_ra_hello_in_another_devices_name_refused(verifier):
     """A device cannot ask for a challenge in another device's name; its own
     name still gets one."""
-    _sim, actor, ra_state, sess = ra_world(verifier)
-    assert call(actor.peer, sess, wire.RaHello(DEVICE_1)) \
-        == [wire.RaVerdict(False)]
+    _sim, peer, ra_state, sess = ra_world(verifier)
+    assert call(peer, sess, wire.RaHello(DEVICE_1)) == [wire.RaVerdict(False)]
     assert ra_state.outstanding == {DEVICE_1: PENDING_NONCE}
-    [challenge] = call(actor.peer, sess, wire.RaHello(DEVICE_0))
+    [challenge] = call(peer, sess, wire.RaHello(DEVICE_0))
     assert challenge == wire.RaChallenge(ra_state.outstanding[DEVICE_0])
 
 
@@ -204,10 +208,10 @@ def test_ra_hello_in_another_devices_name_refused(verifier):
 def test_ra_report_in_another_devices_name_refused(verifier):
     """A report that would pass for device-001 is refused on device-000's
     session: no verdict under device-001, and its challenge stays open."""
-    sim, actor, ra_state, sess = ra_world(verifier)
+    sim, peer, ra_state, sess = ra_world(verifier)
     report = wire.RaReport(DEVICE_1, PENDING_NONCE,
                            crypto.digest(b"m1" + PENDING_NONCE))
-    assert call(actor.peer, sess, report) == [wire.RaVerdict(False)]
+    assert call(peer, sess, report) == [wire.RaVerdict(False)]
     assert ra_state.outstanding == {DEVICE_1: PENDING_NONCE}
     assert not sim.trace.select("ra_verdict")
 
@@ -252,3 +256,127 @@ def test_revoke_req_revokes_only_the_subjects_operational_serials():
     assert other.certificate.serial not in h.revocation_view()
     [revoked] = sim.trace.select("revoked")
     assert (revoked["subject"], revoked["count"]) == ("device-000", 2)
+
+
+# ---------------------------------------------------------------------------
+# the responders' acceptance tables
+# ---------------------------------------------------------------------------
+
+PROFILES = {"F": CertProfile.FACTORY, "O": CertProfile.OPERATIONAL,
+            "S": CertProfile.SERVER}
+# Per responder, each message class its table has a row for and the peer
+# profiles the row admits: a changed row shows up here as a diff.
+ADMITTED = {
+    "ca1": {"EnrollReq": "F", "RegisterReq": "S", "RevokeReq": "S"},
+    "ca2": {"EnrollReq": "F", "RegisterReq": "S", "RevokeReq": "S"},
+    "sp1": {"UpdateCheck": "FOS", "TransferAck": "FOS", "TrustAck": "FOS",
+            "FinalAck": "FOS", "FallbackReq": "FOS", "ListDeliver": "S",
+            "TmDeliver": "S", "RaHello": "FOS", "RaReport": "FOS"},
+    "sp2": {"UpdateCheck": "FOS", "TransferAck": "FOS", "TrustAck": "FOS",
+            "FinalAck": "FOS", "FallbackReq": "FOS", "ListDeliver": "S",
+            "TmDeliver": "S"},
+    "ra": {"RaHello": "FOS", "RaReport": "FOS"},
+}
+# The reply to a peer a row does not admit; a row not named here sends none.
+REFUSALS = {
+    wire.EnrollReq: wire.EnrollRsp(False, b"", b"", (), (),
+                                   "profile_not_allowed"),
+    wire.RegisterReq: wire.RegisterRsp(False, "", 0, "profile_not_allowed"),
+    wire.RevokeReq: wire.RevokeRsp(False, 0),
+    wire.ListDeliver: wire.ListAck(False),
+    wire.TmDeliver: wire.TmAck(False),
+}
+# Every frame a session record can carry.
+APP_CLASSES = sorted((c for c in vars(wire).values()
+                      if isinstance(c, type) and hasattr(c, "PREFIX")
+                      and c not in (wire.Hello, wire.Accept, wire.Reject,
+                                    wire.RecordFrame)),
+                     key=lambda c: c.PREFIX)
+NOT_ADMITTED = [(name, cls, letter) for name in ADMITTED
+                for cls in APP_CLASSES for letter in PROFILES
+                if letter not in ADMITTED[name].get(cls.__name__, "")]
+FIELD_VALUES = {
+    "bytes": st.sampled_from([DEVICE_0, DEVICE_1, PENDING_NONCE])
+    | st.binary(max_size=40),
+    "int": st.integers(0, 2**64 - 1),
+    "bool": st.booleans(),
+    "str": st.text(max_size=20),
+    "tuple": st.lists(st.binary(max_size=40), max_size=3).map(tuple),
+}
+
+
+@pytest.fixture(scope="module")
+def responders():
+    """CA1, CA2, SP1 with fallback attestation, SP2 and the stand-alone
+    verifier in one simulator: each name's responder and a snapshot of the
+    state its handlers write; plus a session under each peer profile."""
+    sim, h = mini_world()
+    store = h.store_for({pki.PERMANENT_CA_NAME})
+    server = issued_credential(h, h.ca1, b"server", CertProfile.SERVER)
+    certs = {"F": issued_credential(h, h.permanent, DEVICE_0,
+                                    CertProfile.FACTORY).certificate,
+             "O": issued_credential(h, h.ca1, DEVICE_0,
+                                    CertProfile.OPERATIONAL).certificate,
+             "S": server.certificate}
+    sessions = {letter: session.derive(bytes(32), letter.encode() * 32, cert,
+                                       "peer")
+                for letter, cert in certs.items()}
+    found = {}
+    for name, ca in (("ca1", h.ca1), ("ca2", h.ca2)):
+        actor = operators.CaActor(
+            peers.NetHandle(sim, name, h.revocation_view()), ca)
+        found[name] = actor.peer, lambda ca=ca: (
+            dict(ca.issued), set(ca.revoked), dict(ca.registered_factory))
+    for name in ("sp1", "sp2"):
+        ra_state = operators.RaVerifierState(
+            expected={DEVICE_0: b"m0", DEVICE_1: b"m1"},
+            outstanding={DEVICE_1: PENDING_NONCE})
+        actor = operators.OperatorActor(
+            peers.NetHandle(sim, name), operator_state(), server, store,
+            fallback_ra_state=ra_state if name == "sp1" else None)
+        found[name] = actor.peer, lambda state=actor.state, ra=ra_state: (
+            {d: dict(kinds) for d, kinds in state.acks.items()},
+            dict(state.device_sessions), state.received_list,
+            state.received_tm, dict(ra.outstanding))
+    ra_state = operators.RaVerifierState(
+        expected={DEVICE_0: b"m0", DEVICE_1: b"m1"},
+        outstanding={DEVICE_1: PENDING_NONCE})
+    net = peers.NetHandle(sim, "ra")
+    found["ra"] = peers.ResponderPeer(net, server, store, operators.ra_rows(
+        ra_state, sim.actor_rng("ra/nonce"), net.note)), \
+        lambda: dict(ra_state.outstanding)
+    return sim, found, sessions
+
+
+def test_acceptance_tables_are_the_pinned_rows(responders):
+    """Each responder's rows admit exactly the pinned (class, profile)
+    pairs, and its handshake admits exactly their profiles: no CA opens a
+    session with an operational peer, and no responder with a CA."""
+    _sim, found, _sessions = responders
+    for name, (peer, _snapshot) in found.items():
+        rows = {cls.__name__: "".join(letter for letter, profile
+                                      in PROFILES.items() if profile in row[0])
+                for cls, row in peer.table.items()}
+        assert rows == ADMITTED[name], name
+        assert peer.admitted == {PROFILES[letter]
+                                 for letter in "".join(rows.values())}, name
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(NOT_ADMITTED), st.data())
+def test_property_rows_refuse_every_pair_they_do_not_admit(responders, case,
+                                                           data):
+    """Any message of a class a responder's rows do not admit from the
+    session peer's profile, with any field values, gets the row's refusal
+    (or nothing, without a row), changes no state and writes no trace."""
+    sim, found, sessions = responders
+    name, cls, letter = case
+    msg = data.draw(st.builds(cls, *[FIELD_VALUES[f.type]
+                                     for f in fields(cls)]))
+    peer, snapshot = found[name]
+    before, entries = snapshot(), len(sim.trace.entries)
+    refusal = REFUSALS.get(cls) if cls.__name__ in ADMITTED[name] else None
+    assert peer.dispatch(0, sessions[letter], msg) \
+        == ([] if refusal is None else [refusal])
+    assert snapshot() == before
+    assert len(sim.trace.entries) == entries

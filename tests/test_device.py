@@ -1,8 +1,11 @@
 """Device lifecycle tests: pure transitions plus small simulated flows."""
 
 import random
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustshift import crypto, device, operators, pki, wire
 from trustshift.device import DevicePhase
@@ -397,6 +400,86 @@ def test_malformed_push_answered_with_negative_ack(push):
         assert result.sp1_state.acks[device_id][kind] is False
         state = result.device_states[device_id.decode()]
         assert b"evil-root" not in state.truststore.root_names()
+
+
+# ---------------------------------------------------------------------------
+# the answer to a push, handler-level
+# ---------------------------------------------------------------------------
+
+_SP1_SIGNER = crypto.generate_key_pair(crypto.digest(b"sp1"))
+_PUSH_ACKS = {wire.TrustPush: wire.TrustAck, wire.FinalUpdate: wire.FinalAck,
+              wire.TransferDeliver: wire.TransferAck}
+_EVIL_ROOT_BYTES = encode(_EVIL_ROOT)
+# Certificate bytes that decode: a root, a root whose signature does not
+# verify, and a certificate that is no root.
+_CERTS = [_EVIL_ROOT_BYTES,
+          _EVIL_ROOT_BYTES[:-1] + bytes([_EVIL_ROOT_BYTES[-1] ^ 1]),
+          encode(pki._signed_cert(b"evil-root", _EVIL_KEY, 2, b"leaf",
+                                  _SP1_SIGNER.public_key, LIFETIME,
+                                  CertProfile.OPERATIONAL))]
+_URIS = st.text(min_size=1, max_size=12).map(Uri)
+_VERSIONS = st.builds(VersionInfo, st.integers(0, 2**32), _URIS).map(encode)
+_TRANSFERS = st.builds(
+    lambda window, *claims: encode(TransferMessage(min(window), max(window),
+                                                   *claims)),
+    st.tuples(st.integers(0, 3000), st.integers(0, 3000)), st.none() | _URIS,
+    _URIS, st.booleans(), _URIS, _URIS)
+_ENVELOPES = st.builds(
+    lambda key, profile, payload: encode(crypto.sign_envelope(key, profile,
+                                                              payload)),
+    st.sampled_from([_SP1_SIGNER, _EVIL_KEY]),
+    st.sampled_from(EnvelopeProfile),
+    _TRANSFERS | st.binary(min_size=1, max_size=60))
+_FIELD_VALUES = {
+    "bytes": st.binary(max_size=40), "int": st.integers(0, 2**64 - 1),
+    "bool": st.booleans(), "str": st.text(max_size=20),
+    "tuple": st.lists(st.binary(max_size=40), max_size=3).map(tuple)}
+_OTHER_FRAMES = sorted((c for c in vars(wire).values()
+                        if isinstance(c, type) and hasattr(c, "PREFIX")
+                        and c not in _PUSH_ACKS), key=lambda c: c.PREFIX)
+_MESSAGES = (
+    st.builds(wire.TrustPush,
+              st.lists(st.sampled_from(_CERTS) | st.binary(max_size=60),
+                       max_size=3).map(tuple), st.booleans())
+    | st.builds(wire.FinalUpdate, _VERSIONS | st.binary(max_size=40))
+    | st.builds(wire.TransferDeliver, _ENVELOPES | st.binary(max_size=60))
+    | st.sampled_from(_OTHER_FRAMES).flatmap(lambda cls: st.builds(
+        cls, *[_FIELD_VALUES[f.type] for f in fields(cls)])))
+
+
+@pytest.fixture(scope="module")
+def parked_devices():
+    """The device parked on its SP1 session, enrolled and, after a transfer
+    for [0, 10000], transfer-pending."""
+    enrolled = enrolled_device_with_signer(_SP1_SIGNER)
+    pending = replace(enrolled)
+    device.handle_transfer_message(pending, crypto.sign_envelope(
+        _SP1_SIGNER, EnvelopeProfile.CWT, encode(sample_transfer())), now=500)
+    return [enrolled, pending]
+
+
+def _snapshot(state):
+    return (state.truststore.root_names(),
+            state.truststore.persistent_only().root_names(), state.firmware,
+            state.phase, state.pending_transfer)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0, 1]), _MESSAGES, st.integers(0, 3000))
+def test_property_on_push_answers_every_push(parked_devices, which, msg, now):
+    """In either parked phase, any push with any content gets an ack of its
+    class and raises nothing, and a negative ack changes nothing; any other
+    message gets None."""
+    state = replace(parked_devices[which])
+    before = _snapshot(state)
+    ack = device.on_push(state, msg, now, lambda kind, **_fields: None)
+    if type(msg) not in _PUSH_ACKS:
+        assert ack is None
+        assert _snapshot(state) == before
+        return
+    assert type(ack) is _PUSH_ACKS[type(msg)]
+    if not ack.ok:
+        assert _snapshot(state) == before
 
 
 _GARBLED_UPDATE = wire.UpdateRsp(True, b"\xff")

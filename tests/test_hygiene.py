@@ -127,6 +127,19 @@ def test_signature_checks_only_in_crypto():
         f"signature checked outside crypto.verify_raw at {sorted(found)}"
 
 
+def test_peer_profile_read_only_in_peers():
+    """Which peer may send which message is decided in one place, the
+    acceptance table `peers.ResponderPeer` dispatches from: no other module
+    reads the profile of a session peer's certificate."""
+    readers = [f"{path.name}:{node.lineno}" for path in SOURCES
+               for node in ast.walk(_tree(path))
+               if isinstance(node, ast.Attribute) and node.attr == "profile"
+               and getattr(node.value, "attr",
+                           getattr(node.value, "id", None)) == "peer_cert"]
+    assert readers and all(r.startswith("peers.py:") for r in readers), \
+        f"peer profile read outside peers at {readers}"
+
+
 def _top_level_name(path: Path, test) -> list[str]:
     """For each node of `path` that `test` accepts, the name of the
     top-level definition it is in ("" at module level)."""

@@ -131,7 +131,7 @@ def test_register_req_rogue_cert_refused(world):
         h.ca2, pki.make_csr(b"sp2", sp2_key, CertProfile.OPERATIONAL),
         CertProfile.SERVER, LIFETIME)
     sess = session.derive(b"\x01" * 32, b"\x02" * 32, sp2_cert, "sp2")
-    [reply] = ca2._handle_app(1000, sess, wire.RegisterReq(
+    [reply] = ca2.peer.dispatch(1000, sess, wire.RegisterReq(
         tuple(encode(c) for c in certs)))
     assert (reply.ok, reply.bad_serial) == (False, 999)
     assert not h.ca2.registered_factory

@@ -32,13 +32,17 @@ def device_credential(h, name=b"dev-1"):
     return pki.Credential(cert, (), key)
 
 
-def echo_responder(h, store, seed=7, revocation_view=frozenset(), **kwargs):
-    """An echoing `ca2` responder under CA2's credential, in its own
-    simulator."""
+def echo(now, sess, msg):
+    return msg
+
+
+def echo_responder(h, store, seed=7, revocation_view=frozenset(),
+                   profiles=peers.ANY_PEER):
+    """A `ca2` responder under CA2's credential, in its own simulator, that
+    echoes an `UpdateCheck` from a peer of one of `profiles`."""
     return peers.ResponderPeer(
         peers.NetHandle(simnet.Simulator(seed), "ca2", revocation_view),
-        h.ca2.credential(), store, app_handler=lambda now, entry, msg: [msg],
-        **kwargs)
+        h.ca2.credential(), store, {wire.UpdateCheck: (profiles, echo, None)})
 
 
 def handshakes(h, cred, dev_store, responder_store, count=1, seed=7,
@@ -265,8 +269,8 @@ def test_at_most_once_under_adversarial_reordering():
 def ca_responder(h):
     """An echoing `ca2` responder that, like a CA, serves factory and
     server certificates only."""
-    return echo_responder(h, h.ca2.truststore, allowed_profiles=(
-        CertProfile.FACTORY, CertProfile.SERVER))
+    return echo_responder(h, h.ca2.truststore, profiles={
+        CertProfile.FACTORY, CertProfile.SERVER})
 
 
 def hello_under(cred):
@@ -363,8 +367,8 @@ def _accept(echo, cert_bytes):
 # Each discard branch of the reply loop: the trace entry it writes (kind,
 # field), what the bad frame is sent ahead of, and how it is built. Ahead
 # of the handshake reply and of a record reply the network sends bytes (made
-# from the Hello for the former); ahead of a call's reply the responder
-# sends an extra application message on the session.
+# from the Hello for the former); ahead of a call's reply the responder's
+# row handler sends an extra application message on the session.
 REPLY_LOOP_DISCARDS = {
     "malformed_frame_discarded": ("note", "what", "hello",
                                   lambda hello: b"\xff"),
@@ -395,12 +399,14 @@ def run_reply_loop(case=None):
     _kind, _key, ahead_of, bad = REPLY_LOOP_DISCARDS.get(
         case, (None, None, None, None))
 
-    def app(now, entry, msg):
-        return [bad, msg] if ahead_of == "app" else [msg]
+    def app(now, sess, msg):
+        if ahead_of == "app":
+            sim.transmit("ca2", sess.peer, session.send(sess, bad))
+        return msg
 
-    responder = peers.ResponderPeer(peers.NetHandle(sim, "ca2"),
-                                    h.ca2.credential(), h.ca2.truststore,
-                                    app_handler=app)
+    responder = peers.ResponderPeer(
+        peers.NetHandle(sim, "ca2"), h.ca2.credential(), h.ca2.truststore,
+        {wire.UpdateCheck: (peers.ANY_PEER, app, None)})
 
     def handle(now, src, data):
         disposition, sends = responder.handle(now, src, data)
