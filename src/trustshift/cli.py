@@ -75,8 +75,8 @@ def cmd_sizes(args) -> int:
         return EXIT_CONFIG
 
     recorded: dict[str, int] = {}
-    for entry in result.trace.select("size"):
-        recorded.setdefault(entry["cls"], entry["bytes"])
+    for _, _t, _actor, size_class, size in result.trace.index().get("size", ()):
+        recorded.setdefault(size_class, size)
 
     static_payload, static_envelope = _static_transfer_sizes(config)
     rows = [

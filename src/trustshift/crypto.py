@@ -6,7 +6,10 @@ algorithm id travels in envelope headers so the suite could be swapped.
 
 A signature check is a pure function of its (key, signature, message)
 bytes. `_check` is the one Ed25519 verify; `_verify` memoizes it, and on a
-miss takes the answer of the verify-ahead worker when one is ready. Where
+miss takes the answer of the verify-ahead worker when one is ready. The
+memo's scope is one run: `scenario.run_scenario` empties it first
+(`forget_verified`), so a run's memo hits and memory depend on nothing that
+ran before it in the process. Where
 the process may fork and has a second CPU, the first signature starts that
 worker (`_Ahead`): every signature this process makes is handed to it with
 its key and message over one pipe, and it checks them while the simulation
@@ -45,8 +48,7 @@ SEED_LEN = 32
 # Bound on memoized verify results. A 1000-device variant-b run makes 20022
 # checks of 6011 distinct triples; each device's repeats come close
 # together, so 4096 entries still catch every repeat (0.700 of calls) where
-# 1024 catch 0.626. Entries hold their bytes: at 4096 the bench's `configs`
-# workload (many scenarios per process) peaks 5.8% higher in memory.
+# 1024 catch 0.626. Entries hold their bytes, and only the current run's.
 VERIFY_MEMO_SIZE = 4096
 # Frame slots shared with the verify-ahead worker, the bound on the triples
 # sent to it and not yet claimed: a slot is reused once its last frame is
@@ -285,6 +287,11 @@ _ahead = _Ahead()
 def _verify(public_key: bytes, signature: bytes, data: bytes) -> bool:
     answer = _ahead.claim(public_key, signature, data)
     return _check(public_key, signature, data) if answer is None else answer
+
+
+def forget_verified() -> None:
+    """Empty the verify memo, its hit and miss counts too."""
+    _verify.cache_clear()
 
 
 def verify_raw(public_key: bytes, signature: bytes, data: bytes) -> bool:

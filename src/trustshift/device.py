@@ -105,7 +105,7 @@ class DeviceState:
         old = self.phase
         self.phase = new
         if trace is not None:
-            trace("phase", frm=old.value, to=new.value)
+            trace("phase", old.value, new.value)
 
     def factory_credential(self) -> pki.Credential:
         return pki.Credential(self.factory_cert, (), self.factory_key)
@@ -215,7 +215,7 @@ def _install_offered_version(state: DeviceState, version_bytes: bytes,
     if offered.manifest_sequence > state.firmware.manifest_sequence:
         state.firmware = offered
         if trace is not None:
-            trace("firmware_updated", seq=offered.manifest_sequence)
+            trace("firmware_updated", offered.manifest_sequence)
     return True
 
 
@@ -232,8 +232,7 @@ def on_push(state: DeviceState, msg, now: TimeStamp, note):
         except (MalformedEncoding, InvariantViolation):
             return wire.TrustAck(False)
         state.truststore = store
-        note("trust_push_applied", count=len(msg.root_certs),
-             persist=str(msg.persist))
+        note("trust_push_applied", len(msg.root_certs), msg.persist)
         return wire.TrustAck(True)
     if isinstance(msg, wire.FinalUpdate):
         return wire.FinalAck(_install_offered_version(
@@ -244,11 +243,11 @@ def on_push(state: DeviceState, msg, now: TimeStamp, note):
             handle_transfer_message(state, envelope, now, note)
         except (BadSignature, OutsideResetWindow, MalformedEncoding,
                 InvariantViolation, WrongPhase) as err:
-            note("transfer_rejected", reason=type(err).__name__)
+            note("transfer_rejected", type(err).__name__)
             return wire.TransferAck(False, type(err).__name__)
-        note("transfer_accepted", size=len(msg.envelope_bytes))
+        note("transfer_accepted", len(msg.envelope_bytes))
         return wire.TransferAck(True, "")
-    note("note", what="unexpected_push", got=type(msg).__name__)
+    note("note", "unexpected_push", None, type(msg).__name__)
     return None
 
 
@@ -325,7 +324,7 @@ def contact_fallback(state: DeviceState, net: peers.NetHandle, reason: str):
     """Contact the fallback endpoint (the SP1 update server) after a
     permanent failure; ends in phase fallback either way, with the contact
     outcome in the trace."""
-    net.note("fallback_start", reason=reason)
+    net.note("fallback_start", reason)
     contacted = False
     for _ in range(3):  # session-level attempts on top of call retries
         sess, status = yield from peers.open_session(
@@ -340,10 +339,10 @@ def contact_fallback(state: DeviceState, net: peers.NetHandle, reason: str):
             continue
         if reply.require_ra:
             verdict = yield from _ra_exchange(state, net, sess)
-            net.note("fallback_ra", verdict=str(verdict))
+            net.note("fallback_ra", verdict)
         contacted = True
         break
-    net.note("fallback_contacted", ok=str(contacted), reason=reason)
+    net.note("fallback_contacted", contacted, reason)
     state.set_phase(DevicePhase.FALLBACK, net.note)
 
 
@@ -403,7 +402,7 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
             yield from _enroll(state, net, server_keygen)
             break
         except EnrollRejected as err:
-            net.note("enroll_retry", reason=str(err.reason))
+            net.note("enroll_retry", err.reason)
             yield Sleep(RETRY_BACKOFF)
     else:
         net.note("enroll_gave_up")
@@ -452,9 +451,9 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
                 yield from _enroll(state, net, server_keygen)
                 state.set_phase(DevicePhase.ENROLLED, net.note)
                 net.note("operational_cert_renewed",
-                         serial=state.operational_cert.serial)
+                         state.operational_cert.serial)
             except EnrollRejected as err:
-                net.note("renewal_failed", reason=str(err.reason))
+                net.note("renewal_failed", err.reason)
             continue
         ack = on_push(state, msg, net.now(), net.note)
         if ack is not None:
@@ -472,15 +471,12 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
         return  # inert: transfer already acknowledged but window passed
 
     reset_to_agreed_state(state, net.note)
+    endpoints = state.endpoints
     net.note("reset_snapshot",
-             op_cert="none" if state.operational_cert is None else "present",
-             sp1_key="none" if state.sp1_signer_key is None else "present",
-             roots=",".join(sorted(n.decode(errors="replace")
-                                   for n in state.truststore.root_names())),
-             ca_uri=str(state.endpoints.ca_uri),
-             update_uri=str(state.endpoints.update_uri),
-             ra_uri=str(state.endpoints.ra_uri),
-             fallback_uri=str(state.endpoints.fallback_uri))
+             "none" if state.operational_cert is None else "present",
+             "none" if state.sp1_signer_key is None else "present",
+             state.truststore.root_digests(), endpoints.ca_uri,
+             endpoints.update_uri, endpoints.ra_uri, endpoints.fallback_uri)
 
     yield from run_post_reset_sequence(state, net, server_keygen)
 
@@ -493,4 +489,4 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
             reply, status = yield from peers.session_call(
                 net, sess, wire.UpdateCheck(encode(state.firmware)),
                 (wire.UpdateRsp,))
-            net.note("sp2_checkin", ok=str(reply is not None))
+            net.note("sp2_checkin", reply is not None)

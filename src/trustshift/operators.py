@@ -199,8 +199,7 @@ def ra_rows(verifier: RaVerifierState, rng, note=None) -> dict:
         reply = ra_serve(verifier, rng, sess.peer_cert.subject_name, msg)
         if note is not None and isinstance(msg, wire.RaReport) \
                 and msg.device_id == sess.peer_cert.subject_name:
-            note("ra_verdict", device=msg.device_id.decode(errors="replace"),
-                 verdict=str(reply.ok))
+            note("ra_verdict", msg.device_id, reply.ok)
         return reply
     return {wire.RaHello: (peers.ANY_PEER, serve, None),
             wire.RaReport: (peers.ANY_PEER, serve, None)}
@@ -255,9 +254,7 @@ class CaActor:
                    if self.ca.issued[s].profile is CertProfile.OPERATIONAL]
         for serial in serials:
             pki.revoke(self.ca, serial)
-        self.net.note("revoked",
-                      subject=msg.subject_name.decode(errors="replace"),
-                      count=len(serials))
+        self.net.note("revoked", msg.subject_name, len(serials))
         return wire.RevokeRsp(True, len(serials))
 
 
@@ -314,16 +311,12 @@ class OperatorActor:
         kind = _ACK_KINDS[type(msg)]
         acks[kind] = acks.get(kind, False) or msg.ok
         if kind == "transfer":
-            self.net.note("transfer_ack",
-                          device=subject.decode(errors="replace"),
-                          accepted=str(msg.ok), reason=msg.reason)
+            self.net.note("transfer_ack", subject, msg.ok, msg.reason)
 
     def _fallback(self, now, sess, msg):
         if msg.device_id != sess.peer_cert.subject_name:
             return wire.FallbackRsp(False, False)
-        self.net.note("fallback_served",
-                      device=msg.device_id.decode(errors="replace"),
-                      reason=msg.reason)
+        self.net.note("fallback_served", msg.device_id, msg.reason)
         return wire.FallbackRsp(True, wire.RaHello in self.peer.table)
 
     def _accept_envelope(self, now, sess, msg):
@@ -338,15 +331,15 @@ class OperatorActor:
             return ack(False)
         if not crypto.verify_envelope(self.state.peer_signer_keys.get(signer),
                                       envelope, profile):
-            self.net.note(rejected, reason=f"bad_{signer}_signature")
+            self.net.note(rejected, f"bad_{signer}_signature")
             return ack(False)
         try:
             payload = decode(kind, envelope.payload)
         except (MalformedEncoding, InvariantViolation):
             return ack(False)
         setattr(self.state, slot, payload)
-        self.net.sim.trace.add("size", now, cls=size_cls,
-                               bytes=len(msg.envelope_bytes))
+        self.net.sim.trace.add("size", now, None, size_cls,
+                               len(msg.envelope_bytes))
         return ack(True)
 
 
@@ -381,9 +374,7 @@ def _push_rounds(net: peers.NetHandle, actor: OperatorActor, device_ids,
         for device_id in sorted(pending):
             sess = state.device_sessions.get(device_id)
             if sess is None:
-                net.note("push_skipped",
-                         device=device_id.decode(errors="replace"),
-                         reason="no_session")
+                net.note("push_skipped", device_id, "no_session")
                 continue
             acked = state.acks.get(device_id, {})
             for kind, msg in pushes.items():
@@ -406,11 +397,11 @@ def _exchange(net: peers.NetHandle, actor: OperatorActor, dst: str,
     sess, status = yield from peers.open_session(
         net, dst, actor.peer.credential, actor.peer.truststore, purpose=purpose)
     if sess is None:
-        net.note("transfer_aborted", step=f"{dst}_session", status=status)
+        net.note("transfer_aborted", f"{dst}_session", status)
         return None
     reply, status = yield from peers.session_call(net, sess, request, (expect,))
     if reply is None or not reply.ok:
-        net.note("transfer_aborted", step=step, status=status if reply is None
+        net.note("transfer_aborted", step, status if reply is None
                  else getattr(reply, "reason", "refused"))
         return None
     return reply
@@ -427,7 +418,7 @@ def _await_delivery(net: peers.NetHandle, state: OperatorState, slot: str,
         yield Sleep(2)
     delivered = getattr(state, slot)
     if delivered is None:
-        net.note("transfer_aborted", step=step, status="timeout")
+        net.note("transfer_aborted", step, "timeout")
     return delivered
 
 
@@ -444,12 +435,12 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
     envelope = sp1_build_update_info_list(state, device_ids)
     payload_size = len(envelope.payload)
     env_bytes = encode(envelope)
-    net.note("size", cls="update_info_list_payload", bytes=payload_size)
-    net.note("size", cls="update_info_list_envelope", bytes=len(env_bytes))
+    net.note("size", "update_info_list_payload", payload_size)
+    net.note("size", "update_info_list_envelope", len(env_bytes))
     info_list = decode(UpdateInfoList, envelope.payload)
     if info_list.entries:
-        net.note("size", cls="device_update_info",
-                 bytes=len(encode(info_list.entries[0])))
+        net.note("size", "device_update_info",
+                 len(encode(info_list.entries[0])))
 
     if (yield from _exchange(net, actor, SP2_ACTOR, "sp1sp2",
                              wire.ListDeliver(env_bytes), wire.ListAck,
@@ -473,28 +464,26 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
     if prep:
         pending = yield from _push_rounds(net, actor, device_ids, prep)
         if pending:
-            net.note("prep_pushes_incomplete", count=len(pending))
+            net.note("prep_pushes_incomplete", len(pending))
 
-    net.note("size", cls="relayed_transfer_envelope",
-             bytes=len(transfer.envelope_bytes))
-    net.note("size", cls="transfer_message_payload", bytes=len(relayed.payload))
+    net.note("size", "relayed_transfer_envelope",
+             len(transfer.envelope_bytes))
+    net.note("size", "transfer_message_payload", len(relayed.payload))
     pending = yield from _push_rounds(net, actor, device_ids,
                                       {"transfer": transfer})
-    net.note("transfer_pushes_done", unacked=len(pending))
+    net.note("transfer_pushes_done", len(pending))
 
     sess, status = yield from peers.open_session(
         net, CA1_ACTOR, actor.peer.credential, actor.peer.truststore,
         purpose="revoke")
     if sess is None:
-        net.note("revocation_failed", status=status)
+        net.note("revocation_failed", None, status)
         return
     for device_id in sorted(set(device_ids)):
         reply, status = yield from peers.session_call(
             net, sess, wire.RevokeReq(device_id), (wire.RevokeRsp,))
         if reply is None:
-            net.note("revocation_failed",
-                     device=device_id.decode(errors="replace"),
-                     status=status)
+            net.note("revocation_failed", device_id, status)
     net.note("sp1_orchestration_done")
 
 
@@ -527,8 +516,8 @@ def sp2_transfer_process(net: peers.NetHandle, actor: OperatorActor,
     envelope = sp2_prepare_transfer(state, info_list, enroll_uri, ra_uri,
                                     contact_before_enroll)
     env_bytes = encode(envelope)
-    net.note("size", cls="transfer_message_payload", bytes=len(envelope.payload))
-    net.note("size", cls="transfer_message_envelope", bytes=len(env_bytes))
+    net.note("size", "transfer_message_payload", len(envelope.payload))
+    net.note("size", "transfer_message_envelope", len(env_bytes))
 
     if (yield from _exchange(net, actor, SP1_ACTOR, "sp2sp1",
                              wire.TmDeliver(env_bytes), wire.TmAck,

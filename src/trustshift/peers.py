@@ -53,8 +53,10 @@ class NetHandle:
     def resolve(self, uri) -> str | None:
         return None if uri is None else self.sim.resolve(str(uri))
 
-    def note(self, kind: str, **fields) -> None:
-        self.sim.trace.add(kind, self.sim.now, actor=self.actor_id, **fields)
+    def note(self, kind: str, *values) -> None:
+        """Trace an entry of declared `kind` by this actor, now: `values`
+        are its fields after `actor`, positionally."""
+        self.sim.trace.add(kind, self.sim.now, self.actor_id, *values)
 
 
 def _cred_to_wire(cred: pki.Credential) -> tuple[bytes, tuple[bytes, ...]]:
@@ -93,8 +95,7 @@ def _accept_record(net: NetHandle, sess: session.AuthenticatedSession | None,
             pass
         except ReplayDetected:
             outcome = "replay_detected"
-    net.note("record", sid=frame.session_id.hex(), seq=frame.seq,
-             outcome=outcome)
+    net.note("record", frame.session_id, frame.seq, outcome)
     try:
         return outcome, None if payload is None else wire.decode_wire(payload)
     except MalformedEncoding:
@@ -143,21 +144,20 @@ def open_session(net: NetHandle, dst: str, cred: pki.Credential,
         try:
             msg = wire.decode_wire(data)
         except MalformedEncoding:
-            net.note("note", what="malformed_frame_discarded", purpose=purpose)
+            net.note("note", "malformed_frame_discarded", purpose, None)
             return None
         if not isinstance(msg, (wire.Accept, wire.Reject)):
-            net.note("note", what="unexpected_frame_discarded", purpose=purpose)
+            net.note("note", "unexpected_frame_discarded", purpose, None)
             return None
         if msg.echo_ephemeral != ephemeral:
-            net.note("handshake", outcome=f"stale_{msg.LABEL}_discarded",
-                     purpose=purpose)
+            net.note("handshake", f"stale_{msg.LABEL}_discarded", purpose)
             return None
         if isinstance(msg, wire.Reject):
             return None, f"peer_rejected:{msg.reason}"
         peer_cert, reason = _check_peer(net, msg.cert_bytes,
                                         msg.intermediates, store)
         if peer_cert is None:
-            net.note("handshake", outcome="bad_accept_cert", purpose=purpose)
+            net.note("handshake", "bad_accept_cert", purpose)
             return None
         if reason is not None:
             return None, f"peer_untrusted:{reason}"
@@ -178,11 +178,11 @@ def _pick_record(net: NetHandle, sess: session.AuthenticatedSession, data):
     None once the frame is noted and discarded."""
     frame = wire.parse_record_frame(data)
     if frame is None:
-        net.note("note", what="non_record_frame_discarded")
+        net.note("note", "non_record_frame_discarded", None, None)
         return None
     outcome, msg = _accept_record(net, sess, frame)
     if outcome == "malformed_app":
-        net.note("note", what="malformed_app_payload")
+        net.note("note", "malformed_app_payload", None, None)
     return msg
 
 
@@ -196,8 +196,8 @@ def session_call(net: NetHandle, sess: session.AuthenticatedSession, request,
         reply = _pick_record(net, sess, data)
         if reply is None or isinstance(reply, expect):
             return reply
-        net.note("note", what="unexpected_app_message",
-                 got=type(reply).__name__)
+        net.note("note", "unexpected_app_message", None,
+                 type(reply).__name__)
         return None
 
     for _attempt in range(RETRIES + 1):
@@ -257,7 +257,7 @@ class ResponderPeer:
 
     def _on_hello(self, src, msg):
         if msg.ephemeral in self.seen_ephemerals:
-            self.net.note("handshake", outcome="replayed_hello_discarded")
+            self.net.note("handshake", "replayed_hello_discarded", None)
             return "handshake_replay", []
         self.seen_ephemerals.add(msg.ephemeral)
         peer_cert, reason = _check_peer(self.net, msg.cert_bytes,
@@ -273,10 +273,9 @@ class ResponderPeer:
         sess = session.derive(msg.ephemeral, responder_ephemeral, peer_cert,
                               src)
         self.sessions[sess.session_id] = sess
-        self.net.sim.trace.add("session", self.net.now(),
-                               sid=sess.session_id.hex(),
-                               fp=sess.session_key_fingerprint.hex(),
-                               a=src, b=self.net.actor_id)
+        self.net.sim.trace.add("session", self.net.now(), sess.session_id,
+                               sess.session_key_fingerprint, src,
+                               self.net.actor_id)
         accept = wire.encode_wire(wire.Accept(
             msg.ephemeral, responder_ephemeral, *_cred_to_wire(self.credential)))
         return "hello_accepted", [Transmit(src, accept, label="accept")]

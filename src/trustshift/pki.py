@@ -101,6 +101,11 @@ class TrustStore:
     def root_names(self) -> set[bytes]:
         return set(self._roots)
 
+    def root_digests(self) -> tuple[tuple[bytes, bytes], ...]:
+        """(name, digest of the encoding) of each root, by name."""
+        return tuple((name, crypto.digest(cert.encoding()))
+                     for name, cert in sorted(self._roots.items()))
+
     def copy(self) -> "TrustStore":
         out = TrustStore()
         out._roots = dict(self._roots)

@@ -282,11 +282,13 @@ def _device_process(state: device.DeviceState, net: peers.NetHandle,
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
+    # A run holds only its own state: no verify result of an earlier run.
     # Set-up runs in passes, each signature checked a pass after it is made,
     # when the verify-ahead worker (crypto.py) has answered it: CA
     # certificates, keys and CSRs made; roots trusted and certificates
     # issued; devices provisioned; factory certificates registered. Key
     # draws and serials keep device, then server order.
+    crypto.forget_verified()
     sim = simnet.Simulator(config.seed)
     build_rng = sim.actor_rng("hierarchy-build")
     hierarchy = pki.build_hierarchy(config.variant, build_rng,
@@ -437,8 +439,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             issuer=cert.issuer_name.decode(errors="replace") if cert else "none",
             serial=cert.serial if cert else 0))
 
-    agreed_roots = {n.decode() for n in pre_transfer}
-    agreed_roots |= {c.subject_name.decode() for c in push_roots}
+    agreed_roots = {crypto.digest(hierarchy.root_cert(name).encoding())
+                    for name in pre_transfer}
+    agreed_roots |= {crypto.digest(cert.encoding()) for cert in push_roots}
     checks = run_checks(trace, devices, agreed_roots)
 
     return ScenarioResult(config=config, trace=trace, devices=outcomes,
@@ -458,52 +461,52 @@ _PHASE_EDGES = {frm.value: {to.value for to in tos}
 
 
 def run_checks(trace: simnet.Trace, device_ids,
-               agreed_roots: set[str]) -> list[CheckResult]:
-    """FR3, FR4 and lifecycle order of every device, from one pass over the
-    trace; each check names its first failing device in device order.
+               agreed_roots: set[bytes]) -> list[CheckResult]:
+    """FR3, FR4 and lifecycle order of every device, from the trace's rows
+    by kind; each check names its first failing device in device order.
 
     FR3: no session a device opens from its last re-enrollment on shares a
     key fingerprint with any session SP1's side ever saw. FR4: every
     post-reset snapshot holds no operational material, no SP1 signer key
-    and only agreed roots. Lifecycle: every traced phase change is an edge
-    of `device.EDGES`.
+    and only roots whose encodings digest to one of `agreed_roots`.
+    Lifecycle: every traced phase change is an edge of `device.EDGES`.
     """
+    rows = trace.index()
     sp1_fps = set()
     sessions, phases, snapshots = (defaultdict(list), defaultdict(list),
                                    defaultdict(list))
-    for entry in trace.entries:
-        kind = entry["ev"]
-        if kind == "session":
-            sessions[entry["a"]].append(entry)
-            if entry["a"] in SP1_SIDE_ACTORS or entry["b"] in SP1_SIDE_ACTORS:
-                sp1_fps.add(entry["fp"])
-        elif kind == "phase":
-            phases[entry["actor"]].append(entry)
-        elif kind == "reset_snapshot":
-            snapshots[entry["actor"]].append(entry)
+    for _, t, _sid, fp, a, b in rows.get("session", ()):
+        sessions[a].append((t, fp))
+        if a in SP1_SIDE_ACTORS or b in SP1_SIDE_ACTORS:
+            sp1_fps.add(fp)
+    for _, t, actor, frm, to in rows.get("phase", ()):
+        phases[actor].append((t, frm, to))
+    for _, _t, actor, op_cert, sp1_key, roots, *_uris in rows.get(
+            "reset_snapshot", ()):
+        snapshots[actor].append((op_cert, sp1_key, roots))
 
     fr3 = fr4 = order = ""  # detail of each check's first failure
     for actor_id in device_ids:
         steps = phases.get(actor_id, ())
-        reenrolled = [e["t"] for e in steps if e["to"] == "reenrolled"]
+        reenrolled = [t for t, _frm, to in steps if to == "reenrolled"]
         if not fr3 and reenrolled:
-            overlap = sp1_fps & {e["fp"] for e in sessions.get(actor_id, ())
-                                 if e["t"] >= reenrolled[-1]}
+            overlap = sp1_fps & {fp for t, fp in sessions.get(actor_id, ())
+                                 if t >= reenrolled[-1]}
             if overlap:
                 fr3 = f"{actor_id} shares {len(overlap)} fingerprints"
-        for snap in snapshots.get(actor_id, ()):
+        for op_cert, sp1_key, roots in snapshots.get(actor_id, ()):
             if fr4:
                 break
-            roots = set(snap["roots"].split(",")) if snap["roots"] else set()
-            if snap["op_cert"] != "none" or snap["sp1_key"] != "none":
+            kept = sorted(name.decode(errors="replace")
+                          for name, digest in roots if digest not in agreed_roots)
+            if op_cert != "none" or sp1_key != "none":
                 fr4 = f"{actor_id} kept SP1 material across reset"
-            elif not roots <= agreed_roots:
-                fr4 = f"{actor_id} kept roots {sorted(roots - agreed_roots)}"
-        bad = next((e for e in steps
-                    if e["to"] not in _PHASE_EDGES.get(e["frm"], ())), None)
+            elif kept:
+                fr4 = f"{actor_id} kept roots {kept}"
+        bad = next(((frm, to) for _t, frm, to in steps
+                    if to not in _PHASE_EDGES.get(frm, ())), None)
         if not order and bad:
-            order = (f"{actor_id}: {bad['frm']} -> {bad['to']} "
-                     "is not a lifecycle edge")
+            order = f"{actor_id}: {bad[0]} -> {bad[1]} is not a lifecycle edge"
     return [CheckResult("fr3_forward_secrecy", not fr3, fr3),
             CheckResult("fr4_backward_secrecy", not fr4, fr4),
             CheckResult("lifecycle_prefix", not order, order)]

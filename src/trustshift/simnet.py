@@ -6,6 +6,9 @@ reactive responders (a handler per delivery that returns the Transmit
 commands it sends) or generator-based processes that yield
 Transmit/Sleep/WaitMessage commands.
 
+The trace keeps one typed row per entry, of a kind declared once in
+`TRACE_KINDS`; rows render to `key=value` lines only when asked.
+
 The adversary controller observes transmissions in flight and may drop,
 replay, modify, record or inject; it sees only framing metadata (source,
 destination, label, record session id and sequence number) and treats
@@ -22,7 +25,7 @@ import random
 import re
 import types
 import typing
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -72,40 +75,214 @@ class WaitMessage:
     timeout: int | None = None
 
 
+# ---------------------------------------------------------------------------
+# trace
+# ---------------------------------------------------------------------------
+
+def _text(name: bytes) -> str:
+    return str(name, "utf-8", "replace")
+
+
+def _root_names(roots) -> str:
+    return ",".join(sorted(_text(name) for name, _ in roots))
+
+
+# Value kind -> the plain form of a typed value: what an entry's line shows
+# and what `Entry[...]` and `Trace.select` give and match. A field of no
+# kind holds a str or an int, its own plain form.
+VALUE_KINDS = {
+    "bytes": bytes.hex,
+    "name": _text,
+    "bool": str,  # True or False; None where there is no verdict
+    "uri": str,  # a Uri, or None
+    "roots": _root_names,  # ((name, digest of the encoding), ...)
+}
+
+# Every trace event kind and its fields, in rendered order: "f" holds a str
+# or an int, "f:kind" a typed value of that `VALUE_KINDS` kind, and "f?" may
+# be None, which leaves it out of the entry. `actor` names the actor that
+# noted the entry (`peers.NetHandle.note`).
+TRACE_KINDS = {
+    # the simulator
+    "deliver": "src dst label size origin disp",
+    "drop": "src dst label size note",
+    "adversary": "dst label note",
+    "timer": "actor",
+    # sessions (peers)
+    "session": "sid:bytes fp:bytes a b",
+    "record": "actor sid:bytes seq outcome",
+    "handshake": "actor outcome purpose?",
+    "note": "actor what purpose? got?",
+    # devices
+    "phase": "actor frm to",
+    "firmware_updated": "actor seq",
+    "trust_push_applied": "actor count persist:bool",
+    "transfer_rejected": "actor reason",
+    "transfer_accepted": "actor size",
+    "enroll_retry": "actor reason",
+    "enroll_gave_up": "actor",
+    "sp1_unreachable": "actor",
+    "operational_cert_renewed": "actor serial",
+    "renewal_failed": "actor reason",
+    "reset_window_expired": "actor",
+    "reset_snapshot": "actor op_cert sp1_key roots:roots ca_uri:uri "
+                      "update_uri:uri ra_uri:uri fallback_uri:uri",
+    "fallback_start": "actor reason",
+    "fallback_ra": "actor verdict:bool",
+    "fallback_contacted": "actor ok:bool reason",
+    "sp2_checkin": "actor ok:bool",
+    # servers
+    "ra_verdict": "actor device:name verdict:bool",
+    "revoked": "actor subject:name count",
+    "transfer_ack": "actor device:name accepted:bool reason",
+    "fallback_served": "actor device:name reason",
+    "list_rejected": "actor reason",
+    "tm_rejected": "actor reason",
+    "size": "actor? cls bytes",
+    # operator orchestration
+    "push_skipped": "actor device:name reason",
+    "prep_pushes_incomplete": "actor count",
+    "transfer_pushes_done": "actor unacked",
+    "transfer_aborted": "actor step status",
+    "revocation_failed": "actor device:name? status",
+    "registration_skipped": "actor",
+    "sp1_orchestration_done": "actor",
+    "sp2_orchestration_done": "actor",
+}
+
+
+class TraceKind:
+    """One declared event kind, read from its `TRACE_KINDS` spec: its field
+    names, each field's position in a row, whether it may be left out, and
+    the plain form of its typed values."""
+
+    __slots__ = ("fields", "positions", "optional", "plain")
+
+    def __init__(self, spec: str):
+        self.fields, self.optional, self.plain = (), set(), {}
+        for word in spec.split():
+            field_name, _, kind = word.rstrip("?").partition(":")
+            self.fields += (field_name,)
+            if word.endswith("?"):
+                self.optional.add(field_name)
+            if kind:
+                self.plain[field_name] = VALUE_KINDS[kind]
+        # A row is (kind, time, *field values).
+        self.positions = {f: i for i, f in enumerate(self.fields, 2)}
+
+    def line(self, row: tuple) -> str:
+        parts = [f"t={row[1]:08d} ev={row[0]}"]
+        for name, value in zip(self.fields, row[2:]):
+            if value is None and name in self.optional:
+                continue
+            plain = self.plain.get(name)
+            parts.append(f"{name}={value if plain is None else plain(value)}")
+        return " ".join(parts)
+
+
+_KINDS = {name: TraceKind(spec) for name, spec in TRACE_KINDS.items()}
+
+
+def _declared(kind: str) -> TraceKind:
+    try:
+        return _KINDS[kind]
+    except KeyError:
+        raise ValueError(f"undeclared trace kind {kind!r}") from None
+
+
+class Entry:
+    """One trace entry read by field name, as its dict was read before
+    entries were typed: `entry[f]` and `entry.get(f)` give the plain form
+    (hex, comma-joined root names, "True"), `typed(f)` the value traced."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: tuple):
+        self.row = row
+
+    def typed(self, field_name: str):
+        """The value traced for `field_name`; KeyError if the kind has no
+        such field or the entry leaves it out."""
+        if field_name == "ev":
+            return self.row[0]
+        if field_name == "t":
+            return self.row[1]
+        kind = _KINDS[self.row[0]]
+        value = self.row[kind.positions[field_name]]
+        if value is None and field_name in kind.optional:
+            raise KeyError(field_name)
+        return value
+
+    def __getitem__(self, field_name: str):
+        value = self.typed(field_name)
+        plain = _KINDS[self.row[0]].plain.get(field_name)
+        return value if plain is None else plain(value)
+
+    def get(self, field_name: str, default=None):
+        try:
+            return self[field_name]
+        except KeyError:
+            return default
+
+
 class Trace:
-    """Structured, line-renderable record of everything that happened."""
+    """Record of everything that happened, one row per entry: (kind name,
+    time, *its field values, typed). Most rows hold only str, int, bytes
+    and None, so the garbage collector stops tracking them. Rows render to
+    lines only when asked; `render()` and `digest()` are over those lines."""
 
     def __init__(self):
-        self.entries: list[dict] = []
+        self.rows: list[tuple] = []
 
-    def add(self, kind: str, time: int, **fields) -> None:
-        self.entries.append({"ev": kind, "t": time, **fields})
+    def add(self, *row) -> None:
+        """Append one entry, `row` = (kind, time, *values): the values of
+        the kind's declared fields in order, None for an optional field left
+        out. The row is kept as given."""
+        declared = _KINDS.get(row[0]) or _declared(row[0])
+        if len(row) != len(declared.fields) + 2:
+            raise ValueError(f"trace kind {row[0]!r} has fields "
+                             f"{declared.fields}, given {row[2:]!r}")
+        self.rows.append(row)
 
-    def lines(self) -> list[str]:
-        out = []
-        for entry in self.entries:
-            parts = [f"t={entry['t']:08d}", f"ev={entry['ev']}"]
-            for key, value in entry.items():
-                if key in ("t", "ev"):
-                    continue
-                parts.append(f"{key}={value}")
-            out.append(" ".join(parts))
+    @property
+    def entries(self) -> list[Entry]:
+        """A view of each row, read by field name."""
+        return list(map(Entry, self.rows))
+
+    def index(self) -> dict[str, list[tuple]]:
+        """The rows of each kind by kind name, in trace order: one pass."""
+        out = defaultdict(list)
+        for row in self.rows:
+            out[row[0]].append(row)
         return out
+
+    def lines(self):
+        """The rendered line of each entry, in order."""
+        for row in self.rows:
+            yield _KINDS[row[0]].line(row)
 
     def render(self) -> str:
         return "\n".join(self.lines()) + "\n"
 
     def digest(self) -> str:
-        return hashlib.sha256(self.render().encode()).hexdigest()
+        """SHA-256 of `render()`, fed line by line: the rendered trace is
+        never held whole."""
+        digest = hashlib.sha256(b"" if self.rows else b"\n")
+        for line in self.lines():
+            digest.update(f"{line}\n".encode())
+        return digest.hexdigest()
 
-    def select(self, kind: str, **match) -> list[dict]:
-        out = []
-        for entry in self.entries:
-            if entry["ev"] != kind:
-                continue
-            if all(entry.get(k) == v for k, v in match.items()):
-                out.append(entry)
-        return out
+    def select(self, kind: str, **match) -> list[Entry]:
+        """The entries of declared `kind` whose fields' plain forms equal
+        `match`; a field the kind does not declare is an error."""
+        declared = _declared(kind)
+        undeclared = set(match) - set(declared.positions) - {"t"}
+        if undeclared:
+            raise ValueError(f"trace kind {kind!r} has no fields "
+                             f"{sorted(undeclared)}")
+        entries = (Entry(row) for row in self.rows if row[0] == kind)
+        return [entry for entry in entries
+                if all(entry.get(k) == v for k, v in match.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +541,12 @@ class Simulator:
             self._on_timer(event)
             return
         if event.kind is EventKind.DROP:
-            self.trace.add("drop", event.time, src=event.src, dst=event.dst,
-                           label=event.label, size=len(event.payload),
-                           note=event.note)
+            self.trace.add("drop", event.time, event.src, event.dst,
+                           event.label, len(event.payload), event.note)
             return
         if event.kind is EventKind.ADVERSARY_ACTION:
-            self.trace.add("adversary", event.time, dst=event.dst,
-                           label=event.label, note=event.note)
+            self.trace.add("adversary", event.time, event.dst, event.label,
+                           event.note)
             return
 
         # DELIVER: give the adversary one look at net-originated traffic
@@ -388,22 +564,21 @@ class Simulator:
         handler = self._responders.get(event.dst)
         if handler is not None:
             disposition, sends = handler(self.now, event.src, event.payload)
-            self.trace.add("deliver", event.time, src=event.src, dst=event.dst,
-                           label=event.label, size=len(event.payload),
-                           origin=event.origin, disp=disposition)
+            self.trace.add("deliver", event.time, event.src, event.dst,
+                           event.label, len(event.payload), event.origin,
+                           disposition)
             for send in sends:
                 self.transmit(event.dst, send.dst, send.payload, send.label)
             return
 
         proc = self._processes.get(event.dst)
         if proc is None or proc.state == "done":
-            self.trace.add("deliver", event.time, src=event.src, dst=event.dst,
-                           label=event.label, size=len(event.payload),
-                           origin=event.origin, disp="no_actor")
+            self.trace.add("deliver", event.time, event.src, event.dst,
+                           event.label, len(event.payload), event.origin,
+                           "no_actor")
             return
-        self.trace.add("deliver", event.time, src=event.src, dst=event.dst,
-                       label=event.label, size=len(event.payload),
-                       origin=event.origin, disp="queued")
+        self.trace.add("deliver", event.time, event.src, event.dst,
+                       event.label, len(event.payload), event.origin, "queued")
         proc.inbox.append((event.src, event.payload))
         if proc.state == "waiting":
             proc.timer_token += 1  # invalidate any pending wait timer
@@ -415,7 +590,7 @@ class Simulator:
         token = int.from_bytes(event.payload, "big")
         if proc is None or proc.state == "done" or token != proc.timer_token:
             return  # stale timer
-        self.trace.add("timer", event.time, actor=event.dst)
+        self.trace.add("timer", event.time, event.dst)
         if proc.state == "waiting":
             self._resume(proc, TIMEOUT)
         elif proc.state == "sleeping":

@@ -3,11 +3,18 @@ order) driven on hand-built traces, so that every failing path is reached."""
 
 import pytest
 
-from trustshift import simnet
+from trustshift import crypto, simnet
 from trustshift.scenario import CheckResult, run_checks
 
+
+def root(name, encoding=None):
+    """A traced root: its name and the digest of its encoding (by default,
+    that of the agreed root of this name)."""
+    return (name.encode(), crypto.digest(encoding or name.encode()))
+
+
 DEVICES = ["device-000", "device-001"]
-AGREED = {"ca2", "permanent-ca"}
+AGREED = {root("ca2")[1], root("permanent-ca")[1]}
 NAMES = ["fr3_forward_secrecy", "fr4_backward_secrecy", "lifecycle_prefix"]
 
 MAIN_PATH = ["blank", "provisioned", "enrolled", "enrolled", "transferPending",
@@ -16,18 +23,18 @@ MAIN_PATH = ["blank", "provisioned", "enrolled", "enrolled", "transferPending",
 
 def phases(actor, path):
     """Phase entries walking `path`, one time unit apart from t=0."""
-    return [("phase", i, {"actor": actor, "frm": frm, "to": to})
+    return [("phase", i, (actor, frm, to))
             for i, (frm, to) in enumerate(zip(path, path[1:]))]
 
 
 def session(t, a, b, fp):
-    return ("session", t, {"sid": f"{t:04x}", "fp": fp, "a": a, "b": b})
+    return ("session", t, (t.to_bytes(2, "big"), bytes.fromhex(fp), a, b))
 
 
-def snapshot(t, actor, roots="ca2,permanent-ca", op_cert="none",
-             sp1_key="none"):
-    return ("reset_snapshot", t, {"actor": actor, "op_cert": op_cert,
-                                  "sp1_key": sp1_key, "roots": roots})
+def snapshot(t, actor, roots=(root("ca2"), root("permanent-ca")),
+             op_cert="none", sp1_key="none"):
+    return ("reset_snapshot", t, (actor, op_cert, sp1_key, roots, None, None,
+                                  None, None))
 
 
 def device_run(actor, sp1_fp, new_fp):
@@ -41,8 +48,8 @@ def device_run(actor, sp1_fp, new_fp):
 
 def trace_of(*entries):
     trace = simnet.Trace()
-    for kind, t, fields in sorted(entries, key=lambda e: e[1]):
-        trace.add(kind, t, **fields)
+    for kind, t, values in sorted(entries, key=lambda e: e[1]):
+        trace.add(kind, t, *values)
     return trace
 
 
@@ -94,8 +101,11 @@ def test_fr3_ignores_sessions_before_reenrollment_and_unenrolled_devices():
 @pytest.mark.parametrize("fields,detail", [
     ({"op_cert": "present"}, "device-000 kept SP1 material across reset"),
     ({"sp1_key": "present"}, "device-000 kept SP1 material across reset"),
-    ({"roots": "ca2,evil"}, "device-000 kept roots ['evil']"),
-], ids=["operational_cert", "sp1_signer_key", "extra_root"])
+    ({"roots": (root("ca2"), root("evil"))}, "device-000 kept roots ['evil']"),
+    ({"roots": (root("ca2", b"planted"), root("permanent-ca"))},
+     "device-000 kept roots ['ca2']"),
+], ids=["operational_cert", "sp1_signer_key", "extra_root",
+        "agreed_name_other_certificate"])
 def test_fr4_kept_material_fails(fields, detail):
     trace = trace_of(*clean_entries(), snapshot(6, "device-000", **fields))
     assert results(trace)["fr4_backward_secrecy"] == CheckResult(
@@ -103,7 +113,7 @@ def test_fr4_kept_material_fails(fields, detail):
 
 
 def test_fr4_empty_truststore_passes():
-    trace = trace_of(*clean_entries(), snapshot(6, "device-001", roots=""))
+    trace = trace_of(*clean_entries(), snapshot(6, "device-001", roots=()))
     assert results(trace)["fr4_backward_secrecy"].ok
 
 
@@ -116,7 +126,8 @@ def test_failing_device_named_is_first_in_device_order(device_ids, detail):
     names the first failing device of the device order."""
     trace = trace_of(*clean_entries(),
                      snapshot(6, "device-001", op_cert="present"),
-                     snapshot(7, "device-000", roots="ca2,evil"),
+                     snapshot(7, "device-000", roots=(root("ca2"),
+                                                      root("evil"))),
                      session(9, "device-000", "ca2", "aa01"),
                      session(9, "device-001", "ca2", "aa00"))
     checks = results(trace, device_ids)
@@ -139,8 +150,7 @@ def test_failing_device_named_is_first_in_device_order(device_ids, detail):
 ])
 def test_lifecycle_step_off_the_device_graph_fails(frm, to):
     trace = trace_of(*clean_entries(),
-                     ("phase", 20, {"actor": "device-001", "frm": frm,
-                                    "to": to}))
+                     ("phase", 20, ("device-001", frm, to)))
     assert results(trace)["lifecycle_prefix"] == CheckResult(
         "lifecycle_prefix", False,
         f"device-001: {frm} -> {to} is not a lifecycle edge")

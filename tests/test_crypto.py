@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustshift import crypto
+from trustshift import crypto, simnet
 from trustshift.errors import BadSeedLength, InvariantViolation
 from trustshift.messages import (
     EnvelopeHeader,
@@ -252,3 +252,28 @@ def test_memo_hits_the_repeats_of_a_transfer():
     assert result.ok
     info = crypto._verify.cache_info()
     assert info.misses <= 0.35 * (info.hits + info.misses)
+
+
+def test_a_run_does_not_depend_on_earlier_runs(monkeypatch):
+    """A run holds only its own verify results: the second of two identical
+    runs in one process makes as many memo hits and misses as the first,
+    counted from when `run_scenario` builds its simulator, and leaves the
+    memo as full. A memo kept across runs gave the second run every triple
+    cached."""
+    at_start = []
+    build = simnet.Simulator.__init__
+
+    def counted_build(sim, *args, **kwargs):
+        at_start.append(crypto._verify.cache_info())
+        build(sim, *args, **kwargs)
+
+    monkeypatch.setattr(simnet.Simulator, "__init__", counted_build)
+    config = ScenarioConfig(name="twice", variant="b", device_count=3, seed=3)
+    counts = []
+    for _ in range(2):
+        assert run_scenario(config).ok
+        start, end = at_start[-1], crypto._verify.cache_info()
+        counts.append((end.hits - start.hits, end.misses - start.misses,
+                       end.currsize))
+    assert counts[0] == counts[1]
+    assert counts[0][0] > 0 and counts[0][1] > 0

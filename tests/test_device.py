@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustshift import crypto, device, operators, pki, wire
+from trustshift import crypto, device, operators, pki, simnet, wire
 from trustshift.device import DevicePhase
 from trustshift.errors import (
     BadSignature,
@@ -24,6 +24,7 @@ from trustshift.messages import (
     encode,
 )
 from trustshift.scenario import (
+    CheckResult,
     ScenarioConfig,
     ScenarioOptions,
     run_scenario,
@@ -402,6 +403,33 @@ def test_malformed_push_answered_with_negative_ack(push):
         assert b"evil-root" not in state.truststore.root_names()
 
 
+_PLANTED_KEY = crypto.generate_key_pair(crypto.digest(b"planted-ca2"))
+_PLANTED_CA2 = pki._signed_cert(b"ca2", _PLANTED_KEY, 1, b"ca2",
+                                _PLANTED_KEY.public_key, LIFETIME,
+                                CertProfile.ROOT_CA)
+
+
+@pytest.mark.parametrize("variant", "abcd")
+def test_planted_root_with_an_agreed_name_fails_fr4(variant):
+    """A self-signed root named `ca2`, injected as a persistent TrustPush
+    into the device's SP1 session, is kept across the reset. FR4 compares
+    root certificates by the digest of their encodings, so it fails in
+    every variant, also where an agreed root is named `ca2` (a and b)."""
+    push = wire.TrustPush((encode(_PLANTED_CA2),), True)
+    rule = {"action": "inject", "match_src": "sp1", "match_dst": "device-*",
+            "match_label": "update_rsp",
+            "inject_payload_hex": wire.encode_wire(push).hex(),
+            "frame_in_matched_session": True, "seq_offset": 1}
+    result = run_scenario(ScenarioConfig(name="planted_root", variant=variant,
+                                         device_count=1, seed=5,
+                                         adversary=[rule]))
+    kept = result.device_states["device-000"].truststore.root(b"ca2")
+    assert encode(kept) == encode(_PLANTED_CA2)
+    checks = {check.name: check for check in result.checks}
+    assert checks["fr4_backward_secrecy"] == CheckResult(
+        "fr4_backward_secrecy", False, "device-000 kept roots ['ca2']")
+
+
 # ---------------------------------------------------------------------------
 # the answer to a push, handler-level
 # ---------------------------------------------------------------------------
@@ -472,7 +500,9 @@ def test_property_on_push_answers_every_push(parked_devices, which, msg, now):
     message gets None."""
     state = replace(parked_devices[which])
     before = _snapshot(state)
-    ack = device.on_push(state, msg, now, lambda kind, **_fields: None)
+    trace = simnet.Trace()  # each note must fit its declared kind
+    ack = device.on_push(state, msg, now, lambda kind, *values: trace.add(
+        kind, now, "dev-1", *values))
     if type(msg) not in _PUSH_ACKS:
         assert ack is None
         assert _snapshot(state) == before

@@ -231,28 +231,52 @@ def test_certificates_decoded_only_through_the_memo():
     assert not outside, f"certificate decoded around the memo at {outside}"
 
 
-def _actor_entries_outside_handle(path: Path) -> list[str]:
-    """Each `.add(..., actor=...)` call in `path` that is not in
-    `NetHandle.note`, as file:line."""
+def _trace_kinds() -> dict[str, str]:
+    """`simnet.TRACE_KINDS`, read from the source: kind -> field spec."""
+    for node in _tree(ROOT / "src" / "trustshift" / "simnet.py").body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "TRACE_KINDS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("simnet declares no TRACE_KINDS")
+
+
+def _actor_entries_outside_handle(path: Path, kinds: dict) -> list[str]:
+    """Each `trace.add(kind, time, actor, ...)` call in `path` that is not
+    in `NetHandle.note` and names an actor: its kind declares `actor` first
+    and the value given is not None, or its kind is not a literal. As
+    file:line."""
     tree = _tree(path)
     inside_note = {id(node) for cls in tree.body
                    if isinstance(cls, ast.ClassDef) and cls.name == "NetHandle"
                    for item in cls.body
                    if isinstance(item, ast.FunctionDef) and item.name == "note"
                    for node in ast.walk(item)}
-    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute) and node.func.attr == "add"
-            and any(k.arg == "actor" for k in node.keywords)
-            and id(node) not in inside_note]
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add"
+                and getattr(node.func.value, "attr", None) == "trace") \
+                or id(node) in inside_note:
+            continue
+        kind = node.args[0].value if node.args \
+            and isinstance(node.args[0], ast.Constant) else None
+        names_actor = kind not in kinds or (
+            kinds[kind].split()[0].rstrip("?") == "actor"
+            and not (len(node.args) > 2 and isinstance(node.args[2], ast.Constant)
+                     and node.args[2].value is None))
+        if names_actor:
+            found.append(f"{path.name}:{node.lineno}")
+    return found
 
 
 def test_actors_trace_through_their_handle():
     """Outside the simulator, only `NetHandle.note` writes a trace entry
     that names its actor: every actor, process or responder, writes its
     entries through its handle."""
+    kinds = _trace_kinds()
     direct = [where for path in SOURCES if path.name != "simnet.py"
-              for where in _actor_entries_outside_handle(path)]
+              for where in _actor_entries_outside_handle(path, kinds)]
     assert not direct, f"actor trace entries written around NetHandle at {direct}"
 
 

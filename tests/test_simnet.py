@@ -2,14 +2,18 @@
 
 import dataclasses
 import fnmatch
+import hashlib
 import inspect
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustshift import simnet, wire
+from test_golden_digests import INLINE, SHIPPED
+from trustshift import peers, simnet, wire
 from trustshift.errors import MalformedEncoding, ScenarioInvalid
+from trustshift.messages import Uri
 from trustshift.scenario import ScenarioConfig, run_scenario
 from trustshift.simnet import (
     AdversaryRule,
@@ -161,6 +165,90 @@ def test_trace_digest_pure_function_of_scenario_and_seed():
     other = run_scenario(ScenarioConfig(name="d", variant="b", device_count=4,
                                         seed=100, adversary="replay_transfer"))
     assert other.trace.digest() not in digests
+
+
+# ---------------------------------------------------------------------------
+# trace
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED) + sorted(INLINE))
+def test_streamed_digest_is_the_digest_of_the_rendered_trace(name):
+    """`digest()` feeds the lines to SHA-256 one by one; it equals the
+    digest of `render()` on every shipped config and every inline scenario
+    whose digest is pinned."""
+    config = INLINE[name][0] if name in INLINE \
+        else ScenarioConfig.from_file(REPO / "configs" / name)
+    trace = run_scenario(config).trace
+    assert trace.digest() == hashlib.sha256(trace.render().encode()).hexdigest()
+
+
+def test_empty_trace_digest_is_the_digest_of_its_rendering():
+    trace = simnet.Trace()
+    assert trace.render() == "\n"
+    assert trace.digest() == hashlib.sha256(b"\n").hexdigest()
+
+
+def test_trace_refuses_an_undeclared_kind_or_field():
+    trace = simnet.Trace()
+    with pytest.raises(ValueError, match="undeclared trace kind 'bogus'"):
+        trace.add("bogus", 0)
+    with pytest.raises(ValueError, match="'timer' has fields"):
+        trace.add("timer", 0, "dev", "extra")
+    with pytest.raises(ValueError, match="'record' has fields"):
+        trace.add("record", 0, "dev", b"\x01", 1)
+    with pytest.raises(ValueError, match="undeclared trace kind 'recrod'"):
+        peers.NetHandle(Simulator(1), "dev").note("recrod", b"\x01", 1,
+                                                  "accept")
+    assert not trace.rows
+    trace.add("record", 0, "dev", b"\x01", 1, "accept")
+    with pytest.raises(ValueError, match="undeclared trace kind 'bogus'"):
+        trace.select("bogus")
+    with pytest.raises(ValueError, match=r"no fields \['outcom'\]"):
+        trace.select("record", outcom="accept")
+    with pytest.raises(KeyError):
+        trace.entries[0]["outcom"]
+
+
+def test_entries_read_plain_forms_and_typed_values():
+    """`entry[f]`, `get` and `select` give and match the plain form of a
+    typed value, as its line shows it; `typed` gives the value traced."""
+    trace = simnet.Trace()
+    roots = ((b"ca2", b"\x01" * 32), (b"permanent-ca", b"\x02" * 32))
+    trace.add("reset_snapshot", 7, "device-000", "none", "none", roots,
+              Uri("coaps://ca2.example/est"), None, None, None)
+    trace.add("size", 8, None, "transfer_message_payload", 90)
+    trace.add("fallback_contacted", 9, "device-000", False, "ra_failed")
+    trace.add("record", 9, "device-000", b"\xab\xcd", 3, "accept")
+    assert list(trace.lines()) == [
+        "t=00000007 ev=reset_snapshot actor=device-000 op_cert=none "
+        "sp1_key=none roots=ca2,permanent-ca ca_uri=coaps://ca2.example/est "
+        "update_uri=None ra_uri=None fallback_uri=None",
+        "t=00000008 ev=size cls=transfer_message_payload bytes=90",
+        "t=00000009 ev=fallback_contacted actor=device-000 ok=False "
+        "reason=ra_failed",
+        "t=00000009 ev=record actor=device-000 sid=abcd seq=3 outcome=accept"]
+    snapshot, size, contacted, record = trace.entries
+    assert (snapshot["ev"], snapshot["t"]) == ("reset_snapshot", 7)
+    assert snapshot["roots"] == "ca2,permanent-ca"
+    assert snapshot.typed("roots") == roots
+    assert snapshot["ca_uri"] == "coaps://ca2.example/est"
+    assert snapshot["ra_uri"] == "None" and snapshot.typed("ra_uri") is None
+    assert size.get("actor") is None and size["bytes"] == 90
+    with pytest.raises(KeyError):
+        size["actor"]
+    assert contacted["ok"] == "False" and contacted.typed("ok") is False
+    assert record["sid"] == "abcd" and record.typed("sid") == b"\xab\xcd"
+    assert [e.row for e in trace.select("fallback_contacted", ok="False")] \
+        == [contacted.row]
+    assert trace.select("record", sid=b"\xab\xcd") == []
+    assert [e.row for e in trace.select("record", sid="abcd", seq=3)] \
+        == [record.row]
+    index = trace.index()
+    assert index["size"] == [size.row] and index["record"] == [record.row]
+    assert len(trace.entries) == 4 and trace.entries[-1].row == record.row
 
 
 # ---------------------------------------------------------------------------
