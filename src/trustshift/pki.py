@@ -321,11 +321,9 @@ def register_factory_certs(ca: CaState, certs: list[CompactCertificate],
 
     Returns the CA's enrollment URI. Nothing is registered if any
     certificate fails to verify against the CA's trusted roots, revoked
-    serials included.
+    serials included; the first such certificate in `certs` is named.
     """
-    # Last first: the verify-ahead worker (crypto.py) checks these signatures
-    # first to last, and the two then meet halfway instead of racing.
-    for cert in reversed(certs):
+    for cert in certs:
         result = verify_chain(cert, [], ca.truststore, now, ca.revoked)
         if not result:
             raise UnverifiableFactoryCert(cert.serial, result.detail)
@@ -336,14 +334,9 @@ def register_factory_certs(ca: CaState, certs: list[CompactCertificate],
     return ca.enroll_uri
 
 
-def enroll(ca: CaState, peer_factory_cert: CompactCertificate,
-           csr: CertificateSigningRequest,
-           validity: tuple[TimeStamp, TimeStamp]) -> CompactCertificate:
-    """Issue an operational certificate over an authenticated session.
-
-    `peer_factory_cert` is the identity the session authenticated: it must be
-    a registered, unrevoked factory certificate whose subject matches the CSR.
-    """
+def _authorize(ca: CaState, peer_factory_cert: CompactCertificate) -> None:
+    """Raise unless the session identity is a registered, matching and
+    unrevoked factory certificate of `ca`."""
     if peer_factory_cert.profile is not CertProfile.FACTORY:
         raise NotRegistered("session identity is not a factory certificate")
     if peer_factory_cert.serial not in ca.registered_factory:
@@ -352,6 +345,17 @@ def enroll(ca: CaState, peer_factory_cert: CompactCertificate,
         raise NotRegistered("factory certificate does not match registration")
     if peer_factory_cert.serial in ca.revoked:
         raise RevokedFactoryCert(f"factory serial {peer_factory_cert.serial}")
+
+
+def enroll(ca: CaState, peer_factory_cert: CompactCertificate,
+           csr: CertificateSigningRequest,
+           validity: tuple[TimeStamp, TimeStamp]) -> CompactCertificate:
+    """Issue an operational certificate over an authenticated session.
+
+    `peer_factory_cert` is the identity the session authenticated: it must be
+    a registered, unrevoked factory certificate whose subject matches the CSR.
+    """
+    _authorize(ca, peer_factory_cert)
     if csr.subject_name != peer_factory_cert.subject_name:
         raise NameMismatch(
             f"CSR name {csr.subject_name!r} != session identity "
@@ -363,12 +367,16 @@ def enroll_server_keygen(ca: CaState, peer_factory_cert: CompactCertificate,
                          validity: tuple[TimeStamp, TimeStamp],
                          ) -> tuple[CompactCertificate, bytes]:
     """Server-side keypair variant: the CA generates the key and returns its
-    seed along with the certificate."""
+    seed along with the certificate. The CA holds the key itself, so no
+    proof of possession is asked for; the session identity is authorized
+    as in `enroll`."""
     seed = bytes(ca.rng.getrandbits(8) for _ in range(32))
     key_pair = crypto.generate_key_pair(seed)
-    csr = make_csr(peer_factory_cert.subject_name, key_pair,
-                   CertProfile.OPERATIONAL)
-    cert = enroll(ca, peer_factory_cert, csr, validity)
+    _authorize(ca, peer_factory_cert)
+    cert = _signed_cert(ca.name, ca.key_pair, ca.allocator.take(),
+                        peer_factory_cert.subject_name, key_pair.public_key,
+                        validity, CertProfile.OPERATIONAL)
+    ca.add_issued(cert)
     return cert, seed
 
 

@@ -282,12 +282,12 @@ def _device_process(state: device.DeviceState, net: peers.NetHandle,
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    # A run holds only its own state: no verify result of an earlier run.
-    # Set-up runs in passes, each signature checked a pass after it is made,
-    # when the verify-ahead worker (crypto.py) has answered it: CA
-    # certificates, keys and CSRs made; roots trusted and certificates
-    # issued; devices provisioned; factory certificates registered. Key
-    # draws and serials keep device, then server order.
+    # A run holds only its own state: no verify result or signature record
+    # of an earlier run. Set-up runs in passes: CA certificates, keys and
+    # CSRs made; roots trusted and certificates issued; devices
+    # provisioned; factory certificates registered. The pass order fixes
+    # the key draws and serials (device, then server order), and so every
+    # digest.
     crypto.forget_verified()
     sim = simnet.Simulator(config.seed)
     build_rng = sim.actor_rng("hierarchy-build")

@@ -1,4 +1,6 @@
-"""Crypto tests: determinism, key ids, tamper resistance, digest behavior."""
+"""Crypto tests: determinism, key ids, tamper resistance, digest behavior
+and the verify memo. The record of signatures made is tested in
+`test_verify_ahead.py`."""
 
 import random
 
@@ -277,3 +279,13 @@ def test_a_run_does_not_depend_on_earlier_runs(monkeypatch):
                        end.currsize))
     assert counts[0] == counts[1]
     assert counts[0][0] > 0 and counts[0][1] > 0
+
+
+@pytest.mark.parametrize("triple", [GENUINE, FORGED], ids=["genuine", "forged"])
+def test_memoryview_key_refused_even_with_its_bytes_memoized(triple):
+    """Ed25519 takes a public key only as bytes, so a memoryview key is
+    refused; it compares equal to the bytes key the memo holds, and must
+    not be answered from the memo."""
+    crypto.forget_verified()
+    crypto.verify_raw(*triple)
+    assert crypto.verify_raw(memoryview(triple[0]), *triple[1:]) is False

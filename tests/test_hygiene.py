@@ -149,7 +149,7 @@ def _top_level_name(path: Path, test) -> list[str]:
 
 def test_ed25519_verify_in_one_function():
     """Inside `crypto`, one function calls Ed25519 `.verify`: `_check`,
-    which the memo and the verify-ahead worker both run."""
+    which the memo runs on every triple this process did not sign."""
     calls = _top_level_name(
         ROOT / "src" / "trustshift" / "crypto.py",
         lambda node: isinstance(node, ast.Call)
@@ -179,16 +179,14 @@ def _starts_processes(node: ast.AST) -> bool:
     return False
 
 
-def test_processes_and_pipes_only_in_crypto():
-    """The verify-ahead worker is the only process the library starts, its
-    one pipe the only one it makes and its page the only memory it
-    shares: `os.fork`, pipe creation and `mmap.mmap` appear only in
-    `crypto._Ahead`, and no module imports `multiprocessing`."""
+def test_no_processes_or_pipes():
+    """The library runs in one process, whose cost every end-to-end metric
+    sees: no module forks, makes a pipe, calls `mmap.mmap` or imports
+    `multiprocessing`."""
     found = {path.name: _top_level_name(path, _starts_processes)
              for path in SOURCES}
     found = {name: where for name, where in found.items() if where}
-    assert found == {"crypto.py": ["_Ahead"] * 3}, \
-        f"fork, pipe or mmap outside crypto._Ahead: {found}"
+    assert found == {}, f"fork, pipe or mmap in {found}"
 
 
 def test_code_generated_only_in_codec():

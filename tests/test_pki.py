@@ -102,8 +102,8 @@ def test_run_scenario_checks_each_set_up_signature_a_pass_later(monkeypatch):
     and the CA certificates before that, checks each root's self-signature
     and each CSR only then, and registers the factory certificates (each
     chain checked) after the last device is provisioned. Each set-up check
-    still runs; it runs a pass after its signature was made, which is what
-    gives the verify-ahead worker time to answer it."""
+    still runs. The order is pinned because the key draws and serials
+    follow it, and with them every digest."""
     log = []
 
     def logged(kind, function):
@@ -411,11 +411,13 @@ def test_register_rejects_rogue_cert():
     h = build("b")
     good, _ = factory_cert_for(h)
     rogue_key = device_key(b"rogue")
-    rogue = pki._signed_cert(b"rogue-ca", rogue_key, 777, b"rogue-dev",
-                             rogue_key.public_key, LIFETIME, CertProfile.FACTORY)
+    rogue, second_rogue = (
+        pki._signed_cert(b"rogue-ca", rogue_key, serial, b"rogue-dev",
+                         rogue_key.public_key, LIFETIME, CertProfile.FACTORY)
+        for serial in (777, 778))
     with pytest.raises(UnverifiableFactoryCert) as err:
-        pki.register_factory_certs(h.ca2, [good, rogue], NOW)
-    assert err.value.serial == 777
+        pki.register_factory_certs(h.ca2, [good, rogue, second_rogue], NOW)
+    assert err.value.serial == 777  # the first bad one in the list
     assert not h.ca2.registered_factory  # nothing registered on failure
 
 
@@ -486,6 +488,30 @@ def test_enroll_server_keygen():
     cert, seed = pki.enroll_server_keygen(h.ca1, fcert, LIFETIME)
     key = crypto.generate_key_pair(seed)
     assert cert.subject_public_key == key.public_key
+
+
+def test_enroll_server_keygen_signs_only_the_certificate(monkeypatch):
+    """The CA makes no CSR over the key it generated: one signature, the
+    certificate's, per enrollment. An unregistered or a revoked factory
+    certificate is refused as by `enroll`, before anything is signed."""
+    h = build("b")
+    fcert, _ = factory_cert_for(h, b"dev-1")
+    unregistered, _ = factory_cert_for(h, b"dev-2")
+    pki.register_factory_certs(h.ca1, [fcert], NOW)
+    signers = []
+    sign = crypto.KeyPair.sign
+    monkeypatch.setattr(crypto.KeyPair, "sign",
+                        lambda key, data: signers.append(key) or sign(key, data))
+    cert, _ = pki.enroll_server_keygen(h.ca1, fcert, LIFETIME)
+    assert signers == [h.ca1.key_pair]
+    store = h.store_for({pki.PERMANENT_CA_NAME})
+    assert pki.verify_chain(cert, [h.ca1.certificate], store, NOW, set())
+    with pytest.raises(NotRegistered):
+        pki.enroll_server_keygen(h.ca1, unregistered, LIFETIME)
+    pki.revoke(h.permanent, fcert.serial)
+    with pytest.raises(RevokedFactoryCert):
+        pki.enroll_server_keygen(h.ca1, fcert, LIFETIME)
+    assert len(signers) == 1
 
 
 # ---------------------------------------------------------------------------
