@@ -14,12 +14,18 @@ straight-line function per class at declaration, as `dataclasses` does,
 that takes minimal heads of arguments 0-255 inline for the `bytes`, `int`
 and `bool` kinds; all else, every error too, goes to the kind's encoder or
 reader, the one strict path.
+
+A per-run record answers a decode of bytes this process encoded with the
+value it encoded (`remember`, `recall`): that value is frozen, and exact
+(`compile_exact`), so it is the one parse of its canonical bytes.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import fields
 from itertools import repeat
+from typing import get_type_hints
 
 from .errors import MalformedEncoding
 
@@ -28,6 +34,11 @@ _MAJOR_BYTES = 2
 _MAJOR_TEXT = 3
 _MAJOR_ARRAY = 4
 _MAJOR_MAP = 5
+
+# Bound on the record of encodings, least recently used dropped first. A
+# 200-device variant-b run holds at most 1410 entries; a 1000-device run
+# fills it, and 1003 of its 15011 certificate decodes then take the parse.
+RECORD_SIZE = 4096
 
 _FALSE = 0xF4
 _TRUE = 0xF5
@@ -259,3 +270,49 @@ def compile_reader(cls, array: bool = False):
     values = ", ".join(f"v{i}" for i in range(len(spec)))
     body += ["    dec._pos = pos", f"    return cls({values})"]
     return _define("read(dec)", body, namespace)
+
+
+def compile_exact(cls):
+    """`exact(value)`: whether each field of `value` is of its annotated
+    class exactly, as its reader builds it (a tuple holding bytes only, a
+    nested value exact too), so the strict parse of its bytes rebuilds it."""
+    namespace, terms = {}, []
+    for i, (name, kind) in enumerate(get_type_hints(cls).items()):
+        namespace[f"t{i}"] = kind
+        terms.append(f"type(value.{name}) is t{i}" + (
+            f" and all(type(b) is bytes for b in value.{name})" if kind is tuple
+            else f" and t{i}.EXACT(value.{name})" if hasattr(kind, "EXACT")
+            else ""))
+    return _define("exact(value)", [f"    return {' and '.join(terms)}"],
+                   namespace)
+
+
+# What this run encoded: bytes -> the value they encode, least recently
+# used first.
+_encoded: OrderedDict[bytes, object] = OrderedDict()
+forget_encoded = _encoded.clear
+
+
+def remember(data: bytes, value) -> bytes:
+    """Record `value` as what `data` decodes to if its class has an `EXACT`
+    check and `value` passes it; return `data`."""
+    exact = getattr(type(value), "EXACT", None)
+    if exact is not None and exact(value):
+        _encoded[data] = value
+        if len(_encoded) > RECORD_SIZE:
+            _encoded.popitem(last=False)
+    return data
+
+
+def recall(data, cls, keep: bool = False):
+    """The value of class `cls` exactly that this run encoded as `data`, a
+    `bytes`, or None; taken out of the record unless `keep`, which makes it
+    the newest entry instead."""
+    value = _encoded.get(data) if type(data) is bytes else None
+    if type(value) is not cls:
+        return None
+    if keep:
+        _encoded.move_to_end(data)
+    else:
+        del _encoded[data]
+    return value

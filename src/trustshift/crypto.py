@@ -10,9 +10,10 @@ triple it makes, and Ed25519 accepts every signature it makes under its
 own key, so `_verify`, which memoizes checks, answers a miss on a recorded
 triple with True, taking it out of the record, and runs `_check` on
 anything else: a flipped byte, another signer's key or a signature made
-elsewhere is always checked. The record and the memo hold one run:
-`scenario.run_scenario` empties both first (`forget_verified`), so a run's
-memo hits and memory depend on nothing that ran before it in the process.
+elsewhere is always checked. The record and the memo hold one run, as
+does the codec's record of encodings: `scenario.run_scenario` empties all
+three first (`forget_run`), so a run's memo hits and memory depend on
+nothing that ran before it in the process.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
+from . import codec
 from .errors import BadSeedLength, InvariantViolation
 from .messages import ALG_ED25519, EnvelopeHeader, EnvelopeProfile, SignedEnvelope
 
@@ -103,11 +105,12 @@ def _verify(public_key: bytes, signature: bytes, data: bytes) -> bool:
         or _check(public_key, signature, data)
 
 
-def forget_verified() -> None:
-    """Empty the verify memo, its hit and miss counts too, and the record
-    of signatures made."""
+def forget_run() -> None:
+    """Empty every per-run memo and record: the verify memo, its hit and
+    miss counts too, the record of signatures made and that of encodings."""
     _verify.cache_clear()
     _signed.clear()
+    codec.forget_encoded()
 
 
 def verify_raw(public_key: bytes, signature: bytes, data: bytes) -> bool:

@@ -8,7 +8,8 @@ text. Hand-written are only the layouts the frozen vectors make irregular:
 `TransferMessage` (a nested `[updateUri, flag]` pair, an explicit null for
 no RA endpoint), the bare entry array of `UpdateInfoList`, and the
 canonical header map. `decode` takes the payload class. Values are
-immutable and validated at construction.
+immutable and validated at construction. `decode` answers bytes `encode`
+made in this run from `codec`'s record, for classes with an `EXACT` check.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ def _payload(cls):
     cls = dataclass(frozen=True)(cls)
     _payload_kind(cls, codec.compile_writer(cls, codec.encode_array_head(len(fields(cls)))),
                   codec.compile_reader(cls, array=True))
+    cls.EXACT = codec.compile_exact(cls)
     return cls
 
 
@@ -91,6 +93,7 @@ class Uri:
 
 
 _payload_kind(Uri, codec.compile_writer(Uri, b""), codec.compile_reader(Uri))
+Uri.EXACT = codec.compile_exact(Uri)
 _encode_uri, _read_uri = Uri.KIND
 
 
@@ -146,11 +149,12 @@ class CompactCertificate:
             return self._tbs
 
     def encoding(self) -> bytes:
-        """What `encode` gives for this certificate."""
+        """What `encode` gives for this certificate, recorded when made."""
         try:
             return self._encoding
         except AttributeError:
-            object.__setattr__(self, "_encoding", _write_cert(self))
+            object.__setattr__(self, "_encoding",
+                               codec.remember(_write_cert(self), self))
             return self._encoding
 
 
@@ -318,6 +322,7 @@ def _read_envelope_header(dec: codec.Decoder) -> EnvelopeHeader:
 
 codec.FIELD_KINDS["EnvelopeHeader"] = (
     lambda header: codec.encode_bytes(header.encode()), _read_envelope_header)
+EnvelopeHeader.EXACT = codec.compile_exact(EnvelopeHeader)
 
 
 @_payload
@@ -337,15 +342,19 @@ def encode(message) -> bytes:
     kind = getattr(type(message), "KIND", None)
     if kind is None:
         raise InvariantViolation(f"not an encodable message: {type(message).__name__}")
-    return kind[0](message)
+    return codec.remember(kind[0](message), message)
 
 
 def decode(cls, data: bytes):
-    """Decode one payload of class `cls`; trailing bytes are rejected."""
+    """Decode one payload of class `cls`; trailing bytes are rejected. An
+    answer from the record stays there: one certificate or envelope may be
+    decoded by every device."""
     kind = getattr(cls, "KIND", None)
     if kind is None:
         raise MalformedEncoding(f"not a payload class: {cls!r}")
-    dec = codec.Decoder(data)
-    message = kind[1](dec)
-    dec.finish()
+    message = codec.recall(data, cls, True)
+    if message is None:
+        dec = codec.Decoder(data)
+        message = kind[1](dec)
+        dec.finish()
     return message

@@ -34,11 +34,6 @@ from .messages import (
 )
 
 MAX_CHAIN_LEN = 8
-# Bound on memoized certificate decodes. In a 200-device fleet run, 64
-# entries catch 0.54 of the decodes, mostly the server credentials each
-# device decodes on every handshake; 4096 catch 0.80, adding devices' own
-# certificates seen again later. An entry holds one certificate and its bytes.
-CERT_MEMO_SIZE = 64
 
 PERMANENT_CA_NAME = b"permanent-ca"
 CA1_NAME = b"ca1"
@@ -120,12 +115,10 @@ class TrustStore:
         return out
 
 
-@functools.lru_cache(maxsize=CERT_MEMO_SIZE)
-def decode_certificate(data: bytes) -> CompactCertificate:
-    """The certificate `data` encodes; every certificate off the wire is
-    decoded here. Equal bytes share one immutable certificate and the
-    encodings it keeps; an error is not memoized, so it recurs on each call."""
-    return decode(CompactCertificate, data)
+# The certificate some bytes encode; every certificate off the wire is
+# decoded here. Bytes of a certificate made in this run are answered by that
+# certificate, from the record `decode` reads.
+decode_certificate = functools.partial(decode, CompactCertificate)
 
 
 def _validity_at(cert: CompactCertificate, now: TimeStamp) -> ChainResult:

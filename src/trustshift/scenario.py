@@ -282,13 +282,13 @@ def _device_process(state: device.DeviceState, net: peers.NetHandle,
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    # A run holds only its own state: no verify result or signature record
-    # of an earlier run. Set-up runs in passes: CA certificates, keys and
-    # CSRs made; roots trusted and certificates issued; devices
-    # provisioned; factory certificates registered. The pass order fixes
-    # the key draws and serials (device, then server order), and so every
-    # digest.
-    crypto.forget_verified()
+    # A run holds only its own state: no verify result, signature or
+    # encoding recorded in an earlier run. Set-up runs in passes: CA
+    # certificates, keys and CSRs made; roots trusted and certificates
+    # issued; devices provisioned; factory certificates registered. The
+    # pass order fixes the key draws and serials (device, then server
+    # order), and so every digest.
+    crypto.forget_run()
     sim = simnet.Simulator(config.seed)
     build_rng = sim.actor_rng("hierarchy-build")
     hierarchy = pki.build_hierarchy(config.variant, build_rng,

@@ -32,7 +32,7 @@ def snake_case(name: str) -> str:
 
 
 def encode_wire(msg) -> bytes:
-    return type(msg).WRITE(msg)
+    return codec.remember(type(msg).WRITE(msg), msg)
 
 
 def _prefix(data: bytes) -> bytes:
@@ -51,9 +51,11 @@ def decode_wire(data: bytes):
             raise MalformedEncoding(f"unknown wire tag {tag}")
         raise MalformedEncoding(
             f"wire tag {tag} expects {_REGISTRY[tag].ARITY} elements, got {count}")
-    dec = codec.Decoder(data, len(cls.PREFIX))
-    msg = cls.READ(dec)
-    dec.finish()
+    msg = codec.recall(data, cls)
+    if msg is None:
+        dec = codec.Decoder(data, len(cls.PREFIX))
+        msg = cls.READ(dec)
+        dec.finish()
     return msg
 
 
@@ -72,13 +74,15 @@ def compile_frame(cls, tag: int):
 
 def wire_message(tag):
     """Declare a frame: a tagged array of its fields, each of a kind in
-    `codec.FIELD_KINDS`, decoded by `decode_wire`; refuse a taken prefix."""
+    `codec.FIELD_KINDS`, decoded by `decode_wire`; refuse a taken prefix.
+    Only a declared frame has the `EXACT` check that lets the record keep it."""
     def wrap(cls):
         cls = compile_frame(cls, tag)
         if tag in _REGISTRY or _prefix(cls.PREFIX) != cls.PREFIX:
             raise ValueError(f"wire tag {tag}: prefix {cls.PREFIX.hex()} is taken"
                              " or not found in one lookup")
         _REGISTRY[tag] = _PREFIXES[cls.PREFIX] = cls
+        cls.EXACT = codec.compile_exact(cls)
         return cls
     return wrap
 

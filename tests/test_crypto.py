@@ -286,6 +286,6 @@ def test_memoryview_key_refused_even_with_its_bytes_memoized(triple):
     """Ed25519 takes a public key only as bytes, so a memoryview key is
     refused; it compares equal to the bytes key the memo holds, and must
     not be answered from the memo."""
-    crypto.forget_verified()
+    crypto.forget_run()
     crypto.verify_raw(*triple)
     assert crypto.verify_raw(memoryview(triple[0]), *triple[1:]) is False

@@ -201,32 +201,76 @@ def test_code_generated_only_in_codec():
         f"code generated outside codec._define: {found}"
 
 
+def _name(node: ast.AST) -> str | None:
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
 def _certificate_decodes(path: Path) -> list[tuple[str, str]]:
-    """Each `decode(CompactCertificate, ...)` call in `path`: (file:line,
-    name of the top-level function it is in)."""
+    """Each `decode(CompactCertificate, ...)` or `partial(decode,
+    CompactCertificate)` call in `path`: (file:line, name of the top-level
+    function it is in, or of the name it is assigned to)."""
     found = []
     for top in _tree(path).body:
+        where = getattr(top, "name", "") or "".join(
+            _name(t) or "" for t in getattr(top, "targets", []))
         for node in ast.walk(top):
-            if (isinstance(node, ast.Call)
-                    and getattr(node.func, "attr", getattr(node.func, "id", None))
-                    == "decode"
-                    and node.args
-                    and getattr(node.args[0], "attr",
-                                getattr(node.args[0], "id", None))
-                    == "CompactCertificate"):
-                found.append((f"{path.name}:{node.lineno}",
-                              getattr(top, "name", "")))
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = _name(node.func), [_name(a) for a in node.args[:2]]
+            if (func == "decode" and args[:1] == ["CompactCertificate"]) or (
+                    func == "partial" and args == ["decode", "CompactCertificate"]):
+                found.append((f"{path.name}:{node.lineno}", where))
     return found
 
 
 def test_certificates_decoded_only_through_the_memo():
     """Every certificate read off the wire goes through
-    `pki.decode_certificate`, the one bounded memo: no other function calls
-    `decode(CompactCertificate, ...)`."""
+    `pki.decode_certificate`, which `decode` answers from the record of
+    encodings when the bytes are a certificate made in this run: no other
+    code calls `decode(CompactCertificate, ...)`."""
     calls = [call for path in SOURCES for call in _certificate_decodes(path)]
     assert [where.split(":")[0] for where, _ in calls] == ["pki.py"]
     outside = [where for where, func in calls if func != "decode_certificate"]
     assert not outside, f"certificate decoded around the memo at {outside}"
+
+
+def _uses_by_function(path: Path, names: set[str]) -> set[tuple[str, str]]:
+    """(name, innermost function around it, "" at module level) of each
+    reference in `path` to one of `names`, bare or as an attribute."""
+    found = set()
+
+    def visit(node, func):
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        if isinstance(node, (ast.Name, ast.Attribute)) and _name(node) in names:
+            found.add((_name(node), func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(_tree(path), "")
+    return found
+
+
+def test_record_of_encodings_written_by_three_read_by_two():
+    """`codec.remember` is called only by the three writers of the record of
+    encodings (`wire.encode_wire`, `messages.encode` and
+    `CompactCertificate.encoding`), `codec.recall` only by its two readers
+    (`wire.decode_wire`, `messages.decode`), and `forget_encoded` only by
+    the per-run reset; nothing outside those touches `codec._encoded`."""
+    found = {(path.name, *use) for path in SOURCES for use in _uses_by_function(
+        path, {"remember", "recall", "forget_encoded", "_encoded"})}
+    assert found == {
+        ("wire.py", "remember", "encode_wire"),
+        ("messages.py", "remember", "encode"),
+        ("messages.py", "remember", "encoding"),
+        ("wire.py", "recall", "decode_wire"),
+        ("messages.py", "recall", "decode"),
+        ("crypto.py", "forget_encoded", "forget_run"),
+        ("codec.py", "forget_encoded", ""),
+        ("codec.py", "_encoded", ""),
+        ("codec.py", "_encoded", "remember"),
+        ("codec.py", "_encoded", "recall"),
+    }
 
 
 def _trace_kinds() -> dict[str, str]:

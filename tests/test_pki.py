@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 import gen
-from trustshift import crypto, device, pki, scenario, simnet
+from trustshift import codec, crypto, device, pki, scenario, simnet
 from trustshift.errors import (
     BadProofOfPossession,
     InvalidValidityWindow,
@@ -294,50 +294,55 @@ def test_chain_revoked_leaf():
 
 
 # ---------------------------------------------------------------------------
-# the certificate memo
+# certificates answered from the record of encodings
 # ---------------------------------------------------------------------------
 
 def test_memo_equal_bytes_equal_certificate():
+    """Bytes of a certificate made in this run, in any bytes object, decode
+    to that certificate, on every decode; once the run's record is emptied
+    they decode, strictly, to an equal one."""
     h = build("c")
     cert, _ = factory_cert_for(h)
     data = encode(cert)
-    first = pki.decode_certificate(data)
-    assert first == cert
-    # equal bytes in another object: the same certificate, from the memo
-    assert pki.decode_certificate(bytes(bytearray(data))) is first
-    assert encode(first) == data
+    assert pki.decode_certificate(data) is cert
+    assert pki.decode_certificate(bytes(bytearray(data))) is cert
+    crypto.forget_run()
+    parsed = pki.decode_certificate(data)
+    assert parsed == cert and parsed is not cert
+    assert encode(parsed) == data
 
 
 def test_memo_never_holds_an_error():
     h = build("c")
     data = encode(factory_cert_for(h)[0])
-    before = pki.decode_certificate.cache_info().currsize
+    before = list(codec._encoded.items())
     for bad in (data[:-1], data + b"\x00", b"junk"):
         for _ in range(2):
             with pytest.raises(MalformedEncoding):
                 pki.decode_certificate(bad)
-    assert pki.decode_certificate.cache_info().currsize == before
+    assert list(codec._encoded.items()) == before
 
 
-def test_memo_stays_within_its_bound():
+def test_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(codec, "RECORD_SIZE", 64)
     rng = random.Random(5)
-    for serial in range(pki.CERT_MEMO_SIZE + 100):
+    for serial in range(codec.RECORD_SIZE + 100):
         cert = replace(gen.rand_certificate(rng), serial=serial)
-        assert pki.decode_certificate(encode(cert)) == cert
-        assert pki.decode_certificate.cache_info().currsize <= pki.CERT_MEMO_SIZE
+        assert pki.decode_certificate(encode(cert)) is cert
+        assert len(codec._encoded) <= codec.RECORD_SIZE
 
 
 def test_memoized_certificate_still_expires_and_is_revoked():
-    """The memo saves decoding, never a check: `verify_chain` judges a
-    memoized certificate at the time and revocations it is given."""
+    """The record saves decoding, never a check: `verify_chain` judges a
+    certificate answered from it at the time and revocations it is given."""
     h = build("c")
     cert, _ = factory_cert_for(h)
     data = encode(cert)
     store = h.store_for({pki.PERMANENT_CA_NAME})
-    memoized = pki.decode_certificate(data)
-    assert pki.decode_certificate(data) is memoized
-    assert pki.verify_chain(memoized, [], store, NOW, set())
-    late = pki.verify_chain(memoized, [], store, cert.not_after + 1, set())
+    recorded = pki.decode_certificate(data)
+    assert recorded is cert and pki.decode_certificate(data) is recorded
+    assert pki.verify_chain(recorded, [], store, NOW, set())
+    late = pki.verify_chain(recorded, [], store, cert.not_after + 1, set())
     assert not late and late.reason is pki.ChainReason.EXPIRED
     pki.revoke(h.permanent, cert.serial)
     res = pki.verify_chain(pki.decode_certificate(data), [], store, NOW,

@@ -39,7 +39,7 @@ def test_answer_ahead_is_check(seed, payload, part, pos, mask):
     it too. A one-byte flip of its key, signature or data, another
     signer's key, or a signature made outside `KeyPair.sign` reaches
     `_check`, which refuses the twins and accepts the last."""
-    crypto.forget_verified()
+    crypto.forget_run()
     key = crypto.generate_key_pair(seed)
     genuine = (key.public_key, key.sign(payload), payload)
     assert crypto._check(*genuine)
@@ -66,7 +66,7 @@ def test_answer_ahead_is_check(seed, payload, part, pos, mask):
 def test_bytearray_check_skips_ready_answers(monkeypatch):
     """A bytearray may change after it is signed, so it is not recorded:
     its check, and that of a bytes copy, run `_check`."""
-    crypto.forget_verified()
+    crypto.forget_run()
     data = bytearray(b"mutable message")
     triple = (SIGNER.public_key, SIGNER.sign(data), data)
     assert not crypto._signed
@@ -81,9 +81,9 @@ def test_unclaimed_answers_stay_bounded_and_sends_never_block(monkeypatch):
     """The record keeps the newest VERIFY_MEMO_SIZE triples not checked
     yet, and signing past the bound only drops the oldest: a first check
     takes a triple out (the memo answers the next one), and a triple it
-    dropped is still accepted, by `_check`. `forget_verified` empties it."""
+    dropped is still accepted, by `_check`. `forget_run` empties it."""
     monkeypatch.setattr(crypto, "VERIFY_MEMO_SIZE", 8)
-    crypto.forget_verified()
+    crypto.forget_run()
     made = [(SIGNER.public_key, SIGNER.sign(data), data)
             for data in (b"bounded %d" % i for i in range(20))]
     assert list(crypto._signed) == made[-8:]
@@ -91,6 +91,6 @@ def test_unclaimed_answers_stay_bounded_and_sends_never_block(monkeypatch):
     assert crypto.verify_raw(*made[0]) and crypto.verify_raw(*made[-1])
     assert crypto.verify_raw(*made[-1]) and checks == [made[0]]
     assert list(crypto._signed) == made[-8:-1]
-    crypto.forget_verified()
+    crypto.forget_run()
     assert not crypto._signed
     assert crypto.verify_raw(*made[-2]) and checks == [made[0], made[-2]]
