@@ -8,10 +8,10 @@ side: a session table keyed by session id with handshake freshness
 tracking, answering each record from one acceptance table: message class
 -> (peer profiles admitted, handler, refusal to any other peer).
 
-Both sides check a peer's chain with `_check_peer` and accept records with
-`_accept_record`, which writes the one `record` trace entry per inbound
-record, keyed by (actor, session id, sequence number); only the reaction to
-a failure is per side. A session knows its peer's actor id.
+Both sides take the handshake's steps from `session` and accept records
+with `_accept_record`, which writes the one `record` trace entry per
+inbound record, keyed by (actor, session id, sequence number); only the
+reaction to a failure is per side. A session knows its peer's actor id.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import pki, session, simnet, wire
-from .errors import Error, MalformedEncoding, ReplayDetected, WrongSession
+from .errors import MalformedEncoding, ReplayDetected, WrongSession
 from .messages import CertProfile
 from .simnet import TIMEOUT, Transmit, WaitMessage
 
@@ -57,26 +57,6 @@ class NetHandle:
         """Trace an entry of declared `kind` by this actor, now: `values`
         are its fields after `actor`, positionally."""
         self.sim.trace.add(kind, self.sim.now, self.actor_id, *values)
-
-
-def _cred_to_wire(cred: pki.Credential) -> tuple[bytes, tuple[bytes, ...]]:
-    return (cred.certificate.encoding(),
-            tuple(c.encoding() for c in cred.intermediates))
-
-
-def _check_peer(net: NetHandle, cert_bytes: bytes,
-                intermediates: tuple[bytes, ...], store: pki.TrustStore):
-    """Decode the certificate and chain a peer presents and verify them at
-    `net`'s time under its revoked serials: (certificate, failure reason or
-    None), or (None, "bad_certificate") when the bytes do not decode."""
-    try:
-        cert = pki.decode_certificate(cert_bytes)
-        inters = [pki.decode_certificate(b) for b in intermediates]
-    except Error:
-        return None, "bad_certificate"
-    check = pki.verify_chain(cert, inters, store, net.now(),
-                             net.revocation_view)
-    return cert, None if check else check.reason.value
 
 
 def _accept_record(net: NetHandle, sess: session.AuthenticatedSession | None,
@@ -131,12 +111,9 @@ def _await_reply(net: NetHandle, pick, timeout: int | None):
 
 def open_session(net: NetHandle, dst: str, cred: pki.Credential,
                  store: pki.TrustStore, purpose: str = "session"):
-    """Two-message handshake; returns (AuthenticatedSession | None, status).
-
-    Status is "ok", "peer_untrusted:<reason>", "peer_rejected:<reason>",
-    "no_route" or "timeout". Stale or replayed handshake replies (echo
-    mismatch) are discarded without ending the wait.
-    """
+    """Two-message handshake; returns (AuthenticatedSession | None, status),
+    the status "no_route", "timeout" or one `session.finish` ends with; a
+    reply `finish` discards does not end the wait."""
     if dst is None:
         return None, "no_route"
 
@@ -149,23 +126,15 @@ def open_session(net: NetHandle, dst: str, cred: pki.Credential,
         if not isinstance(msg, (wire.Accept, wire.Reject)):
             net.note("note", "unexpected_frame_discarded", purpose, None)
             return None
-        if msg.echo_ephemeral != ephemeral:
-            net.note("handshake", f"stale_{msg.LABEL}_discarded", purpose)
+        sess, status = session.finish(ephemeral, store, net.now(),
+                                      net.revocation_view, dst, msg)
+        if status in session.DISCARDED:
+            net.note("handshake", status, purpose)
             return None
-        if isinstance(msg, wire.Reject):
-            return None, f"peer_rejected:{msg.reason}"
-        peer_cert, reason = _check_peer(net, msg.cert_bytes,
-                                        msg.intermediates, store)
-        if peer_cert is None:
-            net.note("handshake", "bad_accept_cert", purpose)
-            return None
-        if reason is not None:
-            return None, f"peer_untrusted:{reason}"
-        return session.derive(ephemeral, msg.ephemeral, peer_cert, dst), "ok"
+        return sess, status
 
     for _attempt in range(RETRIES + 1):
-        ephemeral = net.rng.randbytes(32)
-        hello = wire.Hello(ephemeral, *_cred_to_wire(cred))
+        ephemeral, hello = session.start(cred, net.rng)
         yield Transmit(dst, wire.encode_wire(hello), label=f"{purpose}.hello")
         outcome = yield from _await_reply(net, pick, REPLY_TIMEOUT)
         if outcome is not None:
@@ -260,25 +229,17 @@ class ResponderPeer:
             self.net.note("handshake", "replayed_hello_discarded", None)
             return "handshake_replay", []
         self.seen_ephemerals.add(msg.ephemeral)
-        peer_cert, reason = _check_peer(self.net, msg.cert_bytes,
-                                        msg.intermediates, self.truststore)
-        if reason is None and peer_cert.profile not in self.admitted:
-            reason = "profile_not_allowed"
-        if reason is not None:
-            return f"hello_rejected:{reason}", [Transmit(
-                src, wire.encode_wire(wire.Reject(msg.ephemeral, reason)),
-                label="reject")]
-
-        responder_ephemeral = self.rng.randbytes(32)
-        sess = session.derive(msg.ephemeral, responder_ephemeral, peer_cert,
-                              src)
+        sess, reply = session.respond(
+            self.credential, self.truststore, self.net.now(),
+            self.net.revocation_view, self.admitted, self.rng, src, msg)
+        sends = [Transmit(src, wire.encode_wire(reply), label=reply.LABEL)]
+        if sess is None:
+            return f"hello_rejected:{reply.reason}", sends
         self.sessions[sess.session_id] = sess
         self.net.sim.trace.add("session", self.net.now(), sess.session_id,
                                sess.session_key_fingerprint, src,
                                self.net.actor_id)
-        accept = wire.encode_wire(wire.Accept(
-            msg.ephemeral, responder_ephemeral, *_cred_to_wire(self.credential)))
-        return "hello_accepted", [Transmit(src, accept, label="accept")]
+        return "hello_accepted", sends
 
     def _on_record(self, now, src, frame):
         sess = self.sessions.get(frame.session_id)

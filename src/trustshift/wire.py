@@ -36,7 +36,7 @@ def encode_wire(msg) -> bytes:
 
 
 def _prefix(data: bytes) -> bytes:
-    return data[:3] if data[1:2] == b"\x18" else data[:2]
+    return bytes(data[:3] if data[1:2] == b"\x18" else data[:2])
 
 
 def decode_wire(data: bytes):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustshift import crypto, operators, peers, pki, session, simnet, wire
-from trustshift.messages import CertProfile, Uri, VersionInfo, encode
+from trustshift.messages import CertProfile, Uri, VersionInfo
 from trustshift.scenario import ScenarioConfig, run_scenario
 
 LIFETIME = (0, 10**9)
@@ -32,15 +32,13 @@ def issued_credential(h, ca, name, profile):
 
 
 def hello_for(cred, rng):
-    return wire.encode_wire(wire.Hello(
-        rng.randbytes(32), encode(cred.certificate),
-        tuple(encode(c) for c in cred.intermediates)))
+    return wire.encode_wire(session.start(cred, rng)[1])
 
 
 def open_session_against(sim, responder, cred, seed=5):
     """Drive the responder's handshake directly; returns its session."""
-    rng = random.Random(seed)
-    disposition, _sends = responder.handle(0, "tester", hello_for(cred, rng))
+    disposition, _sends = responder.handle(0, "tester",
+                                           hello_for(cred, random.Random(seed)))
     if disposition != "hello_accepted":
         return None, disposition
     newest_sid = list(responder.sessions)[-1]
@@ -48,17 +46,16 @@ def open_session_against(sim, responder, cred, seed=5):
 
 
 def initiator_session(responder, cred, seed=5):
-    """Handshake with `responder` as `cred`; returns the initiator's end."""
-    ephemeral = random.Random(seed).randbytes(32)
-    hello = wire.encode_wire(wire.Hello(
-        ephemeral, encode(cred.certificate),
-        tuple(encode(c) for c in cred.intermediates)))
-    disposition, [send] = responder.handle(0, "tester", hello)
+    """Handshake with `responder` as `cred`, checking its chain under its own
+    truststore; returns the initiator's end."""
+    ephemeral, hello = session.start(cred, random.Random(seed))
+    disposition, [send] = responder.handle(0, "tester", wire.encode_wire(hello))
     assert disposition == "hello_accepted", disposition
-    accept = wire.decode_wire(send.payload)
-    return session.derive(ephemeral, accept.ephemeral,
-                          responder.credential.certificate,
-                          responder.net.actor_id)
+    sess, status = session.finish(ephemeral, responder.truststore, 0, set(),
+                                  responder.net.actor_id,
+                                  wire.decode_wire(send.payload))
+    assert status == "ok", status
+    return sess
 
 
 def call(responder, sess, msg):

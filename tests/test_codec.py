@@ -488,6 +488,25 @@ def test_property_frames_parse_canonically(frame, bit, extra):
     _assert_canonical_parse(data, wire.decode_wire, wire.encode_wire, bit, extra)
 
 
+# One value of each field kind: a fixed instance of each frame class.
+FIXED_FIELDS = {"bytes": bytes(range(30)), "int": 300, "bool": True,
+                "str": "reason", "tuple": (b"", bytes(40))}
+
+
+@pytest.mark.parametrize("cls", FRAMES, ids=lambda c: c.__name__)
+def test_frame_decodes_from_any_bytes_like(cls):
+    """A bytearray or memoryview of a frame's bytes decodes exactly as the
+    bytes do, to the same types; a truncated one is refused as malformed,
+    never with a TypeError."""
+    frame = cls(*[FIXED_FIELDS[f.type] for f in dataclasses.fields(cls)])
+    data = wire.encode_wire(frame)
+    for view in (bytearray(data), memoryview(data)):
+        assert repr(wire.decode_wire(view)) == repr(frame)
+        with pytest.raises(MalformedEncoding, match="truncated"):
+            wire.decode_wire(view[:-1])
+    assert wire.decode_wire(data) == frame
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(PAYLOAD_MAKERS, key=lambda c: c.__name__)),
        st.integers(0, 2**32), st.integers(0, 7), st.integers(0, 255))

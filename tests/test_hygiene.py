@@ -127,17 +127,74 @@ def test_signature_checks_only_in_crypto():
         f"signature checked outside crypto.verify_raw at {sorted(found)}"
 
 
-def test_peer_profile_read_only_in_peers():
-    """Which peer may send which message is decided in one place, the
-    acceptance table `peers.ResponderPeer` dispatches from: no other module
-    reads the profile of a session peer's certificate."""
-    readers = [f"{path.name}:{node.lineno}" for path in SOURCES
-               for node in ast.walk(_tree(path))
-               if isinstance(node, ast.Attribute) and node.attr == "profile"
-               and getattr(node.value, "attr",
-                           getattr(node.value, "id", None)) == "peer_cert"]
-    assert readers and all(r.startswith("peers.py:") for r in readers), \
-        f"peer profile read outside peers at {readers}"
+def _name(node: ast.AST) -> str | None:
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def _by_function(path: Path, what) -> set[tuple[str, str]]:
+    """(what(node), innermost function around the node, "" at module
+    level) for each node of `path` that `what` names, not None."""
+    found = set()
+
+    def visit(node, func):
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        name = what(node)
+        if name is not None:
+            found.add((name, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(_tree(path), "")
+    return found
+
+
+def _peer_profile(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Attribute) and node.attr == "profile" \
+            and _name(node.value) == "peer_cert":
+        return "peer_cert.profile"
+    return None
+
+
+def test_peer_profile_read_only_by_admission():
+    """Which peer may do what is decided in two places: the handshake
+    (`session.respond`) admits the profiles of a responder's acceptance
+    table, and `peers.ResponderPeer.dispatch` applies the table's rows. No
+    other code reads the profile of a session peer's certificate."""
+    readers = {(path.name, func) for path in SOURCES
+               for _read, func in _by_function(path, _peer_profile)}
+    assert readers == {("peers.py", "dispatch"), ("session.py", "respond")}, \
+        f"peer profile read at {readers}"
+
+
+# What only the handshake steps in `session` do: build a handshake frame,
+# derive a session, check a peer's certificate chain.
+_HANDSHAKE_ONLY = {"Hello", "Accept", "Reject", "derive", "check_peer"}
+
+
+def _handshake_call(node: ast.AST) -> str | None:
+    """The name a call of a `_HANDSHAKE_ONLY` name calls, bare or as an
+    attribute (`wire.Hello(...)`)."""
+    if isinstance(node, ast.Call) and _name(node.func) in _HANDSHAKE_ONLY:
+        return _name(node.func)
+    return None
+
+
+def test_handshake_only_in_session():
+    """Only `session`'s steps build `wire.Hello`, `wire.Accept` or
+    `wire.Reject`, derive a session or check a peer's chain: `peers` and
+    the actors move the frames the steps make."""
+    found = {(path.name, *call) for path in SOURCES
+             for call in _by_function(path, _handshake_call)}
+    assert found == {
+        ("session.py", "Hello", "start"),
+        ("session.py", "Accept", "respond"),
+        ("session.py", "Reject", "respond"),
+        ("session.py", "derive", "respond"),
+        ("session.py", "derive", "finish"),
+        ("session.py", "check_peer", "respond"),
+        ("session.py", "check_peer", "finish"),
+    }
 
 
 def _top_level_name(path: Path, test) -> list[str]:
@@ -201,10 +258,6 @@ def test_code_generated_only_in_codec():
         f"code generated outside codec._define: {found}"
 
 
-def _name(node: ast.AST) -> str | None:
-    return getattr(node, "attr", getattr(node, "id", None))
-
-
 def _certificate_decodes(path: Path) -> list[tuple[str, str]]:
     """Each `decode(CompactCertificate, ...)` or `partial(decode,
     CompactCertificate)` call in `path`: (file:line, name of the top-level
@@ -237,18 +290,8 @@ def test_certificates_decoded_only_through_the_memo():
 def _uses_by_function(path: Path, names: set[str]) -> set[tuple[str, str]]:
     """(name, innermost function around it, "" at module level) of each
     reference in `path` to one of `names`, bare or as an attribute."""
-    found = set()
-
-    def visit(node, func):
-        if isinstance(node, ast.FunctionDef):
-            func = node.name
-        if isinstance(node, (ast.Name, ast.Attribute)) and _name(node) in names:
-            found.add((_name(node), func))
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
-
-    visit(_tree(path), "")
-    return found
+    return _by_function(path, lambda node: _name(node) if isinstance(
+        node, (ast.Name, ast.Attribute)) and _name(node) in names else None)
 
 
 def test_record_of_encodings_written_by_three_read_by_two():

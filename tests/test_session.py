@@ -6,10 +6,13 @@ simulator; records are framed by `session.send` and accepted through
 side), so every check here exercises the code scenarios use.
 """
 
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trustshift import crypto, peers, pki, session, simnet, wire
 from trustshift.errors import WrongSession
@@ -153,6 +156,98 @@ def test_revoked_initiator_rejected_by_responder_view():
 
 
 # ---------------------------------------------------------------------------
+# the handshake steps, both ends in memory
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def step_ends():
+    """Variant c: a device's factory credential and truststore, and CA2's
+    credential and truststore."""
+    h = build("c")
+    return (device_credential(h), h.store_for({pki.PERMANENT_CA_NAME}),
+            h.ca2.credential(), h.ca2.truststore)
+
+
+def respond_to(hello, seed=2):
+    """CA2's answer to `hello` from actor `dev`: (its end or None, reply)."""
+    _cred, _store, ca_cred, ca_store = step_ends()
+    return session.respond(ca_cred, ca_store, NOW, frozenset(), peers.ANY_PEER,
+                           random.Random(seed), "dev", hello)
+
+
+def finish_with(ephemeral, reply):
+    """The device's end of the handshake with `ca2` on `reply`."""
+    return session.finish(ephemeral, step_ends()[1], NOW, frozenset(), "ca2",
+                          reply)
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(SEEDS, SEEDS)
+def test_property_honest_steps_agree_on_the_session(initiator_seed,
+                                                    responder_seed):
+    """An honest start, respond and finish give two ends of one session:
+    equal id and fingerprint, each holding the other side's certificate
+    and actor id."""
+    cred, _store, ca_cred, _ca_store = step_ends()
+    ephemeral, hello = session.start(cred, random.Random(initiator_seed))
+    responder, accept = respond_to(hello, responder_seed)
+    initiator, status = finish_with(ephemeral, accept)
+    assert status == "ok"
+    assert (initiator.session_id, initiator.session_key_fingerprint) \
+        == (responder.session_id, responder.session_key_fingerprint)
+    assert (initiator.peer_cert, initiator.peer) == (ca_cred.certificate, "ca2")
+    assert (responder.peer_cert, responder.peer) == (cred.certificate, "dev")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_property_flipped_hello_certificate_is_rejected(data):
+    """Any single-bit flip of the Hello's certificate bytes ends in a
+    Reject, never in a responder session."""
+    _ephemeral, hello = session.start(step_ends()[0], random.Random(1))
+    bit = data.draw(st.integers(0, 8 * len(hello.cert_bytes) - 1))
+    flipped = bytearray(hello.cert_bytes)
+    flipped[bit // 8] ^= 1 << bit % 8
+    sess, reply = respond_to(wire.Hello(hello.ephemeral, bytes(flipped),
+                                        hello.intermediates))
+    assert sess is None
+    assert reply == wire.Reject(hello.ephemeral, reply.reason)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.binary(min_size=32, max_size=32), st.booleans())
+def test_property_reply_to_another_hello_is_discarded(echo, accept):
+    """An Accept or Reject whose echo is not this Hello's ephemeral is
+    discarded: no session, and a status the initiator waits on after."""
+    ephemeral, hello = session.start(step_ends()[0], random.Random(1))
+    assume(echo != ephemeral)
+    genuine = respond_to(hello)[1]
+    reply = wire.Accept(echo, genuine.ephemeral, genuine.cert_bytes,
+                        genuine.intermediates) if accept \
+        else wire.Reject(echo, "untrusted")
+    sess, status = finish_with(ephemeral, reply)
+    assert sess is None
+    assert status == f"stale_{reply.LABEL}_discarded"
+    assert status in session.DISCARDED
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.booleans(), st.binary(max_size=32), st.text(max_size=20))
+def test_property_reject_never_yields_a_session(echoed, echo, reason):
+    """A Reject, echoing this Hello or not, with any reason, never gives
+    the initiator a session."""
+    ephemeral, _hello = session.start(step_ends()[0], random.Random(1))
+    sess, status = finish_with(ephemeral,
+                               wire.Reject(ephemeral if echoed else echo, reason))
+    assert sess is None
+    if echoed:
+        assert status == f"peer_rejected:{reason}"
+
+
+# ---------------------------------------------------------------------------
 # records
 # ---------------------------------------------------------------------------
 
@@ -274,8 +369,7 @@ def ca_responder(h):
 
 
 def hello_under(cred):
-    return wire.encode_wire(wire.Hello(bytes(range(32)),
-                                       *peers._cred_to_wire(cred)))
+    return wire.encode_wire(session.start(cred, random.Random(0))[1])
 
 
 def _operational_hello(h):
@@ -333,7 +427,7 @@ def test_responder_disposition(disposition):
         [(dst, data)] = sends
         assert dst == "dev-9"
         assert wire.decode_wire(data) == wire.Reject(
-            bytes(range(32)), disposition.split(":")[1])
+            wire.decode_wire(frame).ephemeral, disposition.split(":")[1])
     else:
         assert sends == []
     trace = trace_of(responder)
