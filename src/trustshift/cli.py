@@ -11,7 +11,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import crypto, scenario
+from . import crypto, pki, scenario
 from .errors import ConfigParseError, Error, ScenarioInvalid
 from .messages import (
     EnvelopeProfile,
@@ -57,7 +57,7 @@ def _static_transfer_sizes(config: scenario.ScenarioConfig) -> tuple[int, int]:
         ra_uri=Uri(scenario.RA_URI) if config.options.use_ra else None,
         update_uri=Uri(scenario.SP2_URI),
         contact_before_enroll=config.options.contact_update_before_enroll,
-        enroll_uri=Uri("coaps://ca2.example/est"),
+        enroll_uri=pki.ENROLL_URIS[pki.CA2_NAME],
         fallback_uri=Uri(scenario.SP1_URI),
     )
     payload = encode(message)

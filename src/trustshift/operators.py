@@ -68,17 +68,20 @@ class OperatorState:
 # pure operator operations
 # ---------------------------------------------------------------------------
 
+def _update_info(sp1: OperatorState, device_id: bytes) -> DeviceUpdateInfo:
+    """The transfer data of one managed device."""
+    managed = sp1.managed_devices.get(device_id)
+    if managed is None:
+        raise UnknownDevice(f"device {device_id!r} not managed by {sp1.name}")
+    return DeviceUpdateInfo(managed.factory_cert, *managed.window,
+                            managed.version)
+
+
 def sp1_build_update_info_list(sp1: OperatorState,
                                device_ids) -> SignedEnvelope:
     """Signed list of per-device transfer data shared with the new operator."""
-    entries = []
-    for device_id in device_ids:
-        managed = sp1.managed_devices.get(device_id)
-        if managed is None:
-            raise UnknownDevice(f"device {device_id!r} not managed by {sp1.name}")
-        entries.append(DeviceUpdateInfo(managed.factory_cert, *managed.window,
-                                        managed.version))
-    payload = encode(UpdateInfoList(tuple(entries)))
+    entries = tuple(_update_info(sp1, device_id) for device_id in device_ids)
+    payload = encode(UpdateInfoList(entries))
     return crypto.sign_envelope(sp1.signing_key, EnvelopeProfile.UPDATE_LIST,
                                 payload)
 
@@ -437,10 +440,9 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
     env_bytes = encode(envelope)
     net.note("size", "update_info_list_payload", payload_size)
     net.note("size", "update_info_list_envelope", len(env_bytes))
-    info_list = decode(UpdateInfoList, envelope.payload)
-    if info_list.entries:
+    if device_ids:
         net.note("size", "device_update_info",
-                 len(encode(info_list.entries[0])))
+                 len(encode(_update_info(state, device_ids[0]))))
 
     if (yield from _exchange(net, actor, SP2_ACTOR, "sp1sp2",
                              wire.ListDeliver(env_bytes), wire.ListAck,

@@ -1,5 +1,9 @@
 """Certificate authorities, chain verification and hierarchy construction.
 
+`VARIANTS` declares the four hierarchy variants once: `build_hierarchy`
+makes each CA (`make_ca`) and `minimal_truststore` derives a device's roots
+from it. Each CA's enrollment URI is spelled once, in `ENROLL_URIS`.
+
 Serial numbers are unique across one hierarchy (a shared allocator), so a
 flat set of revoked serials works as the revocation view for every server
 side actor. Devices never consult revocation state; that cost sits with
@@ -39,7 +43,17 @@ PERMANENT_CA_NAME = b"permanent-ca"
 CA1_NAME = b"ca1"
 CA2_NAME = b"ca2"
 
-VARIANTS = ("a", "b", "c", "d")
+ENROLL_URIS = {PERMANENT_CA_NAME: Uri("coaps://ca0.example/est"),
+               CA1_NAME: Uri("coaps://ca1.example/est"),
+               CA2_NAME: Uri("coaps://ca2.example/est")}
+
+# For CA1 and CA2 in each variant: True when the CA is a root of its own,
+# False when the permanent root certifies it, None when the permanent CA
+# itself acts as it.
+VARIANTS = {"a": {CA1_NAME: True, CA2_NAME: True},
+            "b": {CA1_NAME: False, CA2_NAME: True},
+            "c": {CA1_NAME: False, CA2_NAME: False},
+            "d": {CA1_NAME: None, CA2_NAME: False}}
 
 
 class TrustPhase(Enum):
@@ -257,28 +271,21 @@ def _signed_cert(issuer_name: bytes, issuer_key: crypto.KeyPair, serial: int,
                               issuer_key.sign(unsigned.tbs_bytes()))
 
 
-def make_root_ca(name: bytes, key_pair: crypto.KeyPair, enroll_uri: Uri,
-                 allocator: SerialAllocator,
-                 validity: tuple[TimeStamp, TimeStamp]) -> CaState:
-    cert = _signed_cert(name, key_pair, allocator.take(), name,
-                        key_pair.public_key, validity, CertProfile.ROOT_CA)
+def make_ca(name: bytes, key_pair: crypto.KeyPair, allocator: SerialAllocator,
+            validity: tuple[TimeStamp, TimeStamp],
+            parent: CaState | None = None) -> CaState:
+    """A self-signed root CA, or with `parent` a sub-CA that `parent`
+    certifies and records as issued; it enrolls at `ENROLL_URIS[name]`."""
+    issuer_name, issuer_key = (parent.name, parent.key_pair) if parent \
+        else (name, key_pair)
+    cert = _signed_cert(issuer_name, issuer_key, allocator.take(), name,
+                        key_pair.public_key, validity,
+                        CertProfile.SUB_CA if parent else CertProfile.ROOT_CA)
     ca = CaState(name=name, key_pair=key_pair, certificate=cert,
-                 enroll_uri=enroll_uri, truststore=TrustStore(),
-                 allocator=allocator)
-    ca.add_issued(cert)
-    return ca
-
-
-def make_sub_ca(name: bytes, key_pair: crypto.KeyPair, parent: CaState,
-                enroll_uri: Uri,
-                validity: tuple[TimeStamp, TimeStamp]) -> CaState:
-    cert = _signed_cert(parent.name, parent.key_pair, parent.allocator.take(),
-                        name, key_pair.public_key, validity, CertProfile.SUB_CA)
-    parent.add_issued(cert)
-    ca = CaState(name=name, key_pair=key_pair, certificate=cert,
-                 enroll_uri=enroll_uri, truststore=TrustStore(),
-                 allocator=parent.allocator,
-                 issuer_chain=(cert,) + parent.issuer_chain)
+                 enroll_uri=ENROLL_URIS[name], truststore=TrustStore(),
+                 allocator=allocator,
+                 issuer_chain=(cert,) + parent.issuer_chain if parent else ())
+    (parent or ca).add_issued(cert)
     return ca
 
 
@@ -385,12 +392,7 @@ def revoke(ca: CaState, serial: int) -> None:
 
 @dataclass
 class HierarchyConfig:
-    """The permanent CA plus both operational CAs, wired per variant.
-
-    Variants: (a) three separate roots; (b) CA1 under the permanent root,
-    CA2 separate; (c) CA1 and CA2 both under the permanent root; (d) the
-    permanent CA itself acts as CA1, CA2 under the permanent root.
-    """
+    """The permanent CA plus both operational CAs, wired as `VARIANTS` says."""
 
     variant: str
     permanent: CaState
@@ -399,17 +401,18 @@ class HierarchyConfig:
     allocator: SerialAllocator
 
     def cas(self) -> list[CaState]:
-        out = [self.permanent]
-        for ca in (self.ca1, self.ca2):
-            if ca is not self.permanent:
-                out.append(ca)
-        return out
+        return [self.permanent] + [ca for ca in (self.ca1, self.ca2)
+                                   if ca is not self.permanent]
+
+    def root_names(self) -> set[bytes]:
+        """The permanent root and each CA that is a root of its own."""
+        return {PERMANENT_CA_NAME} | {
+            name for name, own_root in VARIANTS[self.variant].items() if own_root}
 
     def root_cert(self, root_name: bytes) -> CompactCertificate:
-        for ca in self.cas():
-            if ca.certificate.is_self_signed and ca.name == root_name:
-                return ca.certificate
-        raise InvariantViolation(f"no root named {root_name!r} in hierarchy")
+        if root_name not in self.root_names():
+            raise InvariantViolation(f"no root named {root_name!r} in hierarchy")
+        return next(ca.certificate for ca in self.cas() if ca.name == root_name)
 
     def trust_roots(self) -> None:
         """Trust, self-signature checked, each root CA in itself and the
@@ -438,52 +441,31 @@ def build_hierarchy(variant: str, rng: random.Random,
                     ca_validity: tuple[TimeStamp, TimeStamp] = (0, 2**40),
                     ) -> HierarchyConfig:
     """The CAs of a variant, their truststores empty until `trust_roots`,
-    so that a caller can sign more before the roots are checked."""
+    so that a caller can sign more before the roots are checked. Keys and
+    serials are drawn in CA order: the permanent CA, CA1 (unless the
+    permanent CA acts as it), CA2."""
     if variant not in VARIANTS:
         raise InvariantViolation(f"unknown hierarchy variant {variant!r}")
-
     allocator = SerialAllocator()
 
-    def key():
-        return crypto.generate_key_pair(rng.randbytes(32))
+    def new_ca(name: bytes, parent: CaState | None = None) -> CaState:
+        key_pair = crypto.generate_key_pair(rng.randbytes(32))
+        return make_ca(name, key_pair, allocator, ca_validity, parent)
 
-    permanent = make_root_ca(PERMANENT_CA_NAME, key(),
-                             Uri("coaps://ca0.example/est"), allocator,
-                             ca_validity)
-    if variant == "a":
-        ca1 = make_root_ca(CA1_NAME, key(), Uri("coaps://ca1.example/est"),
-                           allocator, ca_validity)
-        ca2 = make_root_ca(CA2_NAME, key(), Uri("coaps://ca2.example/est"),
-                           allocator, ca_validity)
-    elif variant == "b":
-        ca1 = make_sub_ca(CA1_NAME, key(), permanent,
-                          Uri("coaps://ca1.example/est"), ca_validity)
-        ca2 = make_root_ca(CA2_NAME, key(), Uri("coaps://ca2.example/est"),
-                           allocator, ca_validity)
-    elif variant == "c":
-        ca1 = make_sub_ca(CA1_NAME, key(), permanent,
-                          Uri("coaps://ca1.example/est"), ca_validity)
-        ca2 = make_sub_ca(CA2_NAME, key(), permanent,
-                          Uri("coaps://ca2.example/est"), ca_validity)
-    else:  # d: the permanent CA doubles as CA1
-        ca1 = permanent
-        ca2 = make_sub_ca(CA2_NAME, key(), permanent,
-                          Uri("coaps://ca2.example/est"), ca_validity)
-
+    permanent = new_ca(PERMANENT_CA_NAME)
+    ca1, ca2 = (permanent if own_root is None
+                else new_ca(name, None if own_root else permanent)
+                for name, own_root in VARIANTS[variant].items())
     return HierarchyConfig(variant, permanent, ca1, ca2, allocator)
 
 
 def minimal_truststore(variant: str, phase: TrustPhase) -> set[bytes]:
-    """Exactly the root names a device needs in the given phase."""
+    """Exactly the root names a device needs in the given phase: the root
+    CA1 chains to, and from PRE_TRANSFER on also the root CA2 chains to."""
     if variant not in VARIANTS:
         raise InvariantViolation(f"unknown hierarchy variant {variant!r}")
-    phase = TrustPhase(phase)
-    if variant == "a":
-        if phase is TrustPhase.PRE_ENROLL:
-            return {CA1_NAME}
-        return {CA1_NAME, CA2_NAME}
-    if variant == "b":
-        if phase is TrustPhase.PRE_ENROLL:
-            return {PERMANENT_CA_NAME}
-        return {PERMANENT_CA_NAME, CA2_NAME}
-    return {PERMANENT_CA_NAME}
+    needed = [CA1_NAME]
+    if TrustPhase(phase) is TrustPhase.PRE_TRANSFER:
+        needed.append(CA2_NAME)
+    return {name if VARIANTS[variant][name] else PERMANENT_CA_NAME
+            for name in needed}

@@ -1,10 +1,10 @@
 """Scenario assembly and execution: config file to finished trace.
 
-A scenario builds one hierarchy, provisions devices in a trusted
-pre-deployment step, wires all network actors, installs an adversary
-schedule, runs the event loop to quiescence, and evaluates the per-device
-expectations plus the forward/backward-secrecy and lifecycle-order checks
-that every run must satisfy.
+A scenario builds the hierarchy of one `pki.VARIANTS` variant, provisions
+devices in a trusted pre-deployment step, wires all network actors,
+installs an adversary schedule, runs the event loop to quiescence, and
+evaluates the per-device expectations plus the forward/backward-secrecy
+and lifecycle-order checks that every run must satisfy.
 """
 
 from __future__ import annotations
@@ -325,11 +325,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                    in ((b"sp1", hierarchy.ca1), (b"sp2", hierarchy.ca2),
                        (b"ra", hierarchy.ca2))]
     hierarchy.trust_roots()
-    all_root_names = {hierarchy.permanent.name}
-    for ca in (hierarchy.ca1, hierarchy.ca2):
-        if ca.certificate.is_self_signed:
-            all_root_names.add(ca.name)
-    server_store = hierarchy.store_for(all_root_names)
+    server_store = hierarchy.store_for(hierarchy.root_names())
 
     factory_certs = [pki.issue_certificate(hierarchy.permanent, csr,
                                            CertProfile.FACTORY,
@@ -342,10 +338,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                        ca.issuer_chain, key)
         for (key, csr), ca in server_csrs)
 
-    pre_enroll = pki.minimal_truststore(config.variant,
-                                        pki.TrustPhase.PRE_ENROLL)
-    pre_transfer = pki.minimal_truststore(config.variant,
-                                          pki.TrustPhase.PRE_TRANSFER)
+    pre_enroll, pre_transfer = (pki.minimal_truststore(config.variant, phase)
+                                for phase in pki.TrustPhase)
     initial_store = pki.TrustStore()  # each device gets a copy
     for name in sorted(pre_enroll):
         initial_store.add_root(hierarchy.root_cert(name),
@@ -410,10 +404,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     sim.bind_uri(RA_URI, "ra")
 
     # Operator orchestration processes.
-    push_roots = []
-    if opts.push_ca2_root:
-        for name in sorted(pre_transfer - pre_enroll):
-            push_roots.append(hierarchy.root_cert(name))
+    push_names = sorted(pre_transfer - pre_enroll) if opts.push_ca2_root else []
+    push_roots = [hierarchy.root_cert(name) for name in push_names]
 
     sim.spawn("sp1-orchestrator", operators.sp1_transfer_process(
         server("sp1-orchestrator"),
@@ -441,7 +433,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     agreed_roots = {crypto.digest(hierarchy.root_cert(name).encoding())
                     for name in pre_transfer}
-    agreed_roots |= {crypto.digest(cert.encoding()) for cert in push_roots}
     checks = run_checks(trace, devices, agreed_roots)
 
     return ScenarioResult(config=config, trace=trace, devices=outcomes,

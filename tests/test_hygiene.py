@@ -1,7 +1,8 @@
 """Source hygiene: no module under src/trustshift keeps a dead import, an
 unused private module-level name, a catch-all exception handler, or a
-public function, class or method that nothing in src/ or bench/ names; and
-no config key goes unset.
+public function, class or method that nothing in src/ or bench/ names; no
+config key goes unset; and each CA enrollment URI is spelled once, in
+`pki.ENROLL_URIS`.
 
 The source scans read the source with `ast` only; nothing is imported. The
 config-key scan imports `scenario` for the keys its reader accepts.
@@ -10,6 +11,7 @@ config-key scan imports `scenario` for the keys its reader accepts.
 import ast
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -258,14 +260,19 @@ def test_code_generated_only_in_codec():
         f"code generated outside codec._define: {found}"
 
 
+def _top_level_where(top: ast.stmt) -> str:
+    """The name a top-level statement defines or assigns to, else ""."""
+    return getattr(top, "name", "") or "".join(
+        _name(t) or "" for t in getattr(top, "targets", []))
+
+
 def _certificate_decodes(path: Path) -> list[tuple[str, str]]:
     """Each `decode(CompactCertificate, ...)` or `partial(decode,
     CompactCertificate)` call in `path`: (file:line, name of the top-level
     function it is in, or of the name it is assigned to)."""
     found = []
     for top in _tree(path).body:
-        where = getattr(top, "name", "") or "".join(
-            _name(t) or "" for t in getattr(top, "targets", []))
+        where = _top_level_where(top)
         for node in ast.walk(top):
             if not isinstance(node, ast.Call):
                 continue
@@ -285,6 +292,28 @@ def test_certificates_decoded_only_through_the_memo():
     assert [where.split(":")[0] for where, _ in calls] == ["pki.py"]
     outside = [where for where, func in calls if func != "decode_certificate"]
     assert not outside, f"certificate decoded around the memo at {outside}"
+
+
+# A CA's enrollment URI: the CAs are hosts ca0, ca1, ... (an adversary's
+# forged endpoint, such as coaps://evil.example/est, is no CA's).
+_CA_ENROLL_URI = re.compile(r"//ca\d+\.example/est")
+
+
+def test_ca_enroll_uris_spelled_once_in_pki():
+    """Each CA's enrollment URI is spelled once, in `pki.ENROLL_URIS`:
+    every other use reads it from there."""
+    found = [(path.name, _top_level_where(top), node.value)
+             for path in SOURCES for top in _tree(path).body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and _CA_ENROLL_URI.search(node.value)]
+    assert found, "no CA enrollment URI found"
+    outside = [f for f in found if f[:2] != ("pki.py", "ENROLL_URIS")]
+    assert not outside, \
+        f"CA enrollment URI spelled outside pki.ENROLL_URIS: {outside}"
+    uris = [uri for *_, uri in found]
+    assert len(uris) == len(set(uris)), \
+        f"a CA enrollment URI spelled twice: {uris}"
 
 
 def _uses_by_function(path: Path, names: set[str]) -> set[tuple[str, str]]:

@@ -37,8 +37,7 @@ def require(condition, what):
 
 def every_root(h):
     """A truststore holding each root of the hierarchy."""
-    return h.store_for({pki.PERMANENT_CA_NAME} | {
-        ca.name for ca in (h.ca1, h.ca2) if ca.certificate.is_self_signed})
+    return h.store_for(h.root_names())
 
 
 def handshake(peer, cred, store, seed):

@@ -70,6 +70,29 @@ def test_variant_d_ca1_is_permanent():
 
 
 @pytest.mark.parametrize("variant", pki.VARIANTS)
+def test_built_hierarchy_matches_the_variant_table(variant):
+    """Each built CA is a root of its own exactly when `VARIANTS` says so,
+    in (d) CA1 is the permanent CA, each CA enrolls at its `ENROLL_URIS`
+    entry, and the pre-transfer roots plus the permanent root are the
+    hierarchy's roots. Every factory root is still needed before the
+    transfer, so each one persists through the reset."""
+    h = build(variant)
+    assert h.permanent.certificate.is_self_signed
+    for name, ca in ((pki.CA1_NAME, h.ca1), (pki.CA2_NAME, h.ca2)):
+        own_root = pki.VARIANTS[variant][name]
+        assert (ca is h.permanent) == (own_root is None), name
+        if own_root is not None:
+            assert ca.certificate.is_self_signed == own_root, name
+    assert (h.ca1 is h.permanent) == (variant == "d")
+    for ca in h.cas():
+        assert ca.enroll_uri == pki.ENROLL_URIS[ca.name]
+    pre_enroll = pki.minimal_truststore(variant, pki.TrustPhase.PRE_ENROLL)
+    pre_transfer = pki.minimal_truststore(variant, pki.TrustPhase.PRE_TRANSFER)
+    assert pre_transfer | {pki.PERMANENT_CA_NAME} == h.root_names()
+    assert pre_enroll <= pre_transfer
+
+
+@pytest.mark.parametrize("variant", pki.VARIANTS)
 def test_all_ca_certs_verify_along_declared_chains(variant):
     h = build(variant)
     for ca in h.cas():
