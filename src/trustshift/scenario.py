@@ -2,9 +2,10 @@
 
 A scenario builds the hierarchy of one `pki.VARIANTS` variant, provisions
 devices in a trusted pre-deployment step, wires all network actors,
-installs an adversary schedule, runs the event loop to quiescence, and
-evaluates the per-device expectations plus the forward/backward-secrecy
-and lifecycle-order checks that every run must satisfy.
+installs an adversary schedule (named in `SCHEDULES`, or an inline rule
+list), runs the event loop to quiescence, and evaluates the per-device
+expectations plus the forward/backward-secrecy and lifecycle-order checks
+that every run must satisfy.
 """
 
 from __future__ import annotations
@@ -148,66 +149,57 @@ def _forged_transfer_payload(seed: int) -> bytes:
     return wire.encode_wire(wire.TransferDeliver(encode(envelope)))
 
 
+# Each named schedule, as the inline rule list it stands for.
+SCHEDULES = {
+    "replay_transfer": [{"action": "replay", "match_src": SP1_ACTOR,
+                         "match_dst": "device-*", "delay": 3}],
+    "modify_transfer": [{"action": "modify", "match_src": SP1_ACTOR,
+                         "match_dst": "device-*",
+                         "match_label": "transfer_deliver", "first_n": 1}],
+    # Ride the standing SP1 session (observed at the first update reply)
+    # so the forged CWT arrives while the device is parked and enrolled.
+    # `build_adversary` fills in the CWT, signed by a key drawn from the seed.
+    "forge_transfer": [{"action": "inject", "match_src": SP1_ACTOR,
+                        "match_dst": "device-*", "match_label": "update_rsp",
+                        "frame_in_matched_session": True, "seq_offset": 1,
+                        "delay": 2}],
+    "drop_enroll": [{"action": "drop", "match_src": "device-*",
+                     "match_dst": CA2_ACTOR}],
+    "cross_session_replay": [
+        {"action": "record", "match_src": "device-*", "match_dst": CA1_ACTOR,
+         "match_label": "enroll_req", "slot": "enroll"},
+        {"action": "inject_recorded", "match_src": "device-*",
+         "match_dst": CA2_ACTOR, "match_label": "enroll_req", "slot": "enroll",
+         "first_n": 1, "delay": 1},
+    ],
+    "replay_all": [{"action": "replay", "delay": 5}],
+    "drop_10pct": [{"action": "drop", "every_k": 10}],
+}
+
+
 def build_adversary(spec, seed: int) -> AdversarySchedule | None:
-    """Named schedule or inline rule list (dicts mirroring AdversaryRule)."""
+    """A named schedule (see `SCHEDULES`) or an inline list of rule dicts
+    mirroring AdversaryRule, both parsed by the one loop below."""
     if spec in (None, "none"):
         return None
-    if isinstance(spec, list):
-        rules = []
-        for raw in spec:
-            try:
-                raw = dict(raw)
-                if "inject_payload_hex" in raw:
-                    raw["inject_payload"] = bytes.fromhex(
-                        raw.pop("inject_payload_hex"))
-                rules.append(AdversaryRule(**raw))
-            except (TypeError, ValueError) as err:
-                raise ScenarioInvalid(f"bad adversary rule: {err}") from err
-        return AdversarySchedule(rules=rules)
-    if spec == "replay_transfer":
-        return AdversarySchedule(rules=[
-            AdversaryRule(action="replay", match_src=SP1_ACTOR,
-                          match_dst="device-*", delay=3),
-        ])
-    if spec == "modify_transfer":
-        return AdversarySchedule(rules=[
-            AdversaryRule(action="modify", match_src=SP1_ACTOR,
-                          match_dst="device-*", match_label="transfer_deliver",
-                          first_n=1),
-        ])
     if spec == "forge_transfer":
-        # Ride the standing SP1 session (observed at the first update reply)
-        # so the forged CWT arrives while the device is parked and enrolled.
-        return AdversarySchedule(rules=[
-            AdversaryRule(action="inject", match_src=SP1_ACTOR,
-                          match_dst="device-*", match_label="update_rsp",
-                          inject_payload=_forged_transfer_payload(seed),
-                          frame_in_matched_session=True, seq_offset=1,
-                          delay=2),
-        ])
-    if spec == "drop_enroll":
-        return AdversarySchedule(rules=[
-            AdversaryRule(action="drop", match_src="device-*",
-                          match_dst=CA2_ACTOR),
-        ])
-    if spec == "cross_session_replay":
-        return AdversarySchedule(rules=[
-            AdversaryRule(action="record", match_src="device-*",
-                          match_dst=CA1_ACTOR, match_label="enroll_req",
-                          slot="enroll"),
-            AdversaryRule(action="inject_recorded", match_src="device-*",
-                          match_dst=CA2_ACTOR, match_label="enroll_req",
-                          slot="enroll", first_n=1, delay=1),
-        ])
-    if spec == "replay_all":
-        return AdversarySchedule(rules=[
-            AdversaryRule(action="replay", delay=5),
-        ])
-    if spec == "drop_10pct":
-        return AdversarySchedule(rules=[
-            AdversaryRule(action="drop", every_k=10),
-        ])
-    raise ScenarioInvalid(f"unknown adversary schedule {spec!r}")
+        spec = [{**SCHEDULES[spec][0],
+                 "inject_payload": _forged_transfer_payload(seed)}]
+    elif isinstance(spec, str) and spec in SCHEDULES:
+        spec = SCHEDULES[spec]
+    elif not isinstance(spec, list):
+        raise ScenarioInvalid(f"unknown adversary schedule {spec!r}")
+    rules = []
+    for raw in spec:
+        try:
+            raw = dict(raw)
+            if "inject_payload_hex" in raw:
+                raw["inject_payload"] = bytes.fromhex(
+                    raw.pop("inject_payload_hex"))
+            rules.append(AdversaryRule(**raw))
+        except (TypeError, ValueError) as err:
+            raise ScenarioInvalid(f"bad adversary rule: {err}") from err
+    return AdversarySchedule(rules=rules)
 
 
 # ---------------------------------------------------------------------------

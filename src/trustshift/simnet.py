@@ -370,9 +370,9 @@ def adversary_apply(schedule: AdversarySchedule, event: SimEvent,
                     next_seq) -> list[SimEvent]:
     """Emit the events that replace an observed delivery.
 
-    Non-consuming rules (record) stack; the first consuming rule decides the
-    fate of the original. Payload bytes are never interpreted beyond record
-    framing metadata.
+    Non-consuming rules stack; the first consuming rule (drop, modify) decides
+    the fate of the original. A rule counts towards `first_n` only when it
+    acts. Payload bytes are never interpreted beyond record framing metadata.
     """
     out: list[SimEvent] = []
     consumed = False
@@ -380,41 +380,34 @@ def adversary_apply(schedule: AdversarySchedule, event: SimEvent,
         if consumed or not rule.matches(event):
             continue
         schedule.match_counts[idx] = schedule.match_counts.get(idx, 0) + 1
-        count = schedule.match_counts[idx]
-        if count % rule.every_k != 0:
+        if schedule.match_counts[idx] % rule.every_k != 0:
             continue
-        if rule.first_n is not None and schedule.fire_counts.get(idx, 0) >= rule.first_n:
+        fired = schedule.fire_counts.get(idx, 0)
+        if rule.first_n is not None and fired >= rule.first_n:
             continue
-        schedule.fire_counts[idx] = schedule.fire_counts.get(idx, 0) + 1
-
-        marker = SimEvent(event.time, EventKind.ADVERSARY_ACTION, "adversary",
-                          event.dst, b"", next_seq(), label=event.label,
-                          origin="adversary", note=f"{rule.action}:{idx}")
-        if rule.action == "inject" and rule.frame_in_matched_session:
+        action = rule.action
+        if action == "inject" and rule.frame_in_matched_session:
             frame = wire.parse_record_frame(event.payload)
             if frame is None:
                 continue
-        out.append(marker)
+        schedule.fire_counts[idx] = fired + 1
+        out.append(SimEvent(event.time, EventKind.ADVERSARY_ACTION, "adversary",
+                            event.dst, b"", next_seq(), label=event.label,
+                            origin="adversary", note=f"{action}:{idx}"))
+        dst = rule.redirect_dst or event.dst
 
-        if rule.action == "record":
+        if action == "record":
             schedule.recorded.setdefault(rule.slot, []).append(event)
-            continue
-
-        if rule.action == "drop":
+        elif action == "drop":
             out.append(SimEvent(event.time, EventKind.DROP, event.src, event.dst,
                                 event.payload, next_seq(), label=event.label,
                                 origin="adversary", note="adversary_drop"))
             consumed = True
-            continue
-
-        if rule.action == "replay":
-            dst = rule.redirect_dst or event.dst
+        elif action == "replay":
             out.append(SimEvent(event.time + rule.delay, EventKind.DELIVER,
                                 event.src, dst, event.payload, next_seq(),
                                 label=event.label, origin="adversary"))
-            continue
-
-        if rule.action == "modify":
+        elif action == "modify":
             data = bytearray(event.payload)
             if data:
                 pos = rule.xor_pos if rule.xor_pos is not None else len(data) // 2
@@ -423,23 +416,17 @@ def adversary_apply(schedule: AdversarySchedule, event: SimEvent,
                                 event.dst, bytes(data), next_seq(),
                                 label=event.label, origin="adversary"))
             consumed = True
-            continue
-
-        if rule.action == "inject_recorded":
+        elif action == "inject_recorded":
             for recorded in schedule.recorded.get(rule.slot, []):
-                dst = rule.redirect_dst or event.dst
                 out.append(SimEvent(event.time + rule.delay, EventKind.DELIVER,
                                     recorded.src, dst, recorded.payload,
                                     next_seq(), label=recorded.label,
                                     origin="adversary"))
-            continue
-
-        if rule.action == "inject":
+        elif action == "inject":
             payload = rule.inject_payload
             if rule.frame_in_matched_session:
                 payload = wire.encode_wire(wire.RecordFrame(
                     frame.session_id, frame.seq + rule.seq_offset, payload))
-            dst = rule.redirect_dst or event.dst
             out.append(SimEvent(event.time + rule.delay, EventKind.DELIVER,
                                 "adversary", dst, payload, next_seq(),
                                 label="injected", origin="adversary"))

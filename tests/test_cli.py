@@ -137,6 +137,16 @@ def test_run_writes_trace_file(tmp_path, capsys):
     assert "ev=phase" in text and "ev=deliver" in text
 
 
+def test_run_dump_devices_reports_each_device(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert cli.main(["run", path, "--dump-devices"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "device device-000\n  phase: reenrolled" in out
+    assert "device device-001\n  phase: reenrolled" in out
+    assert out.count("\n  operational_cert: serial=") == 2
+    assert out.count("\n  endpoints: ca=coaps://ca2.example/est ") == 2
+
+
 def test_run_seed_override_changes_digest(tmp_path, capsys):
     path = write_config(tmp_path, device_count=1)
     cli.main(["run", path, "--seed", "5"])

@@ -308,6 +308,43 @@ def test_ra_failure_routes_to_fallback():
                for e in served)
 
 
+@pytest.mark.parametrize("variant", pki.VARIANTS)
+def test_sp1_fallback_attests_a_device_whose_enrollment_is_dropped(variant):
+    """With `sp1_fallback_ra`, SP1's fallback endpoint attests each device
+    that falls back; an untampered one passes."""
+    cfg = ScenarioConfig(name="t", variant=variant, device_count=2, seed=1,
+                         adversary="drop_enroll",
+                         options=ScenarioOptions(sp1_fallback_ra=True),
+                         expect_default="fallback")
+    result = run_scenario(cfg)
+    assert result.ok
+    assert [(e["actor"], e.typed("verdict"))
+            for e in result.trace.select("fallback_ra")] \
+        == [("device-000", True), ("device-001", True)]
+
+
+@pytest.mark.parametrize("variant", pki.VARIANTS)
+def test_sp1_fallback_attestation_fails_a_tampered_device(variant):
+    """A device whose firmware fails SP2's attestation falls back to SP1,
+    whose fallback attestation fails it too; the others re-enroll."""
+    from trustshift.scenario import ScenarioFaults
+    cfg = ScenarioConfig(name="t", variant=variant, device_count=3, seed=1,
+                         options=ScenarioOptions(use_ra=True,
+                                                 sp1_fallback_ra=True),
+                         faults=ScenarioFaults(ra_tamper_devices=[1]),
+                         expect_overrides={"device-001": "fallback"})
+    result = run_scenario(cfg)
+    assert result.ok
+    assert [(e["actor"], e.typed("verdict"))
+            for e in result.trace.select("fallback_ra")] \
+        == [("device-001", False)]
+    assert {d: s.phase for d, s in result.device_states.items()} == {
+        "device-000": DevicePhase.REENROLLED,
+        "device-001": DevicePhase.FALLBACK,
+        "device-002": DevicePhase.REENROLLED,
+    }
+
+
 def test_ca2_misregistration_routes_to_fallback():
     from trustshift.scenario import ScenarioFaults
     cfg = ScenarioConfig(name="t", variant="b", device_count=1, seed=3,

@@ -1,8 +1,9 @@
 """Source hygiene: no module under src/trustshift keeps a dead import, an
 unused private module-level name, a catch-all exception handler, or a
 public function, class or method that nothing in src/ or bench/ names; no
-config key goes unset; and each CA enrollment URI is spelled once, in
-`pki.ENROLL_URIS`.
+config key goes unset; each CA enrollment URI is spelled once, in
+`pki.ENROLL_URIS`; and only `scenario.build_adversary` builds an adversary
+rule.
 
 The source scans read the source with `ast` only; nothing is imported. The
 config-key scan imports `scenario` for the keys its reader accepts.
@@ -174,12 +175,14 @@ def test_peer_profile_read_only_by_admission():
 _HANDSHAKE_ONLY = {"Hello", "Accept", "Reject", "derive", "check_peer"}
 
 
-def _handshake_call(node: ast.AST) -> str | None:
-    """The name a call of a `_HANDSHAKE_ONLY` name calls, bare or as an
-    attribute (`wire.Hello(...)`)."""
-    if isinstance(node, ast.Call) and _name(node.func) in _HANDSHAKE_ONLY:
-        return _name(node.func)
-    return None
+def _call_of(names: set[str]):
+    """For `_by_function`: the name a call of one of `names` calls, bare or
+    as an attribute (`wire.Hello(...)`)."""
+    def what(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Call) and _name(node.func) in names:
+            return _name(node.func)
+        return None
+    return what
 
 
 def test_handshake_only_in_session():
@@ -187,7 +190,7 @@ def test_handshake_only_in_session():
     `wire.Reject`, derive a session or check a peer's chain: `peers` and
     the actors move the frames the steps make."""
     found = {(path.name, *call) for path in SOURCES
-             for call in _by_function(path, _handshake_call)}
+             for call in _by_function(path, _call_of(_HANDSHAKE_ONLY))}
     assert found == {
         ("session.py", "Hello", "start"),
         ("session.py", "Accept", "respond"),
@@ -197,6 +200,21 @@ def test_handshake_only_in_session():
         ("session.py", "check_peer", "respond"),
         ("session.py", "check_peer", "finish"),
     }
+
+
+def _rule_built(node: ast.AST) -> int | None:
+    """The line of a call of `AdversaryRule`, else None."""
+    return node.lineno if _call_of({"AdversaryRule"})(node) else None
+
+
+def test_adversary_rules_built_only_by_build_adversary():
+    """Every adversary schedule, named (a rule list in `scenario.SCHEDULES`)
+    or inline, is parsed on one path: `AdversaryRule` is called once, in
+    the loop of `scenario.build_adversary`."""
+    found = sorted((path.name, func, line) for path in SOURCES
+                   for line, func in _by_function(path, _rule_built))
+    assert [where[:2] for where in found] \
+        == [("scenario.py", "build_adversary")], f"AdversaryRule built at {found}"
 
 
 def _top_level_name(path: Path, test) -> list[str]:

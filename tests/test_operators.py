@@ -17,6 +17,7 @@ from trustshift.messages import (
     decode,
     encode,
 )
+from trustshift.scenario import ScenarioConfig, run_scenario
 
 LIFETIME = (0, 10**9)
 
@@ -361,3 +362,22 @@ def test_update_server_noop_when_current(world):
     assert operators.update_server_serve(sp2, sp2.current_version) is None
     newer = VersionInfo(99, Uri("coaps://u/fw"))
     assert operators.update_server_serve(sp2, newer) is None
+
+
+def test_push_skips_a_device_without_a_session():
+    """A device whose every message to SP1 is dropped holds no standing
+    session with SP1's update server: each push round skips it, and the
+    transfer pushes end with it unacked while the other device re-enrolls."""
+    cfg = ScenarioConfig(name="t", variant="b", device_count=2, seed=1,
+                         adversary=[{"action": "drop", "match_src": "device-000",
+                                     "match_dst": "sp1"}],
+                         expect_overrides={"device-000": "enrolled"})
+    result = run_scenario(cfg)
+    assert result.ok
+    skipped = result.trace.select("push_skipped")
+    # one skip per round of the root push and of the transfer push
+    assert len(skipped) == 2 * operators.PUSH_ROUNDS == 10
+    assert {(e["device"], e["reason"]) for e in skipped} \
+        == {("device-000", "no_session")}
+    assert [e.typed("unacked")
+            for e in result.trace.select("transfer_pushes_done")] == [1]

@@ -348,6 +348,30 @@ def test_adversary_inject_frames_into_matched_session():
     assert parsed.payload == b"forged"
 
 
+def test_adversary_inject_spends_first_n_only_on_a_record():
+    """An `inject` framed in the matched session lets a delivery that is no
+    record frame pass without counting a fire, so with `first_n=1` it still
+    injects into the first record it sees."""
+    schedule = AdversarySchedule(rules=[
+        AdversaryRule(action="inject", inject_payload=b"forged",
+                      frame_in_matched_session=True, first_n=1),
+    ])
+    next_seq = counter()
+    hello = make_event(payload=wire.encode_wire(
+        wire.Hello(b"\x01" * 32, b"cert", ())))
+    assert adversary_apply(schedule, hello, next_seq) == [hello]
+    assert schedule.fire_counts == {}
+    record = make_event(payload=wire.encode_wire(
+        wire.RecordFrame(b"\x07" * 8, 5, b"inner")))
+    out = adversary_apply(schedule, record, next_seq)
+    injected = [e for e in out if e.src == "adversary"
+                and e.kind is EventKind.DELIVER]
+    assert len(injected) == 1
+    assert wire.parse_record_frame(injected[0].payload).payload == b"forged"
+    assert schedule.fire_counts == {0: 1}
+    assert adversary_apply(schedule, record, next_seq) == [record]
+
+
 def test_adversary_every_k_and_first_n():
     schedule = AdversarySchedule(rules=[
         AdversaryRule(action="drop", every_k=2, first_n=2),
