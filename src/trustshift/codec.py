@@ -287,6 +287,17 @@ def compile_exact(cls):
                    namespace)
 
 
+def compile_init(cls):
+    """`__init__` of frozen dataclass `cls`, whose fields have no defaults:
+    it fills the instance `__dict__` directly, where the dataclass's sets
+    each field through `object.__setattr__`; then `__post_init__`, if any."""
+    names = [f.name for f in fields(cls)]
+    body = ["    d = self.__dict__", *(f"    d[{n!r}] = {n}" for n in names)]
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    return _define(f"__init__(self, {', '.join(names)})", body, {})
+
+
 # What this run encoded: bytes -> the value they encode, least recently
 # used first.
 _encoded: OrderedDict[bytes, object] = OrderedDict()

@@ -1,10 +1,12 @@
 """Deterministic discrete-event network with a Dolev-Yao adversary.
 
-Single-threaded event loop over a (time, tiebreaker) heap; identical
+Single-threaded event loop over per-tick buckets: each tick's entries run
+in the order they were pushed, and a heap orders only the ticks. Identical
 (scenario, seed) inputs replay to byte-identical traces. Actors are either
 reactive responders (a handler per delivery that returns the Transmit
 commands it sends) or generator-based processes that yield
-Transmit/Sleep/WaitMessage commands.
+Transmit/Sleep/WaitMessage commands; a process's timer is a bare
+(process, token) entry, stale once the process has moved on.
 
 The trace keeps one typed row per entry, of a kind declared once in
 `TRACE_KINDS`; rows render to `key=value` lines only when asked.
@@ -26,7 +28,7 @@ import re
 import types
 import typing
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from . import wire
@@ -40,7 +42,6 @@ TIMEOUT = object()  # sentinel delivered to a process when a wait expires
 class EventKind(Enum):
     DELIVER = "deliver"
     DROP = "drop"
-    TIMER_FIRE = "timerFire"
     ADVERSARY_ACTION = "adversaryAction"
 
 
@@ -50,7 +51,6 @@ class SimEvent(typing.NamedTuple):
     src: str
     dst: str
     payload: bytes
-    seq: int = 0  # global tie-breaker from Simulator._next_seq
     label: str = ""
     origin: str = "net"  # net | adversary
     note: str = ""
@@ -58,20 +58,17 @@ class SimEvent(typing.NamedTuple):
 
 # --- commands yielded by process actors ---
 
-@dataclass(frozen=True)
-class Transmit:
+class Transmit(typing.NamedTuple):
     dst: str
     payload: bytes
     label: str = ""
 
 
-@dataclass(frozen=True)
-class Sleep:
+class Sleep(typing.NamedTuple):
     duration: int
 
 
-@dataclass(frozen=True)
-class WaitMessage:
+class WaitMessage(typing.NamedTuple):
     timeout: int | None = None
 
 
@@ -289,8 +286,19 @@ class Trace:
 # adversary
 # ---------------------------------------------------------------------------
 
-ADVERSARY_ACTIONS = ("drop", "replay", "modify", "record", "inject_recorded",
-                     "inject")
+# Each action and the rule fields it reads besides its trigger (`match_*`,
+# `first_n`, `every_k`); a rule that sets any other field is refused.
+ADVERSARY_ACTIONS = {
+    "drop": (),
+    "replay": ("delay", "redirect_dst"),
+    "modify": ("xor_pos", "xor_mask"),
+    "record": ("slot",),
+    "inject_recorded": ("slot", "delay", "redirect_dst"),
+    "inject": ("inject_payload", "frame_in_matched_session", "seq_offset",
+               "delay", "redirect_dst"),
+}
+_TRIGGER = ("action", "match_src", "match_dst", "match_label", "first_n",
+            "every_k")
 
 
 def _is_a(value, hint) -> bool:
@@ -345,6 +353,11 @@ class AdversaryRule:
             raise ScenarioInvalid("adversary rule needs delay >= 0, every_k >= 1,"
                                   " first_n >= 0, 0 <= xor_mask <= 255 and"
                                   " 0 <= seq_offset < 2**63")
+        unread = [f.name for f in fields(self) if getattr(self, f.name) != f.default
+                  and f.name not in _TRIGGER + ADVERSARY_ACTIONS[self.action]]
+        if unread:
+            raise ScenarioInvalid(f"adversary action {self.action!r} does not "
+                                  f"read {', '.join(unread)}")
         # Index of the event field and `fnmatch.fnmatchcase`'s matcher, per glob but "*".
         object.__setattr__(self, "_globs", tuple(
             (SimEvent._fields.index(f), re.compile(fnmatch.translate(glob)).match)
@@ -366,8 +379,8 @@ class AdversarySchedule:
     fire_counts: dict[int, int] = field(default_factory=dict)
 
 
-def adversary_apply(schedule: AdversarySchedule, event: SimEvent,
-                    next_seq) -> list[SimEvent]:
+def adversary_apply(schedule: AdversarySchedule,
+                    event: SimEvent) -> list[SimEvent]:
     """Emit the events that replace an observed delivery.
 
     Non-consuming rules stack; the first consuming rule (drop, modify) decides
@@ -392,44 +405,42 @@ def adversary_apply(schedule: AdversarySchedule, event: SimEvent,
                 continue
         schedule.fire_counts[idx] = fired + 1
         out.append(SimEvent(event.time, EventKind.ADVERSARY_ACTION, "adversary",
-                            event.dst, b"", next_seq(), label=event.label,
-                            origin="adversary", note=f"{action}:{idx}"))
+                            event.dst, b"", event.label, "adversary",
+                            f"{action}:{idx}"))
         dst = rule.redirect_dst or event.dst
 
         if action == "record":
             schedule.recorded.setdefault(rule.slot, []).append(event)
         elif action == "drop":
             out.append(SimEvent(event.time, EventKind.DROP, event.src, event.dst,
-                                event.payload, next_seq(), label=event.label,
-                                origin="adversary", note="adversary_drop"))
+                                event.payload, event.label, "adversary",
+                                "adversary_drop"))
             consumed = True
         elif action == "replay":
             out.append(SimEvent(event.time + rule.delay, EventKind.DELIVER,
-                                event.src, dst, event.payload, next_seq(),
-                                label=event.label, origin="adversary"))
+                                event.src, dst, event.payload, event.label,
+                                "adversary"))
         elif action == "modify":
             data = bytearray(event.payload)
             if data:
                 pos = rule.xor_pos if rule.xor_pos is not None else len(data) // 2
                 data[pos % len(data)] ^= rule.xor_mask
             out.append(SimEvent(event.time, EventKind.DELIVER, event.src,
-                                event.dst, bytes(data), next_seq(),
-                                label=event.label, origin="adversary"))
+                                event.dst, bytes(data), event.label, "adversary"))
             consumed = True
         elif action == "inject_recorded":
             for recorded in schedule.recorded.get(rule.slot, []):
                 out.append(SimEvent(event.time + rule.delay, EventKind.DELIVER,
                                     recorded.src, dst, recorded.payload,
-                                    next_seq(), label=recorded.label,
-                                    origin="adversary"))
+                                    recorded.label, "adversary"))
         elif action == "inject":
             payload = rule.inject_payload
             if rule.frame_in_matched_session:
                 payload = wire.encode_wire(wire.RecordFrame(
                     frame.session_id, frame.seq + rule.seq_offset, payload))
             out.append(SimEvent(event.time + rule.delay, EventKind.DELIVER,
-                                "adversary", dst, payload, next_seq(),
-                                label="injected", origin="adversary"))
+                                "adversary", dst, payload, "injected",
+                                "adversary"))
 
     if not consumed:
         out.append(event)
@@ -461,8 +472,10 @@ class Simulator:
         self.event_budget = event_budget
         self.events_processed = 0
         self.adversary: AdversarySchedule | None = None
-        self._queue: list[tuple[int, int, SimEvent]] = []
-        self._seq = 0
+        # Each tick's entries in push order: a SimEvent, or a timer
+        # (process, token); `_ticks` is a heap of the ticks with a bucket.
+        self._buckets: dict[int, deque] = {}
+        self._ticks: list[int] = []
         self._responders: dict[str, object] = {}
         self._processes: dict[str, _Process] = {}
         self._uri_map: dict[str, str] = {}
@@ -488,64 +501,64 @@ class Simulator:
 
     # --- queue ---
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _push(self, event: SimEvent) -> None:
-        heapq.heappush(self._queue, (event.time, event.seq, event))
+    def _schedule(self, time: int, entry) -> None:
+        """Append `entry` to tick `time`'s bucket, new ticks to the heap."""
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._buckets[time] = deque()
+            heapq.heappush(self._ticks, time)
+        bucket.append(entry)
 
     def transmit(self, src: str, dst: str, payload: bytes, label: str = "",
                  delay: int = LATENCY) -> None:
-        self._push(SimEvent(self.now + delay, EventKind.DELIVER, src, dst,
-                            payload, self._next_seq(), label=label))
-
-    def _schedule_timer(self, actor_id: str, delay: int, token: int) -> None:
-        self._push(SimEvent(self.now + delay, EventKind.TIMER_FIRE, actor_id,
-                            actor_id, token.to_bytes(8, "big"),
-                            self._next_seq()))
+        time = self.now + delay
+        self._schedule(time, SimEvent(time, EventKind.DELIVER, src, dst,
+                                      payload, label))
 
     # --- run loop ---
 
     def run(self) -> Trace:
-        while self._queue:
-            if self.events_processed >= self.event_budget:
-                raise ScenarioInvalid(
-                    f"event budget {self.event_budget} exceeded at t={self.now}")
-            _, _, event = heapq.heappop(self._queue)
-            self.now = event.time
-            self.events_processed += 1
-            self._dispatch(event)
-        return self.trace
+        """Run each tick's bucket in push order, ticks in time order. An
+        entry pushed for the running tick joins the tail of its bucket."""
+        buckets, ticks, trace = self._buckets, self._ticks, self.trace
+        while ticks:
+            self.now = now = heapq.heappop(ticks)
+            bucket = buckets[now]
+            while bucket:
+                if self.events_processed >= self.event_budget:
+                    raise ScenarioInvalid(
+                        f"event budget {self.event_budget} exceeded at t={now}")
+                entry = bucket.popleft()
+                self.events_processed += 1
+                if type(entry) is tuple:  # a timer: (process, token)
+                    proc, token = entry
+                    if token == proc.timer_token:  # else stale: nothing to do
+                        trace.add("timer", now, proc.name)
+                        self._resume(proc, TIMEOUT if proc.state == "waiting"
+                                     else None)
+                elif entry.kind is EventKind.DELIVER:
+                    # give the adversary one look at net-originated traffic
+                    if self.adversary is None or entry.origin != "net":
+                        self._deliver(entry)
+                        continue
+                    for emitted in adversary_apply(self.adversary, entry):
+                        if emitted is entry:
+                            self._deliver(entry)
+                        else:
+                            self._schedule(emitted.time, emitted)
+                elif entry.kind is EventKind.DROP:
+                    trace.add("drop", now, entry.src, entry.dst, entry.label,
+                              len(entry.payload), entry.note)
+                else:
+                    trace.add("adversary", now, entry.dst, entry.label,
+                              entry.note)
+            del buckets[now]
+        return trace
 
     def start_ready_processes(self) -> None:
         for proc in self._processes.values():
             if proc.state == "ready":
                 self._resume(proc, None)
-
-    def _dispatch(self, event: SimEvent) -> None:
-        if event.kind is EventKind.TIMER_FIRE:
-            self._on_timer(event)
-            return
-        if event.kind is EventKind.DROP:
-            self.trace.add("drop", event.time, event.src, event.dst,
-                           event.label, len(event.payload), event.note)
-            return
-        if event.kind is EventKind.ADVERSARY_ACTION:
-            self.trace.add("adversary", event.time, event.dst, event.label,
-                           event.note)
-            return
-
-        # DELIVER: give the adversary one look at net-originated traffic
-        if self.adversary is not None and event.origin == "net":
-            replacement = adversary_apply(self.adversary, event, self._next_seq)
-            for emitted in replacement:
-                if emitted is event:
-                    self._deliver(event)
-                else:
-                    self._push(emitted)
-            return
-        self._deliver(event)
 
     def _deliver(self, event: SimEvent) -> None:
         handler = self._responders.get(event.dst)
@@ -554,8 +567,8 @@ class Simulator:
             self.trace.add("deliver", event.time, event.src, event.dst,
                            event.label, len(event.payload), event.origin,
                            disposition)
-            for send in sends:
-                self.transmit(event.dst, send.dst, send.payload, send.label)
+            for dst, payload, label in sends:
+                self.transmit(event.dst, dst, payload, label)
             return
 
         proc = self._processes.get(event.dst)
@@ -572,41 +585,23 @@ class Simulator:
             value = proc.inbox.popleft()
             self._resume(proc, value)
 
-    def _on_timer(self, event: SimEvent) -> None:
-        proc = self._processes.get(event.dst)
-        token = int.from_bytes(event.payload, "big")
-        if proc is None or proc.state == "done" or token != proc.timer_token:
-            return  # stale timer
-        self.trace.add("timer", event.time, event.dst)
-        if proc.state == "waiting":
-            self._resume(proc, TIMEOUT)
-        elif proc.state == "sleeping":
-            self._resume(proc, None)
-
     def _resume(self, proc: _Process, value) -> None:
         proc.state = "running"
         try:
             while True:
                 command = proc.generator.send(value)
                 value = None
-                if isinstance(command, Transmit):
-                    self.transmit(proc.name, command.dst, command.payload,
-                                  command.label)
-                elif isinstance(command, Sleep):
-                    proc.state = "sleeping"
+                kind = type(command)
+                if kind is Transmit:
+                    self.transmit(proc.name, *command)
+                elif kind is WaitMessage and proc.inbox:
+                    value = proc.inbox.popleft()
+                elif kind is Sleep or kind is WaitMessage:
+                    proc.state = "sleeping" if kind is Sleep else "waiting"
                     proc.timer_token += 1
-                    self._schedule_timer(proc.name, max(1, command.duration),
-                                         proc.timer_token)
-                    return
-                elif isinstance(command, WaitMessage):
-                    if proc.inbox:
-                        value = proc.inbox.popleft()
-                        continue
-                    proc.state = "waiting"
-                    proc.timer_token += 1
-                    if command.timeout is not None:
-                        self._schedule_timer(proc.name, max(1, command.timeout),
-                                             proc.timer_token)
+                    if command[0] is not None:  # the duration or timeout
+                        self._schedule(self.now + max(1, command[0]),
+                                       (proc, proc.timer_token))
                     return
                 else:
                     raise ScenarioInvalid(

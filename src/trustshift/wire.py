@@ -61,9 +61,11 @@ def decode_wire(data: bytes):
 
 def compile_frame(cls, tag: int):
     """Make `cls` a frame under `tag`, without registering the tag: a
-    frozen dataclass with its trace label, its array length (tag and
-    fields) and its writer and field reader, compiled once."""
+    frozen dataclass with a generated constructor, its trace label, its
+    array length (tag and fields) and its writer and field reader, compiled
+    once."""
     cls = dataclass(frozen=True)(cls)
+    cls.__init__ = codec.compile_init(cls)
     cls.LABEL = snake_case(cls.__name__)
     cls.ARITY = len(fields(cls)) + 1
     cls.PREFIX = codec.encode_array_head(cls.ARITY) + codec.encode_uint(tag)

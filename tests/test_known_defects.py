@@ -202,10 +202,10 @@ def test_h_late_ra_challenge_costs_no_attestation():
     attestation: it ends `reenrolled` on a True verdict."""
     for variant in "abcd":
         for delay in (6, 8):
-            rules = [{"action": action, "match_src": "ra",
-                      "match_dst": "device-*", "match_label": "ra_challenge",
-                      "delay": delay, "first_n": 1}
-                     for action in ("replay", "drop")]
+            trigger = {"match_src": "ra", "match_dst": "device-*",
+                       "match_label": "ra_challenge", "first_n": 1}
+            rules = [{"action": "replay", "delay": delay, **trigger},
+                     {"action": "drop", **trigger}]
             result = run_scenario(ScenarioConfig(
                 name="ledger", variant=variant, device_count=1, seed=5,
                 options=ScenarioOptions(use_ra=True), adversary=rules))

@@ -1,20 +1,24 @@
 """Simulator tests: determinism, termination, adversary actions, framing."""
 
+import copy
 import dataclasses
 import fnmatch
 import hashlib
 import inspect
+import itertools
+import pickle
+import typing
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from test_golden_digests import INLINE, SHIPPED
 from trustshift import codec, peers, simnet, wire
 from trustshift.errors import MalformedEncoding, ScenarioInvalid
 from trustshift.messages import Uri
-from trustshift.scenario import ScenarioConfig, run_scenario
+from trustshift.scenario import SCHEDULES, ScenarioConfig, build_adversary, run_scenario
 from trustshift.simnet import (
     AdversaryRule,
     AdversarySchedule,
@@ -89,6 +93,46 @@ def test_parse_record_frame_only_matches_records():
     assert wire.parse_record_frame(b"\xff\xff") is None
 
 
+SAMPLE = {bytes: b"\x01\x02", int: 7, bool: True, str: "text",
+          tuple: (b"a", b"b")}
+
+
+@pytest.mark.parametrize("cls", sorted(wire._REGISTRY.values(),
+                                       key=lambda c: c.LABEL))
+def test_generated_frame_constructor_keeps_dataclass_semantics(cls):
+    """Each frame's generated `__init__` fills the instance as the frozen
+    dataclass's own would: a twin declared with `dataclass(frozen=True)`
+    alone holds the same `__dict__`, repr and hash, and the frame stays
+    frozen, equal to its copies and to nothing of another class."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = [SAMPLE[hint] for hint in typing.get_type_hints(cls).values()]
+    frame = cls(*values)
+    twin = dataclasses.make_dataclass(cls.__name__, names, frozen=True)(*values)
+    assert vars(frame) == vars(twin) and list(vars(frame)) == names
+    assert repr(frame) == repr(twin) and hash(frame) == hash(twin)
+    assert frame == cls(**dict(zip(names, values))) and frame != twin
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(frame, names[0], values[0])
+    for clone in (copy.copy(frame), pickle.loads(pickle.dumps(frame))):
+        assert type(clone) is cls and clone == frame and hash(clone) == hash(frame)
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+
+
+def test_generated_frame_constructor_calls_post_init():
+    class Checked:
+        count: "int"
+
+        def __post_init__(self):
+            if self.count < 0:
+                raise ValueError("negative count")
+
+    frame_cls = wire.compile_frame(Checked, 200)
+    assert frame_cls(3).count == 3
+    with pytest.raises(ValueError, match="negative count"):
+        frame_cls(-1)
+
+
 # ---------------------------------------------------------------------------
 # scheduler mechanics
 # ---------------------------------------------------------------------------
@@ -103,6 +147,129 @@ def test_events_processed_in_time_then_insertion_order():
     sim.run()
     delivered = [e for e in sim.trace.entries if e["ev"] == "deliver"]
     assert [e["disp"] for e in delivered] == ["first", "second", "late"]
+
+
+def test_stale_timer_traces_nothing_and_is_counted():
+    """The reply at t=2 ends the wait, so its timer at t=5 is stale: it is
+    taken and counted as an event, and traces no `timer` row."""
+    sim = Simulator(seed=1)
+    sim.register_responder("echo", lambda now, src, data: (
+        "echoed", [Transmit(src, data)]))
+
+    def proc():
+        yield Transmit("echo", b"ping")
+        assert (yield WaitMessage(timeout=5)) == ("echo", b"ping")
+        yield Sleep(6)
+
+    sim.spawn("proc", proc())
+    sim.start_ready_processes()
+    sim.run()
+    assert [(e["t"], e["actor"]) for e in sim.trace.select("timer")] \
+        == [(8, "proc")]
+    assert sim.events_processed == 4  # ping, reply, stale timer, sleep timer
+
+
+ACTORS = ("p0", "p1", "r0", "r1")
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("send"), st.sampled_from(ACTORS)),
+    st.tuples(st.just("sleep"), st.integers(0, 4)),
+    st.tuples(st.just("wait"), st.none() | st.integers(0, 5))), max_size=6)
+# Where a responder sends on each delivery: a delay of None returns the
+# message from its handler (latency 1), 0-5 transmits it from inside the
+# tick, 0 onto the running tick itself.
+SENDS = st.lists(st.tuples(st.sampled_from(ACTORS), st.none() | st.integers(0, 5)),
+                 max_size=2)
+
+
+def run_recorded(initial, scripts, replies):
+    """Run processes p0, p1 (`scripts`) and responders r0, r1 (`replies`,
+    taken round-robin, three hops deep) after the `initial` transmits.
+    Returns the simulator, each push as (time, entry, event count when
+    pushed), and each dispatch that traced a `deliver` or `timer` row, by
+    its event count, with the state and timer token its actor then had."""
+    sim, labels = Simulator(seed=1), (f"m{n}" for n in itertools.count())
+    pushes, dispatched, turn = [], {}, itertools.count()
+    schedule, add = sim._schedule, sim.trace.add
+
+    def record(time, entry):
+        pushes.append((time, entry, sim.events_processed))
+        schedule(time, entry)
+
+    def traced(*row):
+        if row[0] in ("deliver", "timer"):
+            proc = sim._processes.get(row[3] if row[0] == "deliver" else row[2])
+            dispatched[sim.events_processed] = (
+                row, proc and proc.state, proc and proc.timer_token)
+        add(*row)
+
+    sim._schedule, sim.trace.add = record, traced
+
+    def responder(name):
+        def handle(now, src, data):
+            sends = []
+            for dst, delay in replies[next(turn) % len(replies)] \
+                    if data[0] < 3 else ():
+                hop = bytes([data[0] + 1])
+                if delay is None:
+                    sends.append(Transmit(dst, hop, next(labels)))
+                else:
+                    sim.transmit(name, dst, hop, next(labels), delay=delay)
+            return "handled", sends
+        return handle
+
+    def process(steps):
+        for step, arg in steps:
+            if step == "send":
+                yield Transmit(arg, b"\x00", next(labels))
+            else:
+                yield Sleep(arg) if step == "sleep" else WaitMessage(arg)
+
+    for name in ("r0", "r1"):
+        sim.register_responder(name, responder(name))
+    for name, steps in zip(("p0", "p1"), scripts):
+        sim.spawn(name, process(steps))
+    for dst, delay in initial:
+        sim.transmit("env", dst, b"\x00", next(labels), delay=delay)
+    sim.start_ready_processes()
+    sim.run()
+    return sim, pushes, dispatched
+
+
+# p0 waits 2 ticks for r0's answer, which r0 sends from inside t=1 with
+# delay 1: it lands on the tick the wait expires, after the timer.
+@example(initial=[], scripts=[[("send", "r0"), ("wait", 2), ("wait", 3)], []],
+         replies=[[("p0", 1)]])
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(ACTORS), st.integers(0, 5)),
+                max_size=6),
+       st.lists(STEPS, min_size=2, max_size=2),
+       st.lists(SENDS, min_size=1, max_size=4))
+def test_dispatch_order_is_time_then_push_order(initial, scripts, replies):
+    """Every entry pushed is taken once, in order of (time, push index),
+    and counted in `events_processed`. A delivery traces its `deliver` row.
+    A timer traces its `timer` row unless a delivery woke its process from
+    the wait between the timer's push and its turn: then it is stale and
+    traces nothing."""
+    sim, pushes, dispatched = run_recorded(initial, scripts, replies)
+    order = sorted(range(len(pushes)), key=lambda i: (pushes[i][0], i))
+    assert sim.events_processed == len(pushes)
+    for count, index in enumerate(order, 1):
+        time, entry, pushed_at = pushes[index]
+        row, _state, token = dispatched.get(count, (None, None, None))
+        if type(entry) is SimEvent:
+            assert row[:2] == ("deliver", time) and row[4] == entry.label
+            continue
+        proc, timer_token = entry
+        if any(pushed_at < at < count and r[0] == "deliver"
+               and r[3] == proc.name and state == "waiting"
+               for at, (r, state, _) in dispatched.items()):
+            assert row is None, "a stale timer traced a row"
+            event("stale timer")
+        else:
+            assert row == ("timer", time, proc.name) and token == timer_token
+        if any(r[:2] == ("deliver", time) and r[3] == proc.name
+               for r, _, _ in dispatched.values()):
+            event("a delivery on the tick its process's timer is due")
 
 
 def test_process_sleep_wait_timeout():
@@ -263,30 +430,21 @@ def test_entries_read_plain_forms_and_typed_values():
 # ---------------------------------------------------------------------------
 
 def make_event(payload=b"data", src="a", dst="b", label="msg"):
-    return SimEvent(10, EventKind.DELIVER, src, dst, payload, 1, label=label)
-
-
-def counter():
-    state = {"n": 100}
-
-    def next_seq():
-        state["n"] += 1
-        return state["n"]
-    return next_seq
+    return SimEvent(10, EventKind.DELIVER, src, dst, payload, label=label)
 
 
 def test_adversary_pass_through_when_no_match():
     schedule = AdversarySchedule(rules=[AdversaryRule(action="drop",
                                                       match_src="nobody")])
     event = make_event()
-    out = adversary_apply(schedule, event, counter())
+    out = adversary_apply(schedule, event)
     assert out == [event]
 
 
 def test_adversary_drop_suppresses_original():
     schedule = AdversarySchedule(rules=[AdversaryRule(action="drop")])
     event = make_event()
-    out = adversary_apply(schedule, event, counter())
+    out = adversary_apply(schedule, event)
     assert event not in out
     assert any(e.kind is EventKind.DROP for e in out)
 
@@ -294,7 +452,7 @@ def test_adversary_drop_suppresses_original():
 def test_adversary_replay_duplicates_later():
     schedule = AdversarySchedule(rules=[AdversaryRule(action="replay", delay=7)])
     event = make_event()
-    out = adversary_apply(schedule, event, counter())
+    out = adversary_apply(schedule, event)
     assert event in out
     replays = [e for e in out if e.kind is EventKind.DELIVER and e is not event]
     assert len(replays) == 1
@@ -306,7 +464,7 @@ def test_adversary_replay_duplicates_later():
 def test_adversary_modify_replaces_with_mutation():
     schedule = AdversarySchedule(rules=[AdversaryRule(action="modify")])
     event = make_event(payload=b"\x00" * 9)
-    out = adversary_apply(schedule, event, counter())
+    out = adversary_apply(schedule, event)
     assert event not in out
     mutated = [e for e in out if e.kind is EventKind.DELIVER]
     assert len(mutated) == 1
@@ -320,12 +478,11 @@ def test_adversary_record_then_inject_recorded():
         AdversaryRule(action="inject_recorded", match_dst="c", slot="s",
                       delay=2),
     ])
-    next_seq = counter()
     first = make_event(dst="b", payload=b"captured")
-    out1 = adversary_apply(schedule, first, next_seq)
+    out1 = adversary_apply(schedule, first)
     assert first in out1
     second = make_event(dst="c", payload=b"trigger")
-    out2 = adversary_apply(schedule, second, next_seq)
+    out2 = adversary_apply(schedule, second)
     injected = [e for e in out2 if e.payload == b"captured"]
     assert len(injected) == 1
     assert injected[0].dst == "c"
@@ -338,7 +495,7 @@ def test_adversary_inject_frames_into_matched_session():
                       frame_in_matched_session=True, seq_offset=1),
     ])
     event = make_event(payload=frame)
-    out = adversary_apply(schedule, event, counter())
+    out = adversary_apply(schedule, event)
     injected = [e for e in out if e.src == "adversary"
                 and e.kind is EventKind.DELIVER]
     assert len(injected) == 1
@@ -356,30 +513,28 @@ def test_adversary_inject_spends_first_n_only_on_a_record():
         AdversaryRule(action="inject", inject_payload=b"forged",
                       frame_in_matched_session=True, first_n=1),
     ])
-    next_seq = counter()
     hello = make_event(payload=wire.encode_wire(
         wire.Hello(b"\x01" * 32, b"cert", ())))
-    assert adversary_apply(schedule, hello, next_seq) == [hello]
+    assert adversary_apply(schedule, hello) == [hello]
     assert schedule.fire_counts == {}
     record = make_event(payload=wire.encode_wire(
         wire.RecordFrame(b"\x07" * 8, 5, b"inner")))
-    out = adversary_apply(schedule, record, next_seq)
+    out = adversary_apply(schedule, record)
     injected = [e for e in out if e.src == "adversary"
                 and e.kind is EventKind.DELIVER]
     assert len(injected) == 1
     assert wire.parse_record_frame(injected[0].payload).payload == b"forged"
     assert schedule.fire_counts == {0: 1}
-    assert adversary_apply(schedule, record, next_seq) == [record]
+    assert adversary_apply(schedule, record) == [record]
 
 
 def test_adversary_every_k_and_first_n():
     schedule = AdversarySchedule(rules=[
         AdversaryRule(action="drop", every_k=2, first_n=2),
     ])
-    next_seq = counter()
     dropped = 0
     for i in range(10):
-        out = adversary_apply(schedule, make_event(payload=bytes([i])), next_seq)
+        out = adversary_apply(schedule, make_event(payload=bytes([i])))
         if not any(e.kind is EventKind.DELIVER for e in out):
             dropped += 1
     assert dropped == 2  # matches 2,4 fire; 6,8,10 beyond first_n
@@ -448,3 +603,49 @@ def test_seq_offset_outside_counter_range_rejected(seq_offset):
     with pytest.raises(ScenarioInvalid):
         AdversaryRule(action="inject", frame_in_matched_session=True,
                       seq_offset=seq_offset)
+
+
+# A value other than its default for each field past a rule's trigger.
+SET_FIELDS = {"delay": 7, "redirect_dst": "elsewhere", "xor_pos": 2,
+              "xor_mask": 0x80, "slot": "s", "inject_payload": b"x",
+              "frame_in_matched_session": True, "seq_offset": 1}
+TRIGGER = ("action", "match_src", "match_dst", "match_label", "first_n",
+           "every_k")
+# The fields `adversary_apply` reads for each action, besides the trigger.
+READS = {"drop": (), "replay": ("delay", "redirect_dst"),
+         "modify": ("xor_pos", "xor_mask"), "record": ("slot",),
+         "inject_recorded": ("slot", "delay", "redirect_dst"),
+         "inject": ("inject_payload", "frame_in_matched_session", "seq_offset",
+                    "delay", "redirect_dst")}
+
+
+def test_set_fields_cover_every_field_past_the_trigger():
+    assert set(SET_FIELDS) == {f.name for f in dataclasses.fields(AdversaryRule)
+                               } - set(TRIGGER)
+    assert set(READS) == set(simnet.ADVERSARY_ACTIONS)
+
+
+@pytest.mark.parametrize("action, name", [
+    (action, name) for action, reads in READS.items()
+    for name in SET_FIELDS if name not in reads])
+def test_field_the_action_does_not_read_is_refused(action, name):
+    """A rule that sets a field its action never reads would test nothing
+    it appears to, so it is refused when built, naming the field."""
+    with pytest.raises(ScenarioInvalid, match=f"does not read {name}"):
+        AdversaryRule(action=action, **{name: SET_FIELDS[name]})
+    AdversaryRule(action=action, **{name: AdversaryRule.__dataclass_fields__[
+        name].default})  # its default is no setting
+
+
+@pytest.mark.parametrize("action, name", [
+    (action, name) for action, reads in READS.items() for name in reads])
+def test_field_the_action_reads_is_accepted(action, name):
+    rule = AdversaryRule(action=action, match_src="sp1", first_n=2, every_k=3,
+                         **{name: SET_FIELDS[name]})
+    assert getattr(rule, name) == SET_FIELDS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULES))
+def test_every_named_schedule_builds(name):
+    schedule = build_adversary(name, seed=1)
+    assert len(schedule.rules) == len(SCHEDULES[name])
