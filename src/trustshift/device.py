@@ -255,18 +255,31 @@ def on_push(state: DeviceState, msg, now: TimeStamp, note):
 # network operations (simulator processes)
 # ---------------------------------------------------------------------------
 
-def _enroll(state: DeviceState, net: peers.NetHandle,
-                 server_keygen: bool):
+def _open(state: DeviceState, net: peers.NetHandle, uri: Uri | None,
+          purpose: str, cred: pki.Credential | None = None):
+    """The `open_session` generator to the actor at `uri`, under `cred` or
+    else the factory credential, checked against the device's truststore."""
+    return peers.open_session(net, net.resolve(uri),
+                              cred or state.factory_credential(),
+                              state.truststore, purpose=purpose)
+
+
+def _check_update(state: DeviceState, net: peers.NetHandle, sess):
+    """The `session_call` generator offering the running firmware version to
+    an update server on `sess`; it returns the UpdateRsp or None."""
+    return peers.session_call(
+        net, sess, wire.UpdateCheck(encode(state.firmware)), (wire.UpdateRsp,))
+
+
+def _enroll(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
     """One enrollment exchange at endpoints.ca_uri, installing a new key and
     its certificate; raises EnrollRejected. Callers set the phase."""
-    ca_actor = net.resolve(state.endpoints.ca_uri)
-    if ca_actor is None:
-        raise EnrollRejected("no_route_to_ca")
-    sess, status = yield from peers.open_session(
-        net, ca_actor, state.factory_credential(), state.truststore,
-        purpose="enroll")
+    sess, status = yield from _open(state, net, state.endpoints.ca_uri,
+                                    "enroll")
     if sess is None:
-        raise EnrollRejected(status)
+        # A garbled enroll URI (records carry no integrity yet) names no actor.
+        raise EnrollRejected("no_route_to_ca" if status == "no_route"
+                             else status)
 
     if server_keygen:
         request = wire.EnrollReq(b"", True)
@@ -276,10 +289,10 @@ def _enroll(state: DeviceState, net: peers.NetHandle,
         csr = pki.make_csr(state.device_id, new_key, CertProfile.OPERATIONAL)
         request = wire.EnrollReq(encode(csr), False)
 
-    reply, status = yield from peers.session_call(net, sess, request,
-                                                  (wire.EnrollRsp,))
+    reply = yield from peers.session_call(net, sess, request,
+                                          (wire.EnrollRsp,))
     if reply is None:
-        raise EnrollRejected(status)
+        raise EnrollRejected("timeout")
     if not reply.ok:
         raise EnrollRejected(reply.reason)
 
@@ -309,12 +322,12 @@ def _enroll(state: DeviceState, net: peers.NetHandle,
 
 def _ra_exchange(state: DeviceState, net: peers.NetHandle, sess) -> object:
     """Challenge-response attestation on an open session; returns verdict."""
-    reply, status = yield from peers.session_call(
+    reply = yield from peers.session_call(
         net, sess, wire.RaHello(state.device_id), (wire.RaChallenge,))
     if reply is None:
         return None
     measurement = operators.ra_respond(state.firmware, reply.nonce)
-    verdict, status = yield from peers.session_call(
+    verdict = yield from peers.session_call(
         net, sess, wire.RaReport(state.device_id, reply.nonce, measurement),
         (wire.RaVerdict,))
     return None if verdict is None else verdict.ok
@@ -327,12 +340,11 @@ def contact_fallback(state: DeviceState, net: peers.NetHandle, reason: str):
     net.note("fallback_start", reason)
     contacted = False
     for _ in range(3):  # session-level attempts on top of call retries
-        sess, status = yield from peers.open_session(
-            net, net.resolve(state.endpoints.fallback_uri),
-            state.factory_credential(), state.truststore, purpose="fallback")
+        sess, _ = yield from _open(state, net, state.endpoints.fallback_uri,
+                                   "fallback")
         if sess is None:
             continue
-        reply, status = yield from peers.session_call(
+        reply = yield from peers.session_call(
             net, sess, wire.FallbackReq(state.device_id, reason),
             (wire.FallbackRsp,))
         if reply is None:
@@ -348,16 +360,12 @@ def contact_fallback(state: DeviceState, net: peers.NetHandle, reason: str):
 
 def run_post_reset_sequence(state: DeviceState, net: peers.NetHandle,
                             server_keygen: bool):
-    """RA (if configured), update-server contact (if flagged), re-enrollment;
-    any permanent failure routes to the fallback endpoint."""
-    if state.phase is not DevicePhase.RESET_DONE:
-        raise WrongPhase(f"post-reset sequence in phase {state.phase.value}")
-
+    """From phase resetDone: RA (if configured), update-server contact (if
+    flagged), re-enrollment; any permanent failure routes to the fallback
+    endpoint. `set_phase` refuses the first edge in any other phase."""
     if state.endpoints.ra_uri is not None:
         verdict = None
-        sess, status = yield from peers.open_session(
-            net, net.resolve(state.endpoints.ra_uri),
-            state.factory_credential(), state.truststore, purpose="ra")
+        sess, _ = yield from _open(state, net, state.endpoints.ra_uri, "ra")
         if sess is not None:
             verdict = yield from _ra_exchange(state, net, sess)
         if verdict is not True:
@@ -367,13 +375,10 @@ def run_post_reset_sequence(state: DeviceState, net: peers.NetHandle,
 
     if state.endpoints.contact_update_before_enroll:
         done = False
-        sess, status = yield from peers.open_session(
-            net, net.resolve(state.endpoints.update_uri),
-            state.factory_credential(), state.truststore, purpose="update")
+        sess, _ = yield from _open(state, net, state.endpoints.update_uri,
+                                   "update")
         if sess is not None:
-            reply, status = yield from peers.session_call(
-                net, sess, wire.UpdateCheck(encode(state.firmware)),
-                (wire.UpdateRsp,))
+            reply = yield from _check_update(state, net, sess)
             if reply is not None:
                 done = not reply.has_update or _install_offered_version(
                     state, reply.version_bytes, net.note)
@@ -396,7 +401,8 @@ def run_post_reset_sequence(state: DeviceState, net: peers.NetHandle,
 
 def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
     """Complete device process: enroll, operate under SP1, transfer, re-enroll
-    under SP2 (or fall back)."""
+    under SP2 (or fall back). The reset runs in the tick the transfer is
+    accepted, so inside the window that acceptance checked."""
     for _attempt in range(ENROLL_ATTEMPTS):
         try:
             yield from _enroll(state, net, server_keygen)
@@ -411,41 +417,33 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
 
     # Standing session with the SP1 update server: normal operations and the
     # channel over which the operator change arrives.
-    sp1_dst = net.resolve(state.endpoints.update_uri)
-    if sp1_dst is None:
-        net.note("sp1_unreachable")
-        return
     for _attempt in range(ENROLL_ATTEMPTS):
-        sp1_sess, status = yield from peers.open_session(
-            net, sp1_dst, state.operational_credential(), state.truststore,
-            purpose="sp1")
+        sp1_sess, _ = yield from _open(state, net, state.endpoints.update_uri,
+                                       "sp1", state.operational_credential())
         if sp1_sess is not None:
             break
         yield Sleep(RETRY_BACKOFF)
     else:
         net.note("sp1_unreachable")
         return
-    reply, status = yield from peers.session_call(
-        net, sp1_sess, wire.UpdateCheck(encode(state.firmware)),
-        (wire.UpdateRsp,))
+    reply = yield from _check_update(state, net, sp1_sess)
     if reply is not None and reply.has_update:
         # The routine check installs silently and ignores a garbled offer.
         _install_offered_version(state, reply.version_bytes, None)
 
     # Park on the SP1 session; answer operator pushes until a transfer lands.
     # While parked, re-enroll with the current CA before the operational
-    # certificate expires (bounded by the renewal budget).
+    # certificate expires (bounded by the renewal budget). A wait without a
+    # timeout returns only with a message.
     renewals_left = RENEW_LIMIT
     while state.phase is DevicePhase.ENROLLED:
         timeout = None
-        if renewals_left > 0 and state.operational_cert is not None:
+        if renewals_left > 0:
             cert = state.operational_cert
             margin = max(10, (cert.not_after - cert.not_before) // 5)
             timeout = max(1, cert.not_after - margin - net.now())
         msg = yield from peers.session_wait(net, sp1_sess, timeout=timeout)
         if msg is None:
-            if timeout is None:
-                continue
             renewals_left -= 1
             try:
                 yield from _enroll(state, net, server_keygen)
@@ -459,17 +457,9 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
         if ack is not None:
             yield peers.send_record(sp1_sess, ack)
 
-    if state.phase is not DevicePhase.TRANSFER_PENDING:
-        return
-
-    # Second window check at reset execution time.
-    message = state.pending_transfer
-    if net.now() < message.reset_time_not_before:
-        yield Sleep(message.reset_time_not_before - net.now())
-    if net.now() > message.reset_time_not_after:
-        net.note("reset_window_expired")
-        return  # inert: transfer already acknowledged but window passed
-
+    # The loop ends only on an accepted transfer (transferPending is the one
+    # edge out of enrolled but enrolled), whose window held at this tick; the
+    # ack takes no simulated time, so the reset runs inside that window.
     reset_to_agreed_state(state, net.note)
     endpoints = state.endpoints
     net.note("reset_snapshot",
@@ -482,11 +472,8 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
 
     if state.phase is DevicePhase.REENROLLED:
         # Normal operations under SP2 with the new operational identity.
-        sess, status = yield from peers.open_session(
-            net, net.resolve(state.endpoints.update_uri),
-            state.operational_credential(), state.truststore, purpose="sp2")
+        sess, _ = yield from _open(state, net, state.endpoints.update_uri,
+                                   "sp2", state.operational_credential())
         if sess is not None:
-            reply, status = yield from peers.session_call(
-                net, sess, wire.UpdateCheck(encode(state.firmware)),
-                (wire.UpdateRsp,))
+            reply = yield from _check_update(state, net, sess)
             net.note("sp2_checkin", reply is not None)

@@ -402,9 +402,9 @@ def _exchange(net: peers.NetHandle, actor: OperatorActor, dst: str,
     if sess is None:
         net.note("transfer_aborted", f"{dst}_session", status)
         return None
-    reply, status = yield from peers.session_call(net, sess, request, (expect,))
+    reply = yield from peers.session_call(net, sess, request, (expect,))
     if reply is None or not reply.ok:
-        net.note("transfer_aborted", step, status if reply is None
+        net.note("transfer_aborted", step, "timeout" if reply is None
                  else getattr(reply, "reason", "refused"))
         return None
     return reply
@@ -440,9 +440,8 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
     env_bytes = encode(envelope)
     net.note("size", "update_info_list_payload", payload_size)
     net.note("size", "update_info_list_envelope", len(env_bytes))
-    if device_ids:
-        net.note("size", "device_update_info",
-                 len(encode(_update_info(state, device_ids[0]))))
+    net.note("size", "device_update_info",
+             len(encode(_update_info(state, device_ids[0]))))
 
     if (yield from _exchange(net, actor, SP2_ACTOR, "sp1sp2",
                              wire.ListDeliver(env_bytes), wire.ListAck,
@@ -482,10 +481,10 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
         net.note("revocation_failed", None, status)
         return
     for device_id in sorted(set(device_ids)):
-        reply, status = yield from peers.session_call(
+        reply = yield from peers.session_call(
             net, sess, wire.RevokeReq(device_id), (wire.RevokeRsp,))
         if reply is None:
-            net.note("revocation_failed", device_id, status)
+            net.note("revocation_failed", device_id, "timeout")
     net.note("sp1_orchestration_done")
 
 

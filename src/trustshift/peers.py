@@ -158,8 +158,8 @@ def _pick_record(net: NetHandle, sess: session.AuthenticatedSession, data):
 def session_call(net: NetHandle, sess: session.AuthenticatedSession, request,
                  expect: tuple[type, ...]):
     """Request/response over an established session with retries; returns
-    (reply message, "ok") or (None, "timeout"). Records that are not the
-    reply are discarded, and so is a valid but unexpected application
+    the reply message, or None after the last retry. Records that are not
+    the reply are discarded, and so is a valid but unexpected application
     message (our flows are strictly lock-step per session)."""
     def pick(data):
         reply = _pick_record(net, sess, data)
@@ -173,8 +173,8 @@ def session_call(net: NetHandle, sess: session.AuthenticatedSession, request,
         yield send_record(sess, request)
         reply = yield from _await_reply(net, pick, REPLY_TIMEOUT)
         if reply is not None:
-            return reply, "ok"
-    return None, "timeout"
+            return reply
+    return None
 
 
 def session_wait(net: NetHandle, sess: session.AuthenticatedSession,

@@ -121,7 +121,6 @@ TRACE_KINDS = {
     "sp1_unreachable": "actor",
     "operational_cert_renewed": "actor serial",
     "renewal_failed": "actor reason",
-    "reset_window_expired": "actor",
     "reset_snapshot": "actor op_cert sp1_key roots:roots ca_uri:uri "
                       "update_uri:uri ra_uri:uri fallback_uri:uri",
     "fallback_start": "actor reason",

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,15 @@ def provisioned_device(h, key, cert):
     return state
 
 
+def _drop(src, dst, label=None):
+    """An inline adversary rule dropping each frame `src` sends `dst`, or
+    only those labelled `label`."""
+    rule = {"action": "drop", "match_src": src, "match_dst": dst}
+    if label is not None:
+        rule["match_label"] = label
+    return rule
+
+
 def sample_transfer(nb=0, na=10_000):
     return TransferMessage(nb, na, None, Uri("coaps://update.sp2.example"),
                            False, Uri("coaps://ca2.example/est"),
@@ -71,12 +81,18 @@ def test_provision_sets_state():
 
 
 def test_provision_key_mismatch():
+    """Provisioning refuses a factory certificate for another key, and one
+    that names another device."""
     h, key, cert = build_world()
     other = crypto.generate_key_pair(crypto.digest(b"other"))
-    state = device.DeviceState(device_id=b"dev-1")
-    with pytest.raises(KeyCertMismatch):
-        device.provision_factory(state, other, cert, pki.TrustStore(),
-                                 h.ca1.enroll_uri)
+    other_name = pki.issue_certificate(
+        h.permanent, pki.make_csr(b"dev-2", key, CertProfile.FACTORY),
+        CertProfile.FACTORY, LIFETIME)
+    for bad_key, bad_cert in ((other, cert), (key, other_name)):
+        state = device.DeviceState(device_id=b"dev-1")
+        with pytest.raises(KeyCertMismatch):
+            device.provision_factory(state, bad_key, bad_cert,
+                                     pki.TrustStore(), h.ca1.enroll_uri)
 
 
 def test_provision_twice_wrong_phase():
@@ -294,18 +310,29 @@ def test_ra_then_update_then_enroll_order():
 
 
 def test_ra_failure_routes_to_fallback():
+    """A device that fails attestation, by tampered firmware or by a
+    challenge that never arrives, falls back naming it; the other device
+    re-enrolls."""
     from trustshift.scenario import ScenarioFaults
-    cfg = ScenarioConfig(name="t", variant="c", device_count=2, seed=3,
-                         options=ScenarioOptions(use_ra=True),
-                         faults=ScenarioFaults(ra_tamper_devices=[0]),
-                         expect_overrides={"device-000": "fallback"})
-    result = run_scenario(cfg)
-    assert result.ok
-    assert result.device_states["device-000"].phase is DevicePhase.FALLBACK
-    assert result.device_states["device-001"].phase is DevicePhase.REENROLLED
-    served = result.trace.select("fallback_served")
-    assert any(e["device"] == "device-000" and e["reason"] == "ra_failed"
-               for e in served)
+    for variant, seed, faults, adversary in (
+            ("c", 3, ScenarioFaults(ra_tamper_devices=[0]), "none"),
+            ("b", 1, ScenarioFaults(),
+             [_drop("ra", "device-000", "ra_challenge")])):
+        cfg = ScenarioConfig(name="t", variant=variant, device_count=2,
+                             seed=seed, adversary=adversary,
+                             options=ScenarioOptions(use_ra=True),
+                             faults=faults,
+                             expect_overrides={"device-000": "fallback"})
+        result = run_scenario(cfg)
+        assert result.ok
+        assert result.device_states["device-000"].phase is DevicePhase.FALLBACK
+        assert result.device_states["device-001"].phase \
+            is DevicePhase.REENROLLED
+        assert [e["reason"] for e in result.trace.select(
+            "fallback_start", actor="device-000")] == ["ra_failed"]
+        served = result.trace.select("fallback_served")
+        assert any(e["device"] == "device-000" and e["reason"] == "ra_failed"
+                   for e in served)
 
 
 @pytest.mark.parametrize("variant", pki.VARIANTS)
@@ -615,3 +642,120 @@ def test_enroll_response_cannot_plant_a_root(variant):
     assert b"evil-root" not in state.truststore.root_names()
     assert state.operational_cert.issuer_name != b"evil-root"
     assert result.ok
+
+
+# ---------------------------------------------------------------------------
+# failure paths of the device process
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rule, times", [
+    (_drop("device-000", "ca1"), [33, 71, 109]),
+    (_drop("ca1", "device-000", "enroll_rsp"), [35, 75, 115]),
+], ids=["handshake", "enroll_reply"])
+def test_initial_enrollment_gives_up_after_its_attempts(rule, times):
+    """A device whose every enrollment with CA1 times out, at the handshake
+    or at the reply, tries ENROLL_ATTEMPTS times and gives up in phase
+    provisioned; SP1 skips it on every push round."""
+    result = run_scenario(ScenarioConfig(
+        name="t", variant="b", device_count=2, seed=1, adversary=[rule],
+        expect_overrides={"device-000": "provisioned"}))
+    assert result.ok
+    assert [(e["t"], e["reason"]) for e in result.trace.select(
+        "enroll_retry", actor="device-000")] == [(t, "timeout") for t in times]
+    assert len(result.trace.select("enroll_gave_up", actor="device-000")) == 1
+    assert [e["reason"] for e in result.trace.select(
+        "push_skipped", device="device-000")] == ["no_session"] * 10
+
+
+_OTHER_KEY_CERT = encode(_EVIL_LEAF)
+
+
+@pytest.mark.parametrize("forged, server_keygen, reason", [
+    (wire.EnrollRsp(True, b"\xff", b"", (), (), ""), False,
+     "bad_enroll_response"),
+    (wire.EnrollRsp(True, _OTHER_KEY_CERT, b"", (), (), ""), False,
+     "certificate_key_mismatch"),
+    (wire.EnrollRsp(True, _OTHER_KEY_CERT, b"\x00" * 31, (), (), ""), True,
+     "bad_server_key"),
+], ids=["undecodable_cert", "other_key", "short_key_seed"])
+def test_bad_enroll_response_is_retried(forged, server_keygen, reason):
+    """An enrollment response answered ahead of CA1's whose certificate does
+    not decode, is for another key, or comes with a server-made key seed of
+    the wrong length ends that attempt; the retry enrolls the device."""
+    rule = {"action": "inject", "match_src": "device-000", "match_dst": "ca1",
+            "match_label": "enroll_req", "frame_in_matched_session": True,
+            "seq_offset": 0, "delay": 0, "first_n": 1,
+            "redirect_dst": "device-000",
+            "inject_payload_hex": wire.encode_wire(forged).hex()}
+    result = run_scenario(ScenarioConfig(
+        name="t", variant="b", seed=1, adversary=[rule],
+        options=ScenarioOptions(server_keygen=server_keygen)))
+    assert result.ok
+    retries = result.trace.select("enroll_retry", actor="device-000")
+    assert [e["reason"] for e in retries] == [reason]
+
+
+def test_unanswered_fallback_is_traced_as_not_contacted():
+    """A device that can reach neither CA2 nor SP1's fallback answer ends in
+    phase fallback with the failed contact in the trace."""
+    result = run_scenario(ScenarioConfig(
+        name="t", variant="b", device_count=2, seed=1,
+        adversary=[_drop("ca2", "device-000"),
+                   _drop("sp1", "device-000", "fallback_rsp")],
+        expect_overrides={"device-000": "fallback"}))
+    assert result.ok
+    assert [(e.typed("ok"), e["reason"]) for e in result.trace.select(
+        "fallback_contacted", actor="device-000")] \
+        == [(False, "enroll_failed:timeout")]
+
+
+def test_refused_renewal_keeps_the_device_parked(monkeypatch):
+    """CA1 refusing every renewal while the device is parked costs it the
+    renewal budget, not its SP1 session: the transfer still re-enrolls it."""
+    enroll = operators.CaActor._enroll
+    calls = []
+
+    def refuse_after_first(self, now, sess, msg):
+        if self.net.actor_id == "ca1":
+            calls.append(now)
+            if len(calls) > 1:
+                return wire.EnrollRsp(False, b"", b"", (), (),
+                                      "not_registered")
+        return enroll(self, now, sess, msg)
+
+    monkeypatch.setattr(operators.CaActor, "_enroll", refuse_after_first)
+    result = run_scenario(ScenarioConfig(
+        name="t", variant="b", seed=3, operational_lifetime=100,
+        transfer_start=300))
+    assert result.ok
+    assert [(e["t"], e["reason"]) for e in result.trace.select(
+        "renewal_failed", actor="device-000")] \
+        == [(88, "not_registered"), (93, "not_registered")]
+    assert not result.trace.select("operational_cert_renewed")
+
+
+_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs")
+                  .rglob("*.json"))
+_HOSTILE = ScenarioConfig(
+    name="hostile", variant="a", device_count=5, seed=1,
+    adversary="replay_all",
+    options=ScenarioOptions(use_ra=True, contact_update_before_enroll=True,
+                            server_keygen=True, last_sp1_update=True,
+                            sp1_fallback_ra=True))
+
+
+@pytest.mark.parametrize("config", [*_CONFIGS, _HOSTILE], ids=[
+    *(p.stem for p in _CONFIGS), "hostile"])
+def test_reset_runs_in_the_tick_the_transfer_is_accepted(config):
+    """`lifecycle` resets without re-checking the reset window: it relies on
+    the reset running at the time the accepted transfer's window was
+    checked. A change that delays the reset has to check the window again."""
+    if isinstance(config, Path):
+        config = ScenarioConfig.from_file(config)
+    result = run_scenario(config)
+    for actor in result.device_states:
+        accepted = [e["t"] for e in result.trace.select("transfer_accepted",
+                                                        actor=actor)]
+        reset = [e["t"] for e in result.trace.select(
+            "phase", actor=actor, frm="transferPending", to="resetDone")]
+        assert len(accepted) == 1 and accepted == reset

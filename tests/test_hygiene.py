@@ -1,9 +1,9 @@
 """Source hygiene: no module under src/trustshift keeps a dead import, an
 unused private module-level name, a catch-all exception handler, or a
 public function, class or method that nothing in src/ or bench/ names; no
-config key goes unset; each CA enrollment URI is spelled once, in
-`pki.ENROLL_URIS`; and only `scenario.build_adversary` builds an adversary
-rule.
+config key goes unset; no trace kind is declared without a writer; each CA
+enrollment URI is spelled once, in `pki.ENROLL_URIS`; and only
+`scenario.build_adversary` builds an adversary rule.
 
 The source scans read the source with `ast` only; nothing is imported. The
 config-key scan imports `scenario` for the keys its reader accepts.
@@ -410,6 +410,26 @@ def test_actors_trace_through_their_handle():
     direct = [where for path in SOURCES if path.name != "simnet.py"
               for where in _actor_entries_outside_handle(path, kinds)]
     assert not direct, f"actor trace entries written around NetHandle at {direct}"
+
+
+def test_every_trace_kind_is_written():
+    """Each `simnet.TRACE_KINDS` kind is spelled as a string literal in
+    src/trustshift outside its declaration, so the declaration of a kind
+    goes when its last writer does."""
+    literals = set()
+    for path in SOURCES:
+        tree = _tree(path)
+        declaration = {id(n) for node in tree.body
+                       if isinstance(node, ast.Assign) and any(
+                           getattr(t, "id", None) == "TRACE_KINDS"
+                           for t in node.targets)
+                       for n in ast.walk(node)}
+        literals |= {node.value for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant)
+                     and isinstance(node.value, str)
+                     and id(node) not in declaration}
+    unwritten = sorted(set(_trace_kinds()) - literals)
+    assert not unwritten, f"trace kinds declared but never written: {unwritten}"
 
 
 def _public_definitions(tree: ast.Module) -> list[str]:

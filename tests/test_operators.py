@@ -267,6 +267,21 @@ def test_refused_exchange_traced_as_refused(world):
         == [("tm_deliver", "refused")]
 
 
+def test_unreachable_sp2_aborts_both_orchestrators():
+    """With every frame from SP1's orchestrator to SP2 dropped, SP1 aborts
+    at the SP2 session and SP2 stops waiting for the list; no transfer
+    reaches a device, which stays enrolled under SP1."""
+    result = run_scenario(ScenarioConfig(
+        name="t", variant="b", device_count=2, seed=1,
+        adversary=[{"action": "drop", "match_src": "sp1-orchestrator",
+                    "match_dst": "sp2"}],
+        expect_default="enrolled"))
+    assert result.ok
+    assert [(e["t"], e["actor"], e["step"], e["status"])
+            for e in result.trace.select("transfer_aborted")] == [
+        (72, "sp1-orchestrator", "sp2_session", "timeout"),
+        (600, "sp2-orchestrator", "await_list", "timeout")]
+
 # ---------------------------------------------------------------------------
 # remote attestation stub
 # ---------------------------------------------------------------------------

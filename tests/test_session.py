@@ -519,7 +519,7 @@ def run_reply_loop(case=None):
         sess, done["status"] = yield from peers.open_session(net, "ca2", cred,
                                                              dev_store)
         done["handshake_t"] = net.now()
-        done["reply"], _ = yield from peers.session_call(
+        done["reply"] = yield from peers.session_call(
             net, sess, wire.UpdateCheck(b"ping"), (wire.UpdateCheck,))
         done["call_t"] = net.now()
 
