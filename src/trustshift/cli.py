@@ -74,9 +74,9 @@ def cmd_sizes(args) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    recorded: dict[str, int] = {}
-    for _, _t, _actor, size_class, size in result.trace.index().get("size", ()):
-        recorded.setdefault(size_class, size)
+    # The last row per class wins: SP1 records its relayed payload after SP2.
+    recorded = {size_class: size for _, _t, _actor, size_class, size
+                in result.trace.index().get("size", ())}
 
     static_payload, static_envelope = _static_transfer_sizes(config)
     rows = [

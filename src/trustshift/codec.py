@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import fields
-from itertools import repeat
 from typing import get_type_hints
 
 from .errors import MalformedEncoding
@@ -113,18 +112,7 @@ class Decoder:
         return chunk
 
     def _arg(self, major: int) -> int:
-        """The argument of the next head, which must be of type `major`. The
-        fast path takes an argument in the initial byte or in one byte
-        after it (24-255); the rest, and every error, take the slow one."""
-        data, pos = self._data, self._pos
-        if pos < len(data):
-            info = data[pos] - (major << 5)  # in 0-31 iff the major matches
-            if 0 <= info < 24:
-                self._pos = pos + 1
-                return info
-            if info == 24 and pos + 1 < len(data) and data[pos + 1] >= 24:
-                self._pos = pos + 2
-                return data[pos + 1]
+        """The argument of the next head, which must be of type `major`."""
         initial = self._take(1)[0]
         arg = initial & 0x1F
         if arg >= 24:
@@ -190,7 +178,7 @@ def _encode_bytes_list(items) -> bytes:
 
 
 def _read_bytes_list(dec: Decoder) -> tuple:
-    return tuple(map(Decoder.read_bytes, repeat(dec, dec.read_array_head())))
+    return tuple(dec.read_bytes() for _ in range(dec.read_array_head()))
 
 
 # Field annotation -> (encoder, reader); a reader takes the `Decoder`.

@@ -30,7 +30,6 @@ from .messages import (
     DeviceUpdateInfo,
     EnvelopeProfile,
     SignedEnvelope,
-    TimeStamp,
     TransferMessage,
     UpdateInfoList,
     Uri,
@@ -42,20 +41,14 @@ from .simnet import Sleep
 
 
 @dataclass
-class ManagedDevice:
-    factory_cert: object
-    version: VersionInfo
-    window: tuple[TimeStamp, TimeStamp]
-
-
-@dataclass
 class OperatorState:
     name: str
     signing_key: crypto.KeyPair
     update_server_uri: Uri
     current_version: VersionInfo
     peer_signer_keys: dict[str, bytes] = field(default_factory=dict)
-    managed_devices: dict[bytes, ManagedDevice] = field(default_factory=dict)
+    managed_devices: dict[bytes, DeviceUpdateInfo] = field(
+        default_factory=dict)
     # runtime bookkeeping filled by the network actors
     received_list: UpdateInfoList | None = None
     received_tm: TransferMessage | None = None
@@ -70,11 +63,10 @@ class OperatorState:
 
 def _update_info(sp1: OperatorState, device_id: bytes) -> DeviceUpdateInfo:
     """The transfer data of one managed device."""
-    managed = sp1.managed_devices.get(device_id)
-    if managed is None:
+    info = sp1.managed_devices.get(device_id)
+    if info is None:
         raise UnknownDevice(f"device {device_id!r} not managed by {sp1.name}")
-    return DeviceUpdateInfo(managed.factory_cert, *managed.window,
-                            managed.version)
+    return info
 
 
 def sp1_build_update_info_list(sp1: OperatorState,
@@ -131,13 +123,6 @@ def update_server_serve(operator: OperatorState,
 # remote attestation stub
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RaExchange:
-    nonce: bytes
-    device_id: bytes
-    reported_measurement: bytes
-
-
 @dataclass
 class RaVerifierState:
     expected: dict[bytes, bytes] = field(default_factory=dict)
@@ -157,18 +142,17 @@ def ra_respond(firmware: VersionInfo, nonce: bytes) -> bytes:
     return crypto.digest(crypto.digest(encode(firmware)) + nonce)
 
 
-def ra_verify(verifier: RaVerifierState, exchange: RaExchange) -> bool:
+def ra_verify(verifier: RaVerifierState, report: wire.RaReport) -> bool:
     """True iff the nonce matches the issued challenge and the measurement
     matches the expectation; challenges are single use."""
-    if exchange.device_id not in verifier.expected:
+    if report.device_id not in verifier.expected:
         raise NoExpectedMeasurement(
-            f"no expected measurement for {exchange.device_id!r}")
-    issued = verifier.outstanding.pop(exchange.device_id, None)
-    if issued is None or issued != exchange.nonce:
+            f"no expected measurement for {report.device_id!r}")
+    issued = verifier.outstanding.pop(report.device_id, None)
+    if issued is None or issued != report.nonce:
         return False
-    expected = verifier.expected[exchange.device_id]
-    return exchange.reported_measurement == crypto.digest(expected
-                                                          + exchange.nonce)
+    expected = verifier.expected[report.device_id]
+    return report.measurement == crypto.digest(expected + report.nonce)
 
 
 def ra_serve(verifier: RaVerifierState, rng, subject: bytes,
@@ -184,8 +168,7 @@ def ra_serve(verifier: RaVerifierState, rng, subject: bytes,
     try:
         if isinstance(msg, wire.RaHello):
             return wire.RaChallenge(ra_challenge(verifier, msg.device_id, rng))
-        return wire.RaVerdict(ra_verify(verifier, RaExchange(
-            msg.nonce, msg.device_id, msg.measurement)))
+        return wire.RaVerdict(ra_verify(verifier, msg))
     except NoExpectedMeasurement:
         return wire.RaVerdict(False)
 
@@ -483,39 +466,31 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
     for device_id in sorted(set(device_ids)):
         reply = yield from peers.session_call(
             net, sess, wire.RevokeReq(device_id), (wire.RevokeRsp,))
-        if reply is None:
-            net.note("revocation_failed", device_id, "timeout")
+        if reply is None or not reply.ok:
+            net.note("revocation_failed", device_id,
+                     "timeout" if reply is None else "refused")
     net.note("sp1_orchestration_done")
 
 
 def sp2_transfer_process(net: peers.NetHandle, actor: OperatorActor,
-                         ra_uri: Uri | None, contact_before_enroll: bool,
-                         unregistered_enroll_uri: Uri | None = None):
-    """SP2 side: receive the signed list, register with CA2 (or, given
-    `unregistered_enroll_uri`, skip that and send it), send the CWT."""
+                         ra_uri: Uri | None, contact_before_enroll: bool):
+    """SP2 side: receive the signed list, register its factory certificates
+    with CA2, and send the CWT naming CA2's enrollment URI."""
     state = actor.state
     info_list = yield from _await_delivery(net, state, "received_list",
                                            "await_list")
     if info_list is None:
         return
 
-    if unregistered_enroll_uri is not None:
-        # Misconfiguration scenario: SP2 never registers the factory
-        # certificates; enrollments at CA2 will be rejected.
-        enroll_uri = unregistered_enroll_uri
-        net.note("registration_skipped")
-    else:
-        cert_list = tuple(encode(e.factory_certificate)
-                          for e in info_list.entries)
-        reply = yield from _exchange(net, actor, CA2_ACTOR, "register",
-                                     wire.RegisterReq(cert_list),
-                                     wire.RegisterRsp, "register")
-        if reply is None:
-            return
-        enroll_uri = Uri(reply.enroll_uri)
+    cert_list = tuple(encode(e.factory_certificate) for e in info_list.entries)
+    reply = yield from _exchange(net, actor, CA2_ACTOR, "register",
+                                 wire.RegisterReq(cert_list),
+                                 wire.RegisterRsp, "register")
+    if reply is None:
+        return
 
-    envelope = sp2_prepare_transfer(state, info_list, enroll_uri, ra_uri,
-                                    contact_before_enroll)
+    envelope = sp2_prepare_transfer(state, info_list, Uri(reply.enroll_uri),
+                                    ra_uri, contact_before_enroll)
     env_bytes = encode(envelope)
     net.note("size", "transfer_message_payload", len(envelope.payload))
     net.note("size", "transfer_message_envelope", len(env_bytes))

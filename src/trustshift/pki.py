@@ -135,13 +135,19 @@ class TrustStore:
 decode_certificate = functools.partial(decode, CompactCertificate)
 
 
-def _validity_at(cert: CompactCertificate, now: TimeStamp) -> ChainResult:
+def _link_check(cert: CompactCertificate, now: TimeStamp,
+                revocation_view: set[int], what: str = "serial") -> ChainResult:
+    """One link's own checks: inside its validity window at `now` and not
+    revoked; a revocation names the link as `what`."""
     if now < cert.not_before:
         return ChainResult(False, ChainReason.NOT_YET_VALID,
                            f"serial {cert.serial} not valid before {cert.not_before}")
     if now > cert.not_after:
         return ChainResult(False, ChainReason.EXPIRED,
                            f"serial {cert.serial} expired at {cert.not_after}")
+    if cert.serial in revocation_view:
+        return ChainResult(False, ChainReason.REVOKED,
+                           f"{what} {cert.serial} revoked")
     return _OK
 
 
@@ -156,31 +162,14 @@ def verify_chain(
     link inside its validity window at `now` and no link revoked."""
     current = cert
     for _depth in range(MAX_CHAIN_LEN):
-        check = _validity_at(current, now)
+        check = _link_check(current, now, revocation_view)
         if not check:
             return check
-        if current.serial in revocation_view:
-            return ChainResult(False, ChainReason.REVOKED,
-                               f"serial {current.serial} revoked")
 
         root = store.root(current.issuer_name)
-        if root is not None:
-            if not crypto.verify_raw(root.subject_public_key, current.signature,
-                                     current.tbs_bytes()):
-                return ChainResult(False, ChainReason.BAD_SIGNATURE,
-                                   f"serial {current.serial} signature invalid")
-            if current.subject_name != root.subject_name:
-                # root is a distinct link on the path; check it too
-                check = _validity_at(root, now)
-                if not check:
-                    return check
-                if root.serial in revocation_view:
-                    return ChainResult(False, ChainReason.REVOKED,
-                                       f"root serial {root.serial} revoked")
-            return _OK
-
-        issuer = next((c for c in intermediates
-                       if c.subject_name == current.issuer_name), None)
+        issuer = root if root is not None else next(
+            (c for c in intermediates if c.subject_name == current.issuer_name),
+            None)
         if issuer is None:
             return ChainResult(False, ChainReason.UNTRUSTED,
                                f"no trusted path for issuer {current.issuer_name!r}")
@@ -191,6 +180,11 @@ def verify_chain(
                                  current.tbs_bytes()):
             return ChainResult(False, ChainReason.BAD_SIGNATURE,
                                f"serial {current.serial} signature invalid")
+        if root is not None:
+            # the root is a distinct link on the path unless it is the cert
+            if current.subject_name == root.subject_name:
+                return _OK
+            return _link_check(root, now, revocation_view, "root serial")
         current = issuer
 
     return ChainResult(False, ChainReason.TOO_LONG, "chain exceeds maximum length")

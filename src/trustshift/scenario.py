@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import crypto, device, operators, peers, pki, simnet, wire
 from .errors import ConfigParseError, ScenarioInvalid
-from .messages import CertProfile, EnvelopeProfile, TransferMessage, Uri, VersionInfo, encode
+from .messages import CertProfile, DeviceUpdateInfo, EnvelopeProfile, TransferMessage, Uri, VersionInfo, encode
 from .operators import CA1_ACTOR, CA2_ACTOR, SP1_ACTOR, SP2_ACTOR
 from .simnet import AdversaryRule, AdversarySchedule, Sleep
 
@@ -48,7 +48,6 @@ class ScenarioOptions:
 @dataclass
 class ScenarioFaults:
     ra_tamper_devices: list[int] = field(default_factory=list)
-    skip_ca2_registration: bool = False
 
 
 @dataclass
@@ -356,9 +355,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         devices[actor_id] = state
         sim.spawn(actor_id, _device_process(state, net, opts.server_keygen,
                                             1 + index % 7))
-        sp1_state.managed_devices[device_id] = operators.ManagedDevice(
-            factory_cert=factory_cert, version=transfer_version,
-            window=config.reset_window)
+        sp1_state.managed_devices[device_id] = DeviceUpdateInfo(
+            factory_cert, *config.reset_window, transfer_version)
         ra_state.expected[device_id] = crypto.digest(encode(transfer_version))
 
     # Pre-deployment step over the unconstrained Internet: SP1 shares the
@@ -406,9 +404,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     sim.spawn("sp2-orchestrator", operators.sp2_transfer_process(
         server("sp2-orchestrator"),
         sp2_actor, Uri(RA_URI) if opts.use_ra else None,
-        opts.contact_update_before_enroll,
-        hierarchy.ca2.enroll_uri if config.faults.skip_ca2_registration
-        else None))
+        opts.contact_update_before_enroll))
 
     sim.adversary = build_adversary(config.adversary, config.seed)
     sim.start_ready_processes()

@@ -141,7 +141,6 @@ TRACE_KINDS = {
     "transfer_pushes_done": "actor unacked",
     "transfer_aborted": "actor step status",
     "revocation_failed": "actor device:name? status",
-    "registration_skipped": "actor",
     "sp1_orchestration_done": "actor",
     "sp2_orchestration_done": "actor",
 }

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import gen
-from trustshift import codec, crypto, pki
+from test_device import _register_nothing
+from trustshift import codec, crypto, operators, pki
 from trustshift.device import DevicePhase, handle_transfer_message
 from trustshift.errors import (
     BadSignature,
@@ -411,7 +412,7 @@ def test_c7_codec_properties():
 # 8. fallback totality under fault injection, 200 seeds
 # ---------------------------------------------------------------------------
 
-def test_c8_fallback_totality():
+def test_c8_fallback_totality(monkeypatch):
     failures = []
     terminal = {"reenrolled", "fallback"}
     for seed in range(200):
@@ -426,7 +427,6 @@ def test_c8_fallback_totality():
         elif kind == 1:
             config = ScenarioConfig(
                 name="c8-reg", variant="b", device_count=2, seed=seed,
-                faults=ScenarioFaults(skip_ca2_registration=True),
                 expect_default="fallback")
             affected = {"device-000", "device-001"}
         else:
@@ -434,7 +434,11 @@ def test_c8_fallback_totality():
                 name="c8-drop", variant="d", device_count=2, seed=seed,
                 adversary="drop_enroll", expect_default="fallback")
             affected = {"device-000", "device-001"}
-        result = run_scenario(config)
+        with monkeypatch.context() as patch:
+            if kind == 1:
+                patch.setattr(operators.CaActor, "_register",
+                              _register_nothing)
+            result = run_scenario(config)
         phases = {o.actor_id: o.phase for o in result.devices}
         if any(p not in terminal for p in phases.values()):
             failures.append(f"seed {seed}: stuck phase {phases}")

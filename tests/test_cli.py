@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from trustshift import cli
+from trustshift import cli, scenario
 from trustshift.errors import ConfigParseError, ScenarioInvalid
 from trustshift.scenario import ScenarioConfig, run_scenario
 
@@ -105,7 +105,7 @@ def test_run_exit_one_on_expectation_mismatch(tmp_path, capsys):
     {"adversary": [{"action": "inject", "frame_in_matched_session": True,
                     "seq_offset": 2**64 - 1}]},
     {"options": {"use_ra": "false"}},
-    {"faults": {"skip_ca2_registration": "no"}},
+    {"faults": {"ra_tamper_devices": "no"}},
     {"expectation": {"default": "reenroled"}},
     {"expectation": {"default": "reenrolled",
                      "overrides": {"device-001": "gone"}}},
@@ -184,6 +184,16 @@ def test_sizes_table_and_bounds(tmp_path, capsys):
     assert "TransferMessage payload" in out
     assert "UpdateInfoList(2)" in out
     assert "SIZE CHECK FAIL" not in out
+
+
+def test_sizes_checks_the_relayed_payload(tmp_path, capsys, monkeypatch):
+    """The payload row checked is the one SP1 relays, whose fallback URI
+    is SP1's, not SP2's unrelayed one: the check holds when the two
+    operators' URIs differ in length."""
+    monkeypatch.setattr(scenario, "SP2_URI",
+                        "coaps://update.sp2-longer-name.example")
+    assert cli.main(["sizes", write_config(tmp_path)]) == cli.EXIT_OK
+    assert "SIZE CHECK FAIL" not in capsys.readouterr().out
 
 
 def test_attack_suite_on_shipped_configs(capsys):

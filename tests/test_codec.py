@@ -364,6 +364,15 @@ def test_string_longer_than_input_is_truncated(major, length):
         HEAD_READERS[major](codec.Decoder(refenc._head(major, length) + b"x"))
 
 
+@pytest.mark.parametrize("length", HEAD_BOUNDARIES[1:])
+def test_list_longer_than_input_is_truncated(length):
+    """A list head claiming more items than bytes remain, up to 2**64 - 1
+    of them, is refused as truncated."""
+    data = wire.RegisterReq.PREFIX + refenc._head(4, length) + b"\x40"
+    with pytest.raises(MalformedEncoding, match="truncated"):
+        wire.decode_wire(data)
+
+
 def test_uint_outside_64_bits_rejected():
     for value in (-1, 2**64):
         with pytest.raises(MalformedEncoding):

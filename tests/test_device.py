@@ -372,15 +372,22 @@ def test_sp1_fallback_attestation_fails_a_tampered_device(variant):
     }
 
 
-def test_ca2_misregistration_routes_to_fallback():
-    from trustshift.scenario import ScenarioFaults
+def _register_nothing(ca_actor, now, sess, msg):
+    """A `CaActor._register` that acks as if it had registered the list
+    and registers nothing. Only CA2 is sent a RegisterReq (CA1 registers
+    the factory certificates in set-up), so CA2 refuses every enrollment."""
+    return wire.RegisterRsp(True, str(ca_actor.ca.enroll_uri), 0, "")
+
+
+def test_ca2_misregistration_routes_to_fallback(monkeypatch):
+    """A device whose enrollment CA2 refuses falls back."""
+    monkeypatch.setattr(operators.CaActor, "_register", _register_nothing)
     cfg = ScenarioConfig(name="t", variant="b", device_count=1, seed=3,
-                         faults=ScenarioFaults(skip_ca2_registration=True),
                          expect_default="fallback")
     result = run_scenario(cfg)
     assert result.ok
     reasons = [e["reason"] for e in result.trace.select("fallback_served")]
-    assert any("not_registered" in r for r in reasons)
+    assert reasons == ["enroll_failed:not_registered"]
 
 
 @pytest.mark.parametrize("variant", pki.VARIANTS)

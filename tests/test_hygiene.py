@@ -470,13 +470,6 @@ def test_every_public_definition_is_used():
     assert not unused, f"defined but named nowhere in src/ or bench/: {unused}"
 
 
-# Config keys that no shipped config and no bench workload sets, each with
-# the tests that do set it.
-TEST_ONLY_KEYS = {
-    "faults.skip_ca2_registration":
-        "test_c8_fallback_totality and "
-        "test_ca2_misregistration_routes_to_fallback",
-}
 _SECTIONS = {"options": scenario.ScenarioOptions,
              "faults": scenario.ScenarioFaults}
 # Bench workloads build configs in Python: the keyword each constructor
@@ -521,15 +514,12 @@ def _keys_in_bench(tree: ast.Module) -> set[str]:
 
 
 def test_every_config_key_is_set():
-    """A key only tests set is listed with its reason; one nothing sets is
-    a value to make a constant or delete."""
+    """Every accepted key is set by a shipped config or a bench workload; a
+    key nothing sets is a value to make a constant or delete."""
     used = set()
     for path in CONFIGS:
         used |= _keys_in_file(json.loads(path.read_text()))
     for path in BENCH:
         used |= _keys_in_bench(_tree(path))
-    unset = _accepted_keys() - used - set(TEST_ONLY_KEYS)
+    unset = _accepted_keys() - used
     assert not unset, f"no config or bench workload sets {sorted(unset)}"
-    listed = set(TEST_ONLY_KEYS)
-    stale = (listed & used) | (listed - _accepted_keys())
-    assert not stale, f"listed as test-only but set or not accepted: {stale}"

@@ -9,6 +9,7 @@ from trustshift import crypto, operators, peers, pki, session, simnet, wire
 from trustshift.errors import NoExpectedMeasurement, UnknownDevice
 from trustshift.messages import (
     CertProfile,
+    DeviceUpdateInfo,
     EnvelopeProfile,
     TransferMessage,
     UpdateInfoList,
@@ -44,9 +45,8 @@ def world():
         csr = pki.make_csr(device_id, key, CertProfile.FACTORY)
         cert = pki.issue_certificate(h.permanent, csr, CertProfile.FACTORY,
                                      LIFETIME)
-        sp1.managed_devices[device_id] = operators.ManagedDevice(
-            factory_cert=cert, version=VersionInfo(1, Uri("coaps://u/fw")),
-            window=(100 + i, 10_000 + i))
+        sp1.managed_devices[device_id] = DeviceUpdateInfo(
+            cert, 100 + i, 10_000 + i, VersionInfo(1, Uri("coaps://u/fw")))
     return h, sp1, sp2
 
 
@@ -59,10 +59,7 @@ def test_build_list_one_entry_per_device(world):
     info = decode(UpdateInfoList, envelope.payload)
     assert len(info.entries) == 3
     for device_id, entry in zip(ids, info.entries):
-        assert entry.factory_certificate \
-            == sp1.managed_devices[device_id].factory_cert
-        assert (entry.update_time_not_before, entry.update_time_not_after) \
-            == sp1.managed_devices[device_id].window
+        assert entry == sp1.managed_devices[device_id]
 
 
 def test_build_list_unknown_device(world):
@@ -100,7 +97,8 @@ def test_prepare_transfer_registers_and_signs(world):
     envelope = prepared_transfer(world)
     assert crypto.verify_envelope(sp2.signing_key.public_key, envelope,
                                   EnvelopeProfile.CWT)
-    serials = {m.factory_cert.serial for m in sp1.managed_devices.values()}
+    serials = {m.factory_certificate.serial
+               for m in sp1.managed_devices.values()}
     assert set(h.ca2.registered_factory) == serials
     message = decode(TransferMessage, envelope.payload)
     assert message.enroll_uri == h.ca2.enroll_uri
@@ -124,7 +122,8 @@ def test_register_req_rogue_cert_refused(world):
     rogue = pki._signed_cert(b"rogue-ca", rogue_key, 999, b"rogue-dev",
                              rogue_key.public_key, LIFETIME,
                              CertProfile.FACTORY)
-    certs = [m.factory_cert for m in sp1.managed_devices.values()] + [rogue]
+    certs = [m.factory_certificate
+             for m in sp1.managed_devices.values()] + [rogue]
     ca2 = operators.CaActor(peers.NetHandle(simnet.Simulator(seed=1), "ca2",
                                             h.revocation_view()), h.ca2)
     sp2_key = crypto.generate_key_pair(crypto.digest(b"sp2-server"))
@@ -282,6 +281,99 @@ def test_unreachable_sp2_aborts_both_orchestrators():
         (72, "sp1-orchestrator", "sp2_session", "timeout"),
         (600, "sp2-orchestrator", "await_list", "timeout")]
 
+
+def _drop(src, dst, label):
+    return {"action": "drop", "match_src": src, "match_dst": dst,
+            "match_label": label}
+
+
+@pytest.mark.parametrize("src,dst,label,aborted", [
+    ("sp1-orchestrator", "sp2", "list_deliver",
+     [(74, "sp1-orchestrator", "list_deliver"),
+      (600, "sp2-orchestrator", "await_list")]),
+    ("sp2-orchestrator", "ca2", "register_req",
+     [(78, "sp2-orchestrator", "register"),
+      (644, "sp1-orchestrator", "await_tm")]),
+    ("sp2-orchestrator", "sp1", "tm_deliver",
+     [(82, "sp2-orchestrator", "tm_deliver"),
+      (644, "sp1-orchestrator", "await_tm")]),
+], ids=["list_deliver", "register", "tm_deliver"])
+def test_lost_orchestrator_call_aborts_the_transfer(src, dst, label, aborted):
+    """A call the orchestrator never gets an answer to ends its side with
+    `status=timeout` at that step, and the other side gives up waiting for
+    what that step would have delivered; the devices stay enrolled."""
+    result = run_scenario(ScenarioConfig(
+        name="t", variant="b", device_count=2, seed=1,
+        adversary=[_drop(src, dst, label)], expect_default="enrolled"))
+    assert result.ok
+    assert [(e["t"], e["actor"], e["step"], e["status"])
+            for e in result.trace.select("transfer_aborted")] \
+        == [(t, actor, step, "timeout") for t, actor, step in aborted]
+
+
+@pytest.mark.parametrize("refused,rows", [
+    (False, [(106, "device-000", "timeout"), (138, "device-001", "timeout")]),
+    (True, [(76, "device-000", "refused"), (78, "device-001", "refused")]),
+], ids=["lost", "refused"])
+def test_failed_revocations_traced_per_device(monkeypatch, refused, rows):
+    """SP1 traces each revocation CA1 does not answer, or refuses, and
+    then finishes; the devices have re-enrolled by then."""
+    adversary = [_drop("sp1-orchestrator", "ca1", "revoke_req")]
+    if refused:
+        adversary = "none"
+        monkeypatch.setattr(
+            operators.CaActor, "_revoke",
+            lambda self, now, sess, msg: wire.RevokeRsp(False, 0))
+    result = run_scenario(ScenarioConfig(name="t", variant="b",
+                                         device_count=2, seed=1,
+                                         adversary=adversary))
+    assert result.ok
+    assert [(e["t"], e["device"], e["status"])
+            for e in result.trace.select("revocation_failed")] == rows
+    assert [e["t"] for e in result.trace.select("sp1_orchestration_done")] \
+        == [rows[-1][0]]
+
+
+def test_responder_refusals_of_malformed_requests(world):
+    """Requests that fail to parse, through `ResponderPeer.dispatch`: an
+    update check gets no reply; a list delivery, also one whose envelope
+    SP1 really signed over a payload that is not a list, a negative ack;
+    a registration a `malformed_encoding` refusal. Nothing is stored."""
+    h, sp1, sp2 = world
+    sim = simnet.Simulator(seed=3)
+    sp2_actor = operator_actor(world, sim, sp2, h.ca2)
+    ca2 = operators.CaActor(peers.NetHandle(sim, "ca2"), h.ca2)
+    sess = session.derive(b"\x01" * 32, b"\x02" * 32,
+                          server_credential(sp1, h.ca1).certificate, "sp1")
+    signed_junk = crypto.sign_envelope(sp1.signing_key,
+                                       EnvelopeProfile.UPDATE_LIST, b"\xff")
+    assert sp2_actor.peer.dispatch(5, sess, wire.UpdateCheck(b"\xff")) == []
+    for envelope_bytes in (b"\xff", encode(signed_junk)):
+        assert sp2_actor.peer.dispatch(
+            5, sess, wire.ListDeliver(envelope_bytes)) == [wire.ListAck(False)]
+    assert ca2.peer.dispatch(5, sess, wire.RegisterReq((b"\xff",))) \
+        == [wire.RegisterRsp(False, "", 0, "malformed_encoding")]
+    assert sp2.received_list is None and not h.ca2.registered_factory
+    assert not sim.trace.select("list_rejected")
+
+
+def test_ra_hello_without_expected_measurement_gets_negative_verdict(world):
+    """An attestation hello for a device the verifier holds no
+    measurement for gets a negative verdict and issues no challenge."""
+    h, sp1, sp2 = world
+    sim = simnet.Simulator(seed=3)
+    verifier = operators.RaVerifierState()
+    responder = peers.ResponderPeer(
+        peers.NetHandle(sim, "ra"), server_credential(sp2, h.ca2),
+        h.store_for({h.permanent.name}),
+        operators.ra_rows(verifier, random.Random(1)))
+    device_cert = sp1.managed_devices[b"device-000"].factory_certificate
+    sess = session.derive(b"\x01" * 32, b"\x02" * 32, device_cert,
+                          "device-000")
+    assert responder.dispatch(5, sess, wire.RaHello(b"device-000")) \
+        == [wire.RaVerdict(False)]
+    assert not verifier.outstanding
+
 # ---------------------------------------------------------------------------
 # remote attestation stub
 # ---------------------------------------------------------------------------
@@ -294,7 +386,7 @@ def test_ra_untampered_device_passes():
     nonce = operators.ra_challenge(verifier, b"dev", rng)
     measurement = operators.ra_respond(firmware, nonce)
     assert operators.ra_verify(
-        verifier, operators.RaExchange(nonce, b"dev", measurement)) is True
+        verifier, wire.RaReport(b"dev", nonce, measurement)) is True
 
 
 def test_ra_tampered_firmware_fails():
@@ -305,7 +397,7 @@ def test_ra_tampered_firmware_fails():
     nonce = operators.ra_challenge(verifier, b"dev", random.Random(1))
     measurement = operators.ra_respond(tampered, nonce)
     assert operators.ra_verify(
-        verifier, operators.RaExchange(nonce, b"dev", measurement)) is False
+        verifier, wire.RaReport(b"dev", nonce, measurement)) is False
 
 
 def test_ra_replayed_response_fails_fresh_nonce():
@@ -319,7 +411,7 @@ def test_ra_replayed_response_fails_fresh_nonce():
     assert fresh_nonce != old_nonce
     # replaying the old response against the fresh challenge
     assert operators.ra_verify(
-        verifier, operators.RaExchange(old_nonce, b"dev", old_measurement)) \
+        verifier, wire.RaReport(b"dev", old_nonce, old_measurement)) \
         is False
 
 
@@ -330,9 +422,9 @@ def test_ra_challenge_single_use():
     nonce = operators.ra_challenge(verifier, b"dev", random.Random(1))
     measurement = operators.ra_respond(firmware, nonce)
     assert operators.ra_verify(
-        verifier, operators.RaExchange(nonce, b"dev", measurement)) is True
+        verifier, wire.RaReport(b"dev", nonce, measurement)) is True
     assert operators.ra_verify(
-        verifier, operators.RaExchange(nonce, b"dev", measurement)) is False
+        verifier, wire.RaReport(b"dev", nonce, measurement)) is False
 
 
 def test_ra_no_expectation():
@@ -340,9 +432,8 @@ def test_ra_no_expectation():
     with pytest.raises(NoExpectedMeasurement):
         operators.ra_challenge(verifier, b"ghost", random.Random(1))
     with pytest.raises(NoExpectedMeasurement):
-        operators.ra_verify(verifier,
-                            operators.RaExchange(b"\x00" * 16, b"ghost",
-                                                 b"\x00" * 32))
+        operators.ra_verify(
+            verifier, wire.RaReport(b"ghost", b"\x00" * 16, b"\x00" * 32))
 
 
 def test_ra_soundness_all_tamper_positions():
@@ -357,7 +448,7 @@ def test_ra_soundness_all_tamper_positions():
         bad = bytearray(good)
         bad[position] ^= 0x01
         assert operators.ra_verify(
-            verifier, operators.RaExchange(nonce, b"dev", bytes(bad))) is False
+            verifier, wire.RaReport(b"dev", nonce, bytes(bad))) is False
 
 
 # ---------------------------------------------------------------------------

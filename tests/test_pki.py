@@ -164,7 +164,7 @@ def test_run_scenario_checks_each_set_up_signature_a_pass_later(monkeypatch):
             checked.setdefault(args[2], i)
     csrs = [e[2].tbs_bytes() for e in setup if e[0] == "csr"]
     roots = [ca.certificate.tbs_bytes() for ca in result.hierarchy.cas()]
-    factory = [m.factory_cert.tbs_bytes()
+    factory = [m.factory_certificate.tbs_bytes()
                for m in result.sp1_state.managed_devices.values()]
     assert len(csrs) == 3 + 3 and len(roots) == 3 and len(factory) == 3
     last_csr_signed = max(signed[tbs] for tbs in csrs)
@@ -316,6 +316,70 @@ def test_chain_revoked_leaf():
     assert not res and res.reason is pki.ChainReason.REVOKED
 
 
+def own_root(validity=LIFETIME):
+    """A root of its own with the given validity, and a store trusting it."""
+    key = device_key(b"own-root")
+    root = pki._signed_cert(b"own-root", key, 900, b"own-root",
+                            key.public_key, validity, CertProfile.ROOT_CA)
+    store = pki.TrustStore()
+    store.add_root(root)
+    return root, key, store
+
+
+def chain_below(root, root_key, length):
+    """A leaf and the sub-CAs above it: `length` certificates, each signed
+    by the next, the last by `root`."""
+    issuer_name, issuer_key, links = root.subject_name, root_key, []
+    for depth in range(length - 1, -1, -1):
+        name, key = b"link-%d" % depth, device_key(b"link-%d" % depth)
+        links.append(pki._signed_cert(
+            issuer_name, issuer_key, 901 + len(links), name, key.public_key,
+            LIFETIME, CertProfile.SUB_CA if depth else CertProfile.SERVER))
+        issuer_name, issuer_key = name, key
+    return links[-1], links[-2::-1]
+
+
+@pytest.mark.parametrize("now,reason,detail", [
+    (300, pki.ChainReason.EXPIRED, "serial 900 expired at 200"),
+    (50, pki.ChainReason.NOT_YET_VALID, "serial 900 not valid before 100"),
+], ids=["expired", "not_yet_valid"])
+def test_chain_checks_the_trusted_root_validity(now, reason, detail):
+    """A trusted root that is a link above the certificate must be valid
+    at `now`; the failure names the root's serial."""
+    root, key, store = own_root((100, 200))
+    leaf, intermediates = chain_below(root, key, 1)
+    res = pki.verify_chain(leaf, intermediates, store, now, set())
+    assert (res.ok, res.reason, res.detail) == (False, reason, detail)
+
+
+def test_chain_checks_the_trusted_root_revocation():
+    root, key, store = own_root()
+    leaf, intermediates = chain_below(root, key, 2)
+    assert pki.verify_chain(leaf, intermediates, store, NOW, set())
+    res = pki.verify_chain(leaf, intermediates, store, NOW, {root.serial})
+    assert (res.ok, res.reason, res.detail) \
+        == (False, pki.ChainReason.REVOKED, "root serial 900 revoked")
+
+
+def test_trusted_root_verifies_as_the_certificate_itself():
+    root, _, store = own_root()
+    assert pki.verify_chain(root, [], store, NOW, set())
+    res = pki.verify_chain(root, [], store, NOW, {root.serial})
+    assert (res.reason, res.detail) \
+        == (pki.ChainReason.REVOKED, "serial 900 revoked")
+
+
+def test_chain_length_bound():
+    """Up to MAX_CHAIN_LEN certificates below a root verify; one more is
+    too long."""
+    root, key, store = own_root()
+    leaf, intermediates = chain_below(root, key, pki.MAX_CHAIN_LEN)
+    assert pki.verify_chain(leaf, intermediates, store, NOW, set())
+    leaf, intermediates = chain_below(root, key, pki.MAX_CHAIN_LEN + 1)
+    res = pki.verify_chain(leaf, intermediates, store, NOW, set())
+    assert not res and res.reason is pki.ChainReason.TOO_LONG
+
+
 # ---------------------------------------------------------------------------
 # certificates answered from the record of encodings
 # ---------------------------------------------------------------------------
@@ -461,6 +525,21 @@ def test_register_rejects_revoked_factory_cert():
     assert not h.ca2.registered_factory
 
 
+def server_cert_for(h):
+    csr = pki.make_csr(b"srv", device_key(b"srv"), CertProfile.OPERATIONAL)
+    return pki.issue_certificate(h.permanent, csr, CertProfile.SERVER, LIFETIME)
+
+
+def test_register_rejects_a_non_factory_cert():
+    h = build("b")
+    cert = server_cert_for(h)
+    with pytest.raises(UnverifiableFactoryCert) as err:
+        pki.register_factory_certs(h.ca2, [cert], NOW)
+    assert (err.value.serial, err.value.reason) \
+        == (cert.serial, "not a factory certificate")
+    assert not h.ca2.registered_factory
+
+
 def test_register_empty_list():
     h = build("b")
     uri = pki.register_factory_certs(h.ca2, [], NOW)
@@ -488,6 +567,21 @@ def test_enroll_unregistered_rejected():
     csr = pki.make_csr(b"dev-1", device_key(b"op"), CertProfile.OPERATIONAL)
     with pytest.raises(NotRegistered):
         pki.enroll(h.ca1, fcert, csr, LIFETIME)
+
+
+def test_enroll_needs_the_registered_factory_cert():
+    """Enrollment refuses a session identity that is not a factory
+    certificate, and one whose serial is registered for another
+    certificate."""
+    h = build("b")
+    fcert, _ = factory_cert_for(h)
+    pki.register_factory_certs(h.ca1, [fcert], NOW)
+    csr = pki.make_csr(b"dev-1", device_key(b"op"), CertProfile.OPERATIONAL)
+    with pytest.raises(NotRegistered, match="not a factory certificate"):
+        pki.enroll(h.ca1, server_cert_for(h), csr, LIFETIME)
+    with pytest.raises(NotRegistered, match="does not match registration"):
+        pki.enroll(h.ca1, replace(fcert, not_after=fcert.not_after - 1), csr,
+                   LIFETIME)
 
 
 def test_enroll_name_mismatch_rejected():
