@@ -52,8 +52,8 @@ def cmd_run(args) -> int:
 def _static_transfer_sizes(config: scenario.ScenarioConfig) -> tuple[int, int]:
     """Recompute the relayed transfer message sizes from config values alone."""
     message = TransferMessage(
-        reset_time_not_before=config.reset_window[0],
-        reset_time_not_after=config.reset_window[1],
+        reset_time_not_before=scenario.RESET_WINDOW[0],
+        reset_time_not_after=scenario.RESET_WINDOW[1],
         ra_uri=Uri(scenario.RA_URI) if config.options.use_ra else None,
         update_uri=Uri(scenario.SP2_URI),
         contact_before_enroll=config.options.contact_update_before_enroll,

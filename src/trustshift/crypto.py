@@ -7,18 +7,16 @@ algorithm id travels in envelope headers so the suite could be swapped.
 A signature check is a pure function of its (key, signature, message)
 bytes. `_check` is the one Ed25519 verify. `KeyPair.sign` records each
 triple it makes, and Ed25519 accepts every signature it makes under its
-own key, so `_verify`, which memoizes checks, answers a miss on a recorded
-triple with True, taking it out of the record, and runs `_check` on
-anything else: a flipped byte, another signer's key or a signature made
-elsewhere is always checked. The record and the memo hold one run, as
-does the codec's record of encodings: `scenario.run_scenario` empties all
-three first (`forget_run`), so a run's memo hits and memory depend on
-nothing that ran before it in the process.
+own key, so `verify_raw` answers a recorded triple with True and runs
+`_check` on anything else: a flipped byte, another signer's key or a
+signature made elsewhere is always checked. The record holds one run, as
+does the codec's record of encodings: `scenario.run_scenario` empties both
+first (`forget_run`), so a run's answers and memory depend on nothing that
+ran before it in the process.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -36,13 +34,15 @@ from .messages import ALG_ED25519, EnvelopeHeader, EnvelopeProfile, SignedEnvelo
 
 KEY_ID_LEN = 8
 SEED_LEN = 32
-# Bound on memoized verify results. A 1000-device variant-b run makes 20022
-# checks of 6011 distinct triples; each device's repeats come close
-# together, so 4096 entries still catch every repeat (0.700 of calls) where
-# 1024 catch 0.626. Entries hold their bytes, and only the current run's.
-# The same bound holds the record of signatures made, oldest dropped first;
-# a 1000-device variant-b run records at most 1006 at a time.
-VERIFY_MEMO_SIZE = 4096
+# Bound on the record of signatures made, set by `forget_run` for a run:
+# SIGNED_RECORD_SIZE entries and SIGNED_PER_DEVICE more per device. The
+# least recently signed or checked triple goes first, and a check of a
+# dropped one runs `_check`. Devices run side by side, each keeping about
+# four triples in use: at seed 1 a variant-b run of 1000, 2000 or 4000
+# devices needs 4010, 8010 or 16010 entries for no `_check` call. Entries
+# hold their bytes, and only the current run's.
+SIGNED_RECORD_SIZE = 4096
+SIGNED_PER_DEVICE = 4
 
 
 def digest(data: bytes) -> bytes:
@@ -55,10 +55,11 @@ def key_id_for(public_key: bytes) -> bytes:
 
 
 # The (public key, signature, message) triples `KeyPair.sign` made in this
-# run and not checked yet, oldest first; after its first check a triple's
-# answer is in the memo. Only `generate_key_pair` builds a KeyPair, so each
-# key is its private key's own and each triple verifies.
-_signed: OrderedDict[tuple[bytes, bytes, bytes], bool] = OrderedDict()
+# run, least recently signed or checked first. Only `generate_key_pair`
+# builds a KeyPair, so each key is its private key's own and each triple
+# verifies.
+_signed: OrderedDict[tuple[bytes, bytes, bytes], None] = OrderedDict()
+_bound = SIGNED_RECORD_SIZE
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,8 @@ class KeyPair:
         so that its check costs a lookup."""
         signature = self._private.sign(data)
         if type(data) is bytes:
-            _signed[self.public_key, signature, data] = True
-            if len(_signed) > VERIFY_MEMO_SIZE:
+            _signed[self.public_key, signature, data] = None
+            if len(_signed) > _bound:
                 _signed.popitem(last=False)
         return signature
 
@@ -99,32 +100,30 @@ def _check(public_key: bytes, signature: bytes, data: bytes) -> bool:
         return False
 
 
-@functools.lru_cache(maxsize=VERIFY_MEMO_SIZE)
-def _verify(public_key: bytes, signature: bytes, data: bytes) -> bool:
-    return _signed.pop((public_key, signature, data), False) \
-        or _check(public_key, signature, data)
-
-
-def forget_run() -> None:
-    """Empty every per-run memo and record: the verify memo, its hit and
-    miss counts too, the record of signatures made and that of encodings."""
-    _verify.cache_clear()
+def forget_run(device_count: int) -> None:
+    """Empty the per-run records, of signatures made and of encodings, and
+    bound the first for a run of `device_count` devices."""
+    global _bound
     _signed.clear()
+    _bound = SIGNED_RECORD_SIZE + SIGNED_PER_DEVICE * device_count
     codec.forget_encoded()
 
 
 def verify_raw(public_key: bytes, signature: bytes, data: bytes) -> bool:
     """Raw signature check; False on any malformed input.
 
-    A check is a pure function of its arguments, so its result, True or
-    False, is memoized on the exact bytes and a repeat costs a lookup. An
-    argument of another type than `bytes` (a bytearray, a memoryview) is
-    checked by `_check` alone: it may compare equal to bytes that the memo
-    or the record holds, yet Ed25519 may answer it otherwise (a memoryview
-    key is refused)."""
+    A triple that `KeyPair.sign` made in this run is answered True from the
+    record, and moves to its newest end; any other is checked by `_check`.
+    An argument of another type than `bytes` (a bytearray, a memoryview)
+    always is: it may compare equal to bytes that the record holds, yet
+    Ed25519 may answer it otherwise (a memoryview key is refused)."""
     if type(public_key) is bytes and type(signature) is bytes \
             and type(data) is bytes:
-        return _verify(public_key, signature, data)
+        try:
+            _signed.move_to_end((public_key, signature, data))
+            return True
+        except KeyError:  # not signed in this run, or dropped by the bound
+            pass
     return _check(public_key, signature, data)
 
 

@@ -143,7 +143,6 @@ def provision_factory(state: DeviceState, factory_key: crypto.KeyPair,
                       initial_store: pki.TrustStore, ca_uri: Uri,
                       update_uri: Uri | None = None,
                       sp1_signer_key: bytes | None = None,
-                      firmware: VersionInfo | None = None,
                       trace=None) -> None:
     """Factory pre-programming: key, certificate, truststore, endpoints."""
     if state.phase is not DevicePhase.BLANK:
@@ -158,8 +157,6 @@ def provision_factory(state: DeviceState, factory_key: crypto.KeyPair,
     state.endpoints.ca_uri = ca_uri
     state.endpoints.update_uri = update_uri
     state.sp1_signer_key = sp1_signer_key
-    if firmware is not None:
-        state.firmware = firmware
     state.set_phase(DevicePhase.PROVISIONED, trace)
 
 

@@ -191,14 +191,16 @@ def ra_rows(verifier: RaVerifierState, rng, note=None) -> dict:
             wire.RaReport: (peers.ANY_PEER, serve, None)}
 
 
+# Validity of an operational certificate from its enrollment.
+OPERATIONAL_LIFETIME = 10**6
+
+
 class CaActor:
     """Enrollment, registration and revocation frontend over one CaState."""
 
-    def __init__(self, net: peers.NetHandle, ca: pki.CaState, *,
-                 operational_lifetime: int = 1_000_000):
+    def __init__(self, net: peers.NetHandle, ca: pki.CaState):
         self.net = net
         self.ca = ca
-        self.operational_lifetime = operational_lifetime
         factory, server = {CertProfile.FACTORY}, {CertProfile.SERVER}
         self.peer = peers.ResponderPeer(net, ca.credential(), ca.truststore, {
             wire.EnrollReq: (factory, self._enroll, wire.EnrollRsp(
@@ -209,7 +211,7 @@ class CaActor:
         })
 
     def _enroll(self, now, sess, msg):
-        validity = (now, now + self.operational_lifetime)
+        validity = (now, now + OPERATIONAL_LIFETIME)
         try:
             if msg.server_keygen:
                 cert, seed = pki.enroll_server_keygen(self.ca, sess.peer_cert,

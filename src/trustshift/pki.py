@@ -38,6 +38,8 @@ from .messages import (
 )
 
 MAX_CHAIN_LEN = 8
+# Validity of the CA, factory and server certificates.
+CERT_VALIDITY = (0, 10**9)
 
 PERMANENT_CA_NAME = b"permanent-ca"
 CA1_NAME = b"ca1"
@@ -431,9 +433,7 @@ class HierarchyConfig:
         return store
 
 
-def build_hierarchy(variant: str, rng: random.Random,
-                    ca_validity: tuple[TimeStamp, TimeStamp] = (0, 2**40),
-                    ) -> HierarchyConfig:
+def build_hierarchy(variant: str, rng: random.Random) -> HierarchyConfig:
     """The CAs of a variant, their truststores empty until `trust_roots`,
     so that a caller can sign more before the roots are checked. Keys and
     serials are drawn in CA order: the permanent CA, CA1 (unless the
@@ -444,7 +444,7 @@ def build_hierarchy(variant: str, rng: random.Random,
 
     def new_ca(name: bytes, parent: CaState | None = None) -> CaState:
         key_pair = crypto.generate_key_pair(rng.randbytes(32))
-        return make_ca(name, key_pair, allocator, ca_validity, parent)
+        return make_ca(name, key_pair, allocator, CERT_VALIDITY, parent)
 
     permanent = new_ca(PERMANENT_CA_NAME)
     ca1, ca2 = (permanent if own_root is None

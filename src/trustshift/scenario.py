@@ -24,8 +24,10 @@ from .simnet import AdversaryRule, AdversarySchedule, Sleep
 SP1_URI = "coaps://update.sp1.example"
 SP2_URI = "coaps://update.sp2.example"
 RA_URI = "coaps://ra.sp2.example"
-# Validity of the factory, CA and server certificates.
-FACTORY_LIFETIME = 10**9
+# The reset window every managed device's update info carries, and when
+# SP1 starts the transfer.
+RESET_WINDOW = (0, 1_000_000)
+TRANSFER_START = 40
 
 # The keys a config file may hold at its top level and in "expectation"; any
 # other key is a config error, as is an unknown "options" or "faults" field.
@@ -59,12 +61,6 @@ class ScenarioConfig:
     adversary: object = "none"  # schedule name or list of rule dicts
     options: ScenarioOptions = field(default_factory=ScenarioOptions)
     faults: ScenarioFaults = field(default_factory=ScenarioFaults)
-    # No config file sets these three; the window-expiry and renewal tests
-    # (tests/test_device.py::test_transfer_after_window_leaves_device_enrolled
-    # and ::test_expiry_driven_reenrollment_loops_at_enrolled) do.
-    reset_window: tuple[int, int] = (0, 1_000_000)
-    operational_lifetime: int = 10**6
-    transfer_start: int = 40
     expect_default: str = "reenrolled"
     expect_overrides: dict[str, str] = field(default_factory=dict)
 
@@ -273,25 +269,24 @@ def _device_process(state: device.DeviceState, net: peers.NetHandle,
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    # A run holds only its own state: no verify result, signature or
-    # encoding recorded in an earlier run. Set-up runs in passes: CA
-    # certificates, keys and CSRs made; roots trusted and certificates
-    # issued; devices provisioned; factory certificates registered. The
-    # pass order fixes the key draws and serials (device, then server
-    # order), and so every digest.
-    crypto.forget_run()
+    # A run holds only its own state: no signature or encoding recorded
+    # in an earlier run. Set-up runs in passes: CA certificates, keys and
+    # CSRs made; roots trusted and certificates issued; devices
+    # provisioned; factory certificates registered. The pass order fixes
+    # the key draws and serials (device, then server order), and so every
+    # digest.
+    crypto.forget_run(config.device_count)
     sim = simnet.Simulator(config.seed)
     build_rng = sim.actor_rng("hierarchy-build")
-    hierarchy = pki.build_hierarchy(config.variant, build_rng,
-                                    ca_validity=(0, FACTORY_LIFETIME))
+    hierarchy = pki.build_hierarchy(config.variant, build_rng)
     opts = config.options
 
-    firmware_uri = Uri("coaps://update.sp1.example/fw")
+    firmware_uri = Uri(SP1_URI + "/fw")
     base_version = VersionInfo(1, firmware_uri)
     transfer_version = (VersionInfo(2, firmware_uri)
                         if opts.last_sp1_update else base_version)
     sp2_version = VersionInfo(max(3, transfer_version.manifest_sequence + 1),
-                              Uri("coaps://update.sp2.example/fw"))
+                              Uri(SP2_URI + "/fw"))
 
     key_rng = sim.actor_rng("key-material")
     sp1_state = operators.OperatorState(
@@ -320,12 +315,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     factory_certs = [pki.issue_certificate(hierarchy.permanent, csr,
                                            CertProfile.FACTORY,
-                                           (0, FACTORY_LIFETIME))
+                                           pki.CERT_VALIDITY)
                      for _, csr in factory_csrs]
     # Server certificates for both operators and the RA verifier.
     sp1_cred, sp2_cred, ra_cred = (
         pki.Credential(pki.issue_certificate(ca, csr, CertProfile.SERVER,
-                                             (0, FACTORY_LIFETIME)),
+                                             pki.CERT_VALIDITY),
                        ca.issuer_chain, key)
         for (key, csr), ca in server_csrs)
 
@@ -341,22 +336,22 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             zip(factory_csrs, factory_certs)):
         actor_id = device_actor_id(index)
         device_id = actor_id.encode()
-        state = device.DeviceState(device_id=device_id, firmware=base_version)
+        firmware = base_version
+        if index in config.faults.ra_tamper_devices:
+            firmware = VersionInfo(base_version.manifest_sequence,
+                                   Uri(str(firmware_uri) + "?tampered"))
+        state = device.DeviceState(device_id=device_id, firmware=firmware)
         net = peers.NetHandle(sim, actor_id)
         device.provision_factory(state, factory_key, factory_cert,
                                  initial_store, hierarchy.ca1.enroll_uri,
                                  update_uri=Uri(SP1_URI),
                                  sp1_signer_key=sp1_state.signing_key.public_key,
-                                 firmware=base_version, trace=net.note)
-        if index in config.faults.ra_tamper_devices:
-            state.firmware = VersionInfo(
-                base_version.manifest_sequence,
-                Uri(str(firmware_uri) + "?tampered"))
+                                 trace=net.note)
         devices[actor_id] = state
         sim.spawn(actor_id, _device_process(state, net, opts.server_keygen,
                                             1 + index % 7))
         sp1_state.managed_devices[device_id] = DeviceUpdateInfo(
-            factory_cert, *config.reset_window, transfer_version)
+            factory_cert, *RESET_WINDOW, transfer_version)
         ra_state.expected[device_id] = crypto.digest(encode(transfer_version))
 
     # Pre-deployment step over the unconstrained Internet: SP1 shares the
@@ -370,10 +365,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         return peers.NetHandle(sim, actor_id, revocation_view)
 
     # Network actors.
-    operators.CaActor(server(CA1_ACTOR), hierarchy.ca1,
-                      operational_lifetime=config.operational_lifetime)
-    operators.CaActor(server(CA2_ACTOR), hierarchy.ca2,
-                      operational_lifetime=config.operational_lifetime)
+    operators.CaActor(server(CA1_ACTOR), hierarchy.ca1)
+    operators.CaActor(server(CA2_ACTOR), hierarchy.ca2)
     sp1_ra_state = None
     if opts.sp1_fallback_ra:
         sp1_ra_state = operators.RaVerifierState(expected=dict(ra_state.expected))
@@ -400,7 +393,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     sim.spawn("sp1-orchestrator", operators.sp1_transfer_process(
         server("sp1-orchestrator"),
         sp1_actor, list(sp1_state.managed_devices),
-        config.transfer_start, push_roots, opts.last_sp1_update))
+        TRANSFER_START, push_roots, opts.last_sp1_update))
     sim.spawn("sp2-orchestrator", operators.sp2_transfer_process(
         server("sp2-orchestrator"),
         sp2_actor, Uri(RA_URI) if opts.use_ra else None,

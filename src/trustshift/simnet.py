@@ -35,6 +35,8 @@ from . import wire
 from .errors import ScenarioInvalid
 
 LATENCY = 1
+# Events one run may process before it is stopped as runaway.
+EVENT_BUDGET = 500_000
 
 TIMEOUT = object()  # sentinel delivered to a process when a wait expires
 
@@ -463,11 +465,10 @@ class _Process:
 class Simulator:
     """Deterministic event loop; the only mover of simulated time."""
 
-    def __init__(self, seed: int, event_budget: int = 500_000):
+    def __init__(self, seed: int):
         self.now = 0
         self.seed = seed
         self.trace = Trace()
-        self.event_budget = event_budget
         self.events_processed = 0
         self.adversary: AdversarySchedule | None = None
         # Each tick's entries in push order: a SimEvent, or a timer
@@ -519,13 +520,14 @@ class Simulator:
         """Run each tick's bucket in push order, ticks in time order. An
         entry pushed for the running tick joins the tail of its bucket."""
         buckets, ticks, trace = self._buckets, self._ticks, self.trace
+        budget = EVENT_BUDGET
         while ticks:
             self.now = now = heapq.heappop(ticks)
             bucket = buckets[now]
             while bucket:
-                if self.events_processed >= self.event_budget:
+                if self.events_processed >= budget:
                     raise ScenarioInvalid(
-                        f"event budget {self.event_budget} exceeded at t={now}")
+                        f"event budget {budget} exceeded at t={now}")
                 entry = bucket.popleft()
                 self.events_processed += 1
                 if type(entry) is tuple:  # a timer: (process, token)

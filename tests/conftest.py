@@ -1,5 +1,15 @@
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 # test-local helper modules (refenc, gen, fixtures) import as plain names
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+# Property tests draw the same examples on every run ("tier1", loaded
+# here, which also keeps no example database), so a test's verdict
+# depends only on the code. `pytest --hypothesis-profile=default`
+# (Hypothesis's own profile) searches at random instead and replays the
+# failures it stored in `.hypothesis/`.
+settings.register_profile("tier1", derandomize=True)
+settings.load_profile("tier1")

@@ -1,6 +1,6 @@
 """Crypto tests: determinism, key ids, tamper resistance, digest behavior
-and the verify memo. The record of signatures made is tested in
-`test_verify_ahead.py`."""
+and the record of signatures made as the verify shortcut. How the record
+answers a check ahead is tested in `test_verify_ahead.py`."""
 
 import random
 
@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustshift import crypto, simnet
+from test_verify_ahead import counted_checks
+from trustshift import crypto
 from trustshift.errors import BadSeedLength, InvariantViolation
 from trustshift.messages import (
     EnvelopeHeader,
@@ -172,7 +173,8 @@ def test_digest_no_collisions_10k():
 
 
 # ---------------------------------------------------------------------------
-# the verify memo: same answers as an uncached check, bounded, and hit
+# the record of signatures made, as a verify shortcut: same answers as an
+# uncached check, bounded, and answering every check of an honest run
 # ---------------------------------------------------------------------------
 
 _MEMO_KEY = seeded_key(b"memo")
@@ -181,39 +183,55 @@ GENUINE = (_MEMO_KEY.public_key, _MEMO_KEY.sign(_MEMO_DATA), _MEMO_DATA)
 FORGED = (GENUINE[0], bytes([GENUINE[1][0] ^ 1]) + GENUINE[1][1:], GENUINE[2])
 
 
+def record_genuine() -> None:
+    """Put GENUINE in the record again; a run may have emptied it."""
+    assert _MEMO_KEY.sign(_MEMO_DATA) == GENUINE[1]
+    assert GENUINE in crypto._signed
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(["key", "signature", "data"]),
        st.integers(min_value=0), st.integers(min_value=1, max_value=255))
 def test_memo_flipped_byte_rejected_after_genuine_cached(part, pos, mask):
-    """With the genuine triple in the memo, a triple that differs from it in
-    any one byte of the key, the signature or the data is still refused."""
-    assert crypto.verify_raw(*GENUINE)
-    hits = crypto._verify.cache_info().hits
-    assert crypto.verify_raw(*GENUINE)
-    assert crypto._verify.cache_info().hits == hits + 1
+    """With the genuine triple in the record, a triple that differs from it
+    in any one byte of the key, the signature or the data is still checked,
+    and refused."""
+    record_genuine()
     index = ("key", "signature", "data").index(part)
     flipped = bytearray(GENUINE[index])
     flipped[pos % len(flipped)] ^= mask
     triple = list(GENUINE)
     triple[index] = bytes(flipped)
-    assert not crypto.verify_raw(*triple)
-    assert crypto.verify_raw(*GENUINE)
+    with pytest.MonkeyPatch.context() as mp:
+        checks = counted_checks(mp)
+        assert crypto.verify_raw(*GENUINE)
+        assert crypto.verify_raw(*GENUINE)
+        assert checks == []
+        assert not crypto.verify_raw(*triple)
+        assert crypto.verify_raw(*GENUINE)
+        assert checks == [tuple(triple)]
 
 
-def test_memo_cached_forgery_does_not_shadow_genuine():
-    crypto._verify.cache_clear()
+def test_memo_cached_forgery_does_not_shadow_genuine(monkeypatch):
+    """A refused forgery is never recorded: each of its checks runs
+    `_check`, and the genuine triple is still answered from the record."""
+    crypto.forget_run(0)
+    record_genuine()
+    checks = counted_checks(monkeypatch)
     assert not crypto.verify_raw(*FORGED)
     assert not crypto.verify_raw(*FORGED)
     assert crypto.verify_raw(*GENUINE)
     assert not crypto.verify_raw(*FORGED)
-    info = crypto._verify.cache_info()
-    assert (info.hits, info.misses) == (2, 2)
+    assert checks == [FORGED] * 3
+    assert list(crypto._signed) == [GENUINE]
 
 
 @pytest.mark.parametrize("key", [None, b"", GENUINE[0][:31], GENUINE[0] + b"\0"],
                          ids=["none", "empty", "31_bytes", "33_bytes"])
 def test_memo_malformed_key_stays_false(key):
-    """Refused on the first call and again when answered from the memo."""
+    """Refused on the first call and again, with the genuine triple in the
+    record."""
+    record_genuine()
     assert not crypto.verify_raw(key, *GENUINE[1:])
     assert not crypto.verify_raw(key, *GENUINE[1:])
 
@@ -221,8 +239,9 @@ def test_memo_malformed_key_stays_false(key):
 @pytest.mark.parametrize("triple", [GENUINE, FORGED], ids=["genuine", "forged"])
 @pytest.mark.parametrize("index", [1, 2], ids=["signature", "data"])
 def test_memo_bytearray_same_as_bytes(triple, index):
-    """An unhashable argument takes the uncached check, with the same answer
-    as a bytes copy."""
+    """A bytearray argument is never answered from the record; `_check`
+    gives it the same answer as a bytes copy gets."""
+    record_genuine()
     as_bytearray = list(triple)
     as_bytearray[index] = bytearray(triple[index])
     assert crypto.verify_raw(*as_bytearray) == crypto.verify_raw(*triple)
@@ -230,62 +249,84 @@ def test_memo_bytearray_same_as_bytes(triple, index):
 
 def test_memo_bytearray_key_stays_false():
     """The Ed25519 primitive takes a public key only as bytes, so a
-    bytearray key is malformed input, with or without the memo."""
+    bytearray key is malformed input, whatever the record holds."""
+    record_genuine()
     assert not crypto.verify_raw(bytearray(GENUINE[0]), *GENUINE[1:])
 
 
-def test_memo_is_bounded():
-    crypto._verify.cache_clear()
-    distinct = crypto.VERIFY_MEMO_SIZE + 100
-    for i in range(distinct):
-        assert not crypto.verify_raw(i.to_bytes(4, "big"), *GENUINE[1:])
-    info = crypto._verify.cache_info()
-    assert info.misses == distinct
-    assert info.currsize <= crypto.VERIFY_MEMO_SIZE
+def test_memo_is_bounded(monkeypatch):
+    """The record keeps the newest SIGNED_RECORD_SIZE triples signed; a check
+    of a dropped one runs `_check`, which accepts it, and does not record
+    it again."""
+    crypto.forget_run(0)
+    made = [(_MEMO_KEY.public_key, _MEMO_KEY.sign(data), data) for data in
+            (i.to_bytes(4, "big") for i in range(crypto.SIGNED_RECORD_SIZE + 100))]
+    assert list(crypto._signed) == made[100:]
+    checks = counted_checks(monkeypatch)
+    assert crypto.verify_raw(*made[99]) and crypto.verify_raw(*made[100])
+    assert checks == [made[99]]
+    assert list(crypto._signed) == made[101:] + [made[100]]
 
 
-def test_memo_hits_the_repeats_of_a_transfer():
-    """Handshakes re-check the same server and sub-CA links, and every
-    device checks the one relayed CWT: a 20-device variant-b transfer makes
-    422 checks of 131 distinct triples, so at most 35% may miss."""
-    crypto._verify.cache_clear()
+def test_honest_transfer_runs_no_ed25519_check(monkeypatch):
+    """Every signature an honest run checks was signed in that run, so the
+    record answers all of them: a 20-device variant-b transfer makes 422
+    checks and runs `_check` 0 times."""
+    checks = counted_checks(monkeypatch)
     result = run_scenario(ScenarioConfig(name="memo", variant="b",
                                          device_count=20, seed=1))
     assert result.ok
-    info = crypto._verify.cache_info()
-    assert info.misses <= 0.35 * (info.hits + info.misses)
+    assert checks == []
+
+
+def test_record_bound_grows_with_the_fleet(monkeypatch):
+    """A fleet's devices run side by side and each keeps triples in use,
+    so the record's bound grows by SIGNED_PER_DEVICE entries a device: with
+    its fixed part cut to 64 entries, a 100-device variant-b transfer still
+    runs `_check` 0 times, where 64 entries alone leave it 1491 checks."""
+    checks = counted_checks(monkeypatch)
+    monkeypatch.setattr(crypto, "SIGNED_RECORD_SIZE", 64)
+    config = ScenarioConfig(name="grown", variant="b", device_count=100,
+                            seed=1)
+    assert run_scenario(config).ok and checks == []
+    monkeypatch.setattr(crypto, "SIGNED_PER_DEVICE", 0)
+    assert run_scenario(config).ok and len(checks) == 1491
 
 
 def test_a_run_does_not_depend_on_earlier_runs(monkeypatch):
-    """A run holds only its own verify results: the second of two identical
-    runs in one process makes as many memo hits and misses as the first,
-    counted from when `run_scenario` builds its simulator, and leaves the
-    memo as full. A memo kept across runs gave the second run every triple
-    cached."""
-    at_start = []
-    build = simnet.Simulator.__init__
+    """A run holds only its own signatures: after each run the record holds
+    only triples that run signed, and two identical runs, with another run
+    between them, make as many `_check` calls as each other and leave the
+    record as full. A record kept across runs gave a run the triples of
+    the runs before it too."""
+    checks, made = counted_checks(monkeypatch), []
+    sign = crypto.KeyPair.sign
 
-    def counted_build(sim, *args, **kwargs):
-        at_start.append(crypto._verify.cache_info())
-        build(sim, *args, **kwargs)
+    def noted_sign(key, data):
+        signature = sign(key, data)
+        made.append((key.public_key, signature, data))
+        return signature
 
-    monkeypatch.setattr(simnet.Simulator, "__init__", counted_build)
-    config = ScenarioConfig(name="twice", variant="b", device_count=3, seed=3)
+    monkeypatch.setattr(crypto.KeyPair, "sign", noted_sign)
+    forged = ScenarioConfig(name="twice", variant="b", device_count=3, seed=3,
+                            adversary="forge_transfer")
+    other = ScenarioConfig(name="between", variant="c", device_count=2, seed=4)
     counts = []
-    for _ in range(2):
+    for config in (forged, other, forged):
+        del checks[:], made[:]
         assert run_scenario(config).ok
-        start, end = at_start[-1], crypto._verify.cache_info()
-        counts.append((end.hits - start.hits, end.misses - start.misses,
-                       end.currsize))
-    assert counts[0] == counts[1]
+        assert set(crypto._signed) <= set(made)
+        counts.append((len(checks), len(crypto._signed)))
+    assert counts[0] == counts[2]
     assert counts[0][0] > 0 and counts[0][1] > 0
 
 
 @pytest.mark.parametrize("triple", [GENUINE, FORGED], ids=["genuine", "forged"])
 def test_memoryview_key_refused_even_with_its_bytes_memoized(triple):
     """Ed25519 takes a public key only as bytes, so a memoryview key is
-    refused; it compares equal to the bytes key the memo holds, and must
-    not be answered from the memo."""
-    crypto.forget_run()
+    refused; it compares equal to the bytes key the record holds, and must
+    not be answered from the record."""
+    crypto.forget_run(0)
+    record_genuine()
     crypto.verify_raw(*triple)
     assert crypto.verify_raw(memoryview(triple[0]), *triple[1:]) is False

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustshift import crypto, device, operators, pki, simnet, wire
+from trustshift import crypto, device, operators, pki, scenario, simnet, wire
 from trustshift.device import DevicePhase
 from trustshift.errors import (
     BadSignature,
@@ -302,7 +302,7 @@ def test_ra_then_update_then_enroll_order():
     update_time = min(e["t"] for e in result.trace.entries
                       if e["ev"] == "deliver" and e.get("dst") == "sp2"
                       and e.get("label") == "update_check"
-                      and e["t"] > result.config.transfer_start)
+                      and e["t"] > scenario.TRANSFER_START)
     enroll_time = min(e["t"] for e in result.trace.entries
                       if e["ev"] == "deliver" and e.get("dst") == "ca2"
                       and e.get("label") == "enroll_req")
@@ -405,22 +405,29 @@ def test_operational_cert_verifies_against_own_truststore(variant):
         assert check, check.detail
 
 
-def test_transfer_after_window_leaves_device_enrolled():
+def test_transfer_after_window_leaves_device_enrolled(monkeypatch):
     """A transfer arriving after the reset window closes is rejected on
     every push round and the device keeps operating under SP1."""
+    monkeypatch.setattr(scenario, "RESET_WINDOW", (40, 45))
     cfg = ScenarioConfig(name="window", variant="b", device_count=1, seed=5,
-                         reset_window=(40, 45), expect_default="enrolled")
+                         expect_default="enrolled")
     result = run_scenario(cfg)
     assert result.ok
     reasons = {e["reason"] for e in result.trace.select("transfer_rejected")}
     assert reasons == {"OutsideResetWindow"}
 
 
-def test_expiry_driven_reenrollment_loops_at_enrolled():
+def short_lived_certs_late_transfer(monkeypatch) -> None:
+    """Operational certificates live 100 ticks; SP1 starts at t=300."""
+    monkeypatch.setattr(operators, "OPERATIONAL_LIFETIME", 100)
+    monkeypatch.setattr(scenario, "TRANSFER_START", 300)
+
+
+def test_expiry_driven_reenrollment_loops_at_enrolled(monkeypatch):
     """Short-lived operational certificates are renewed with the current CA
     while the device waits for an operator change."""
-    cfg = ScenarioConfig(name="renew", variant="b", device_count=1, seed=3,
-                         operational_lifetime=100, transfer_start=300)
+    short_lived_certs_late_transfer(monkeypatch)
+    cfg = ScenarioConfig(name="renew", variant="b", device_count=1, seed=3)
     result = run_scenario(cfg)
     assert result.ok
     renewed = result.trace.select("operational_cert_renewed",
@@ -731,9 +738,8 @@ def test_refused_renewal_keeps_the_device_parked(monkeypatch):
         return enroll(self, now, sess, msg)
 
     monkeypatch.setattr(operators.CaActor, "_enroll", refuse_after_first)
-    result = run_scenario(ScenarioConfig(
-        name="t", variant="b", seed=3, operational_lifetime=100,
-        transfer_start=300))
+    short_lived_certs_late_transfer(monkeypatch)
+    result = run_scenario(ScenarioConfig(name="t", variant="b", seed=3))
     assert result.ok
     assert [(e["t"], e["reason"]) for e in result.trace.select(
         "renewal_failed", actor="device-000")] \

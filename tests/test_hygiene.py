@@ -1,7 +1,8 @@
 """Source hygiene: no module under src/trustshift keeps a dead import, an
 unused private module-level name, a catch-all exception handler, or a
 public function, class or method that nothing in src/ or bench/ names; no
-config key goes unset; no trace kind is declared without a writer; each CA
+config key goes unset, and no config field is out of a config's reach; no
+trace kind is declared without a writer; each CA
 enrollment URI is spelled once, in `pki.ENROLL_URIS`; and only
 `scenario.build_adversary` builds an adversary rule.
 
@@ -107,8 +108,9 @@ def test_envelope_header_read_only_by_crypto():
 
 
 def test_signature_checks_only_in_crypto():
-    """Every Ed25519 verify goes through `crypto.verify_raw`, so each one is
-    memoized and counted by the bench's `crypto.verify` wrapper: no other
+    """Every Ed25519 verify goes through `crypto.verify_raw`, so each one may
+    be answered from the record of signatures made and is counted by the
+    bench's `crypto.verify` wrapper: no other
     module names `Ed25519PublicKey` or calls a `.verify` method."""
     found = set()
     for path in SOURCES:
@@ -226,7 +228,7 @@ def _top_level_name(path: Path, test) -> list[str]:
 
 def test_ed25519_verify_in_one_function():
     """Inside `crypto`, one function calls Ed25519 `.verify`: `_check`,
-    which the memo runs on every triple this process did not sign."""
+    which `verify_raw` runs on every triple this run did not sign."""
     calls = _top_level_name(
         ROOT / "src" / "trustshift" / "crypto.py",
         lambda node: isinstance(node, ast.Call)
@@ -523,3 +525,18 @@ def test_every_config_key_is_set():
         used |= _keys_in_bench(_tree(path))
     unset = _accepted_keys() - used
     assert not unset, f"no config or bench workload sets {sorted(unset)}"
+
+
+def test_every_config_field_is_read_from_a_config():
+    """`ScenarioConfig.from_dict` sets every field of `ScenarioConfig`, so
+    only a config file varies a run: a value that no config can set is a
+    module constant, which a test patches."""
+    reader = next(node for node in ast.walk(
+        _tree(ROOT / "src" / "trustshift" / "scenario.py"))
+        if isinstance(node, ast.FunctionDef) and node.name == "from_dict")
+    read = {keyword.arg for node in ast.walk(reader)
+            if isinstance(node, ast.Call) and _name(node.func) == "cls"
+            for keyword in node.keywords}
+    unread = {f.name for f in dataclasses.fields(scenario.ScenarioConfig)} \
+        - read
+    assert not unread, f"from_dict never sets {sorted(unread)}"

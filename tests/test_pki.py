@@ -393,7 +393,7 @@ def test_memo_equal_bytes_equal_certificate():
     data = encode(cert)
     assert pki.decode_certificate(data) is cert
     assert pki.decode_certificate(bytes(bytearray(data))) is cert
-    crypto.forget_run()
+    crypto.forget_run(0)
     parsed = pki.decode_certificate(data)
     assert parsed == cert and parsed is not cert
     assert encode(parsed) == data

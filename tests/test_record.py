@@ -169,9 +169,9 @@ def test_record_stays_within_its_bound(monkeypatch):
 
 def test_record_emptied_at_each_run():
     """`forget_run`, which `run_scenario` calls first, empties the record
-    with the verify memo and the signing record."""
+    with the record of signatures made."""
     wire.encode_wire(wire.RaHello(b"before"))
-    crypto.forget_run()
+    crypto.forget_run(0)
     assert not codec._encoded
     before = wire.encode_wire(wire.RaHello(b"before the run"))
     assert before in codec._encoded

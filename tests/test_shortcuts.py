@@ -1,12 +1,11 @@
 """The per-run shortcuts change no outcome.
 
 A run answers a decode of bytes it encoded from the record of encodings
-(`codec.recall`), and a check of a signature it made, or checked before,
-from the signing record and the verify memo (`crypto.verify_raw`). Here
-each shipped and attack config runs once as is and once with both turned
-off in the test: every decode parses, and every signature check runs
-Ed25519 (`crypto._check`). The trace digest, each device's phase and the
-run's verdict stay the same.
+(`codec.recall`), and a check of a signature it made from the record of
+signatures made (`crypto.verify_raw`). Here each shipped and attack config
+runs once as is and once with both turned off in the test: every decode
+parses, and every signature check runs Ed25519 (`crypto._check`). The
+trace digest, each device's phase and the run's verdict stay the same.
 """
 
 from pathlib import Path

@@ -312,8 +312,9 @@ def test_process_receives_queued_messages():
     assert got == [("talker", b"one"), ("talker", b"two"), ("talker", b"stop")]
 
 
-def test_event_budget_enforced():
-    sim = Simulator(seed=1, event_budget=10)
+def test_event_budget_enforced(monkeypatch):
+    monkeypatch.setattr(simnet, "EVENT_BUDGET", 10)
+    sim = Simulator(seed=1)
 
     def ping_forever():
         while True:
@@ -321,8 +322,9 @@ def test_event_budget_enforced():
 
     sim.spawn("p", ping_forever())
     sim.start_ready_processes()
-    with pytest.raises(ScenarioInvalid):
+    with pytest.raises(ScenarioInvalid, match="event budget 10 exceeded"):
         sim.run()
+    assert sim.events_processed == 10
 
 
 def test_quiescence_reached_on_scenarios():
