@@ -298,15 +298,15 @@ def verify_csr(csr: CertificateSigningRequest) -> bool:
                              csr.tbs_bytes())
 
 
-def issue_certificate(ca: CaState, csr: CertificateSigningRequest,
+def issue_certificate(ca: CaState, subject_name: bytes, public_key: bytes,
                       profile: CertProfile,
                       validity: tuple[TimeStamp, TimeStamp]) -> CompactCertificate:
-    """Issue a certificate over the CSR key after checking proof of possession."""
-    if not verify_csr(csr):
-        raise BadProofOfPossession("CSR proof-of-possession does not verify")
+    """Sign and record a certificate binding `subject_name` to `public_key`:
+    the one issuance of a subject certificate. Callers decide first why the
+    key is the subject's: set-up drew it, `enroll` checked the CSR's proof
+    of possession, `enroll_server_keygen` generated it."""
     cert = _signed_cert(ca.name, ca.key_pair, ca.allocator.take(),
-                        csr.subject_name, csr.subject_public_key,
-                        validity, profile)
+                        subject_name, public_key, validity, profile)
     ca.add_issued(cert)
     return cert
 
@@ -349,14 +349,18 @@ def enroll(ca: CaState, peer_factory_cert: CompactCertificate,
     """Issue an operational certificate over an authenticated session.
 
     `peer_factory_cert` is the identity the session authenticated: it must be
-    a registered, unrevoked factory certificate whose subject matches the CSR.
+    a registered, unrevoked factory certificate whose subject matches the CSR,
+    and the CSR's proof of possession must verify under the key it names.
     """
     _authorize(ca, peer_factory_cert)
     if csr.subject_name != peer_factory_cert.subject_name:
         raise NameMismatch(
             f"CSR name {csr.subject_name!r} != session identity "
             f"{peer_factory_cert.subject_name!r}")
-    return issue_certificate(ca, csr, CertProfile.OPERATIONAL, validity)
+    if not verify_csr(csr):
+        raise BadProofOfPossession("CSR proof-of-possession does not verify")
+    return issue_certificate(ca, csr.subject_name, csr.subject_public_key,
+                             CertProfile.OPERATIONAL, validity)
 
 
 def enroll_server_keygen(ca: CaState, peer_factory_cert: CompactCertificate,
@@ -369,11 +373,9 @@ def enroll_server_keygen(ca: CaState, peer_factory_cert: CompactCertificate,
     seed = bytes(ca.rng.getrandbits(8) for _ in range(32))
     key_pair = crypto.generate_key_pair(seed)
     _authorize(ca, peer_factory_cert)
-    cert = _signed_cert(ca.name, ca.key_pair, ca.allocator.take(),
-                        peer_factory_cert.subject_name, key_pair.public_key,
-                        validity, CertProfile.OPERATIONAL)
-    ca.add_issued(cert)
-    return cert, seed
+    return issue_certificate(ca, peer_factory_cert.subject_name,
+                             key_pair.public_key, CertProfile.OPERATIONAL,
+                             validity), seed
 
 
 def revoke(ca: CaState, serial: int) -> None:

@@ -270,11 +270,12 @@ def _device_process(state: device.DeviceState, net: peers.NetHandle,
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     # A run holds only its own state: no signature or encoding recorded
-    # in an earlier run. Set-up runs in passes: CA certificates, keys and
-    # CSRs made; roots trusted and certificates issued; devices
-    # provisioned; factory certificates registered. The pass order fixes
-    # the key draws and serials (device, then server order), and so every
-    # digest.
+    # in an earlier run. Set-up runs in passes: CA certificates made and
+    # roots trusted; each factory and server certificate issued straight
+    # over the key just drawn for it (set-up holds every key it certifies,
+    # so it makes no CSR); devices provisioned; factory certificates
+    # registered. The pass order fixes the key draws and serials (device,
+    # then server order), and so every digest.
     crypto.forget_run(config.device_count)
     sim = simnet.Simulator(config.seed)
     build_rng = sim.actor_rng("hierarchy-build")
@@ -298,31 +299,27 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     sp1_state.peer_signer_keys[SP2_ACTOR] = sp2_state.signing_key.public_key
     sp2_state.peer_signer_keys[SP1_ACTOR] = sp1_state.signing_key.public_key
 
-    # Factory provisioning happens in a trusted environment before any
-    # network traffic: keys, factory certificates, initial truststores.
-    # Each device process starts staggered, once the simulation runs.
-    def keyed_csr(name: bytes, profile: CertProfile):
-        key = crypto.generate_key_pair(key_rng.randbytes(32))
-        return key, pki.make_csr(name, key, profile)
-
-    factory_csrs = [keyed_csr(device_actor_id(i).encode(), CertProfile.FACTORY)
-                    for i in range(config.device_count)]
-    server_csrs = [(keyed_csr(name, CertProfile.OPERATIONAL), ca) for name, ca
-                   in ((b"sp1", hierarchy.ca1), (b"sp2", hierarchy.ca2),
-                       (b"ra", hierarchy.ca2))]
     hierarchy.trust_roots()
     server_store = hierarchy.store_for(hierarchy.root_names())
 
-    factory_certs = [pki.issue_certificate(hierarchy.permanent, csr,
-                                           CertProfile.FACTORY,
-                                           pki.CERT_VALIDITY)
-                     for _, csr in factory_csrs]
+    # Factory provisioning happens in a trusted environment before any
+    # network traffic: keys, factory certificates, initial truststores.
+    # Each device process starts staggered, once the simulation runs.
+    def credential(ca: pki.CaState, name: bytes,
+                   profile: CertProfile) -> pki.Credential:
+        key = crypto.generate_key_pair(key_rng.randbytes(32))
+        return pki.Credential(pki.issue_certificate(
+            ca, name, key.public_key, profile, pki.CERT_VALIDITY),
+            ca.issuer_chain, key)
+
+    factory = [credential(hierarchy.permanent, device_actor_id(i).encode(),
+                          CertProfile.FACTORY)
+               for i in range(config.device_count)]
     # Server certificates for both operators and the RA verifier.
     sp1_cred, sp2_cred, ra_cred = (
-        pki.Credential(pki.issue_certificate(ca, csr, CertProfile.SERVER,
-                                             pki.CERT_VALIDITY),
-                       ca.issuer_chain, key)
-        for (key, csr), ca in server_csrs)
+        credential(ca, name, CertProfile.SERVER)
+        for name, ca in ((b"sp1", hierarchy.ca1), (b"sp2", hierarchy.ca2),
+                         (b"ra", hierarchy.ca2)))
 
     pre_enroll, pre_transfer = (pki.minimal_truststore(config.variant, phase)
                                 for phase in pki.TrustPhase)
@@ -332,8 +329,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                                persist=name in pre_transfer)
     devices: dict[str, device.DeviceState] = {}
     ra_state = operators.RaVerifierState()
-    for index, ((factory_key, _), factory_cert) in enumerate(
-            zip(factory_csrs, factory_certs)):
+    expected_digest = crypto.digest(encode(transfer_version))
+    for index, factory_cred in enumerate(factory):
         actor_id = device_actor_id(index)
         device_id = actor_id.encode()
         firmware = base_version
@@ -342,7 +339,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                                    Uri(str(firmware_uri) + "?tampered"))
         state = device.DeviceState(device_id=device_id, firmware=firmware)
         net = peers.NetHandle(sim, actor_id)
-        device.provision_factory(state, factory_key, factory_cert,
+        device.provision_factory(state, factory_cred.key_pair,
+                                 factory_cred.certificate,
                                  initial_store, hierarchy.ca1.enroll_uri,
                                  update_uri=Uri(SP1_URI),
                                  sp1_signer_key=sp1_state.signing_key.public_key,
@@ -351,12 +349,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         sim.spawn(actor_id, _device_process(state, net, opts.server_keygen,
                                             1 + index % 7))
         sp1_state.managed_devices[device_id] = DeviceUpdateInfo(
-            factory_cert, *RESET_WINDOW, transfer_version)
-        ra_state.expected[device_id] = crypto.digest(encode(transfer_version))
+            factory_cred.certificate, *RESET_WINDOW, transfer_version)
+        ra_state.expected[device_id] = expected_digest
 
     # Pre-deployment step over the unconstrained Internet: SP1 shares the
     # factory certificates with its operational CA.
-    pki.register_factory_certs(hierarchy.ca1, factory_certs, 0)
+    pki.register_factory_certs(hierarchy.ca1,
+                               [cred.certificate for cred in factory], 0)
 
     # Every server checks its peers under the hierarchy's revoked serials.
     revocation_view = hierarchy.revocation_view()

@@ -144,9 +144,8 @@ def test_c3_fr1_impersonation():
     for seed in range(100):
         h, sp1_key, sp2_key = _fr1_fixture(seed)
         dev_key = crypto.generate_key_pair(crypto.digest(b"d%d" % seed))
-        csr = pki.make_csr(b"dev", dev_key, CertProfile.FACTORY)
-        cert = pki.issue_certificate(h.permanent, csr, CertProfile.FACTORY,
-                                     (0, 10**9))
+        cert = pki.issue_certificate(h.permanent, b"dev", dev_key.public_key,
+                                     CertProfile.FACTORY, (0, 10**9))
         state = DeviceState(device_id=b"dev")
         device_mod.provision_factory(
             state, dev_key, cert, pki.TrustStore(), h.ca1.enroll_uri,
@@ -167,8 +166,8 @@ def test_c3_fr1_impersonation():
     for seed in range(100):
         h, _, _ = _fr1_fixture(seed)
         dev_key = crypto.generate_key_pair(crypto.digest(b"dk%d" % seed))
-        csr = pki.make_csr(b"victim", dev_key, CertProfile.FACTORY)
-        fcert = pki.issue_certificate(h.permanent, csr, CertProfile.FACTORY,
+        fcert = pki.issue_certificate(h.permanent, b"victim",
+                                      dev_key.public_key, CertProfile.FACTORY,
                                       (0, 10**9))
         pki.register_factory_certs(h.ca1, [fcert], 0)
         impostor_key = crypto.generate_key_pair(crypto.digest(b"imp%d" % seed))

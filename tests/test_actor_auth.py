@@ -2,14 +2,14 @@
 and device ids that must match the session's authenticated peer."""
 
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustshift import crypto, operators, peers, pki, session, simnet, wire
-from trustshift.messages import CertProfile, Uri, VersionInfo
+from trustshift.messages import CertProfile, Uri, VersionInfo, encode
 from trustshift.scenario import ScenarioConfig, run_scenario
 
 LIFETIME = (0, 10**9)
@@ -24,10 +24,7 @@ def mini_world(variant="b", seed=77):
 
 def issued_credential(h, ca, name, profile):
     key = crypto.generate_key_pair(crypto.digest(name))
-    csr = pki.make_csr(name, key, CertProfile.FACTORY
-                       if profile is CertProfile.FACTORY
-                       else CertProfile.OPERATIONAL)
-    cert = pki.issue_certificate(ca, csr, profile, LIFETIME)
+    cert = pki.issue_certificate(ca, name, key.public_key, profile, LIFETIME)
     return pki.Credential(cert, ca.issuer_chain, key)
 
 
@@ -141,6 +138,28 @@ def test_server_profile_cannot_enroll():
     reply = ca_actor.peer.dispatch(0, entry, wire.EnrollReq(b"", True))
     assert reply[0].ok is False
     assert reply[0].reason == "profile_not_allowed"
+
+
+def test_ca_actor_refuses_a_csr_whose_proof_of_possession_fails():
+    """An enrollment request from a registered device whose CSR carries a
+    proof of possession with one bit flipped gets a negative reply naming
+    the failed proof, and the CA issues nothing."""
+    sim, h = mini_world()
+    ca_actor = operators.CaActor(
+        peers.NetHandle(sim, "ca1", h.revocation_view()), h.ca1)
+    factory_cred = issued_credential(h, h.permanent, b"dev", CertProfile.FACTORY)
+    pki.register_factory_certs(h.ca1, [factory_cred.certificate], 0)
+    entry, disposition = open_session_against(sim, ca_actor.peer, factory_cred)
+    assert entry is not None, disposition
+    csr = pki.make_csr(b"dev", crypto.generate_key_pair(crypto.digest(b"op")),
+                       CertProfile.OPERATIONAL)
+    pop = csr.proof_of_possession
+    bad = replace(csr, proof_of_possession=pop[:-1] + bytes([pop[-1] ^ 1]))
+    issued = dict(h.ca1.issued)
+    reply = ca_actor.peer.dispatch(0, entry, wire.EnrollReq(encode(bad), False))
+    assert reply == [wire.EnrollRsp(False, b"", b"", (), (),
+                                    "bad_proof_of_possession")]
+    assert h.ca1.issued == issued
 
 
 def test_adversary_modify_and_drop_across_all_classes():

@@ -38,8 +38,8 @@ def build_world(variant="b", seed=21):
     h = pki.build_hierarchy(variant, random.Random(seed))
     h.trust_roots()
     key = crypto.generate_key_pair(crypto.digest(b"dev-key"))
-    csr = pki.make_csr(b"dev-1", key, CertProfile.FACTORY)
-    cert = pki.issue_certificate(h.permanent, csr, CertProfile.FACTORY, LIFETIME)
+    cert = pki.issue_certificate(h.permanent, b"dev-1", key.public_key,
+                                 CertProfile.FACTORY, LIFETIME)
     return h, key, cert
 
 
@@ -85,9 +85,8 @@ def test_provision_key_mismatch():
     that names another device."""
     h, key, cert = build_world()
     other = crypto.generate_key_pair(crypto.digest(b"other"))
-    other_name = pki.issue_certificate(
-        h.permanent, pki.make_csr(b"dev-2", key, CertProfile.FACTORY),
-        CertProfile.FACTORY, LIFETIME)
+    other_name = pki.issue_certificate(h.permanent, b"dev-2", key.public_key,
+                                       CertProfile.FACTORY, LIFETIME)
     for bad_key, bad_cert in ((other, cert), (key, other_name)):
         state = device.DeviceState(device_id=b"dev-1")
         with pytest.raises(KeyCertMismatch):

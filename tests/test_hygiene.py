@@ -3,8 +3,9 @@ unused private module-level name, a catch-all exception handler, or a
 public function, class or method that nothing in src/ or bench/ names; no
 config key goes unset, and no config field is out of a config's reach; no
 trace kind is declared without a writer; each CA
-enrollment URI is spelled once, in `pki.ENROLL_URIS`; and only
-`scenario.build_adversary` builds an adversary rule.
+enrollment URI is spelled once, in `pki.ENROLL_URIS`; only
+`scenario.build_adversary` builds an adversary rule; and only a device's
+enrollment makes a CSR.
 
 The source scans read the source with `ast` only; nothing is imported. The
 config-key scan imports `scenario` for the keys its reader accepts.
@@ -362,6 +363,21 @@ def test_record_of_encodings_written_by_three_read_by_two():
         ("codec.py", "_encoded", ""),
         ("codec.py", "_encoded", "remember"),
         ("codec.py", "_encoded", "recall"),
+    }
+
+
+def test_csrs_only_on_the_enrollment_path():
+    """Only a device asks for a certificate by CSR, and only `pki.enroll`
+    checks one: set-up issues each factory and server certificate straight
+    over the key it drew. `pki._signed_cert` signs for `make_ca` and for
+    `issue_certificate`, the one issuance of a subject certificate."""
+    found = {(path.name, *use) for path in SOURCES for use in _uses_by_function(
+        path, {"make_csr", "verify_csr", "_signed_cert"})}
+    assert found == {
+        ("device.py", "make_csr", "_enroll"),
+        ("pki.py", "verify_csr", "enroll"),
+        ("pki.py", "_signed_cert", "make_ca"),
+        ("pki.py", "_signed_cert", "issue_certificate"),
     }
 
 

@@ -42,9 +42,8 @@ def world():
     for i in range(3):
         device_id = b"device-%03d" % i
         key = crypto.generate_key_pair(crypto.digest(device_id))
-        csr = pki.make_csr(device_id, key, CertProfile.FACTORY)
-        cert = pki.issue_certificate(h.permanent, csr, CertProfile.FACTORY,
-                                     LIFETIME)
+        cert = pki.issue_certificate(h.permanent, device_id, key.public_key,
+                                     CertProfile.FACTORY, LIFETIME)
         sp1.managed_devices[device_id] = DeviceUpdateInfo(
             cert, 100 + i, 10_000 + i, VersionInfo(1, Uri("coaps://u/fw")))
     return h, sp1, sp2
@@ -127,9 +126,8 @@ def test_register_req_rogue_cert_refused(world):
     ca2 = operators.CaActor(peers.NetHandle(simnet.Simulator(seed=1), "ca2",
                                             h.revocation_view()), h.ca2)
     sp2_key = crypto.generate_key_pair(crypto.digest(b"sp2-server"))
-    sp2_cert = pki.issue_certificate(
-        h.ca2, pki.make_csr(b"sp2", sp2_key, CertProfile.OPERATIONAL),
-        CertProfile.SERVER, LIFETIME)
+    sp2_cert = pki.issue_certificate(h.ca2, b"sp2", sp2_key.public_key,
+                                     CertProfile.SERVER, LIFETIME)
     sess = session.derive(b"\x01" * 32, b"\x02" * 32, sp2_cert, "sp2")
     [reply] = ca2.peer.dispatch(1000, sess, wire.RegisterReq(
         tuple(encode(c) for c in certs)))
@@ -172,9 +170,8 @@ def server_credential(state, ca):
     """A server credential for operator `state`, issued by `ca`."""
     name = state.name.encode()
     key = crypto.generate_key_pair(crypto.digest(name + b"-server"))
-    cert = pki.issue_certificate(
-        ca, pki.make_csr(name, key, CertProfile.OPERATIONAL),
-        CertProfile.SERVER, LIFETIME)
+    cert = pki.issue_certificate(ca, name, key.public_key, CertProfile.SERVER,
+                                 LIFETIME)
     return pki.Credential(cert, ca.issuer_chain, key)
 
 

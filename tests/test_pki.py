@@ -36,8 +36,8 @@ def device_key(tag):
 
 def factory_cert_for(h, name=b"dev-1", key=None):
     key = key or device_key(name)
-    csr = pki.make_csr(name, key, CertProfile.FACTORY)
-    return pki.issue_certificate(h.permanent, csr, CertProfile.FACTORY, LIFETIME), key
+    return pki.issue_certificate(h.permanent, name, key.public_key,
+                                 CertProfile.FACTORY, LIFETIME), key
 
 
 # ---------------------------------------------------------------------------
@@ -121,24 +121,23 @@ def test_cas_trust_their_roots_once_told(variant):
 
 
 def test_run_scenario_checks_each_set_up_signature_a_pass_later(monkeypatch):
-    """`run_scenario` signs every set-up CSR before it checks the first one
-    and the CA certificates before that, checks each root's self-signature
-    and each CSR only then, and registers the factory certificates (each
-    chain checked) after the last device is provisioned. Each set-up check
-    still runs. The order is pinned because the key draws and serials
-    follow it, and with them every digest."""
+    """`run_scenario`'s set-up makes one signature per certificate it
+    issues and no CSR: the CA certificates, then each factory certificate,
+    then the three server certificates, in serial order. It checks each
+    root's self-signature only after the last CA certificate is signed,
+    and registers the factory certificates (each chain checked) after the
+    last device is provisioned. The order is pinned because the key draws
+    and serials follow it, and with them every digest."""
     log = []
 
     def logged(kind, function):
         def call(*args, **kwargs):
-            entry = [kind, args, None]  # in the order of the calls
-            log.append(entry)
-            entry[2] = function(*args, **kwargs)
-            return entry[2]
+            log.append([kind, args])
+            return function(*args, **kwargs)
         return call
 
     def signing(self, data):
-        log.append(["sign", data, None])
+        log.append(["sign", data])
         return sign(self, data)
 
     sign = crypto.KeyPair.sign
@@ -151,29 +150,39 @@ def test_run_scenario_checks_each_set_up_signature_a_pass_later(monkeypatch):
                         logged("register", pki.register_factory_certs))
     monkeypatch.setattr(simnet.Simulator, "run",
                         logged("run", simnet.Simulator.run))
+    devices = 3
     result = scenario.run_scenario(scenario.ScenarioConfig(
-        name="order", variant="a", device_count=3, seed=7))
+        name="order", variant="a", device_count=devices, seed=7))
     assert result.ok
 
     setup = log[:next(i for i, e in enumerate(log) if e[0] == "run")]
-    kinds = [e[0] for e in setup]
-    signed = {e[1]: i for i, e in enumerate(setup) if e[0] == "sign"}
+    kinds = [kind for kind, _ in setup]
+    assert "csr" not in kinds
+    signed = [(i, data) for i, (kind, data) in enumerate(setup)
+              if kind == "sign"]
     checked = {}
-    for i, (kind, args, _) in enumerate(setup):
+    for i, (kind, args) in enumerate(setup):
         if kind == "check":
             checked.setdefault(args[2], i)
-    csrs = [e[2].tbs_bytes() for e in setup if e[0] == "csr"]
-    roots = [ca.certificate.tbs_bytes() for ca in result.hierarchy.cas()]
+    cas = result.hierarchy.cas()
+    issued = sorted((c for ca in cas for c in ca.issued.values()),
+                    key=lambda c: c.serial)
+    setup_certs = issued[:len(cas) + devices + 3]
+    assert [data for _, data in signed] \
+        == [c.tbs_bytes() for c in setup_certs]
+    assert [c.profile for c in setup_certs[len(cas):]] \
+        == [CertProfile.FACTORY] * devices + [CertProfile.SERVER] * 3
+    roots = [ca.certificate.tbs_bytes() for ca in cas]
+    assert [c.tbs_bytes() for c in setup_certs[:len(cas)]] == roots
+    last_ca_signed = signed[len(cas) - 1][0]
+    assert all(checked[tbs] > last_ca_signed for tbs in roots)
     factory = [m.factory_certificate.tbs_bytes()
                for m in result.sp1_state.managed_devices.values()]
-    assert len(csrs) == 3 + 3 and len(roots) == 3 and len(factory) == 3
-    last_csr_signed = max(signed[tbs] for tbs in csrs)
-    assert max(signed[tbs] for tbs in roots) < signed[csrs[0]]
-    assert all(checked[tbs] > last_csr_signed for tbs in csrs + roots)
+    assert factory == [c.tbs_bytes() for c in setup_certs[len(cas):-3]]
     last_provision = len(kinds) - 1 - kinds[::-1].index("provision")
-    assert kinds.count("provision") == 3
+    assert kinds.count("provision") == devices
     assert kinds.index("register") > last_provision
-    assert all(checked[tbs] > last_provision for tbs in factory)
+    assert all(checked[tbs] > kinds.index("register") for tbs in factory)
 
 
 # ---------------------------------------------------------------------------
@@ -219,37 +228,28 @@ def test_minimal_pretransfer_suffices_for_ca2(variant):
 def test_issue_certificate_contract():
     h = build("b")
     key = device_key(b"dev-9")
-    csr = pki.make_csr(b"dev-9", key, CertProfile.FACTORY)
-    cert = pki.issue_certificate(h.permanent, csr, CertProfile.FACTORY, LIFETIME)
+    cert = pki.issue_certificate(h.permanent, b"dev-9", key.public_key,
+                                 CertProfile.FACTORY, LIFETIME)
     assert cert.issuer_name == h.permanent.name
     store = h.store_for({pki.PERMANENT_CA_NAME})
     assert pki.verify_chain(cert, [], store, NOW, set())
 
 
-def test_issue_rejects_corrupt_pop():
-    h = build("b")
-    key = device_key(b"dev-9")
-    csr = pki.make_csr(b"dev-9", key, CertProfile.FACTORY)
-    pop = csr.proof_of_possession
-    bad = type(csr)(csr.subject_name, csr.subject_public_key,
-                    csr.requested_profile,
-                    pop[:-1] + bytes([pop[-1] ^ 1]))
-    with pytest.raises(BadProofOfPossession):
-        pki.issue_certificate(h.permanent, bad, CertProfile.FACTORY, LIFETIME)
-
-
 def test_issue_rejects_inverted_window():
     h = build("b")
-    csr = pki.make_csr(b"dev-9", device_key(b"dev-9"), CertProfile.FACTORY)
+    key = device_key(b"dev-9")
     with pytest.raises(InvalidValidityWindow):
-        pki.issue_certificate(h.permanent, csr, CertProfile.FACTORY, (10, 9))
+        pki.issue_certificate(h.permanent, b"dev-9", key.public_key,
+                              CertProfile.FACTORY, (10, 9))
 
 
 def test_serials_strictly_increase():
     h = build("b")
-    csr = pki.make_csr(b"dev-9", device_key(b"dev-9"), CertProfile.FACTORY)
-    a = pki.issue_certificate(h.permanent, csr, CertProfile.FACTORY, LIFETIME)
-    b = pki.issue_certificate(h.permanent, csr, CertProfile.FACTORY, LIFETIME)
+    key = device_key(b"dev-9")
+    a = pki.issue_certificate(h.permanent, b"dev-9", key.public_key,
+                              CertProfile.FACTORY, LIFETIME)
+    b = pki.issue_certificate(h.permanent, b"dev-9", key.public_key,
+                              CertProfile.FACTORY, LIFETIME)
     assert b.serial == a.serial + 1
 
 
@@ -258,10 +258,12 @@ def test_serials_unique_across_hierarchy():
     serials = []
     for ca in h.cas():
         serials.extend(ca.issued)
-    csr = pki.make_csr(b"dev-9", device_key(b"dev-9"), CertProfile.FACTORY)
-    serials.append(pki.issue_certificate(h.ca1, csr, CertProfile.OPERATIONAL,
+    key = device_key(b"dev-9")
+    serials.append(pki.issue_certificate(h.ca1, b"dev-9", key.public_key,
+                                         CertProfile.OPERATIONAL,
                                          LIFETIME).serial)
-    serials.append(pki.issue_certificate(h.ca2, csr, CertProfile.OPERATIONAL,
+    serials.append(pki.issue_certificate(h.ca2, b"dev-9", key.public_key,
+                                         CertProfile.OPERATIONAL,
                                          LIFETIME).serial)
     assert len(serials) == len(set(serials))
 
@@ -272,8 +274,8 @@ def test_issued_serials_for_matches_a_scan(variant):
     roots, sub-CAs and certificates issued later, in issue order."""
     h = build(variant)
     for name in (b"dev-1", b"dev-2", b"dev-1"):
-        csr = pki.make_csr(name, device_key(name), CertProfile.FACTORY)
-        pki.issue_certificate(h.ca1, csr, CertProfile.OPERATIONAL, LIFETIME)
+        pki.issue_certificate(h.ca1, name, device_key(name).public_key,
+                              CertProfile.OPERATIONAL, LIFETIME)
     for ca in h.cas():
         subjects = {c.subject_name for c in ca.issued.values()}
         for subject in subjects | {b"nobody"}:
@@ -288,8 +290,8 @@ def test_issued_serials_for_matches_a_scan(variant):
 def test_chain_expired_intermediate():
     h = build("c")
     key = device_key(b"srv")
-    csr = pki.make_csr(b"srv", key, CertProfile.OPERATIONAL)
-    cert = pki.issue_certificate(h.ca2, csr, CertProfile.SERVER, LIFETIME)
+    cert = pki.issue_certificate(h.ca2, b"srv", key.public_key,
+                                 CertProfile.SERVER, LIFETIME)
     store = h.store_for({pki.PERMANENT_CA_NAME})
     late = h.ca2.certificate.not_after + 1
     res = pki.verify_chain(cert, [h.ca2.certificate], store, late, set())
@@ -299,8 +301,8 @@ def test_chain_expired_intermediate():
 def test_chain_not_yet_valid():
     h = build("b")
     key = device_key(b"srv")
-    csr = pki.make_csr(b"srv", key, CertProfile.OPERATIONAL)
-    cert = pki.issue_certificate(h.ca2, csr, CertProfile.SERVER, (500, 900))
+    cert = pki.issue_certificate(h.ca2, b"srv", key.public_key,
+                                 CertProfile.SERVER, (500, 900))
     store = h.store_for({pki.CA2_NAME})
     res = pki.verify_chain(cert, [], store, 100, set())
     assert not res and res.reason is pki.ChainReason.NOT_YET_VALID
@@ -441,8 +443,8 @@ def test_chain_soundness_each_link_mutated():
     """Flipping the signature of any link breaks verification."""
     h = build("c")
     key = device_key(b"srv")
-    csr = pki.make_csr(b"srv", key, CertProfile.OPERATIONAL)
-    leaf = pki.issue_certificate(h.ca2, csr, CertProfile.SERVER, LIFETIME)
+    leaf = pki.issue_certificate(h.ca2, b"srv", key.public_key,
+                                 CertProfile.SERVER, LIFETIME)
     store = h.store_for({pki.PERMANENT_CA_NAME})
     chain = [leaf, h.ca2.certificate]
     assert pki.verify_chain(leaf, [h.ca2.certificate], store, NOW, set())
@@ -461,8 +463,8 @@ def test_chain_leaf_cannot_act_as_issuer():
     """A factory certificate must not authenticate another certificate."""
     h = build("a")
     fake_ca_key = device_key(b"fake")
-    fake_ca_csr = pki.make_csr(b"fake-ca", fake_ca_key, CertProfile.FACTORY)
-    fake_ca = pki.issue_certificate(h.permanent, fake_ca_csr,
+    fake_ca = pki.issue_certificate(h.permanent, b"fake-ca",
+                                    fake_ca_key.public_key,
                                     CertProfile.FACTORY, LIFETIME)
     victim_key = device_key(b"victim")
     victim = pki._signed_cert(b"fake-ca", fake_ca_key, 999, b"victim",
@@ -526,8 +528,9 @@ def test_register_rejects_revoked_factory_cert():
 
 
 def server_cert_for(h):
-    csr = pki.make_csr(b"srv", device_key(b"srv"), CertProfile.OPERATIONAL)
-    return pki.issue_certificate(h.permanent, csr, CertProfile.SERVER, LIFETIME)
+    return pki.issue_certificate(h.permanent, b"srv",
+                                 device_key(b"srv").public_key,
+                                 CertProfile.SERVER, LIFETIME)
 
 
 def test_register_rejects_a_non_factory_cert():
@@ -601,6 +604,24 @@ def test_enroll_revoked_factory_rejected():
     csr = pki.make_csr(b"dev-1", device_key(b"op"), CertProfile.OPERATIONAL)
     with pytest.raises(RevokedFactoryCert):
         pki.enroll(h.ca1, fcert, csr, LIFETIME)
+
+
+def test_enroll_rejects_corrupt_pop():
+    """A registered device's CSR whose proof of possession fails is refused
+    before anything is issued: no certificate recorded, no serial taken."""
+    h = build("b")
+    fcert, _ = factory_cert_for(h)
+    pki.register_factory_certs(h.ca1, [fcert], NOW)
+    csr = pki.make_csr(b"dev-1", device_key(b"dev-1-op"),
+                       CertProfile.OPERATIONAL)
+    pop = csr.proof_of_possession
+    bad = replace(csr, proof_of_possession=pop[:-1] + bytes([pop[-1] ^ 1]))
+    issued = dict(h.ca1.issued)
+    with pytest.raises(BadProofOfPossession):
+        pki.enroll(h.ca1, fcert, bad, LIFETIME)
+    assert h.ca1.issued == issued
+    # the serial the refused CSR would have taken goes to the next issue
+    assert pki.enroll(h.ca1, fcert, csr, LIFETIME).serial == fcert.serial + 1
 
 
 def test_enroll_server_keygen():

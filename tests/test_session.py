@@ -30,8 +30,8 @@ def build(variant, seed=3):
 
 def device_credential(h, name=b"dev-1"):
     key = crypto.generate_key_pair(crypto.digest(name))
-    csr = pki.make_csr(name, key, CertProfile.FACTORY)
-    cert = pki.issue_certificate(h.permanent, csr, CertProfile.FACTORY, LIFETIME)
+    cert = pki.issue_certificate(h.permanent, name, key.public_key,
+                                 CertProfile.FACTORY, LIFETIME)
     return pki.Credential(cert, (), key)
 
 
@@ -375,8 +375,8 @@ def hello_under(cred):
 def _operational_hello(h):
     """A Hello under an operational certificate CA2 issued to a device."""
     key = crypto.generate_key_pair(crypto.digest(b"op"))
-    csr = pki.make_csr(b"dev-1", key, CertProfile.OPERATIONAL)
-    cert = pki.issue_certificate(h.ca2, csr, CertProfile.OPERATIONAL, LIFETIME)
+    cert = pki.issue_certificate(h.ca2, b"dev-1", key.public_key,
+                                 CertProfile.OPERATIONAL, LIFETIME)
     return ca_responder(h), hello_under(
         pki.Credential(cert, h.ca2.issuer_chain, key))
 
