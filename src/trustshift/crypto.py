@@ -9,8 +9,16 @@ bytes. `_check` is the one Ed25519 verify. `KeyPair.sign` records each
 triple it makes, and Ed25519 accepts every signature it makes under its
 own key, so `verify_raw` answers a recorded triple with True and runs
 `_check` on anything else: a flipped byte, another signer's key or a
-signature made elsewhere is always checked. The record holds one run, as
-does the codec's record of encodings: `scenario.run_scenario` empties both
+signature made elsewhere is always checked.
+
+A key pair is a pure function of its seed. `_derive` is the one Ed25519
+key derivation, and `generate_key_pair` answers a `bytes` seed this run
+already derived from the record of derived keys: under `server_keygen` a
+device derives the seed its CA has just derived. A bytearray or
+memoryview seed is always derived, and only 32-byte seeds are recorded.
+
+The records of signatures and of derived keys hold one run, as does the
+codec's record of encodings: `scenario.run_scenario` empties all three
 first (`forget_run`), so a run's answers and memory depend on nothing that
 ran before it in the process.
 """
@@ -55,11 +63,14 @@ def key_id_for(public_key: bytes) -> bytes:
 
 
 # The (public key, signature, message) triples `KeyPair.sign` made in this
-# run, least recently signed or checked first. Only `generate_key_pair`
-# builds a KeyPair, so each key is its private key's own and each triple
-# verifies.
+# run, least recently signed or checked first. Only `_derive` builds a
+# KeyPair, so each key is its private key's own and each triple verifies.
 _signed: OrderedDict[tuple[bytes, bytes, bytes], None] = OrderedDict()
 _bound = SIGNED_RECORD_SIZE
+# The key pairs `_derive` made in this run from `bytes` seeds, by seed.
+# KeyPair is frozen and derivation deterministic, so an entry is what
+# `_derive` would return. Unbounded: it holds at most the run's own keys.
+_derived: dict[bytes, KeyPair] = {}
 
 
 @dataclass(frozen=True)
@@ -79,8 +90,8 @@ class KeyPair:
         return signature
 
 
-def generate_key_pair(seed: bytes) -> KeyPair:
-    """Derive a signing key pair from a 32-byte seed (same seed, same keys)."""
+def _derive(seed: bytes) -> KeyPair:
+    """The one Ed25519 key derivation."""
     if len(seed) != SEED_LEN:
         raise BadSeedLength(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
     private = Ed25519PrivateKey.from_private_bytes(seed)
@@ -89,6 +100,22 @@ def generate_key_pair(seed: bytes) -> KeyPair:
         format=serialization.PublicFormat.Raw,
     )
     return KeyPair(public_key=public, key_id=key_id_for(public), _private=private)
+
+
+def generate_key_pair(seed: bytes) -> KeyPair:
+    """Derive a signing key pair from a 32-byte seed (same seed, same keys).
+
+    A `bytes` seed derived in this run is answered from the record of
+    derived keys; any other seed goes to `_derive`, and a `bytes` one is
+    then recorded. An argument of another type (a bytearray, a memoryview)
+    never is: a memoryview compares and hashes equal to the bytes it
+    views, but its bytes may change after the call."""
+    if type(seed) is not bytes:
+        return _derive(seed)
+    key = _derived.get(seed)
+    if key is None:
+        key = _derived[seed] = _derive(seed)
+    return key
 
 
 def _check(public_key: bytes, signature: bytes, data: bytes) -> bool:
@@ -101,10 +128,11 @@ def _check(public_key: bytes, signature: bytes, data: bytes) -> bool:
 
 
 def forget_run(device_count: int) -> None:
-    """Empty the per-run records, of signatures made and of encodings, and
-    bound the first for a run of `device_count` devices."""
+    """Empty the per-run records, of signatures made, of derived keys and
+    of encodings, and bound the first for a run of `device_count` devices."""
     global _bound
     _signed.clear()
+    _derived.clear()
     _bound = SIGNED_RECORD_SIZE + SIGNED_PER_DEVICE * device_count
     codec.forget_encoded()
 

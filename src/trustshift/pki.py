@@ -253,13 +253,21 @@ class CaState:
         return list(self._serials_by_subject.get(subject_name, ()))
 
 
+def _serial_for(allocator: SerialAllocator,
+                validity: tuple[TimeStamp, TimeStamp]) -> int:
+    """The next serial, for a certificate valid over `validity`: an inverted
+    window is refused before a serial is taken."""
+    not_before, not_after = validity
+    if not_before > not_after:
+        raise InvalidValidityWindow(f"window [{not_before}, {not_after}] inverted")
+    return allocator.take()
+
+
 def _signed_cert(issuer_name: bytes, issuer_key: crypto.KeyPair, serial: int,
                  subject_name: bytes, subject_public_key: bytes,
                  validity: tuple[TimeStamp, TimeStamp],
                  profile: CertProfile) -> CompactCertificate:
     not_before, not_after = validity
-    if not_before > not_after:
-        raise InvalidValidityWindow(f"window [{not_before}, {not_after}] inverted")
     unsigned = CompactCertificate(serial, subject_name, subject_public_key,
                                   issuer_name, not_before, not_after, profile, b"")
     return CompactCertificate(serial, subject_name, subject_public_key,
@@ -274,7 +282,8 @@ def make_ca(name: bytes, key_pair: crypto.KeyPair, allocator: SerialAllocator,
     certifies and records as issued; it enrolls at `ENROLL_URIS[name]`."""
     issuer_name, issuer_key = (parent.name, parent.key_pair) if parent \
         else (name, key_pair)
-    cert = _signed_cert(issuer_name, issuer_key, allocator.take(), name,
+    cert = _signed_cert(issuer_name, issuer_key,
+                        _serial_for(allocator, validity), name,
                         key_pair.public_key, validity,
                         CertProfile.SUB_CA if parent else CertProfile.ROOT_CA)
     ca = CaState(name=name, key_pair=key_pair, certificate=cert,
@@ -305,7 +314,7 @@ def issue_certificate(ca: CaState, subject_name: bytes, public_key: bytes,
     the one issuance of a subject certificate. Callers decide first why the
     key is the subject's: set-up drew it, `enroll` checked the CSR's proof
     of possession, `enroll_server_keygen` generated it."""
-    cert = _signed_cert(ca.name, ca.key_pair, ca.allocator.take(),
+    cert = _signed_cert(ca.name, ca.key_pair, _serial_for(ca.allocator, validity),
                         subject_name, public_key, validity, profile)
     ca.add_issued(cert)
     return cert

@@ -1,5 +1,6 @@
-"""Crypto tests: determinism, key ids, tamper resistance, digest behavior
-and the record of signatures made as the verify shortcut. How the record
+"""Crypto tests: determinism, key ids, tamper resistance, digest behavior,
+the record of derived keys as the key-derivation shortcut and the record
+of signatures made as the verify shortcut. How the record of signatures
 answers a check ahead is tested in `test_verify_ahead.py`."""
 
 import random
@@ -18,7 +19,7 @@ from trustshift.messages import (
     decode,
     encode,
 )
-from trustshift.scenario import ScenarioConfig, run_scenario
+from trustshift.scenario import ScenarioConfig, ScenarioOptions, run_scenario
 
 
 def seeded_key(tag: bytes) -> crypto.KeyPair:
@@ -47,8 +48,71 @@ def test_key_id_length_and_derivation():
 
 @pytest.mark.parametrize("n", [0, 16, 31, 33, 64])
 def test_bad_seed_length(n):
+    """Refused with a 32-byte seed of the same bytes recorded: only
+    32-byte seeds are recorded, so any other length misses."""
+    crypto.generate_key_pair(b"\x00" * 32)
     with pytest.raises(BadSeedLength):
         crypto.generate_key_pair(b"\x00" * n)
+
+
+# ---------------------------------------------------------------------------
+# the record of derived keys: a run derives each bytes seed once
+# ---------------------------------------------------------------------------
+
+def counted_derivations(mp) -> list:
+    """Record each seed that reaches `_derive` from now on."""
+    derive, seeds = crypto._derive, []
+    mp.setattr(crypto, "_derive", lambda seed: seeds.append(seed) or derive(seed))
+    return seeds
+
+
+def test_derived_key_answered_from_the_record(monkeypatch):
+    """Within a run, a bytes seed is derived once: later calls return the
+    same KeyPair, whose key is the one a fresh derivation gives."""
+    crypto.forget_run(0)
+    seeds = counted_derivations(monkeypatch)
+    seed = crypto.digest(b"recorded")
+    key = crypto.generate_key_pair(seed)
+    assert crypto.generate_key_pair(bytes(bytearray(seed))) is key
+    assert seeds == [seed]
+    fresh = crypto._derive(seed)
+    assert fresh is not key
+    assert (fresh.public_key, fresh.key_id) == (key.public_key, key.key_id)
+
+
+def test_forget_run_empties_the_record_of_derived_keys(monkeypatch):
+    seed = crypto.digest(b"forgotten")
+    key = crypto.generate_key_pair(seed)
+    crypto.forget_run(0)
+    seeds = counted_derivations(monkeypatch)
+    assert crypto.generate_key_pair(seed) is not key
+    assert seeds == [seed]
+
+
+@pytest.mark.parametrize("kind", [bytearray, memoryview])
+def test_derived_key_of_a_bytearray_or_memoryview_is_not_recorded(kind, monkeypatch):
+    """A seed of another type than bytes is always derived and never
+    recorded, before or after its bytes are."""
+    crypto.forget_run(0)
+    seeds = counted_derivations(monkeypatch)
+    seed = crypto.digest(b"not bytes")
+    first = crypto.generate_key_pair(kind(seed))
+    key = crypto.generate_key_pair(seed)
+    assert crypto.generate_key_pair(kind(seed)) is not key
+    assert first.public_key == key.public_key
+    assert len(seeds) == 3
+
+
+def test_server_keygen_run_derives_each_seed_once(monkeypatch):
+    """Under `server_keygen` a device derives the seed its CA has just
+    derived, and in variant a CA2 draws CA1's seeds; a run still hands each
+    seed to `_derive` once."""
+    seeds = counted_derivations(monkeypatch)
+    result = run_scenario(ScenarioConfig(
+        name="keygen", variant="a", device_count=3, seed=1,
+        options=ScenarioOptions(server_keygen=True)))
+    assert result.ok
+    assert seeds and len(seeds) == len(set(seeds))
 
 
 def test_sign_verify_roundtrip():

@@ -237,6 +237,22 @@ def test_ed25519_verify_in_one_function():
     assert calls == ["_check"], f"Ed25519 verify called in {calls}"
 
 
+def test_ed25519_key_derivation_in_one_function():
+    """One function derives an Ed25519 key, `crypto._derive`, which
+    `generate_key_pair` runs on every seed this run has not derived; and
+    nothing outside `crypto` reads or writes the record of derived keys."""
+    derivations = {(path.name, *use) for path in SOURCES
+                   for use in _uses_by_function(path, {"from_private_bytes"})}
+    assert derivations == {("crypto.py", "from_private_bytes", "_derive")}
+    record = {(path.name, *use) for path in SOURCES + BENCH
+              for use in _uses_by_function(path, {"_derived"})}
+    assert record == {
+        ("crypto.py", "_derived", ""),
+        ("crypto.py", "_derived", "generate_key_pair"),
+        ("crypto.py", "_derived", "forget_run"),
+    }
+
+
 _FORK_AND_PIPE = {"fork", "forkpty", "pipe", "pipe2", "mkfifo"}
 
 

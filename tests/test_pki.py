@@ -243,6 +243,22 @@ def test_issue_rejects_inverted_window():
                               CertProfile.FACTORY, (10, 9))
 
 
+def test_inverted_window_takes_no_serial():
+    """A refused window uses up no serial: the certificates issued before
+    and after it have consecutive serials."""
+    h = build("b")
+    key = device_key(b"dev-9")
+
+    def issue(window):
+        return pki.issue_certificate(h.permanent, b"dev-9", key.public_key,
+                                     CertProfile.FACTORY, window)
+
+    before = issue((0, 9))
+    with pytest.raises(InvalidValidityWindow):
+        issue((10, 9))
+    assert issue((0, 9)).serial == before.serial + 1
+
+
 def test_serials_strictly_increase():
     h = build("b")
     key = device_key(b"dev-9")

@@ -1,10 +1,12 @@
 """The per-run shortcuts change no outcome.
 
 A run answers a decode of bytes it encoded from the record of encodings
-(`codec.recall`), and a check of a signature it made from the record of
-signatures made (`crypto.verify_raw`). Here each shipped and attack config
-runs once as is and once with both turned off in the test: every decode
-parses, and every signature check runs Ed25519 (`crypto._check`). The
+(`codec.recall`), a check of a signature it made from the record of
+signatures made (`crypto.verify_raw`), and a key pair it already derived
+from the record of derived keys (`crypto.generate_key_pair`). Here each
+shipped and attack config runs once as is and once with all three turned
+off in the test: every decode parses, every signature check runs Ed25519
+(`crypto._check`), and every key pair is derived (`crypto._derive`). The
 trace digest, each device's phase and the run's verdict stay the same.
 """
 
@@ -30,8 +32,11 @@ def outcome(path: Path):
 def test_shortcuts_change_no_outcome(name, monkeypatch):
     with_shortcuts = outcome(CONFIGS / name)
     checks, check = [], crypto._check
+    seeds, derive = [], crypto._derive
     monkeypatch.setattr(codec, "recall", lambda data, cls, keep=False: None)
     monkeypatch.setattr(crypto, "verify_raw",
                         lambda *triple: checks.append(triple) or check(*triple))
+    monkeypatch.setattr(crypto, "generate_key_pair",
+                        lambda seed: seeds.append(seed) or derive(seed))
     assert outcome(CONFIGS / name) == with_shortcuts
-    assert checks
+    assert checks and seeds
