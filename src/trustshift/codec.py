@@ -17,7 +17,10 @@ reader, the one strict path.
 
 A per-run record answers a decode of bytes this process encoded with the
 value it encoded (`remember`, `recall`): that value is frozen, and exact
-(`compile_exact`), so it is the one parse of its canonical bytes.
+(`compile_exact`), so it is the one parse of its canonical bytes. An entry
+read without `keep` (a frame's) answers one decode for each time its bytes
+were encoded and one for each copy declared in flight (`owe`), and leaves
+at the last; an entry read with `keep` (a payload's) owes nothing and stays.
 """
 
 from __future__ import annotations
@@ -35,8 +38,10 @@ _MAJOR_ARRAY = 4
 _MAJOR_MAP = 5
 
 # Bound on the record of encodings, least recently used dropped first. A
-# 200-device variant-b run holds at most 1410 entries; a 1000-device run
-# fills it, and 1003 of its 15011 certificate decodes then take the parse.
+# 200-device variant-b run holds at most 1410 entries, and a 50-device
+# variant-a run with every option and every delivery replayed 521 (156 of
+# them copies that reach no reader); a 1000-device run fills it, and 1003
+# of its 15011 certificate decodes then take the parse.
 RECORD_SIZE = 4096
 
 _FALSE = 0xF4
@@ -287,31 +292,59 @@ def compile_init(cls):
 
 
 # What this run encoded: bytes -> the value they encode, least recently
-# used first.
+# used first; and, for bytes encoded or put in flight more than once, how
+# many more decodes the entry still answers after the next.
 _encoded: OrderedDict[bytes, object] = OrderedDict()
-forget_encoded = _encoded.clear
+_owed: dict[bytes, int] = {}
 
 
-def remember(data: bytes, value) -> bytes:
+def forget_encoded() -> None:
+    _encoded.clear()
+    _owed.clear()
+
+
+def remember(data: bytes, value, keep: bool = False) -> bytes:
     """Record `value` as what `data` decodes to if its class has an `EXACT`
-    check and `value` passes it; return `data`."""
+    check and `value` passes it; return `data`. Bytes already held for a
+    value of the same class owe one more decode instead, unless `keep`
+    (they are read with `keep`, and owe nothing)."""
     exact = getattr(type(value), "EXACT", None)
     if exact is not None and exact(value):
-        _encoded[data] = value
-        if len(_encoded) > RECORD_SIZE:
-            _encoded.popitem(last=False)
+        held = _encoded.get(data)
+        if held is None:
+            _encoded[data] = value
+            if len(_encoded) > RECORD_SIZE:
+                _owed.pop(_encoded.popitem(last=False)[0], None)
+        elif type(held) is type(value):
+            _encoded.move_to_end(data)
+            if not keep:
+                _owed[data] = _owed.get(data, 0) + 1
+        else:
+            _encoded[data] = value
+            _owed.pop(data, None)
     return data
+
+
+def owe(data: bytes) -> None:
+    """One more decode of `data`, a copy of bytes already in flight, to be
+    answered from the record if it holds them."""
+    if type(data) is bytes and data in _encoded:
+        _owed[data] = _owed.get(data, 0) + 1
 
 
 def recall(data, cls, keep: bool = False):
     """The value of class `cls` exactly that this run encoded as `data`, a
-    `bytes`, or None; taken out of the record unless `keep`, which makes it
-    the newest entry instead."""
+    `bytes`, or None. With `keep` the entry stays, as the newest; without,
+    it is taken out at the last decode it owes."""
     value = _encoded.get(data) if type(data) is bytes else None
     if type(value) is not cls:
         return None
     if keep:
         _encoded.move_to_end(data)
-    else:
+        return value
+    owed = _owed.pop(data, 0)
+    if owed > 1:
+        _owed[data] = owed - 1
+    elif not owed:
         del _encoded[data]
     return value

@@ -153,8 +153,8 @@ class CompactCertificate:
         try:
             return self._encoding
         except AttributeError:
-            object.__setattr__(self, "_encoding",
-                               codec.remember(_write_cert(self), self))
+            object.__setattr__(self, "_encoding", codec.remember(
+                _write_cert(self), self, keep=True))
             return self._encoding
 
 
@@ -342,7 +342,7 @@ def encode(message) -> bytes:
     kind = getattr(type(message), "KIND", None)
     if kind is None:
         raise InvariantViolation(f"not an encodable message: {type(message).__name__}")
-    return codec.remember(kind[0](message), message)
+    return codec.remember(kind[0](message), message, keep=True)
 
 
 def decode(cls, data: bytes):

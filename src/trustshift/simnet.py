@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from . import wire
+from .codec import owe
 from .errors import ScenarioInvalid
 
 LATENCY = 1
@@ -45,6 +46,9 @@ class EventKind(Enum):
     DELIVER = "deliver"
     DROP = "drop"
     ADVERSARY_ACTION = "adversaryAction"
+
+
+DELIVER, DROP, ADVERSARY_ACTION = EventKind
 
 
 class SimEvent(typing.NamedTuple):
@@ -379,6 +383,11 @@ class AdversarySchedule:
     fire_counts: dict[int, int] = field(default_factory=dict)
 
 
+# `_event(SimEvent, fields)`: an event from all eight of its fields, without
+# the namedtuple's Python-level constructor that fills in defaults.
+_event = tuple.__new__
+
+
 def adversary_apply(schedule: AdversarySchedule,
                     event: SimEvent) -> list[SimEvent]:
     """Emit the events that replace an observed delivery.
@@ -387,10 +396,10 @@ def adversary_apply(schedule: AdversarySchedule,
     the fate of the original. A rule counts towards `first_n` only when it
     acts. Payload bytes are never interpreted beyond record framing metadata.
     """
+    time, _, src, dst, payload, label = event[:6]
     out: list[SimEvent] = []
-    consumed = False
     for idx, rule in enumerate(schedule.rules):
-        if consumed or not rule.matches(event):
+        if not rule.matches(event):
             continue
         schedule.match_counts[idx] = schedule.match_counts.get(idx, 0) + 1
         if schedule.match_counts[idx] % rule.every_k != 0:
@@ -400,50 +409,45 @@ def adversary_apply(schedule: AdversarySchedule,
             continue
         action = rule.action
         if action == "inject" and rule.frame_in_matched_session:
-            frame = wire.parse_record_frame(event.payload)
+            frame = wire.parse_record_frame(payload)
             if frame is None:
                 continue
         schedule.fire_counts[idx] = fired + 1
-        out.append(SimEvent(event.time, EventKind.ADVERSARY_ACTION, "adversary",
-                            event.dst, b"", event.label, "adversary",
-                            f"{action}:{idx}"))
-        dst = rule.redirect_dst or event.dst
+        out.append(_event(SimEvent, (time, ADVERSARY_ACTION, "adversary", dst,
+                                     b"", label, "adversary", f"{action}:{idx}")))
+        to = rule.redirect_dst or dst
 
         if action == "record":
             schedule.recorded.setdefault(rule.slot, []).append(event)
         elif action == "drop":
-            out.append(SimEvent(event.time, EventKind.DROP, event.src, event.dst,
-                                event.payload, event.label, "adversary",
-                                "adversary_drop"))
-            consumed = True
+            out.append(_event(SimEvent, (time, DROP, src, dst, payload, label,
+                                         "adversary", "adversary_drop")))
+            return out
         elif action == "replay":
-            out.append(SimEvent(event.time + rule.delay, EventKind.DELIVER,
-                                event.src, dst, event.payload, event.label,
-                                "adversary"))
+            out.append(_event(SimEvent, (time + rule.delay, DELIVER, src, to,
+                                         payload, label, "adversary", "")))
         elif action == "modify":
-            data = bytearray(event.payload)
+            data = bytearray(payload)
             if data:
                 pos = rule.xor_pos if rule.xor_pos is not None else len(data) // 2
                 data[pos % len(data)] ^= rule.xor_mask
-            out.append(SimEvent(event.time, EventKind.DELIVER, event.src,
-                                event.dst, bytes(data), event.label, "adversary"))
-            consumed = True
+            out.append(_event(SimEvent, (time, DELIVER, src, dst, bytes(data),
+                                         label, "adversary", "")))
+            return out
         elif action == "inject_recorded":
             for recorded in schedule.recorded.get(rule.slot, []):
-                out.append(SimEvent(event.time + rule.delay, EventKind.DELIVER,
-                                    recorded.src, dst, recorded.payload,
-                                    recorded.label, "adversary"))
+                out.append(_event(SimEvent, (
+                    time + rule.delay, DELIVER, recorded.src, to,
+                    recorded.payload, recorded.label, "adversary", "")))
         elif action == "inject":
-            payload = rule.inject_payload
+            injected = rule.inject_payload
             if rule.frame_in_matched_session:
-                payload = wire.encode_wire(wire.RecordFrame(
-                    frame.session_id, frame.seq + rule.seq_offset, payload))
-            out.append(SimEvent(event.time + rule.delay, EventKind.DELIVER,
-                                "adversary", dst, payload, "injected",
-                                "adversary"))
-
-    if not consumed:
-        out.append(event)
+                injected = wire.encode_wire(wire.RecordFrame(
+                    frame.session_id, frame.seq + rule.seq_offset, injected))
+            out.append(_event(SimEvent, (time + rule.delay, DELIVER, "adversary",
+                                         to, injected, "injected", "adversary",
+                                         "")))
+    out.append(event)
     return out
 
 
@@ -511,8 +515,8 @@ class Simulator:
     def transmit(self, src: str, dst: str, payload: bytes, label: str = "",
                  delay: int = LATENCY) -> None:
         time = self.now + delay
-        self._schedule(time, SimEvent(time, EventKind.DELIVER, src, dst,
-                                      payload, label))
+        self._schedule(time, _event(SimEvent, (time, DELIVER, src, dst,
+                                               payload, label, "net", "")))
 
     # --- run loop ---
 
@@ -536,7 +540,7 @@ class Simulator:
                         trace.add("timer", now, proc.name)
                         self._resume(proc, TIMEOUT if proc.state == "waiting"
                                      else None)
-                elif entry.kind is EventKind.DELIVER:
+                elif entry.kind is DELIVER:
                     # give the adversary one look at net-originated traffic
                     if self.adversary is None or entry.origin != "net":
                         self._deliver(entry)
@@ -544,9 +548,12 @@ class Simulator:
                     for emitted in adversary_apply(self.adversary, entry):
                         if emitted is entry:
                             self._deliver(entry)
-                        else:
-                            self._schedule(emitted.time, emitted)
-                elif entry.kind is EventKind.DROP:
+                            continue
+                        if emitted.payload is entry.payload \
+                                and emitted.kind is DELIVER:
+                            owe(entry.payload)  # a copy: one more decode
+                        self._schedule(emitted.time, emitted)
+                elif entry.kind is DROP:
                     trace.add("drop", now, entry.src, entry.dst, entry.label,
                               len(entry.payload), entry.note)
                 else:

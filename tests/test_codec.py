@@ -5,6 +5,7 @@ import dataclasses
 import json
 import pickle
 import random
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -526,3 +527,140 @@ def test_property_payloads_parse_canonically(cls, seed, bit, extra):
     data = encode(PAYLOAD_MAKERS[cls](random.Random(seed)))
     _assert_canonical_parse(data, lambda near: decode(cls, near), encode, bit,
                             extra)
+
+
+# ---------------------------------------------------------------------------
+# owed decodes in the record of encodings
+# ---------------------------------------------------------------------------
+
+def test_bytes_encoded_twice_are_answered_twice():
+    """Two equal frames encoded give two decodes from the record, both the
+    first frame; the third decode takes the strict parse."""
+    codec.forget_encoded()
+    first, second = wire.RaHello(b"twice"), wire.RaHello(b"twice")
+    data = wire.encode_wire(first)
+    assert wire.encode_wire(second) == data and codec._owed == {data: 1}
+    assert wire.decode_wire(data) is first
+    assert wire.decode_wire(data) is first
+    assert data not in codec._encoded and not codec._owed
+    third = wire.decode_wire(data)
+    assert third == first and third is not first
+
+
+def test_owed_copy_is_answered():
+    """`owe` of held bytes (a copy put in flight) answers one more decode;
+    of bytes the record does not hold, it does nothing."""
+    codec.forget_encoded()
+    frame = wire.TrustAck(True)
+    data = wire.encode_wire(frame)
+    codec.owe(data)
+    codec.owe(b"never encoded")
+    codec.owe(bytearray(data))
+    assert codec._owed == {data: 1}
+    assert wire.decode_wire(data) is frame
+    assert wire.decode_wire(data) is frame
+    assert wire.decode_wire(data) is not frame
+
+
+def test_eviction_drops_the_owed_count(monkeypatch):
+    monkeypatch.setattr(codec, "RECORD_SIZE", 2)
+    codec.forget_encoded()
+    frame = wire.RaHello(b"evicted")
+    data = wire.encode_wire(frame)
+    codec.owe(data)
+    wire.encode_wire(wire.RaHello(b"one"))
+    wire.encode_wire(wire.RaHello(b"two"))
+    assert data not in codec._encoded and data not in codec._owed
+    assert wire.decode_wire(data) is not frame
+
+
+def test_value_of_another_class_replaces_the_entry_and_its_count():
+    """Bytes held for a frame and owed a decode, remembered for a value of
+    another class: the entry is that value, and owes nothing."""
+    codec.forget_encoded()
+    version = VersionInfo(12, Uri("x"))
+    data = encode(version)
+    frame = wire.RaHello(b"x")
+    codec.remember(data, frame)
+    codec.remember(data, frame)
+    assert codec._encoded[data] is frame and codec._owed == {data: 1}
+    codec.remember(data, version, keep=True)
+    assert codec._encoded[data] is version and not codec._owed
+    assert decode(VersionInfo, data) is version
+
+
+def test_kept_entries_owe_nothing():
+    """A payload encoded again, or its decodes, leave no owed count: its
+    decodes keep the entry."""
+    codec.forget_encoded()
+    cert = gen.rand_certificate(random.Random(8))
+    data = encode(cert)
+    equal = dataclasses.replace(cert)
+    assert encode(cert) == encode(equal) == equal.encoding() == data
+    assert decode(CompactCertificate, data) is cert
+    assert decode(CompactCertificate, data) is cert
+    assert not codec._owed
+
+
+def test_forget_encoded_empties_both_maps():
+    frame = wire.RaHello(b"forgotten")
+    data = wire.encode_wire(frame)
+    codec.owe(data)
+    assert codec._encoded and codec._owed
+    codec.forget_encoded()
+    assert not codec._encoded and not codec._owed
+
+
+# Equal frames as distinct objects, equal bytes, and frames of other classes.
+OWED_POOL = (wire.RaHello(b"a"), wire.RaHello(b"a"), wire.RaHello(b"b"),
+             wire.TrustAck(True), wire.RecordFrame(b"\x01" * 8, 3, b"p"))
+OWED_OPS = st.lists(st.tuples(st.sampled_from(["remember", "owe", "recall"]),
+                              st.integers(0, len(OWED_POOL) - 1)), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(OWED_OPS, st.integers(1, 4))
+def test_property_owed_decodes_match_a_multiset(ops, size):
+    """Any sequence of encodes, declared copies and decodes against a model:
+    an LRU-ordered multiset of the decodes each byte string is still owed.
+    A decode is answered from the record exactly when the model owes one,
+    with the first value encoded; every answer equals the strict parse."""
+    codec.forget_encoded()
+    strict = {type(f).WRITE(f): wire.decode_wire(type(f).WRITE(f))
+              for f in OWED_POOL}
+    held, owed = {}, OrderedDict()  # the model: bytes -> value, count
+    bound = codec.RECORD_SIZE
+    codec.RECORD_SIZE = size
+    try:
+        for op, index in ops:
+            frame = OWED_POOL[index]
+            data = type(frame).WRITE(frame)
+            if op == "remember":
+                wire.encode_wire(frame)
+                if data in owed:
+                    owed[data] += 1
+                    owed.move_to_end(data)
+                else:
+                    held[data], owed[data] = frame, 1
+                    if len(owed) > size:
+                        held.pop(owed.popitem(last=False)[0])
+            elif op == "owe":
+                codec.owe(data)
+                if data in owed:
+                    owed[data] += 1
+            else:
+                answer = wire.decode_wire(data)
+                assert repr(answer) == repr(strict[data])
+                if data in owed:
+                    assert answer is held[data]
+                    owed[data] -= 1
+                    if not owed[data]:
+                        del owed[data], held[data]
+                else:
+                    assert all(answer is not f for f in OWED_POOL)
+            assert list(codec._encoded) == list(owed)
+            assert set(codec._owed) <= set(codec._encoded)
+            assert {d: 1 + codec._owed.get(d, 0) for d in codec._encoded} == owed
+    finally:
+        codec.RECORD_SIZE = bound
+        codec.forget_encoded()

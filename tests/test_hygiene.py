@@ -364,21 +364,31 @@ def test_record_of_encodings_written_by_three_read_by_two():
     """`codec.remember` is called only by the three writers of the record of
     encodings (`wire.encode_wire`, `messages.encode` and
     `CompactCertificate.encoding`), `codec.recall` only by its two readers
-    (`wire.decode_wire`, `messages.decode`), and `forget_encoded` only by
-    the per-run reset; nothing outside those touches `codec._encoded`."""
+    (`wire.decode_wire`, `messages.decode`), `codec.owe` only by the
+    simulator's run loop, for each copy of a frame it puts in flight, and
+    `forget_encoded` only by the per-run reset; nothing outside `codec`'s
+    own functions touches `codec._encoded` or `codec._owed`."""
     found = {(path.name, *use) for path in SOURCES for use in _uses_by_function(
-        path, {"remember", "recall", "forget_encoded", "_encoded"})}
+        path, {"remember", "recall", "owe", "forget_encoded", "_encoded",
+               "_owed"})}
     assert found == {
         ("wire.py", "remember", "encode_wire"),
         ("messages.py", "remember", "encode"),
         ("messages.py", "remember", "encoding"),
         ("wire.py", "recall", "decode_wire"),
         ("messages.py", "recall", "decode"),
+        ("simnet.py", "owe", "run"),
         ("crypto.py", "forget_encoded", "forget_run"),
-        ("codec.py", "forget_encoded", ""),
         ("codec.py", "_encoded", ""),
+        ("codec.py", "_owed", ""),
+        ("codec.py", "_encoded", "forget_encoded"),
+        ("codec.py", "_owed", "forget_encoded"),
         ("codec.py", "_encoded", "remember"),
+        ("codec.py", "_owed", "remember"),
+        ("codec.py", "_encoded", "owe"),
+        ("codec.py", "_owed", "owe"),
         ("codec.py", "_encoded", "recall"),
+        ("codec.py", "_owed", "recall"),
     }
 
 

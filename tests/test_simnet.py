@@ -557,12 +557,14 @@ def test_adversary_never_reprocesses_adversary_traffic():
 def test_adversary_module_is_payload_opaque():
     """Structural opacity: the adversary controller never touches message
     decoding beyond record framing; the simulator module cannot import the
-    protocol payload codecs."""
+    protocol payload codecs, and takes from `codec` only `owe`, with which
+    the run loop declares each copy of a payload it puts in flight."""
     source = inspect.getsource(simnet)
     assert "from . import wire" in source
     assert "messages" not in source.replace("SimEvent", "")
     assert "decode(" not in source.replace("decode_wire", "").replace(
         "parse_record_frame", "")
+    assert source.count("codec") == 1 and "from .codec import owe\n" in source
 
 
 GLOBS = (st.sampled_from(["*", "?", "[a-c]*", "[!d]*", "device-0*", "ca1.hello",
