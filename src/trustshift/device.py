@@ -54,7 +54,7 @@ class DevicePhase(Enum):
 EDGES = {
     DevicePhase.BLANK: {DevicePhase.PROVISIONED},
     DevicePhase.PROVISIONED: {DevicePhase.ENROLLED},
-    DevicePhase.ENROLLED: {DevicePhase.ENROLLED, DevicePhase.TRANSFER_PENDING},
+    DevicePhase.ENROLLED: {DevicePhase.TRANSFER_PENDING},
     DevicePhase.TRANSFER_PENDING: {DevicePhase.RESET_DONE},
     DevicePhase.RESET_DONE: {DevicePhase.ATTESTED, DevicePhase.UPDATED,
                              DevicePhase.REENROLLED, DevicePhase.FALLBACK},
@@ -79,9 +79,6 @@ class DeviceEndpoints:
 # RETRY_BACKOFF time units apart.
 ENROLL_ATTEMPTS = 3
 RETRY_BACKOFF = 6
-# Expiry-driven re-enrollments with the current CA while parked; bounded so a
-# run without an operator change still reaches quiescence.
-RENEW_LIMIT = 2
 
 
 @dataclass
@@ -429,34 +426,16 @@ def lifecycle(state: DeviceState, net: peers.NetHandle, server_keygen: bool):
         _install_offered_version(state, reply.version_bytes, None)
 
     # Park on the SP1 session; answer operator pushes until a transfer lands.
-    # While parked, re-enroll with the current CA before the operational
-    # certificate expires (bounded by the renewal budget). A wait without a
-    # timeout returns only with a message.
-    renewals_left = RENEW_LIMIT
+    # A wait without a timeout returns only with a message.
     while state.phase is DevicePhase.ENROLLED:
-        timeout = None
-        if renewals_left > 0:
-            cert = state.operational_cert
-            margin = max(10, (cert.not_after - cert.not_before) // 5)
-            timeout = max(1, cert.not_after - margin - net.now())
-        msg = yield from peers.session_wait(net, sp1_sess, timeout=timeout)
-        if msg is None:
-            renewals_left -= 1
-            try:
-                yield from _enroll(state, net, server_keygen)
-                state.set_phase(DevicePhase.ENROLLED, net.note)
-                net.note("operational_cert_renewed",
-                         state.operational_cert.serial)
-            except EnrollRejected as err:
-                net.note("renewal_failed", err.reason)
-            continue
+        msg = yield from peers.session_wait(net, sp1_sess)
         ack = on_push(state, msg, net.now(), net.note)
         if ack is not None:
             yield peers.send_record(sp1_sess, ack)
 
     # The loop ends only on an accepted transfer (transferPending is the one
-    # edge out of enrolled but enrolled), whose window held at this tick; the
-    # ack takes no simulated time, so the reset runs inside that window.
+    # edge out of enrolled), whose window held at this tick; the ack takes
+    # no simulated time, so the reset runs inside that window.
     reset_to_agreed_state(state, net.note)
     endpoints = state.endpoints
     net.note("reset_snapshot",

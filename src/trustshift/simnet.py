@@ -125,8 +125,6 @@ TRACE_KINDS = {
     "enroll_retry": "actor reason",
     "enroll_gave_up": "actor",
     "sp1_unreachable": "actor",
-    "operational_cert_renewed": "actor serial",
-    "renewal_failed": "actor reason",
     "reset_snapshot": "actor op_cert sp1_key roots:roots ca_uri:uri "
                       "update_uri:uri ra_uri:uri fallback_uri:uri",
     "fallback_start": "actor reason",

@@ -17,7 +17,7 @@ DEVICES = ["device-000", "device-001"]
 AGREED = {root("ca2")[1], root("permanent-ca")[1]}
 NAMES = ["fr3_forward_secrecy", "fr4_backward_secrecy", "lifecycle_prefix"]
 
-MAIN_PATH = ["blank", "provisioned", "enrolled", "enrolled", "transferPending",
+MAIN_PATH = ["blank", "provisioned", "enrolled", "transferPending",
              "resetDone", "attested", "updated", "reenrolled"]
 
 
@@ -39,11 +39,11 @@ def snapshot(t, actor, roots=(root("ca2"), root("permanent-ca")),
 
 def device_run(actor, sp1_fp, new_fp):
     """One device's clean transfer: an SP1 session before the reset, a
-    snapshot at the reset (t=4) and a fresh CA2 session at the time of
-    re-enrollment (t=7)."""
+    snapshot at the reset (t=3) and a fresh CA2 session at the time of
+    re-enrollment (t=6)."""
     return (phases(actor, MAIN_PATH)
-            + [session(2, actor, "sp1", sp1_fp), snapshot(4, actor),
-               session(7, actor, "ca2", new_fp)])
+            + [session(2, actor, "sp1", sp1_fp), snapshot(3, actor),
+               session(6, actor, "ca2", new_fp)])
 
 
 def trace_of(*entries):
@@ -84,10 +84,10 @@ def test_fr3_post_reenrollment_session_sharing_sp1_fingerprint_fails():
 
 
 def test_fr3_ignores_sessions_before_reenrollment_and_unenrolled_devices():
-    # device-000 reuses an SP1 key at t=6, before its re-enrollment at t=7;
+    # device-000 reuses an SP1 key at t=5, before its re-enrollment at t=6;
     # a device that never re-enrolled is not judged at all.
     trace = trace_of(*clean_entries(),
-                     session(6, "device-000", "ra", "aa01"),
+                     session(5, "device-000", "ra", "aa01"),
                      *phases("device-002", ["blank", "provisioned"]),
                      session(9, "device-002", "sp1", "aa02"),
                      session(10, "device-002", "ca2", "aa02"))
@@ -142,6 +142,7 @@ def test_failing_device_named_is_first_in_device_order(device_ids, detail):
 
 @pytest.mark.parametrize("frm,to", [
     ("fallback", "fallback"),
+    ("enrolled", "enrolled"),
     ("enrolled", "bogus"),
     ("bogus", "enrolled"),
     ("reenrolled", "fallback"),

@@ -109,6 +109,9 @@ def test_phase_edges_enforced():
     state.set_phase(DevicePhase.PROVISIONED)
     with pytest.raises(WrongPhase):
         state.set_phase(DevicePhase.REENROLLED)
+    state.set_phase(DevicePhase.ENROLLED)
+    with pytest.raises(WrongPhase):
+        state.set_phase(DevicePhase.ENROLLED)
 
 
 # ---------------------------------------------------------------------------
@@ -416,29 +419,6 @@ def test_transfer_after_window_leaves_device_enrolled(monkeypatch):
     assert reasons == {"OutsideResetWindow"}
 
 
-def short_lived_certs_late_transfer(monkeypatch) -> None:
-    """Operational certificates live 100 ticks; SP1 starts at t=300."""
-    monkeypatch.setattr(operators, "OPERATIONAL_LIFETIME", 100)
-    monkeypatch.setattr(scenario, "TRANSFER_START", 300)
-
-
-def test_expiry_driven_reenrollment_loops_at_enrolled(monkeypatch):
-    """Short-lived operational certificates are renewed with the current CA
-    while the device waits for an operator change."""
-    short_lived_certs_late_transfer(monkeypatch)
-    cfg = ScenarioConfig(name="renew", variant="b", device_count=1, seed=3)
-    result = run_scenario(cfg)
-    assert result.ok
-    renewed = result.trace.select("operational_cert_renewed",
-                                  actor="device-000")
-    assert renewed
-    loops = [e for e in result.trace.select("phase", actor="device-000")
-             if e["frm"] == "enrolled" and e["to"] == "enrolled"]
-    assert len(loops) == len(renewed)
-    serials = [e["serial"] for e in renewed]
-    assert serials == sorted(serials)
-
-
 def test_lossy_network_enroll_retry():
     """Deterministic 10% drop: retries still land every device in a terminal
     phase, and the drops are visible in the trace."""
@@ -720,30 +700,6 @@ def test_unanswered_fallback_is_traced_as_not_contacted():
     assert [(e.typed("ok"), e["reason"]) for e in result.trace.select(
         "fallback_contacted", actor="device-000")] \
         == [(False, "enroll_failed:timeout")]
-
-
-def test_refused_renewal_keeps_the_device_parked(monkeypatch):
-    """CA1 refusing every renewal while the device is parked costs it the
-    renewal budget, not its SP1 session: the transfer still re-enrolls it."""
-    enroll = operators.CaActor._enroll
-    calls = []
-
-    def refuse_after_first(self, now, sess, msg):
-        if self.net.actor_id == "ca1":
-            calls.append(now)
-            if len(calls) > 1:
-                return wire.EnrollRsp(False, b"", b"", (), (),
-                                      "not_registered")
-        return enroll(self, now, sess, msg)
-
-    monkeypatch.setattr(operators.CaActor, "_enroll", refuse_after_first)
-    short_lived_certs_late_transfer(monkeypatch)
-    result = run_scenario(ScenarioConfig(name="t", variant="b", seed=3))
-    assert result.ok
-    assert [(e["t"], e["reason"]) for e in result.trace.select(
-        "renewal_failed", actor="device-000")] \
-        == [(88, "not_registered"), (93, "not_registered")]
-    assert not result.trace.select("operational_cert_renewed")
 
 
 _CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs")
