@@ -220,13 +220,12 @@ def on_push(state: DeviceState, msg, now: TimeStamp, note):
     if isinstance(msg, wire.TrustPush):
         store = state.truststore.copy()
         try:
-            for cert_bytes in msg.root_certs:
-                store.add_root(pki.decode_certificate(cert_bytes),
-                               persist=msg.persist)
+            for cert_bytes in msg.root_certs:  # a pushed root persists
+                store.add_root(pki.decode_certificate(cert_bytes))
         except (MalformedEncoding, InvariantViolation):
             return wire.TrustAck(False)
         state.truststore = store
-        note("trust_push_applied", len(msg.root_certs), msg.persist)
+        note("trust_push_applied", len(msg.root_certs))
         return wire.TrustAck(True)
     if isinstance(msg, wire.FinalUpdate):
         return wire.FinalAck(_install_offered_version(

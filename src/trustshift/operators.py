@@ -204,10 +204,10 @@ class CaActor:
         factory, server = {CertProfile.FACTORY}, {CertProfile.SERVER}
         self.peer = peers.ResponderPeer(net, ca.credential(), ca.truststore, {
             wire.EnrollReq: (factory, self._enroll, wire.EnrollRsp(
-                False, b"", b"", (), (), "profile_not_allowed")),
+                False, b"", b"", (), "profile_not_allowed")),
             wire.RegisterReq: (server, self._register, wire.RegisterRsp(
-                False, "", 0, "profile_not_allowed")),
-            wire.RevokeReq: (server, self._revoke, wire.RevokeRsp(False, 0)),
+                False, "", "profile_not_allowed")),
+            wire.RevokeReq: (server, self._revoke, wire.RevokeRsp(False)),
         })
 
     def _enroll(self, now, sess, msg):
@@ -221,21 +221,21 @@ class CaActor:
                 cert = pki.enroll(self.ca, sess.peer_cert, csr, validity)
                 seed = b""
         except Error as err:  # typed protocol errors become reasons
-            return wire.EnrollRsp(False, b"", b"", (), (),
+            return wire.EnrollRsp(False, b"", b"", (),
                                   wire.snake_case(type(err).__name__))
         chain = tuple(encode(c) for c in self.ca.issuer_chain)
-        return wire.EnrollRsp(True, encode(cert), seed, chain, (), "")
+        return wire.EnrollRsp(True, encode(cert), seed, chain, "")
 
     def _register(self, now, sess, msg):
         try:
             certs = [pki.decode_certificate(b) for b in msg.cert_list]
             uri = pki.register_factory_certs(self.ca, certs, now)
         except UnverifiableFactoryCert as err:
-            return wire.RegisterRsp(False, "", err.serial, err.reason)
+            return wire.RegisterRsp(False, "", err.reason)
         except (MalformedEncoding, InvariantViolation) as err:
-            return wire.RegisterRsp(False, "", 0,
+            return wire.RegisterRsp(False, "",
                                     wire.snake_case(type(err).__name__))
-        return wire.RegisterRsp(True, str(uri), 0, "")
+        return wire.RegisterRsp(True, str(uri), "")
 
     def _revoke(self, now, sess, msg):
         serials = [s for s in self.ca.issued_serials_for(msg.subject_name)
@@ -243,19 +243,17 @@ class CaActor:
         for serial in serials:
             pki.revoke(self.ca, serial)
         self.net.note("revoked", msg.subject_name, len(serials))
-        return wire.RevokeRsp(True, len(serials))
+        return wire.RevokeRsp(True)
 
 
 # Per delivery from the peer operator: whose agreed key signs it, envelope
 # profile, payload kind, OperatorState field that holds the verified
-# payload, trace kind on a bad signature, size class, ack.
+# payload, trace kind on a bad signature, ack.
 _DELIVERIES = {
     wire.ListDeliver: ("sp1", EnvelopeProfile.UPDATE_LIST, UpdateInfoList,
-                       "received_list", "list_rejected",
-                       "update_info_list_envelope", wire.ListAck),
+                       "received_list", "list_rejected", wire.ListAck),
     wire.TmDeliver: ("sp2", EnvelopeProfile.CWT, TransferMessage,
-                     "received_tm", "tm_rejected",
-                     "transfer_message_envelope", wire.TmAck),
+                     "received_tm", "tm_rejected", wire.TmAck),
 }
 # The acks a device answers SP1's pushes with, by the kind they ack.
 _ACK_KINDS = {wire.TransferAck: "transfer", wire.TrustAck: "trust",
@@ -311,8 +309,7 @@ class OperatorActor:
         """Ack a signed update list (from SP1) or transfer CWT (from SP2),
         storing its payload once the envelope and payload check out; the
         stored payload is verified and is not checked again."""
-        signer, profile, kind, slot, rejected, size_cls, ack = \
-            _DELIVERIES[type(msg)]
+        signer, profile, kind, slot, rejected, ack = _DELIVERIES[type(msg)]
         try:
             envelope = decode(SignedEnvelope, msg.envelope_bytes)
         except (MalformedEncoding, InvariantViolation):
@@ -326,8 +323,6 @@ class OperatorActor:
         except (MalformedEncoding, InvariantViolation):
             return ack(False)
         setattr(self.state, slot, payload)
-        self.net.sim.trace.add("size", now, None, size_cls,
-                               len(msg.envelope_bytes))
         return ack(True)
 
 
@@ -446,7 +441,7 @@ def sp1_transfer_process(net: peers.NetHandle, actor: OperatorActor,
     if last_update:
         prep["final"] = wire.FinalUpdate(encode(state.current_version))
     if push_roots:
-        prep["trust"] = wire.TrustPush(tuple(map(encode, push_roots)), True)
+        prep["trust"] = wire.TrustPush(tuple(map(encode, push_roots)))
     if prep:
         pending = yield from _push_rounds(net, actor, device_ids, prep)
         if pending:

@@ -315,11 +315,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     factory = [credential(hierarchy.permanent, device_actor_id(i).encode(),
                           CertProfile.FACTORY)
                for i in range(config.device_count)]
-    # Server certificates for both operators and the RA verifier.
-    sp1_cred, sp2_cred, ra_cred = (
-        credential(ca, name, CertProfile.SERVER)
-        for name, ca in ((b"sp1", hierarchy.ca1), (b"sp2", hierarchy.ca2),
-                         (b"ra", hierarchy.ca2)))
+    # Server certificates for both operators, then for the RA verifier
+    # with use_ra only: without it, nothing would check that certificate.
+    sp1_cred = credential(hierarchy.ca1, b"sp1", CertProfile.SERVER)
+    sp2_cred = credential(hierarchy.ca2, b"sp2", CertProfile.SERVER)
+    ra_cred = (credential(hierarchy.ca2, b"ra", CertProfile.SERVER)
+               if opts.use_ra else None)
 
     pre_enroll, pre_transfer = (pki.minimal_truststore(config.variant, phase)
                                 for phase in pki.TrustPhase)

@@ -119,7 +119,7 @@ TRACE_KINDS = {
     # devices
     "phase": "actor frm to",
     "firmware_updated": "actor seq",
-    "trust_push_applied": "actor count persist:bool",
+    "trust_push_applied": "actor count",
     "transfer_rejected": "actor reason",
     "transfer_accepted": "actor size",
     "enroll_retry": "actor reason",
@@ -138,7 +138,7 @@ TRACE_KINDS = {
     "fallback_served": "actor device:name reason",
     "list_rejected": "actor reason",
     "tm_rejected": "actor reason",
-    "size": "actor? cls bytes",
+    "size": "actor cls bytes",
     # operator orchestration
     "push_skipped": "actor device:name reason",
     "prep_pushes_incomplete": "actor count",

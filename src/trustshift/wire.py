@@ -133,7 +133,6 @@ class EnrollRsp:
     cert_bytes: bytes
     key_seed: bytes
     chain_certs: tuple
-    root_certs: tuple  # always empty; the device ignores it
     reason: str
 
 
@@ -210,14 +209,12 @@ class RegisterReq:
 class RegisterRsp:
     ok: bool
     enroll_uri: str
-    bad_serial: int
     reason: str
 
 
 @wire_message(26)
 class TrustPush:
     root_certs: tuple
-    persist: bool
 
 
 @wire_message(27)
@@ -255,7 +252,6 @@ class RevokeReq:
 @wire_message(33)
 class RevokeRsp:
     ok: bool
-    count: int
 
 
 def parse_record_frame(data: bytes) -> RecordFrame | None:

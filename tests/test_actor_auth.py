@@ -121,9 +121,9 @@ def test_factory_profile_rejected_where_server_profile_required():
     entry, disposition = open_session_against(sim, ca_actor.peer, factory_cred)
     assert entry is not None, disposition
     reply = ca_actor.peer.dispatch(0, entry, wire.RegisterReq(()))
-    assert reply == [wire.RegisterRsp(False, "", 0, "profile_not_allowed")]
+    assert reply == [wire.RegisterRsp(False, "", "profile_not_allowed")]
     reply = ca_actor.peer.dispatch(0, entry, wire.RevokeReq(b"victim"))
-    assert reply == [wire.RevokeRsp(False, 0)]
+    assert reply == [wire.RevokeRsp(False)]
 
 
 def test_server_profile_cannot_enroll():
@@ -157,7 +157,7 @@ def test_ca_actor_refuses_a_csr_whose_proof_of_possession_fails():
     bad = replace(csr, proof_of_possession=pop[:-1] + bytes([pop[-1] ^ 1]))
     issued = dict(h.ca1.issued)
     reply = ca_actor.peer.dispatch(0, entry, wire.EnrollReq(encode(bad), False))
-    assert reply == [wire.EnrollRsp(False, b"", b"", (), (),
+    assert reply == [wire.EnrollRsp(False, b"", b"", (),
                                     "bad_proof_of_possession")]
     assert h.ca1.issued == issued
 
@@ -266,7 +266,7 @@ def test_revoke_req_revokes_only_the_subjects_operational_serials():
     sess = initiator_session(ca_actor.peer, issued_credential(
         h, ca, b"sp1", CertProfile.SERVER))
     assert call(ca_actor.peer, sess, wire.RevokeReq(DEVICE_0)) \
-        == [wire.RevokeRsp(True, 2)]
+        == [wire.RevokeRsp(True)]
     assert h.revocation_view() == set(operational)
     assert factory.certificate.serial not in h.revocation_view()
     assert other.certificate.serial not in h.revocation_view()
@@ -295,10 +295,10 @@ ADMITTED = {
 }
 # The reply to a peer a row does not admit; a row not named here sends none.
 REFUSALS = {
-    wire.EnrollReq: wire.EnrollRsp(False, b"", b"", (), (),
+    wire.EnrollReq: wire.EnrollRsp(False, b"", b"", (),
                                    "profile_not_allowed"),
-    wire.RegisterReq: wire.RegisterRsp(False, "", 0, "profile_not_allowed"),
-    wire.RevokeReq: wire.RevokeRsp(False, 0),
+    wire.RegisterReq: wire.RegisterRsp(False, "", "profile_not_allowed"),
+    wire.RevokeReq: wire.RevokeRsp(False),
     wire.ListDeliver: wire.ListAck(False),
     wire.TmDeliver: wire.TmAck(False),
 }

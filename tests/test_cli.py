@@ -6,7 +6,11 @@ from pathlib import Path
 import pytest
 
 from trustshift import cli, scenario
-from trustshift.errors import ConfigParseError, ScenarioInvalid
+from trustshift.errors import (
+    ConfigParseError,
+    InvariantViolation,
+    ScenarioInvalid,
+)
 from trustshift.scenario import ScenarioConfig, run_scenario
 
 REPO = Path(__file__).resolve().parent.parent
@@ -162,11 +166,11 @@ def test_run_seed_override_changes_digest(tmp_path, capsys):
     assert digest(first) != digest(second)
 
 
-@pytest.mark.parametrize("command", ["run", "attack-suite"])
+@pytest.mark.parametrize("command", ["run", "attack-suite", "sizes"])
 def test_out_of_range_seed_override_is_config_error(tmp_path, capsys,
                                                     command):
-    target = (write_config(tmp_path) if command == "run"
-              else str(REPO / "configs" / "attacks"))
+    target = (str(REPO / "configs" / "attacks") if command == "attack-suite"
+              else write_config(tmp_path))
     assert cli.main([command, target, "--seed", "-1"]) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
 
@@ -196,6 +200,32 @@ def test_sizes_checks_the_relayed_payload(tmp_path, capsys, monkeypatch):
     assert "SIZE CHECK FAIL" not in capsys.readouterr().out
 
 
+def test_sizes_reports_each_mismatch_with_the_static_sizes(
+        tmp_path, capsys, monkeypatch):
+    """A trace size that differs from the static re-encoding is a failed
+    size check, one line per message, and exit 1."""
+    monkeypatch.setattr(cli, "_static_transfer_sizes", lambda config: (1, 2))
+    assert cli.main(["sizes", write_config(tmp_path)]) == cli.EXIT_EXPECTATION
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if "SIZE CHECK FAIL" in line]
+    assert len(fails) == 2
+    assert fails[0].endswith("!= static 1") and "trace payload size" in fails[0]
+    assert fails[1].endswith("!= static 2") and "trace envelope size" in fails[1]
+
+
+def test_sizes_without_a_transfer_fails_every_check(tmp_path, capsys):
+    """With SP2 unreachable no transfer message is built: its rows read
+    n/a, and each of the four size checks fails."""
+    path = write_config(tmp_path, adversary=[
+        {"action": "drop", "match_dst": "sp2"}])
+    assert cli.main(["sizes", path]) == cli.EXIT_EXPECTATION
+    out = capsys.readouterr().out
+    assert "  relayed TransferMessage CWT" in out and " n/a" in out
+    assert [line.split(": ", 1)[1] for line in out.splitlines()
+            if "SIZE CHECK FAIL" in line][2:] \
+        == ["unsigned payload exceeds 200 bytes", "signed CWT exceeds 512 bytes"]
+
+
 def test_attack_suite_on_shipped_configs(capsys):
     suite_dir = REPO / "configs" / "attacks"
     assert cli.main(["attack-suite", str(suite_dir)]) == cli.EXIT_OK
@@ -206,6 +236,32 @@ def test_attack_suite_on_shipped_configs(capsys):
 
 def test_attack_suite_missing_dir(tmp_path):
     assert cli.main(["attack-suite", str(tmp_path / "nope")]) == cli.EXIT_CONFIG
+
+
+def test_attack_suite_empty_dir(tmp_path, capsys):
+    assert cli.main(["attack-suite", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "no *.json configs" in capsys.readouterr().err
+
+
+def test_attack_suite_counts_failures(tmp_path, capsys):
+    """A config whose expectation cannot hold (a benign run expected to
+    fall back) fails the suite with exit 1 and is counted."""
+    write_config(tmp_path, device_count=1,
+                 expectation={"default": "fallback"})
+    assert cli.main(["attack-suite", str(tmp_path)]) == cli.EXIT_EXPECTATION
+    out = capsys.readouterr().out
+    assert "FAIL config.json: 0/1 devices as expected" in out
+    assert "attack suite: 0/1 passed" in out
+
+
+def test_main_reports_a_protocol_error(tmp_path, capsys, monkeypatch):
+    """A protocol error that escapes a command is printed and exits 2."""
+    def broken(config):
+        raise InvariantViolation("broken run")
+
+    monkeypatch.setattr(scenario, "run_scenario", broken)
+    assert cli.main(["run", write_config(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: broken run\n"
 
 
 def test_shipped_baseline_configs(capsys):

@@ -22,6 +22,8 @@ from trustshift.messages import (
     CertProfile,
     CompactCertificate,
     DeviceUpdateInfo,
+    EnvelopeHeader,
+    EnvelopeProfile,
     SignedEnvelope,
     TransferMessage,
     UpdateInfoList,
@@ -103,7 +105,6 @@ def fixture_messages(keys):
         csr.subject_name, csr.subject_public_key, csr.requested_profile,
         keys["device"].sign(csr.tbs_bytes()))
 
-    from trustshift.messages import EnvelopeProfile
     env_cwt = crypto.sign_envelope(keys["signer"], EnvelopeProfile.CWT,
                                    encode(tm_basic))
     env_list = crypto.sign_envelope(
@@ -263,6 +264,25 @@ def test_window_invariants():
         TransferMessage(10, 9, None, Uri("u"), False, Uri("e"), Uri("f"))
     with pytest.raises(InvariantViolation):
         VersionInfo(-1, Uri("u"))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: VersionInfo(1, "coaps://fw"), InvariantViolation),
+    (lambda: CompactCertificate(1, b"s", b"k" * 32, b"i", 0, 1, "factory",
+                                b"\x00" * 64), InvariantViolation),
+    (lambda: TransferMessage(0, 1, "coaps://ra", Uri("u"), False, Uri("e"),
+                             Uri("f")), InvariantViolation),
+    (lambda: EnvelopeHeader(1, "cwt", b"k" * 8), InvariantViolation),
+    (lambda: EnvelopeHeader(1, EnvelopeProfile.CWT, b"k" * 7),
+     InvariantViolation),
+    (lambda: encode(b"not a message"), InvariantViolation),
+    (lambda: decode(bytes, b"\x40"), MalformedEncoding),
+], ids=["manifest_uri_not_uri", "profile_not_enum", "ra_uri_not_uri",
+        "envelope_profile_not_enum", "short_signer_key_id", "encode_non_message",
+        "decode_non_payload_class"])
+def test_payload_fields_of_the_wrong_kind_are_refused(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_duplicate_serial_rejected():

@@ -347,14 +347,14 @@ def test_record_bound_grows_with_the_fleet(monkeypatch):
     """A fleet's devices run side by side and each keeps triples in use,
     so the record's bound grows by SIGNED_PER_DEVICE entries a device: with
     its fixed part cut to 64 entries, a 100-device variant-b transfer still
-    runs `_check` 0 times, where 64 entries alone leave it 1383 checks."""
+    runs `_check` 0 times, where 64 entries alone leave it 1382 checks."""
     checks = counted_checks(monkeypatch)
     monkeypatch.setattr(crypto, "SIGNED_RECORD_SIZE", 64)
     config = ScenarioConfig(name="grown", variant="b", device_count=100,
                             seed=1)
     assert run_scenario(config).ok and checks == []
     monkeypatch.setattr(crypto, "SIGNED_PER_DEVICE", 0)
-    assert run_scenario(config).ok and len(checks) == 1383
+    assert run_scenario(config).ok and len(checks) == 1382
 
 
 def test_a_run_does_not_depend_on_earlier_runs(monkeypatch):

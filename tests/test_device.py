@@ -378,7 +378,7 @@ def _register_nothing(ca_actor, now, sess, msg):
     """A `CaActor._register` that acks as if it had registered the list
     and registers nothing. Only CA2 is sent a RegisterReq (CA1 registers
     the factory certificates in set-up), so CA2 refuses every enrollment."""
-    return wire.RegisterRsp(True, str(ca_actor.ca.enroll_uri), 0, "")
+    return wire.RegisterRsp(True, str(ca_actor.ca.enroll_uri), "")
 
 
 def test_ca2_misregistration_routes_to_fallback(monkeypatch):
@@ -437,8 +437,8 @@ _EVIL_ROOT = pki._signed_cert(b"evil-root", _EVIL_KEY, 1, b"evil-root",
 
 @pytest.mark.parametrize("push", [
     wire.FinalUpdate(b"\xff"),
-    wire.TrustPush((b"\xff",), True),
-    wire.TrustPush((encode(_EVIL_ROOT), b"\xff"), True),
+    wire.TrustPush((b"\xff",)),
+    wire.TrustPush((encode(_EVIL_ROOT), b"\xff")),
 ], ids=["final_update", "trust_push", "trust_push_valid_root_first"])
 def test_malformed_push_answered_with_negative_ack(push):
     """A push record whose content does not decode, injected into the
@@ -472,7 +472,7 @@ def test_planted_root_with_an_agreed_name_fails_fr4(variant):
     into the device's SP1 session, is kept across the reset. FR4 compares
     root certificates by the digest of their encodings, so it fails in
     every variant, also where an agreed root is named `ca2` (a and b)."""
-    push = wire.TrustPush((encode(_PLANTED_CA2),), True)
+    push = wire.TrustPush((encode(_PLANTED_CA2),))
     rule = {"action": "inject", "match_src": "sp1", "match_dst": "device-*",
             "match_label": "update_rsp",
             "inject_payload_hex": wire.encode_wire(push).hex(),
@@ -525,7 +525,7 @@ _OTHER_FRAMES = sorted((c for c in vars(wire).values()
 _MESSAGES = (
     st.builds(wire.TrustPush,
               st.lists(st.sampled_from(_CERTS) | st.binary(max_size=60),
-                       max_size=3).map(tuple), st.booleans())
+                       max_size=3).map(tuple))
     | st.builds(wire.FinalUpdate, _VERSIONS | st.binary(max_size=40))
     | st.builds(wire.TransferDeliver, _ENVELOPES | st.binary(max_size=60))
     | st.sampled_from(_OTHER_FRAMES).flatmap(lambda cls: st.builds(
@@ -617,10 +617,11 @@ _EVIL_LEAF = pki._signed_cert(
 @pytest.mark.parametrize("variant", ["a", "b", "c"])
 def test_enroll_response_cannot_plant_a_root(variant):
     """An enrollment response is answered ahead of the CA's with an
-    attacker-issued certificate plus the attacker's self-signed root. The
-    device must not take the root into its truststore, so the certificate
-    does not verify and the real response completes the enrollment."""
-    forged = wire.EnrollRsp(True, encode(_EVIL_LEAF), _EVIL_SEED, (),
+    attacker-issued certificate, chained to the attacker's self-signed root.
+    The device must not take the root into its truststore, so the
+    certificate does not verify and the real response completes the
+    enrollment."""
+    forged = wire.EnrollRsp(True, encode(_EVIL_LEAF), _EVIL_SEED,
                             (encode(_EVIL_ROOT),), "")
     rule = {"action": "inject", "match_src": "device-*",
             "match_dst": "ca*", "match_label": "enroll_req",
@@ -664,11 +665,11 @@ _OTHER_KEY_CERT = encode(_EVIL_LEAF)
 
 
 @pytest.mark.parametrize("forged, server_keygen, reason", [
-    (wire.EnrollRsp(True, b"\xff", b"", (), (), ""), False,
+    (wire.EnrollRsp(True, b"\xff", b"", (), ""), False,
      "bad_enroll_response"),
-    (wire.EnrollRsp(True, _OTHER_KEY_CERT, b"", (), (), ""), False,
+    (wire.EnrollRsp(True, _OTHER_KEY_CERT, b"", (), ""), False,
      "certificate_key_mismatch"),
-    (wire.EnrollRsp(True, _OTHER_KEY_CERT, b"\x00" * 31, (), (), ""), True,
+    (wire.EnrollRsp(True, _OTHER_KEY_CERT, b"\x00" * 31, (), ""), True,
      "bad_server_key"),
 ], ids=["undecodable_cert", "other_key", "short_key_seed"])
 def test_bad_enroll_response_is_retried(forged, server_keygen, reason):

@@ -15,23 +15,23 @@ REPO = Path(__file__).resolve().parent.parent
 
 SHIPPED = {
     "attacks/cross_session_replay.json":
-        "d50b81c9d393b2e9ecb31ecacc5a46b0b35c2421d48fb50a32821591dbc6ee18",
+        "fcf74e3d7e38a8e7332e65a7ce1c6d781b0e4baa0f621656025bd0a43fe9baa7",
     "attacks/drop_enroll.json":
-        "ae8b939411f35bec3ba96edd51abfd4274f9b92c220225511e07bcd8651de88a",
+        "3f620ba4a74336531aaf9baa86f86b92ec6aa16d0cd35852dbfb6b188de9cb8c",
     "attacks/forge_transfer.json":
-        "b1d2e8201ee2f0bdc50ae830550c35a3d51ae2083b19a6ae803e52b7e7c1cb8e",
+        "aea325a4988540771d7ef40515819aa30caa7cc58e63eae88c4b8a1bc16f2d75",
     "attacks/modify_transfer.json":
-        "ee874b6e7383cdc347744115afc822ae7512cdd76c07a7c262f2605d02018130",
+        "4e29304886d28e1489df8bf1e1ac83f707657ec45072e8a296fa0051355d5340",
     "attacks/replay_transfer.json":
-        "7718806737a8f961e467f62769f673537397efa6d61a24e323f46e94ca2884e9",
+        "df8fa3759272c7416efe84ec7fd56375a2bf74f585cfd3b5a5c36ac395d2044e",
     "baseline_d.json":
-        "01a61d298b4d21b93b7aea108e5256b1930839654cb30238d75d83de6b16ad00",
+        "17822e89da0e1ce364c04391a2a21a9fdacc20d6e28e182e15d47b88ce5a37b9",
     "full_options_a.json":
-        "df6d1cbf70adb2c8e5bd6816122116ca457b42ad2b08980792d7f18a8cea945e",
+        "3007faea4a468f35e2d2c495020d6b612cb5494c82b6fae6adfc86e84692c59c",
     "no_ca2_root_a.json":
-        "7b4aab1b03ea9bab58bb8e62fe546688b79f9840a279168d7a006ff87a0a6f92",
+        "76dbaf55ea1069c60181da73127dd45ee9fe956aa358918cb153d4ad186542e2",
     "ra_tamper.json":
-        "fd225b7c4819d4d6adc4563e721c3bd6af488caf50562768390de9c89d7a6e66",
+        "f2145824e09bd493a09c86e42f776da167dcd0beab531a14f8eeb8217fce0518",
 }
 
 INLINE = {
@@ -43,12 +43,12 @@ INLINE = {
                            use_ra=True, contact_update_before_enroll=True,
                            server_keygen=True, last_sp1_update=True,
                            sp1_fallback_ra=True)),
-        "c4d91d2ab7cffcb58690374e94d7a0cdb52c2ac8b6abc2cb8e7357738cdb2eaa"),
+        "670eb05d726e75ca51d87c33cbd7de5b8dc13c1440b596c198cedf5d72541e60"),
     # every tenth delivery dropped: retry and timeout paths
     "drop_10pct_c": (
         ScenarioConfig(name="drop_10pct_c", variant="c", device_count=4,
                        seed=3, adversary="drop_10pct"),
-        "cc9ad70700c3e1ff7e5fedd227dae74d2bebadbef63063a3d7f7814eb8e5b397"),
+        "7143126f15b6fbd23f8dc73e217ac8a230b0ab74b242388dab866d448d0fc907"),
 }
 
 

@@ -418,9 +418,9 @@ def _trace_kinds() -> dict[str, str]:
 
 def _actor_entries_outside_handle(path: Path, kinds: dict) -> list[str]:
     """Each `trace.add(kind, time, actor, ...)` call in `path` that is not
-    in `NetHandle.note` and names an actor: its kind declares `actor` first
-    and the value given is not None, or its kind is not a literal. As
-    file:line."""
+    in `NetHandle.note` and has an actor field: its kind declares `actor`
+    first, whatever value is given for it (None too), or its kind is not a
+    literal. As file:line."""
     tree = _tree(path)
     inside_note = {id(node) for cls in tree.body
                    if isinstance(cls, ast.ClassDef) and cls.name == "NetHandle"
@@ -437,11 +437,7 @@ def _actor_entries_outside_handle(path: Path, kinds: dict) -> list[str]:
             continue
         kind = node.args[0].value if node.args \
             and isinstance(node.args[0], ast.Constant) else None
-        names_actor = kind not in kinds or (
-            kinds[kind].split()[0].rstrip("?") == "actor"
-            and not (len(node.args) > 2 and isinstance(node.args[2], ast.Constant)
-                     and node.args[2].value is None))
-        if names_actor:
+        if kind not in kinds or kinds[kind].split()[0].rstrip("?") == "actor":
             found.append(f"{path.name}:{node.lineno}")
     return found
 

@@ -12,6 +12,8 @@ delay explorer (ROADMAP item 17) relies on; it passes.
 """
 
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -134,7 +136,7 @@ def test_c_injected_firmware_never_runs():
 def test_d_injected_root_never_kept():
     """(d) A persistent TrustPush of a self-signed root named `ca2`,
     injected into the device's SP1 session, is never kept."""
-    plant = wire.TrustPush((encode(_PLANTED_CA2),), True)
+    plant = wire.TrustPush((encode(_PLANTED_CA2),))
     for variant in "abcd":
         result = push_into_sp1_session(variant, plant)
         kept = result.device_states["device-000"].truststore.root(b"ca2")
@@ -212,6 +214,25 @@ def test_h_late_ra_challenge_costs_no_attestation():
             verdicts = [e["verdict"] for e in result.trace.select("ra_verdict")]
             assert (result.devices[0].phase, verdicts) \
                 == ("reenrolled", ["True"]), (variant, delay)
+
+
+ATTACKS = sorted((Path(__file__).resolve().parent.parent / "configs"
+                  / "attacks").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", [
+    pytest.param(path, marks=known("1a")) if path.stem == "modify_transfer"
+    else path for path in ATTACKS], ids=[path.stem for path in ATTACKS])
+def test_i_every_attack_config_acts(path):
+    """(i) Each shipped attack config's schedule acts at least once (an
+    `adversary` row), and its trace differs from the same config's with no
+    adversary. Today `modify_transfer` matches `src = "sp1"`, but
+    `transfer_deliver` is sent by `sp1-orchestrator`, so it never fires."""
+    config = ScenarioConfig.from_file(path)
+    result = run_scenario(config)
+    benign = run_scenario(replace(config, adversary="none"))
+    assert result.trace.select("adversary"), path.stem
+    assert result.trace.digest() != benign.trace.digest(), path.stem
 
 
 @pytest.mark.parametrize("timeout, got", [(2, "timeout"), (3, "reply")])

@@ -6,7 +6,11 @@ from dataclasses import replace
 import pytest
 
 from trustshift import crypto, operators, peers, pki, session, simnet, wire
-from trustshift.errors import NoExpectedMeasurement, UnknownDevice
+from trustshift.errors import (
+    NoExpectedMeasurement,
+    UnknownDevice,
+    UnverifiableFactoryCert,
+)
 from trustshift.messages import (
     CertProfile,
     DeviceUpdateInfo,
@@ -131,7 +135,10 @@ def test_register_req_rogue_cert_refused(world):
     sess = session.derive(b"\x01" * 32, b"\x02" * 32, sp2_cert, "sp2")
     [reply] = ca2.peer.dispatch(1000, sess, wire.RegisterReq(
         tuple(encode(c) for c in certs)))
-    assert (reply.ok, reply.bad_serial) == (False, 999)
+    with pytest.raises(UnverifiableFactoryCert) as err:
+        pki.register_factory_certs(h.ca2, certs, 1000)
+    assert err.value.serial == 999
+    assert reply == wire.RegisterRsp(False, "", err.value.reason)
     assert not h.ca2.registered_factory
 
 
@@ -320,7 +327,7 @@ def test_failed_revocations_traced_per_device(monkeypatch, refused, rows):
         adversary = "none"
         monkeypatch.setattr(
             operators.CaActor, "_revoke",
-            lambda self, now, sess, msg: wire.RevokeRsp(False, 0))
+            lambda self, now, sess, msg: wire.RevokeRsp(False))
     result = run_scenario(ScenarioConfig(name="t", variant="b",
                                          device_count=2, seed=1,
                                          adversary=adversary))
@@ -349,7 +356,7 @@ def test_responder_refusals_of_malformed_requests(world):
         assert sp2_actor.peer.dispatch(
             5, sess, wire.ListDeliver(envelope_bytes)) == [wire.ListAck(False)]
     assert ca2.peer.dispatch(5, sess, wire.RegisterReq((b"\xff",))) \
-        == [wire.RegisterRsp(False, "", 0, "malformed_encoding")]
+        == [wire.RegisterRsp(False, "", "malformed_encoding")]
     assert sp2.received_list is None and not h.ca2.registered_factory
     assert not sim.trace.select("list_rejected")
 

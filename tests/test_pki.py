@@ -123,11 +123,12 @@ def test_cas_trust_their_roots_once_told(variant):
 def test_run_scenario_checks_each_set_up_signature_a_pass_later(monkeypatch):
     """`run_scenario`'s set-up makes one signature per certificate it
     issues and no CSR: the CA certificates, then each factory certificate,
-    then the three server certificates, in serial order. It checks each
-    root's self-signature only after the last CA certificate is signed,
-    and registers the factory certificates (each chain checked) after the
-    last device is provisioned. The order is pinned because the key draws
-    and serials follow it, and with them every digest."""
+    then the server certificates of SP1 and SP2 and, with `use_ra` only,
+    of the RA verifier, in serial order. It checks each root's
+    self-signature only after the last CA certificate is signed, and
+    registers the factory certificates (each chain checked) after the last
+    device is provisioned. The order is pinned because the key draws and
+    serials follow it, and with them every digest."""
     log = []
 
     def logged(kind, function):
@@ -151,38 +152,46 @@ def test_run_scenario_checks_each_set_up_signature_a_pass_later(monkeypatch):
     monkeypatch.setattr(simnet.Simulator, "run",
                         logged("run", simnet.Simulator.run))
     devices = 3
-    result = scenario.run_scenario(scenario.ScenarioConfig(
-        name="order", variant="a", device_count=devices, seed=7))
-    assert result.ok
+    for use_ra, servers in ((False, [b"sp1", b"sp2"]),
+                            (True, [b"sp1", b"sp2", b"ra"])):
+        log.clear()
+        result = scenario.run_scenario(scenario.ScenarioConfig(
+            name="order", variant="a", device_count=devices, seed=7,
+            options=scenario.ScenarioOptions(use_ra=use_ra)))
+        assert result.ok
 
-    setup = log[:next(i for i, e in enumerate(log) if e[0] == "run")]
-    kinds = [kind for kind, _ in setup]
-    assert "csr" not in kinds
-    signed = [(i, data) for i, (kind, data) in enumerate(setup)
-              if kind == "sign"]
-    checked = {}
-    for i, (kind, args) in enumerate(setup):
-        if kind == "check":
-            checked.setdefault(args[2], i)
-    cas = result.hierarchy.cas()
-    issued = sorted((c for ca in cas for c in ca.issued.values()),
-                    key=lambda c: c.serial)
-    setup_certs = issued[:len(cas) + devices + 3]
-    assert [data for _, data in signed] \
-        == [c.tbs_bytes() for c in setup_certs]
-    assert [c.profile for c in setup_certs[len(cas):]] \
-        == [CertProfile.FACTORY] * devices + [CertProfile.SERVER] * 3
-    roots = [ca.certificate.tbs_bytes() for ca in cas]
-    assert [c.tbs_bytes() for c in setup_certs[:len(cas)]] == roots
-    last_ca_signed = signed[len(cas) - 1][0]
-    assert all(checked[tbs] > last_ca_signed for tbs in roots)
-    factory = [m.factory_certificate.tbs_bytes()
-               for m in result.sp1_state.managed_devices.values()]
-    assert factory == [c.tbs_bytes() for c in setup_certs[len(cas):-3]]
-    last_provision = len(kinds) - 1 - kinds[::-1].index("provision")
-    assert kinds.count("provision") == devices
-    assert kinds.index("register") > last_provision
-    assert all(checked[tbs] > kinds.index("register") for tbs in factory)
+        setup = log[:next(i for i, e in enumerate(log) if e[0] == "run")]
+        kinds = [kind for kind, _ in setup]
+        assert "csr" not in kinds
+        signed = [(i, data) for i, (kind, data) in enumerate(setup)
+                  if kind == "sign"]
+        checked = {}
+        for i, (kind, args) in enumerate(setup):
+            if kind == "check":
+                checked.setdefault(args[2], i)
+        cas = result.hierarchy.cas()
+        issued = sorted((c for ca in cas for c in ca.issued.values()),
+                        key=lambda c: c.serial)
+        setup_certs = issued[:len(cas) + devices + len(servers)]
+        assert [data for _, data in signed] \
+            == [c.tbs_bytes() for c in setup_certs]
+        assert [c.profile for c in setup_certs[len(cas):]] \
+            == [CertProfile.FACTORY] * devices \
+            + [CertProfile.SERVER] * len(servers)
+        assert [c.subject_name for c in setup_certs[-len(servers):]] \
+            == servers
+        roots = [ca.certificate.tbs_bytes() for ca in cas]
+        assert [c.tbs_bytes() for c in setup_certs[:len(cas)]] == roots
+        last_ca_signed = signed[len(cas) - 1][0]
+        assert all(checked[tbs] > last_ca_signed for tbs in roots)
+        factory = [m.factory_certificate.tbs_bytes()
+                   for m in result.sp1_state.managed_devices.values()]
+        assert factory == [c.tbs_bytes()
+                           for c in setup_certs[len(cas):-len(servers)]]
+        last_provision = len(kinds) - 1 - kinds[::-1].index("provision")
+        assert kinds.count("provision") == devices
+        assert kinds.index("register") > last_provision
+        assert all(checked[tbs] > kinds.index("register") for tbs in factory)
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def test_hand_written_payloads_are_never_recorded(cls):
     (wire.RegisterReq((bytearray(b"c1"),)), wire.RegisterReq((b"c1",))),
     (wire.TrustAck(2), wire.TrustAck(True)),
     (wire.UpdateCheck(bytearray(b"vi")), wire.UpdateCheck(b"vi")),
-    (wire.RevokeRsp(True, True), wire.RevokeRsp(True, 1)),
+    (wire.RecordFrame(b"s", True, b"p"), wire.RecordFrame(b"s", 1, b"p")),
     (wire.Reject(b"\x01" * 32, type("Text", (str,), {})("x")),
      wire.Reject(b"\x01" * 32, "x")),
 ], ids=["list", "bytearray_item", "int_as_bool", "bytearray", "bool_as_int",
@@ -210,12 +210,12 @@ EVERY_OPTION = ScenarioOptions(use_ra=True, contact_update_before_enroll=True,
 @pytest.mark.parametrize("config, digest", [
     (ScenarioConfig(name="replayed", variant="a", device_count=5, seed=1,
                     adversary="replay_all"),
-     "baa75efff397d90fd3bd7520e0f8ddd1a1848915f1a6d10398df1c2ec8f56e06"),
+     "b3d2c677559252fd2d930c8b04b61343d6f7df15d76f9e64cd9d622d9dd38900"),
     (ScenarioConfig(name="fleet", variant="b", device_count=20, seed=1),
-     "bb4c5b092d5d38e99f3f8a8f80eb3faa54503efe0c0024d652b769c9b5fdb87e"),
+     "f97a333fc61c223ec4d2bcaaa6004768cfe55aaaf426063bebac508152d14ee8"),
     (ScenarioConfig(name="hostile", variant="a", device_count=5, seed=1,
                     adversary="replay_all", options=EVERY_OPTION),
-     "071cb608fc022eabd56ea4fbd7989536136b7db4e51f5af13c24bfbb03c9629c"),
+     "840e5c66c3c6d35286a888077fd6beaca35debc3836eb7eeb5a807b3b25f86b6"),
 ], ids=["replay_all", "fleet", "hostile"])
 def test_every_frame_decode_answered_from_the_record(monkeypatch, config,
                                                      digest):

@@ -42,13 +42,13 @@ from trustshift.simnet import (
     wire.Reject(b"\x01" * 32, "untrusted"),
     wire.RecordFrame(b"\x03" * 8, 7, b"payload"),
     wire.EnrollReq(b"csr", True),
-    wire.EnrollRsp(True, b"cert", b"", (b"c1",), (b"r1", b"r2"), ""),
+    wire.EnrollRsp(True, b"cert", b"", (b"c1", b"c2"), ""),
     wire.UpdateCheck(b"vi"),
     wire.RaReport(b"dev", b"\x04" * 16, b"\x05" * 32),
     wire.TransferDeliver(b"envelope"),
     wire.RegisterReq((b"c1", b"c2", b"c3")),
     wire.FallbackReq(b"dev", "ra_failed"),
-    wire.RevokeRsp(True, 3),
+    wire.RevokeRsp(True),
 ])
 def test_wire_roundtrip(msg):
     """Through the strict reader: the record of encodings is emptied first."""
@@ -395,26 +395,27 @@ def test_entries_read_plain_forms_and_typed_values():
     roots = ((b"ca2", b"\x01" * 32), (b"permanent-ca", b"\x02" * 32))
     trace.add("reset_snapshot", 7, "device-000", "none", "none", roots,
               Uri("coaps://ca2.example/est"), None, None, None)
-    trace.add("size", 8, None, "transfer_message_payload", 90)
+    trace.add("revocation_failed", 8, "sp1-orchestrator", None, "no_route")
     trace.add("fallback_contacted", 9, "device-000", False, "ra_failed")
     trace.add("record", 9, "device-000", b"\xab\xcd", 3, "accept")
     assert list(trace.lines()) == [
         "t=00000007 ev=reset_snapshot actor=device-000 op_cert=none "
         "sp1_key=none roots=ca2,permanent-ca ca_uri=coaps://ca2.example/est "
         "update_uri=None ra_uri=None fallback_uri=None",
-        "t=00000008 ev=size cls=transfer_message_payload bytes=90",
+        "t=00000008 ev=revocation_failed actor=sp1-orchestrator "
+        "status=no_route",
         "t=00000009 ev=fallback_contacted actor=device-000 ok=False "
         "reason=ra_failed",
         "t=00000009 ev=record actor=device-000 sid=abcd seq=3 outcome=accept"]
-    snapshot, size, contacted, record = trace.entries
+    snapshot, failed, contacted, record = trace.entries
     assert (snapshot["ev"], snapshot["t"]) == ("reset_snapshot", 7)
     assert snapshot["roots"] == "ca2,permanent-ca"
     assert snapshot.typed("roots") == roots
     assert snapshot["ca_uri"] == "coaps://ca2.example/est"
     assert snapshot["ra_uri"] == "None" and snapshot.typed("ra_uri") is None
-    assert size.get("actor") is None and size["bytes"] == 90
+    assert failed.get("device") is None and failed["status"] == "no_route"
     with pytest.raises(KeyError):
-        size["actor"]
+        failed["device"]
     assert contacted["ok"] == "False" and contacted.typed("ok") is False
     assert record["sid"] == "abcd" and record.typed("sid") == b"\xab\xcd"
     assert [e.row for e in trace.select("fallback_contacted", ok="False")] \
@@ -423,7 +424,8 @@ def test_entries_read_plain_forms_and_typed_values():
     assert [e.row for e in trace.select("record", sid="abcd", seq=3)] \
         == [record.row]
     index = trace.index()
-    assert index["size"] == [size.row] and index["record"] == [record.row]
+    assert index["revocation_failed"] == [failed.row]
+    assert index["record"] == [record.row]
     assert len(trace.entries) == 4 and trace.entries[-1].row == record.row
 
 
