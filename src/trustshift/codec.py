@@ -9,11 +9,10 @@ parse.
 `FIELD_KINDS` maps a dataclass field annotation to its encoder and reader.
 It is the one table behind every fixed-arity array of typed fields: the
 wire frames (`wire.py`) and the protocol payloads (`messages.py`, which
-adds its own kinds). `compile_writer` and `compile_reader` generate one
-straight-line function per class at declaration, as `dataclasses` does,
-that takes minimal heads of arguments 0-255 inline for the `bytes`, `int`
-and `bool` kinds; all else, every error too, goes to the kind's encoder or
-reader, the one strict path.
+adds its own kinds). `compile_writer` generates one straight-line
+function per class at declaration, as `dataclasses` does, that writes
+minimal heads of arguments 0-255 inline for the `bytes`, `int` and `bool`
+kinds; `compile_reader` reads each field by its kind's strict reader.
 
 A per-run record answers a decode of bytes this process encoded with the
 value it encoded (`remember`, `recall`): that value is frozen, and exact
@@ -105,9 +104,9 @@ _MAJOR_NAMES = ("unsigned integer", "", "byte string", "text string", "array",
 class Decoder:
     """Strict cursor over one encoded item stream."""
 
-    def __init__(self, data: bytes, pos: int = 0):
+    def __init__(self, data: bytes):
         self._data = bytes(data)  # so every string read from it is bytes
-        self._pos = pos
+        self._pos = 0
 
     def _take(self, n: int) -> bytes:
         if self._pos + n > len(self._data):
@@ -201,29 +200,11 @@ def field_spec(cls) -> tuple:
     return tuple((f.name, *FIELD_KINDS[f.type]) for f in fields(cls))
 
 
-# Inlined per kind: by encoder, an expression over the field value `{v}`; by
-# reader, statements that set `{v}` and advance `pos`, or else run `{slow}`.
+# Inlined per kind: an expression over the field value `{v}`.
 _WRITE_INLINE = {
     encode_uint: "H0[{v}] if 0 <= {v} < 256 else encode_uint({v})",
     encode_bytes: "H2[n] if (n := len({v})) < 256 else _encode_head(2, n), {v}",
     encode_bool: r"b'\xf5' if {v} else b'\xf4'",
-}
-_READ_INLINE = {
-    Decoder.read_uint: """
-    h = data[pos] if pos < end else 255
-    if h < 24: {v} = h; pos += 1
-    elif h == 24 and pos + 1 < end and data[pos + 1] >= 24: {v} = data[pos + 1]; pos += 2
-    else: {slow}""",
-    Decoder.read_bytes: """
-    h = data[pos] - 0x40 if pos < end else -1
-    if 0 <= h < 24 and pos + 1 + h <= end: {v} = data[pos + 1:pos + 1 + h]; pos += 1 + h
-    elif h == 24 and pos + 1 < end and 24 <= (n := data[pos + 1]) <= end - pos - 2:
-        {v} = data[pos + 2:pos + 2 + n]; pos += 2 + n
-    else: {slow}""",
-    Decoder.read_bool: """
-    h = data[pos] if pos < end else 0
-    if h == 0xF5 or h == 0xF4: {v} = h == 0xF5; pos += 1
-    else: {slow}""",
 }
 
 
@@ -250,19 +231,13 @@ def compile_reader(cls, array: bool = False):
     """`read(dec)`: the fields of dataclass `cls`, each read by its kind in
     declared order, as an instance; with `array`, after the head of an
     array of them."""
-    spec = field_spec(cls)
-    namespace = {"cls": cls, "HEAD": (head := encode_array_head(len(spec)))}
-    body = ["    data = dec._data; pos = dec._pos; end = len(data)"]
-    if array:
-        body += [f"    if data.startswith(HEAD, pos): pos += {len(head)}",
-                 f"    else: dec.read_array_head({len(spec)}); pos = dec._pos"]
-    for i, (_name, _encode, read) in enumerate(spec):
-        namespace[f"r{i}"] = read
-        body.append(_READ_INLINE.get(read, "\n    {slow}").format(
-            v=f"v{i}", slow=f"dec._pos = pos; v{i} = r{i}(dec); pos = dec._pos"))
-    values = ", ".join(f"v{i}" for i in range(len(spec)))
-    body += ["    dec._pos = pos", f"    return cls({values})"]
-    return _define("read(dec)", body, namespace)
+    readers = [read for _name, _encode, read in field_spec(cls)]
+
+    def read(dec: Decoder):
+        if array:
+            dec.read_array_head(len(readers))
+        return cls(*[read_field(dec) for read_field in readers])
+    return read
 
 
 def compile_exact(cls):
@@ -332,12 +307,12 @@ def owe(data: bytes) -> None:
         _owed[data] = _owed.get(data, 0) + 1
 
 
-def recall(data, cls, keep: bool = False):
-    """The value of class `cls` exactly that this run encoded as `data`, a
-    `bytes`, or None. With `keep` the entry stays, as the newest; without,
-    it is taken out at the last decode it owes."""
+def recall(data, classes, keep: bool = False):
+    """The value this run encoded as `data`, a `bytes`, if its class is
+    exactly one of `classes`; else None. With `keep` the entry stays, as
+    the newest; without, it is taken out at the last decode it owes."""
     value = _encoded.get(data) if type(data) is bytes else None
-    if type(value) is not cls:
+    if type(value) not in classes:
         return None
     if keep:
         _encoded.move_to_end(data)

@@ -36,7 +36,6 @@ class UnverifiableFactoryCert(Error):
 
     def __init__(self, serial, reason=""):
         super().__init__(f"factory certificate serial={serial} unverifiable: {reason}")
-        self.serial = serial
         self.reason = reason
 
 

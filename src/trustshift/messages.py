@@ -352,7 +352,7 @@ def decode(cls, data: bytes):
     kind = getattr(cls, "KIND", None)
     if kind is None:
         raise MalformedEncoding(f"not a payload class: {cls!r}")
-    message = codec.recall(data, cls, True)
+    message = codec.recall(data, (cls,), True)
     if message is None:
         dec = codec.Decoder(data)
         message = kind[1](dec)

@@ -177,12 +177,10 @@ def session_call(net: NetHandle, sess: session.AuthenticatedSession, request,
     return None
 
 
-def session_wait(net: NetHandle, sess: session.AuthenticatedSession,
-                 timeout: int | None = None):
-    """Park on a session until the next accepted record; its message, or
-    None once `timeout` expires."""
+def session_wait(net: NetHandle, sess: session.AuthenticatedSession):
+    """Park on a session until the next accepted record; its message."""
     return (yield from _await_reply(
-        net, lambda data: _pick_record(net, sess, data), timeout))
+        net, lambda data: _pick_record(net, sess, data), None))
 
 
 # ---------------------------------------------------------------------------

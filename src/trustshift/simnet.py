@@ -407,6 +407,7 @@ def adversary_apply(schedule: AdversarySchedule,
             continue
         action = rule.action
         if action == "inject" and rule.frame_in_matched_session:
+            owe(payload)  # this look decodes it: one more to answer
             frame = wire.parse_record_frame(payload)
             if frame is None:
                 continue

@@ -16,7 +16,7 @@ from . import codec
 from .errors import MalformedEncoding
 
 _REGISTRY: dict[int, type] = {}  # tag -> frame class
-_PREFIXES: dict[bytes, type] = {}  # array head, tag (0x18, tag if 24-255) -> class
+_FRAMES: set[type] = set()  # every frame class
 
 
 def snake_case(name: str) -> str:
@@ -35,25 +35,20 @@ def encode_wire(msg) -> bytes:
     return codec.remember(type(msg).WRITE(msg), msg)
 
 
-def _prefix(data: bytes) -> bytes:
-    return bytes(data[:3] if data[1:2] == b"\x18" else data[:2])
-
-
 def decode_wire(data: bytes):
-    cls = _PREFIXES.get(_prefix(data))
-    if cls is None:  # the strict parse says why no frame matched
+    msg = codec.recall(data, _FRAMES)
+    if msg is None:
         dec = codec.Decoder(data)
         count = dec.read_array_head()
         if count < 1:
             raise MalformedEncoding("empty wire frame")
         tag = dec.read_uint()
-        if tag not in _REGISTRY:
+        cls = _REGISTRY.get(tag)
+        if cls is None:
             raise MalformedEncoding(f"unknown wire tag {tag}")
-        raise MalformedEncoding(
-            f"wire tag {tag} expects {_REGISTRY[tag].ARITY} elements, got {count}")
-    msg = codec.recall(data, cls)
-    if msg is None:
-        dec = codec.Decoder(data, len(cls.PREFIX))
+        if count != cls.ARITY:
+            raise MalformedEncoding(
+                f"wire tag {tag} expects {cls.ARITY} elements, got {count}")
         msg = cls.READ(dec)
         dec.finish()
     return msg
@@ -62,7 +57,7 @@ def decode_wire(data: bytes):
 def compile_frame(cls, tag: int):
     """Make `cls` a frame under `tag`, without registering the tag: a
     frozen dataclass with a generated constructor, its trace label, its
-    array length (tag and fields) and its writer and field reader, compiled
+    array length (tag and fields) and its writer and field reader, made
     once."""
     cls = dataclass(frozen=True)(cls)
     cls.__init__ = codec.compile_init(cls)
@@ -76,14 +71,14 @@ def compile_frame(cls, tag: int):
 
 def wire_message(tag):
     """Declare a frame: a tagged array of its fields, each of a kind in
-    `codec.FIELD_KINDS`, decoded by `decode_wire`; refuse a taken prefix.
+    `codec.FIELD_KINDS`, decoded by `decode_wire`; refuse a taken tag.
     Only a declared frame has the `EXACT` check that lets the record keep it."""
     def wrap(cls):
         cls = compile_frame(cls, tag)
-        if tag in _REGISTRY or _prefix(cls.PREFIX) != cls.PREFIX:
-            raise ValueError(f"wire tag {tag}: prefix {cls.PREFIX.hex()} is taken"
-                             " or not found in one lookup")
-        _REGISTRY[tag] = _PREFIXES[cls.PREFIX] = cls
+        if tag in _REGISTRY:
+            raise ValueError(f"wire tag {tag}: prefix {cls.PREFIX.hex()} is taken")
+        _REGISTRY[tag] = cls
+        _FRAMES.add(cls)
         cls.EXACT = codec.compile_exact(cls)
         return cls
     return wrap

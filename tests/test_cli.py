@@ -45,6 +45,21 @@ def test_config_rejects_bad_schema(tmp_path):
         ScenarioConfig.from_file(path)
 
 
+@pytest.mark.parametrize("raw, match", [
+    ([], "config root must be an object"),
+    ({"schema": 1, "expectation": []}, "expectation must be an object"),
+])
+def test_config_rejects_a_non_object(raw, match):
+    with pytest.raises(ConfigParseError, match=match):
+        ScenarioConfig.from_dict(raw)
+
+
+def test_unknown_adversary_spec_refused():
+    for spec in (42, "no_such_schedule"):
+        with pytest.raises(ScenarioInvalid, match="unknown adversary schedule"):
+            scenario.build_adversary(spec, seed=1)
+
+
 def test_config_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -332,7 +332,8 @@ def test_property_garbage_never_crashes(data):
 
 
 # ---------------------------------------------------------------------------
-# heads: every width, fast path or not, against the reference encoder
+# heads: every width, from the short-head table or not, against the
+# reference encoder
 # ---------------------------------------------------------------------------
 
 # Each argument where a head changes width, with its neighbours.

@@ -366,7 +366,7 @@ def test_record_of_encodings_written_by_three_read_by_two():
     `CompactCertificate.encoding`), `codec.recall` only by its two readers
     (`wire.decode_wire`, `messages.decode`), `codec.owe` only by the
     simulator's run loop, for each copy of a frame it puts in flight, and
-    `forget_encoded` only by the per-run reset; nothing outside `codec`'s
+    by `adversary_apply`, for its own look at a frame, and `forget_encoded` only by the per-run reset; nothing outside `codec`'s
     own functions touches `codec._encoded` or `codec._owed`."""
     found = {(path.name, *use) for path in SOURCES for use in _uses_by_function(
         path, {"remember", "recall", "owe", "forget_encoded", "_encoded",
@@ -378,6 +378,7 @@ def test_record_of_encodings_written_by_three_read_by_two():
         ("wire.py", "recall", "decode_wire"),
         ("messages.py", "recall", "decode"),
         ("simnet.py", "owe", "run"),
+        ("simnet.py", "owe", "adversary_apply"),
         ("crypto.py", "forget_encoded", "forget_run"),
         ("codec.py", "_encoded", ""),
         ("codec.py", "_owed", ""),

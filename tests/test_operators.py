@@ -7,6 +7,7 @@ import pytest
 
 from trustshift import crypto, operators, peers, pki, session, simnet, wire
 from trustshift.errors import (
+    InvariantViolation,
     NoExpectedMeasurement,
     UnknownDevice,
     UnverifiableFactoryCert,
@@ -95,6 +96,13 @@ def prepared_transfer(world, ra_uri=None, contact_before_enroll=False):
         contact_before_enroll=contact_before_enroll)
 
 
+def test_prepare_transfer_refuses_zero_devices(world):
+    _h, _sp1, sp2 = world
+    with pytest.raises(InvariantViolation, match="zero devices"):
+        operators.sp2_prepare_transfer(
+            sp2, UpdateInfoList(()), Uri("coaps://ca2.example/est"), None, False)
+
+
 def test_prepare_transfer_registers_and_signs(world):
     h, sp1, sp2 = world
     envelope = prepared_transfer(world)
@@ -137,7 +145,7 @@ def test_register_req_rogue_cert_refused(world):
         tuple(encode(c) for c in certs)))
     with pytest.raises(UnverifiableFactoryCert) as err:
         pki.register_factory_certs(h.ca2, certs, 1000)
-    assert err.value.serial == 999
+    assert str(err.value).startswith("factory certificate serial=999 ")
     assert reply == wire.RegisterRsp(False, "", err.value.reason)
     assert not h.ca2.registered_factory
 

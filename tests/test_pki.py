@@ -212,6 +212,20 @@ def test_minimal_truststore_matrix(variant, phase, expected):
     assert pki.minimal_truststore(variant, phase) == expected
 
 
+def test_unknown_variant_refused():
+    for make in (lambda: pki.build_hierarchy("z", random.Random(1)),
+                 lambda: pki.minimal_truststore("z", pki.TrustPhase.PRE_ENROLL)):
+        with pytest.raises(InvariantViolation, match="unknown hierarchy variant"):
+            make()
+
+
+def test_root_cert_refuses_a_name_that_is_not_a_root():
+    h = build("b")
+    assert h.root_cert(b"ca2") is h.ca2.certificate
+    with pytest.raises(InvariantViolation, match="no root named"):
+        h.root_cert(b"ca1")  # in variant b, certified by the permanent root
+
+
 @pytest.mark.parametrize("variant", pki.VARIANTS)
 def test_minimal_pretransfer_suffices_for_ca2(variant):
     """With exactly the pre-transfer roots, a device can verify CA2's
@@ -536,7 +550,8 @@ def test_register_rejects_rogue_cert():
         for serial in (777, 778))
     with pytest.raises(UnverifiableFactoryCert) as err:
         pki.register_factory_certs(h.ca2, [good, rogue, second_rogue], NOW)
-    assert err.value.serial == 777  # the first bad one in the list
+    assert str(err.value).startswith(  # the first bad one in the list
+        "factory certificate serial=777 ")
     assert not h.ca2.registered_factory  # nothing registered on failure
 
 
@@ -547,8 +562,8 @@ def test_register_rejects_revoked_factory_cert():
     pki.revoke(h.permanent, cert.serial)
     with pytest.raises(UnverifiableFactoryCert) as err:
         pki.register_factory_certs(h.ca2, [cert], NOW)
-    assert (err.value.serial, err.value.reason) \
-        == (cert.serial, f"serial {cert.serial} revoked")
+    assert str(err.value) == (f"factory certificate serial={cert.serial} "
+                              f"unverifiable: serial {cert.serial} revoked")
     assert not h.ca2.registered_factory
 
 
@@ -563,8 +578,8 @@ def test_register_rejects_a_non_factory_cert():
     cert = server_cert_for(h)
     with pytest.raises(UnverifiableFactoryCert) as err:
         pki.register_factory_certs(h.ca2, [cert], NOW)
-    assert (err.value.serial, err.value.reason) \
-        == (cert.serial, "not a factory certificate")
+    assert str(err.value) == (f"factory certificate serial={cert.serial} "
+                              "unverifiable: not a factory certificate")
     assert not h.ca2.registered_factory
 
 

@@ -207,6 +207,32 @@ EVERY_OPTION = ScenarioOptions(use_ra=True, contact_update_before_enroll=True,
                                sp1_fallback_ra=True)
 
 
+def count_strict_parses(monkeypatch) -> list[type]:
+    """The class of each strict parse made from here on: a frame's by its
+    `READ`, a payload's by a `messages.decode` the record did not answer."""
+    parsed = []
+
+    def counting(cls):
+        read = cls.READ
+
+        def counted(dec):
+            parsed.append(cls)
+            return read(dec)
+        return counted
+
+    def recall(data, classes, keep=False):
+        value = real_recall(data, classes, keep)
+        if value is None and type(classes) is tuple:  # `messages.decode`'s
+            parsed.extend(classes)
+        return value
+
+    for cls in wire._REGISTRY.values():
+        monkeypatch.setattr(cls, "READ", counting(cls))
+    real_recall = codec.recall
+    monkeypatch.setattr(codec, "recall", recall)
+    return parsed
+
+
 @pytest.mark.parametrize("config, digest", [
     (ScenarioConfig(name="replayed", variant="a", device_count=5, seed=1,
                     adversary="replay_all"),
@@ -216,26 +242,25 @@ EVERY_OPTION = ScenarioOptions(use_ra=True, contact_update_before_enroll=True,
     (ScenarioConfig(name="hostile", variant="a", device_count=5, seed=1,
                     adversary="replay_all", options=EVERY_OPTION),
      "840e5c66c3c6d35286a888077fd6beaca35debc3836eb7eeb5a807b3b25f86b6"),
-], ids=["replay_all", "fleet", "hostile"])
+    (ScenarioConfig(name="forged", variant="b", device_count=1, seed=1,
+                    adversary="forge_transfer"),
+     "90ecd611587f7c6f9ab6ec7c6f95601a34d31169e17d593d18f0191b0191dd36"),
+], ids=["replay_all", "fleet", "hostile", "forge_transfer"])
 def test_every_frame_decode_answered_from_the_record(monkeypatch, config,
                                                      digest):
     """Every copy of a frame is answered from the record: equal frames that
-    many devices send, and the copies the adversary replays, make no strict
-    frame parse (`decode_wire` starts its `Decoder` past the prefix). The
-    record forgets each entry at its first decode: these runs made 129, 142
-    and 214 strict parses so. The traces are unchanged."""
-    parses = []
-
-    class Counting(codec.Decoder):
-        def __init__(self, data, pos=0):
-            if pos:
-                parses.append(bytes(data))
-            super().__init__(data, pos)
-
-    monkeypatch.setattr(codec, "Decoder", Counting)
+    many devices send, the copies the adversary replays, and a frame the
+    adversary looks into before it injects make no strict frame parse.
+    Had each entry left the record at its first decode, these runs would
+    have made 129, 142, 214 and 1 strict frame parses. Only the
+    hand-written payloads, which are never recorded, take the strict
+    reader. The traces are unchanged."""
+    parsed = count_strict_parses(monkeypatch)
     result = run_scenario(config)
     assert result.ok and result.trace.digest() == digest
-    assert not parses, f"{len(parses)} strict frame parses"
+    frames = [cls for cls in parsed if cls in wire._FRAMES]
+    assert not frames, f"{len(frames)} strict frame parses"
+    assert set(parsed) <= {TransferMessage, UpdateInfoList}, parsed
 
 
 def test_no_payload_owes_a_decode_after_a_run():

@@ -307,6 +307,12 @@ def test_out_of_order_record_rejected():
     assert deliver(responder, r1) == ("replay_detected", [])
 
 
+def await_record(net, sess):
+    """Park on `sess` as `peers.session_wait` does, but for 5 ticks only."""
+    return peers._await_reply(
+        net, lambda data: peers._pick_record(net, sess, data), 5)
+
+
 def test_cross_session_record_rejected():
     a1, responder1 = make_pair(seed=7)
     a2, responder2 = make_pair(seed=8)
@@ -325,7 +331,7 @@ def test_cross_session_record_rejected():
 
     def waiter():
         net = peers.NetHandle(sim, "dev-2")
-        got.append((yield from peers.session_wait(net, a2, timeout=5)))
+        got.append((yield from await_record(net, a2)))
 
     sim.spawn("dev-2", waiter())
     sim.transmit("ca2", "dev-2", reply)
@@ -545,8 +551,10 @@ def test_reply_loop_discards_bad_frame_within_deadline(case):
     assert len(sim.trace.select("deliver", dst="ca2")) == 2
 
 
-def test_discarded_frame_does_not_extend_the_wait():
-    """A frame the loop discards leaves the deadline where it was."""
+def wait_past_a_bad_frame(delay):
+    """What a 5-tick wait on a session returns, and how long it takes, when
+    a non-record frame reaches it after `delay` ticks; the frame is noted
+    and discarded."""
     sess, responder = make_pair()
     sim = responder.net.sim
     start = sim.now
@@ -554,13 +562,25 @@ def test_discarded_frame_does_not_extend_the_wait():
 
     def waiter():
         net = peers.NetHandle(sim, "dev-2")
-        done.append((yield from peers.session_wait(net, sess, timeout=5)))
-        done.append(net.now())
+        done.append((yield from await_record(net, sess)))
+        done.append(net.now() - start)
 
     sim.spawn("dev-2", waiter())
-    sim.transmit("ca2", "dev-2", b"\xff", delay=3)
+    sim.transmit("ca2", "dev-2", b"\xff", delay=delay)
     sim.start_ready_processes()
     sim.run()
-    assert done == [None, start + 5]
     assert sim.trace.select("note", actor="dev-2",
                             what="non_record_frame_discarded")
+    return done
+
+
+def test_discarded_frame_does_not_extend_the_wait():
+    """A frame the loop discards leaves the deadline where it was."""
+    assert wait_past_a_bad_frame(3) == [None, 5]
+
+
+def test_discarded_frame_on_the_deadline_ends_the_wait():
+    """A frame the loop discards on the tick the wait is due, ahead of its
+    timer, ends the wait then: no time is left, and a wait of none would
+    last a tick."""
+    assert wait_past_a_bad_frame(5) == [None, 5]

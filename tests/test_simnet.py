@@ -70,10 +70,10 @@ def test_wire_rejects_wrong_arity():
         wire.decode_wire(good[:1] + good[2:])  # drop the tag element
 
 
-@pytest.mark.parametrize("tag", [3, 27, 256])
+@pytest.mark.parametrize("tag", [3, 27])
 def test_wire_message_refuses_a_clashing_prefix(tag):
-    """A tag already taken, or one whose prefix `decode_wire` would not read
-    whole (tags past 255), is refused when the frame is declared."""
+    """A tag already taken is refused when the frame is declared, and the
+    frames declared still decode."""
     class Clash:
         seq: "int"  # a kind is named by its annotation's text
 
@@ -286,6 +286,17 @@ def test_process_sleep_wait_timeout():
     sim.start_ready_processes()
     sim.run()
     assert log == [("woke", 3), ("wait", True, 7)]
+
+
+def test_process_yielding_an_unknown_command_is_refused():
+    sim = Simulator(seed=1)
+
+    def proc():
+        yield "send it"
+
+    sim.spawn("p", proc())
+    with pytest.raises(ScenarioInvalid, match="process p yielded 'send it'"):
+        sim.start_ready_processes()
 
 
 def test_process_receives_queued_messages():
