@@ -16,17 +16,20 @@ kinds; `compile_reader` reads each field by its kind's strict reader.
 
 A per-run record answers a decode of bytes this process encoded with the
 value it encoded (`remember`, `recall`): that value is frozen, and exact
-(`compile_exact`), so it is the one parse of its canonical bytes. An entry
-read without `keep` (a frame's) answers one decode for each time its bytes
-were encoded and one for each copy declared in flight (`owe`), and leaves
-at the last; an entry read with `keep` (a payload's) owes nothing and stays.
+(`compile_exact`), so it is the one parse of its canonical bytes. Every
+frame and payload class has an exact check, the hand-written layouts of
+`messages.py` too: `compile_exact` reads `X | None` and `tuple[X, ...]`
+annotations. An entry read without `keep` (a frame's) answers one decode
+for each time its bytes were encoded and one for each copy declared in
+flight (`owe`), and leaves at the last; an entry read with `keep` (a
+payload's) owes nothing and stays.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import fields
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import MalformedEncoding
 
@@ -240,17 +243,28 @@ def compile_reader(cls, array: bool = False):
     return read
 
 
+def _exact_term(expr: str, kind, namespace: dict) -> str:
+    """A test that `expr` is of annotation `kind` exactly, as its reader
+    builds it: a nested value exact too, a bare `tuple` one of bytes."""
+    args = get_args(kind)
+    if kind is tuple or get_origin(kind) is tuple:  # `tuple[X, ...]`
+        item = _exact_term("x", args[0] if args else bytes, namespace)
+        return f"type({expr}) is tuple and all({item} for x in {expr})"
+    if type(None) in args:  # `X | None`
+        return f"({expr} is None or {_exact_term(expr, args[0], namespace)})"
+    name = f"t{len(namespace)}"
+    namespace[name] = kind
+    return f"type({expr}) is {name}" + (
+        f" and {name}.EXACT({expr})" if hasattr(kind, "EXACT") else "")
+
+
 def compile_exact(cls):
     """`exact(value)`: whether each field of `value` is of its annotated
-    class exactly, as its reader builds it (a tuple holding bytes only, a
-    nested value exact too), so the strict parse of its bytes rebuilds it."""
-    namespace, terms = {}, []
-    for i, (name, kind) in enumerate(get_type_hints(cls).items()):
-        namespace[f"t{i}"] = kind
-        terms.append(f"type(value.{name}) is t{i}" + (
-            f" and all(type(b) is bytes for b in value.{name})" if kind is tuple
-            else f" and t{i}.EXACT(value.{name})" if hasattr(kind, "EXACT")
-            else ""))
+    class exactly, as its reader builds it, so the strict parse of its
+    bytes rebuilds it."""
+    namespace = {}
+    terms = [_exact_term(f"value.{name}", kind, namespace)
+             for name, kind in get_type_hints(cls).items()]
     return _define("exact(value)", [f"    return {' and '.join(terms)}"],
                    namespace)
 

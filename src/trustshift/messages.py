@@ -8,8 +8,9 @@ text. Hand-written are only the layouts the frozen vectors make irregular:
 `TransferMessage` (a nested `[updateUri, flag]` pair, an explicit null for
 no RA endpoint), the bare entry array of `UpdateInfoList`, and the
 canonical header map. `decode` takes the payload class. Values are
-immutable and validated at construction. `decode` answers bytes `encode`
-made in this run from `codec`'s record, for classes with an `EXACT` check.
+immutable and validated at construction. Every payload class, the
+hand-written layouts too, has an `EXACT` check, so `decode` answers bytes
+`encode` made in this run from `codec`'s record.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ def _check_timestamp(name: str, value: int) -> None:
 
 
 def _payload_kind(cls, encode, read) -> None:
-    """Make `cls` a payload (what `encode`/`decode` accept) and a field kind."""
+    """Make `cls` a payload (what `encode`/`decode` accept) and a field
+    kind, with the `EXACT` check that lets the record keep it."""
     cls.KIND = codec.FIELD_KINDS[cls.__name__] = (encode, read)
+    cls.EXACT = codec.compile_exact(cls)
 
 
 def _payload(cls):
@@ -44,7 +47,6 @@ def _payload(cls):
     cls = dataclass(frozen=True)(cls)
     _payload_kind(cls, codec.compile_writer(cls, codec.encode_array_head(len(fields(cls)))),
                   codec.compile_reader(cls, array=True))
-    cls.EXACT = codec.compile_exact(cls)
     return cls
 
 
@@ -93,7 +95,6 @@ class Uri:
 
 
 _payload_kind(Uri, codec.compile_writer(Uri, b""), codec.compile_reader(Uri))
-Uri.EXACT = codec.compile_exact(Uri)
 _encode_uri, _read_uri = Uri.KIND
 
 
@@ -257,6 +258,9 @@ _payload_kind(TransferMessage, _encode_transfer_message, _read_transfer_message)
 
 @_payload
 class CertificateSigningRequest:
+    # The bytes signed over are made at most once, and kept outside the fields.
+    __slots__ = ("__dict__", "_tbs")
+
     subject_name: bytes
     subject_public_key: bytes
     requested_profile: CertProfile
@@ -268,7 +272,11 @@ class CertificateSigningRequest:
 
     def tbs_bytes(self) -> bytes:
         """Bytes covered by the proof-of-possession signature."""
-        return _write_csr_tbs(self)
+        try:
+            return self._tbs
+        except AttributeError:
+            object.__setattr__(self, "_tbs", _write_csr_tbs(self))
+            return self._tbs
 
 
 _write_csr_tbs = codec.compile_writer(CertificateSigningRequest,
@@ -342,6 +350,8 @@ def encode(message) -> bytes:
     kind = getattr(type(message), "KIND", None)
     if kind is None:
         raise InvariantViolation(f"not an encodable message: {type(message).__name__}")
+    if type(message) is CompactCertificate:
+        return message.encoding()  # recorded when first made
     return codec.remember(kind[0](message), message, keep=True)
 
 

@@ -263,16 +263,23 @@ def _serial_for(allocator: SerialAllocator,
     return allocator.take()
 
 
+def _signed(cls, values: tuple, key_pair: crypto.KeyPair):
+    """A `cls` of `values` and, last, `key_pair`'s signature over its TBS,
+    which it keeps: what this run signed over is never encoded again."""
+    tbs = cls(*values, b"").tbs_bytes()
+    signed = cls(*values, key_pair.sign(tbs))
+    object.__setattr__(signed, "_tbs", tbs)
+    return signed
+
+
 def _signed_cert(issuer_name: bytes, issuer_key: crypto.KeyPair, serial: int,
                  subject_name: bytes, subject_public_key: bytes,
                  validity: tuple[TimeStamp, TimeStamp],
                  profile: CertProfile) -> CompactCertificate:
     not_before, not_after = validity
-    unsigned = CompactCertificate(serial, subject_name, subject_public_key,
-                                  issuer_name, not_before, not_after, profile, b"")
-    return CompactCertificate(serial, subject_name, subject_public_key,
-                              issuer_name, not_before, not_after, profile,
-                              issuer_key.sign(unsigned.tbs_bytes()))
+    return _signed(CompactCertificate, (serial, subject_name, subject_public_key,
+                                        issuer_name, not_before, not_after,
+                                        profile), issuer_key)
 
 
 def make_ca(name: bytes, key_pair: crypto.KeyPair, allocator: SerialAllocator,
@@ -296,10 +303,8 @@ def make_ca(name: bytes, key_pair: crypto.KeyPair, allocator: SerialAllocator,
 
 def make_csr(subject_name: bytes, key_pair: crypto.KeyPair,
              profile: CertProfile) -> CertificateSigningRequest:
-    unsigned = CertificateSigningRequest(subject_name, key_pair.public_key,
-                                         profile, b"")
-    return CertificateSigningRequest(subject_name, key_pair.public_key, profile,
-                                     key_pair.sign(unsigned.tbs_bytes()))
+    return _signed(CertificateSigningRequest,
+                   (subject_name, key_pair.public_key, profile), key_pair)
 
 
 def verify_csr(csr: CertificateSigningRequest) -> bool:

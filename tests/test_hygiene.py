@@ -4,15 +4,17 @@ public function, class or method that nothing in src/ or bench/ names; no
 config key goes unset, and no config field is out of a config's reach; no
 trace kind is declared without a writer; each CA
 enrollment URI is spelled once, in `pki.ENROLL_URIS`; only
-`scenario.build_adversary` builds an adversary rule; and only a device's
-enrollment makes a CSR.
+`scenario.build_adversary` builds an adversary rule; only a device's
+enrollment makes a CSR; and every payload class has an `EXACT` check.
 
 The source scans read the source with `ast` only; nothing is imported. The
-config-key scan imports `scenario` for the keys its reader accepts.
+config-key scan imports `scenario` for the keys its reader accepts, and the
+`EXACT` scan every module, for the classes they declare.
 """
 
 import ast
 import dataclasses
+import importlib
 import json
 import re
 from pathlib import Path
@@ -579,3 +581,17 @@ def test_every_config_field_is_read_from_a_config():
     unread = {f.name for f in dataclasses.fields(scenario.ScenarioConfig)} \
         - read
     assert not unread, f"from_dict never sets {sorted(unread)}"
+
+
+def test_every_payload_class_has_an_exact_check():
+    """Every class with a `KIND`, which `messages.encode` and `decode`
+    accept, has an `EXACT` check, so that the record of encodings keeps
+    what `encode` makes of it and answers its decodes: no payload takes
+    the strict reader for want of one."""
+    kinds = {cls for path in SOURCES
+             for cls in vars(importlib.import_module(
+                 f"trustshift.{path.stem}")).values()
+             if isinstance(cls, type) and hasattr(cls, "KIND")}
+    assert kinds, "no class with a KIND"
+    missing = sorted(cls.__name__ for cls in kinds if not hasattr(cls, "EXACT"))
+    assert not missing, f"no EXACT check on {missing}"

@@ -1,12 +1,13 @@
 """PKI tests: hierarchies, truststores, chains, issuance, revocation."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 import gen
-from trustshift import codec, crypto, device, pki, scenario, simnet
+from trustshift import codec, crypto, device, messages, pki, scenario, simnet
 from trustshift.errors import (
     BadProofOfPossession,
     InvalidValidityWindow,
@@ -192,6 +193,33 @@ def test_run_scenario_checks_each_set_up_signature_a_pass_later(monkeypatch):
         assert kinds.count("provision") == devices
         assert kinds.index("register") > last_provision
         assert all(checked[tbs] > kinds.index("register") for tbs in factory)
+
+
+def test_each_tbs_written_once_per_certificate_and_csr_made(monkeypatch):
+    """A certificate or CSR this run signs keeps the TBS it was signed over,
+    so `verify_chain`, `verify_csr` and `register_factory_certs` never
+    encode it again: in a 20-device variant-b run, where each one is
+    checked, each TBS is written once, when it is signed. The run makes 65
+    certificates (3 CAs, 20 factory, 2 server, 40 operational) and 40
+    CSRs."""
+    made = Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            made[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((messages, "_write_cert_tbs"),
+                         (messages, "_write_csr_tbs"), (pki, "_signed_cert"),
+                         (pki, "make_csr")):
+        counting(module, name)
+    assert scenario.run_scenario(scenario.ScenarioConfig(
+        name="fleet", variant="b", device_count=20, seed=1)).ok
+    assert made == {"_signed_cert": 65, "_write_cert_tbs": 65,
+                    "make_csr": 40, "_write_csr_tbs": 40}
 
 
 # ---------------------------------------------------------------------------

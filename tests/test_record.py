@@ -16,13 +16,12 @@ import gen
 from test_codec import FRAMES, PAYLOAD_MAKERS, _frame_values
 from trustshift import codec, crypto, wire
 from trustshift.errors import InvariantViolation, MalformedEncoding
-from trustshift.messages import CompactCertificate, TransferMessage, \
-    UpdateInfoList, Uri, VersionInfo, decode, encode
+from trustshift.messages import CompactCertificate, DeviceUpdateInfo, \
+    TransferMessage, UpdateInfoList, Uri, VersionInfo, decode, encode
 from trustshift.scenario import ScenarioConfig, ScenarioOptions, run_scenario
 
-# The hand-written layouts have no `EXACT` check and are never recorded.
-RECORDED_PAYLOADS = sorted(set(PAYLOAD_MAKERS) - {TransferMessage, UpdateInfoList},
-                           key=lambda c: c.__name__)
+# Every payload class, the hand-written layouts too, has an `EXACT` check.
+RECORDED_PAYLOADS = sorted(PAYLOAD_MAKERS, key=lambda c: c.__name__)
 
 
 def typed(value):
@@ -82,14 +81,20 @@ def test_payload_answer_is_the_strict_parse(cls, seed, pos, mask):
     assert_never_answered_by(message, lambda d: decode(cls, d), data, pos, mask)
 
 
-@pytest.mark.parametrize("cls", [TransferMessage, UpdateInfoList])
-def test_hand_written_payloads_are_never_recorded(cls):
+def test_certificate_encode_records_once(monkeypatch):
+    """`encode` of a certificate hands out the encoding the certificate
+    recorded when it made it, and records nothing again."""
     codec.forget_encoded()
-    message = PAYLOAD_MAKERS[cls](random.Random(7))
-    data = encode(message)
-    assert data not in codec._encoded
-    decoded = decode(cls, data)
-    assert decoded == message and decoded is not message
+    cert = gen.rand_certificate(random.Random(8))
+    held = []  # per `remember` call: were the bytes held for this value?
+    remember = codec.remember
+
+    def counting(data, value, keep=False):
+        held.append(codec._encoded.get(data) is value)
+        return remember(data, value, keep)
+    monkeypatch.setattr(codec, "remember", counting)
+    assert encode(cert) is encode(cert) is cert.encoding()
+    assert held == [False] and codec._encoded[cert.encoding()] is cert
 
 
 @pytest.mark.parametrize("frame, exact", [
@@ -112,14 +117,47 @@ def test_frame_the_reader_would_not_build_is_not_recorded(frame, exact):
     assert decoded is not frame and typed(decoded) == typed(exact)
 
 
-def test_payload_the_reader_would_not_build_is_not_recorded():
-    cert = gen.rand_certificate(random.Random(3))
-    loose = replace(cert, subject_name=bytearray(cert.subject_name))
-    expected = encode(cert)
+def assert_encoded_as_but_not_recorded(cls, loose, exact):
+    """`loose` encodes as `exact` does but is not recorded: the decode of
+    those bytes is the strict parse, of `exact`'s types."""
+    expected = encode(exact)
     codec.forget_encoded()
     assert encode(loose) == expected and not codec._encoded
-    decoded = decode(CompactCertificate, expected)
-    assert decoded is not loose and typed(decoded) == typed(cert)
+    decoded = decode(cls, expected)
+    assert decoded is not loose and typed(decoded) == typed(exact)
+
+
+def test_payload_the_reader_would_not_build_is_not_recorded():
+    cert = gen.rand_certificate(random.Random(3))
+    assert_encoded_as_but_not_recorded(
+        CompactCertificate,
+        replace(cert, subject_name=bytearray(cert.subject_name)), cert)
+
+
+def _flag_as_int():
+    message = gen.rand_transfer_message(random.Random(7))
+    return (replace(message, contact_before_enroll=1),
+            replace(message, contact_before_enroll=True))
+
+
+def _entry_with_a_bytearray():
+    cert = gen.rand_certificate(random.Random(7))
+    loose = replace(cert, subject_name=bytearray(cert.subject_name))
+    version = VersionInfo(1, Uri("x"))
+    return tuple(UpdateInfoList((DeviceUpdateInfo(c, 0, 1, version),))
+                 for c in (loose, cert))
+
+
+@pytest.mark.parametrize("cls, make", [
+    (TransferMessage, _flag_as_int),
+    (UpdateInfoList, _entry_with_a_bytearray),
+], ids=["TransferMessage", "UpdateInfoList"])
+def test_hand_written_layout_the_reader_would_not_build_is_not_recorded(
+        cls, make):
+    """A transfer message whose flag is the int 1, and a list whose entry's
+    certificate has a bytearray field, encode as their exact twins do but
+    are not recorded: their decode is the strict parse."""
+    assert_encoded_as_but_not_recorded(cls, *make())
 
 
 def test_bytes_recorded_for_another_class_take_the_strict_reader():
@@ -248,19 +286,16 @@ def count_strict_parses(monkeypatch) -> list[type]:
 ], ids=["replay_all", "fleet", "hostile", "forge_transfer"])
 def test_every_frame_decode_answered_from_the_record(monkeypatch, config,
                                                      digest):
-    """Every copy of a frame is answered from the record: equal frames that
-    many devices send, the copies the adversary replays, and a frame the
-    adversary looks into before it injects make no strict frame parse.
-    Had each entry left the record at its first decode, these runs would
-    have made 129, 142, 214 and 1 strict frame parses. Only the
-    hand-written payloads, which are never recorded, take the strict
-    reader. The traces are unchanged."""
+    """Every decode is answered from the record: equal frames that many
+    devices send, the copies the adversary replays, a frame the adversary
+    looks into before it injects, and every payload, the transfer message
+    and the update list among them, make no strict parse. Had each frame
+    entry left the record at its first decode, these runs would have made
+    129, 142, 214 and 1 strict frame parses. The traces are unchanged."""
     parsed = count_strict_parses(monkeypatch)
     result = run_scenario(config)
     assert result.ok and result.trace.digest() == digest
-    frames = [cls for cls in parsed if cls in wire._FRAMES]
-    assert not frames, f"{len(frames)} strict frame parses"
-    assert set(parsed) <= {TransferMessage, UpdateInfoList}, parsed
+    assert not parsed, f"{len(parsed)} strict parses: {set(parsed)}"
 
 
 def test_no_payload_owes_a_decode_after_a_run():
