@@ -22,12 +22,12 @@ frame and payload class has an exact check, the hand-written layouts of
 annotations. An entry read without `keep` (a frame's) answers one decode
 for each time its bytes were encoded and one for each copy declared in
 flight (`owe`), and leaves at the last; an entry read with `keep` (a
-payload's) owes nothing and stays.
+payload's) owes nothing and stays. The record has no bound: it holds what
+this run encoded, and `crypto.forget_run` empties it when the next starts.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import fields
 from typing import get_args, get_origin, get_type_hints
 
@@ -38,13 +38,6 @@ _MAJOR_BYTES = 2
 _MAJOR_TEXT = 3
 _MAJOR_ARRAY = 4
 _MAJOR_MAP = 5
-
-# Bound on the record of encodings, least recently used dropped first. A
-# 200-device variant-b run holds at most 1410 entries, and a 50-device
-# variant-a run with every option and every delivery replayed 521 (156 of
-# them copies that reach no reader); a 1000-device run fills it, and 1003
-# of its 15011 certificate decodes then take the parse.
-RECORD_SIZE = 4096
 
 _FALSE = 0xF4
 _TRUE = 0xF5
@@ -280,10 +273,10 @@ def compile_init(cls):
     return _define(f"__init__(self, {', '.join(names)})", body, {})
 
 
-# What this run encoded: bytes -> the value they encode, least recently
-# used first; and, for bytes encoded or put in flight more than once, how
-# many more decodes the entry still answers after the next.
-_encoded: OrderedDict[bytes, object] = OrderedDict()
+# What this run encoded: bytes -> the value they encode; and, for bytes
+# encoded or put in flight more than once, how many more decodes the entry
+# still answers after the next.
+_encoded: dict[bytes, object] = {}
 _owed: dict[bytes, int] = {}
 
 
@@ -302,10 +295,7 @@ def remember(data: bytes, value, keep: bool = False) -> bytes:
         held = _encoded.get(data)
         if held is None:
             _encoded[data] = value
-            if len(_encoded) > RECORD_SIZE:
-                _owed.pop(_encoded.popitem(last=False)[0], None)
         elif type(held) is type(value):
-            _encoded.move_to_end(data)
             if not keep:
                 _owed[data] = _owed.get(data, 0) + 1
         else:
@@ -323,13 +313,12 @@ def owe(data: bytes) -> None:
 
 def recall(data, classes, keep: bool = False):
     """The value this run encoded as `data`, a `bytes`, if its class is
-    exactly one of `classes`; else None. With `keep` the entry stays, as
-    the newest; without, it is taken out at the last decode it owes."""
+    exactly one of `classes`; else None. With `keep` the entry stays;
+    without, it is taken out at the last decode it owes."""
     value = _encoded.get(data) if type(data) is bytes else None
     if type(value) not in classes:
         return None
     if keep:
-        _encoded.move_to_end(data)
         return value
     owed = _owed.pop(data, 0)
     if owed > 1:

@@ -18,15 +18,15 @@ device derives the seed its CA has just derived. A bytearray or
 memoryview seed is always derived, and only 32-byte seeds are recorded.
 
 The records of signatures and of derived keys hold one run, as does the
-codec's record of encodings: `scenario.run_scenario` empties all three
-first (`forget_run`), so a run's answers and memory depend on nothing that
-ran before it in the process.
+codec's record of encodings. None of the three has a bound: each holds
+what this run made, and `scenario.run_scenario` empties all three first
+(`forget_run`), so a run's answers and memory depend on nothing that ran
+before it in the process.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
@@ -42,15 +42,6 @@ from .messages import ALG_ED25519, EnvelopeHeader, EnvelopeProfile, SignedEnvelo
 
 KEY_ID_LEN = 8
 SEED_LEN = 32
-# Bound on the record of signatures made, set by `forget_run` for a run:
-# SIGNED_RECORD_SIZE entries and SIGNED_PER_DEVICE more per device. The
-# least recently signed or checked triple goes first, and a check of a
-# dropped one runs `_check`. Devices run side by side, each keeping about
-# four triples in use: at seed 1 a variant-b run of 1000, 2000 or 4000
-# devices needs 4010, 8010 or 16010 entries for no `_check` call. Entries
-# hold their bytes, and only the current run's.
-SIGNED_RECORD_SIZE = 4096
-SIGNED_PER_DEVICE = 4
 
 
 def digest(data: bytes) -> bytes:
@@ -63,13 +54,12 @@ def key_id_for(public_key: bytes) -> bytes:
 
 
 # The (public key, signature, message) triples `KeyPair.sign` made in this
-# run, least recently signed or checked first. Only `_derive` builds a
-# KeyPair, so each key is its private key's own and each triple verifies.
-_signed: OrderedDict[tuple[bytes, bytes, bytes], None] = OrderedDict()
-_bound = SIGNED_RECORD_SIZE
+# run. Only `_derive` builds a KeyPair, so each key is its private key's
+# own and each triple verifies.
+_signed: set[tuple[bytes, bytes, bytes]] = set()
 # The key pairs `_derive` made in this run from `bytes` seeds, by seed.
 # KeyPair is frozen and derivation deterministic, so an entry is what
-# `_derive` would return. Unbounded: it holds at most the run's own keys.
+# `_derive` would return.
 _derived: dict[bytes, KeyPair] = {}
 
 
@@ -84,9 +74,7 @@ class KeyPair:
         so that its check costs a lookup."""
         signature = self._private.sign(data)
         if type(data) is bytes:
-            _signed[self.public_key, signature, data] = None
-            if len(_signed) > _bound:
-                _signed.popitem(last=False)
+            _signed.add((self.public_key, signature, data))
         return signature
 
 
@@ -127,13 +115,11 @@ def _check(public_key: bytes, signature: bytes, data: bytes) -> bool:
         return False
 
 
-def forget_run(device_count: int) -> None:
+def forget_run() -> None:
     """Empty the per-run records, of signatures made, of derived keys and
-    of encodings, and bound the first for a run of `device_count` devices."""
-    global _bound
+    of encodings."""
     _signed.clear()
     _derived.clear()
-    _bound = SIGNED_RECORD_SIZE + SIGNED_PER_DEVICE * device_count
     codec.forget_encoded()
 
 
@@ -141,17 +127,14 @@ def verify_raw(public_key: bytes, signature: bytes, data: bytes) -> bool:
     """Raw signature check; False on any malformed input.
 
     A triple that `KeyPair.sign` made in this run is answered True from the
-    record, and moves to its newest end; any other is checked by `_check`.
+    record; any other is checked by `_check`.
     An argument of another type than `bytes` (a bytearray, a memoryview)
     always is: it may compare equal to bytes that the record holds, yet
     Ed25519 may answer it otherwise (a memoryview key is refused)."""
     if type(public_key) is bytes and type(signature) is bytes \
-            and type(data) is bytes:
-        try:
-            _signed.move_to_end((public_key, signature, data))
-            return True
-        except KeyError:  # not signed in this run, or dropped by the bound
-            pass
+            and type(data) is bytes \
+            and (public_key, signature, data) in _signed:
+        return True
     return _check(public_key, signature, data)
 
 

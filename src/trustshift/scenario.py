@@ -276,7 +276,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     # so it makes no CSR); devices provisioned; factory certificates
     # registered. The pass order fixes the key draws and serials (device,
     # then server order), and so every digest.
-    crypto.forget_run(config.device_count)
+    crypto.forget_run()
     sim = simnet.Simulator(config.seed)
     build_rng = sim.actor_rng("hierarchy-build")
     hierarchy = pki.build_hierarchy(config.variant, build_rng)

@@ -69,7 +69,7 @@ def counted_derivations(mp) -> list:
 def test_derived_key_answered_from_the_record(monkeypatch):
     """Within a run, a bytes seed is derived once: later calls return the
     same KeyPair, whose key is the one a fresh derivation gives."""
-    crypto.forget_run(0)
+    crypto.forget_run()
     seeds = counted_derivations(monkeypatch)
     seed = crypto.digest(b"recorded")
     key = crypto.generate_key_pair(seed)
@@ -83,7 +83,7 @@ def test_derived_key_answered_from_the_record(monkeypatch):
 def test_forget_run_empties_the_record_of_derived_keys(monkeypatch):
     seed = crypto.digest(b"forgotten")
     key = crypto.generate_key_pair(seed)
-    crypto.forget_run(0)
+    crypto.forget_run()
     seeds = counted_derivations(monkeypatch)
     assert crypto.generate_key_pair(seed) is not key
     assert seeds == [seed]
@@ -93,7 +93,7 @@ def test_forget_run_empties_the_record_of_derived_keys(monkeypatch):
 def test_derived_key_of_a_bytearray_or_memoryview_is_not_recorded(kind, monkeypatch):
     """A seed of another type than bytes is always derived and never
     recorded, before or after its bytes are."""
-    crypto.forget_run(0)
+    crypto.forget_run()
     seeds = counted_derivations(monkeypatch)
     seed = crypto.digest(b"not bytes")
     first = crypto.generate_key_pair(kind(seed))
@@ -279,7 +279,7 @@ def test_memo_flipped_byte_rejected_after_genuine_cached(part, pos, mask):
 def test_memo_cached_forgery_does_not_shadow_genuine(monkeypatch):
     """A refused forgery is never recorded: each of its checks runs
     `_check`, and the genuine triple is still answered from the record."""
-    crypto.forget_run(0)
+    crypto.forget_run()
     record_genuine()
     checks = counted_checks(monkeypatch)
     assert not crypto.verify_raw(*FORGED)
@@ -318,18 +318,14 @@ def test_memo_bytearray_key_stays_false():
     assert not crypto.verify_raw(bytearray(GENUINE[0]), *GENUINE[1:])
 
 
-def test_memo_is_bounded(monkeypatch):
-    """The record keeps the newest SIGNED_RECORD_SIZE triples signed; a check
-    of a dropped one runs `_check`, which accepts it, and does not record
-    it again."""
-    crypto.forget_run(0)
+def test_record_holds_every_triple_a_run_signs(monkeypatch):
+    """The record has no bound: of 5000 distinct messages signed in one
+    run, more than an LRU of 4096 entries kept, no check reaches `_check`."""
     made = [(_MEMO_KEY.public_key, _MEMO_KEY.sign(data), data) for data in
-            (i.to_bytes(4, "big") for i in range(crypto.SIGNED_RECORD_SIZE + 100))]
-    assert list(crypto._signed) == made[100:]
+            (i.to_bytes(4, "big") for i in range(5000))]
     checks = counted_checks(monkeypatch)
-    assert crypto.verify_raw(*made[99]) and crypto.verify_raw(*made[100])
-    assert checks == [made[99]]
-    assert list(crypto._signed) == made[101:] + [made[100]]
+    assert all(crypto.verify_raw(*triple) for triple in made)
+    assert checks == [] and crypto._signed == set(made)
 
 
 def test_honest_transfer_runs_no_ed25519_check(monkeypatch):
@@ -341,20 +337,6 @@ def test_honest_transfer_runs_no_ed25519_check(monkeypatch):
                                          device_count=20, seed=1))
     assert result.ok
     assert checks == []
-
-
-def test_record_bound_grows_with_the_fleet(monkeypatch):
-    """A fleet's devices run side by side and each keeps triples in use,
-    so the record's bound grows by SIGNED_PER_DEVICE entries a device: with
-    its fixed part cut to 64 entries, a 100-device variant-b transfer still
-    runs `_check` 0 times, where 64 entries alone leave it 1382 checks."""
-    checks = counted_checks(monkeypatch)
-    monkeypatch.setattr(crypto, "SIGNED_RECORD_SIZE", 64)
-    config = ScenarioConfig(name="grown", variant="b", device_count=100,
-                            seed=1)
-    assert run_scenario(config).ok and checks == []
-    monkeypatch.setattr(crypto, "SIGNED_PER_DEVICE", 0)
-    assert run_scenario(config).ok and len(checks) == 1382
 
 
 def test_a_run_does_not_depend_on_earlier_runs(monkeypatch):
@@ -390,7 +372,7 @@ def test_memoryview_key_refused_even_with_its_bytes_memoized(triple):
     """Ed25519 takes a public key only as bytes, so a memoryview key is
     refused; it compares equal to the bytes key the record holds, and must
     not be answered from the record."""
-    crypto.forget_run(0)
+    crypto.forget_run()
     record_genuine()
     crypto.verify_raw(*triple)
     assert crypto.verify_raw(memoryview(triple[0]), *triple[1:]) is False

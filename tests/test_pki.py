@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import pytest
 
-import gen
 from trustshift import codec, crypto, device, messages, pki, scenario, simnet
 from trustshift.errors import (
     BadProofOfPossession,
@@ -462,7 +461,7 @@ def test_memo_equal_bytes_equal_certificate():
     data = encode(cert)
     assert pki.decode_certificate(data) is cert
     assert pki.decode_certificate(bytes(bytearray(data))) is cert
-    crypto.forget_run(0)
+    crypto.forget_run()
     parsed = pki.decode_certificate(data)
     assert parsed == cert and parsed is not cert
     assert encode(parsed) == data
@@ -477,15 +476,6 @@ def test_memo_never_holds_an_error():
             with pytest.raises(MalformedEncoding):
                 pki.decode_certificate(bad)
     assert list(codec._encoded.items()) == before
-
-
-def test_memo_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(codec, "RECORD_SIZE", 64)
-    rng = random.Random(5)
-    for serial in range(codec.RECORD_SIZE + 100):
-        cert = replace(gen.rand_certificate(rng), serial=serial)
-        assert pki.decode_certificate(encode(cert)) is cert
-        assert len(codec._encoded) <= codec.RECORD_SIZE
 
 
 def test_memoized_certificate_still_expires_and_is_revoked():

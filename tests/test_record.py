@@ -192,25 +192,23 @@ def test_bytearray_and_memoryview_take_the_strict_reader():
     assert decode(CompactCertificate, data) is cert
 
 
-def test_record_stays_within_its_bound(monkeypatch):
-    """The record keeps the newest RECORD_SIZE entries; a frame encoded
-    once leaves it at its first decode, and a dropped one takes the strict
-    reader."""
-    monkeypatch.setattr(codec, "RECORD_SIZE", 8)
-    codec.forget_encoded()
-    frames = [wire.RaHello(b"bounded %d" % i) for i in range(20)]
-    data = [wire.encode_wire(frame) for frame in frames]
-    assert list(codec._encoded) == data[-8:]
-    first, last = wire.decode_wire(data[0]), wire.decode_wire(data[-1])
-    assert first == frames[0] and first is not frames[0]
-    assert last is frames[-1] and list(codec._encoded) == data[-8:-1]
+def test_record_holds_every_payload_a_run_encodes():
+    """The record has no bound: of 5000 distinct certificates encoded in
+    one run, more than an LRU of 4096 entries kept, each decodes to the
+    very certificate encoded."""
+    rng = random.Random(5)
+    certs = [replace(gen.rand_certificate(rng), serial=serial)
+             for serial in range(5000)]
+    encoded = [encode(cert) for cert in certs]
+    assert all(decode(CompactCertificate, data) is cert
+               for data, cert in zip(encoded, certs))
 
 
 def test_record_emptied_at_each_run():
     """`forget_run`, which `run_scenario` calls first, empties the record
     with the record of signatures made."""
     wire.encode_wire(wire.RaHello(b"before"))
-    crypto.forget_run(0)
+    crypto.forget_run()
     assert not codec._encoded
     before = wire.encode_wire(wire.RaHello(b"before the run"))
     assert before in codec._encoded
@@ -219,25 +217,17 @@ def test_record_emptied_at_each_run():
     assert codec._encoded and before not in codec._encoded
 
 
-def test_payload_answer_stays_as_the_newest_entry(monkeypatch):
-    """A payload answered from the record stays there, as its newest entry:
-    the certificates every handshake decodes outlive the frames around
-    them, and leave only when nothing has decoded them for RECORD_SIZE
-    encodings."""
-    monkeypatch.setattr(codec, "RECORD_SIZE", 4)
-    codec.forget_encoded()
+def test_payload_answer_stays_as_the_newest_entry():
+    """A payload answered from the record stays there however many
+    encodings follow it: the certificates every handshake decodes outlive
+    the frames around them, to the run's end, where an LRU of 4096 entries
+    dropped them after 4096 encodings."""
     cert = gen.rand_certificate(random.Random(5))
     data = encode(cert)
-    for i in range(3):
+    assert decode(CompactCertificate, data) is cert
+    for i in range(4100):
         wire.encode_wire(wire.RaHello(b"%d" % i))
     assert decode(CompactCertificate, data) is cert
-    for i in range(3, 6):
-        wire.encode_wire(wire.RaHello(b"%d" % i))
-    assert decode(CompactCertificate, data) is cert
-    for i in range(6, 10):
-        wire.encode_wire(wire.RaHello(b"%d" % i))
-    decoded = decode(CompactCertificate, data)
-    assert decoded == cert and decoded is not cert
 
 
 EVERY_OPTION = ScenarioOptions(use_ra=True, contact_update_before_enroll=True,

@@ -39,7 +39,7 @@ def test_answer_ahead_is_check(seed, payload, part, pos, mask):
     it too. A one-byte flip of its key, signature or data, another
     signer's key, or a signature made outside `KeyPair.sign` reaches
     `_check`, which refuses the twins and accepts the last."""
-    crypto.forget_run(0)
+    crypto.forget_run()
     key = crypto.generate_key_pair(seed)
     genuine = (key.public_key, key.sign(payload), payload)
     assert crypto._check(*genuine)
@@ -66,7 +66,7 @@ def test_answer_ahead_is_check(seed, payload, part, pos, mask):
 def test_bytearray_check_skips_ready_answers(monkeypatch):
     """A bytearray may change after it is signed, so it is not recorded:
     its check, and that of a bytes copy, run `_check`."""
-    crypto.forget_run(0)
+    crypto.forget_run()
     data = bytearray(b"mutable message")
     triple = (SIGNER.public_key, SIGNER.sign(data), data)
     assert not crypto._signed
@@ -78,22 +78,15 @@ def test_bytearray_check_skips_ready_answers(monkeypatch):
 
 
 def test_unclaimed_answers_stay_bounded_and_sends_never_block(monkeypatch):
-    """The record keeps the SIGNED_RECORD_SIZE triples most recently signed
-    or checked, and signing past the bound only drops the least recent one:
-    a check keeps its triple and moves it to the newest end, and a triple
-    the bound dropped is still accepted, by `_check`. `forget_run` empties
-    the record."""
-    monkeypatch.setattr(crypto, "SIGNED_RECORD_SIZE", 8)
-    crypto.forget_run(0)
+    """The record holds what one run signed: every triple signed stays,
+    checked or not, and its checks reach no `_check`. `forget_run`, which
+    starts each run, empties it, and a triple of the run before is then
+    still accepted, by `_check`."""
     made = [(SIGNER.public_key, SIGNER.sign(data), data)
-            for data in (b"bounded %d" % i for i in range(20))]
-    assert list(crypto._signed) == made[-8:]
+            for data in (b"unclaimed %d" % i for i in range(20))]
     checks = counted_checks(monkeypatch)
-    assert crypto.verify_raw(*made[0]) and crypto.verify_raw(*made[-8])
-    assert crypto.verify_raw(*made[-8]) and checks == [made[0]]
-    assert list(crypto._signed) == made[-7:] + [made[-8]]
-    more = (SIGNER.public_key, SIGNER.sign(b"one more"), b"one more")
-    assert list(crypto._signed) == made[-6:] + [made[-8], more]
-    crypto.forget_run(0)
+    assert all(crypto.verify_raw(*triple) for triple in made[::2])
+    assert crypto._signed == set(made) and checks == []
+    crypto.forget_run()
     assert not crypto._signed
-    assert crypto.verify_raw(*made[-2]) and checks == [made[0], made[-2]]
+    assert crypto.verify_raw(*made[-2]) and checks == [made[-2]]
