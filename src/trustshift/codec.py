@@ -23,7 +23,7 @@ annotations. An entry read without `keep` (a frame's) answers one decode
 for each time its bytes were encoded and one for each copy declared in
 flight (`owe`), and leaves at the last; an entry read with `keep` (a
 payload's) owes nothing and stays. The record has no bound: it holds what
-this run encoded, and `crypto.forget_run` empties it when the next starts.
+this run encoded; `crypto.forget_run` empties it as each run starts and ends.
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ memoryview seed is always derived, and only 32-byte seeds are recorded.
 
 The records of signatures and of derived keys hold one run, as does the
 codec's record of encodings. None of the three has a bound: each holds
-what this run made, and `scenario.run_scenario` empties all three first
-(`forget_run`), so a run's answers and memory depend on nothing that ran
-before it in the process.
+what this run made, and `scenario.run_scenario` empties all three
+(`forget_run`) when a run starts and when it ends, so a run's answers and
+memory depend on nothing that ran before it in the process.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -83,10 +82,7 @@ def _derive(seed: bytes) -> KeyPair:
     if len(seed) != SEED_LEN:
         raise BadSeedLength(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
     private = Ed25519PrivateKey.from_private_bytes(seed)
-    public = private.public_key().public_bytes(
-        encoding=serialization.Encoding.Raw,
-        format=serialization.PublicFormat.Raw,
-    )
+    public = private.public_key().public_bytes_raw()
     return KeyPair(public_key=public, key_id=key_id_for(public), _private=private)
 
 

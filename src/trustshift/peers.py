@@ -23,6 +23,9 @@ from .errors import MalformedEncoding, ReplayDetected, WrongSession
 from .messages import CertProfile
 from .simnet import TIMEOUT, Transmit, WaitMessage
 
+# A command from all of its fields, as `simnet._event` builds an event.
+_command = tuple.__new__
+
 
 # Simulated time units an initiator waits for a reply, and how many times it
 # resends before giving up.
@@ -56,7 +59,8 @@ class NetHandle:
     def note(self, kind: str, *values) -> None:
         """Trace an entry of declared `kind` by this actor, now: `values`
         are its fields after `actor`, positionally."""
-        self.sim.trace.add(kind, self.sim.now, self.actor_id, *values)
+        sim = self.sim
+        sim.trace.add(kind, sim.now, self.actor_id, *values)
 
 
 def _accept_record(net: NetHandle, sess: session.AuthenticatedSession | None,
@@ -84,7 +88,8 @@ def _accept_record(net: NetHandle, sess: session.AuthenticatedSession | None,
 
 def send_record(sess: session.AuthenticatedSession, app_msg) -> Transmit:
     """The next record of `sess`, carrying `app_msg`, addressed to its peer."""
-    return Transmit(sess.peer, session.send(sess, app_msg), label=app_msg.LABEL)
+    return _command(Transmit, (sess.peer, session.send(sess, app_msg),
+                               app_msg.LABEL))
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +99,15 @@ def send_record(sess: session.AuthenticatedSession, app_msg) -> Transmit:
 def _await_reply(net: NetHandle, pick, timeout: int | None):
     """Park until `pick(data)` makes a result of an inbound frame (None: the
     frame is discarded) or `timeout` expires; returns the result or None."""
-    deadline = None if timeout is None else net.now() + timeout
+    sim = net.sim
+    deadline = None if timeout is None else sim.now + timeout
     while True:
         remaining = None
         if deadline is not None:
-            remaining = deadline - net.now()
+            remaining = deadline - sim.now
             if remaining <= 0:
                 return None
-        got = yield WaitMessage(timeout=remaining)
+        got = yield _command(WaitMessage, (remaining,))
         if got is TIMEOUT:
             return None
         result = pick(got[1])
@@ -135,7 +141,8 @@ def open_session(net: NetHandle, dst: str, cred: pki.Credential,
 
     for _attempt in range(RETRIES + 1):
         ephemeral, hello = session.start(cred, net.rng)
-        yield Transmit(dst, wire.encode_wire(hello), label=f"{purpose}.hello")
+        yield _command(Transmit, (dst, wire.encode_wire(hello),
+                                  f"{purpose}.hello"))
         outcome = yield from _await_reply(net, pick, REPLY_TIMEOUT)
         if outcome is not None:
             return outcome
@@ -216,10 +223,10 @@ class ResponderPeer:
             msg = wire.decode_wire(data)
         except MalformedEncoding:
             return "malformed", []
-        if isinstance(msg, wire.Hello):
-            return self._on_hello(src, msg)
-        if isinstance(msg, wire.RecordFrame):
+        if type(msg) is wire.RecordFrame:
             return self._on_record(now, src, msg)
+        if type(msg) is wire.Hello:
+            return self._on_hello(src, msg)
         return "ignored", []
 
     def _on_hello(self, src, msg):
@@ -230,7 +237,8 @@ class ResponderPeer:
         sess, reply = session.respond(
             self.credential, self.truststore, self.net.now(),
             self.net.revocation_view, self.admitted, self.rng, src, msg)
-        sends = [Transmit(src, wire.encode_wire(reply), label=reply.LABEL)]
+        sends = [_command(Transmit, (src, wire.encode_wire(reply),
+                                     reply.LABEL))]
         if sess is None:
             return f"hello_rejected:{reply.reason}", sends
         self.sessions[sess.session_id] = sess
@@ -245,7 +253,7 @@ class ResponderPeer:
         if app_msg is None:
             return outcome, []
         return f"accepted:{app_msg.LABEL}", [
-            Transmit(src, session.send(sess, reply), label=reply.LABEL)
+            _command(Transmit, (src, session.send(sess, reply), reply.LABEL))
             for reply in self.dispatch(now, sess, app_msg)]
 
     def dispatch(self, now, sess: session.AuthenticatedSession, msg) -> list:

@@ -13,6 +13,7 @@ the Internet-side servers.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -384,7 +385,7 @@ def enroll_server_keygen(ca: CaState, peer_factory_cert: CompactCertificate,
     seed along with the certificate. The CA holds the key itself, so no
     proof of possession is asked for; the session identity is authorized
     as in `enroll`."""
-    seed = bytes(ca.rng.getrandbits(8) for _ in range(32))
+    seed = bytes(map(ca.rng.getrandbits, itertools.repeat(8, 32)))
     key_pair = crypto.generate_key_pair(seed)
     _authorize(ca, peer_factory_cert)
     return issue_certificate(ca, peer_factory_cert.subject_name,

@@ -269,14 +269,22 @@ def _device_process(state: device.DeviceState, net: peers.NetHandle,
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    # A run holds only its own state: no signature or encoding recorded
-    # in an earlier run. Set-up runs in passes: CA certificates made and
-    # roots trusted; each factory and server certificate issued straight
-    # over the key just drawn for it (set-up holds every key it certifies,
-    # so it makes no CSR); devices provisioned; factory certificates
-    # registered. The pass order fixes the key draws and serials (device,
-    # then server order), and so every digest.
+    # A run holds only its own state: the per-run records are emptied when
+    # it starts and again when it returns or raises.
     crypto.forget_run()
+    try:
+        return _run(config)
+    finally:
+        crypto.forget_run()
+
+
+def _run(config: ScenarioConfig) -> ScenarioResult:
+    # Set-up runs in passes: CA certificates made and roots trusted; each
+    # factory and server certificate issued straight over the key just
+    # drawn for it (set-up holds every key it certifies, so it makes no
+    # CSR); devices provisioned; factory certificates registered. The pass
+    # order fixes the key draws and serials (device, then server order),
+    # and so every digest.
     sim = simnet.Simulator(config.seed)
     build_rng = sim.actor_rng("hierarchy-build")
     hierarchy = pki.build_hierarchy(config.variant, build_rng)

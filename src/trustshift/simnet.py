@@ -8,6 +8,8 @@ commands it sends) or generator-based processes that yield
 Transmit/Sleep/WaitMessage commands; a process's timer is a bare
 (process, token) entry, stale once the process has moved on.
 
+Hot sites build commands and events as plain tuples, by `tuple.__new__`.
+
 The trace keeps one typed row per entry, of a kind declared once in
 `TRACE_KINDS`; rows render to `key=value` lines only when asked.
 
@@ -180,6 +182,8 @@ class TraceKind:
 
 
 _KINDS = {name: TraceKind(spec) for name, spec in TRACE_KINDS.items()}
+# The length of a row of each kind: (kind, time, *field values).
+_ROW_LENS = {name: len(kind.fields) + 2 for name, kind in _KINDS.items()}
 
 
 def _declared(kind: str) -> TraceKind:
@@ -237,8 +241,8 @@ class Trace:
         """Append one entry, `row` = (kind, time, *values): the values of
         the kind's declared fields in order, None for an optional field left
         out. The row is kept as given."""
-        declared = _KINDS.get(row[0]) or _declared(row[0])
-        if len(row) != len(declared.fields) + 2:
+        if len(row) != _ROW_LENS.get(row[0]):
+            declared = _declared(row[0])
             raise ValueError(f"trace kind {row[0]!r} has fields "
                              f"{declared.fields}, given {row[2:]!r}")
         self.rows.append(row)
@@ -395,14 +399,15 @@ def adversary_apply(schedule: AdversarySchedule,
     acts. Payload bytes are never interpreted beyond record framing metadata.
     """
     time, _, src, dst, payload, label = event[:6]
+    match_counts, fire_counts = schedule.match_counts, schedule.fire_counts
     out: list[SimEvent] = []
     for idx, rule in enumerate(schedule.rules):
-        if not rule.matches(event):
+        if rule._globs and not rule.matches(event):
             continue
-        schedule.match_counts[idx] = schedule.match_counts.get(idx, 0) + 1
-        if schedule.match_counts[idx] % rule.every_k != 0:
+        matched = match_counts[idx] = match_counts.get(idx, 0) + 1
+        if matched % rule.every_k != 0:
             continue
-        fired = schedule.fire_counts.get(idx, 0)
+        fired = fire_counts.get(idx, 0)
         if rule.first_n is not None and fired >= rule.first_n:
             continue
         action = rule.action
@@ -411,7 +416,7 @@ def adversary_apply(schedule: AdversarySchedule,
             frame = wire.parse_record_frame(payload)
             if frame is None:
                 continue
-        schedule.fire_counts[idx] = fired + 1
+        fire_counts[idx] = fired + 1
         out.append(_event(SimEvent, (time, ADVERSARY_ACTION, "adversary", dst,
                                      b"", label, "adversary", f"{action}:{idx}")))
         to = rule.redirect_dst or dst
@@ -523,6 +528,7 @@ class Simulator:
         """Run each tick's bucket in push order, ticks in time order. An
         entry pushed for the running tick joins the tail of its bucket."""
         buckets, ticks, trace = self._buckets, self._ticks, self.trace
+        adversary, deliver = self.adversary, self._deliver
         budget = EVENT_BUDGET
         while ticks:
             self.now = now = heapq.heappop(ticks)
@@ -541,12 +547,12 @@ class Simulator:
                                      else None)
                 elif entry.kind is DELIVER:
                     # give the adversary one look at net-originated traffic
-                    if self.adversary is None or entry.origin != "net":
-                        self._deliver(entry)
+                    if adversary is None or entry.origin != "net":
+                        deliver(entry)
                         continue
-                    for emitted in adversary_apply(self.adversary, entry):
+                    for emitted in adversary_apply(adversary, entry):
                         if emitted is entry:
-                            self._deliver(entry)
+                            deliver(entry)
                             continue
                         if emitted.payload is entry.payload \
                                 and emitted.kind is DELIVER:
@@ -567,25 +573,24 @@ class Simulator:
                 self._resume(proc, None)
 
     def _deliver(self, event: SimEvent) -> None:
-        handler = self._responders.get(event.dst)
+        time, _, src, dst, payload, label, origin, _ = event
+        handler = self._responders.get(dst)
         if handler is not None:
-            disposition, sends = handler(self.now, event.src, event.payload)
-            self.trace.add("deliver", event.time, event.src, event.dst,
-                           event.label, len(event.payload), event.origin,
-                           disposition)
-            for dst, payload, label in sends:
-                self.transmit(event.dst, dst, payload, label)
+            disposition, sends = handler(self.now, src, payload)
+            self.trace.add("deliver", time, src, dst, label, len(payload),
+                           origin, disposition)
+            for to, data, data_label in sends:
+                self.transmit(dst, to, data, data_label)
             return
 
-        proc = self._processes.get(event.dst)
+        proc = self._processes.get(dst)
         if proc is None or proc.state == "done":
-            self.trace.add("deliver", event.time, event.src, event.dst,
-                           event.label, len(event.payload), event.origin,
-                           "no_actor")
+            self.trace.add("deliver", time, src, dst, label, len(payload),
+                           origin, "no_actor")
             return
-        self.trace.add("deliver", event.time, event.src, event.dst,
-                       event.label, len(event.payload), event.origin, "queued")
-        proc.inbox.append((event.src, event.payload))
+        self.trace.add("deliver", time, src, dst, label, len(payload), origin,
+                       "queued")
+        proc.inbox.append((src, payload))
         if proc.state == "waiting":
             proc.timer_token += 1  # invalidate any pending wait timer
             value = proc.inbox.popleft()
@@ -599,7 +604,9 @@ class Simulator:
                 value = None
                 kind = type(command)
                 if kind is Transmit:
-                    self.transmit(proc.name, *command)
+                    time = self.now + LATENCY
+                    self._schedule(time, _event(SimEvent, (
+                        time, DELIVER, proc.name, *command, "net", "")))
                 elif kind is WaitMessage and proc.inbox:
                     value = proc.inbox.popleft()
                 elif kind is Sleep or kind is WaitMessage:

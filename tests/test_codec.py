@@ -556,7 +556,6 @@ def test_property_payloads_parse_canonically(cls, seed, bit, extra):
 def test_bytes_encoded_twice_are_answered_twice():
     """Two equal frames encoded give two decodes from the record, both the
     first frame; the third decode takes the strict parse."""
-    codec.forget_encoded()
     first, second = wire.RaHello(b"twice"), wire.RaHello(b"twice")
     data = wire.encode_wire(first)
     assert wire.encode_wire(second) == data and codec._owed == {data: 1}
@@ -570,7 +569,6 @@ def test_bytes_encoded_twice_are_answered_twice():
 def test_owed_copy_is_answered():
     """`owe` of held bytes (a copy put in flight) answers one more decode;
     of bytes the record does not hold, it does nothing."""
-    codec.forget_encoded()
     frame = wire.TrustAck(True)
     data = wire.encode_wire(frame)
     codec.owe(data)
@@ -585,7 +583,6 @@ def test_owed_copy_is_answered():
 def test_value_of_another_class_replaces_the_entry_and_its_count():
     """Bytes held for a frame and owed a decode, remembered for a value of
     another class: the entry is that value, and owes nothing."""
-    codec.forget_encoded()
     version = VersionInfo(12, Uri("x"))
     data = encode(version)
     frame = wire.RaHello(b"x")
@@ -600,7 +597,6 @@ def test_value_of_another_class_replaces_the_entry_and_its_count():
 def test_kept_entries_owe_nothing():
     """A payload encoded again, or its decodes, leave no owed count: its
     decodes keep the entry."""
-    codec.forget_encoded()
     cert = gen.rand_certificate(random.Random(8))
     data = encode(cert)
     equal = dataclasses.replace(cert)

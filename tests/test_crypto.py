@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_record import records_as_each_loop_ends
 from test_verify_ahead import counted_checks
 from trustshift import crypto
 from trustshift.errors import BadSeedLength, InvariantViolation
@@ -69,7 +70,6 @@ def counted_derivations(mp) -> list:
 def test_derived_key_answered_from_the_record(monkeypatch):
     """Within a run, a bytes seed is derived once: later calls return the
     same KeyPair, whose key is the one a fresh derivation gives."""
-    crypto.forget_run()
     seeds = counted_derivations(monkeypatch)
     seed = crypto.digest(b"recorded")
     key = crypto.generate_key_pair(seed)
@@ -93,7 +93,6 @@ def test_forget_run_empties_the_record_of_derived_keys(monkeypatch):
 def test_derived_key_of_a_bytearray_or_memoryview_is_not_recorded(kind, monkeypatch):
     """A seed of another type than bytes is always derived and never
     recorded, before or after its bytes are."""
-    crypto.forget_run()
     seeds = counted_derivations(monkeypatch)
     seed = crypto.digest(b"not bytes")
     first = crypto.generate_key_pair(kind(seed))
@@ -279,7 +278,6 @@ def test_memo_flipped_byte_rejected_after_genuine_cached(part, pos, mask):
 def test_memo_cached_forgery_does_not_shadow_genuine(monkeypatch):
     """A refused forgery is never recorded: each of its checks runs
     `_check`, and the genuine triple is still answered from the record."""
-    crypto.forget_run()
     record_genuine()
     checks = counted_checks(monkeypatch)
     assert not crypto.verify_raw(*FORGED)
@@ -340,12 +338,13 @@ def test_honest_transfer_runs_no_ed25519_check(monkeypatch):
 
 
 def test_a_run_does_not_depend_on_earlier_runs(monkeypatch):
-    """A run holds only its own signatures: after each run the record holds
-    only triples that run signed, and two identical runs, with another run
-    between them, make as many `_check` calls as each other and leave the
-    record as full. A record kept across runs gave a run the triples of
-    the runs before it too."""
+    """A run holds only its own signatures: as each run's event loop ends
+    the record holds only triples that run signed, and two identical runs,
+    with another run between them, make as many `_check` calls as each
+    other and fill the record as full. A record kept across runs gave a
+    run the triples of the runs before it too."""
     checks, made = counted_checks(monkeypatch), []
+    held = records_as_each_loop_ends(monkeypatch)
     sign = crypto.KeyPair.sign
 
     def noted_sign(key, data):
@@ -359,10 +358,11 @@ def test_a_run_does_not_depend_on_earlier_runs(monkeypatch):
     other = ScenarioConfig(name="between", variant="c", device_count=2, seed=4)
     counts = []
     for config in (forged, other, forged):
-        del checks[:], made[:]
+        del checks[:], made[:], held[:]
         assert run_scenario(config).ok
-        assert set(crypto._signed) <= set(made)
-        counts.append((len(checks), len(crypto._signed)))
+        (_encoded, _owed, signed, _derived), = held
+        assert signed <= set(made)
+        counts.append((len(checks), len(signed)))
     assert counts[0] == counts[2]
     assert counts[0][0] > 0 and counts[0][1] > 0
 
@@ -372,7 +372,6 @@ def test_memoryview_key_refused_even_with_its_bytes_memoized(triple):
     """Ed25519 takes a public key only as bytes, so a memoryview key is
     refused; it compares equal to the bytes key the record holds, and must
     not be answered from the record."""
-    crypto.forget_run()
     record_genuine()
     crypto.verify_raw(*triple)
     assert crypto.verify_raw(memoryview(triple[0]), *triple[1:]) is False

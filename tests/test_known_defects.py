@@ -95,21 +95,23 @@ def test_a_no_enrollment_without_the_factory_key():
 @known("1b")
 def test_b_key_seeds_never_travel_in_the_clear(monkeypatch):
     """(b) Under server keygen, no seed a CA generated for a device appears
-    in the bytes of any transmission."""
+    in the bytes of any transmission: of any delivery the simulator
+    schedules, a process's, a responder's or the adversary's."""
     seeds, payloads = [], []
-    keygen, transmit = pki.enroll_server_keygen, simnet.Simulator.transmit
+    keygen, schedule = pki.enroll_server_keygen, simnet.Simulator._schedule
 
     def recorded_keygen(*args):
         cert, seed = keygen(*args)
         seeds.append(seed)
         return cert, seed
 
-    def recorded_transmit(sim, src, dst, payload, *args, **kwargs):
-        payloads.append(payload)
-        return transmit(sim, src, dst, payload, *args, **kwargs)
+    def recorded_schedule(sim, time, entry):
+        if type(entry) is simnet.SimEvent:
+            payloads.append(entry.payload)
+        return schedule(sim, time, entry)
 
     monkeypatch.setattr(pki, "enroll_server_keygen", recorded_keygen)
-    monkeypatch.setattr(simnet.Simulator, "transmit", recorded_transmit)
+    monkeypatch.setattr(simnet.Simulator, "_schedule", recorded_schedule)
     result = run_scenario(ScenarioConfig(
         name="ledger", variant="a", device_count=3, seed=1,
         options=ScenarioOptions(server_keygen=True)))

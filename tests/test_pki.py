@@ -691,6 +691,21 @@ def test_enroll_server_keygen():
     assert cert.subject_public_key == key.public_key
 
 
+@pytest.mark.parametrize("rng_seed", range(5))
+def test_server_keygen_seed_is_the_generator_forms_draw(rng_seed):
+    """Each seed the CA draws is the 32 bytes that
+    `bytes(rng.getrandbits(8) for _ in range(32))` draws from the same
+    generator state, three enrollments in a row, so every digest of a run
+    under server keygen holds."""
+    h = build("b")
+    fcert, _ = factory_cert_for(h)
+    pki.register_factory_certs(h.ca1, [fcert], NOW)
+    h.ca1.rng, twin = random.Random(rng_seed), random.Random(rng_seed)
+    for _ in range(3):
+        _, seed = pki.enroll_server_keygen(h.ca1, fcert, LIFETIME)
+        assert seed == bytes(twin.getrandbits(8) for _ in range(32))
+
+
 def test_enroll_server_keygen_signs_only_the_certificate(monkeypatch):
     """The CA makes no CSR over the key it generated: one signature, the
     certificate's, per enrollment. An unregistered or a revoked factory

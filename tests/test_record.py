@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 import gen
 from test_codec import FRAMES, PAYLOAD_MAKERS, _frame_values
-from trustshift import codec, crypto, wire
-from trustshift.errors import InvariantViolation, MalformedEncoding
+from trustshift import codec, crypto, simnet, wire
+from trustshift.errors import InvariantViolation, MalformedEncoding, \
+    ScenarioInvalid
 from trustshift.messages import CompactCertificate, DeviceUpdateInfo, \
     TransferMessage, UpdateInfoList, Uri, VersionInfo, decode, encode
 from trustshift.scenario import ScenarioConfig, ScenarioOptions, run_scenario
@@ -84,7 +85,6 @@ def test_payload_answer_is_the_strict_parse(cls, seed, pos, mask):
 def test_certificate_encode_records_once(monkeypatch):
     """`encode` of a certificate hands out the encoding the certificate
     recorded when it made it, and records nothing again."""
-    codec.forget_encoded()
     cert = gen.rand_certificate(random.Random(8))
     held = []  # per `remember` call: were the bytes held for this value?
     remember = codec.remember
@@ -110,7 +110,6 @@ def test_certificate_encode_records_once(monkeypatch):
 def test_frame_the_reader_would_not_build_is_not_recorded(frame, exact):
     """Encoded as an exact frame is, but not recorded: its decode is the
     strict parse, not the frame."""
-    codec.forget_encoded()
     data = wire.encode_wire(frame)
     assert data == type(exact).WRITE(exact) and not codec._encoded
     decoded = wire.decode_wire(data)
@@ -164,7 +163,6 @@ def test_bytes_recorded_for_another_class_take_the_strict_reader():
     """A recorded value answers only a decode as its own class: the bytes
     of `VersionInfo(12, Uri("x"))` begin as an `UpdateCheck` frame does,
     and are neither a frame nor a certificate."""
-    codec.forget_encoded()
     version = VersionInfo(12, Uri("x"))
     data = encode(version)
     assert data.startswith(wire.UpdateCheck.PREFIX)
@@ -178,7 +176,6 @@ def test_bytes_recorded_for_another_class_take_the_strict_reader():
 def test_bytearray_and_memoryview_take_the_strict_reader():
     """Only `bytes` is looked up: another buffer may compare equal to
     recorded bytes and still change after it is read."""
-    codec.forget_encoded()
     frame = wire.RecordFrame(b"\x03" * 8, 7, b"payload")
     data = wire.encode_wire(frame)
     decoded = wire.decode_wire(memoryview(data))
@@ -204,17 +201,39 @@ def test_record_holds_every_payload_a_run_encodes():
                for data, cert in zip(encoded, certs))
 
 
-def test_record_emptied_at_each_run():
-    """`forget_run`, which `run_scenario` calls first, empties the record
-    with the record of signatures made."""
+def records_as_each_loop_ends(monkeypatch) -> list[tuple[dict, ...]]:
+    """Per run from here on, the four per-run maps as its event loop
+    returns or raises: `codec._encoded`, `codec._owed`, `crypto._signed`
+    and `crypto._derived`, each copied. `run_scenario` empties them once
+    the run ends, so a test that reads what a run recorded reads it here."""
+    held = []
+    run = simnet.Simulator.run
+
+    def probed(sim):
+        try:
+            return run(sim)
+        finally:
+            held.append((dict(codec._encoded), dict(codec._owed),
+                         set(crypto._signed), dict(crypto._derived)))
+    monkeypatch.setattr(simnet.Simulator, "run", probed)
+    return held
+
+
+def test_record_emptied_at_each_run(monkeypatch):
+    """`forget_run`, which `run_scenario` calls as a run starts and as it
+    ends, empties the record with the record of signatures made: the run
+    records its own encodings, none from before it, and leaves none."""
     wire.encode_wire(wire.RaHello(b"before"))
     crypto.forget_run()
     assert not codec._encoded
     before = wire.encode_wire(wire.RaHello(b"before the run"))
     assert before in codec._encoded
+    held = records_as_each_loop_ends(monkeypatch)
     assert run_scenario(ScenarioConfig(name="reset", variant="a",
                                        device_count=1, seed=1)).ok
-    assert codec._encoded and before not in codec._encoded
+    (encoded, *_), = held
+    assert encoded and before not in encoded
+    assert not codec._encoded
 
 
 def test_payload_answer_stays_as_the_newest_entry():
@@ -288,12 +307,37 @@ def test_every_frame_decode_answered_from_the_record(monkeypatch, config,
     assert not parsed, f"{len(parsed)} strict parses: {set(parsed)}"
 
 
-def test_no_payload_owes_a_decode_after_a_run():
+def test_no_payload_owes_a_decode_after_a_run(monkeypatch):
     """Payload decodes keep their entries, so a payload's bytes owe nothing,
-    however often they are encoded: after a 20-device variant-b run, every
-    owed count is a frame's."""
+    however often they are encoded: as the event loop of a 20-device
+    variant-b run ends, every owed count is a frame's."""
+    held = records_as_each_loop_ends(monkeypatch)
     assert run_scenario(ScenarioConfig(name="fleet", variant="b",
                                        device_count=20, seed=1)).ok
-    assert set(codec._owed) <= set(codec._encoded)
-    owing = [type(codec._encoded[data]) for data in codec._owed]
+    (encoded, owed, *_), = held
+    assert set(owed) <= set(encoded)
+    owing = [type(encoded[data]) for data in owed]
     assert not [cls for cls in owing if hasattr(cls, "KIND")]
+
+
+@pytest.mark.parametrize("budget", [None, 200], ids=["returns", "raises"])
+def test_no_per_run_record_outlives_its_run(monkeypatch, budget):
+    """A 5-device hostile run (every option, every delivery replayed) ends
+    its event loop with encodings, signatures and derived keys recorded;
+    once `run_scenario` returns, or raises on a 200-event budget, all four
+    per-run maps are empty."""
+    if budget is not None:
+        monkeypatch.setattr(simnet, "EVENT_BUDGET", budget)
+    held = records_as_each_loop_ends(monkeypatch)
+    config = ScenarioConfig(name="hostile", variant="a", device_count=5,
+                            seed=1, adversary="replay_all",
+                            options=EVERY_OPTION)
+    if budget is None:
+        assert run_scenario(config).ok
+    else:
+        with pytest.raises(ScenarioInvalid, match="event budget 200"):
+            run_scenario(config)
+    (encoded, _owed, signed, derived), = held
+    assert encoded and signed and derived
+    assert not (codec._encoded or codec._owed or crypto._signed
+                or crypto._derived)

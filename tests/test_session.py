@@ -282,6 +282,48 @@ def record_outcomes(responder):
     return [e["outcome"] for e in trace_of(responder).select("record")]
 
 
+def assert_same_command(command, ordinary):
+    assert type(command) is type(ordinary) and command == ordinary
+
+
+def test_commands_equal_the_ordinary_ones():
+    """The hello, the wait, a record and each responder reply, built as
+    plain tuples, equal the commands their namedtuple constructors build
+    from the same fields, and have their types."""
+    h = build("c")
+    dev_store = h.store_for({pki.PERMANENT_CA_NAME})
+    net = peers.NetHandle(simnet.Simulator(1), "dev")
+    opening = peers.open_session(net, "ca2", device_credential(h), dev_store,
+                                 purpose="probe")
+    sent = next(opening)
+    hello = wire.decode_wire(sent.payload)
+    assert type(hello) is wire.Hello
+    assert_same_command(sent, simnet.Transmit(
+        "ca2", wire.encode_wire(hello), label="probe.hello"))
+    assert_same_command(next(opening),
+                        simnet.WaitMessage(timeout=peers.REPLY_TIMEOUT))
+    responder = echo_responder(h, h.ca2.truststore)
+    _, [accept] = responder.handle(NOW, "dev", sent.payload)
+    assert_same_command(accept, simnet.Transmit(
+        "dev", accept.payload, label=wire.decode_wire(accept.payload).LABEL))
+
+    a, responder = make_pair()
+    request = wire.UpdateCheck(b"payload")
+    record = wire.encode_wire(wire.RecordFrame(
+        a.session_id, a.send_seq + 1, wire.encode_wire(request)))
+    sent = peers.send_record(a, request)
+    assert_same_command(sent, simnet.Transmit(a.peer, record,
+                                              label=request.LABEL))
+    _, [reply] = responder.handle(NOW, "dev", sent.payload)
+    echoed = wire.encode_wire(wire.RecordFrame(
+        a.session_id, responder.sessions[a.session_id].send_seq,
+        wire.encode_wire(request)))
+    assert_same_command(reply, simnet.Transmit("dev", echoed,
+                                               label=request.LABEL))
+    assert_same_command(next(peers.session_wait(net, a)),
+                        simnet.WaitMessage(timeout=None))
+
+
 def test_send_receive_roundtrip():
     a, responder = make_pair()
     request = wire.UpdateCheck(b"payload")

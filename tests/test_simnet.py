@@ -7,6 +7,7 @@ import hashlib
 import inspect
 import itertools
 import pickle
+import re
 import typing
 from pathlib import Path
 
@@ -338,6 +339,36 @@ def test_event_budget_enforced(monkeypatch):
     assert sim.events_processed == 10
 
 
+def test_events_processed_read_as_run_exits(monkeypatch):
+    """A wrapper that reads `events_processed` as `run` exits, as the
+    benchmark's run probe does in a `finally`, reads every event taken,
+    whether the run drains its queue or the event budget stops it."""
+    seen, run = [], Simulator.run
+
+    def probed(sim):
+        try:
+            return run(sim)
+        finally:
+            seen.append(sim.events_processed)
+
+    def sleeper(naps):
+        for _ in range(naps):
+            yield Sleep(1)
+
+    monkeypatch.setattr(Simulator, "run", probed)
+    monkeypatch.setattr(simnet, "EVENT_BUDGET", 10)
+    for naps in (4, 20):
+        sim = Simulator(seed=1)
+        sim.spawn("p", sleeper(naps))
+        sim.start_ready_processes()
+        if naps < 10:
+            sim.run()
+        else:
+            with pytest.raises(ScenarioInvalid, match="budget 10 exceeded"):
+                sim.run()
+    assert seen == [4, 10]
+
+
 def test_quiescence_reached_on_scenarios():
     result = run_scenario(ScenarioConfig(name="q", variant="c",
                                          device_count=3, seed=8))
@@ -397,6 +428,26 @@ def test_trace_refuses_an_undeclared_kind_or_field():
         trace.select("record", outcom="accept")
     with pytest.raises(KeyError):
         trace.entries[0]["outcom"]
+
+
+@pytest.mark.parametrize("kind", sorted(simnet.TRACE_KINDS))
+def test_trace_refuses_a_row_one_field_short_or_long(kind):
+    """Every declared kind: a row one value short or one value long is
+    refused with the kind's fields named, the kind's name in capitals is
+    undeclared, and a row of the declared width is kept."""
+    fields = tuple(word.rstrip("?").partition(":")[0]
+                   for word in simnet.TRACE_KINDS[kind].split())
+    trace, width = simnet.Trace(), len(fields)
+    for values in ((None,) * (width - 1), (None,) * (width + 1)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"trace kind {kind!r} has fields {fields}, given {values!r}")):
+            trace.add(kind, 0, *values)
+    with pytest.raises(ValueError,
+                       match=f"undeclared trace kind {kind.upper()!r}"):
+        trace.add(kind.upper(), 0, *(None,) * width)
+    assert not trace.rows
+    trace.add(kind, 0, *(None,) * width)
+    assert trace.rows == [(kind, 0) + (None,) * width]
 
 
 def test_entries_read_plain_forms_and_typed_values():

@@ -66,7 +66,6 @@ def test_answer_ahead_is_check(seed, payload, part, pos, mask):
 def test_bytearray_check_skips_ready_answers(monkeypatch):
     """A bytearray may change after it is signed, so it is not recorded:
     its check, and that of a bytes copy, run `_check`."""
-    crypto.forget_run()
     data = bytearray(b"mutable message")
     triple = (SIGNER.public_key, SIGNER.sign(data), data)
     assert not crypto._signed
